@@ -179,10 +179,20 @@ func BenchmarkEquivalentMatrix(b *testing.B) {
 	}
 }
 
+// newServeHandler builds an in-memory minserve handler with defaults.
+func newServeHandler(b *testing.B) http.Handler {
+	b.Helper()
+	svc, err := minserve.New(minserve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc.Handler()
+}
+
 // BenchmarkServeCheckCached: a warm /v1/check hit through the minserve
 // LRU — the full HTTP handler path minus the analysis it caches away.
 func BenchmarkServeCheckCached(b *testing.B) {
-	h := minserve.NewHandler(minserve.Config{})
+	h := newServeHandler(b)
 	const body = `{"network":"indirect-binary-cube","stages":10}`
 	request := func() *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
@@ -227,7 +237,7 @@ func BenchmarkServeBatchWarm(b *testing.B) {
 	batchBody := batch.String()
 
 	newWarmHandler := func(b *testing.B) http.Handler {
-		h := minserve.NewHandler(minserve.Config{})
+		h := newServeHandler(b)
 		for _, body := range bodies {
 			req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
 			rec := httptest.NewRecorder()

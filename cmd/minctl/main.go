@@ -1,7 +1,7 @@
 // Command minctl inspects multistage interconnection networks through
 // the public min API: build the classical networks, check the paper's
 // characterization, construct isomorphisms, draw figures, route
-// packets, and run quick simulations.
+// packets. Traffic simulation lives in cmd/minsim.
 //
 // Usage:
 //
@@ -13,11 +13,9 @@
 //	minctl route    -net omega -n 4 -src 3 -dst 12
 //	minctl windows  -net baseline -n 5
 //	minctl counter  -n 5
-//	minctl sim      -net omega -n 6 -model wave -waves 500 -pattern uniform
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,15 +25,15 @@ import (
 )
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "minctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, w io.Writer) error {
+func run(args []string, w io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (list, draw, check, equiv, iso, route, windows, counter, sim)")
+		return fmt.Errorf("missing subcommand (list, draw, check, equiv, iso, route, windows, counter)")
 	}
 	sub := args[0]
 	fs := flag.NewFlagSet(sub, flag.ContinueOnError)
@@ -45,16 +43,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	tuples := fs.Bool("tuples", false, "print labels as binary tuples")
 	src := fs.Int("src", 0, "source terminal (route)")
 	dst := fs.Int("dst", 0, "destination terminal (route)")
-	model := fs.String("model", "wave", "wave or buffered (sim)")
-	pattern := fs.String("pattern", "uniform", "traffic scenario (sim)")
-	waves := fs.Int("waves", 500, "waves (sim, wave model)")
-	load := fs.Float64("load", 0.6, "offered load (sim, buffered model)")
-	queue := fs.Int("queue", 4, "queue capacity per lane (sim, buffered model)")
-	lanes := fs.Int("lanes", 1, "FIFO lanes per input port (sim, buffered model)")
-	cycles := fs.Int("cycles", 5000, "measured cycles (sim, buffered model)")
-	warmup := fs.Int("warmup", 500, "warmup cycles (sim, buffered model)")
-	seed := fs.Uint64("seed", 1, "root rng seed (sim)")
-	workers := fs.Int("workers", 0, "parallel workers, 0 = GOMAXPROCS (sim)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -152,39 +140,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprint(w, min.Check(nw).String())
 		printWindows(w, min.CheckAllWindows(nw))
 		return nil
-
-	case "sim":
-		nw, err := min.Build(*netName, *n)
-		if err != nil {
-			return err
-		}
-		common := []min.Option{
-			min.WithScenario(*pattern), min.WithSeed(*seed), min.WithWorkers(*workers),
-		}
-		switch *model {
-		case "wave":
-			st, err := min.Simulate(ctx, nw, append(common, min.WithWaves(*waves))...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s n=%d (N=%d), %s traffic, %d waves: throughput %.4f ± %.4f\n",
-				st.Network, st.Stages, st.Terminals, st.Scenario, st.Waves,
-				st.Throughput.Mean, st.Throughput.CI95)
-			return nil
-		case "buffered":
-			st, err := min.SimulateBuffered(ctx, nw, append(common,
-				min.WithLoad(*load), min.WithQueue(*queue), min.WithLanes(*lanes),
-				min.WithCycles(*cycles), min.WithWarmup(*warmup))...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s n=%d (N=%d), buffered, %s traffic, load %.2f: throughput %.4f ± %.4f, mean latency %.2f cycles\n",
-				st.Network, st.Stages, st.Terminals, st.Scenario, *load,
-				st.Throughput.Mean, st.Throughput.CI95, st.Latency.Mean)
-			return nil
-		default:
-			return fmt.Errorf("unknown model %q", *model)
-		}
 
 	default:
 		return fmt.Errorf("unknown subcommand %q", sub)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 )
@@ -10,44 +9,8 @@ import (
 func runCmd(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	var buf bytes.Buffer
-	err := run(context.Background(), args, &buf)
+	err := run(args, &buf)
 	return buf.String(), err
-}
-
-func TestSim(t *testing.T) {
-	out, err := runCmd(t, "sim", "-net", "omega", "-n", "4", "-model", "wave", "-waves", "20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "omega n=4") || !strings.Contains(out, "throughput") {
-		t.Errorf("sim wave output wrong:\n%s", out)
-	}
-	out, err = runCmd(t, "sim", "-net", "flip", "-n", "3", "-model", "buffered",
-		"-cycles", "200", "-warmup", "20", "-load", "0.5", "-pattern", "transpose")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "buffered, transpose traffic") || !strings.Contains(out, "mean latency") {
-		t.Errorf("sim buffered output wrong:\n%s", out)
-	}
-	if _, err := runCmd(t, "sim", "-model", "nope"); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if _, err := runCmd(t, "sim", "-pattern", "nope"); err == nil {
-		t.Error("unknown pattern accepted")
-	}
-	// Determinism surfaces through the CLI too.
-	a, err := runCmd(t, "sim", "-n", "4", "-waves", "30", "-seed", "5", "-workers", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runCmd(t, "sim", "-n", "4", "-waves", "30", "-seed", "5", "-workers", "3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("sim output depends on worker count:\n%s\nvs\n%s", a, b)
-	}
 }
 
 func TestList(t *testing.T) {

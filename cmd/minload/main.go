@@ -605,7 +605,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// across codec rows.
 	var tgt, calTgt target
 	if *inproc {
-		h := minserve.NewHandler(minserve.Config{})
+		svc, err := minserve.New(minserve.Config{})
+		if err != nil {
+			return err
+		}
+		h := svc.Handler()
 		tgt = &inprocTarget{h: h, binary: binary}
 		calTgt = &inprocTarget{h: h}
 	} else {

@@ -17,7 +17,11 @@ import (
 )
 
 func main() {
-	srv := httptest.NewServer(minserve.NewHandler(minserve.Config{}))
+	svc, err := minserve.New(minserve.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	base := srv.URL
 

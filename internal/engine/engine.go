@@ -6,11 +6,13 @@
 // with means and confidence intervals.
 //
 // Determinism is the core contract: trial t always runs with the rng
-// NewRand(seed, t) and per-trial results are stored by index, then
-// reduced sequentially in index order. Aggregate statistics are
-// therefore byte-identical for any worker count, which is what makes
-// parallel runs trustworthy replacements for the old sequential loops.
-// Fault injection obeys the same discipline: a Config.Faults plan is
+// NewRand(seed, t). Wave runs fold per-trial counters into exact
+// integer WavePartial sums, so merging the workers' partials in any
+// order gives the same aggregate; buffered replications are stored by
+// index and reduced in index order. Aggregate statistics are therefore
+// byte-identical for any worker count, which is what makes parallel
+// runs trustworthy replacements for the old sequential loops. Fault
+// injection obeys the same discipline: a Config.Faults plan is
 // resampled per trial from the decorrelated stream NewFaultRand(seed, t)
 // into worker-owned FaultStates, so degraded runs are reproducible from
 // (seed, plan) alone and never perturb the traffic streams.
@@ -19,8 +21,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,51 +47,76 @@ type Config struct {
 	Kernel Kernel
 }
 
-// faultPlan returns the active plan, or nil for an intact run.
-func (c Config) faultPlan() *sim.FaultPlan {
+// faultPlan validates the active plan against the fabric and returns
+// it, or nil for an intact run.
+func (c Config) faultPlan(f *sim.Fabric) (*sim.FaultPlan, error) {
 	if c.Faults == nil || c.Faults.Empty() {
-		return nil
+		return nil, nil
 	}
-	return c.Faults
+	if err := c.Faults.Validate(f); err != nil {
+		return nil, err
+	}
+	return c.Faults, nil
 }
 
-func (c Config) workers(trials int) int {
+// resolve validates a wave run's configuration against the fabric: it
+// returns the active fault plan and whether the bit-sliced kernel runs.
+func (c Config) resolve(f *sim.Fabric) (plan *sim.FaultPlan, bit bool, err error) {
+	if plan, err = c.faultPlan(f); err != nil {
+		return nil, false, err
+	}
+	switch c.Kernel {
+	case KernelAuto:
+		return plan, f.BitSliceable(), nil
+	case KernelScalar:
+		return plan, false, nil
+	case KernelBit:
+		if !f.BitSliceable() {
+			return nil, false, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
+		}
+		return plan, true, nil
+	}
+	return nil, false, fmt.Errorf("engine: unknown kernel %d", uint8(c.Kernel))
+}
+
+func (c Config) workers(units int) int {
 	w := c.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > trials {
-		w = trials
+	if w > units {
+		w = units
 	}
 	return w
 }
 
-// shard runs fn(t) for every t in [0, trials) across the configured
-// worker count, each worker claiming trial indices from a shared atomic
-// counter. fn must write its result into per-index storage; the first
-// error aborts remaining trials. Cancelling ctx stops every worker at
-// its next trial boundary (a single trial is never interrupted
-// mid-flight) and ctx.Err() is returned.
-func shard(ctx context.Context, cfg Config, trials int, scratch func() any, fn func(t int, scratch any) error) error {
-	nw := cfg.workers(trials)
+// shard runs fn(u, scratch) for every unit u in [0, units) across the
+// configured worker count, each worker claiming units from a shared
+// atomic counter with its own scratch, and returns the workers'
+// scratches. The first error aborts remaining units. Cancelling ctx
+// stops every worker at its next unit boundary (a unit is never
+// interrupted by shard itself) and ctx.Err() is returned.
+func shard[S any](ctx context.Context, cfg Config, units int, scratch func() S, fn func(u int, sc S) error) ([]S, error) {
+	nw := cfg.workers(units)
 	var next atomic.Int64
 	var failed atomic.Bool
+	scs := make([]S, nw)
 	errs := make([]error, nw)
 	var wg sync.WaitGroup
 	for wk := 0; wk < nw; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			sc := scratch()
+			scs[wk] = scratch()
 			for !failed.Load() {
 				if ctx.Err() != nil {
 					return
 				}
-				t := int(next.Add(1)) - 1
-				if t >= trials {
+				u := int(next.Add(1)) - 1
+				if u >= units {
 					return
 				}
-				if err := fn(t, sc); err != nil {
+				if err := fn(u, scs[wk]); err != nil {
 					errs[wk] = err
 					failed.Store(true)
 					return
@@ -102,10 +127,10 @@ func shard(ctx context.Context, cfg Config, trials int, scratch func() any, fn f
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return ctx.Err()
+	return scs, ctx.Err()
 }
 
 // WaveStats aggregates a sharded run of independent waves.
@@ -126,10 +151,6 @@ type WaveStats struct {
 	Throughput Stats
 }
 
-// waveTrial is one trial's counters, stored by trial index so reduction
-// order (and therefore every aggregate) is worker-count independent.
-type waveTrial struct{ offered, delivered, dropped, misrouted, faultDropped int }
-
 // RunWaves pushes `waves` independent waves of the pattern through the
 // fabric, sharded across cfg.Workers goroutines. The pattern must be a
 // pure function of (dsts, rng) — every pattern in the sim registry is —
@@ -137,201 +158,51 @@ type waveTrial struct{ offered, delivered, dropped, misrouted, faultDropped int 
 // ctx aborts the run within one trial (one 64-trial batch under the
 // bit-sliced kernel) and returns ctx.Err().
 //
-// Trial t always draws from the streams NewRand(Seed, t) and
-// NewFaultRand(Seed, t) no matter which kernel executes it, and both
-// kernels are byte-identical per stream, so aggregates are invariant
-// under both worker count and kernel choice.
+// RunWaves is RunWaveRange over [0, waves), sharded: each worker owns
+// one executor and folds the units it claims (64-trial batches under
+// the bit-sliced kernel, single trials under the scalar one) into its
+// own WavePartial, and the partials are merged by exact integer
+// addition. Trial t always draws from NewRand(Seed, t) and
+// NewFaultRand(Seed, t) whichever worker and kernel run it, so the
+// aggregates are invariant under worker count and kernel choice, and
+// equal to any merged split of the same run into ranges.
 func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config) (WaveStats, error) {
 	if waves <= 0 {
 		return WaveStats{}, fmt.Errorf("engine: waves must be positive")
 	}
-	plan := cfg.faultPlan()
-	if plan != nil {
-		if err := plan.Validate(f); err != nil {
-			return WaveStats{}, err
-		}
-	}
-	useBit := false
-	switch cfg.Kernel {
-	case KernelAuto:
-		useBit = f.BitSliceable()
-	case KernelScalar:
-	case KernelBit:
-		if !f.BitSliceable() {
-			return WaveStats{}, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
-		}
-		useBit = true
-	default:
-		return WaveStats{}, fmt.Errorf("engine: unknown kernel %d", uint8(cfg.Kernel))
-	}
-	results := make([]waveTrial, waves)
-	var err error
-	if useBit {
-		err = runWavesBit(ctx, f, pattern, waves, cfg, plan, results)
-	} else {
-		err = runWavesScalar(ctx, f, pattern, waves, cfg, plan, results)
-	}
+	plan, bit, err := cfg.resolve(f)
 	if err != nil {
 		return WaveStats{}, err
 	}
-	out := WaveStats{Waves: waves}
-	for _, r := range results {
-		out.Offered += r.offered
-		out.Delivered += r.delivered
-		out.Dropped += r.dropped
-		out.Misrouted += r.misrouted
-		out.FaultDropped += r.faultDropped
+	unit := 1
+	if bit {
+		unit = 64
 	}
-	if out.Offered > 0 {
-		m := float64(out.Delivered) / float64(out.Offered)
-		// Linearized variance of the ratio-of-sums estimator:
-		// Var(m) ~= n/(n-1) * sum_t (d_t - m*o_t)^2 / (sum_t o_t)^2.
-		// Std is scaled so that Stats.CI95 = 1.96*Std/sqrt(N) yields
-		// exactly 1.96*sqrt(Var); for constant offered load it reduces
-		// to the sample std of per-wave delivered fractions.
-		n := 0
-		var sq float64
-		for _, r := range results {
-			if r.offered == 0 {
-				continue
-			}
-			n++
-			d := float64(r.delivered) - m*float64(r.offered)
-			sq += d * d
-		}
-		st := Stats{N: n, Mean: m}
-		if n > 1 {
-			st.Std = float64(n) / float64(out.Offered) * math.Sqrt(sq/float64(n-1))
-		}
-		out.Throughput = st
+	type worker struct {
+		ex   *executor
+		part WavePartial
 	}
-	return out, nil
-}
-
-// runWavesScalar executes one trial per shard unit with the scalar
-// wave kernel. A pinned-only plan realizes identically every trial:
-// sample it once per worker. Random rates resample per trial from the
-// dedicated fault stream (the plan is already validated, so Resample
-// suffices).
-func runWavesScalar(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config, plan *sim.FaultPlan, results []waveTrial) error {
-	resample := plan != nil && plan.Random()
-	type waveScratch struct {
-		runner *sim.WaveRunner
-		faults *sim.FaultState
-	}
-	return shard(ctx, cfg, waves,
-		func() any {
-			sc := &waveScratch{runner: f.NewWaveRunner()}
-			if plan != nil {
-				sc.faults = f.NewFaultState()
-				_ = sc.runner.SetFaults(sc.faults)
-				if !resample {
-					sc.faults.Resample(*plan, nil)
-				}
-			}
-			return sc
-		},
-		func(t int, scratch any) error {
-			sc := scratch.(*waveScratch)
-			if resample {
-				sc.faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
-			}
-			res, err := sc.runner.RunTraffic(pattern, NewRand(cfg.Seed, uint64(t)))
-			if err != nil {
-				return err
-			}
-			results[t] = waveTrial{res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped}
-			return nil
+	workers, err := shard(ctx, cfg, (waves+unit-1)/unit,
+		func() *worker { return &worker{ex: newExecutor(f, pattern, cfg.Seed, plan, bit)} },
+		func(u int, w *worker) error {
+			return w.ex.run(ctx, u*unit, min((u+1)*unit, waves), &w.part)
 		})
-}
-
-// runWavesBit executes the trials in 64-wide batches with the
-// bit-sliced kernel: shard unit u covers trials [64u, 64u+64), lane j
-// of the batch running trial 64u+j on its own reseeded PCG — the exact
-// NewRand/NewFaultRand streams the scalar executor would use, so the
-// per-trial results are byte-identical to runWavesScalar's. A trailing
-// remainder of fewer than 64 waves runs through the worker's scalar
-// runner inside the final unit (the kernels mix freely for the same
-// reason). All per-batch work — PCG reseeding, fault refolds, the
-// kernel itself — is allocation-free.
-func runWavesBit(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config, plan *sim.FaultPlan, results []waveTrial) error {
-	resample := plan != nil && plan.Random()
-	batches := waves / 64
-	units := batches
-	if waves%64 != 0 {
-		units++
+	if err != nil {
+		return WaveStats{}, err
 	}
-	froot := FaultRoot(cfg.Seed)
-	type bitScratch struct {
-		bit    *sim.BitWaveRunner
-		scalar *sim.WaveRunner
-		faults *sim.FaultState
-		bits   *sim.BitFaultState
-		pcg    [64]rand.PCG
-		rngs   [64]*rand.Rand
-		fpcg   rand.PCG
-		frng   *rand.Rand
+	var p WavePartial
+	for _, w := range workers {
+		p.Merge(w.part)
 	}
-	return shard(ctx, cfg, units,
-		func() any {
-			sc := &bitScratch{scalar: f.NewWaveRunner()}
-			sc.bit, _ = f.NewBitWaveRunner() // BitSliceable was checked by RunWaves
-			for j := range sc.rngs {
-				sc.rngs[j] = rand.New(&sc.pcg[j])
-			}
-			sc.frng = rand.New(&sc.fpcg)
-			if plan != nil {
-				sc.faults = f.NewFaultState()
-				sc.bits = f.NewBitFaultState()
-				_ = sc.scalar.SetFaults(sc.faults)
-				_ = sc.bit.SetFaults(sc.bits)
-				if !resample {
-					sc.faults.Resample(*plan, nil)
-					_ = sc.bits.SetAll(sc.faults)
-				}
-			}
-			return sc
-		},
-		func(u int, scratch any) error {
-			sc := scratch.(*bitScratch)
-			t0 := u * 64
-			if u == batches {
-				// Remainder unit: fewer than 64 trailing waves, scalar.
-				for t := t0; t < waves; t++ {
-					if resample {
-						sc.fpcg.Seed(SeedPair(froot, uint64(t)))
-						sc.faults.Resample(*plan, sc.frng)
-					}
-					sc.pcg[0].Seed(SeedPair(cfg.Seed, uint64(t)))
-					res, err := sc.scalar.RunTraffic(pattern, sc.rngs[0])
-					if err != nil {
-						return err
-					}
-					results[t] = waveTrial{res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped}
-				}
-				return nil
-			}
-			for j := 0; j < 64; j++ {
-				sc.pcg[j].Seed(SeedPair(cfg.Seed, uint64(t0+j)))
-			}
-			if resample {
-				for j := 0; j < 64; j++ {
-					sc.fpcg.Seed(SeedPair(froot, uint64(t0+j)))
-					sc.faults.Resample(*plan, sc.frng)
-					if err := sc.bits.SetLane(j, sc.faults); err != nil {
-						return err
-					}
-				}
-			}
-			res, err := sc.bit.RunTraffic(pattern, sc.rngs[:])
-			if err != nil {
-				return err
-			}
-			for j := 0; j < 64; j++ {
-				results[t0+j] = waveTrial{res.Offered[j], res.Delivered[j], res.Dropped[j], res.Misrouted[j], res.FaultDropped[j]}
-			}
-			return nil
-		})
+	return WaveStats{
+		Waves:        waves,
+		Offered:      int(p.Offered),
+		Delivered:    int(p.Delivered),
+		Dropped:      int(p.Dropped),
+		Misrouted:    int(p.Misrouted),
+		FaultDropped: int(p.FaultDropped),
+		Throughput:   p.Throughput(),
+	}, nil
 }
 
 // BufferedStats aggregates independent replications of the buffered
@@ -373,11 +244,9 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 	if err := bc.Validate(); err != nil {
 		return BufferedStats{}, err
 	}
-	plan := cfg.faultPlan()
-	if plan != nil {
-		if err := plan.Validate(f); err != nil {
-			return BufferedStats{}, err
-		}
+	plan, err := cfg.faultPlan(f)
+	if err != nil {
+		return BufferedStats{}, err
 	}
 	// Same discipline as RunWaves: pinned-only plans sample once per
 	// worker, random rates resample per trial from the fault stream.
@@ -391,8 +260,8 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 	// runner-owned StageOccupancy into its own slot so the worker's
 	// next replication cannot overwrite it, without per-trial allocs.
 	occ := make([]float64, reps*f.Spans)
-	err := shard(ctx, cfg, reps,
-		func() any {
+	_, err = shard(ctx, cfg, reps,
+		func() *bufScratch {
 			r, _ := f.NewBufferedRunner(bc)
 			sc := &bufScratch{runner: r}
 			if plan != nil {
@@ -404,8 +273,7 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 			}
 			return sc
 		},
-		func(t int, scratch any) error {
-			sc := scratch.(*bufScratch)
+		func(t int, sc *bufScratch) error {
 			if resample {
 				sc.faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
 			}

@@ -25,7 +25,7 @@ func fabricFor(t testing.TB, name string, n int) *sim.Fabric {
 // TestWaveDeterminismAcrossWorkers is the engine's core contract: the
 // same root seed produces byte-identical aggregate statistics for 1
 // worker and for K workers, because trial t always gets stream
-// NewRand(seed, t) and reduction happens in trial order.
+// NewRand(seed, t) and the workers' integer partials merge exactly.
 func TestWaveDeterminismAcrossWorkers(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 6)
 	for _, pattern := range []sim.Traffic{sim.Uniform(), sim.Bernoulli(0.6), sim.Bursty(0.3, 1.0, 0.1)} {

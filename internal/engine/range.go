@@ -89,11 +89,12 @@ func (p *WavePartial) Merge(q WavePartial) {
 }
 
 // Throughput finalizes the pooled delivered/offered ratio with the
-// linearized ratio-estimator dispersion, computed from the exact sums
-// (same estimator as RunWaves; the only difference is that the
-// quadratic expansion here is exact where RunWaves accumulates the
-// residuals in floating point, so the two can differ in the last ulp
-// of Std — the mean is bit-equal).
+// linearized ratio-estimator dispersion, computed from the exact sums:
+// Var(m) ≈ n/(n−1) · sq / (Σ o_t)², with Std scaled so that
+// Stats.CI95 = 1.96·Std/√N yields exactly 1.96·√Var. For constant
+// offered load it reduces to the sample std of per-wave delivered
+// fractions. RunWaves finalizes through here too, so a served run and
+// a merged sweep cell with the same seed agree bit for bit.
 func (p WavePartial) Throughput() Stats {
 	if p.Offered == 0 {
 		return Stats{}
@@ -127,140 +128,129 @@ func RunWaveRange(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, h
 	if lo < 0 || hi <= lo {
 		return WavePartial{}, fmt.Errorf("engine: bad trial range [%d,%d)", lo, hi)
 	}
-	plan := cfg.faultPlan()
-	if plan != nil {
-		if err := plan.Validate(f); err != nil {
-			return WavePartial{}, err
-		}
-	}
-	useBit := false
-	switch cfg.Kernel {
-	case KernelAuto:
-		useBit = f.BitSliceable()
-	case KernelScalar:
-	case KernelBit:
-		if !f.BitSliceable() {
-			return WavePartial{}, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
-		}
-		useBit = true
-	default:
-		return WavePartial{}, fmt.Errorf("engine: unknown kernel %d", uint8(cfg.Kernel))
-	}
-	if useBit {
-		return runRangeBit(ctx, f, pattern, lo, hi, cfg, plan)
-	}
-	return runRangeScalar(ctx, f, pattern, lo, hi, cfg, plan)
-}
-
-// runRangeScalar walks the range one trial at a time on the scalar
-// kernel, following the same fault-sampling discipline as
-// runWavesScalar: pinned-only plans sample once, random rates resample
-// per trial from the dedicated fault stream.
-func runRangeScalar(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, hi int, cfg Config, plan *sim.FaultPlan) (WavePartial, error) {
-	resample := plan != nil && plan.Random()
-	runner := f.NewWaveRunner()
-	var faults *sim.FaultState
-	if plan != nil {
-		faults = f.NewFaultState()
-		_ = runner.SetFaults(faults)
-		if !resample {
-			faults.Resample(*plan, nil)
-		}
-	}
-	p := WavePartial{Lo: lo, Hi: hi}
-	for t := lo; t < hi; t++ {
-		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
-		}
-		if resample {
-			faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
-		}
-		res, err := runner.RunTraffic(pattern, NewRand(cfg.Seed, uint64(t)))
-		if err != nil {
-			return WavePartial{}, err
-		}
-		p.add(res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped)
-	}
-	return p, nil
-}
-
-// runRangeBit executes the range in 64-wide batches on the bit-sliced
-// kernel, lane j of a batch starting at t0 running trial t0+j on the
-// exact NewRand/NewFaultRand streams the scalar kernel would use; a
-// trailing remainder shorter than 64 trials runs scalar. Batches are
-// anchored at lo (not at multiples of 64): per-trial byte-identity is
-// a property of the reseeded streams, so batch alignment cannot leak
-// into the sums.
-func runRangeBit(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, hi int, cfg Config, plan *sim.FaultPlan) (WavePartial, error) {
-	resample := plan != nil && plan.Random()
-	bit, err := f.NewBitWaveRunner()
+	plan, bit, err := cfg.resolve(f)
 	if err != nil {
 		return WavePartial{}, err
 	}
-	scalar := f.NewWaveRunner()
-	var (
-		faults *sim.FaultState
-		bits   *sim.BitFaultState
-	)
-	if plan != nil {
-		faults = f.NewFaultState()
-		bits = f.NewBitFaultState()
-		_ = scalar.SetFaults(faults)
-		_ = bit.SetFaults(bits)
-		if !resample {
-			faults.Resample(*plan, nil)
-			_ = bits.SetAll(faults)
-		}
+	var p WavePartial
+	if err := newExecutor(f, pattern, cfg.Seed, plan, bit).run(ctx, lo, hi, &p); err != nil {
+		return WavePartial{}, err
 	}
-	froot := FaultRoot(cfg.Seed)
-	var pcg [64]rand.PCG
-	var rngs [64]*rand.Rand
-	for j := range rngs {
-		rngs[j] = rand.New(&pcg[j])
-	}
-	var fpcg rand.PCG
-	frng := rand.New(&fpcg)
+	return p, nil
+}
 
-	p := WavePartial{Lo: lo, Hi: hi}
-	t0 := lo
-	for ; t0+64 <= hi; t0 += 64 {
+// executor is one worker's wave-trial machinery: the scalar runner, the
+// bit-sliced runner when that kernel is in force, their fault states,
+// and reseedable PCG lanes (64 under the bit kernel, one under scalar)
+// that replay the exact NewRand/NewFaultRand streams without
+// constructing a generator per trial. Not safe for concurrent use.
+type executor struct {
+	pattern     sim.Traffic
+	seed, froot uint64
+	plan        *sim.FaultPlan // nil = intact fabric
+	resample    bool           // the plan has random rates: redraw per trial
+
+	scalar *sim.WaveRunner
+	bit    *sim.BitWaveRunner // nil under the scalar kernel
+	faults *sim.FaultState
+	bits   *sim.BitFaultState
+
+	pcg  []rand.PCG
+	rngs []*rand.Rand
+	fpcg rand.PCG
+	frng *rand.Rand
+}
+
+// newExecutor builds an executor for a plan and kernel already checked
+// by Config.resolve. A pinned-only plan realizes identically every
+// trial, so it is sampled once here; random rates resample per trial
+// from the dedicated fault stream.
+func newExecutor(f *sim.Fabric, pattern sim.Traffic, seed uint64, plan *sim.FaultPlan, bit bool) *executor {
+	e := &executor{
+		pattern:  pattern,
+		seed:     seed,
+		froot:    FaultRoot(seed),
+		plan:     plan,
+		resample: plan != nil && plan.Random(),
+		scalar:   f.NewWaveRunner(),
+	}
+	lanes := 1
+	if bit {
+		lanes = 64
+		e.bit, _ = f.NewBitWaveRunner() // resolve checked BitSliceable
+	}
+	e.pcg = make([]rand.PCG, lanes)
+	e.rngs = make([]*rand.Rand, lanes)
+	for j := range e.rngs {
+		e.rngs[j] = rand.New(&e.pcg[j])
+	}
+	e.frng = rand.New(&e.fpcg)
+	if plan != nil {
+		e.faults = f.NewFaultState()
+		_ = e.scalar.SetFaults(e.faults)
+		if !e.resample {
+			e.faults.Resample(*plan, nil)
+		}
+		if bit {
+			e.bits = f.NewBitFaultState()
+			_ = e.bit.SetFaults(e.bits)
+			if !e.resample {
+				_ = e.bits.SetAll(e.faults)
+			}
+		}
+	}
+	return e
+}
+
+// run is the engine's one wave-trial loop: it folds trials [lo, hi)
+// into p, extending p's range to cover them. Under the bit kernel it
+// steers 64-wide batches anchored at lo, lane j of a batch at t0
+// running trial t0+j; the remainder shorter than 64 (every trial under
+// the scalar kernel) runs one at a time. Both kernels are byte-identical
+// per stream and every trial is reseeded from (seed, t), so neither the
+// batch alignment nor the split into calls can leak into the sums.
+// Cancelling ctx aborts between trials (between batches) with ctx.Err().
+//
+//minlint:hotpath
+func (e *executor) run(ctx context.Context, lo, hi int, p *WavePartial) error {
+	p.Merge(WavePartial{Lo: lo, Hi: hi})
+	t := lo
+	for ; e.bit != nil && t+64 <= hi; t += 64 {
 		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
+			return err
 		}
-		for j := 0; j < 64; j++ {
-			pcg[j].Seed(SeedPair(cfg.Seed, uint64(t0+j)))
-		}
-		if resample {
-			for j := 0; j < 64; j++ {
-				fpcg.Seed(SeedPair(froot, uint64(t0+j)))
-				faults.Resample(*plan, frng)
-				if err := bits.SetLane(j, faults); err != nil {
-					return WavePartial{}, err
+		for j := range e.pcg {
+			e.pcg[j].Seed(SeedPair(e.seed, uint64(t+j)))
+			if e.resample {
+				e.fpcg.Seed(SeedPair(e.froot, uint64(t+j)))
+				e.faults.Resample(*e.plan, e.frng)
+				if err := e.bits.SetLane(j, e.faults); err != nil {
+					return err
 				}
 			}
 		}
-		res, err := bit.RunTraffic(pattern, rngs[:])
+		res, err := e.bit.RunTraffic(e.pattern, e.rngs)
 		if err != nil {
-			return WavePartial{}, err
+			return err
 		}
-		for j := 0; j < 64; j++ {
+		for j := range e.rngs {
 			p.add(res.Offered[j], res.Delivered[j], res.Dropped[j], res.Misrouted[j], res.FaultDropped[j])
 		}
 	}
-	for t := t0; t < hi; t++ {
+	for ; t < hi; t++ {
 		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
+			return err
 		}
-		if resample {
-			fpcg.Seed(SeedPair(froot, uint64(t)))
-			faults.Resample(*plan, frng)
+		if e.resample {
+			e.fpcg.Seed(SeedPair(e.froot, uint64(t)))
+			e.faults.Resample(*e.plan, e.frng)
 		}
-		pcg[0].Seed(SeedPair(cfg.Seed, uint64(t)))
-		res, err := scalar.RunTraffic(pattern, rngs[0])
+		e.pcg[0].Seed(SeedPair(e.seed, uint64(t)))
+		res, err := e.scalar.RunTraffic(e.pattern, e.rngs[0])
 		if err != nil {
-			return WavePartial{}, err
+			return err
 		}
 		p.add(res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped)
 	}
-	return p, nil
+	return nil
 }

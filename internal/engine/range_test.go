@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"minequiv/internal/perm"
@@ -74,34 +73,56 @@ func TestRangeKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesRunWaves: a full-range partial must agree with
-// RunWaves on every integer counter, exactly on the throughput mean,
-// and to float tolerance on Std (RunWaves accumulates residuals in
-// float where the partial expands the quadratic exactly).
+// TestRangeMatchesRunWaves: RunWaves is a sharded RunWaveRange, so a
+// full-range partial must agree with it exactly — every counter and
+// the whole Throughput (Std included) — for both kernels, any worker
+// count and a wave count that leaves a scalar remainder after the bit
+// kernel's 64-wide batches.
 func TestRangeMatchesRunWaves(t *testing.T) {
 	f := fabricFor(t, topology.NameBaseline, 6)
-	for _, cfg := range []Config{
-		{Seed: 11},
-		{Seed: 11, Faults: &sim.FaultPlan{SwitchDeadRate: 0.1}},
-	} {
-		const waves = 150
-		ws, err := RunWaves(context.Background(), f, sim.Bernoulli(0.8), waves, cfg)
-		if err != nil {
-			t.Fatal(err)
+	const waves = 130
+	for _, kernel := range []Kernel{KernelScalar, KernelBit} {
+		for _, plan := range []*sim.FaultPlan{nil, {SwitchDeadRate: 0.1}} {
+			p := runRange(t, f, sim.Bernoulli(0.8), 0, waves, Config{Seed: 11, Kernel: kernel, Faults: plan})
+			want := WaveStats{
+				Waves:        p.Trials(),
+				Offered:      int(p.Offered),
+				Delivered:    int(p.Delivered),
+				Dropped:      int(p.Dropped),
+				Misrouted:    int(p.Misrouted),
+				FaultDropped: int(p.FaultDropped),
+				Throughput:   p.Throughput(),
+			}
+			for _, workers := range []int{1, 3} {
+				ws, err := RunWaves(context.Background(), f, sim.Bernoulli(0.8), waves,
+					Config{Seed: 11, Kernel: kernel, Faults: plan, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ws != want {
+					t.Fatalf("kernel=%v plan=%v workers=%d: RunWaves diverges from the range partial:\n%+v\n%+v",
+						kernel, plan, workers, ws, want)
+				}
+			}
 		}
-		p := runRange(t, f, sim.Bernoulli(0.8), 0, waves, cfg)
-		if p.Trials() != ws.Waves || int(p.Offered) != ws.Offered ||
-			int(p.Delivered) != ws.Delivered || int(p.Dropped) != ws.Dropped ||
-			int(p.Misrouted) != ws.Misrouted || int(p.FaultDropped) != ws.FaultDropped {
-			t.Fatalf("counters diverge from RunWaves:\n%+v\n%+v", p, ws)
-		}
-		st := p.Throughput()
-		if st.N != ws.Throughput.N || st.Mean != ws.Throughput.Mean {
-			t.Fatalf("throughput N/Mean diverge: %+v vs %+v", st, ws.Throughput)
-		}
-		if d := math.Abs(st.Std - ws.Throughput.Std); d > 1e-12*(1+ws.Throughput.Std) {
-			t.Fatalf("throughput Std diverges beyond float tolerance: %v vs %v", st.Std, ws.Throughput.Std)
-		}
+	}
+}
+
+// TestRangeScalarAllocsFlat: the scalar executor reseeds one PCG lane
+// per trial instead of constructing generators, so a range's
+// allocations are the executor's setup alone — flat in the trial count.
+func TestRangeScalarAllocsFlat(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 4)
+	cfg := Config{Seed: 9, Kernel: KernelScalar}
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunWaveRange(context.Background(), f, sim.Uniform(), 0, trials, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(1000); small != large {
+		t.Fatalf("scalar RunWaveRange allocations grow with trials: %v at 10, %v at 1000", small, large)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // CacheStats is the hit/miss accounting of the response cache, exposed
-// at GET /v1/stats.
+// in the GET /v1/healthz body.
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`

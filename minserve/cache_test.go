@@ -9,13 +9,13 @@ import (
 
 func cacheStats(t *testing.T, h http.Handler) CacheStats {
 	t.Helper()
-	rec := do(t, h, "GET", "/v1/stats", "")
+	rec := do(t, h, "GET", "/v1/healthz", "")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/stats: status %d", rec.Code)
+		t.Fatalf("/v1/healthz: status %d", rec.Code)
 	}
-	var resp statsResponse
+	var resp healthzResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("/v1/stats body: %v", err)
+		t.Fatalf("/v1/healthz body: %v", err)
 	}
 	return resp.Cache
 }
@@ -110,7 +110,7 @@ func TestCacheSharedAcrossSpecForms(t *testing.T) {
 // TestCacheEvictsAtBound: with capacity 2, a third distinct topology
 // evicts the least recently used entry.
 func TestCacheEvictsAtBound(t *testing.T) {
-	h := NewHandler(Config{CacheEntries: 2})
+	h := testHandler(Config{CacheEntries: 2})
 	req := func(name string, stages int) string {
 		return fmt.Sprintf(`{"network":%q,"stages":%d}`, name, stages)
 	}
@@ -133,7 +133,7 @@ func TestCacheEvictsAtBound(t *testing.T) {
 // TestCacheDisabled: negative CacheEntries turns caching off entirely;
 // the responses still work and stats stay zero.
 func TestCacheDisabled(t *testing.T) {
-	h := NewHandler(Config{CacheEntries: -1})
+	h := testHandler(Config{CacheEntries: -1})
 	body := `{"network":"omega","stages":4}`
 	first := do(t, h, "POST", "/v1/check", body)
 	second := do(t, h, "POST", "/v1/check", body)

@@ -60,14 +60,8 @@ type errorDetail struct {
 }
 
 // errorEnvelope is the uniform error response body.
-//
-// Deprecated field: Message duplicates Error.Message at the top level
-// for clients of the pre-0.7 flat `{"error": "..."}` envelope (the
-// key now holds the structured object, so the flat string moved to
-// "message"); it will be removed in the next release. See doc.go.
 type errorEnvelope struct {
-	Error   errorDetail `json:"error"`
-	Message string      `json:"message"`
+	Error errorDetail `json:"error"`
 }
 
 // httpError is an error with a chosen status code and stable error
@@ -144,11 +138,7 @@ func envelopeFor(err error) (errorEnvelope, int) {
 	case errors.Is(err, context.DeadlineExceeded):
 		status, code = http.StatusServiceUnavailable, CodeDeadlineExceeded
 	}
-	msg := err.Error()
-	return errorEnvelope{
-		Error:   errorDetail{Code: code, Message: msg, Status: status},
-		Message: msg,
-	}, status
+	return errorEnvelope{Error: errorDetail{Code: code, Message: err.Error(), Status: status}}, status
 }
 
 // clientGone reports whether the request failed because the client
@@ -175,7 +165,7 @@ func encodeErr(err error) ([]byte, int) {
 	env, status := envelopeFor(err)
 	body, mErr := encodeJSON(env)
 	if mErr != nil { // cannot happen: the envelope is plain data
-		body = []byte(`{"error":{"code":"internal","message":"encoding failure","status":500},"message":"encoding failure"}` + "\n")
+		body = []byte(`{"error":{"code":"internal","message":"encoding failure","status":500}}` + "\n")
 		status = http.StatusInternalServerError
 	}
 	return body, status

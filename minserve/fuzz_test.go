@@ -17,7 +17,7 @@ import (
 // fuzzHandler serves with aggressive limits: bodies that decode must
 // still be cheap to execute.
 func fuzzHandler() http.Handler {
-	return NewHandler(Config{
+	return testHandler(Config{
 		MaxStages: 5,
 		MaxTrials: 50,
 		MaxCycles: 500,

@@ -13,8 +13,6 @@
 //	GET  /v1/networks   the catalog and the scenario registry
 //	GET  /v1/limits     every operator-configured request/serving limit
 //	GET  /v1/healthz    liveness: version, uptime, cache + serving stats
-//	GET  /v1/stats      deprecated alias for the cache counters (use
-//	                    /v1/healthz; responses carry a Deprecation header)
 //	GET  /metrics       Prometheus text exposition (version 0.0.4)
 //	POST /v1/check      characterization report (+ optional isomorphism)
 //	POST /v1/route      one routed path, with the tag schedule when PIPID
@@ -64,10 +62,7 @@
 //
 // Errors use a structured envelope with stable machine-readable codes:
 //
-//	{"error":{"code":"bad_request","message":"...","status":400},"message":"..."}
-//
-// (the top-level "message" duplicates error.message for pre-0.7 clients
-// of the flat envelope and will be removed in the next release).
+//	{"error":{"code":"bad_request","message":"...","status":400}}
 //
 // /v1/check and /v1/route are served through a bounded LRU response
 // cache keyed by the network's canonical arc hash plus the request
@@ -223,7 +218,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Version identifies the service build; /v1/healthz reports it.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 type server struct {
 	cfg     Config
@@ -270,7 +265,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/networks", s.handleNetworks)
 	mux.HandleFunc("GET /v1/limits", s.handleLimits)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Job reads are observability: registered directly (not through
 	// admit) so polling a running sweep can never be shed while the
@@ -310,16 +304,14 @@ func (s *server) handleWork(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Server is the service plus its background job plane. Use New when
-// the process needs a graceful shutdown hook; NewHandler remains for
-// callers that only want the route table.
+// Server is the service plus its background job plane.
 type Server struct {
 	s *server
 }
 
-// New builds the service. The only error source is opening the
-// checkpoint directory (Config.JobsDir) and resuming the jobs found
-// there.
+// New builds the service. Zero-value Config fields take the documented
+// defaults. The only error source is opening the checkpoint directory
+// (Config.JobsDir) and resuming the jobs found there.
 func New(cfg Config) (*Server, error) {
 	s, err := newServer(cfg)
 	if err != nil {
@@ -336,18 +328,6 @@ func (sv *Server) Handler() http.Handler { return sv.s.handler() }
 // the stragglers are aborted — their shards simply re-run after the
 // next New on the same JobsDir. Idempotent.
 func (sv *Server) Close(ctx context.Context) error { return sv.s.jobs.Drain(ctx) }
-
-// NewHandler returns the service's HTTP handler. Zero-value Config
-// fields take the documented defaults. It panics if Config.JobsDir is
-// set but unusable; processes serving a checkpoint directory should
-// use New and handle the error (and get Close for graceful drains).
-func NewHandler(cfg Config) http.Handler {
-	s, err := newServer(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("minserve: opening job plane: %v", err))
-	}
-	return s.handler()
-}
 
 // bodyPool recycles the read buffers of the POST endpoints and the
 // batch/metrics render buffers: a warm hit needs the raw bytes only for
@@ -441,23 +421,17 @@ func (s *server) buildNetwork(spec networkSpec) (*min.Network, error) {
 	}
 }
 
-// networksResponse is the GET /v1/networks body. The limit fields are
-// deprecated aliases of GET /v1/limits, kept populated for one release.
+// networksResponse is the GET /v1/networks body; the request limits
+// live in GET /v1/limits.
 type networksResponse struct {
 	Networks  []min.NetworkInfo  `json:"networks"`
 	Scenarios []min.ScenarioInfo `json:"scenarios"`
-	MaxStages int                `json:"maxStages"`
-	MaxTrials int                `json:"maxTrials"`
-	MaxCycles int                `json:"maxCycles"`
 }
 
 func (s *server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, networksResponse{
 		Networks:  min.Catalog(),
 		Scenarios: min.Scenarios(),
-		MaxStages: s.cfg.MaxStages,
-		MaxTrials: s.cfg.MaxTrials,
-		MaxCycles: s.cfg.MaxCycles,
 	})
 }
 
@@ -577,21 +551,6 @@ func (s *server) cacheHeader(hit bool) []string {
 	default:
 		return headerMiss
 	}
-}
-
-// statsResponse is the GET /v1/stats body.
-type statsResponse struct {
-	Cache CacheStats `json:"cache"`
-}
-
-// handleStats is deprecated: the counters moved into GET /v1/healthz.
-// The path keeps serving for one release and announces its retirement
-// with a Deprecation header (draft-ietf-httpapi-deprecation-header)
-// pointing at the successor.
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/healthz>; rel="successor-version"`)
-	writeJSON(w, http.StatusOK, statsResponse{Cache: s.cache.stats()})
 }
 
 // ServingStats is the admission/serving-plane snapshot reported by

@@ -12,9 +12,17 @@ import (
 	"time"
 )
 
-func newTestHandler() http.Handler {
-	return NewHandler(Config{})
+// testHandler builds the service's handler for cfg. Test configs leave
+// JobsDir empty, so New cannot fail.
+func testHandler(cfg Config) http.Handler {
+	sv, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sv.Handler()
 }
+
+func newTestHandler() http.Handler { return testHandler(Config{}) }
 
 func do(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -42,13 +50,16 @@ func TestNetworksEndpoint(t *testing.T) {
 		Scenarios []struct {
 			Name string `json:"name"`
 		} `json:"scenarios"`
-		MaxStages int `json:"maxStages"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Networks) != 6 || len(resp.Scenarios) != 9 || resp.MaxStages != 10 {
+	if len(resp.Networks) != 6 || len(resp.Scenarios) != 9 {
 		t.Fatalf("unexpected inventory: %+v", resp)
+	}
+	// The limits live in /v1/limits only.
+	if strings.Contains(rec.Body.String(), "maxStages") {
+		t.Errorf("networks body still carries limit fields: %s", rec.Body)
 	}
 	for _, nw := range resp.Networks {
 		if nw.Description == "" {
@@ -287,7 +298,7 @@ func TestSimulateCancellation(t *testing.T) {
 // default cannot be slipped past by leaving the field out, and
 // negative fields cannot wrap the sum.
 func TestLimitsCoverDefaults(t *testing.T) {
-	h := NewHandler(Config{MaxCycles: 1000})
+	h := testHandler(Config{MaxCycles: 1000})
 	for _, bad := range []string{
 		`{"network":"omega","stages":4,"model":"buffered"}`,                            // defaults 5000+500 > 1000
 		`{"network":"omega","stages":4,"model":"buffered","cycles":900,"warmup":-500}`, // negative field
@@ -307,7 +318,7 @@ func TestLimitsCoverDefaults(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	h := NewHandler(Config{MaxBodyBytes: 64})
+	h := testHandler(Config{MaxBodyBytes: 64})
 	big := `{"network":"omega","stages":4,"linkPerms":[` + strings.Repeat("[0],", 100) + `[0]]}`
 	rec := do(t, h, "POST", "/v1/check", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -386,7 +397,7 @@ func TestRouteWithFaults(t *testing.T) {
 		t.Errorf("random rates on route: status %d", rec.Code)
 	}
 	// Oversized fault lists are capped.
-	hCapped := NewHandler(Config{MaxFaults: 1})
+	hCapped := testHandler(Config{MaxFaults: 1})
 	rec = do(t, hCapped, "POST", "/v1/route",
 		`{"network":"omega","stages":4,"src":5,"dst":12,"faults":{"faults":[`+
 			`{"kind":"link-down","stage":0,"link":0},{"kind":"link-down","stage":0,"link":1}]}}`)

@@ -20,7 +20,6 @@ type wireError struct {
 		Message string `json:"message"`
 		Status  int    `json:"status"`
 	} `json:"error"`
-	Message string `json:"message"`
 }
 
 func decodeErrBody(t *testing.T, rec *httptest.ResponseRecorder) wireError {
@@ -35,7 +34,7 @@ func decodeErrBody(t *testing.T, rec *httptest.ResponseRecorder) wireError {
 // TestErrorCodesGolden pins every stable error code to a concrete
 // trigger: the codes are API, clients switch on them.
 func TestErrorCodesGolden(t *testing.T) {
-	h := NewHandler(Config{MaxTrials: 50})
+	h := testHandler(Config{MaxTrials: 50})
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -68,10 +67,10 @@ func TestErrorCodesGolden(t *testing.T) {
 			if we.Error.Status != tc.status {
 				t.Errorf("envelope status %d want %d", we.Error.Status, tc.status)
 			}
-			// Deprecated compatibility: the flat message mirrors the
-			// structured one for one release.
-			if we.Message == "" || we.Message != we.Error.Message {
-				t.Errorf("legacy message %q != error.message %q", we.Message, we.Error.Message)
+			// The envelope is the structured object alone.
+			var top map[string]json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil || len(top) != 1 || we.Error.Message == "" {
+				t.Errorf("envelope is not exactly {\"error\":{...}}: %s", rec.Body)
 			}
 		})
 	}
@@ -79,7 +78,7 @@ func TestErrorCodesGolden(t *testing.T) {
 
 // TestErrorCode413 pins the oversized-body path to limit_exceeded.
 func TestErrorCode413(t *testing.T) {
-	h := NewHandler(Config{MaxBodyBytes: 64})
+	h := testHandler(Config{MaxBodyBytes: 64})
 	big := `{"network":"omega","stages":3,"x":"` + strings.Repeat("a", 200) + `"}`
 	rec := do(t, h, "POST", "/v1/check", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -90,12 +89,12 @@ func TestErrorCode413(t *testing.T) {
 	}
 }
 
-// --- /v1/limits and /v1/stats deprecation --------------------------
+// --- /v1/limits ----------------------------------------------------
 
 // TestLimitsGolden pins the limits body byte-for-byte (explicit config
 // so GOMAXPROCS never leaks into the golden).
 func TestLimitsGolden(t *testing.T) {
-	h := NewHandler(Config{
+	h := testHandler(Config{
 		MaxWorkers: 4, MaxConcurrent: 8,
 		QueueWait: 2 * time.Second, RequestTimeout: 30 * time.Second,
 	})
@@ -110,24 +109,6 @@ func TestLimitsGolden(t *testing.T) {
 		`"maxJobCells":256,"jobShardTrials":2048,"jobTtlMs":3600000}` + "\n"
 	if got := rec.Body.String(); got != golden {
 		t.Errorf("golden mismatch:\ngot  %swant %s", got, golden)
-	}
-}
-
-func TestStatsDeprecated(t *testing.T) {
-	rec := do(t, newTestHandler(), "GET", "/v1/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Errorf("missing Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/healthz") {
-		t.Errorf("Link header %q does not name the successor", link)
-	}
-	// healthz carries the same cache counters plus the serving block.
-	rec = do(t, newTestHandler(), "GET", "/v1/healthz", "")
-	if !strings.Contains(rec.Body.String(), `"serving":`) {
-		t.Errorf("healthz lacks serving block: %s", rec.Body)
 	}
 }
 
@@ -284,7 +265,7 @@ func TestBatchErrorsPositional(t *testing.T) {
 
 // TestBatchTooLarge pins the batch size cap to limit_exceeded.
 func TestBatchTooLarge(t *testing.T) {
-	h := NewHandler(Config{MaxBatch: 2})
+	h := testHandler(Config{MaxBatch: 2})
 	items := [][2]string{
 		{"check", `{"network":"omega","stages":3}`},
 		{"check", `{"network":"omega","stages":4}`},
@@ -519,7 +500,7 @@ func TestQueueWaitShedding(t *testing.T) {
 // TestRequestDeadline: the per-request timeout fails slow work with a
 // diagnosable 503 deadline_exceeded.
 func TestRequestDeadline(t *testing.T) {
-	h := NewHandler(Config{RequestTimeout: 50 * time.Millisecond})
+	h := testHandler(Config{RequestTimeout: 50 * time.Millisecond})
 	slow := `{"network":"indirect-binary-cube","stages":10,"waves":100000,"workers":1}`
 	rec := do(t, h, "POST", "/v1/simulate", slow)
 	if rec.Code != http.StatusServiceUnavailable {

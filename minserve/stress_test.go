@@ -30,7 +30,7 @@ func TestStressBatchCheckConcurrent(t *testing.T) {
 	}
 	// Serial reference bodies (cache disabled: pure computation).
 	ref := make(map[string]string)
-	refH := NewHandler(Config{CacheEntries: -1})
+	refH := testHandler(Config{CacheEntries: -1})
 	for i := 0; i < 8; i++ {
 		body := reqFor(i)
 		rec := do(t, refH, "POST", "/v1/check", body)
