@@ -583,7 +583,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	distinct := fs.Int("distinct", 16, "distinct request variants per op (cache realism)")
 	seed := fs.Int64("seed", 1, "workload selection seed")
 	out := fs.String("o", "", "write the JSON report here (default stdout only)")
-	baseline := fs.String("baseline", "", "gate against this committed report")
+	baseline := fs.String("baseline", "", "gate against this committed codec-split baseline (e.g. BENCH_SERVE_10.json)")
 	maxRegress := fs.Float64("max-regress", 20, "allowed served-RPS/p99 regression vs baseline, percent")
 	lintMetrics := fs.Bool("lint-metrics", false, "fetch /metrics after the run and lint the exposition")
 	if err := fs.Parse(args); err != nil {
@@ -899,25 +899,22 @@ func runOpen(ctx context.Context, tgt target, ops []op, conns int, seed int64, r
 	return total.Load(), errCount.Load(), shedCount.Load(), dropCount.Load()
 }
 
-// gate compares the run against a committed baseline, normalized by
-// the refCheckUs ratio so a slower runner is not a false regression.
-// A codec-split baseline ({"codecs":{"json":{...},"bin":{...}}}) gates
-// the row matching the run's -codec; a legacy flat report gates as-is.
+// gate compares the run against a committed codec-split baseline
+// ({"codecs":{"json":{...},"bin":{...}}}), gating the row matching the
+// run's -codec, normalized by the refCheckUs ratio so a slower runner is
+// not a false regression.
 func gate(w io.Writer, cur report, baselinePath string, maxRegress float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
 	var split codecBaselines
-	var base report
-	if err := json.Unmarshal(data, &split); err == nil && len(split.Codecs) > 0 {
-		row, ok := split.Codecs[cur.Codec]
-		if !ok {
-			return fmt.Errorf("baseline %s has no %q codec row", baselinePath, cur.Codec)
-		}
-		base = row
-	} else if err := json.Unmarshal(data, &base); err != nil {
+	if err := json.Unmarshal(data, &split); err != nil {
 		return fmt.Errorf("baseline %s: %w", baselinePath, err)
+	}
+	base, ok := split.Codecs[cur.Codec]
+	if !ok {
+		return fmt.Errorf("baseline %s has no %q codec row", baselinePath, cur.Codec)
 	}
 	if base.RefCheckUs <= 0 || cur.RefCheckUs <= 0 {
 		return fmt.Errorf("baseline gating needs refCheckUs on both sides")

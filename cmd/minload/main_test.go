@@ -89,10 +89,15 @@ func TestRunEndToEnd(t *testing.T) {
 	if !strings.Contains(out.String(), "lint-clean") {
 		t.Errorf("metrics lint did not run:\n%s", out.String())
 	}
-	// Gate a second run against the first: same machine, same load —
-	// must pass a 60% envelope even on a noisy runner.
+	// Gate a second run against the first, filed as the json row of a
+	// codec-split baseline: same machine, same load — must pass a 60%
+	// envelope even on a noisy runner.
+	base := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(base, []byte(`{"codecs":{"json":`+string(data)+`}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
-	args = append(args[:len(args)-2], "-baseline", rep, "-max-regress", "60")
+	args = append(args[:len(args)-2], "-baseline", base, "-max-regress", "60")
 	if err := run(context.Background(), args, &out); err != nil {
 		t.Fatalf("gated run: %v\n%s", err, out.String())
 	}
@@ -124,12 +129,20 @@ func TestGateRejectsRegression(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
 	// Same refCheckUs (speed ratio 1), absurdly high baseline RPS.
-	if err := os.WriteFile(base, []byte(`{"refCheckUs":1,"servedRPS":1e12,"latency":{"p99Us":1}}`), 0o644); err != nil {
+	if err := os.WriteFile(base, []byte(`{"codecs":{"json":{"refCheckUs":1,"servedRPS":1e12,"latency":{"p99Us":1}}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cur := report{RefCheckUs: 1, ServedRPS: 1000, Latency: latencyReport{P99Us: 100}}
+	cur := report{Codec: "json", RefCheckUs: 1, ServedRPS: 1000, Latency: latencyReport{P99Us: 100}}
 	var out bytes.Buffer
-	if err := gate(&out, cur, base, 20); err == nil {
-		t.Fatalf("gate accepted a 10^9x regression:\n%s", out.String())
+	if err := gate(&out, cur, base, 20); err == nil || !strings.Contains(err.Error(), "served RPS regression") {
+		t.Fatalf("gate accepted a 10^9x regression (err %v):\n%s", err, out.String())
+	}
+	// A flat (pre-codec-split) report is no longer a baseline.
+	flat := filepath.Join(dir, "flat.json")
+	if err := os.WriteFile(flat, []byte(`{"refCheckUs":1,"servedRPS":1,"latency":{"p99Us":1e9}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := gate(&out, cur, flat, 20); err == nil || !strings.Contains(err.Error(), `no "json" codec row`) {
+		t.Errorf("gate accepted a flat baseline (err %v)", err)
 	}
 }

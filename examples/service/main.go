@@ -107,9 +107,9 @@ func main() {
 		sim.Wave.Throughput.Mean, sim.Wave.Throughput.CI95, sim.Wave.FaultDropped)
 	fmt.Println()
 
-	// 7. Check responses are cached by topology: repeating a request is
-	// served from the LRU (byte-identical to the cold run, X-Cache: HIT)
-	// and /v1/healthz carries the counters.
+	// 7. Check responses are cached by request bytes: repeating a
+	// request is served from the LRU (byte-identical to the cold run,
+	// X-Cache: HIT) and /v1/healthz carries the counters.
 	checkBody := `{"network":"baseline","stages":5}`
 	cold, err := http.Post(base+"/v1/check", "application/json", strings.NewReader(checkBody))
 	if err != nil {

@@ -100,8 +100,8 @@ type SimulateResponse struct {
 
 // BatchItem is one batch sub-request: the operation and its verbatim
 // single-endpoint request body. Raw bytes are preserved (not
-// re-marshalled) so the cache's raw lookaside sees exactly what a
-// single call would send. Bin marks the payload codec inside a binary
+// re-marshalled) so the response cache, keyed by request bytes, sees
+// exactly what a single call would send. Bin marks the payload codec inside a binary
 // envelope; the JSON envelope can only carry JSON payloads, so it has
 // no wire rendering there.
 type BatchItem struct {

@@ -225,8 +225,7 @@ func (nw *Network) graph() *midigraph.Graph { return nw.topo.Graph }
 // identical wiring (same arcs, same (f,g) slot order), regardless of
 // how they were constructed — catalog name, link permutations, index
 // permutations, or a Builder all hash the arcs they produce. It is a
-// structural identity, not an isomorphism invariant; minserve keys its
-// response cache on it.
+// structural identity, not an isomorphism invariant.
 func (nw *Network) Fingerprint() uint64 {
 	g := nw.topo.Graph
 	const (

@@ -13,10 +13,11 @@ import (
 // POST /v1/batch: up to Config.MaxBatch heterogeneous sub-requests in
 // one body, answered positionally. One batch costs one HTTP round
 // trip, one admission slot, one body read and one response write for N
-// operations — and each sub-request still probes the same response
-// cache (including the raw-body lookaside) as its single-call twin, so
-// warm check/route batches amortize to a map probe plus a memcpy per
-// item.
+// operations — and each sub-request runs through the same op table and
+// response cache as its single-call twin (keyed by the sub-request's
+// own bytes, so a batch item hits what the single endpoint warmed and
+// vice versa), so warm check/route batches amortize to a map probe plus
+// a memcpy per item.
 //
 // JSON wire format:
 //
@@ -53,14 +54,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	body, release, err := s.readBody(w, r)
+	buf, err := s.readBody(w, r)
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	defer release()
+	defer bodyPool.Put(buf)
 	var req batchRequest
-	if err := decodeRequest(wi, body, &req); err != nil {
+	if err := decodeRequest(wi, buf.Bytes(), &req); err != nil {
 		writeErr(w, r, err)
 		return
 	}
@@ -130,35 +131,19 @@ func (s *server) writeBatchBinary(w http.ResponseWriter, r *http.Request, req *b
 func (s *server) runBatchItem(ctx context.Context, item batchItem, wi wire) ([]byte, int, uint8) {
 	var (
 		body []byte
-		hit  bool
-		attr bool // whether this op carries cache attribution
+		attr uint8
 		err  error
 	)
-	switch item.Op {
-	case "check":
-		attr = true
-		body, hit, err = s.execCheck(wi, item.Request)
-	case "route":
-		attr = true
-		body, hit, err = s.execRoute(wi, item.Request)
-	case "simulate":
-		body, err = s.execSimulate(ctx, wi, item.Request)
-	default:
+	if op := lookupOp(item.Op); op < 0 {
 		err = badRequest("unknown op %q (check, route or simulate)", item.Op)
+	} else {
+		body, attr, err = s.runOp(ctx, op, wi, item.Request)
 	}
-	status := http.StatusOK
 	if err != nil {
-		body, status = encodeErr(err)
-		attr = false
-	}
-	switch {
-	case !attr || s.cache == nil:
+		body, status := encodeErr(err)
 		return body, status, codec.CacheNone
-	case hit:
-		return body, status, codec.CacheHit
-	default:
-		return body, status, codec.CacheMiss
 	}
+	return body, http.StatusOK, attr
 }
 
 // execBatchItem renders one positional JSON sub-response into out.
@@ -167,13 +152,12 @@ func (s *server) execBatchItem(ctx context.Context, out *bytes.Buffer, item batc
 
 	// {"op":<op>,"status":N[,"cache":"hit|miss"],"body":<bytes sans \n>}
 	out.WriteString(`{"op":`)
-	switch item.Op {
-	case "check", "route", "simulate":
+	if lookupOp(item.Op) >= 0 {
 		// Known ops need no JSON escaping; skip the marshal.
 		out.WriteByte('"')
 		out.WriteString(item.Op)
 		out.WriteByte('"')
-	default:
+	} else {
 		opJSON, mErr := json.Marshal(item.Op)
 		if mErr != nil { // cannot happen for a decoded string
 			opJSON = []byte(`""`)

@@ -3,9 +3,12 @@ package minserve
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
+
+	"minequiv/internal/codec"
 )
 
 // CacheStats is the hit/miss accounting of the response cache, exposed
@@ -17,34 +20,46 @@ type CacheStats struct {
 	Capacity int    `json:"capacity"`
 }
 
+// cacheSpace names the namespace of one op under one codec pair: the
+// same bytes mean different things under different request codecs, and
+// the cached rendering differs per response codec, so each (op, request
+// codec, response codec) keeps its own index.
+func cacheSpace(op int, wi wire) int {
+	ns := op << 2
+	if wi.reqBin {
+		ns |= 2
+	}
+	if wi.respBin {
+		ns |= 1
+	}
+	return ns
+}
+
 // responseCache is a bounded LRU over fully-rendered 200-response
-// bodies. Keys are derived from the network's canonical arc hash
-// (min.Network.Fingerprint) plus the request parameters that shape the
-// body, so two requests that build the same wiring — by catalog name or
-// by explicit permutations — share an entry, and a hit replays the
-// exact bytes a cold run would have produced.
+// bodies, keyed by (op, codec pair, exact request bytes). A response is
+// a pure function of that key, so a hit replays the exact bytes a cold
+// run would have produced without decoding the request or building the
+// network. Two spellings of one request (catalog name vs linkPerms,
+// reordered JSON keys, JSON vs binary) are distinct keys and each gets
+// its own entry.
 //
-// Each entry additionally remembers the first raw request body that
-// produced it, per endpoint, in a lookaside index: a repeat of the
-// exact byte sequence replays the response without JSON decoding, key
-// rendering, or even building the network. The index is bounded by the
-// LRU itself (one raw body per entry, each capped by MaxBodyBytes) and
-// is pruned on eviction.
+// A hit is counted on each replay and a miss on each insert, so hits +
+// misses is the number of successful cacheable requests, and misses -
+// entries is the number of evictions (plus any racing duplicate
+// inserts of one key).
 type responseCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	raw      map[string]map[string]*list.Element // endpoint -> raw body -> entry
+	ll       *list.List                 // front = most recently used
+	index    []map[string]*list.Element // by cacheSpace
 	hits     uint64
 	misses   uint64
 }
 
 type cacheEntry struct {
-	key      string
-	body     []byte
-	endpoint string // raw-lookaside index coordinates; "" when unindexed
-	raw      string
+	ns   int
+	key  string
+	body []byte
 }
 
 // newResponseCache returns a cache bounded to capacity entries, or nil
@@ -56,34 +71,18 @@ func newResponseCache(capacity int) *responseCache {
 	return &responseCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
-		raw:      make(map[string]map[string]*list.Element),
+		index:    make([]map[string]*list.Element, len(workOps)<<2),
 	}
 }
 
-// get returns the cached body for key and records a hit or miss. The
-// returned slice must not be mutated.
-func (c *responseCache) get(key string) ([]byte, bool) {
+// lookup returns the cached body for key in namespace ns, counting a
+// hit. The body-keyed map lookup compiles to a no-copy string
+// conversion, so the probe does not allocate. The returned slice must
+// not be mutated.
+func (c *responseCache) lookup(ns int, key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// getRaw answers from the raw-request lookaside. A miss here is not
-// counted: the caller falls through to the canonical get, which does
-// the accounting, so totals match the pre-lookaside behaviour. The
-// body-keyed map lookup compiles to a no-copy string conversion.
-func (c *responseCache) getRaw(endpoint string, body []byte) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.raw[endpoint][string(body)]
+	el, ok := c.index[ns][string(key)]
 	if !ok {
 		return nil, false
 	}
@@ -92,49 +91,27 @@ func (c *responseCache) getRaw(endpoint string, body []byte) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put stores body under key, evicting from the least-recently-used end
-// once the bound is reached. When rawBody is non-nil and the entry is
-// not yet raw-indexed, the bytes are copied into the endpoint's
-// lookaside so an identical future request can skip parsing entirely.
-func (c *responseCache) put(key, endpoint string, rawBody, body []byte) {
+// put stores body under a copy of key, counting a miss, and evicts from
+// the least-recently-used end once the bound is reached.
+func (c *responseCache) put(ns int, key, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.body = body
-		c.ll.MoveToFront(el)
-		c.indexRaw(el, endpoint, rawBody)
-		return
-	}
-	el := c.ll.PushFront(&cacheEntry{key: key, body: body})
-	c.items[key] = el
-	c.indexRaw(el, endpoint, rawBody)
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*cacheEntry)
-		delete(c.items, e.key)
-		if e.raw != "" {
-			delete(c.raw[e.endpoint], e.raw)
-		}
-	}
-}
-
-// indexRaw records el under the endpoint's raw lookaside (first raw
-// form wins; later spellings of the same request just miss the fast
-// path). Callers hold c.mu.
-func (c *responseCache) indexRaw(el *list.Element, endpoint string, rawBody []byte) {
-	e := el.Value.(*cacheEntry)
-	if rawBody == nil || e.raw != "" {
-		return
-	}
-	m := c.raw[endpoint]
+	c.misses++
+	m := c.index[ns]
 	if m == nil {
 		m = make(map[string]*list.Element)
-		c.raw[endpoint] = m
+		c.index[ns] = m
 	}
-	e.endpoint, e.raw = endpoint, string(rawBody)
-	m[e.raw] = el
+	if el, ok := m[string(key)]; ok { // a racing twin inserted it first
+		c.ll.MoveToFront(el)
+		return
+	}
+	e := &cacheEntry{ns: ns, key: string(key), body: body}
+	m[e.key] = c.ll.PushFront(e)
+	for c.ll.Len() > c.capacity {
+		oldest := c.ll.Remove(c.ll.Back()).(*cacheEntry)
+		delete(c.index[oldest.ns], oldest.key)
+	}
 }
 
 // stats snapshots the counters.
@@ -168,6 +145,10 @@ var (
 	headerMiss = []string{"MISS"}
 )
 
+// xCacheHeader maps a cache attribution to its X-Cache header value
+// (nil: no header, for ops served without the cache).
+var xCacheHeader = [...][]string{codec.CacheNone: nil, codec.CacheMiss: headerMiss, codec.CacheHit: headerHit}
+
 // writeJSONBytes writes a pre-rendered JSON body. xCache stamps the
 // X-Cache header (headerHit/headerMiss, nil to omit) on cacheable
 // endpoints; headers do not participate in the byte-identity contract,
@@ -182,30 +163,30 @@ func writeJSONBytes(w http.ResponseWriter, status int, body []byte, xCache []str
 	_, _ = w.Write(body)
 }
 
-// computeCached answers from the cache when possible; otherwise it runs
-// compute, renders it through render (the negotiated response codec),
-// and caches the body (raw-indexing it under rawBody when non-nil). It
-// returns the response bytes and whether the cache answered, so both
-// the single handlers and the batch endpoint share one execution path.
-// Only successful responses are cached — errors stay uncached. Callers
-// fold the codec into key and endpoint, so a hit always replays bytes
-// rendered the way this request asked for.
-func (s *server) computeCached(key, endpoint string, rawBody []byte, render func(any) ([]byte, error), compute func() (any, error)) ([]byte, bool, error) {
-	if s.cache != nil {
-		if body, ok := s.cache.get(key); ok {
-			return body, true, nil
+// runOp serves one work-op request body under its codec pair: probe
+// the cache on the exact bytes, else exec, render under the response
+// codec and insert. It returns the response bytes and the cache
+// attribution (codec.CacheNone when the op is served without the
+// cache); the single handlers and the batch endpoint both call it.
+// Only successful responses are cached — errors stay uncached.
+func (s *server) runOp(ctx context.Context, op int, wi wire, body []byte) ([]byte, uint8, error) {
+	c, ns := s.cache, cacheSpace(op, wi)
+	if !workOps[op].cacheable {
+		c = nil
+	}
+	if c != nil {
+		if out, ok := c.lookup(ns, body); ok {
+			return out, codec.CacheHit, nil
 		}
 	}
-	v, err := compute()
+	v, err := workOps[op].exec(s, ctx, wi, body)
 	if err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
-	body, err := render(v)
-	if err != nil {
-		return nil, false, err
+	out, err := renderFor(wi)(v)
+	if err != nil || c == nil {
+		return out, codec.CacheNone, err
 	}
-	if s.cache != nil {
-		s.cache.put(key, endpoint, rawBody, body)
-	}
-	return body, false, nil
+	c.put(ns, body, out)
+	return out, codec.CacheMiss, nil
 }

@@ -82,28 +82,41 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestCacheSharedAcrossSpecForms: the key is the canonical arc hash, so
-// defining the same wiring twice — same name, one time by catalog and
-// one time by explicit link permutations — hits the same entry.
-func TestCacheSharedAcrossSpecForms(t *testing.T) {
+// TestCacheKeyIsRequestBytes: the key is the exact request bytes, so
+// two spellings of the same wiring — by catalog name and by explicit
+// link permutations — each get their own entry (each misses once, then
+// hits) and still render byte-identical bodies, and a key-reordered
+// JSON body is a distinct entry too.
+func TestCacheKeyIsRequestBytes(t *testing.T) {
 	h := newTestHandler()
-	cold := do(t, h, "POST", "/v1/check", `{"network":"omega","stages":3}`)
-	if cold.Header().Get("X-Cache") != "MISS" {
-		t.Fatal("first request should miss")
-	}
 	// Omega n=3 is the perfect shuffle on 3-bit link labels at both
 	// stages: perm[x] = rotate-left-1 of x.
 	shuffle := "[0,2,4,6,1,3,5,7]"
-	byPerms := do(t, h, "POST", "/v1/check",
-		fmt.Sprintf(`{"network":"omega","stages":3,"linkPerms":[%s,%s]}`, shuffle, shuffle))
-	if byPerms.Code != http.StatusOK {
-		t.Fatalf("linkPerms build failed: %s", byPerms.Body.String())
+	spellings := []string{
+		`{"network":"omega","stages":3}`,
+		fmt.Sprintf(`{"network":"omega","stages":3,"linkPerms":[%s,%s]}`, shuffle, shuffle),
+		`{"stages":3,"network":"omega"}`,
 	}
-	if got := byPerms.Header().Get("X-Cache"); got != "HIT" {
-		t.Errorf("identical wiring via linkPerms: X-Cache=%q, want HIT", got)
+	var bodies []string
+	for _, body := range spellings {
+		for _, want := range []string{"MISS", "HIT"} {
+			rec := do(t, h, "POST", "/v1/check", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+			}
+			if got := rec.Header().Get("X-Cache"); got != want {
+				t.Errorf("%s: X-Cache=%q, want %s", body, got, want)
+			}
+			bodies = append(bodies, rec.Body.String())
+		}
 	}
-	if cold.Body.String() != byPerms.Body.String() {
-		t.Error("same wiring, different bodies")
+	for i, b := range bodies {
+		if b != bodies[0] {
+			t.Errorf("response %d differs from the catalog spelling's:\n%s\nvs\n%s", i, b, bodies[0])
+		}
+	}
+	if st := cacheStats(t, h); st.Hits != 3 || st.Misses != 3 || st.Entries != 3 {
+		t.Errorf("stats after 3 spellings x (miss, hit): %+v", st)
 	}
 }
 

@@ -14,18 +14,16 @@ import (
 // a "valid" random request finishes instantly. CI runs each target for
 // a short smoke window on every push.
 
-// fuzzHandler serves with aggressive limits: bodies that decode must
-// still be cheap to execute.
+// fuzzConfig has aggressive limits: bodies that decode must still be
+// cheap to execute.
+var fuzzConfig = Config{MaxStages: 5, MaxTrials: 50, MaxCycles: 500, MaxFaults: 8}
+
+// fuzzHandler serves fuzzConfig with the cache off: it would dedupe
+// repeated fuzz inputs and hide decode work.
 func fuzzHandler() http.Handler {
-	return testHandler(Config{
-		MaxStages: 5,
-		MaxTrials: 50,
-		MaxCycles: 500,
-		MaxFaults: 8,
-		// The cache would dedupe repeated fuzz inputs and hide decode
-		// work; disable it.
-		CacheEntries: -1,
-	})
+	cfg := fuzzConfig
+	cfg.CacheEntries = -1
+	return testHandler(cfg)
 }
 
 func fuzzPost(t *testing.T, h http.Handler, path string, body []byte) {
@@ -76,5 +74,70 @@ func FuzzDecodeSimulate(f *testing.F) {
 	h := fuzzHandler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, h, "/v1/simulate", body)
+	})
+}
+
+// FuzzCachedReplay fuzzes the response cache's replay contract. For
+// arbitrary /v1/check and /v1/route bodies under either request codec
+// (and either response codec), a fresh cache-on server must answer the
+// cold request and its warm repeat with exactly the cache-off body and
+// status, and an error response must never enter the cache.
+func FuzzCachedReplay(f *testing.F) {
+	for _, seed := range []struct {
+		route bool
+		body  string
+	}{
+		{false, `{"network":"omega","stages":3}`},
+		{false, `{"network":"baseline","stages":4,"iso":true}`},
+		{false, `{"network":"tail-cycle","stages":4,"iso":true}`},
+		{false, `{"stages":3,"linkPerms":[[0,2,4,6,1,3,5,7],[0,2,4,6,1,3,5,7]]}`},
+		{false, `{"network":"no-such","stages":3}`},
+		{true, `{"network":"flip","stages":4,"src":3,"dst":11}`},
+		{true, `{"network":"omega","stages":4,"src":5,"dst":12,"faults":{"faults":[{"kind":"switch-dead","stage":0,"cell":0}]}}`},
+		{true, `{"network":"omega","stages":4,"src":5,"dst":12,"faults":{"faults":[{"kind":"switch-dead","stage":0,"cell":2}]}}`},
+		{true, `{"network":"omega","stages":3,"src":0,"dst":99}`},
+	} {
+		op := "check"
+		if seed.route {
+			op = "route"
+		}
+		f.Add(seed.route, false, false, []byte(seed.body))
+		f.Add(seed.route, false, true, []byte(seed.body))
+		if bin, err := EncodeBinaryRequest(op, []byte(seed.body)); err == nil {
+			f.Add(seed.route, true, false, bin)
+			f.Add(seed.route, true, true, bin)
+		}
+	}
+	f.Add(false, true, false, []byte("MB\x01\x00"))
+	off := fuzzHandler()
+	f.Fuzz(func(t *testing.T, route, reqBin, respBin bool, body []byte) {
+		path := "/v1/check"
+		if route {
+			path = "/v1/route"
+		}
+		var contentType, accept string
+		if reqBin {
+			contentType = MediaTypeBinary
+		}
+		if respBin {
+			accept = MediaTypeBinary
+		}
+		want := doWire(t, off, "POST", path, string(body), contentType, accept)
+		s := mustServer(t, fuzzConfig)
+		on := s.handler()
+		for _, pass := range []string{"cold", "warm"} {
+			got := doWire(t, on, "POST", path, string(body), contentType, accept)
+			if got.Code != want.Code || got.Body.String() != want.Body.String() {
+				t.Fatalf("%s %s differs from cache-off: status %d vs %d\n%q\nvs\n%q",
+					pass, path, got.Code, want.Code, got.Body, want.Body)
+			}
+		}
+		st := s.cache.stats()
+		switch {
+		case want.Code != http.StatusOK && (st.Hits != 0 || st.Misses != 0 || st.Entries != 0):
+			t.Fatalf("error response %d touched the cache: %+v", want.Code, st)
+		case want.Code == http.StatusOK && (st.Hits != 1 || st.Misses != 1 || st.Entries != 1):
+			t.Fatalf("cold+warm success accounted as %+v, want one miss then one hit", st)
+		}
 	})
 }

@@ -75,14 +75,14 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	body, release, err := s.readBody(w, r)
+	buf, err := s.readBody(w, r)
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	defer release()
+	defer bodyPool.Put(buf)
 	var spec jobs.Spec
-	if err := decodeRequest(wi, body, &spec); err != nil {
+	if err := decodeRequest(wi, buf.Bytes(), &spec); err != nil {
 		writeErr(w, r, err)
 		return
 	}

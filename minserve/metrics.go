@@ -214,13 +214,13 @@ func (m *metrics) render(buf *bytes.Buffer, cache CacheStats, js jobs.Stats) {
 	fmt.Fprintf(buf, "minserve_codec_responses_total{codec=\"json\"} %d\n", m.codecRespJSON.Load())
 	fmt.Fprintf(buf, "minserve_codec_responses_total{codec=\"bin\"} %d\n", m.codecRespBin.Load())
 
-	counter("minserve_cache_hits_total", "Response cache hits (raw lookaside included).", cache.Hits)
-	counter("minserve_cache_misses_total", "Response cache misses.", cache.Misses)
+	counter("minserve_cache_hits_total", "Response cache hits (replays of a cached body).", cache.Hits)
+	counter("minserve_cache_misses_total", "Response cache misses (inserts of a freshly computed body).", cache.Misses)
 	ratio := 0.0
 	if total := cache.Hits + cache.Misses; total > 0 {
 		ratio = float64(cache.Hits) / float64(total)
 	}
-	gauge("minserve_cache_hit_ratio", "Cache hits over lookups since start (0 when idle).", formatFloat(ratio))
+	gauge("minserve_cache_hit_ratio", "Cache hits over successful cacheable requests since start (0 when idle).", formatFloat(ratio))
 	gauge("minserve_cache_entries", "Response cache entries resident.", strconv.Itoa(cache.Entries))
 
 	gauge("minserve_jobs_in_flight", "Live (pending or running) sweep jobs.",

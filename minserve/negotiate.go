@@ -87,38 +87,6 @@ func renderFor(wi wire) func(any) ([]byte, error) {
 	return encodeJSON
 }
 
-// rawEndpoint namespaces the response cache's raw-body lookaside by
-// wire codec: the same raw bytes mean different things under different
-// request codecs, and the cached rendered bytes differ per response
-// codec. Only constant strings are returned so the warm probe stays
-// allocation-free.
-func rawEndpoint(endpoint string, wi wire) string {
-	if !wi.reqBin && !wi.respBin {
-		return endpoint
-	}
-	switch endpoint {
-	case "check":
-		switch {
-		case wi.reqBin && wi.respBin:
-			return "check|b>b"
-		case wi.reqBin:
-			return "check|b>j"
-		default:
-			return "check|j>b"
-		}
-	case "route":
-		switch {
-		case wi.reqBin && wi.respBin:
-			return "route|b>b"
-		case wi.reqBin:
-			return "route|b>j"
-		default:
-			return "route|j>b"
-		}
-	}
-	return endpoint
-}
-
 // headerBin is the shared Content-Type value slice for binary
 // responses (see headerJSON).
 var headerBin = []string{MediaTypeBinary}

@@ -1,6 +1,7 @@
 package minserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -210,6 +211,7 @@ func TestBatchBinary(t *testing.T) {
 		{Op: "check", Request: json.RawMessage(checkJSON)},
 		{Op: "simulate", Request: json.RawMessage(simJSON)},
 		{Op: "explode", Request: json.RawMessage(`{}`)},
+		{Op: "check", Request: []byte(checkBin), Bin: true},
 	}}
 	envelope, err := codec.Encode(&req)
 	if err != nil {
@@ -223,11 +225,13 @@ func TestBatchBinary(t *testing.T) {
 	if err := codec.Decode(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Responses) != 4 {
-		t.Fatalf("%d responses want 4", len(resp.Responses))
+	if len(resp.Responses) != 5 {
+		t.Fatalf("%d responses want 5", len(resp.Responses))
 	}
 	// Items 0 and 1 are the same check under different request codecs:
-	// both binary response bodies, the second a hit on the first's entry.
+	// byte-identical binary response bodies, each from its own cache
+	// entry (the key is the request bytes); item 4 repeats item 0's
+	// bytes and hits its entry.
 	for i := 0; i < 2; i++ {
 		r := resp.Responses[i]
 		if r.Op != "check" || r.Status != http.StatusOK {
@@ -241,9 +245,16 @@ func TestBatchBinary(t *testing.T) {
 			t.Errorf("item %d: omega not equivalent: %+v", i, cr.Report)
 		}
 	}
-	if resp.Responses[0].Cache != codec.CacheMiss || resp.Responses[1].Cache != codec.CacheHit {
-		t.Errorf("cache attribution %d,%d want miss,hit",
-			resp.Responses[0].Cache, resp.Responses[1].Cache)
+	if !bytes.Equal(resp.Responses[0].Body, resp.Responses[1].Body) {
+		t.Error("same check under two request codecs rendered different bytes")
+	}
+	if resp.Responses[0].Cache != codec.CacheMiss || resp.Responses[1].Cache != codec.CacheMiss ||
+		resp.Responses[4].Cache != codec.CacheHit {
+		t.Errorf("cache attribution %d,%d,%d want miss,miss,hit",
+			resp.Responses[0].Cache, resp.Responses[1].Cache, resp.Responses[4].Cache)
+	}
+	if !bytes.Equal(resp.Responses[4].Body, resp.Responses[0].Body) {
+		t.Error("binary batch hit differs from its cold bytes")
 	}
 	var sr simulateResponse
 	if err := codec.Decode(resp.Responses[2].Body, &sr); err != nil {

@@ -65,11 +65,12 @@
 //	{"error":{"code":"bad_request","message":"...","status":400}}
 //
 // /v1/check and /v1/route are served through a bounded LRU response
-// cache keyed by the network's canonical arc hash plus the request
-// parameters; a hit replays the exact bytes of the cold response (the
-// X-Cache header, or the per-item `cache` field of a batch sub-response,
-// says which happened). Config.CacheEntries bounds it; a negative value
-// disables caching.
+// cache keyed by the exact request bytes (per endpoint and codec pair);
+// a hit replays the exact bytes of the cold response (the X-Cache
+// header, or the per-item `cache` field of a batch sub-response, says
+// which happened). Two spellings of one request are distinct entries
+// with byte-identical bodies. Config.CacheEntries bounds it; a negative
+// value disables caching.
 //
 // The POST endpoints are admission-controlled: Config.MaxConcurrent
 // requests execute at once, Config.MaxQueueDepth more may queue for up
@@ -84,9 +85,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -114,10 +115,9 @@ type Config struct {
 	// plan. Default 256.
 	MaxFaults int
 	// CacheEntries bounds the LRU response cache serving repeated
-	// /v1/check and /v1/route requests on the same topology (keyed by
-	// the network's canonical arc hash plus request parameters; hits
-	// are byte-identical to a cold run). Default 256; negative
-	// disables caching.
+	// /v1/check and /v1/route requests (keyed by the exact request
+	// bytes per endpoint and codec pair; hits are byte-identical to a
+	// cold run). Default 256; negative disables caching.
 	CacheEntries int
 	// MaxBatch caps the sub-request count of one /v1/batch body.
 	// Default 64.
@@ -289,19 +289,66 @@ func (s *server) handler() http.Handler {
 // same slots).
 func (s *server) handleWork(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
-	case "/v1/check":
-		s.handleCheck(w, r)
-	case "/v1/route":
-		s.handleRoute(w, r)
-	case "/v1/simulate":
-		s.handleSimulate(w, r)
 	case "/v1/batch":
 		s.handleBatch(w, r)
 	case "/v1/jobs":
 		s.handleJobSubmit(w, r)
 	default:
-		http.NotFound(w, r)
+		op := lookupOp(strings.TrimPrefix(r.URL.Path, "/v1/"))
+		if op < 0 {
+			http.NotFound(w, r)
+			return
+		}
+		s.handleOp(w, r, op)
 	}
+}
+
+// workOp is one row of the op table behind /v1/check, /v1/route and
+// /v1/simulate and the matching /v1/batch sub-requests: exec decodes a
+// request body under the negotiated request codec and computes the
+// response value; runOp renders it, and caches it when cacheable.
+type workOp struct {
+	name      string
+	exec      func(s *server, ctx context.Context, wi wire, body []byte) (any, error)
+	cacheable bool
+}
+
+var workOps = [...]workOp{
+	{name: "check", exec: (*server).execCheck, cacheable: true},
+	{name: "route", exec: (*server).execRoute, cacheable: true},
+	{name: "simulate", exec: (*server).execSimulate},
+}
+
+// lookupOp returns the op table index of name, or -1.
+func lookupOp(name string) int {
+	for i := range workOps {
+		if workOps[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// handleOp serves one single-op endpoint: negotiate, read the body,
+// run the op, write the rendered bytes.
+func (s *server) handleOp(w http.ResponseWriter, r *http.Request, op int) {
+	wi, err := s.negotiate(r)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	buf, err := s.readBody(w, r)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	defer bodyPool.Put(buf)
+	resp, attr, err := s.runOp(r.Context(), op, wi, buf.Bytes())
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	writeWireBytes(w, http.StatusOK, resp, xCacheHeader[attr], wi.respBin)
 }
 
 // Server is the service plus its background job plane.
@@ -330,17 +377,16 @@ func (sv *Server) Handler() http.Handler { return sv.s.handler() }
 func (sv *Server) Close(ctx context.Context) error { return sv.s.jobs.Drain(ctx) }
 
 // bodyPool recycles the read buffers of the POST endpoints and the
-// batch/metrics render buffers: a warm hit needs the raw bytes only for
-// the lookaside probe, so the buffer is returned as soon as the handler
-// finishes.
+// batch/metrics render buffers: a warm hit needs the request bytes only
+// as the cache key for one probe, so the buffer is returned as soon as
+// the handler finishes.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody slurps the request body into a pooled buffer under the
-// configured size limit. The returned bytes alias the pool buffer:
-// release must be called once they are no longer referenced, and
-// anything stored past the handler must copy them first (the cache's
-// raw index does).
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func(), error) {
+// configured size limit. The caller returns the buffer to bodyPool once
+// its bytes are no longer referenced; anything stored past the handler
+// must copy them first (the cache's put does).
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -348,11 +394,11 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func(
 		bodyPool.Put(buf)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, nil, &httpError{status: http.StatusRequestEntityTooLarge, code: CodeLimitExceeded, msg: err.Error()}
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge, code: CodeLimitExceeded, msg: err.Error()}
 		}
-		return nil, nil, badRequest("invalid request body: %v", err)
+		return nil, badRequest("invalid request body: %v", err)
 	}
-	return buf.Bytes(), func() { bodyPool.Put(buf) }, nil
+	return buf, nil
 }
 
 // decodeBytes is decode over an in-memory body (same strictness).
@@ -478,79 +524,27 @@ func (s *server) handleLimits(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// execCheck serves one /v1/check body to rendered response bytes
-// (trailing newline included on JSON), reporting whether the cache
-// answered. Both the single handler and the batch endpoint call it, so
-// a batch sub-response is byte-identical to the single call's body.
-func (s *server) execCheck(wi wire, body []byte) ([]byte, bool, error) {
-	// Fast path: a byte-identical repeat of an earlier successful
-	// request replays its response straight from the raw lookaside,
-	// skipping the request decode, the network build and the key render.
-	// The lookaside namespace carries the codec pair, so a hit can only
-	// replay bytes rendered under the same response codec.
-	if s.cache != nil {
-		if cached, ok := s.cache.getRaw(rawEndpoint("check", wi), body); ok {
-			return cached, true, nil
-		}
-	}
+// execCheck computes one /v1/check response: the characterization
+// report, plus the isomorphism to the Baseline when asked for and the
+// network is equivalent.
+func (s *server) execCheck(_ context.Context, wi wire, body []byte) (any, error) {
 	var req checkRequest
 	if err := decodeRequest(wi, body, &req); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	nw, err := s.buildNetwork(req.NetworkSpec)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	// Building the network is cheap; the characterization (and the
-	// isomorphism construction) is what the cache skips. The key folds
-	// in everything the body depends on: the wiring (canonical arc
-	// hash), the reported name/size, the iso flag, and the response
-	// codec (the cached value is rendered bytes, not the struct).
-	key := fmt.Sprintf("check|%016x|%s|%d|iso=%t|bin=%t", nw.Fingerprint(), nw.Name(), nw.Stages(), req.Iso, wi.respBin)
-	return s.computeCached(key, rawEndpoint("check", wi), body, renderFor(wi), func() (any, error) {
-		resp := checkResponse{Report: min.Check(nw)}
-		if req.Iso && resp.Report.Equivalent {
-			iso, err := min.Iso(nw)
-			if err != nil {
-				return nil, err
-			}
-			resp.Iso = &iso
+	resp := checkResponse{Report: min.Check(nw)}
+	if req.Iso && resp.Report.Equivalent {
+		iso, err := min.Iso(nw)
+		if err != nil {
+			return nil, err
 		}
-		return resp, nil
-	})
-}
-
-func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
+		resp.Iso = &iso
 	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
-	resp, hit, err := s.execCheck(wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, s.cacheHeader(hit), wi.respBin)
-}
-
-// cacheHeader picks the X-Cache value; nil (no header) when caching is
-// disabled.
-func (s *server) cacheHeader(hit bool) []string {
-	switch {
-	case s.cache == nil:
-		return nil
-	case hit:
-		return headerHit
-	default:
-		return headerMiss
-	}
+	return resp, nil
 }
 
 // ServingStats is the admission/serving-plane snapshot reported by
@@ -603,90 +597,50 @@ func (s *server) checkFaults(p *min.FaultPlan) error {
 	return nil
 }
 
-// execRoute serves one /v1/route body to rendered response bytes; see
-// execCheck for the contract.
-func (s *server) execRoute(wi wire, body []byte) ([]byte, bool, error) {
-	if s.cache != nil {
-		if cached, ok := s.cache.getRaw(rawEndpoint("route", wi), body); ok {
-			return cached, true, nil
-		}
-	}
+// execRoute computes one /v1/route response: the path, plus the PIPID
+// tag schedule on an intact fabric. A non-empty fault plan routes the
+// degraded fabric by reachability instead.
+func (s *server) execRoute(_ context.Context, wi wire, body []byte) (any, error) {
 	var req routeRequest
 	if err := decodeRequest(wi, body, &req); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	nw, err := s.buildNetwork(req.NetworkSpec)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if req.Src < 0 || req.Src >= nw.Terminals() || req.Dst < 0 || req.Dst >= nw.Terminals() {
-		return nil, false, badRequest("terminal out of range [0,%d): src=%d dst=%d",
+		return nil, badRequest("terminal out of range [0,%d): src=%d dst=%d",
 			nw.Terminals(), req.Src, req.Dst)
 	}
 	if err := s.checkFaults(req.Faults); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	// The body also carries the PIPID tag schedule, which depends on the
-	// construction's index permutations, not only on the arcs — fold
-	// them into the key so a network built a way that skips PIPID
-	// detection can never replay a PIPID response or vice versa. The
-	// fault plan shapes the path too, so it is folded in as well (an
-	// absent plan and an empty one key identically — both route the
-	// intact fabric).
-	thetas, _ := nw.IndexPerms()
-	var faults min.FaultPlan
-	if req.Faults != nil {
-		faults = *req.Faults
-	}
-	key := fmt.Sprintf("route|%016x|%s|%d|%v|%d>%d|faults=%+v|bin=%t",
-		nw.Fingerprint(), nw.Name(), nw.Stages(), thetas, req.Src, req.Dst, faults, wi.respBin)
-	return s.computeCached(key, rawEndpoint("route", wi), body, renderFor(wi), func() (any, error) {
-		if !faults.Empty() {
-			path, err := min.RouteUnderFaults(nw, req.Src, req.Dst, faults)
-			if err != nil {
-				return nil, err
-			}
-			// No tag schedule: a degraded fabric is routed by
-			// reachability, not stateless destination tags.
-			return routeResponse{Network: nw.Name(), Path: path}, nil
-		}
-		path, err := min.Route(nw, req.Src, req.Dst)
+	if req.Faults != nil && !req.Faults.Empty() {
+		path, err := min.RouteUnderFaults(nw, req.Src, req.Dst, *req.Faults)
 		if err != nil {
 			return nil, err
 		}
-		resp := routeResponse{Network: nw.Name(), Path: path}
-		if tags, err := min.TagPositions(nw); err == nil {
-			resp.TagPositions = tags
-		}
-		return resp, nil
-	})
+		// No tag schedule: a degraded fabric is routed by
+		// reachability, not stateless destination tags.
+		return routeResponse{Network: nw.Name(), Path: path}, nil
+	}
+	path, err := min.Route(nw, req.Src, req.Dst)
+	if err != nil {
+		return nil, err
+	}
+	resp := routeResponse{Network: nw.Name(), Path: path}
+	if tags, err := min.TagPositions(nw); err == nil {
+		resp.TagPositions = tags
+	}
+	return resp, nil
 }
 
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
-	resp, hit, err := s.execRoute(wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, s.cacheHeader(hit), wi.respBin)
-}
-
-// execSimulate serves one /v1/simulate body to rendered response
-// bytes. Simulations are not cached (they are cheap to replay only for
-// the caller who knows the seed) but they are context-governed: ctx
-// cancellation stops the engine within one trial.
-func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte, error) {
+// execSimulate computes one /v1/simulate response. Simulations are not
+// cached (they are cheap to replay only for the caller who knows the
+// seed) but they are context-governed: ctx cancellation stops the
+// engine within one trial.
+func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -746,7 +700,7 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		return renderFor(wi)(simulateResponse{Model: "wave", Wave: &st})
+		return simulateResponse{Model: "wave", Wave: &st}, nil
 
 	case "buffered":
 		if req.Waves != 0 {
@@ -785,31 +739,11 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		return renderFor(wi)(simulateResponse{Model: "buffered", Buffered: &st})
+		return simulateResponse{Model: "buffered", Buffered: &st}, nil
 
 	default:
 		return nil, badRequest("unknown model %q (wave or buffered)", req.Model)
 	}
-}
-
-func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
-	resp, err := s.execSimulate(r.Context(), wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, nil, wi.respBin)
 }
 
 // valueOr substitutes the default for an omitted (zero) request field.

@@ -19,9 +19,9 @@ import (
 //     server — regardless of interleaving, eviction, or which goroutine
 //     populated the cache.
 //  2. Accounting consistency: every check/route execution is counted as
-//     exactly one cache hit or miss (the raw lookaside and the keyed
-//     path never double- or under-count), and the entry count never
-//     exceeds the configured capacity.
+//     exactly one cache hit (a replay) or miss (an insert), never
+//     double- or under-counted, and the entry count never exceeds the
+//     configured capacity.
 func TestStressBatchCheckConcurrent(t *testing.T) {
 	// A distinct request per index; 8 distinct requests churning a
 	// 4-entry cache forces steady eviction.
