@@ -473,29 +473,3 @@ func targetForShape(shape byte) any {
 	}
 	return nil
 }
-
-func BenchmarkCodecEncode(b *testing.B) {
-	v := fixtureSimulateResponse()
-	var e Encoder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.SimulateResponse(v)
-	}
-}
-
-func BenchmarkCodecDecode(b *testing.B) {
-	wire, err := Encode(fixtureSimulateResponse())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var d Decoder
-	dst := new(SimulateResponse)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Reset(wire)
-		if err := d.SimulateResponse(dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -53,7 +53,7 @@ func (c Config) faultPlan(f *sim.Fabric) (*sim.FaultPlan, error) {
 	if c.Faults == nil || c.Faults.Empty() {
 		return nil, nil
 	}
-	if err := c.Faults.Validate(f); err != nil {
+	if err := c.Faults.Validate(f.Spans); err != nil {
 		return nil, err
 	}
 	return c.Faults, nil

@@ -356,16 +356,6 @@ func BenchmarkCheckCharacterization(b *testing.B) {
 	}
 }
 
-func BenchmarkIsoToBaseline(b *testing.B) {
-	g := topology.MustBuild(topology.NameOmega, 10).Graph
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := IsoToBaseline(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOracle(b *testing.B) {
 	g := topology.Baseline(4)
 	sg, _ := randnet.Scramble(rand.New(rand.NewPCG(7, 0)), g)

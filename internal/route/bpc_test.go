@@ -63,7 +63,7 @@ func TestBPCRouterMatchesDP(t *testing.T) {
 			for s, st := range stages {
 				lps[s] = st.ToPerm()
 			}
-			dp, err := NewDPRouter(lps)
+			dp, err := NewFaultyRouter(lps, FaultSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}

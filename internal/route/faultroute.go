@@ -16,49 +16,41 @@ const (
 	SwitchStuck1
 )
 
-// FaultSpec describes the degraded fabric a FaultyRouter routes on.
-// Nil callbacks mean "no faults of that kind".
+// FaultSpec describes the degraded fabric a FaultyRouter routes on, as
+// dense per-element tables. A nil slice means no fault of that kind;
+// the zero FaultSpec is the intact fabric.
 type FaultSpec struct {
-	// SwitchMode returns the health of the cell at (stage, cell):
-	// SwitchOK, SwitchDead, or SwitchStuck0/1 (crossbar jammed to one
-	// port).
-	SwitchMode func(stage, cell int) uint8
-	// LinkDown reports whether outlink `out` of `stage` is severed; the
-	// last stage's outlinks are the output terminals.
-	LinkDown func(stage, out int) bool
+	// Mode holds the health of the cell at (stage, cell) at index
+	// stage*H+cell: SwitchOK, SwitchDead, or SwitchStuck0/1 (crossbar
+	// jammed to one port).
+	Mode []uint8
+	// LinkDown reports at index stage*N+out whether outlink out of the
+	// stage is severed; the last stage's outlinks are the output
+	// terminals.
+	LinkDown []bool
 }
 
-func (sp FaultSpec) mode(stage, cell int) uint8 {
-	if sp.SwitchMode == nil {
-		return SwitchOK
-	}
-	return sp.SwitchMode(stage, cell)
-}
-
-func (sp FaultSpec) down(stage, out int) bool {
-	return sp.LinkDown != nil && sp.LinkDown(stage, out)
-}
-
-// FaultyRouter routes on a permutation-defined network with a fixed set
-// of faulty elements, by backward reachability over the surviving
-// wiring — the same fallback discipline DPRouter uses for the intact
-// fabric. Reachability tables are compiled lazily per destination (a
-// single Route touches one; CountAdmissible fills all N), so routing
-// one pair costs O(n·h), not O(N·n·h). A FaultyRouter is NOT safe for
-// concurrent use.
+// FaultyRouter routes on a permutation-defined network by backward
+// reachability over the surviving wiring. With the zero FaultSpec it is
+// the generic router for any intact fabric: on a Banyan network it
+// finds the unique path, and elsewhere the first path that prefers
+// port 0 at the earliest stage. It keeps the reachability table of the
+// last destination routed, so routing one pair costs O(n·h) time and
+// space. A FaultyRouter is NOT safe for concurrent use.
 type FaultyRouter struct {
 	n     int
 	h     int
 	perms []perm.Perm
 	spec  FaultSpec
-	// canReach[dst][s*h+cell]: cell at stage s reaches output dst
-	// through surviving switches and links; nil until first needed.
-	canReach [][]bool
+	// canReach[s*h+cell]: cell at stage s reaches output dst through
+	// surviving switches and links; dst is -1 until the first Route.
+	canReach []bool
+	dst      int
 }
 
 // NewFaultyRouter wraps per-stage link permutations (length n-1, each
-// on 2^n symbols) and the fault spec. The spec's callbacks are
-// consulted as destination tables are compiled on first use.
+// on 2^n symbols) and the fault spec, whose non-nil slices must hold
+// one entry per cell (n*H) and per outlink (n*N) respectively.
 func NewFaultyRouter(perms []perm.Perm, spec FaultSpec) (*FaultyRouter, error) {
 	n := len(perms) + 1
 	N := 1 << uint(n)
@@ -67,67 +59,51 @@ func NewFaultyRouter(perms []perm.Perm, spec FaultSpec) (*FaultyRouter, error) {
 			return nil, fmt.Errorf("route: stage %d permutation on %d symbols, want %d", s, p.N(), N)
 		}
 	}
-	return &FaultyRouter{n: n, h: N / 2, perms: perms, spec: spec, canReach: make([][]bool, N)}, nil
+	if spec.Mode != nil && len(spec.Mode) != n*N/2 {
+		return nil, fmt.Errorf("route: fault spec has %d switch modes, want %d", len(spec.Mode), n*N/2)
+	}
+	if spec.LinkDown != nil && len(spec.LinkDown) != n*N {
+		return nil, fmt.Errorf("route: fault spec has %d link states, want %d", len(spec.LinkDown), n*N)
+	}
+	return &FaultyRouter{n: n, h: N / 2, perms: perms, spec: spec, canReach: make([]bool, n*N/2), dst: -1}, nil
 }
 
-// reach returns (building on first use) the surviving-reachability
-// table for one destination.
+// reach returns the surviving-reachability table for one destination,
+// rebuilding it in place unless dst was the last one asked for.
 func (r *FaultyRouter) reach(dst int) []bool {
-	if cr := r.canReach[dst]; cr != nil {
-		return cr
+	if r.dst == dst {
+		return r.canReach
 	}
-	n, h, spec := r.n, r.h, r.spec
-	cr := make([]bool, n*h)
-	// Last stage: only cell dst>>1 can deliver, and only when the
-	// switch is alive, not jammed away from dst's port, and the
-	// terminal link survives.
-	cell := dst >> 1
-	d := uint8(dst & 1)
-	if ok := spec.mode(n-1, cell); ok != SwitchDead &&
-		!(ok == SwitchStuck0 && d == 1) && !(ok == SwitchStuck1 && d == 0) &&
-		!spec.down(n-1, dst) {
-		cr[(n-1)*h+cell] = true
-	}
-	for s := n - 2; s >= 0; s-- {
-		for c := 0; c < h; c++ {
-			mode := spec.mode(s, c)
-			if mode == SwitchDead {
-				continue
-			}
-			for _, p := range r.allowedPorts(mode) {
-				out := c<<1 | int(p)
-				if spec.down(s, out) {
-					continue
-				}
-				next := int(r.perms[s].Apply(uint64(out))) >> 1
-				if cr[(s+1)*h+next] {
-					cr[s*h+c] = true
-					break
-				}
-			}
+	h, cr := r.h, r.canReach
+	// Last stage: only cell dst>>1 can deliver, through its dst port.
+	last := cr[(r.n-1)*h:]
+	clear(last)
+	last[dst>>1] = r.live(r.n-1, dst)
+	for s := r.n - 2; s >= 0; s-- {
+		next, row, below := r.perms[s], cr[s*h:(s+1)*h], cr[(s+1)*h:(s+2)*h]
+		for c := range row {
+			out := c << 1
+			row[c] = r.live(s, out) && below[next[out]>>1] || r.live(s, out|1) && below[next[out|1]>>1]
 		}
 	}
-	r.canReach[dst] = cr
+	r.dst = dst
 	return cr
 }
 
-// allowedPorts lists the crossbar settings a switch in `mode` can make.
-func (r *FaultyRouter) allowedPorts(mode uint8) []uint8 {
-	switch mode {
-	case SwitchStuck0:
-		return ports0[:]
-	case SwitchStuck1:
-		return ports1[:]
-	default:
-		return portsBoth[:]
+// live reports whether the switch at stage s can set its crossbar
+// toward outlink out (its health allows that port) and the outlink
+// survives.
+func (r *FaultyRouter) live(s, out int) bool {
+	if r.spec.LinkDown != nil && r.spec.LinkDown[s*2*r.h+out] {
+		return false
 	}
+	if r.spec.Mode == nil {
+		return true
+	}
+	// A jammed crossbar allows only its port: SwitchStuck0+port.
+	m := r.spec.Mode[s*r.h+out>>1]
+	return m == SwitchOK || m == SwitchStuck0+uint8(out&1)
 }
-
-var (
-	ports0    = [1]uint8{0}
-	ports1    = [1]uint8{1}
-	portsBoth = [2]uint8{0, 1}
-)
 
 // N returns the number of terminals.
 func (r *FaultyRouter) N() int { return 1 << uint(r.n) }
@@ -135,7 +111,8 @@ func (r *FaultyRouter) N() int { return 1 << uint(r.n) }
 // Route computes a path from src to dst avoiding every faulty element,
 // or fails when the surviving fabric offers none. On a Banyan fabric
 // the surviving path, when it exists, is the unique intact path (faults
-// only remove paths, never add them).
+// only remove paths, never add them). The error reads "no path" under
+// the zero FaultSpec and "no fault-free path" under any other.
 func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 	nTerm := uint64(r.N())
 	if src >= nTerm || dst >= nTerm {
@@ -146,41 +123,28 @@ func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 	path := Path{Src: src, Dst: dst, Steps: make([]Step, 0, r.n)}
 	for s := 0; s < r.n; s++ {
 		cell := int(link >> 1)
-		inPort := link & 1
 		if !cr[s*r.h+cell] {
-			return Path{}, fmt.Errorf("route: no fault-free path from %d to %d (stuck at stage %d cell %d)", src, dst, s, cell)
+			what := "path"
+			if r.spec.Mode != nil || r.spec.LinkDown != nil {
+				what = "fault-free path"
+			}
+			return Path{}, fmt.Errorf("route: no %s from %d to %d (stuck at stage %d cell %d)", what, src, dst, s, cell)
 		}
-		mode := r.spec.mode(s, cell)
-		var d uint64
-		chosen := false
-		if s == r.n-1 {
-			d = dst & 1
-			chosen = true // reachability above already vetted mode and link
-		} else {
-			for _, p := range r.allowedPorts(mode) {
-				out := cell<<1 | int(p)
-				if r.spec.down(s, out) {
-					continue
-				}
-				next := int(r.perms[s].Apply(uint64(out))) >> 1
-				if cr[(s+1)*r.h+next] {
-					d = uint64(p)
-					chosen = true
-					break
-				}
+		d := dst & 1
+		if s < r.n-1 {
+			// cr marks the cell, so one of its ports reaches on; take
+			// port 0 when it does.
+			out := cell << 1
+			d = 0
+			if !r.live(s, out) || !cr[(s+1)*r.h+int(r.perms[s][out]>>1)] {
+				d = 1
 			}
 		}
-		if !chosen {
-			return Path{}, fmt.Errorf("route: dead end at stage %d cell %d", s, cell)
-		}
-		path.Steps = append(path.Steps, Step{Stage: s, Cell: uint64(cell), InPort: inPort, OutPort: d})
+		path.Steps = append(path.Steps, Step{Stage: s, Cell: uint64(cell), InPort: link & 1, OutPort: d})
 		link = uint64(cell)<<1 | d
 		if s < r.n-1 {
 			link = r.perms[s].Apply(link)
 		}
-	}
-	if link != dst {
-		return Path{}, fmt.Errorf("route: landed on %d, want %d", link, dst)
 	}
 	return path, nil
 }

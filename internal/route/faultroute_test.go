@@ -1,16 +1,35 @@
 package route
 
 import (
+	"strings"
 	"testing"
 
 	"minequiv/internal/topology"
 )
 
-// With no faults the FaultyRouter is exactly the DPRouter: same paths
-// for every pair, and the classical admissible count.
-func TestFaultyRouterIntactMatchesDP(t *testing.T) {
+// switchFault is a FaultSpec with a single faulty switch at (stage,
+// cell) of an n-stage fabric.
+func switchFault(n, stage, cell int, mode uint8) FaultSpec {
+	h := 1 << uint(n-1)
+	sp := FaultSpec{Mode: make([]uint8, n*h)}
+	sp.Mode[stage*h+cell] = mode
+	return sp
+}
+
+// linkFault is a FaultSpec with a single severed outlink of an n-stage
+// fabric.
+func linkFault(n, stage, out int) FaultSpec {
+	N := 1 << uint(n)
+	sp := FaultSpec{LinkDown: make([]bool, n*N)}
+	sp.LinkDown[stage*N+out] = true
+	return sp
+}
+
+// With no faults the FaultyRouter is the tag router: same paths for
+// every pair, and the classical admissible count.
+func TestFaultyRouterIntactMatchesTagRouter(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	dp, err := NewDPRouter(nw.LinkPerms)
+	tag, err := NewRouter(nw.IndexPerms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +40,7 @@ func TestFaultyRouterIntactMatchesDP(t *testing.T) {
 	N := uint64(fr.N())
 	for src := uint64(0); src < N; src++ {
 		for dst := uint64(0); dst < N; dst++ {
-			a, err := dp.Route(src, dst)
+			a, err := tag.Route(src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +49,7 @@ func TestFaultyRouterIntactMatchesDP(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !PathsEqual(a, b) {
-				t.Fatalf("pair (%d,%d): intact FaultyRouter path differs from DPRouter", src, dst)
+				t.Fatalf("pair (%d,%d): intact FaultyRouter path differs from the tag router", src, dst)
 			}
 		}
 	}
@@ -44,16 +63,45 @@ func TestFaultyRouterIntactMatchesDP(t *testing.T) {
 	}
 }
 
+// A fault spec's tables are indexed without bounds checks of their own,
+// so a mis-sized table is rejected up front; nil and full-size tables
+// are accepted.
+func TestFaultyRouterRejectsMisSizedSpec(t *testing.T) {
+	nw := topology.MustBuild(topology.NameOmega, 3)
+	for name, sp := range map[string]FaultSpec{
+		"short modes": {Mode: make([]uint8, 3*4-1)},
+		"long modes":  {Mode: make([]uint8, 3*4+1)},
+		"empty links": {LinkDown: []bool{}},
+		"short links": {LinkDown: make([]bool, 3*8-1)},
+	} {
+		if _, err := NewFaultyRouter(nw.LinkPerms, sp); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	full := FaultSpec{Mode: make([]uint8, 3*4), LinkDown: make([]bool, 3*8)}
+	if _, err := NewFaultyRouter(nw.LinkPerms, full); err != nil {
+		t.Errorf("full-size spec rejected: %v", err)
+	}
+}
+
+// An unroutable pair under a fault spec, even an all-clear one, reports
+// "no fault-free path"; only the zero spec reports plain "no path".
+func TestFaultyRouterErrorText(t *testing.T) {
+	nw := topology.MustBuild(topology.NameOmega, 3)
+	fr, err := NewFaultyRouter(nw.LinkPerms, switchFault(3, 0, 0, SwitchDead))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.Route(0, 3); err == nil || !strings.HasPrefix(err.Error(), "route: no fault-free path from 0 to 3") {
+		t.Fatalf("dead entry switch: err %v", err)
+	}
+}
+
 // A dead stage-0 switch unroutes exactly its two inputs; every full
 // permutation then needs a path it cannot have, so none is admissible.
 func TestFaultyRouterDeadSwitch(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	spec := FaultSpec{SwitchMode: func(stage, cell int) uint8 {
-		if stage == 0 && cell == 0 {
-			return SwitchDead
-		}
-		return SwitchOK
-	}}
+	spec := switchFault(3, 0, 0, SwitchDead)
 	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -86,12 +134,7 @@ func TestFaultyRouterStuckSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FaultSpec{SwitchMode: func(stage, cell int) uint8 {
-		if stage == 0 && cell == 0 {
-			return SwitchStuck0
-		}
-		return SwitchOK
-	}}
+	spec := switchFault(4, 0, 0, SwitchStuck0)
 	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +168,7 @@ func TestFaultyRouterStuckSwitch(t *testing.T) {
 func TestFaultyRouterLinkDown(t *testing.T) {
 	nw := topology.MustBuild(topology.NameFlip, 3)
 	const target = 6
-	spec := FaultSpec{LinkDown: func(stage, out int) bool {
-		return stage == 2 && out == target
-	}}
+	spec := linkFault(3, 2, target)
 	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +205,7 @@ func TestFaultyRouterInterStageLinkDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	const stage, out = 1, 3
-	fr, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{LinkDown: func(s, o int) bool {
-		return s == stage && o == out
-	}})
+	fr, err := NewFaultyRouter(nw.LinkPerms, linkFault(3, stage, out))
 	if err != nil {
 		t.Fatal(err)
 	}

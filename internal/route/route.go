@@ -1,6 +1,10 @@
 // Package route implements the "very simple bit directed routing" that
-// §4 of the paper credits PIPID-built networks with, plus a generic
-// unique-path router for arbitrary permutation-defined MINs.
+// §4 of the paper credits PIPID-built networks with (Router, and
+// BPCRouter for bit-permute-complement stages). Every other wiring routes by
+// backward reachability through FaultyRouter, which with the zero
+// FaultSpec is the generic router for intact fabrics and otherwise
+// avoids pinned faulty switches and links; there is no separate
+// intact-only router.
 //
 // Terminal model. A network with n stages has N = 2^n input terminals
 // and N output terminals. Input terminal a enters the stage-0 cell a>>1
@@ -18,7 +22,6 @@ package route
 import (
 	"fmt"
 
-	"minequiv/internal/perm"
 	"minequiv/internal/pipid"
 )
 
@@ -116,91 +119,6 @@ func (r *Router) Route(src, dst uint64) (Path, error) {
 	}
 	if link != dst {
 		return Path{}, fmt.Errorf("route: tag routing landed on %d, want %d (internal error)", link, dst)
-	}
-	return path, nil
-}
-
-// DPRouter routes on a network defined by arbitrary link permutations,
-// using backward reachability instead of closed-form tags. It is the
-// semantic reference implementation the tag router is tested against.
-type DPRouter struct {
-	n     int
-	perms []perm.Perm
-}
-
-// NewDPRouter wraps per-stage link permutations (length n-1, each on 2^n
-// symbols).
-func NewDPRouter(perms []perm.Perm) (*DPRouter, error) {
-	n := len(perms) + 1
-	for s, p := range perms {
-		if p.N() != 1<<uint(n) {
-			return nil, fmt.Errorf("route: stage %d permutation on %d symbols, want %d", s, p.N(), 1<<uint(n))
-		}
-	}
-	return &DPRouter{n: n, perms: perms}, nil
-}
-
-// N returns the number of terminals.
-func (r *DPRouter) N() int { return 1 << uint(r.n) }
-
-// Route computes a path from src to dst, or fails when none exists. When
-// the network is Banyan the path is the unique one.
-func (r *DPRouter) Route(src, dst uint64) (Path, error) {
-	nTerm := uint64(r.N())
-	if src >= nTerm || dst >= nTerm {
-		return Path{}, fmt.Errorf("route: terminal out of range (src=%d dst=%d N=%d)", src, dst, nTerm)
-	}
-	h := int(nTerm / 2)
-	// canReach[s][cell]: cell at stage s can reach output terminal dst.
-	canReach := make([][]bool, r.n)
-	last := make([]bool, h)
-	last[dst>>1] = true
-	canReach[r.n-1] = last
-	for s := r.n - 2; s >= 0; s-- {
-		cur := make([]bool, h)
-		for cell := 0; cell < h; cell++ {
-			for d := uint64(0); d < 2; d++ {
-				next := r.perms[s].Apply(uint64(cell)<<1|d) >> 1
-				if canReach[s+1][next] {
-					cur[cell] = true
-				}
-			}
-		}
-		canReach[s] = cur
-	}
-	link := src
-	path := Path{Src: src, Dst: dst, Steps: make([]Step, 0, r.n)}
-	for s := 0; s < r.n; s++ {
-		cell := link >> 1
-		inPort := link & 1
-		if !canReach[s][cell] {
-			return Path{}, fmt.Errorf("route: no path from %d to %d (stuck at stage %d cell %d)", src, dst, s, cell)
-		}
-		var d uint64
-		if s == r.n-1 {
-			d = dst & 1
-		} else {
-			chosen := false
-			for cand := uint64(0); cand < 2; cand++ {
-				next := r.perms[s].Apply(cell<<1|cand) >> 1
-				if canReach[s+1][next] {
-					d = cand
-					chosen = true
-					break
-				}
-			}
-			if !chosen {
-				return Path{}, fmt.Errorf("route: dead end at stage %d cell %d", s, cell)
-			}
-		}
-		path.Steps = append(path.Steps, Step{Stage: s, Cell: cell, InPort: inPort, OutPort: d})
-		link = cell<<1 | d
-		if s < r.n-1 {
-			link = r.perms[s].Apply(link)
-		}
-	}
-	if link != dst {
-		return Path{}, fmt.Errorf("route: landed on %d, want %d", link, dst)
 	}
 	return path, nil
 }

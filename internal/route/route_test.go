@@ -9,14 +9,14 @@ import (
 	"minequiv/internal/topology"
 )
 
-func routersFor(t testing.TB, name string, n int) (*Router, *DPRouter) {
+func routersFor(t testing.TB, name string, n int) (*Router, *FaultyRouter) {
 	t.Helper()
 	nw := topology.MustBuild(name, n)
 	r, err := NewRouter(nw.IndexPerms)
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)
 	}
-	dp, err := NewDPRouter(nw.LinkPerms)
+	dp, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestRouteRangeErrors(t *testing.T) {
 	}
 }
 
-func TestDPRouterFailsOnUnreachable(t *testing.T) {
+func TestFaultyRouterIntactFailsOnUnreachable(t *testing.T) {
 	// Two disjoint halves: identity link permutations keep a packet in
 	// its source cell pair forever.
 	perms := []perm.Perm{perm.Identity(8), perm.Identity(8)}
-	dp, err := NewDPRouter(perms)
+	dp, err := NewFaultyRouter(perms, FaultSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,11 @@ func TestDPRouterFailsOnUnreachable(t *testing.T) {
 	if _, err := dp.Route(0, 1); err != nil {
 		t.Errorf("reachable pair rejected: %v", err)
 	}
-	if _, err := dp.Route(0, 5); err == nil {
-		t.Error("unreachable pair routed")
+	// The intact fabric reports plain "no path"; "fault-free" is for
+	// fault specs only.
+	const want = "route: no path from 0 to 5 (stuck at stage 0 cell 0)"
+	if _, err := dp.Route(0, 5); err == nil || err.Error() != want {
+		t.Errorf("unreachable pair: err %v, want %q", err, want)
 	}
 }
 
@@ -323,20 +326,6 @@ func TestRandomPermutationAdmissibilityAgreesWithSim(t *testing.T) {
 		}
 		if ok == clash {
 			t.Fatalf("Admissible=%v but clash=%v", ok, clash)
-		}
-	}
-}
-
-func BenchmarkRouteAllPairs(b *testing.B) {
-	nw := topology.MustBuild(topology.NameOmega, 8)
-	r, err := NewRouter(nw.IndexPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.VerifyAllPairs(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -48,10 +48,10 @@ type Fault struct {
 
 // FaultPlan describes how a fabric degrades: a fixed list of pinned
 // faults plus Bernoulli rates for random per-trial faults. The plan is
-// pure data — it can be validated against a fabric and sampled into a
-// FaultState any number of times; the engine resamples it per trial
-// from a dedicated deterministic rng stream, so a degraded run is
-// reproducible from (seed, plan) alone.
+// pure data — it can be validated against a stage count and sampled
+// into a FaultState any number of times; the engine resamples it per
+// trial from a dedicated deterministic rng stream, so a degraded run
+// is reproducible from (seed, plan) alone.
 type FaultPlan struct {
 	Faults []Fault // pinned faults, applied before any random draw
 
@@ -75,8 +75,11 @@ func (p FaultPlan) Random() bool {
 	return p.SwitchDeadRate > 0 || p.SwitchStuckRate > 0 || p.LinkDownRate > 0
 }
 
-// Validate checks the plan against a fabric's dimensions.
-func (p FaultPlan) Validate(f *Fabric) error {
+// Validate checks the plan against the shape of a fabric with the
+// given stage count: 2^(stages-1) cells and 2^stages outlinks per
+// stage. It needs no compiled fabric.
+func (p FaultPlan) Validate(stages int) error {
+	h, n := 1<<uint(stages-1), 1<<uint(stages)
 	rates := []struct {
 		name string
 		v    float64
@@ -91,17 +94,17 @@ func (p FaultPlan) Validate(f *Fabric) error {
 		}
 	}
 	for i, flt := range p.Faults {
-		if flt.Stage < 0 || flt.Stage >= f.Spans {
-			return fmt.Errorf("sim: fault %d: stage %d out of [0,%d)", i, flt.Stage, f.Spans)
+		if flt.Stage < 0 || flt.Stage >= stages {
+			return fmt.Errorf("sim: fault %d: stage %d out of [0,%d)", i, flt.Stage, stages)
 		}
 		switch flt.Kind {
 		case SwitchDead, SwitchStuck0, SwitchStuck1:
-			if flt.Cell < 0 || flt.Cell >= f.H {
-				return fmt.Errorf("sim: fault %d: cell %d out of [0,%d)", i, flt.Cell, f.H)
+			if flt.Cell < 0 || flt.Cell >= h {
+				return fmt.Errorf("sim: fault %d: cell %d out of [0,%d)", i, flt.Cell, h)
 			}
 		case LinkDown:
-			if flt.Link < 0 || flt.Link >= f.N {
-				return fmt.Errorf("sim: fault %d: link %d out of [0,%d)", i, flt.Link, f.N)
+			if flt.Link < 0 || flt.Link >= n {
+				return fmt.Errorf("sim: fault %d: link %d out of [0,%d)", i, flt.Link, n)
 			}
 		default:
 			return fmt.Errorf("sim: fault %d: unknown kind %d", i, flt.Kind)
@@ -183,7 +186,7 @@ func (fs *FaultState) apply(flt Fault) {
 // per-trial fault streams rely on. Allocation-free. rng may be nil for
 // a plan with no random rates.
 func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
-	if err := p.Validate(fs.f); err != nil {
+	if err := p.Validate(fs.f.Spans); err != nil {
 		return err
 	}
 	fs.Resample(p, rng)

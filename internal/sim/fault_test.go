@@ -243,11 +243,11 @@ func TestFaultPlanValidate(t *testing.T) {
 		{LinkDownRate: 1.5},
 	}
 	for i, p := range bad {
-		if err := p.Validate(f); err == nil {
+		if err := p.Validate(f.Spans); err == nil {
 			t.Errorf("plan %d accepted: %+v", i, p)
 		}
 	}
-	if err := (FaultPlan{SwitchDeadRate: 0.5}).Validate(f); err != nil {
+	if err := (FaultPlan{SwitchDeadRate: 0.5}).Validate(f.Spans); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

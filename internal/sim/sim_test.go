@@ -473,14 +473,3 @@ func BenchmarkSimUniformWave(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSimBuffered(b *testing.B) {
-	f := fabricFor(b, topology.NameOmega, 6)
-	rng := rand.New(rand.NewPCG(13, 0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.RunBuffered(BufferedConfig{Load: 0.5, Queue: 4, Cycles: 200, Warmup: 20}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

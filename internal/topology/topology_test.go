@@ -259,12 +259,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Baseline(12)
-	}
-}
-
 func BenchmarkBuildOmega(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MustBuild(NameOmega, 12)

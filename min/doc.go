@@ -37,8 +37,11 @@
 //
 // Route walks a packet from an input terminal to an output terminal.
 // PIPID-defined networks use the paper's §4 bit-directed destination
-// tags (TagPositions exposes the schedule); any other unique-path
-// network falls back to a reachability router.
+// tags (TagPositions exposes the schedule); any other network falls
+// back to the reachability router that RouteUnderFaults also uses,
+// which finds the unique path on Banyan networks and fails when no
+// path exists. Neither routing call compiles the simulation fabric:
+// only Simulate and SimulateBuffered do.
 //
 //	path, _ := min.Route(omega, 5, 12)
 //

@@ -84,7 +84,10 @@ func (p FaultPlan) internal() (sim.FaultPlan, error) {
 }
 
 // faultyRouter builds the fault-aware reachability router for the
-// plan's pinned faults.
+// plan's pinned faults. It validates the plan against the network's
+// shape alone, so routing never compiles the simulation fabric. Both
+// fault tables are allocated even for an empty plan: a faulted route
+// reports "no fault-free path", never the intact "no path".
 func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 	if plan.SwitchDeadRate != 0 || plan.SwitchStuckRate != 0 || plan.LinkDownRate != 0 {
 		return nil, fmt.Errorf("min: routing under faults takes pinned faults only; random rates need a simulation trial to sample in (use WithFaults)")
@@ -93,33 +96,24 @@ func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := nw.compiledFabric()
-	if err != nil {
+	stages, h, N := nw.Stages(), nw.CellsPerStage(), nw.Terminals()
+	if err := p.Validate(stages); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(f); err != nil {
-		return nil, err
-	}
-	h := nw.CellsPerStage()
-	stages := nw.Stages()
-	mode := make([]uint8, stages*h)
-	linkDown := make([]bool, stages*nw.Terminals())
+	spec := route.FaultSpec{Mode: make([]uint8, stages*h), LinkDown: make([]bool, stages*N)}
 	for _, flt := range p.Faults {
 		switch flt.Kind {
 		case sim.SwitchDead:
-			mode[flt.Stage*h+flt.Cell] = route.SwitchDead
+			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchDead
 		case sim.SwitchStuck0:
-			mode[flt.Stage*h+flt.Cell] = route.SwitchStuck0
+			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchStuck0
 		case sim.SwitchStuck1:
-			mode[flt.Stage*h+flt.Cell] = route.SwitchStuck1
+			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchStuck1
 		case sim.LinkDown:
-			linkDown[flt.Stage*nw.Terminals()+flt.Link] = true
+			spec.LinkDown[flt.Stage*N+flt.Link] = true
 		}
 	}
-	return route.NewFaultyRouter(nw.topo.LinkPerms, route.FaultSpec{
-		SwitchMode: func(stage, cell int) uint8 { return mode[stage*h+cell] },
-		LinkDown:   func(stage, out int) bool { return linkDown[stage*nw.Terminals()+out] },
-	})
+	return route.NewFaultyRouter(nw.topo.LinkPerms, spec)
 }
 
 // RouteUnderFaults computes the path from src to dst on the degraded

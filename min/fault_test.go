@@ -167,3 +167,40 @@ func TestCountAdmissibleUnderFaults(t *testing.T) {
 		t.Fatal("intact count degenerate")
 	}
 }
+
+// Routing under faults validates the plan against the network's shape
+// alone: it never compiles the simulation fabric. Only a simulation
+// compiles it, once, and later runs share it.
+func TestFaultRoutingCompilesNoFabric(t *testing.T) {
+	nw := MustBuild(Baseline, 3)
+	plan := FaultPlan{Faults: []Fault{{Kind: SwitchStuck0, Stage: 1, Cell: 2}, {Kind: LinkDown, Stage: 2, Link: 5}}}
+	for dst := 0; dst < nw.Terminals(); dst++ {
+		_, _ = RouteUnderFaults(nw, 1, dst, plan) // some pairs survive, some do not: either is fine here
+	}
+	if _, err := RouteUnderFaults(nw, 0, 0, FaultPlan{Faults: []Fault{{Kind: LinkDown, Stage: 0, Link: 99}}}); err == nil {
+		t.Fatal("out-of-range fault accepted")
+	}
+	if _, _, err := CountAdmissibleUnderFaults(nw, plan); err != nil {
+		t.Fatal(err)
+	}
+	if nw.fabric != nil || nw.fabricErr != nil {
+		t.Fatal("fault routing compiled the simulation fabric")
+	}
+	ctx := context.Background()
+	if _, err := Simulate(ctx, nw, WithWaves(4), WithFaults(plan)); err != nil {
+		t.Fatal(err)
+	}
+	f := nw.fabric
+	if f == nil {
+		t.Fatal("Simulate left the fabric uncompiled")
+	}
+	if _, err := SimulateBuffered(ctx, nw, WithCycles(20), WithWarmup(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(ctx, nw, WithWaves(4)); err != nil {
+		t.Fatal(err)
+	}
+	if nw.fabric != f {
+		t.Fatal("a later simulation compiled the fabric again")
+	}
+}

@@ -1,6 +1,9 @@
 package min
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -67,4 +70,105 @@ func FuzzBuilderStageSpecs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRouteUnderFaults routes catalog networks at 3..6 stages under
+// arbitrary pinned fault lists: kinds are free strings (one per comma
+// field) and coordinates are signed bytes, so negative and out-of-range
+// stages, cells and links all arrive. A plan must either fail with the
+// exact validation text, or route exactly like the intact fabric minus
+// its faults: on a Banyan network the pair routes iff its unique intact
+// path avoids every dead switch, wrongly jammed crossbar and severed
+// link, and then the route is that path. CI runs this for a short smoke
+// window on every push.
+func FuzzRouteUnderFaults(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(3), uint16(5), "switch-dead", []byte{1, 2, 0})
+	f.Add(uint8(2), uint8(1), uint16(0), uint16(15), "switch-stuck0,switch-stuck1", []byte{0, 0, 0, 3, 7, 0})
+	f.Add(uint8(4), uint8(3), uint16(60), uint16(9), "link-down,link-down", []byte{5, 0, 63, 2, 0, 64})
+	f.Add(uint8(1), uint8(2), uint16(7), uint16(7), "switch-dead,bogus", []byte{0xff, 0, 0, 0, 0, 0})
+	f.Add(uint8(3), uint8(0), uint16(2), uint16(1), "", []byte{})
+	f.Fuzz(func(t *testing.T, netIdx, extra uint8, src, dst uint16, kinds string, coords []byte) {
+		names := CatalogNames()
+		nw := MustBuild(names[int(netIdx)%len(names)], 3+int(extra)%4)
+		stages, h, N := nw.Stages(), nw.CellsPerStage(), nw.Terminals()
+		s, d := int(src)%N, int(dst)%N
+		var plan FaultPlan
+		if kinds != "" {
+			for i, k := range strings.Split(kinds, ",") {
+				if i == 16 {
+					break
+				}
+				var c [3]int
+				for j := range c {
+					if b := 3*i + j; b < len(coords) {
+						c[j] = int(int8(coords[b]))
+					}
+				}
+				plan.Faults = append(plan.Faults, Fault{Kind: FaultKind(k), Stage: c[0], Cell: c[1], Link: c[2]})
+			}
+		}
+		got, err := RouteUnderFaults(nw, s, d, plan)
+		if want := wantFaultPlanError(plan, stages, h, N); want != "" {
+			if err == nil || err.Error() != want {
+				t.Fatalf("invalid plan %+v: err %v, want %q", plan.Faults, err, want)
+			}
+			return
+		}
+		intact, ierr := Route(nw, s, d)
+		if ierr != nil {
+			t.Fatalf("intact %s: %v", nw.Name(), ierr)
+		}
+		blocked := false
+		for _, hop := range intact.Hops {
+			for _, flt := range plan.Faults {
+				if flt.Stage != hop.Stage {
+					continue
+				}
+				switch flt.Kind {
+				case SwitchDead:
+					blocked = blocked || flt.Cell == hop.Cell
+				case SwitchStuck0:
+					blocked = blocked || flt.Cell == hop.Cell && hop.OutPort == 1
+				case SwitchStuck1:
+					blocked = blocked || flt.Cell == hop.Cell && hop.OutPort == 0
+				case LinkDown:
+					blocked = blocked || flt.Link == hop.Cell*2+hop.OutPort
+				}
+			}
+		}
+		switch {
+		case blocked && err == nil:
+			t.Fatalf("%s %d->%d routed through a fault: %+v under %+v", nw.Name(), s, d, got, plan.Faults)
+		case blocked && !strings.HasPrefix(err.Error(), "route: no fault-free path from "):
+			t.Fatalf("%s %d->%d: err %v", nw.Name(), s, d, err)
+		case !blocked && err != nil:
+			t.Fatalf("%s %d->%d: fault-free intact path rejected: %v", nw.Name(), s, d, err)
+		case !blocked && !reflect.DeepEqual(got, intact):
+			t.Fatalf("%s %d->%d: route %+v differs from the intact path %+v", nw.Name(), s, d, got, intact)
+		}
+	})
+}
+
+// wantFaultPlanError is the error text a pinned fault plan must be
+// rejected with on a network of the given shape, or "" for a valid
+// plan: unknown kinds first, then coordinates in list order.
+func wantFaultPlanError(plan FaultPlan, stages, h, N int) string {
+	for i, f := range plan.Faults {
+		switch f.Kind {
+		case SwitchDead, SwitchStuck0, SwitchStuck1, LinkDown:
+		default:
+			return fmt.Sprintf("min: fault %d: unknown kind %q", i, f.Kind)
+		}
+	}
+	for i, f := range plan.Faults {
+		switch {
+		case f.Stage < 0 || f.Stage >= stages:
+			return fmt.Sprintf("sim: fault %d: stage %d out of [0,%d)", i, f.Stage, stages)
+		case f.Kind != LinkDown && (f.Cell < 0 || f.Cell >= h):
+			return fmt.Sprintf("sim: fault %d: cell %d out of [0,%d)", i, f.Cell, h)
+		case f.Kind == LinkDown && (f.Link < 0 || f.Link >= N):
+			return fmt.Sprintf("sim: fault %d: link %d out of [0,%d)", i, f.Link, N)
+		}
+	}
+	return ""
 }

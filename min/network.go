@@ -60,7 +60,8 @@ func CatalogNames() []string { return topology.Names() }
 // and 2^n output terminals, with 2x2 switches. The zero value is not
 // usable; obtain one from Build, FromLinkPerms, FromIndexPerms,
 // TailCycle, or a Builder. A Network is immutable and safe for
-// concurrent use; the simulation fabric it lazily compiles is shared.
+// concurrent use; the simulation fabric it compiles on the first
+// Simulate or SimulateBuffered is shared.
 type Network struct {
 	topo topology.Network
 
@@ -249,7 +250,8 @@ func (nw *Network) Fingerprint() uint64 {
 }
 
 // compiledFabric lazily compiles the simulation fabric (routing tables)
-// once per Network.
+// once per Network. Only the simulators call it; routing validates
+// fault plans by shape and never needs the fabric.
 func (nw *Network) compiledFabric() (*sim.Fabric, error) {
 	nw.fabricOnce.Do(func() {
 		nw.fabric, nw.fabricErr = sim.NewFabric(nw.topo.LinkPerms)
