@@ -19,6 +19,7 @@ import (
 	"minequiv/internal/equiv"
 	"minequiv/internal/experiments"
 	"minequiv/internal/midigraph"
+	"minequiv/internal/perm"
 	"minequiv/internal/pipid"
 	"minequiv/internal/randnet"
 	"minequiv/internal/route"
@@ -431,6 +432,41 @@ func BenchmarkFabricKernel(b *testing.B) {
 		}
 		run(b, fs)
 	})
+}
+
+// BenchmarkFabricCompile pins the compile layer: sim.NewFabric's one
+// backward pass building the port tables, the Banyan verdict and, on
+// Banyan fabrics, the path tags. Baseline wirings at 6, 8 and 10
+// stages, plus a 10-stage wiring whose first stage has a double arc, so
+// it is found non-Banyan only at the last step of the pass.
+func BenchmarkFabricCompile(b *testing.B) {
+	run := func(b *testing.B, perms []perm.Perm, banyan bool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := sim.NewFabric(perms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if f.Banyan() != banyan {
+				b.Fatalf("Banyan() = %t, want %t", f.Banyan(), banyan)
+			}
+		}
+	}
+	for _, n := range []int{6, 8, 10} {
+		perms := topology.BaselineLinkPerms(n)
+		b.Run(fmt.Sprintf("baseline/n=%d", n), func(b *testing.B) { run(b, perms, true) })
+	}
+	perms := topology.BaselineLinkPerms(10)
+	p := perms[0].Clone()
+	// Send cell 0's port 1 into the cell its port 0 enters.
+	for x, y := range p {
+		if y == p[0]^1 {
+			p[x], p[1] = p[1], p[x]
+			break
+		}
+	}
+	perms[0] = p
+	b.Run("double-arc/n=10", func(b *testing.B) { run(b, perms, false) })
 }
 
 // BenchmarkFaultedWaveLoop pins the degraded hot path: the steady-state

@@ -403,3 +403,158 @@ func TestCorruptSpecSurfacesAsFailedJob(t *testing.T) {
 		t.Fatalf("Result: %v", err)
 	}
 }
+
+// breakLog swaps the only job's shards.log handle for a read-only one,
+// so every later append fails while the rest of the store works.
+func breakLog(t *testing.T, m *Manager) {
+	m.mu.Lock()
+	var st *store
+	for _, j := range m.jobs {
+		st = j.store
+	}
+	m.mu.Unlock()
+	ro, err := os.Open(logPath(st.dir))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	st.mu.Lock()
+	st.f.Close()
+	st.f = ro
+	st.mu.Unlock()
+}
+
+// shardFrames counts the shard records in a job's checkpoint log.
+func shardFrames(t *testing.T, jobDir string) int {
+	t.Helper()
+	recs, _, err := readLog(logPath(jobDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range recs {
+		if r.Type == "shard" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLostFramesCostOnlyReruns pins the checkpoint contract: a failed
+// shards.log append neither stalls nor fails the job, since the shard
+// is done in memory either way, and only costs a re-run after a crash.
+// With every append failing, a job (a) finishes with the golden result
+// bytes, which a crash and reopen serve back unchanged, and (b) crashed
+// mid-sweep, re-runs every shard it had finished and reaches the same
+// bytes.
+func TestLostFramesCostOnlyReruns(t *testing.T) {
+	golden := goldenResult(t, testSpec())
+	base := DefaultRunner()
+	result := func(t *testing.T, m *Manager, id string) []byte {
+		t.Helper()
+		if st := await(t, m, id); st.State != StateDone {
+			t.Fatalf("state = %s (%+v)", st.State, st)
+		}
+		data, err := m.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	t.Run("finishes", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := fastCfg(dir)
+		var m *Manager
+		var once sync.Once
+		cfg.Runner = func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
+			once.Do(func() { breakLog(t, m) })
+			return base(ctx, cell, lo, hi)
+		}
+		m, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := m.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data := result(t, m, id); !bytes.Equal(data, golden) {
+			t.Fatalf("result with failed appends differs from the golden run:\n%s\n---\n%s", data, golden)
+		}
+		if n := shardFrames(t, filepath.Join(dir, id)); n != 0 {
+			t.Fatalf("%d shard frames landed through a broken log", n)
+		}
+		m.Kill()
+		m2, err := Open(fastCfg(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m2.Kill()
+		if data := result(t, m2, id); !bytes.Equal(data, golden) {
+			t.Fatal("reopened result differs from the golden run")
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := fastCfg(dir)
+		const finished = 4
+		var m *Manager
+		var once sync.Once
+		var started atomic.Int64
+		cfg.Runner = func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
+			once.Do(func() { breakLog(t, m) })
+			if started.Add(1) > finished {
+				<-ctx.Done() // hold the rest of the sweep until the crash
+				return engine.WavePartial{}, ctx.Err()
+			}
+			return base(ctx, cell, lo, hi)
+		}
+		m, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := m.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			st, err := m.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShardsDone == finished {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shards done = %d, want %d", st.ShardsDone, finished)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		m.Kill()
+		jobDir := filepath.Join(dir, id)
+		if n := shardFrames(t, jobDir); n != 0 {
+			t.Fatalf("%d shard frames landed through a broken log", n)
+		}
+
+		cfg2 := fastCfg(dir)
+		var reran atomic.Int64
+		cfg2.Runner = func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
+			reran.Add(1)
+			return base(ctx, cell, lo, hi)
+		}
+		m2, err := Open(cfg2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m2.Kill()
+		if data := result(t, m2, id); !bytes.Equal(data, golden) {
+			t.Fatalf("crash-resume result differs from the golden run:\n%s\n---\n%s", data, golden)
+		}
+		if shards := int64(newGrid(testSpecNormalized()).shards); reran.Load() != shards {
+			t.Fatalf("resume ran %d shards, want all %d: no frame reached the log", reran.Load(), shards)
+		}
+	})
+}

@@ -192,10 +192,10 @@ func readLog(path string) ([]logRecord, int64, error) {
 	return recs, off, nil
 }
 
-// append frames, writes, and fsyncs one record. Errors are returned so
-// the caller can surface them, but scheduling state never depends on
-// the append having happened — a lost frame only means the shard
-// re-runs after a crash.
+// append frames, writes, and fsyncs one record. The scheduler ignores
+// its error: scheduling state never depends on the append having
+// happened, and a lost frame only means the shard re-runs after a
+// crash.
 func (st *store) append(rec logRecord) error {
 	if st == nil {
 		return nil

@@ -509,13 +509,15 @@ func (m *Manager) exec(ref shardRef, slot int) (killed bool) {
 	return false
 }
 
-// report lands one shard outcome. Disk leads memory: a successful
-// partial is appended (and fsync'd) to the checkpoint log before the
-// scheduler state marks it done, so the in-memory table never claims
-// progress the log cannot replay. Stale tokens — the shard was stolen
-// while this worker ran it — are discarded; the duplicate log frame a
-// stale success may leave behind is harmless because shard results are
-// pure functions of the spec.
+// report lands one shard outcome. A successful partial is appended
+// (and fsync'd) to the checkpoint log before the scheduler state marks
+// it done, but the shard is marked done whether or not the append
+// landed: the in-memory table may run ahead of the log, and a lost
+// frame only costs that shard a re-run after a crash (see
+// store.append). Stale tokens — the shard was stolen while this worker
+// ran it — are discarded; the duplicate log frame a stale success may
+// leave behind is harmless because shard results are pure functions of
+// the spec.
 func (m *Manager) report(j *job, s int, tok uint64, p engine.WavePartial, err error) {
 	if err == nil && j.store != nil {
 		_ = j.store.append(logRecord{Type: "shard", Shard: s, Partial: &p})

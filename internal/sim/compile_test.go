@@ -1,0 +1,267 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math/rand/v2"
+	"testing"
+
+	"minequiv/internal/midigraph"
+	"minequiv/internal/perm"
+	"minequiv/internal/randnet"
+	"minequiv/internal/topology"
+)
+
+// compileGolden pins the compiled fabric byte for byte: per case
+// family, the SHA-256 of every stage's port table, pathTag (or its
+// absence), Banyan() and BitSliceable(), over the family's stage
+// counts. A change to how NewFabric compiles must leave every digest
+// where it is.
+var compileGolden = map[string]string{
+	"baseline":                  "9fd6af08129026b3a84061f9b9407b8a73fb9113a9a7312d915be1af53810dbd",
+	"double-arc":                "783a2e9c4d1bf09935e73d03f5cda49b1a736bc2ecc27850e022384b52b9bed7",
+	"flip":                      "2e7d15b7a54cd912891eafac8d3d71b612e71169cab0ca4cfdaf003eaaa0c801",
+	"indirect-binary-cube":      "858efed7e39dd3d6ed5372754b35b7b7cd3ccb5fa7ac82794aa56cf9ec171723",
+	"modified-data-manipulator": "bbc3c7cb622d7765c20c734b6163c5b0305eac9cdc2ce12525b1a47c5aa6c39e",
+	"multi-path":                "ca86cee3650b698f9f3f74455ea36feb5ae5d17d9930426ba1d6b8c739860ad0",
+	"omega":                     "edf435baf0996bc2e5b09377b9c35ec5a9a1db15884fe01cb9734cb795b07b52",
+	"reverse-baseline":          "8c01e1e87b9012aae91fd7d1084adc38d355b36e6ca8dd3d975a0860c68550c5",
+	"tail-cycle":                "18bd6c20653be6acc0f0a41665bdc48f25c48aa62129b14e8b8f7a5252b9bc94",
+	"unreachable":               "1e0d46b459f819a37989a5dcf06c3bcbf1cdc1dbe77ba1b01acf902f78a68c6a",
+}
+
+// hashFabric writes everything a compiled fabric exposes to the
+// kernels into h.
+func hashFabric(h hash.Hash, name string, f *Fabric) {
+	fmt.Fprintf(h, "%s n=%d banyan=%t sliceable=%t\n", name, f.Spans, f.Banyan(), f.BitSliceable())
+	for s, st := range f.stages {
+		fmt.Fprintf(h, "stage %d\n", s)
+		h.Write(st.port)
+	}
+	if f.pathTag == nil {
+		fmt.Fprintln(h, "no path tags")
+		return
+	}
+	fmt.Fprintln(h, "path tags")
+	var b [2]byte
+	for _, tag := range f.pathTag {
+		binary.LittleEndian.PutUint16(b[:], tag)
+		h.Write(b[:])
+	}
+}
+
+// xorButterfly wires every stage so cell x's port p enters cell x^p:
+// no parallel arcs, yet each cell only ever reaches itself and its
+// buddy, by two paths each once there are three stages.
+func xorButterfly(n int) []perm.Perm {
+	N := 1 << uint(n)
+	perms := make([]perm.Perm, n-1)
+	for s := range perms {
+		perms[s] = perm.MustFromFunc(N, func(x uint64) uint64 { return x ^ (x&1)<<1 })
+	}
+	return perms
+}
+
+// doubleArcPerms rewires one cell of a Baseline so both of its outlinks
+// enter the same next-stage cell.
+func doubleArcPerms(n, stage, cell int) []perm.Perm {
+	perms := topology.BaselineLinkPerms(n)
+	p := perms[stage].Clone()
+	target := p[2*cell] ^ 1 // the sibling inlink of 2·cell's destination
+	for x, y := range p {
+		if y == target {
+			p[x], p[2*cell+1] = p[2*cell+1], p[x]
+			break
+		}
+	}
+	perms[stage] = p
+	return perms
+}
+
+var nonBanyanFamilies = map[string]bool{"double-arc": true, "multi-path": true, "unreachable": true}
+
+// compileCases lists the golden's wirings by family.
+func compileCases(t *testing.T) map[string][][]perm.Perm {
+	t.Helper()
+	cases := map[string][][]perm.Perm{}
+	for _, name := range topology.Names() {
+		for n := 2; n <= 8; n++ {
+			cases[name] = append(cases[name], topology.MustBuild(name, n).LinkPerms)
+		}
+	}
+	for n := 3; n <= 6; n++ {
+		perms, err := randnet.TailCycleLinkPerms(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases["tail-cycle"] = append(cases["tail-cycle"], perms)
+	}
+	cases["double-arc"] = [][]perm.Perm{doubleArcPerms(4, 1, 3), doubleArcPerms(6, 0, 5), doubleArcPerms(6, 4, 0)}
+	cases["multi-path"] = [][]perm.Perm{xorButterfly(3), xorButterfly(5)}
+	cases["unreachable"] = [][]perm.Perm{identityPerms(3), identityPerms(6)}
+	return cases
+}
+
+func identityPerms(n int) []perm.Perm {
+	perms := make([]perm.Perm, n-1)
+	for s := range perms {
+		perms[s] = perm.Identity(1 << uint(n))
+	}
+	return perms
+}
+
+// TestFabricCompileGolden hashes the compiled tables of the catalog
+// networks (n = 2..8), the tail cycle (n = 3..6) and three kinds of
+// non-Banyan wiring against committed digests, and checks each case's
+// Banyan verdict against the path-count oracle.
+func TestFabricCompileGolden(t *testing.T) {
+	for family, wirings := range compileCases(t) {
+		h := sha256.New()
+		for _, perms := range wirings {
+			f, err := NewFabric(perms)
+			if err != nil {
+				t.Fatalf("%s: %v", family, err)
+			}
+			if want := pathCountBanyan(t, perms); f.Banyan() != want {
+				t.Errorf("%s n=%d: Banyan() = %t, path counts say %t", family, f.Spans, f.Banyan(), want)
+			}
+			if f.Banyan() == nonBanyanFamilies[family] {
+				t.Errorf("%s n=%d: Banyan() = %t, against the family's intent", family, f.Spans, f.Banyan())
+			}
+			hashFabric(h, family, f)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != compileGolden[family] {
+			t.Errorf("%s: compile digest %s, want %s", family, got, compileGolden[family])
+		}
+	}
+}
+
+// pathCountBanyan is the independent Banyan oracle: exactly one path
+// between every first- and last-stage cell of the wiring's MI-digraph.
+func pathCountBanyan(t *testing.T, perms []perm.Perm) bool {
+	t.Helper()
+	g, err := midigraph.FromLinkPerms(len(perms)+1, perms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, _ := g.IsBanyan()
+	return ok
+}
+
+// reachRow is the brute-force port oracle for one (stage s, cell): it
+// walks every port sequence from the cell and, per destination, returns
+// the lowest first port some sequence takes there, or portUnreachable.
+func reachRow(perms []perm.Perm, s, cell int) []uint8 {
+	n := len(perms) + 1
+	row := make([]uint8, 1<<uint(n))
+	for i := range row {
+		row[i] = portUnreachable
+	}
+	for ports := 0; ports < 1<<uint(n-s); ports++ {
+		link := uint64(cell<<1 | ports&1)
+		for t := s + 1; t < n; t++ {
+			link = perms[t-1].Apply(link)
+			link = link&^1 | uint64(ports>>uint(t-s)&1)
+		}
+		row[link] = min(row[link], uint8(ports&1))
+	}
+	return row
+}
+
+// walkPathTags packs, for every (src, dst), the port schedule the
+// compiled tables steer: one table lookup per stage. It returns nil
+// unless the fabric is Banyan with at most 16 stages.
+func walkPathTags(f *Fabric) []uint16 {
+	if f.Spans > 16 || !f.Banyan() {
+		return nil
+	}
+	tags := make([]uint16, f.N*f.N)
+	for src := 0; src < f.N; src++ {
+		for dst := 0; dst < f.N; dst++ {
+			link := uint64(src)
+			var tag uint16
+			for s := 0; s < f.Spans; s++ {
+				cell := link >> 1
+				pt := f.stages[s].port[int(cell)*f.N+dst]
+				if pt == portUnreachable {
+					return nil
+				}
+				tag |= uint16(pt) << uint(s)
+				link = cell<<1 | uint64(pt)
+				if s < f.Spans-1 {
+					link = f.stages[s].next.Apply(link)
+				}
+			}
+			tags[src*f.N+dst] = tag
+		}
+	}
+	return tags
+}
+
+// FuzzFabricCompile compiles wirings seeded by the fuzz bytes — random
+// link permutations, or a catalog network with random link swaps — at
+// n = 2..6 and checks every compiled table against an oracle: Banyan()
+// against midigraph path counts, each port entry against brute-force
+// reachability, and pathTag against a per-pair walk of the port tables.
+func FuzzFabricCompile(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{4, 1, 0, 9})
+	f.Add([]byte{3, 1, 2, 7, 7})
+	f.Add([]byte{2, 0, 5, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [3]byte
+		copy(hdr[:], data)
+		n := 2 + int(hdr[0])%5
+		var seed uint64
+		for _, b := range data {
+			seed = seed*131 + uint64(b)
+		}
+		rng := rand.New(rand.NewPCG(seed, uint64(len(data))))
+		N := 1 << uint(n)
+		var perms []perm.Perm
+		if hdr[1]&1 == 1 {
+			names := topology.Names()
+			for _, p := range topology.MustBuild(names[int(hdr[1]>>1)%len(names)], n).LinkPerms {
+				perms = append(perms, p.Clone())
+			}
+			for k := int(hdr[2] % 4); k > 0; k-- {
+				p := perms[rng.IntN(n-1)]
+				i, j := rng.IntN(N), rng.IntN(N)
+				p[i], p[j] = p[j], p[i]
+			}
+		} else {
+			perms = make([]perm.Perm, n-1)
+			for s := range perms {
+				perms[s] = perm.Random(rng, N)
+			}
+		}
+		fab, err := NewFabric(perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pathCountBanyan(t, perms); fab.Banyan() != want {
+			t.Fatalf("n=%d: Banyan() = %t, path counts say %t", n, fab.Banyan(), want)
+		}
+		for s := 0; s < n; s++ {
+			for c := 0; c < fab.H; c++ {
+				for dst, want := range reachRow(perms, s, c) {
+					if got := fab.stages[s].port[c*N+dst]; got != want {
+						t.Fatalf("n=%d stage %d cell %d dst %d: port %#x, reachability says %#x", n, s, c, dst, got, want)
+					}
+				}
+			}
+		}
+		want := walkPathTags(fab)
+		if (fab.pathTag == nil) != (want == nil) || fab.BitSliceable() != (want != nil) {
+			t.Fatalf("n=%d: pathTag present = %t, walk says %t", n, fab.pathTag != nil, want != nil)
+		}
+		for i, tag := range want {
+			if fab.pathTag[i] != tag {
+				t.Fatalf("n=%d (src %d, dst %d): tag %#x, walk says %#x", n, i/N, i%N, fab.pathTag[i], tag)
+			}
+		}
+	})
+}

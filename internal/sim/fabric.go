@@ -52,26 +52,36 @@ type Fabric struct {
 	H      int // cells per stage
 	Spans  int // stages
 	stages []stageKernel
-	// ambiguous records whether some (stage, cell, dst) had BOTH ports
-	// leading to dst — a multi-path (non-Banyan) fabric. The compiled
-	// tables collapse the choice toward port 0, so this must be noted at
-	// compile time to be observable later.
-	ambiguous bool
+	// banyan records unique-path reachability, decided while compiling:
+	// the tables collapse a two-port choice toward port 0, so path
+	// multiplicity is not observable from them afterwards.
+	banyan bool
 	// pathTag[src*N+dst] packs the port schedule the compiled tables
 	// steer for an intact (src, dst) flight: bit s is the output port
-	// taken at stage s. Non-nil exactly when the fabric is BitSliceable
-	// (Banyan unique-path, <= 16 stages); the bit-sliced wave kernel
-	// routes whole waves by these tags instead of per-stage lookups.
+	// taken at stage s. Non-nil exactly when the fabric is BitSliceable;
+	// the bit-sliced wave kernel routes whole waves by these tags
+	// instead of per-stage lookups.
 	pathTag []uint16
 	// zeroFaults is the shared all-clear fault mask set the bit kernel
 	// uses for intact runs; immutable, nil unless BitSliceable.
 	zeroFaults *BitFaultState
 }
 
-// NewFabric compiles the per-stage kernels. Unreachable (cell, dst)
-// pairs are tolerated and marked, so non-Banyan networks can still be
-// simulated for comparison; pairs where both ports lead to dst
-// (multi-path ambiguity) are resolved toward port 0 and flagged.
+// NewFabric compiles the per-stage kernels in one backward pass over
+// the stages. A cell reaches dst iff one of its two children does, so
+// its port row is read off the next stage's rows: port 0 when child 0
+// reaches dst, else port 1 when child 1 does, else portUnreachable. On
+// a Banyan fabric the path from a cell to dst is its port followed by
+// the path from the child that port leads to, so the same pass packs
+// each cell's tag row as tag[c][dst] = port<<s | tag[child][dst], and
+// stage 0's rows are the path tags of its two inputs. Unreachable
+// (cell, dst) pairs are tolerated and marked, so non-Banyan networks
+// can still be simulated for comparison; pairs where both ports lead to
+// dst (multi-path ambiguity) are resolved toward port 0 and make the
+// fabric non-Banyan. No other check is needed: a stage-0 cell has N
+// port sequences to the terminals, so when no cell ever offers both
+// ports for one destination they end at N distinct terminals, and
+// every stage-0 cell reaches every destination.
 func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	n := len(perms) + 1
 	N := 1 << uint(n)
@@ -81,129 +91,95 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 			return nil, fmt.Errorf("sim: stage %d permutation on %d symbols, want %d", s, p.N(), N)
 		}
 	}
-	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n)}
-	for s := 0; s < n-1; s++ {
-		f.stages[s].next = perms[s]
+	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
+	// Tag rows ping-pong between the two halves of the pathTag
+	// allocation: stage s writes half[s&1], so stage 0 lands in the
+	// first half. A tag is a uint16, so only fabrics of at most 16
+	// stages carry them.
+	var tags []uint16
+	var half [2][]uint16
+	if n <= 16 {
+		tags = make([]uint16, N*N)
+		half = [2][]uint16{tags[:h*N], tags[h*N:]}
 	}
-	// reach[cell] = bitset over destinations, built backward.
-	words := (N + 63) / 64
-	cur := make([][]uint64, h)  // reach at stage s+1
-	next := make([][]uint64, h) // scratch
-	for c := 0; c < h; c++ {
-		cur[c] = make([]uint64, words)
-		next[c] = make([]uint64, words)
+	// Last stage: cell c reaches terminals 2c and 2c+1 by dst parity.
+	last := make([]uint8, h*N)
+	for i := range last {
+		last[i] = portUnreachable
 	}
-	// Last stage: cell c reaches terminals 2c and 2c+1.
 	for c := 0; c < h; c++ {
-		for w := range cur[c] {
-			cur[c][w] = 0
-		}
-		cur[c][(2*c)/64] |= 3 << uint((2*c)%64)
-	}
-	// Last stage port choice: dst parity.
-	f.stages[n-1].port = make([]uint8, h*N)
-	for c := 0; c < h; c++ {
-		for dst := 0; dst < N; dst++ {
-			if dst>>1 == c {
-				f.stages[n-1].port[c*N+dst] = uint8(dst & 1)
-			} else {
-				f.stages[n-1].port[c*N+dst] = portUnreachable
-			}
+		last[c*N+2*c], last[c*N+2*c+1] = 0, 1
+		if tags != nil {
+			half[(n-1)&1][c*N+2*c+1] = 1 << uint(n-1)
 		}
 	}
+	f.stages[n-1].port = last
 	for s := n - 2; s >= 0; s-- {
-		f.stages[s].port = make([]uint8, h*N)
+		f.stages[s].next = perms[s]
+		port, below := make([]uint8, h*N), f.stages[s+1].port
 		for c := 0; c < h; c++ {
-			child0 := int(perms[s].Apply(uint64(c)<<1) >> 1)
-			child1 := int(perms[s].Apply(uint64(c)<<1|1) >> 1)
-			for w := 0; w < words; w++ {
-				next[c][w] = cur[child0][w] | cur[child1][w]
-			}
-			for dst := 0; dst < N; dst++ {
-				r0 := cur[child0][dst/64]>>(uint(dst)%64)&1 == 1
-				r1 := cur[child1][dst/64]>>(uint(dst)%64)&1 == 1
+			c0 := int(perms[s].Apply(uint64(c)<<1) >> 1)
+			c1 := int(perms[s].Apply(uint64(c)<<1|1) >> 1)
+			row, r0, r1 := port[c*N:c*N+N], below[c0*N:c0*N+N], below[c1*N:c1*N+N]
+			for dst := range row {
 				switch {
-				case r0 && r1:
-					f.ambiguous = true
-					f.stages[s].port[c*N+dst] = 0
-				case r0:
-					f.stages[s].port[c*N+dst] = 0
-				case r1:
-					f.stages[s].port[c*N+dst] = 1
+				case r0[dst] != portUnreachable:
+					if r1[dst] != portUnreachable {
+						f.banyan = false
+					}
+					row[dst] = 0
+				case r1[dst] != portUnreachable:
+					row[dst] = 1
 				default:
-					f.stages[s].port[c*N+dst] = portUnreachable
+					row[dst] = portUnreachable
+				}
+			}
+			if tags != nil && f.banyan {
+				// An unreachable entry gets a value no path reads.
+				tag, down := half[s&1][c*N:c*N+N], half[(s+1)&1]
+				t0, t1 := down[c0*N:c0*N+N], down[c1*N:c1*N+N]
+				bit := uint16(1) << uint(s)
+				for dst, p := range row {
+					if p == 0 {
+						tag[dst] = t0[dst]
+					} else {
+						tag[dst] = bit | t1[dst]
+					}
 				}
 			}
 		}
-		cur, next = next, cur
+		f.stages[s].port = port
 	}
-	f.compilePathTags()
-	if f.pathTag != nil {
-		f.zeroFaults = f.NewBitFaultState()
+	if tags == nil || !f.banyan {
+		return f, nil
 	}
+	// Stage 0's row c is the path tag row of inputs 2c and 2c+1. Rows
+	// 2c and 2c+1 lie at or above row c, so filling them from the top
+	// down never overwrites a row still to be read.
+	for c := h - 1; c >= 0; c-- {
+		copy(tags[(2*c+1)*N:(2*c+2)*N], tags[c*N:c*N+N])
+		copy(tags[2*c*N:2*c*N+N], tags[c*N:c*N+N])
+	}
+	f.pathTag = tags
+	f.zeroFaults = f.NewBitFaultState()
 	return f, nil
 }
 
-// compilePathTags walks the compiled port tables once per (src, dst)
-// pair and packs the resulting port schedule into pathTag. Only Banyan
-// (unique-path, fully routable) fabrics of at most 16 stages (a tag is
-// a uint16) qualify; anything else leaves pathTag nil and the fabric
-// scalar-only. Uniqueness is load-bearing for byte-identity, not just
-// the tags: the bit kernel drops a fault-derailed packet on arrival at
-// the next stage, which matches the scalar portUnreachable lookup only
-// when no off-path cell can reach the destination — exactly the Banyan
-// property (a second route from a derailed cell would be a second
-// (src, dst) path through the other port of the stuck switch).
-func (f *Fabric) compilePathTags() {
-	if f.Spans > 16 || !f.Banyan() {
-		return
-	}
-	tags := make([]uint16, f.N*f.N)
-	for src := 0; src < f.N; src++ {
-		for dst := 0; dst < f.N; dst++ {
-			link := uint64(src)
-			var tag uint16
-			for s := 0; s < f.Spans; s++ {
-				cell := link >> 1
-				pt := f.stages[s].port[int(cell)*f.N+dst]
-				if pt == portUnreachable {
-					return
-				}
-				tag |= uint16(pt) << uint(s)
-				link = cell<<1 | uint64(pt)
-				if s < f.Spans-1 {
-					link = f.stages[s].next.Apply(link)
-				}
-			}
-			tags[src*f.N+dst] = tag
-		}
-	}
-	f.pathTag = tags
-}
-
 // BitSliceable reports whether the bit-sliced wave kernel can drive
-// this fabric: Banyan unique-path reachability (see compilePathTags for
-// why uniqueness is required) and at most 16 stages. Other fabrics are
-// scalar-only.
+// this fabric: Banyan and at most 16 stages (a path tag is a uint16).
+// Other fabrics are scalar-only. Uniqueness is load-bearing for
+// byte-identity, not just the tags: the bit kernel drops a
+// fault-derailed packet on arrival at the next stage, which matches the
+// scalar portUnreachable lookup only when no off-path cell can reach
+// the destination — exactly the Banyan property (a second route from a
+// derailed cell would be a second (src, dst) path through the other
+// port of the stuck switch).
 func (f *Fabric) BitSliceable() bool { return f.pathTag != nil }
 
 // Banyan reports whether the compiled fabric has full unique-path
 // reachability: every (stage-0 cell, destination) pair routable and no
-// stage ever offered both ports for one destination. Reach sets only
-// grow walking backward, so a reachability gap anywhere surfaces as a
-// gap at stage 0 — scanning stage 0 suffices; path multiplicity is
-// recorded during compilation because the tables collapse it.
-func (f *Fabric) Banyan() bool {
-	if f.ambiguous {
-		return false
-	}
-	for _, p := range f.stages[0].port {
-		if p == portUnreachable {
-			return false
-		}
-	}
-	return true
-}
+// stage ever offered both ports for one destination.
+func (f *Fabric) Banyan() bool { return f.banyan }
 
 // steer is THE 2x2 crossbar decision: the output port a packet at
 // (stage s, cell) headed for dst leaves on, honoring the fault state
