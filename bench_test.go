@@ -140,6 +140,45 @@ func BenchmarkIsoToBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkBanyan is the canonical Banyan-verdict benchmark. The
+// baseline rows run Analyzer.Banyan on a reused Analyzer (0 allocs/op,
+// CI-gated). The double-arc row runs IsBanyan on a Baseline whose last
+// two stage-0 cells, buddies sharing both children, each send both arcs
+// to one of them: the verdict fails and the path-count scan walks all
+// but one source before it finds the witness.
+func BenchmarkBanyan(b *testing.B) {
+	for _, n := range []int{10, 14} {
+		g := topology.Baseline(n)
+		b.Run(fmt.Sprintf("baseline/n=%d", n), func(b *testing.B) {
+			a := midigraph.NewAnalyzer()
+			a.Banyan(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !a.Banyan(g) {
+					b.Fatal("baseline not Banyan")
+				}
+			}
+		})
+	}
+	g := topology.Baseline(10)
+	x := uint32(g.CellsPerStage() - 2)
+	f, c := g.Children(0, x)
+	g.SetChildren(0, x, f, f)
+	g.SetChildren(0, x+1, c, c)
+	if err := g.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("double-arc/n=10", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ok, v := g.IsBanyan(); ok || v.Src != x {
+				b.Fatalf("witness %+v, want source %d", v, x)
+			}
+		}
+	})
+}
+
 // BenchmarkPIPIDConnection (T5): connection induced by one theta plus
 // its independence decision.
 func BenchmarkPIPIDConnection(b *testing.B) {

@@ -103,42 +103,27 @@ func Run(n int, workers int) (Result, error) {
 	res := Result{N: n, SignatureCounts: map[string]uint64{}}
 
 	if n == 2 {
+		a := midigraph.NewAnalyzer()
 		for _, c := range conns {
-			g := graphFromConns(n, [][2][]uint8{c})
-			tally(&res, g)
+			tally(&res, a, graphFromConns(n, [][2][]uint8{c}))
 		}
 		res.finish()
 		return res, nil
 	}
 
 	// n == 3: shard the first connection across workers.
-	type partial struct {
-		valid, banyan, equivalent uint64
-		sigs                      map[string]uint64
-	}
 	jobs := make(chan int, workers)
-	parts := make(chan partial, workers)
+	parts := make(chan Result, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := partial{sigs: map[string]uint64{}}
+			p := Result{SignatureCounts: map[string]uint64{}}
+			a := midigraph.NewAnalyzer()
 			for i := range jobs {
-				first := conns[i]
 				for _, second := range conns {
-					g := graphFromConns(n, [][2][]uint8{first, second})
-					p.valid++
-					banyan, _ := g.IsBanyan()
-					if !banyan {
-						continue
-					}
-					p.banyan++
-					sig := signature(g)
-					p.sigs[sig]++
-					if midigraph.AllOK(g.CheckPrefix()) && midigraph.AllOK(g.CheckSuffix()) {
-						p.equivalent++
-					}
+					tally(&p, a, graphFromConns(n, [][2][]uint8{conns[i], second}))
 				}
 			}
 			parts <- p
@@ -151,10 +136,10 @@ func Run(n int, workers int) (Result, error) {
 	wg.Wait()
 	close(parts)
 	for p := range parts {
-		res.Valid += p.valid
-		res.Banyan += p.banyan
-		res.Equivalent += p.equivalent
-		for k, v := range p.sigs {
+		res.Valid += p.Valid
+		res.Banyan += p.Banyan
+		res.Equivalent += p.Equivalent
+		for k, v := range p.SignatureCounts {
 			res.SignatureCounts[k] += v
 		}
 	}
@@ -162,10 +147,10 @@ func Run(n int, workers int) (Result, error) {
 	return res, nil
 }
 
-func tally(res *Result, g *midigraph.Graph) {
+// tally counts g into res, deciding the Banyan verdict on a.
+func tally(res *Result, a *midigraph.Analyzer, g *midigraph.Graph) {
 	res.Valid++
-	banyan, _ := g.IsBanyan()
-	if !banyan {
+	if !a.Banyan(g) {
 		return
 	}
 	res.Banyan++

@@ -10,8 +10,8 @@ import (
 )
 
 // IsoBuilder owns every piece of scratch the constructive isomorphism
-// needs — the window Analyzer, the path-count buffers of the Banyan
-// check, the double-buffered component-id tables the two hierarchies
+// needs — the Analyzer that decides the Banyan verdict and both window
+// families, the double-buffered component-id tables the two hierarchies
 // walk, the split tables, the label planes and the bijection-check
 // bitmap — following the same discipline as midigraph.Analyzer: sized
 // on first use, retained across calls, so repeated IsoToBaseline runs
@@ -23,8 +23,6 @@ type IsoBuilder struct {
 	an         *midigraph.Analyzer
 	prefix     []midigraph.WindowResult
 	suffix     []midigraph.WindowResult
-	pathCur    []uint64
-	pathNext   []uint64
 	idsA, idsB [][]int32
 	split      splitTable
 	labels     [][]uint64
@@ -42,45 +40,6 @@ func NewIsoBuilder() *IsoBuilder {
 // isoBuilderPool backs the package-level IsoToBaseline so even one-shot
 // calls reuse scratch across the process.
 var isoBuilderPool = sync.Pool{New: func() any { return NewIsoBuilder() }}
-
-// banyanOK is the allocation-free fast path of Graph.IsBanyan: one
-// reused pair of path-count rows swept per source node, succeeding only
-// when every count is exactly one. Diagnosis of a failure (which node,
-// how many paths) is left to the allocating slow path.
-func (b *IsoBuilder) banyanOK(g *midigraph.Graph) bool {
-	n, h := g.Stages(), g.CellsPerStage()
-	if cap(b.pathCur) < h {
-		b.pathCur = make([]uint64, h)
-		b.pathNext = make([]uint64, h)
-	}
-	cur, next := b.pathCur[:h], b.pathNext[:h]
-	for src := 0; src < h; src++ {
-		for i := range cur {
-			cur[i] = 0
-		}
-		cur[src] = 1
-		for s := 0; s < n-1; s++ {
-			for i := range next {
-				next[i] = 0
-			}
-			for x, c := range cur {
-				if c == 0 {
-					continue
-				}
-				f, g2 := g.Children(s, uint32(x))
-				next[f] += c
-				next[g2] += c
-			}
-			cur, next = next, cur
-		}
-		for _, c := range cur {
-			if c != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // splitInto is splitSides writing into the builder's reused tables.
 func (b *IsoBuilder) splitInto(parentIDs, childIDs [][]int32, parents int) error {
@@ -229,7 +188,7 @@ func (b *IsoBuilder) baseline(n int) *midigraph.Graph {
 func (b *IsoBuilder) IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
 	b.prefix = b.an.CheckPrefix(g, b.prefix)
 	b.suffix = b.an.CheckSuffix(g, b.suffix)
-	if !b.banyanOK(g) || !midigraph.AllOK(b.prefix) || !midigraph.AllOK(b.suffix) {
+	if !b.an.Banyan(g) || !midigraph.AllOK(b.prefix) || !midigraph.AllOK(b.suffix) {
 		return Isomorphism{}, &NotEquivalentError{Report: Check(g)}
 	}
 	n := g.Stages()

@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Analyzer owns every piece of scratch the window analyses need: the
-// union-find parent/size arrays, the flat root→dense-id table that
-// replaces the old per-window `map[int32]int32`, and the reusable
-// counts/result buffers. A zero-cost steady state is the point: once an
-// Analyzer has been sized for a graph, every method on it runs with
-// 0 allocs/op.
+// Analyzer owns every piece of scratch the window analyses and the
+// Banyan verdict need: the union-find parent/size arrays, the flat
+// root→dense-id table that replaces the old per-window
+// `map[int32]int32`, the reusable counts/result buffers and the two
+// reach-set rows of Banyan (see banyan.go). A zero-cost steady state
+// is the point: once an Analyzer has been sized for a graph, every
+// method on it runs with 0 allocs/op.
 //
 // The prefix family P(1,*), the suffix family P(*,n) and the full
 // window table are computed by *sweeps* rather than per-window
@@ -30,12 +31,13 @@ import (
 // An Analyzer is not safe for concurrent use; use one per goroutine
 // (the package keeps a pool for the Graph convenience methods).
 type Analyzer struct {
-	parent []int32 // union-find parents, element (s,x) = s*h+x
-	size   []int32 // union-by-size weights
-	rootID []int32 // flat root element -> dense component id, -1 = unseen
-	counts []int   // per-window running component counts
-	count  int     // live component count of the current sweep
-	h      int     // cells per stage of the graph being analyzed
+	parent []int32  // union-find parents, element (s,x) = s*h+x
+	size   []int32  // union-by-size weights
+	rootID []int32  // flat root element -> dense component id, -1 = unseen
+	counts []int    // per-window running component counts
+	reach  []uint64 // Banyan's two reach-set rows, h words each
+	count  int      // live component count of the current sweep
+	h      int      // cells per stage of the graph being analyzed
 }
 
 // NewAnalyzer returns an empty Analyzer; scratch grows on first use and

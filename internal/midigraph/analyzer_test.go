@@ -130,17 +130,22 @@ func TestAnalyzerReuseAcrossSizes(t *testing.T) {
 }
 
 // TestAnalyzerZeroAlloc pins the steady-state allocation contract of the
-// sweep core: reused buffers, zero allocations.
+// sweep core and the Banyan verdict: reused buffers, zero allocations.
 func TestAnalyzerZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 0))
 	g := randomGraph(t, rng, 8)
+	base := buildBaseline(t, 9)
 	a := NewAnalyzer()
 	buf := a.CheckAllWindows(g, nil)
 	counts := a.SweepCounts(g, 0, nil)
+	a.Banyan(base)
 	allocs := testing.AllocsPerRun(20, func() {
 		buf = a.CheckAllWindows(g, buf)
 		counts = a.SweepCounts(g, 0, counts)
 		_ = a.ComponentCount(g, 2, 5)
+		if !a.Banyan(base) {
+			t.Fatal("baseline not Banyan")
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Analyzer allocations: got %v, want 0", allocs)

@@ -26,16 +26,6 @@ func (g *Graph) PathCountsFrom(src uint32) []uint64 {
 	return cur
 }
 
-// PathCountMatrix returns the full matrix paths[src][dst] of directed
-// path counts between first- and last-stage nodes. O(n * h^2).
-func (g *Graph) PathCountMatrix() [][]uint64 {
-	out := make([][]uint64, g.h)
-	for src := 0; src < g.h; src++ {
-		out[src] = g.PathCountsFrom(uint32(src))
-	}
-	return out
-}
-
 // BanyanViolation describes the first failure found by IsBanyan.
 type BanyanViolation struct {
 	Src, Dst uint32
@@ -53,35 +43,68 @@ func (v BanyanViolation) Error() string {
 // a first-stage cell share that cell's paths, so the node-level statement
 // is equivalent.) On failure the first violation is returned.
 //
-// Counting shortcut: each first-stage node has exactly 2^(n-1) = h paths
-// leaving it in total, so "every count equals one" is equivalent to
-// "every count is nonzero" — but we check counts exactly to produce
-// precise violation reports.
+// The verdict is Analyzer.Banyan on pooled scratch. Only a graph it
+// rejects pays for the O(n·h²) path-count scan, which names the first
+// (src, dst) pair, in row-major order, whose count is not one.
 func (g *Graph) IsBanyan() (bool, *BanyanViolation) {
+	a := analyzerPool.Get().(*Analyzer)
+	ok := a.Banyan(g)
+	analyzerPool.Put(a)
+	if ok {
+		return true, nil
+	}
 	for src := 0; src < g.h; src++ {
-		counts := g.PathCountsFrom(uint32(src))
-		for dst, c := range counts {
+		for dst, c := range g.PathCountsFrom(uint32(src)) {
 			if c != 1 {
 				return false, &BanyanViolation{Src: uint32(src), Dst: uint32(dst), Paths: c}
 			}
 		}
 	}
-	return true, nil
+	panic("midigraph: Banyan verdict disagrees with the path counts")
 }
 
-// ReachableSetSizes returns, for each first-stage node, how many last-
-// stage nodes it reaches at all (ignoring multiplicity). For a Banyan
-// graph every entry is h.
-func (g *Graph) ReachableSetSizes() []int {
-	out := make([]int, g.h)
-	for src := 0; src < g.h; src++ {
-		n := 0
-		for _, c := range g.PathCountsFrom(uint32(src)) {
-			if c > 0 {
-				n++
-			}
+// Banyan decides the Banyan property without counting paths. One
+// backward pass computes, for every node, the set of last-stage nodes it
+// reaches as the union of its two children's sets, and fails at the
+// first node whose children share a target. That is exact: two children
+// sharing a target give their parent two paths to it, so disjoint
+// unions at every node mean at most one path per pair, and since a
+// first-stage node has h paths in all to the h last-stage nodes, at
+// most one means exactly one. A parallel arc shares every target.
+//
+// The sets are handled 64 targets per pass, one word per node, on two
+// reused rows of h words, so the pass costs O(n·h²/64) with 0 allocs/op
+// once the Analyzer has been sized.
+//
+//minlint:hotpath
+func (a *Analyzer) Banyan(g *Graph) bool {
+	cur, next := a.growReach(g.h)
+	for lo := 0; lo < g.h; lo += 64 {
+		for x := range cur {
+			cur[x] = 0
 		}
-		out[src] = n
+		for t := lo; t < g.h && t < lo+64; t++ {
+			cur[t] = 1 << uint(t-lo)
+		}
+		for s := g.n - 2; s >= 0; s-- {
+			row := g.children[s][:2*g.h]
+			for x := range next {
+				f, c := cur[row[2*x]], cur[row[2*x+1]]
+				if f&c != 0 {
+					return false
+				}
+				next[x] = f | c
+			}
+			cur, next = next, cur
+		}
 	}
-	return out
+	return true
+}
+
+// growReach returns the two h-word reach-set rows Banyan swaps between.
+func (a *Analyzer) growReach(h int) (cur, next []uint64) {
+	if cap(a.reach) < 2*h {
+		a.reach = make([]uint64, 2*h)
+	}
+	return a.reach[:h], a.reach[h : 2*h]
 }

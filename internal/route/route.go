@@ -87,8 +87,8 @@ func NewRouter(thetas []pipid.IndexPerm) (*Router, error) {
 	return r, nil
 }
 
-// tagPosition is exported for experiments: which destination bit the
-// switch at stage s consumes.
+// TagPositions returns, per stage s, which destination bit the switch
+// at stage s consumes. The slice is a copy.
 func (r *Router) TagPositions() []int {
 	out := make([]int, len(r.tagPos))
 	copy(out, r.tagPos)
