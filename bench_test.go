@@ -463,7 +463,7 @@ func BenchmarkFabricKernel(b *testing.B) {
 	}
 	b.Run("intact", func(b *testing.B) { run(b, nil) })
 	b.Run("faulted", func(b *testing.B) {
-		fs := f.NewFaultState()
+		fs := sim.NewFaultState(f.Spans)
 		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
 			engine.NewFaultRand(7, 0))
 		if err != nil {
@@ -518,7 +518,7 @@ func BenchmarkFaultedWaveLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	runner := f.NewWaveRunner()
-	fs := f.NewFaultState()
+	fs := sim.NewFaultState(f.Spans)
 	if err := runner.SetFaults(fs); err != nil {
 		b.Fatal(err)
 	}
@@ -601,21 +601,43 @@ func BenchmarkBitFabricKernel(b *testing.B) {
 	}
 	b.Run("intact", run)
 	b.Run("faulted", func(b *testing.B) {
-		fs := f.NewFaultState()
+		fs := sim.NewFaultState(f.Spans)
 		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
 			engine.NewFaultRand(7, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
-		bfs := f.NewBitFaultState()
-		if err := bfs.SetAll(fs); err != nil {
-			b.Fatal(err)
-		}
-		if err := runner.SetFaults(bfs); err != nil {
+		if err := runner.SetLaneFaults(^uint64(0), fs); err != nil {
 			b.Fatal(err)
 		}
 		run(b)
 	})
+}
+
+// BenchmarkFaultedBitRange pins the shape of a faulted sweep cell: one
+// 1024-trial engine.RunWaveRange under the bit-sliced kernel on Omega
+// n = 8 with a dead-switch rate, so every 64-trial batch resamples and
+// folds 64 fault realizations into the kernel's lane masks. It builds an
+// executor per call, so it carries no allocs gate.
+func BenchmarkFaultedBitRange(b *testing.B) {
+	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 8).LinkPerms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := engine.Config{Seed: 1, Kernel: engine.KernelBit, Faults: &sim.FaultPlan{SwitchDeadRate: 0.01}}
+	pattern := sim.Uniform()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := engine.RunWaveRange(ctx, f, pattern, 0, 1024, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.FaultDropped == 0 {
+			b.Fatal("no fault drops")
+		}
+	}
 }
 
 // BenchmarkSimBuffered (T7): buffered queueing simulation.

@@ -265,7 +265,7 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 			r, _ := f.NewBufferedRunner(bc)
 			sc := &bufScratch{runner: r}
 			if plan != nil {
-				sc.faults = f.NewFaultState()
+				sc.faults = sim.NewFaultState(f.Spans)
 				_ = r.SetFaults(sc.faults)
 				if !resample {
 					sc.faults.Resample(*plan, nil)

@@ -140,9 +140,9 @@ func RunWaveRange(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, h
 }
 
 // executor is one worker's wave-trial machinery: the scalar runner, the
-// bit-sliced runner when that kernel is in force, their fault states,
-// and reseedable PCG lanes (64 under the bit kernel, one under scalar)
-// that replay the exact NewRand/NewFaultRand streams without
+// bit-sliced runner when that kernel is in force, the fault state both
+// read, and reseedable PCG lanes (64 under the bit kernel, one under
+// scalar) that replay the exact NewRand/NewFaultRand streams without
 // constructing a generator per trial. Not safe for concurrent use.
 type executor struct {
 	pattern     sim.Traffic
@@ -153,7 +153,6 @@ type executor struct {
 	scalar *sim.WaveRunner
 	bit    *sim.BitWaveRunner // nil under the scalar kernel
 	faults *sim.FaultState
-	bits   *sim.BitFaultState
 
 	pcg  []rand.PCG
 	rngs []*rand.Rand
@@ -163,8 +162,9 @@ type executor struct {
 
 // newExecutor builds an executor for a plan and kernel already checked
 // by Config.resolve. A pinned-only plan realizes identically every
-// trial, so it is sampled once here; random rates resample per trial
-// from the dedicated fault stream.
+// trial, so it is sampled once here and, under the bit kernel, folded
+// into all 64 lanes once; random rates resample per trial from the
+// dedicated fault stream.
 func newExecutor(f *sim.Fabric, pattern sim.Traffic, seed uint64, plan *sim.FaultPlan, bit bool) *executor {
 	e := &executor{
 		pattern:  pattern,
@@ -186,16 +186,12 @@ func newExecutor(f *sim.Fabric, pattern sim.Traffic, seed uint64, plan *sim.Faul
 	}
 	e.frng = rand.New(&e.fpcg)
 	if plan != nil {
-		e.faults = f.NewFaultState()
+		e.faults = sim.NewFaultState(f.Spans)
 		_ = e.scalar.SetFaults(e.faults)
 		if !e.resample {
 			e.faults.Resample(*plan, nil)
-		}
-		if bit {
-			e.bits = f.NewBitFaultState()
-			_ = e.bit.SetFaults(e.bits)
-			if !e.resample {
-				_ = e.bits.SetAll(e.faults)
+			if bit {
+				_ = e.bit.SetLaneFaults(^uint64(0), e.faults)
 			}
 		}
 	}
@@ -224,7 +220,7 @@ func (e *executor) run(ctx context.Context, lo, hi int, p *WavePartial) error {
 			if e.resample {
 				e.fpcg.Seed(SeedPair(e.froot, uint64(t+j)))
 				e.faults.Resample(*e.plan, e.frng)
-				if err := e.bits.SetLane(j, e.faults); err != nil {
+				if err := e.bit.SetLaneFaults(1<<uint(j), e.faults); err != nil {
 					return err
 				}
 			}

@@ -240,6 +240,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Stages: 3, TrialsPerCell: 8},                                                                   // no networks
 		{Networks: []string{"nope"}, Stages: 3, TrialsPerCell: 8},                                       // unknown network
 		{Networks: []string{topology.NameOmega}, Stages: 0, TrialsPerCell: 8},                           // bad stages
+		{Networks: []string{topology.NameOmega}, Stages: 1, TrialsPerCell: 8},                           // one stage
+		{Networks: []string{topology.NameOmega}, Stages: 15, TrialsPerCell: 8},                          // past the fabric bound
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 0},                           // bad trials
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 8, Loads: []float64{2}},      // bad load
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 8, FaultRates: []float64{1}}, // bad rate

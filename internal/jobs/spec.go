@@ -85,8 +85,8 @@ func (s Spec) validate() error {
 			return fmt.Errorf("jobs: unknown network %q (known: %s)", n, strings.Join(topology.Names(), ", "))
 		}
 	}
-	if s.Stages < 1 {
-		return fmt.Errorf("jobs: stages must be >= 1")
+	if s.Stages < 2 || s.Stages > sim.MaxFabricStages {
+		return fmt.Errorf("jobs: stages must be in [2,%d], got %d", sim.MaxFabricStages, s.Stages)
 	}
 	if s.TrialsPerCell < 1 {
 		return fmt.Errorf("jobs: trialsPerCell must be >= 1")

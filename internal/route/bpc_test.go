@@ -63,7 +63,7 @@ func TestBPCRouterMatchesDP(t *testing.T) {
 			for s, st := range stages {
 				lps[s] = st.ToPerm()
 			}
-			dp, err := NewFaultyRouter(lps, FaultSpec{})
+			dp, err := NewFaultyRouter(lps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

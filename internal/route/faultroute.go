@@ -4,44 +4,21 @@ import (
 	"fmt"
 
 	"minequiv/internal/perm"
+	"minequiv/internal/sim"
 )
-
-// Switch health modes for fault-aware routing. They mirror the fault
-// kinds of the simulation layer without importing it: route stays a
-// leaf package.
-const (
-	SwitchOK uint8 = iota
-	SwitchDead
-	SwitchStuck0
-	SwitchStuck1
-)
-
-// FaultSpec describes the degraded fabric a FaultyRouter routes on, as
-// dense per-element tables. A nil slice means no fault of that kind;
-// the zero FaultSpec is the intact fabric.
-type FaultSpec struct {
-	// Mode holds the health of the cell at (stage, cell) at index
-	// stage*H+cell: SwitchOK, SwitchDead, or SwitchStuck0/1 (crossbar
-	// jammed to one port).
-	Mode []uint8
-	// LinkDown reports at index stage*N+out whether outlink out of the
-	// stage is severed; the last stage's outlinks are the output
-	// terminals.
-	LinkDown []bool
-}
 
 // FaultyRouter routes on a permutation-defined network by backward
-// reachability over the surviving wiring. With the zero FaultSpec it is
+// reachability over the surviving wiring. With a nil fault state it is
 // the generic router for any intact fabric: on a Banyan network it
 // finds the unique path, and elsewhere the first path that prefers
 // port 0 at the earliest stage. It keeps the reachability table of the
 // last destination routed, so routing one pair costs O(n·h) time and
 // space. A FaultyRouter is NOT safe for concurrent use.
 type FaultyRouter struct {
-	n     int
-	h     int
-	perms []perm.Perm
-	spec  FaultSpec
+	n      int
+	h      int
+	perms  []perm.Perm
+	faults *sim.FaultState // nil = intact fabric
 	// canReach[s*h+cell]: cell at stage s reaches output dst through
 	// surviving switches and links; dst is -1 until the first Route.
 	canReach []bool
@@ -49,9 +26,9 @@ type FaultyRouter struct {
 }
 
 // NewFaultyRouter wraps per-stage link permutations (length n-1, each
-// on 2^n symbols) and the fault spec, whose non-nil slices must hold
-// one entry per cell (n*H) and per outlink (n*N) respectively.
-func NewFaultyRouter(perms []perm.Perm, spec FaultSpec) (*FaultyRouter, error) {
+// on 2^n symbols) and a realized fault state sized for n stages; nil
+// routes on the intact fabric.
+func NewFaultyRouter(perms []perm.Perm, fs *sim.FaultState) (*FaultyRouter, error) {
 	n := len(perms) + 1
 	N := 1 << uint(n)
 	for s, p := range perms {
@@ -59,13 +36,10 @@ func NewFaultyRouter(perms []perm.Perm, spec FaultSpec) (*FaultyRouter, error) {
 			return nil, fmt.Errorf("route: stage %d permutation on %d symbols, want %d", s, p.N(), N)
 		}
 	}
-	if spec.Mode != nil && len(spec.Mode) != n*N/2 {
-		return nil, fmt.Errorf("route: fault spec has %d switch modes, want %d", len(spec.Mode), n*N/2)
+	if fs != nil && fs.Stages() != n {
+		return nil, fmt.Errorf("route: fault state sized for %d stages, network has %d", fs.Stages(), n)
 	}
-	if spec.LinkDown != nil && len(spec.LinkDown) != n*N {
-		return nil, fmt.Errorf("route: fault spec has %d link states, want %d", len(spec.LinkDown), n*N)
-	}
-	return &FaultyRouter{n: n, h: N / 2, perms: perms, spec: spec, canReach: make([]bool, n*N/2), dst: -1}, nil
+	return &FaultyRouter{n: n, h: N / 2, perms: perms, faults: fs, canReach: make([]bool, n*N/2), dst: -1}, nil
 }
 
 // reach returns the surviving-reachability table for one destination,
@@ -74,35 +48,20 @@ func (r *FaultyRouter) reach(dst int) []bool {
 	if r.dst == dst {
 		return r.canReach
 	}
-	h, cr := r.h, r.canReach
+	h, cr, fs := r.h, r.canReach, r.faults
 	// Last stage: only cell dst>>1 can deliver, through its dst port.
 	last := cr[(r.n-1)*h:]
 	clear(last)
-	last[dst>>1] = r.live(r.n-1, dst)
+	last[dst>>1] = fs.Allows(r.n-1, dst)
 	for s := r.n - 2; s >= 0; s-- {
 		next, row, below := r.perms[s], cr[s*h:(s+1)*h], cr[(s+1)*h:(s+2)*h]
 		for c := range row {
 			out := c << 1
-			row[c] = r.live(s, out) && below[next[out]>>1] || r.live(s, out|1) && below[next[out|1]>>1]
+			row[c] = fs.Allows(s, out) && below[next[out]>>1] || fs.Allows(s, out|1) && below[next[out|1]>>1]
 		}
 	}
 	r.dst = dst
 	return cr
-}
-
-// live reports whether the switch at stage s can set its crossbar
-// toward outlink out (its health allows that port) and the outlink
-// survives.
-func (r *FaultyRouter) live(s, out int) bool {
-	if r.spec.LinkDown != nil && r.spec.LinkDown[s*2*r.h+out] {
-		return false
-	}
-	if r.spec.Mode == nil {
-		return true
-	}
-	// A jammed crossbar allows only its port: SwitchStuck0+port.
-	m := r.spec.Mode[s*r.h+out>>1]
-	return m == SwitchOK || m == SwitchStuck0+uint8(out&1)
 }
 
 // N returns the number of terminals.
@@ -111,8 +70,9 @@ func (r *FaultyRouter) N() int { return 1 << uint(r.n) }
 // Route computes a path from src to dst avoiding every faulty element,
 // or fails when the surviving fabric offers none. On a Banyan fabric
 // the surviving path, when it exists, is the unique intact path (faults
-// only remove paths, never add them). The error reads "no path" under
-// the zero FaultSpec and "no fault-free path" under any other.
+// only remove paths, never add them). The error reads "no path" on the
+// intact fabric (nil fault state) and "no fault-free path" under any
+// fault state, even an all-clear one.
 func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 	nTerm := uint64(r.N())
 	if src >= nTerm || dst >= nTerm {
@@ -125,7 +85,7 @@ func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 		cell := int(link >> 1)
 		if !cr[s*r.h+cell] {
 			what := "path"
-			if r.spec.Mode != nil || r.spec.LinkDown != nil {
+			if r.faults != nil {
 				what = "fault-free path"
 			}
 			return Path{}, fmt.Errorf("route: no %s from %d to %d (stuck at stage %d cell %d)", what, src, dst, s, cell)
@@ -136,7 +96,7 @@ func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 			// port 0 when it does.
 			out := cell << 1
 			d = 0
-			if !r.live(s, out) || !cr[(s+1)*r.h+int(r.perms[s][out]>>1)] {
+			if !r.faults.Allows(s, out) || !cr[(s+1)*r.h+int(r.perms[s][out]>>1)] {
 				d = 1
 			}
 		}

@@ -4,25 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"minequiv/internal/sim"
 	"minequiv/internal/topology"
 )
 
-// switchFault is a FaultSpec with a single faulty switch at (stage,
-// cell) of an n-stage fabric.
-func switchFault(n, stage, cell int, mode uint8) FaultSpec {
-	h := 1 << uint(n-1)
-	sp := FaultSpec{Mode: make([]uint8, n*h)}
-	sp.Mode[stage*h+cell] = mode
-	return sp
-}
-
-// linkFault is a FaultSpec with a single severed outlink of an n-stage
-// fabric.
-func linkFault(n, stage, out int) FaultSpec {
-	N := 1 << uint(n)
-	sp := FaultSpec{LinkDown: make([]bool, n*N)}
-	sp.LinkDown[stage*N+out] = true
-	return sp
+// faultsFor realizes a pinned plan for an n-stage fabric.
+func faultsFor(t *testing.T, n int, faults ...sim.Fault) *sim.FaultState {
+	t.Helper()
+	fs := sim.NewFaultState(n)
+	if err := fs.Sample(sim.FaultPlan{Faults: faults}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // With no faults the FaultyRouter is the tag router: same paths for
@@ -33,7 +26,7 @@ func TestFaultyRouterIntactMatchesTagRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
+	fr, err := NewFaultyRouter(nw.LinkPerms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,32 +56,29 @@ func TestFaultyRouterIntactMatchesTagRouter(t *testing.T) {
 	}
 }
 
-// A fault spec's tables are indexed without bounds checks of their own,
-// so a mis-sized table is rejected up front; nil and full-size tables
-// are accepted.
+// A fault state is indexed without bounds checks of its own, so one
+// sized for another stage count is rejected up front; nil and a state
+// of the network's own size are accepted.
 func TestFaultyRouterRejectsMisSizedSpec(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	for name, sp := range map[string]FaultSpec{
-		"short modes": {Mode: make([]uint8, 3*4-1)},
-		"long modes":  {Mode: make([]uint8, 3*4+1)},
-		"empty links": {LinkDown: []bool{}},
-		"short links": {LinkDown: make([]bool, 3*8-1)},
-	} {
-		if _, err := NewFaultyRouter(nw.LinkPerms, sp); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, stages := range []int{2, 4} {
+		if _, err := NewFaultyRouter(nw.LinkPerms, sim.NewFaultState(stages)); err == nil {
+			t.Errorf("%d-stage fault state accepted on 3 stages", stages)
 		}
 	}
-	full := FaultSpec{Mode: make([]uint8, 3*4), LinkDown: make([]bool, 3*8)}
-	if _, err := NewFaultyRouter(nw.LinkPerms, full); err != nil {
-		t.Errorf("full-size spec rejected: %v", err)
+	if _, err := NewFaultyRouter(nw.LinkPerms, nil); err != nil {
+		t.Errorf("nil fault state rejected: %v", err)
+	}
+	if _, err := NewFaultyRouter(nw.LinkPerms, sim.NewFaultState(3)); err != nil {
+		t.Errorf("3-stage fault state rejected: %v", err)
 	}
 }
 
-// An unroutable pair under a fault spec, even an all-clear one, reports
-// "no fault-free path"; only the zero spec reports plain "no path".
+// An unroutable pair under a fault state, even an all-clear one, reports
+// "no fault-free path"; only a nil state reports plain "no path".
 func TestFaultyRouterErrorText(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	fr, err := NewFaultyRouter(nw.LinkPerms, switchFault(3, 0, 0, SwitchDead))
+	fr, err := NewFaultyRouter(nw.LinkPerms, faultsFor(t, 3, sim.Fault{Kind: sim.SwitchDead, Stage: 0, Cell: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +91,8 @@ func TestFaultyRouterErrorText(t *testing.T) {
 // permutation then needs a path it cannot have, so none is admissible.
 func TestFaultyRouterDeadSwitch(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	spec := switchFault(3, 0, 0, SwitchDead)
-	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
+	fs := faultsFor(t, 3, sim.Fault{Kind: sim.SwitchDead, Stage: 0, Cell: 0})
+	fr, err := NewFaultyRouter(nw.LinkPerms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +120,12 @@ func TestFaultyRouterDeadSwitch(t *testing.T) {
 // can still deliver wherever the forced port leads.
 func TestFaultyRouterStuckSwitch(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 4)
-	intact, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
+	intact, err := NewFaultyRouter(nw.LinkPerms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := switchFault(4, 0, 0, SwitchStuck0)
-	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
+	fs := faultsFor(t, 4, sim.Fault{Kind: sim.SwitchStuck0, Stage: 0, Cell: 0})
+	fr, err := NewFaultyRouter(nw.LinkPerms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +158,8 @@ func TestFaultyRouterStuckSwitch(t *testing.T) {
 func TestFaultyRouterLinkDown(t *testing.T) {
 	nw := topology.MustBuild(topology.NameFlip, 3)
 	const target = 6
-	spec := linkFault(3, 2, target)
-	fr, err := NewFaultyRouter(nw.LinkPerms, spec)
+	fs := faultsFor(t, 3, sim.Fault{Kind: sim.LinkDown, Stage: 2, Link: target})
+	fr, err := NewFaultyRouter(nw.LinkPerms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +190,12 @@ func TestFaultyRouterLinkDown(t *testing.T) {
 // used that link become unroutable.
 func TestFaultyRouterInterStageLinkDown(t *testing.T) {
 	nw := topology.MustBuild(topology.NameOmega, 3)
-	intact, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
+	intact, err := NewFaultyRouter(nw.LinkPerms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const stage, out = 1, 3
-	fr, err := NewFaultyRouter(nw.LinkPerms, linkFault(3, stage, out))
+	fr, err := NewFaultyRouter(nw.LinkPerms, faultsFor(t, 3, sim.Fault{Kind: sim.LinkDown, Stage: stage, Link: out}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestRandomPIPIDNetworksRoute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, nw.Name, err)
 			}
-			dp, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
+			dp, err := NewFaultyRouter(nw.LinkPerms, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

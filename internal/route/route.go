@@ -1,10 +1,10 @@
 // Package route implements the "very simple bit directed routing" that
 // §4 of the paper credits PIPID-built networks with (Router, and
 // BPCRouter for bit-permute-complement stages). Every other wiring routes by
-// backward reachability through FaultyRouter, which with the zero
-// FaultSpec is the generic router for intact fabrics and otherwise
-// avoids pinned faulty switches and links; there is no separate
-// intact-only router.
+// backward reachability through FaultyRouter, which with no fault state
+// is the generic router for intact fabrics and otherwise avoids the
+// faulty switches and links of a realized sim.FaultState; there is no
+// separate intact-only router.
 //
 // Terminal model. A network with n stages has N = 2^n input terminals
 // and N output terminals. Input terminal a enters the stage-0 cell a>>1

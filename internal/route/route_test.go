@@ -16,7 +16,7 @@ func routersFor(t testing.TB, name string, n int) (*Router, *FaultyRouter) {
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)
 	}
-	dp, err := NewFaultyRouter(nw.LinkPerms, FaultSpec{})
+	dp, err := NewFaultyRouter(nw.LinkPerms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFaultyRouterIntactFailsOnUnreachable(t *testing.T) {
 	// Two disjoint halves: identity link permutations keep a packet in
 	// its source cell pair forever.
 	perms := []perm.Perm{perm.Identity(8), perm.Identity(8)}
-	dp, err := NewFaultyRouter(perms, FaultSpec{})
+	dp, err := NewFaultyRouter(perms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFaultyRouterIntactFailsOnUnreachable(t *testing.T) {
 		t.Errorf("reachable pair rejected: %v", err)
 	}
 	// The intact fabric reports plain "no path"; "fault-free" is for
-	// fault specs only.
+	// fault states only.
 	const want = "route: no path from 0 to 5 (stuck at stage 0 cell 0)"
 	if _, err := dp.Route(0, 5); err == nil || err.Error() != want {
 		t.Errorf("unreachable pair: err %v, want %q", err, want)

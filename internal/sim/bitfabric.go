@@ -19,10 +19,11 @@ import (
 // construction, not by luck; three contracts make that hold:
 //
 //  1. Tag planes. BitSliceable fabrics are Banyan (unique-path), so a
-//     packet's whole port schedule is the compiled Fabric.pathTag of
-//     its (src, dst) pair — bit s of the tag is the port the scalar
-//     tables steer at stage s. Plane tag[s] carries that bit for every
-//     in-flight lane, indexed by current inlink.
+//     packet's whole port schedule is the compiled path tag of its
+//     (src, dst) pair — bit s of the tag is the port the scalar tables
+//     steer at stage s; sources 2c and 2c+1 share stage-0 cell c's tag
+//     row. Plane tag[s] carries that bit for every in-flight lane,
+//     indexed by current inlink.
 //  2. Salt tie-breaks. Conflicts are strictly between the two inlinks
 //     of one cell, so one salt bit per (stage, cell) — drawn as
 //     ceil(H/64) uint64 words per stage from the wave's own rng, the
@@ -30,15 +31,17 @@ import (
 //     winning inlink parity. The per-wave draws land row-major (one
 //     word per wave) and are pivoted to per-cell lane words with
 //     bitops.Transpose64.
-//  3. Fault folding. A BitFaultState holds per-(stage, element) lane
-//     masks for dead/stuck0/stuck1 switches and severed links, folded
-//     lane-by-lane from sampled FaultStates. The per-cell algebra
-//     applies them in the scalar steer's exact precedence: dead kills
-//     first (FaultDropped), an upstream-derailed arrival drops next
-//     (plain drop — its cell cannot reach its destination in a Banyan
-//     fabric), stuck forces the port plane (derailing lanes whose tag
-//     bit disagrees), a severed chosen outlink kills (FaultDropped),
-//     and only then surviving conflicts are arbitrated.
+//  3. Fault folding. The runner owns per-(stage, element) lane masks
+//     for dead/stuck0/stuck1 switches and severed links as scratch;
+//     SetLaneFaults folds one realized FaultState — the same state the
+//     scalar kernel and the router read — into a mask of lanes. The
+//     per-cell algebra applies them in the scalar steer's exact
+//     precedence:
+//     dead kills first (FaultDropped), an upstream-derailed arrival
+//     drops next (plain drop — its cell cannot reach its destination in
+//     a Banyan fabric), stuck forces the port plane (derailing lanes
+//     whose tag bit disagrees), a severed chosen outlink kills
+//     (FaultDropped), and only then surviving conflicts are arbitrated.
 //
 // Derailment replaces the scalar's portUnreachable lookup: in a
 // unique-path fabric a packet knocked off its path can never reach its
@@ -46,121 +49,6 @@ import (
 // stage (unless a dead switch there upgrades the kill to FaultDropped)
 // and a lane derailed at the last stage exits a wrong terminal —
 // Misrouted, exactly the scalar classification.
-
-// BitFaultState is the bit-sliced counterpart of up to 64 FaultStates:
-// per-(stage, cell) lane masks for dead/stuck switches and per-(stage,
-// outlink) masks for severed links. Fold realized FaultStates in with
-// SetLane (one trial per lane) or SetAll (one realization broadcast to
-// every lane). Not safe for concurrent use; the engine gives each
-// worker its own, like runner scratch.
-type BitFaultState struct {
-	f        *Fabric
-	dead     []uint64 // per stage*H + cell: lanes whose switch is dead
-	stuck0   []uint64 // per stage*H + cell: lanes stuck toward port 0
-	stuck1   []uint64 // per stage*H + cell: lanes stuck toward port 1
-	linkDown []uint64 // per stage*N + outlink: lanes with the link severed
-}
-
-// NewBitFaultState returns a cleared (all lanes intact) bit fault state
-// sized for f.
-func (f *Fabric) NewBitFaultState() *BitFaultState {
-	return &BitFaultState{
-		f:        f,
-		dead:     make([]uint64, f.Spans*f.H),
-		stuck0:   make([]uint64, f.Spans*f.H),
-		stuck1:   make([]uint64, f.Spans*f.H),
-		linkDown: make([]uint64, f.Spans*f.N),
-	}
-}
-
-// Fabric returns the fabric this state is sized for.
-func (bf *BitFaultState) Fabric() *Fabric { return bf.f }
-
-// Reset clears every lane to the intact fabric.
-func (bf *BitFaultState) Reset() {
-	clear(bf.dead)
-	clear(bf.stuck0)
-	clear(bf.stuck1)
-	clear(bf.linkDown)
-}
-
-// SetLane folds one realized FaultState into lane `lane`, replacing
-// whatever that lane held (other lanes are untouched); a nil or
-// inactive state clears the lane. The state must belong to the same
-// fabric. Allocation-free.
-func (bf *BitFaultState) SetLane(lane int, fs *FaultState) error {
-	if lane < 0 || lane >= 64 {
-		return fmt.Errorf("sim: lane %d out of [0,64)", lane)
-	}
-	if fs != nil && fs.f != bf.f {
-		return fmt.Errorf("sim: fault state belongs to a different fabric")
-	}
-	bit := uint64(1) << uint(lane)
-	if fs == nil || !fs.active {
-		for i := range bf.dead {
-			bf.dead[i] &^= bit
-			bf.stuck0[i] &^= bit
-			bf.stuck1[i] &^= bit
-		}
-		for i := range bf.linkDown {
-			bf.linkDown[i] &^= bit
-		}
-		return nil
-	}
-	for i, m := range fs.mode {
-		bf.dead[i] &^= bit
-		bf.stuck0[i] &^= bit
-		bf.stuck1[i] &^= bit
-		switch m {
-		case switchDead:
-			bf.dead[i] |= bit
-		case switchStuck0:
-			bf.stuck0[i] |= bit
-		case switchStuck1:
-			bf.stuck1[i] |= bit
-		}
-	}
-	for i, down := range fs.linkDown {
-		if down {
-			bf.linkDown[i] |= bit
-		} else {
-			bf.linkDown[i] &^= bit
-		}
-	}
-	return nil
-}
-
-// SetAll broadcasts one realized FaultState to all 64 lanes (a pinned-
-// only fault plan realizes identically every trial). A nil or inactive
-// state clears everything. Allocation-free.
-func (bf *BitFaultState) SetAll(fs *FaultState) error {
-	if fs != nil && fs.f != bf.f {
-		return fmt.Errorf("sim: fault state belongs to a different fabric")
-	}
-	if fs == nil || !fs.active {
-		bf.Reset()
-		return nil
-	}
-	for i, m := range fs.mode {
-		bf.dead[i], bf.stuck0[i], bf.stuck1[i] = 0, 0, 0
-		switch m {
-		case switchDead:
-			bf.dead[i] = ^uint64(0)
-		case switchStuck0:
-			bf.stuck0[i] = ^uint64(0)
-		case switchStuck1:
-			bf.stuck1[i] = ^uint64(0)
-		}
-	}
-	for i, down := range fs.linkDown {
-		if down {
-			bf.linkDown[i] = ^uint64(0)
-		} else {
-			bf.linkDown[i] = 0
-		}
-	}
-	return nil
-}
 
 // BitWaveResult reports one batch of up to 64 waves steered by a
 // BitWaveRunner. Per-lane counters are indexed by lane (= position in
@@ -179,12 +67,17 @@ type BitWaveResult struct {
 
 // BitWaveRunner owns the bit-plane scratch of the bit-sliced wave
 // kernel: tag planes (one per stage bit), live/derail planes, their
-// double buffers, the salt block and per-lane counters. Like a
-// WaveRunner it is allocation-free in steady state and NOT safe for
-// concurrent use; create one per goroutine.
+// double buffers, the salt block, the per-lane fault masks and per-lane
+// counters. Like a WaveRunner it is allocation-free in steady state and
+// NOT safe for concurrent use; create one per goroutine.
 type BitWaveRunner struct {
-	f      *Fabric
-	faults *BitFaultState // nil = intact (the fabric's shared zero masks)
+	f *Fabric
+
+	// Per-lane fault masks, allocated by the first SetLaneFaults; until
+	// then every stage reads the all-zero row instead.
+	dead, stuck0, stuck1 []uint64 // [Spans*H]: lanes whose switch is dead / stuck toward port 0 / 1
+	linkDown             []uint64 // [Spans*N]: lanes with the outlink severed
+	zero                 []uint64 // [N]: the intact stage's mask row
 
 	tag, tagN   [][]uint64 // [Spans][N]: plane b, bit j = port at stage b of lane j's packet on this inlink
 	live, liveN []uint64   // [N]: lanes with an in-flight packet on this inlink
@@ -205,6 +98,7 @@ func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	}
 	r := &BitWaveRunner{
 		f:         f,
+		zero:      make([]uint64, f.N),
 		tag:       make([][]uint64, f.Spans),
 		tagN:      make([][]uint64, f.Spans),
 		live:      make([]uint64, f.N),
@@ -226,15 +120,54 @@ func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 // Fabric returns the fabric this runner simulates.
 func (r *BitWaveRunner) Fabric() *Fabric { return r.f }
 
-// SetFaults attaches per-lane fault masks consulted on every cell; nil
-// restores the intact fabric on all lanes. The state must have been
-// created by the runner's own fabric; the caller keeps ownership and
-// may refold lanes between batches (the engine refolds per batch).
-func (r *BitWaveRunner) SetFaults(bf *BitFaultState) error {
-	if bf != nil && bf.f != r.f {
-		return fmt.Errorf("sim: bit fault state belongs to a different fabric")
+// SetLaneFaults folds one realized FaultState into every lane set in
+// the mask `lanes`, replacing whatever those lanes held (other lanes are
+// untouched); nil or an inactive state restores the intact fabric on
+// them. A pinned plan folds into all lanes with one call on ^uint64(0).
+// The state must be sized for the runner's stage count. The caller may
+// refold lanes between batches (the engine refolds per batch).
+// Allocation-free after the first call, which allocates the masks.
+func (r *BitWaveRunner) SetLaneFaults(lanes uint64, fs *FaultState) error {
+	if err := fs.fits(r.f.Spans); err != nil {
+		return err
 	}
-	r.faults = bf
+	if r.dead == nil {
+		f := r.f
+		r.dead = make([]uint64, f.Spans*f.H)
+		r.stuck0 = make([]uint64, f.Spans*f.H)
+		r.stuck1 = make([]uint64, f.Spans*f.H)
+		r.linkDown = make([]uint64, f.Spans*f.N)
+	}
+	if fs == nil || !fs.active {
+		for i := range r.dead {
+			r.dead[i] &^= lanes
+			r.stuck0[i] &^= lanes
+			r.stuck1[i] &^= lanes
+		}
+		for i := range r.linkDown {
+			r.linkDown[i] &^= lanes
+		}
+		return nil
+	}
+	for i, m := range fs.mode {
+		dead, st0, st1 := r.dead[i]&^lanes, r.stuck0[i]&^lanes, r.stuck1[i]&^lanes
+		switch m {
+		case switchDead:
+			dead |= lanes
+		case switchStuck0:
+			st0 |= lanes
+		case switchStuck1:
+			st1 |= lanes
+		}
+		r.dead[i], r.stuck0[i], r.stuck1[i] = dead, st0, st1
+	}
+	for i, down := range fs.linkDown {
+		w := r.linkDown[i] &^ lanes
+		if down {
+			w |= lanes
+		}
+		r.linkDown[i] = w
+	}
 	return nil
 }
 
@@ -295,10 +228,9 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	var blk [64]uint64
 	src := 0
 	for ; src+3 < N; src += 4 {
-		row0 := f.pathTag[src*N : src*N+N]
-		row1 := f.pathTag[(src+1)*N : (src+2)*N]
-		row2 := f.pathTag[(src+2)*N : (src+3)*N]
-		row3 := f.pathTag[(src+3)*N : (src+4)*N]
+		// Sources src and src+1 share tag row a, src+2 and src+3 row b.
+		rowA := f.pathTag[(src>>1)*N : (src>>1+1)*N]
+		rowB := f.pathTag[(src>>1+1)*N : (src>>1+2)*N]
 		col := r.dstAll[src*64 : (src+4)*64]
 		var lv0, lv1, lv2, lv3 uint64
 		for j := 0; j < 64; j++ {
@@ -307,10 +239,10 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 			v1 := uint64(uint32(^d1) >> 31)
 			v2 := uint64(uint32(^d2) >> 31)
 			v3 := uint64(uint32(^d3) >> 31)
-			t0 := uint64(row0[d0&^(d0>>31)]) & -v0 // idle reads slot 0, masked off
-			t1 := uint64(row1[d1&^(d1>>31)]) & -v1
-			t2 := uint64(row2[d2&^(d2>>31)]) & -v2
-			t3 := uint64(row3[d3&^(d3>>31)]) & -v3
+			t0 := uint64(rowA[d0&^(d0>>31)]) & -v0 // idle reads slot 0, masked off
+			t1 := uint64(rowA[d1&^(d1>>31)]) & -v1
+			t2 := uint64(rowB[d2&^(d2>>31)]) & -v2
+			t3 := uint64(rowB[d3&^(d3>>31)]) & -v3
 			lv0 |= v0 << uint(j)
 			lv1 |= v1 << uint(j)
 			lv2 |= v2 << uint(j)
@@ -331,7 +263,7 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	}
 	// Tail for N < 4 (two-stage fabrics): direct per-bit scatter.
 	for ; src < N; src++ {
-		row := f.pathTag[src*N : src*N+N]
+		row := f.pathTag[(src>>1)*N : (src>>1+1)*N]
 		col := r.dstAll[src*64 : src*64+64]
 		var lv uint64
 		for b := 0; b < n; b++ {
@@ -394,16 +326,15 @@ func (r *BitWaveRunner) steerPlanes() {
 	f := r.f
 	n, N, H := f.Spans, f.N, f.H
 	saltWords := (H + 63) / 64
-	bf := r.faults
-	if bf == nil {
-		bf = f.zeroFaults
-	}
 	for s := 0; s < n; s++ {
 		last := s == n-1
-		deadRow := bf.dead[s*H : (s+1)*H]
-		st0Row := bf.stuck0[s*H : (s+1)*H]
-		st1Row := bf.stuck1[s*H : (s+1)*H]
-		ldRow := bf.linkDown[s*N : (s+1)*N]
+		deadRow, st0Row, st1Row, ldRow := r.zero, r.zero, r.zero, r.zero
+		if r.dead != nil {
+			deadRow, st0Row, st1Row = r.dead[s*H:], r.stuck0[s*H:], r.stuck1[s*H:]
+			ldRow = r.linkDown[s*N:]
+		}
+		// Fixed lengths let the compiler drop the per-cell bounds checks.
+		deadRow, st0Row, st1Row, ldRow = deadRow[:H], st0Row[:H], st1Row[:H], ldRow[:N]
 		saltRow := r.saltBlk[s*saltWords*64 : (s+1)*saltWords*64]
 		tagS := r.tag[s]
 		var next []uint64
@@ -554,7 +485,7 @@ func (r *BitWaveRunner) BitSteerSweep(salt int) uint64 {
 	all := ^uint64(0)
 	for src := 0; src < N; src++ {
 		dst := (src + salt) & (N - 1)
-		tag := uint64(f.pathTag[src*N+dst])
+		tag := uint64(f.tagOf(src, dst))
 		r.live[src] = all
 		for b := 0; b < n; b++ {
 			r.tag[b][src] = (tag >> uint(b) & 1) * all

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,20 +52,56 @@ func TestBitSliceable(t *testing.T) {
 	}
 }
 
-// bitLaneFaults folds per-lane resamples of plan into a BitFaultState,
-// lane j drawn from stream (fseed, j) — the same stream the scalar
-// reference below uses, so lane j sees the identical realization.
-func bitLaneFaults(t *testing.T, f *Fabric, plan FaultPlan, fseed uint64, lanes int) *BitFaultState {
+// foldLanes folds per-lane resamples of plan into the runner, lane j
+// drawn from stream (fseed, j) — the same stream the scalar reference
+// below uses, so lane j sees the identical realization. Every lane from
+// `lanes` on is folded intact.
+func foldLanes(t *testing.T, r *BitWaveRunner, plan FaultPlan, fseed uint64, lanes int) {
 	t.Helper()
-	bf := f.NewBitFaultState()
-	fs := f.NewFaultState()
+	fs := NewFaultState(r.f.Spans)
 	for j := 0; j < lanes; j++ {
 		fs.Resample(plan, rand.New(rand.NewPCG(fseed, uint64(j))))
-		if err := bf.SetLane(j, fs); err != nil {
-			t.Fatalf("SetLane(%d): %v", j, err)
+		if err := r.SetLaneFaults(1<<uint(j), fs); err != nil {
+			t.Fatalf("SetLaneFaults(lane %d): %v", j, err)
 		}
 	}
-	return bf
+	if err := r.SetLaneFaults(^uint64(0)<<uint(lanes), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// portSwapped names a test-only wiring: Omega with the two outlinks of
+// random cells swapped at every inner stage. It is still Banyan, but
+// unlike the registry's destination-tag networks its path tags depend
+// on the source, so a packer that reads another source's tag row cannot
+// match the scalar kernel on it.
+const portSwapped = "omega-port-swapped"
+
+// bitCaseFabric compiles a registry network, or the portSwapped wiring.
+func bitCaseFabric(t *testing.T, name string, n int) *Fabric {
+	t.Helper()
+	if name != portSwapped {
+		return fabricFor(t, name, n)
+	}
+	rng := rand.New(rand.NewPCG(uint64(n), 19))
+	var perms []perm.Perm
+	for _, p := range topology.MustBuild(topology.NameOmega, n).LinkPerms {
+		q := p.Clone()
+		for out := 0; out < len(q); out += 2 {
+			if rng.IntN(2) == 1 {
+				q[out], q[out+1] = q[out+1], q[out]
+			}
+		}
+		perms = append(perms, q)
+	}
+	f, err := NewFabric(perms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.BitSliceable() {
+		t.Fatalf("%s n=%d is not bit-sliceable", name, n)
+	}
+	return f
 }
 
 // TestBitWaveMatchesScalar is the kernel-equivalence property at the
@@ -95,9 +132,9 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 		{"bernoulli-0.6", Bernoulli(0.6)},
 		{"bit-reversal", BitReversal()},
 	}
-	for _, name := range topology.Names() {
+	for _, name := range append(topology.Names(), portSwapped) {
 		for _, n := range []int{3, 5} {
-			f := fabricFor(t, name, n)
+			f := bitCaseFabric(t, name, n)
 			wr := f.NewWaveRunner()
 			br := bitRunnerFor(t, f)
 			for _, pl := range plans {
@@ -109,7 +146,7 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 							scal      [64]WaveResult
 							dropStage = make([]int, f.Spans)
 						)
-						fs := f.NewFaultState()
+						fs := NewFaultState(f.Spans)
 						for j := 0; j < lanes; j++ {
 							if pl.use {
 								fs.Resample(pl.plan, rand.New(rand.NewPCG(fseed, uint64(j))))
@@ -130,13 +167,7 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 							scal[j] = res
 						}
 						// Bit-sliced batch on the identical streams.
-						if pl.use {
-							if err := br.SetFaults(bitLaneFaults(t, f, pl.plan, fseed, lanes)); err != nil {
-								t.Fatal(err)
-							}
-						} else if err := br.SetFaults(nil); err != nil {
-							t.Fatal(err)
-						}
+						foldLanes(t, br, pl.plan, fseed, lanes)
 						rngs := make([]*rand.Rand, lanes)
 						for j := range rngs {
 							rngs[j] = rand.New(rand.NewPCG(seed, uint64(j)))
@@ -182,7 +213,7 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 func TestBitWaveMisroutedPath(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 4)
 	plan := FaultPlan{Faults: []Fault{{Kind: SwitchStuck1, Stage: f.Spans - 1, Cell: 0}}}
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	fs.Resample(plan, nil)
 
 	const lanes = 50
@@ -205,11 +236,7 @@ func TestBitWaveMisroutedPath(t *testing.T) {
 	}
 
 	br := bitRunnerFor(t, f)
-	bf := f.NewBitFaultState()
-	if err := bf.SetAll(fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := br.SetFaults(bf); err != nil {
+	if err := br.SetLaneFaults(^uint64(0), fs); err != nil {
 		t.Fatal(err)
 	}
 	rngs := make([]*rand.Rand, lanes)
@@ -228,74 +255,55 @@ func TestBitWaveMisroutedPath(t *testing.T) {
 	}
 }
 
+// TestBitFaultStateFolding: SetLaneFaults writes exactly the masked
+// lanes of the runner's masks from the byte state, and refolding
+// replaces them.
 func TestBitFaultStateFolding(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 4)
 	plan := FaultPlan{SwitchDeadRate: 0.2, SwitchStuckRate: 0.3, LinkDownRate: 0.2}
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	fs.Resample(plan, rand.New(rand.NewPCG(1, 1)))
 
-	bf := f.NewBitFaultState()
-	const lane = 3
-	if err := bf.SetLane(lane, fs); err != nil {
+	r := bitRunnerFor(t, f)
+	const lanes = uint64(1)<<3 | 1<<40
+	if err := r.SetLaneFaults(lanes, fs); err != nil {
 		t.Fatal(err)
 	}
-	laneBit := uint64(1) << lane
+	want := func(on bool) uint64 {
+		if on {
+			return lanes
+		}
+		return 0
+	}
 	for i, m := range fs.mode {
-		got := bf.dead[i]&laneBit != 0
-		if got != (m == switchDead) {
-			t.Fatalf("dead[%d] lane bit = %t, mode = %d", i, got, m)
+		if got := r.dead[i]; got != want(m == switchDead) {
+			t.Fatalf("dead[%d] = %#x, mode = %d", i, got, m)
 		}
-		if s0 := bf.stuck0[i]&laneBit != 0; s0 != (m == switchStuck0) {
-			t.Fatalf("stuck0[%d] lane bit = %t, mode = %d", i, s0, m)
+		if got := r.stuck0[i]; got != want(m == switchStuck0) {
+			t.Fatalf("stuck0[%d] = %#x, mode = %d", i, got, m)
 		}
-		if s1 := bf.stuck1[i]&laneBit != 0; s1 != (m == switchStuck1) {
-			t.Fatalf("stuck1[%d] lane bit = %t, mode = %d", i, s1, m)
-		}
-		if other := (bf.dead[i] | bf.stuck0[i] | bf.stuck1[i]) &^ laneBit; other != 0 {
-			t.Fatalf("switch masks[%d] leak into other lanes: %#x", i, other)
+		if got := r.stuck1[i]; got != want(m == switchStuck1) {
+			t.Fatalf("stuck1[%d] = %#x, mode = %d", i, got, m)
 		}
 	}
 	for i, down := range fs.linkDown {
-		if got := bf.linkDown[i]&laneBit != 0; got != down {
-			t.Fatalf("linkDown[%d] lane bit = %t, want %t", i, got, down)
-		}
-		if other := bf.linkDown[i] &^ laneBit; other != 0 {
-			t.Fatalf("linkDown[%d] leaks into other lanes: %#x", i, other)
+		if got := r.linkDown[i]; got != want(down) {
+			t.Fatalf("linkDown[%d] = %#x, want down = %t", i, got, down)
 		}
 	}
 
-	// Refolding a lane replaces it; nil clears it.
-	if err := bf.SetLane(lane, nil); err != nil {
+	// Refolding the lanes replaces them; nil clears them.
+	if err := r.SetLaneFaults(lanes, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range bf.dead {
-		if bf.dead[i]|bf.stuck0[i]|bf.stuck1[i] != 0 {
+	for i := range r.dead {
+		if r.dead[i]|r.stuck0[i]|r.stuck1[i] != 0 {
 			t.Fatalf("switch masks[%d] survive a nil refold", i)
 		}
 	}
-	for i := range bf.linkDown {
-		if bf.linkDown[i] != 0 {
+	for i := range r.linkDown {
+		if r.linkDown[i] != 0 {
 			t.Fatalf("linkDown[%d] survives a nil refold", i)
-		}
-	}
-
-	// SetAll broadcasts one realization to every lane.
-	if err := bf.SetAll(fs); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range fs.mode {
-		want := uint64(0)
-		if m == switchDead {
-			want = ^uint64(0)
-		}
-		if bf.dead[i] != want {
-			t.Fatalf("SetAll dead[%d] = %#x, want %#x", i, bf.dead[i], want)
-		}
-	}
-	bf.Reset()
-	for i := range bf.linkDown {
-		if bf.linkDown[i] != 0 {
-			t.Fatalf("linkDown[%d] survives Reset", i)
 		}
 	}
 }
@@ -321,22 +329,8 @@ func TestBitWaveErrors(t *testing.T) {
 	if _, err := r.RunTraffic(bad, rngs[:1]); err == nil {
 		t.Errorf("out-of-range destination: no error")
 	}
-	other := fabricFor(t, topology.NameOmega, 4)
-	if err := r.SetFaults(other.NewBitFaultState()); err == nil {
-		t.Errorf("foreign bit fault state: no error")
-	}
-	bf := f.NewBitFaultState()
-	if err := bf.SetLane(64, nil); err == nil {
-		t.Errorf("lane 64: no error")
-	}
-	if err := bf.SetLane(-1, nil); err == nil {
-		t.Errorf("lane -1: no error")
-	}
-	if err := bf.SetLane(0, other.NewFaultState()); err == nil {
-		t.Errorf("foreign fault state lane fold: no error")
-	}
-	if err := bf.SetAll(other.NewFaultState()); err == nil {
-		t.Errorf("foreign fault state broadcast: no error")
+	if err := r.SetLaneFaults(1, NewFaultState(f.Spans+1)); err == nil {
+		t.Errorf("fault state sized for another stage count: no error")
 	}
 }
 
@@ -347,13 +341,9 @@ func TestBitSteerSweepDeterministic(t *testing.T) {
 	if x, y := a.BitSteerSweep(7), b.BitSteerSweep(7); x != y {
 		t.Fatalf("sweep not deterministic: %d vs %d", x, y)
 	}
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	fs.Resample(FaultPlan{SwitchDeadRate: 0.1}, rand.New(rand.NewPCG(2, 2)))
-	bf := f.NewBitFaultState()
-	if err := bf.SetAll(fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetFaults(bf); err != nil {
+	if err := b.SetLaneFaults(^uint64(0), fs); err != nil {
 		t.Fatal(err)
 	}
 	if x, y := a.BitSteerSweep(7), b.BitSteerSweep(7); x == y {
@@ -386,7 +376,7 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 				continue // idle terminal
 			}
 			dst := int(data[src]) % N
-			tag := fab.pathTag[src*N+dst]
+			tag := fab.tagOf(src, dst)
 			link := uint64(src)
 			for s := 0; s < n; s++ {
 				cell := link >> 1
@@ -418,6 +408,108 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 		bitops.Transpose64(&blk)
 		if blk != orig {
 			t.Fatalf("transpose is not an involution for seed %#x", seed)
+		}
+	})
+}
+
+// FuzzFaultFold checks the one fold from the byte fault state into the
+// bit kernel's lane masks. Fuzz bytes choose a registry network of 2..7
+// stages, Bernoulli rates, a lane j and a pinned fault list; the plan is
+// realized with Sample and folded into lane j of a runner whose 64
+// lanes already hold another realization. Every element's lane-j bit
+// must equal the byte state and no other lane may change; a batch whose
+// lane j runs the scalar wave's stream must then reproduce that wave.
+func FuzzFaultFold(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint64(1))
+	f.Add([]byte{1, 2, 40, 60, 30, 5, 0, 1, 2, 1, 0, 3, 3, 2, 9}, uint64(7))
+	f.Add([]byte{5, 4, 255, 0, 0, 63}, uint64(99))
+	f.Add([]byte{3, 1, 0, 200, 0, 17, 2, 0, 0, 2, 1, 1}, uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		var hdr [6]byte
+		copy(hdr[:], data)
+		names := topology.Names()
+		fab := fabricFor(t, names[int(hdr[1])%len(names)], 2+int(hdr[0])%6)
+		n, N, H := fab.Spans, fab.N, fab.H
+		plan := FaultPlan{
+			SwitchDeadRate:  float64(hdr[2]) / 1020,
+			SwitchStuckRate: float64(hdr[3]) / 1020,
+			LinkDownRate:    float64(hdr[4]) / 1020,
+		}
+		lane := int(hdr[5]) % 64
+		kinds := []FaultKind{SwitchDead, SwitchStuck0, SwitchStuck1, LinkDown}
+		for i := len(hdr); i+2 < len(data); i += 3 {
+			flt := Fault{Kind: kinds[data[i]%4], Stage: int(data[i+1]) % n}
+			if flt.Kind == LinkDown {
+				flt.Link = int(data[i+2]) % N
+			} else {
+				flt.Cell = int(data[i+2]) % H
+			}
+			plan.Faults = append(plan.Faults, flt)
+		}
+
+		r := bitRunnerFor(t, fab)
+		bg := NewFaultState(n)
+		bg.Resample(FaultPlan{SwitchDeadRate: 0.1, SwitchStuckRate: 0.1, LinkDownRate: 0.1}, rand.New(rand.NewPCG(seed, 1)))
+		if err := r.SetLaneFaults(^uint64(0), bg); err != nil {
+			t.Fatal(err)
+		}
+		dead, st0, st1, ld := slices.Clone(r.dead), slices.Clone(r.stuck0), slices.Clone(r.stuck1), slices.Clone(r.linkDown)
+		fs := NewFaultState(n)
+		if err := fs.Sample(plan, rand.New(rand.NewPCG(seed, 2))); err != nil {
+			t.Fatal(err)
+		}
+		bit := uint64(1) << uint(lane)
+		if err := r.SetLaneFaults(bit, fs); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range fs.mode {
+			for _, c := range []struct {
+				name      string
+				got, prev uint64
+				want      bool
+			}{
+				{"dead", r.dead[i], dead[i], m == switchDead},
+				{"stuck0", r.stuck0[i], st0[i], m == switchStuck0},
+				{"stuck1", r.stuck1[i], st1[i], m == switchStuck1},
+			} {
+				if (c.got&bit != 0) != c.want {
+					t.Fatalf("%s[%d] lane %d bit = %t, mode = %d", c.name, i, lane, c.got&bit != 0, m)
+				}
+				if (c.got^c.prev)&^bit != 0 {
+					t.Fatalf("%s[%d]: fold into lane %d changed lanes %#x", c.name, i, lane, (c.got^c.prev)&^bit)
+				}
+			}
+		}
+		for i, down := range fs.linkDown {
+			if (r.linkDown[i]&bit != 0) != down {
+				t.Fatalf("linkDown[%d] lane %d bit = %t, want %t", i, lane, r.linkDown[i]&bit != 0, down)
+			}
+			if (r.linkDown[i]^ld[i])&^bit != 0 {
+				t.Fatalf("linkDown[%d]: fold into lane %d changed lanes %#x", i, lane, (r.linkDown[i]^ld[i])&^bit)
+			}
+		}
+
+		wr := fab.NewWaveRunner()
+		if err := wr.SetFaults(fs); err != nil {
+			t.Fatal(err)
+		}
+		want, err := wr.RunTraffic(Uniform(), rand.New(rand.NewPCG(seed, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rngs := make([]*rand.Rand, lane+1)
+		for j := range rngs {
+			rngs[j] = rand.New(rand.NewPCG(seed, uint64(4+j)))
+		}
+		rngs[lane] = rand.New(rand.NewPCG(seed, 3))
+		got, err := r.RunTraffic(Uniform(), rngs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Offered[lane] != want.Offered || got.Delivered[lane] != want.Delivered || got.Dropped[lane] != want.Dropped ||
+			got.Misrouted[lane] != want.Misrouted || got.FaultDropped[lane] != want.FaultDropped {
+			t.Fatalf("lane %d {off %d del %d drop %d mis %d fdrop %d}, scalar %+v", lane,
+				got.Offered[lane], got.Delivered[lane], got.Dropped[lane], got.Misrouted[lane], got.FaultDropped[lane], want)
 		}
 	})
 }

@@ -230,13 +230,13 @@ func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) 
 func (r *BufferedRunner) Fabric() *Fabric { return r.f }
 
 // SetFaults attaches a fault state the runner consults on every switch
-// decision; nil restores the intact fabric. The state must have been
-// created by the runner's own fabric. The caller keeps ownership and
-// may resample it between replications (the engine resamples per
-// trial); Run does not clear it.
+// decision; nil restores the intact fabric. The state must be sized for
+// the runner's stage count. The caller keeps ownership and may resample
+// it between replications (the engine resamples per trial); Run does
+// not clear it.
 func (r *BufferedRunner) SetFaults(fs *FaultState) error {
-	if fs != nil && fs.f != r.f {
-		return fmt.Errorf("sim: fault state belongs to a different fabric")
+	if err := fs.fits(r.f.Spans); err != nil {
+		return err
 	}
 	r.faults = fs
 	return nil

@@ -47,9 +47,11 @@ func hashFabric(h hash.Hash, name string, f *Fabric) {
 	}
 	fmt.Fprintln(h, "path tags")
 	var b [2]byte
-	for _, tag := range f.pathTag {
-		binary.LittleEndian.PutUint16(b[:], tag)
-		h.Write(b[:])
+	for src := 0; src < f.N; src++ {
+		for dst := 0; dst < f.N; dst++ {
+			binary.LittleEndian.PutUint16(b[:], f.tagOf(src, dst))
+			h.Write(b[:])
+		}
 	}
 }
 
@@ -180,9 +182,9 @@ func reachRow(perms []perm.Perm, s, cell int) []uint8 {
 
 // walkPathTags packs, for every (src, dst), the port schedule the
 // compiled tables steer: one table lookup per stage. It returns nil
-// unless the fabric is Banyan with at most 16 stages.
+// unless the fabric is Banyan.
 func walkPathTags(f *Fabric) []uint16 {
-	if f.Spans > 16 || !f.Banyan() {
+	if !f.Banyan() {
 		return nil
 	}
 	tags := make([]uint16, f.N*f.N)
@@ -266,8 +268,8 @@ func FuzzFabricCompile(f *testing.F) {
 			t.Fatalf("n=%d: pathTag present = %t, walk says %t", n, fab.pathTag != nil, want != nil)
 		}
 		for i, tag := range want {
-			if fab.pathTag[i] != tag {
-				t.Fatalf("n=%d (src %d, dst %d): tag %#x, walk says %#x", n, i/N, i%N, fab.pathTag[i], tag)
+			if got := fab.tagOf(i/N, i%N); got != tag {
+				t.Fatalf("n=%d (src %d, dst %d): tag %#x, walk says %#x", n, i/N, i%N, got, tag)
 			}
 		}
 	})

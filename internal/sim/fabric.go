@@ -56,16 +56,19 @@ type Fabric struct {
 	// the tables collapse a two-port choice toward port 0, so path
 	// multiplicity is not observable from them afterwards.
 	banyan bool
-	// pathTag[src*N+dst] packs the port schedule the compiled tables
-	// steer for an intact (src, dst) flight: bit s is the output port
-	// taken at stage s. Non-nil exactly when the fabric is BitSliceable;
-	// the bit-sliced wave kernel routes whole waves by these tags
-	// instead of per-stage lookups.
+	// pathTag[(src>>1)*N+dst] packs the port schedule the compiled
+	// tables steer for an intact (src, dst) flight: bit s is the output
+	// port taken at stage s. Row c is stage-0 cell c's tag row, shared by
+	// its two inputs 2c and 2c+1. Non-nil exactly when the fabric is
+	// BitSliceable; the bit-sliced wave kernel routes whole waves by
+	// these tags instead of per-stage lookups.
 	pathTag []uint16
-	// zeroFaults is the shared all-clear fault mask set the bit kernel
-	// uses for intact runs; immutable, nil unless BitSliceable.
-	zeroFaults *BitFaultState
 }
+
+// MaxFabricStages bounds the stage count NewFabric compiles. The port
+// tables hold n·2^(2n-1) bytes and the tag buffer 2^(2n) uint16s: 14
+// stages need ~2.4 GB, 15 would need ~10 GB.
+const MaxFabricStages = 14
 
 // NewFabric compiles the per-stage kernels in one backward pass over
 // the stages. A cell reaches dst iff one of its two children does, so
@@ -81,9 +84,13 @@ type Fabric struct {
 // fabric non-Banyan. No other check is needed: a stage-0 cell has N
 // port sequences to the terminals, so when no cell ever offers both
 // ports for one destination they end at N distinct terminals, and
-// every stage-0 cell reaches every destination.
+// every stage-0 cell reaches every destination. Fabrics of more than
+// MaxFabricStages stages are refused before anything is allocated.
 func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	n := len(perms) + 1
+	if n > MaxFabricStages {
+		return nil, fmt.Errorf("sim: %d stages exceeds the fabric bound of %d", n, MaxFabricStages)
+	}
 	N := 1 << uint(n)
 	h := N / 2
 	for s, p := range perms {
@@ -92,16 +99,11 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		}
 	}
 	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
-	// Tag rows ping-pong between the two halves of the pathTag
-	// allocation: stage s writes half[s&1], so stage 0 lands in the
-	// first half. A tag is a uint16, so only fabrics of at most 16
-	// stages carry them.
-	var tags []uint16
-	var half [2][]uint16
-	if n <= 16 {
-		tags = make([]uint16, N*N)
-		half = [2][]uint16{tags[:h*N], tags[h*N:]}
-	}
+	// Tag rows ping-pong between the two halves of one N²-tag buffer:
+	// stage s writes half[s&1], so stage 0 lands in the first half. A
+	// tag is a uint16, which MaxFabricStages keeps every fabric within.
+	tags := make([]uint16, N*N)
+	half := [2][]uint16{tags[:h*N], tags[h*N:]}
 	// Last stage: cell c reaches terminals 2c and 2c+1 by dst parity.
 	last := make([]uint8, h*N)
 	for i := range last {
@@ -109,9 +111,7 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	}
 	for c := 0; c < h; c++ {
 		last[c*N+2*c], last[c*N+2*c+1] = 0, 1
-		if tags != nil {
-			half[(n-1)&1][c*N+2*c+1] = 1 << uint(n-1)
-		}
+		half[(n-1)&1][c*N+2*c+1] = 1 << uint(n-1)
 	}
 	f.stages[n-1].port = last
 	for s := n - 2; s >= 0; s-- {
@@ -134,7 +134,7 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 					row[dst] = portUnreachable
 				}
 			}
-			if tags != nil && f.banyan {
+			if f.banyan {
 				// An unreachable entry gets a value no path reads.
 				tag, down := half[s&1][c*N:c*N+N], half[(s+1)&1]
 				t0, t1 := down[c0*N:c0*N+N], down[c1*N:c1*N+N]
@@ -150,31 +150,26 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		}
 		f.stages[s].port = port
 	}
-	if tags == nil || !f.banyan {
-		return f, nil
+	if f.banyan {
+		f.pathTag = half[0]
 	}
-	// Stage 0's row c is the path tag row of inputs 2c and 2c+1. Rows
-	// 2c and 2c+1 lie at or above row c, so filling them from the top
-	// down never overwrites a row still to be read.
-	for c := h - 1; c >= 0; c-- {
-		copy(tags[(2*c+1)*N:(2*c+2)*N], tags[c*N:c*N+N])
-		copy(tags[2*c*N:2*c*N+N], tags[c*N:c*N+N])
-	}
-	f.pathTag = tags
-	f.zeroFaults = f.NewBitFaultState()
 	return f, nil
 }
 
 // BitSliceable reports whether the bit-sliced wave kernel can drive
-// this fabric: Banyan and at most 16 stages (a path tag is a uint16).
-// Other fabrics are scalar-only. Uniqueness is load-bearing for
-// byte-identity, not just the tags: the bit kernel drops a
-// fault-derailed packet on arrival at the next stage, which matches the
-// scalar portUnreachable lookup only when no off-path cell can reach
-// the destination — exactly the Banyan property (a second route from a
-// derailed cell would be a second (src, dst) path through the other
-// port of the stuck switch).
+// this fabric: whether it is Banyan (MaxFabricStages keeps every path
+// tag within its uint16). Other fabrics are scalar-only. Uniqueness is
+// load-bearing for byte-identity, not just the tags: the bit kernel
+// drops a fault-derailed packet on arrival at the next stage, which
+// matches the scalar portUnreachable lookup only when no off-path cell
+// can reach the destination — exactly the Banyan property (a second
+// route from a derailed cell would be a second (src, dst) path through
+// the other port of the stuck switch).
 func (f *Fabric) BitSliceable() bool { return f.pathTag != nil }
+
+// tagOf returns the path tag of the intact (src, dst) flight; the
+// fabric must be BitSliceable.
+func (f *Fabric) tagOf(src, dst int) uint16 { return f.pathTag[(src>>1)*f.N+dst] }
 
 // Banyan reports whether the compiled fabric has full unique-path
 // reachability: every (stage-0 cell, destination) pair routable and no

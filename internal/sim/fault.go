@@ -122,29 +122,62 @@ const (
 	switchStuck1
 )
 
-// FaultState is one sampled realization of a FaultPlan, sized for a
-// fabric and owned by whoever drives a runner (the parallel engine
-// gives each worker its own, like runner scratch). Sample is
-// allocation-free so per-trial resampling stays on the 0 allocs/op
-// hot path. A FaultState is NOT safe for concurrent use.
+// FaultState is one sampled realization of a FaultPlan: the one
+// realized form of a plan that routing and both wave kernels read. It
+// is sized by stage count alone, so a router can realize a plan
+// without compiling a fabric, and is owned by whoever drives a runner
+// (the parallel engine gives each worker its own, like runner scratch).
+// Sample is allocation-free so per-trial resampling stays on the
+// 0 allocs/op hot path. A FaultState is NOT safe for concurrent use.
 type FaultState struct {
-	f        *Fabric
+	stages   int
+	h, n     int // cells and outlinks per stage
 	active   bool
-	mode     []uint8 // per stage*H + cell: switchOK/Dead/Stuck0/Stuck1
-	linkDown []bool  // per stage*N + outlink
+	mode     []uint8 // per stage*h + cell: switchOK/Dead/Stuck0/Stuck1
+	linkDown []bool  // per stage*n + outlink
 }
 
-// NewFaultState returns a cleared (intact) fault state sized for f.
-func (f *Fabric) NewFaultState() *FaultState {
+// NewFaultState returns a cleared (intact) fault state for a fabric of
+// the given stage count: 2^(stages-1) cells and 2^stages outlinks per
+// stage.
+func NewFaultState(stages int) *FaultState {
+	h, n := 1<<uint(stages-1), 1<<uint(stages)
 	return &FaultState{
-		f:        f,
-		mode:     make([]uint8, f.Spans*f.H),
-		linkDown: make([]bool, f.Spans*f.N),
+		stages:   stages,
+		h:        h,
+		n:        n,
+		mode:     make([]uint8, stages*h),
+		linkDown: make([]bool, stages*n),
 	}
 }
 
-// Fabric returns the fabric this state is sized for.
-func (fs *FaultState) Fabric() *Fabric { return fs.f }
+// Stages returns the stage count the state is sized for.
+func (fs *FaultState) Stages() int { return fs.stages }
+
+// Allows reports whether the switch at stage can set its crossbar
+// toward outlink out — it is neither dead nor jammed to the other
+// port — and that outlink survives. A nil state is the intact fabric.
+// This is the one fault predicate routing reads.
+func (fs *FaultState) Allows(stage, out int) bool {
+	if fs == nil || !fs.active {
+		return true
+	}
+	if fs.linkDown[stage*fs.n+out] {
+		return false
+	}
+	// A jammed crossbar allows only its port: switchStuck0+port.
+	m := fs.mode[stage*fs.h+out>>1]
+	return m == switchOK || m == switchStuck0+uint8(out&1)
+}
+
+// fits checks that a non-nil state is sized for a fabric of the given
+// stage count.
+func (fs *FaultState) fits(stages int) error {
+	if fs != nil && fs.stages != stages {
+		return fmt.Errorf("sim: fault state sized for %d stages, fabric has %d", fs.stages, stages)
+	}
+	return nil
+}
 
 // Active reports whether any fault is currently applied.
 func (fs *FaultState) Active() bool { return fs.active }
@@ -167,13 +200,13 @@ func (fs *FaultState) Reset() {
 func (fs *FaultState) apply(flt Fault) {
 	switch flt.Kind {
 	case SwitchDead:
-		fs.mode[flt.Stage*fs.f.H+flt.Cell] = switchDead
+		fs.mode[flt.Stage*fs.h+flt.Cell] = switchDead
 	case SwitchStuck0:
-		fs.mode[flt.Stage*fs.f.H+flt.Cell] = switchStuck0
+		fs.mode[flt.Stage*fs.h+flt.Cell] = switchStuck0
 	case SwitchStuck1:
-		fs.mode[flt.Stage*fs.f.H+flt.Cell] = switchStuck1
+		fs.mode[flt.Stage*fs.h+flt.Cell] = switchStuck1
 	case LinkDown:
-		fs.linkDown[flt.Stage*fs.f.N+flt.Link] = true
+		fs.linkDown[flt.Stage*fs.n+flt.Link] = true
 	}
 	fs.active = true
 }
@@ -186,7 +219,7 @@ func (fs *FaultState) apply(flt Fault) {
 // per-trial fault streams rely on. Allocation-free. rng may be nil for
 // a plan with no random rates.
 func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
-	if err := p.Validate(fs.f.Spans); err != nil {
+	if err := p.Validate(fs.stages); err != nil {
 		return err
 	}
 	fs.Resample(p, rng)
@@ -196,7 +229,7 @@ func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
 // Resample is Sample minus the validation: for hot loops that realize
 // one already-validated plan trial after trial (the engine validates
 // once before sharding). Calling it with a plan that was never
-// validated against this state's fabric may panic on out-of-range
+// validated against this state's stage count may panic on out-of-range
 // coordinates.
 //
 //minlint:hotpath

@@ -21,7 +21,7 @@ func omegaFabric(t *testing.T, n int) *Fabric {
 // counted as fault drops at stage 0.
 func TestFaultDeadSwitchKillsItsInputs(t *testing.T) {
 	f := omegaFabric(t, 4)
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	if err := fs.Sample(FaultPlan{Faults: []Fault{{Kind: SwitchDead, Stage: 0, Cell: 0}}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFaultDeadSwitchKillsItsInputs(t *testing.T) {
 // forced port sail through.
 func TestFaultStuckSwitchMisroutes(t *testing.T) {
 	f := omegaFabric(t, 4)
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	if err := fs.Sample(FaultPlan{Faults: []Fault{{Kind: SwitchStuck0, Stage: 0, Cell: 0}}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFaultStuckSwitchMisroutes(t *testing.T) {
 // Severing a last-stage outlink cuts delivery to exactly that terminal.
 func TestFaultLinkDownCutsTerminal(t *testing.T) {
 	f := omegaFabric(t, 3)
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	target := 5
 	if err := fs.Sample(FaultPlan{Faults: []Fault{{Kind: LinkDown, Stage: f.Spans - 1, Link: target}}}, nil); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFaultLinkDownCutsTerminal(t *testing.T) {
 // byte-identical to one with an inactive state attached.
 func TestFaultInactiveStateIsIntact(t *testing.T) {
 	f := omegaFabric(t, 4)
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	if err := fs.Sample(FaultPlan{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFaultSampleDeterministic(t *testing.T) {
 		SwitchStuckRate: 0.2,
 		LinkDownRate:    0.05,
 	}
-	a, b := f.NewFaultState(), f.NewFaultState()
+	a, b := NewFaultState(f.Spans), NewFaultState(f.Spans)
 	if err := a.Sample(plan, rand.New(rand.NewPCG(9, 10))); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestFaultBufferedDeadSwitch(t *testing.T) {
 		t.Fatalf("intact omega dropped packets: %+v", intact)
 	}
 
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	if err := fs.Sample(FaultPlan{Faults: []Fault{{Kind: SwitchDead, Stage: 1, Cell: 2}}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -296,26 +296,25 @@ func TestFaultBufferedDeadSwitch(t *testing.T) {
 		t.Fatalf("fault did not degrade delivery: %d >= %d", faulty.Delivered, intact.Delivered)
 	}
 
-	inactive := f.NewFaultState()
+	inactive := NewFaultState(f.Spans)
 	if got := run(inactive); !reflect.DeepEqual(got, intact) {
 		t.Fatalf("inactive fault state changed the buffered run:\n%+v\n%+v", got, intact)
 	}
 }
 
-// SetFaults refuses a state sized for another fabric.
+// SetFaults refuses a state sized for another stage count.
 func TestSetFaultsWrongFabric(t *testing.T) {
 	a := omegaFabric(t, 3)
-	b := omegaFabric(t, 4)
-	fs := b.NewFaultState()
+	fs := NewFaultState(4)
 	if err := a.NewWaveRunner().SetFaults(fs); err == nil {
-		t.Fatal("wave runner accepted a foreign fault state")
+		t.Fatal("wave runner accepted a fault state sized for 4 stages")
 	}
 	br, err := a.NewBufferedRunner(BufferedConfig{Load: 0.5, Queue: 2, Cycles: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := br.SetFaults(fs); err == nil {
-		t.Fatal("buffered runner accepted a foreign fault state")
+		t.Fatal("buffered runner accepted a fault state sized for 4 stages")
 	}
 }
 
@@ -324,7 +323,7 @@ func TestSetFaultsWrongFabric(t *testing.T) {
 // (and give them no latency sample), mirroring the wave model.
 func TestFaultBufferedStuckLastStageMisroutes(t *testing.T) {
 	f := omegaFabric(t, 3)
-	fs := f.NewFaultState()
+	fs := NewFaultState(f.Spans)
 	// Terminals 4 and 5 exit stage-2 cell 2; stuck0 forces everything
 	// out terminal 4.
 	if err := fs.Sample(FaultPlan{Faults: []Fault{{Kind: SwitchStuck0, Stage: f.Spans - 1, Cell: 2}}}, nil); err != nil {

@@ -22,6 +22,12 @@
 // own FaultState when a FaultPlan is in force). Fabric.RunWave,
 // Fabric.Throughput and Fabric.RunBuffered remain as convenience
 // wrappers for one-off use.
+//
+// A FaultState is the one realized form of a FaultPlan. It is sized by
+// stage count alone, so internal/route reads the same state through
+// FaultState.Allows without compiling a fabric, and the bit-sliced
+// kernel folds it into its own per-lane masks with
+// BitWaveRunner.SetLaneFaults.
 package sim
 
 import (
@@ -81,12 +87,12 @@ func (f *Fabric) NewWaveRunner() *WaveRunner {
 func (r *WaveRunner) Fabric() *Fabric { return r.f }
 
 // SetFaults attaches a fault state the runner consults on every switch
-// decision; nil restores the intact fabric. The state must have been
-// created by the runner's own fabric. The caller keeps ownership and
-// may resample it between waves (the engine resamples per trial).
+// decision; nil restores the intact fabric. The state must be sized for
+// the runner's stage count. The caller keeps ownership and may resample
+// it between waves (the engine resamples per trial).
 func (r *WaveRunner) SetFaults(fs *FaultState) error {
-	if fs != nil && fs.f != r.f {
-		return fmt.Errorf("sim: fault state belongs to a different fabric")
+	if err := fs.fits(r.f.Spans); err != nil {
+		return err
 	}
 	r.faults = fs
 	return nil

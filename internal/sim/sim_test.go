@@ -31,6 +31,12 @@ func TestFabricShapes(t *testing.T) {
 	if _, err := NewFabric([]perm.Perm{perm.Identity(4), perm.Identity(8)}); err == nil {
 		t.Error("mismatched perm sizes accepted")
 	}
+	// Past MaxFabricStages the tables would not fit in memory: the
+	// compile is refused before it allocates them.
+	want := "sim: 15 stages exceeds the fabric bound of 14"
+	if _, err := NewFabric(topology.BaselineLinkPerms(MaxFabricStages + 1)); err == nil || err.Error() != want {
+		t.Errorf("15-stage fabric: err %v, want %q", err, want)
+	}
 }
 
 func TestWaveSinglePacket(t *testing.T) {

@@ -84,9 +84,9 @@ func (p FaultPlan) internal() (sim.FaultPlan, error) {
 }
 
 // faultyRouter builds the fault-aware reachability router for the
-// plan's pinned faults. It validates the plan against the network's
-// shape alone, so routing never compiles the simulation fabric. Both
-// fault tables are allocated even for an empty plan: a faulted route
+// plan's pinned faults, realized into a fault state sized by the
+// network's stage count alone, so routing never compiles the simulation
+// fabric. The state is realized even for an empty plan: a faulted route
 // reports "no fault-free path", never the intact "no path".
 func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 	if plan.SwitchDeadRate != 0 || plan.SwitchStuckRate != 0 || plan.LinkDownRate != 0 {
@@ -96,24 +96,11 @@ func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 	if err != nil {
 		return nil, err
 	}
-	stages, h, N := nw.Stages(), nw.CellsPerStage(), nw.Terminals()
-	if err := p.Validate(stages); err != nil {
+	fs := sim.NewFaultState(nw.Stages())
+	if err := fs.Sample(p, nil); err != nil {
 		return nil, err
 	}
-	spec := route.FaultSpec{Mode: make([]uint8, stages*h), LinkDown: make([]bool, stages*N)}
-	for _, flt := range p.Faults {
-		switch flt.Kind {
-		case sim.SwitchDead:
-			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchDead
-		case sim.SwitchStuck0:
-			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchStuck0
-		case sim.SwitchStuck1:
-			spec.Mode[flt.Stage*h+flt.Cell] = route.SwitchStuck1
-		case sim.LinkDown:
-			spec.LinkDown[flt.Stage*N+flt.Link] = true
-		}
-	}
-	return route.NewFaultyRouter(nw.topo.LinkPerms, spec)
+	return route.NewFaultyRouter(nw.topo.LinkPerms, fs)
 }
 
 // RouteUnderFaults computes the path from src to dst on the degraded

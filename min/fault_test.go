@@ -2,8 +2,11 @@ package min
 
 import (
 	"context"
+	"math/rand/v2"
 	"reflect"
 	"testing"
+
+	"minequiv/internal/sim"
 )
 
 // WithFaults degrades both models deterministically: (seed, plan)
@@ -202,5 +205,77 @@ func TestFaultRoutingCompilesNoFabric(t *testing.T) {
 	}
 	if nw.fabric != f {
 		t.Fatal("a later simulation compiled the fabric again")
+	}
+}
+
+// TestRouteAgreesWithWave: on a unique-path network, routing under a
+// pinned plan and the wave kernel under the same realized faults agree
+// pair by pair. RouteUnderFaults succeeds iff a one-packet wave from
+// src to dst delivers its packet, for every catalog network at 3..6
+// stages under seeded plans of 1-4 faults drawn from every kind.
+func TestRouteAgreesWithWave(t *testing.T) {
+	kinds := []FaultKind{SwitchDead, SwitchStuck0, SwitchStuck1, LinkDown}
+	rng := rand.New(rand.NewPCG(19, 1))
+	// oneWave reports whether a wave carrying the single packet src->dst
+	// delivers it.
+	oneWave := func(wr *sim.WaveRunner, dsts []int, src, dst int) bool {
+		for i := range dsts {
+			dsts[i] = -1
+		}
+		dsts[src] = dst
+		res, err := wr.RunWave(dsts, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Delivered == 1
+	}
+	checks := 0
+	for _, name := range CatalogNames() {
+		for stages := 3; stages <= 6; stages++ {
+			nw := MustBuild(name, stages)
+			f, err := nw.compiledFabric()
+			if err != nil {
+				t.Fatal(err)
+			}
+			N := nw.Terminals()
+			dsts := make([]int, N)
+			for p := 0; p < 6; p++ {
+				var plan FaultPlan
+				for k := 1 + rng.IntN(4); k > 0; k-- {
+					flt := Fault{Kind: kinds[rng.IntN(len(kinds))], Stage: rng.IntN(stages)}
+					if flt.Kind == LinkDown {
+						flt.Link = rng.IntN(N)
+					} else {
+						flt.Cell = rng.IntN(nw.CellsPerStage())
+					}
+					plan.Faults = append(plan.Faults, flt)
+				}
+				sp, err := plan.internal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs := sim.NewFaultState(stages)
+				if err := fs.Sample(sp, nil); err != nil {
+					t.Fatal(err)
+				}
+				wr := f.NewWaveRunner()
+				if err := wr.SetFaults(fs); err != nil {
+					t.Fatal(err)
+				}
+				for src := 0; src < N; src++ {
+					for dst := 0; dst < N; dst++ {
+						_, rerr := RouteUnderFaults(nw, src, dst, plan)
+						if delivered := oneWave(wr, dsts, src, dst); (rerr == nil) != delivered {
+							t.Fatalf("%s n=%d %d->%d under %+v: route err %v, wave delivered %t",
+								name, stages, src, dst, plan.Faults, rerr, delivered)
+						}
+						checks++
+					}
+				}
+			}
+		}
+	}
+	if want := len(CatalogNames()) * 6 * (64 + 256 + 1024 + 4096); checks != want {
+		t.Fatalf("%d checks, want %d", checks, want)
 	}
 }

@@ -404,6 +404,23 @@ func TestSimulateCancellation(t *testing.T) {
 	}
 }
 
+// A network past the fabric's stage bound builds and routes, but both
+// simulators report the compile error instead of exhausting memory.
+func TestSimulatePastFabricBound(t *testing.T) {
+	nw := MustBuild(Omega, 15)
+	ctx := context.Background()
+	const want = "sim: 15 stages exceeds the fabric bound of 14"
+	if _, err := Simulate(ctx, nw, WithWaves(1)); err == nil || err.Error() != want {
+		t.Fatalf("Simulate: err %v, want %q", err, want)
+	}
+	if _, err := SimulateBuffered(ctx, nw, WithCycles(1)); err == nil || err.Error() != want {
+		t.Fatalf("SimulateBuffered: err %v, want %q", err, want)
+	}
+	if _, err := Route(nw, 0, nw.Terminals()-1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAnalyticThroughput(t *testing.T) {
 	nw := MustBuild(Omega, 6)
 	st, err := Simulate(context.Background(), nw, WithWaves(400), WithSeed(42))

@@ -50,7 +50,7 @@ func Route(nw *Network, src, dst int) (Path, error) {
 		// Degenerate PIPID stages (tag overwritten en route) still route
 		// via reachability below.
 	}
-	r, err := route.NewFaultyRouter(nw.topo.LinkPerms, route.FaultSpec{})
+	r, err := route.NewFaultyRouter(nw.topo.LinkPerms, nil)
 	if err != nil {
 		return Path{}, err
 	}

@@ -259,6 +259,13 @@ func TestSimulateBufferedEndpoint(t *testing.T) {
 			t.Errorf("body %s: status %d, want 400", bad, rec.Code)
 		}
 	}
+	// Past the fabric's stage bound a simulation is a 400, not a fatal
+	// out-of-memory, even where the operator admits the size.
+	big := testHandler(Config{MaxStages: 16})
+	rec = do(t, big, "POST", "/v1/simulate", `{"network":"omega","stages":15,"waves":1}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds the fabric bound of 14") {
+		t.Errorf("15-stage simulate: status %d body %s, want 400", rec.Code, rec.Body)
+	}
 }
 
 // TestSimulateCancellation: a client that disconnects mid-simulation
