@@ -406,7 +406,7 @@ func BenchmarkEngineBuffered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.BufferedConfig{Load: 0.6, Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20}
+	cfg := sim.BufferedConfig{Pattern: sim.Bernoulli(0.6), Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.RunBuffered(context.Background(), f, cfg, 8, engine.Config{Seed: 3}); err != nil {
@@ -424,7 +424,7 @@ func BenchmarkBufferedRunner(b *testing.B) {
 		b.Fatal(err)
 	}
 	runner, err := f.NewBufferedRunner(sim.BufferedConfig{
-		Load: 0.8, Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20,
+		Pattern: sim.Bernoulli(0.8), Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -649,7 +649,7 @@ func BenchmarkSimBuffered(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.RunBuffered(sim.BufferedConfig{Load: 0.6, Queue: 4, Cycles: 200, Warmup: 20}, rng); err != nil {
+		if _, err := f.RunBuffered(sim.BufferedConfig{Pattern: sim.Bernoulli(0.6), Queue: 4, Cycles: 200, Warmup: 20}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

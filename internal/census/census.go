@@ -7,16 +7,16 @@
 //
 // The enumeration space is the square of the set of valid connections
 // (6.35M graphs at n = 3), so the census shards the outer connection
-// across a worker pool and merges partial tallies over a channel.
+// over internal/shard and merges the workers' partial tallies.
 package census
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"minequiv/internal/midigraph"
+	"minequiv/internal/shard"
 )
 
 // Connections enumerates every valid connection (f,g) on 2^m cells:
@@ -89,61 +89,48 @@ func signature(g *midigraph.Graph) string {
 
 // Run enumerates every n-stage MI-digraph whose connections come from
 // the valid-connection set and tallies the properties. Only n = 2 and
-// n = 3 are feasible (6 and ~6.35M graphs respectively). Workers <= 0
-// selects GOMAXPROCS.
+// n = 3 are feasible (6 and ~6.35M graphs respectively). Each first
+// connection is one unit on shard.Run (workers <= 0 selects
+// GOMAXPROCS); at n = 3 a unit is tallied against every second
+// connection. Per-worker tallies merge by exact addition, so the result
+// is the same for any worker count.
 func Run(n int, workers int) (Result, error) {
 	if n != 2 && n != 3 {
 		return Result{}, fmt.Errorf("census: exhaustive run supports n in {2,3}, got %d", n)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	conns := Connections(n - 1)
+	type part struct {
+		res Result
+		a   *midigraph.Analyzer
 	}
-	m := n - 1
-	conns := Connections(m)
-	res := Result{N: n, SignatureCounts: map[string]uint64{}}
-
-	if n == 2 {
-		a := midigraph.NewAnalyzer()
-		for _, c := range conns {
-			tally(&res, a, graphFromConns(n, [][2][]uint8{c}))
-		}
-		res.finish()
-		return res, nil
-	}
-
-	// n == 3: shard the first connection across workers.
-	jobs := make(chan int, workers)
-	parts := make(chan Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := Result{SignatureCounts: map[string]uint64{}}
-			a := midigraph.NewAnalyzer()
-			for i := range jobs {
-				for _, second := range conns {
-					tally(&p, a, graphFromConns(n, [][2][]uint8{conns[i], second}))
-				}
+	parts, err := shard.Run(context.Background(), workers, len(conns),
+		func() *part {
+			return &part{res: Result{SignatureCounts: map[string]uint64{}}, a: midigraph.NewAnalyzer()}
+		},
+		func(i int, p *part) error {
+			if n == 2 {
+				tally(&p.res, p.a, graphFromConns(n, conns[i]))
+				return nil
 			}
-			parts <- p
-		}()
+			for _, second := range conns {
+				tally(&p.res, p.a, graphFromConns(n, conns[i], second))
+			}
+			return nil
+		})
+	if err != nil {
+		return Result{}, err
 	}
-	for i := range conns {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(parts)
-	for p := range parts {
-		res.Valid += p.Valid
-		res.Banyan += p.Banyan
-		res.Equivalent += p.Equivalent
-		for k, v := range p.SignatureCounts {
+	res := Result{N: n, SignatureCounts: map[string]uint64{}}
+	for _, p := range parts {
+		res.Valid += p.res.Valid
+		res.Banyan += p.res.Banyan
+		res.Equivalent += p.res.Equivalent
+		for k, v := range p.res.SignatureCounts {
 			res.SignatureCounts[k] += v
 		}
 	}
-	res.finish()
+	res.BanyanNotEquiv = res.Banyan - res.Equivalent
+	res.SignatureClasses = len(res.SignatureCounts)
 	return res, nil
 }
 
@@ -160,12 +147,7 @@ func tally(res *Result, a *midigraph.Analyzer, g *midigraph.Graph) {
 	}
 }
 
-func (r *Result) finish() {
-	r.BanyanNotEquiv = r.Banyan - r.Equivalent
-	r.SignatureClasses = len(r.SignatureCounts)
-}
-
-func graphFromConns(n int, conns [][2][]uint8) *midigraph.Graph {
+func graphFromConns(n int, conns ...[2][]uint8) *midigraph.Graph {
 	g := midigraph.New(n)
 	for s, c := range conns {
 		for x := range c[0] {

@@ -21,10 +21,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"minequiv/internal/shard"
 	"minequiv/internal/sim"
 )
 
@@ -79,60 +77,6 @@ func (c Config) resolve(f *sim.Fabric) (plan *sim.FaultPlan, bit bool, err error
 	return nil, false, fmt.Errorf("engine: unknown kernel %d", uint8(c.Kernel))
 }
 
-func (c Config) workers(units int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > units {
-		w = units
-	}
-	return w
-}
-
-// shard runs fn(u, scratch) for every unit u in [0, units) across the
-// configured worker count, each worker claiming units from a shared
-// atomic counter with its own scratch, and returns the workers'
-// scratches. The first error aborts remaining units. Cancelling ctx
-// stops every worker at its next unit boundary (a unit is never
-// interrupted by shard itself) and ctx.Err() is returned.
-func shard[S any](ctx context.Context, cfg Config, units int, scratch func() S, fn func(u int, sc S) error) ([]S, error) {
-	nw := cfg.workers(units)
-	var next atomic.Int64
-	var failed atomic.Bool
-	scs := make([]S, nw)
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for wk := 0; wk < nw; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			scs[wk] = scratch()
-			for !failed.Load() {
-				if ctx.Err() != nil {
-					return
-				}
-				u := int(next.Add(1)) - 1
-				if u >= units {
-					return
-				}
-				if err := fn(u, scs[wk]); err != nil {
-					errs[wk] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return scs, ctx.Err()
-}
-
 // WaveStats aggregates a sharded run of independent waves.
 type WaveStats struct {
 	Waves        int
@@ -182,7 +126,7 @@ func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int
 		ex   *executor
 		part WavePartial
 	}
-	workers, err := shard(ctx, cfg, (waves+unit-1)/unit,
+	workers, err := shard.Run(ctx, cfg.Workers, (waves+unit-1)/unit,
 		func() *worker { return &worker{ex: newExecutor(f, pattern, cfg.Seed, plan, bit)} },
 		func(u int, w *worker) error {
 			return w.ex.run(ctx, u*unit, min((u+1)*unit, waves), &w.part)
@@ -260,7 +204,7 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 	// runner-owned StageOccupancy into its own slot so the worker's
 	// next replication cannot overwrite it, without per-trial allocs.
 	occ := make([]float64, reps*f.Spans)
-	_, err = shard(ctx, cfg, reps,
+	_, err = shard.Run(ctx, cfg.Workers, reps,
 		func() *bufScratch {
 			r, _ := f.NewBufferedRunner(bc)
 			sc := &bufScratch{runner: r}

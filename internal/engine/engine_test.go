@@ -51,8 +51,8 @@ func TestWaveDeterminismAcrossWorkers(t *testing.T) {
 func TestBufferedDeterminismAcrossWorkers(t *testing.T) {
 	f := fabricFor(t, topology.NameBaseline, 4)
 	for _, cfg := range []sim.BufferedConfig{
-		{Load: 0.7, Queue: 3, Cycles: 300, Warmup: 30},
-		{Load: 1.0, Queue: 2, Lanes: 3, Cycles: 300, Warmup: 30, Arbiter: sim.ArbRoundRobin},
+		{Pattern: sim.Bernoulli(0.7), Queue: 3, Cycles: 300, Warmup: 30},
+		{Pattern: sim.Bernoulli(1.0), Queue: 2, Lanes: 3, Cycles: 300, Warmup: 30, Arbiter: sim.ArbRoundRobin},
 		{Queue: 2, Lanes: 2, Cycles: 200, Warmup: 20, Pattern: sim.Thinned(0.5, sim.Transpose())},
 	} {
 		base, err := RunBuffered(context.Background(), f, cfg, 12, Config{Workers: 1, Seed: 11})
@@ -113,7 +113,7 @@ func TestWaveStatsTrackAnalytic(t *testing.T) {
 // dispersion.
 func TestBufferedStatsAggregate(t *testing.T) {
 	f := fabricFor(t, topology.NameFlip, 4)
-	cfg := sim.BufferedConfig{Load: 0.4, Queue: 4, Cycles: 500, Warmup: 50}
+	cfg := sim.BufferedConfig{Pattern: sim.Bernoulli(0.4), Queue: 4, Cycles: 500, Warmup: 50}
 	st, err := RunBuffered(context.Background(), f, cfg, 6, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := RunWaves(context.Background(), f, sim.Uniform(), 0, Config{}); err == nil {
 		t.Error("zero waves accepted")
 	}
-	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Load: 0.5, Queue: 1, Cycles: 10}, 0, Config{}); err == nil {
+	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Pattern: sim.Bernoulli(0.5), Queue: 1, Cycles: 10}, 0, Config{}); err == nil {
 		t.Error("zero replications accepted")
 	}
 	// A trial error (out-of-range destination) must propagate out of
@@ -181,8 +181,8 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := RunWaves(context.Background(), f, bad, 16, Config{Workers: 4}); err == nil {
 		t.Error("out-of-range traffic accepted")
 	}
-	// An invalid buffered config must propagate too.
-	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Load: 2, Queue: 1, Cycles: 10}, 4, Config{Workers: 2}); err == nil {
+	// An invalid buffered config (no traffic pattern) must propagate too.
+	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Queue: 1, Cycles: 10}, 4, Config{Workers: 2}); err == nil {
 		t.Error("invalid buffered config accepted")
 	}
 }
@@ -197,7 +197,7 @@ func TestCancellation(t *testing.T) {
 	if _, err := RunWaves(ctx, f, sim.Uniform(), 1<<20, Config{Workers: 2, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	bc := sim.BufferedConfig{Load: 0.9, Queue: 4, Cycles: 200, Warmup: 20}
+	bc := sim.BufferedConfig{Pattern: sim.Bernoulli(0.9), Queue: 4, Cycles: 200, Warmup: 20}
 	if _, err := RunBuffered(ctx, f, bc, 1<<16, Config{Workers: 2, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("buffered: want context.Canceled, got %v", err)
 	}
@@ -276,7 +276,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	bc := sim.BufferedConfig{Load: 0.8, Queue: 3, Lanes: 2, Cycles: 250, Warmup: 25}
+	bc := sim.BufferedConfig{Pattern: sim.Bernoulli(0.8), Queue: 3, Lanes: 2, Cycles: 250, Warmup: 25}
 	bbase, err := RunBuffered(context.Background(), f, bc, 8, Config{Workers: 1, Seed: 22, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestFaultsDoNotPerturbTraffic(t *testing.T) {
 	// offered-attempt sequence (Injected + Rejected) is identical with
 	// and without a plan — faults change acceptance and delivery, never
 	// what the sources offer.
-	bc := sim.BufferedConfig{Load: 0.8, Queue: 2, Cycles: 300, Warmup: 30}
+	bc := sim.BufferedConfig{Pattern: sim.Bernoulli(0.8), Queue: 2, Cycles: 300, Warmup: 30}
 	bIntact, err := RunBuffered(context.Background(), f, bc, 6, Config{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestFaultReproducibleFromSeedAndPlan(t *testing.T) {
 		Config{Seed: 5, Faults: &sim.FaultPlan{SwitchDeadRate: 2}}); err == nil {
 		t.Fatal("invalid fault rate accepted")
 	}
-	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Load: 0.5, Queue: 2, Cycles: 20}, 2,
+	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Pattern: sim.Bernoulli(0.5), Queue: 2, Cycles: 20}, 2,
 		Config{Seed: 5, Faults: &sim.FaultPlan{Faults: []sim.Fault{{Kind: sim.LinkDown, Stage: 9, Link: 0}}}}); err == nil {
 		t.Fatal("out-of-range fault accepted")
 	}

@@ -1,63 +1,19 @@
 package equiv
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"context"
 
 	"minequiv/internal/midigraph"
+	"minequiv/internal/shard"
 )
-
-// shardIndices mirrors internal/engine's sharding discipline: workers
-// claim indices from a shared atomic counter, every result lands in
-// per-index storage owned by the caller's fn, and the first error in
-// *index order* is returned after all workers drain — so both results
-// and errors are deterministic for any worker count.
-func shardIndices(workers, n int, fn func(idx int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				idx := int(next.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				if err := fn(idx); err != nil {
-					errs[idx] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ForEachPair runs fn over every unordered pair {i, j}, i <= j, of
 // [0, count), sharded across workers (<= 0 means GOMAXPROCS). fn must
 // write any result into per-pair storage; results are deterministic
 // because storage is indexed, and the returned error is the first one
-// in pair-scan order. Used by the pairwise sweeps here and by the
-// experiment harness's catalog matrices.
+// in pair-scan order (shard.Run reports the lowest failing unit). Used
+// by the pairwise sweeps here and by the experiment harness's catalog
+// matrices.
 func ForEachPair(count, workers int, fn func(i, j int) error) error {
 	pairs := make([][2]int, 0, count*(count+1)/2)
 	for i := 0; i < count; i++ {
@@ -65,9 +21,10 @@ func ForEachPair(count, workers int, fn func(i, j int) error) error {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	return shardIndices(workers, len(pairs), func(idx int) error {
-		return fn(pairs[idx][0], pairs[idx][1])
-	})
+	_, err := shard.Run(context.Background(), workers, len(pairs),
+		func() struct{} { return struct{}{} },
+		func(idx int, _ struct{}) error { return fn(pairs[idx][0], pairs[idx][1]) })
+	return err
 }
 
 // PairwiseEquivalent computes the full topological-equivalence matrix of
@@ -94,10 +51,12 @@ func PairwiseEquivalent(graphs []*midigraph.Graph, workers int) ([][]bool, error
 	}
 	// Phase 1: one characterization per graph, sharded.
 	base := make([]bool, k)
-	_ = shardIndices(workers, k, func(i int) error {
-		base[i] = IsBaselineEquivalent(graphs[i])
-		return nil
-	})
+	_, _ = shard.Run(context.Background(), workers, k,
+		func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) error {
+			base[i] = IsBaselineEquivalent(graphs[i])
+			return nil
+		})
 	// Phase 2: pairwise decisions, oracle only where the theory is silent.
 	err := ForEachPair(k, workers, func(i, j int) error {
 		if i == j {

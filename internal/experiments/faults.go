@@ -104,7 +104,7 @@ func RunT16(w io.Writer) error {
 			cfg.Faults = &sim.FaultPlan{SwitchDeadRate: rate}
 		}
 		st, err := engine.RunBuffered(context.Background(), omega, sim.BufferedConfig{
-			Load: 0.7, Queue: 4, Cycles: cycles, Warmup: warmup,
+			Pattern: sim.Bernoulli(0.7), Queue: 4, Cycles: cycles, Warmup: warmup,
 		}, reps, cfg)
 		if err != nil {
 			return err

@@ -36,7 +36,7 @@ func RunT15(w io.Writer) error {
 		"load", "throughput", "mean latency", "p50/p95/p99", "rejected")
 	for _, load := range loads {
 		st, err := engine.RunBuffered(context.Background(), f, sim.BufferedConfig{
-			Load: load, Queue: 4, Cycles: cycles, Warmup: warmup,
+			Pattern: sim.Bernoulli(load), Queue: 4, Cycles: cycles, Warmup: warmup,
 		}, reps, cfg)
 		if err != nil {
 			return err
@@ -53,7 +53,7 @@ func RunT15(w io.Writer) error {
 		"lanes", "queue", "throughput", "mean latency", "p99")
 	for _, v := range []struct{ lanes, queue int }{{1, 8}, {2, 4}, {4, 2}, {8, 1}} {
 		st, err := engine.RunBuffered(context.Background(), f, sim.BufferedConfig{
-			Load: 1.0, Queue: v.queue, Lanes: v.lanes, Cycles: cycles, Warmup: warmup,
+			Pattern: sim.Bernoulli(1.0), Queue: v.queue, Lanes: v.lanes, Cycles: cycles, Warmup: warmup,
 		}, reps, cfg)
 		if err != nil {
 			return err

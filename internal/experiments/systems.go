@@ -86,7 +86,7 @@ func RunT7(w io.Writer) error {
 			return err
 		}
 		st, err := engine.RunBuffered(context.Background(), f, sim.BufferedConfig{
-			Load: 0.6, Queue: 4, Cycles: 2000, Warmup: 200,
+			Pattern: sim.Bernoulli(0.6), Queue: 4, Cycles: 2000, Warmup: 200,
 		}, reps, engine.Config{Seed: 43})
 		if err != nil {
 			return err

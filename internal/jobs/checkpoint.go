@@ -192,6 +192,20 @@ func readLog(path string) ([]logRecord, int64, error) {
 	return recs, off, nil
 }
 
+// encodeFrame builds the shards.log frame of one record.
+func encodeFrame(rec logRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, frameHeader+len(payload))
+	frame[0], frame[1] = logMagic[0], logMagic[1]
+	binary.LittleEndian.PutUint32(frame[2:6], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(payload))
+	copy(frame[frameHeader:], payload)
+	return frame, nil
+}
+
 // append frames, writes, and fsyncs one record. The scheduler ignores
 // its error: scheduling state never depends on the append having
 // happened, and a lost frame only means the shard re-runs after a
@@ -200,15 +214,10 @@ func (st *store) append(rec logRecord) error {
 	if st == nil {
 		return nil
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	frame[0], frame[1] = logMagic[0], logMagic[1]
-	binary.LittleEndian.PutUint32(frame[2:6], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {

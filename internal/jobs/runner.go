@@ -49,11 +49,11 @@ func (fc *fabricCache) get(network string, stages int) (*sim.Fabric, error) {
 }
 
 // DefaultRunner returns the production Runner: it compiles (and
-// caches) the cell's fabric, resolves the scenario — composing
-// Thinned(load) around patterns that are not load-aware, exactly as
-// min.Simulate does — and hands the range to engine.RunWaveRange with
-// the cell's derived seed root. Fabrics are shared across shards, and
-// sim fabrics are safe for concurrent runners by construction.
+// caches) the cell's fabric, resolves the scenario at the cell's load
+// through sim.Scenario.Traffic, the rule min.Simulate uses too, and
+// hands the range to engine.RunWaveRange with the cell's derived seed
+// root. Fabrics are shared across shards, and sim fabrics are safe for
+// concurrent runners by construction.
 func DefaultRunner() Runner {
 	fc := &fabricCache{}
 	return func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
@@ -67,10 +67,7 @@ func DefaultRunner() Runner {
 		}
 		params := sim.DefaultScenarioParams()
 		params.Load = cell.Load
-		pattern := sc.New(params)
-		if !sc.LoadAware && cell.Load < 1 {
-			pattern = sim.Thinned(cell.Load, pattern)
-		}
+		pattern := sc.Traffic(params)
 		kernel, err := engine.ParseKernel(cell.Kernel)
 		if err != nil {
 			return engine.WavePartial{}, err

@@ -19,6 +19,7 @@ import (
 var DeterministicPackages = []string{
 	"minequiv/internal/sim",
 	"minequiv/internal/engine",
+	"minequiv/internal/shard",
 	"minequiv/internal/equiv",
 	"minequiv/internal/midigraph",
 	"minequiv/internal/experiments",

@@ -224,10 +224,10 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	// pack into one word, and after the pivot word 16q+b is exactly
 	// plane b's lane word for source src+q. This replaces a per-lane
 	// per-bit scatter (64*Spans dependent ops per source) with ~1/3 the
-	// work in straight-line word ops.
+	// work in straight-line word ops. N is a multiple of 4, since
+	// NewFabric compiles at least two stages.
 	var blk [64]uint64
-	src := 0
-	for ; src+3 < N; src += 4 {
+	for src := 0; src < N; src += 4 {
 		// Sources src and src+1 share tag row a, src+2 and src+3 row b.
 		rowA := f.pathTag[(src>>1)*N : (src>>1+1)*N]
 		rowB := f.pathTag[(src>>1+1)*N : (src>>1+2)*N]
@@ -259,28 +259,6 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 			r.tag[b][src+1] = blk[16+b]
 			r.tag[b][src+2] = blk[32+b]
 			r.tag[b][src+3] = blk[48+b]
-		}
-	}
-	// Tail for N < 4 (two-stage fabrics): direct per-bit scatter.
-	for ; src < N; src++ {
-		row := f.pathTag[(src>>1)*N : (src>>1+1)*N]
-		col := r.dstAll[src*64 : src*64+64]
-		var lv uint64
-		for b := 0; b < n; b++ {
-			blk[b] = 0
-		}
-		for j := 0; j < 64; j++ {
-			d := col[j]
-			valid := uint64(uint32(^d) >> 31)
-			tag := uint64(row[d&^(d>>31)]) & -valid
-			lv |= valid << uint(j)
-			for b := 0; b < n; b++ {
-				blk[b] |= (tag >> uint(b) & 1) << uint(j)
-			}
-		}
-		r.live[src] = lv & laneMask
-		for b := 0; b < n; b++ {
-			r.tag[b][src] = blk[b]
 		}
 	}
 	// Pivot each salt block from per-wave rows to per-cell lane words:

@@ -133,11 +133,14 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 		{"bit-reversal", BitReversal()},
 	}
 	for _, name := range append(topology.Names(), portSwapped) {
-		for _, n := range []int{3, 5} {
+		for _, n := range []int{2, 3, 5} {
 			f := bitCaseFabric(t, name, n)
 			wr := f.NewWaveRunner()
 			br := bitRunnerFor(t, f)
 			for _, pl := range plans {
+				if pl.plan.Validate(f.Spans) != nil {
+					continue // the pinned plan names stage 2, past a 2-stage fabric
+				}
 				for _, tr := range traffics {
 					for _, lanes := range []int{1, 5, 64} {
 						const seed, fseed = 0xABCD, 0xF00D

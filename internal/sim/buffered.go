@@ -56,20 +56,16 @@ func (l LanePolicy) String() string {
 
 // BufferedConfig parametrizes the queued (store-and-forward) simulation.
 type BufferedConfig struct {
-	Load   float64 // Bernoulli injection probability per input per cycle (when Pattern is nil)
-	Queue  int     // FIFO capacity per lane
-	Lanes  int     // FIFO lanes per switch input port; 0 means 1
-	Cycles int     // measured cycles
-	Warmup int     // cycles discarded before measuring
+	Queue  int // FIFO capacity per lane
+	Lanes  int // FIFO lanes per switch input port; 0 means 1
+	Cycles int // measured cycles
+	Warmup int // cycles discarded before measuring
 
 	// Pattern generates one cycle of injections: dsts[i] >= 0 offers a
-	// packet at input i. Any registry scenario works (compose with
-	// Thinned to control offered load). When nil, the legacy
-	// Load/HotSpot/HotDst fields define the pattern.
+	// packet at input i. It is required. Any registry scenario works;
+	// Scenario.Traffic sets its offered load (Bernoulli(load) is the
+	// classic uniform source).
 	Pattern Traffic
-
-	HotSpot float64 // probability of addressing the hot output (0 = uniform; Pattern nil only)
-	HotDst  int     // the hot output terminal (Pattern nil only)
 
 	Arbiter    ArbiterPolicy // output-port arbitration between the two inputs
 	LaneSelect LanePolicy    // lane choice on enqueue
@@ -125,12 +121,11 @@ type BufferedResult struct {
 // undeliverable heads are dropped and counted instead of stalling the
 // lane forever.
 type BufferedRunner struct {
-	f       *Fabric
-	faults  *FaultState
-	cfg     BufferedConfig
-	pattern Traffic
-	lanes   int
-	cap     int
+	f      *Fabric
+	faults *FaultState
+	cfg    BufferedConfig
+	lanes  int
+	cap    int
 
 	// Ring-buffer FIFOs, flat over (stage, port, lane):
 	// fifo i occupies buf[i*cap : (i+1)*cap] with head[i]/count[i].
@@ -158,8 +153,8 @@ type BufferedRunner struct {
 
 // Validate checks the configuration without sizing any buffers.
 func (c BufferedConfig) Validate() error {
-	if c.Load < 0 || c.Load > 1 {
-		return fmt.Errorf("sim: load %v out of [0,1]", c.Load)
+	if c.Pattern == nil {
+		return fmt.Errorf("sim: buffered config needs a traffic pattern")
 	}
 	if c.Queue < 1 {
 		return fmt.Errorf("sim: queue capacity must be >= 1")
@@ -192,14 +187,6 @@ func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pattern := cfg.Pattern
-	if pattern == nil {
-		if cfg.HotSpot > 0 {
-			pattern = Thinned(cfg.Load, HotSpot(cfg.HotDst, cfg.HotSpot))
-		} else {
-			pattern = Bernoulli(cfg.Load)
-		}
-	}
 	lanes := cfg.lanes()
 	ports := f.Spans * f.H * 2
 	fifos := ports * lanes
@@ -210,7 +197,6 @@ func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) 
 		injRng:     rand.New(injSrc),
 		f:          f,
 		cfg:        cfg,
-		pattern:    pattern,
 		lanes:      lanes,
 		cap:        cfg.Queue,
 		buf:        make([]Packet, fifos*cfg.Queue),
@@ -361,7 +347,7 @@ func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
 			}
 		}
 		// Injection, on the dedicated stream.
-		r.pattern(r.dsts, r.injRng)
+		r.cfg.Pattern(r.dsts, r.injRng)
 		for t := 0; t < f.N; t++ {
 			dst := r.dsts[t]
 			if dst < 0 {

@@ -14,7 +14,7 @@ func TestBufferedRunnerMatchesOneShot(t *testing.T) {
 	// rng streams, so results must agree replication for replication —
 	// the reuse contract the engine depends on.
 	f := fabricFor(t, topology.NameOmega, 4)
-	cfg := BufferedConfig{Load: 0.8, Queue: 2, Lanes: 3, Cycles: 400, Warmup: 40}
+	cfg := BufferedConfig{Pattern: Bernoulli(0.8), Queue: 2, Lanes: 3, Cycles: 400, Warmup: 40}
 	runner, err := f.NewBufferedRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestBufferedSaturationQueueOne(t *testing.T) {
 	// single slot.
 	rng := rand.New(rand.NewPCG(30, 0))
 	f := fabricFor(t, topology.NameBaseline, 4)
-	res, err := f.RunBuffered(BufferedConfig{Load: 1.0, Queue: 1, Cycles: 2000, Warmup: 200}, rng)
+	res, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(1.0), Queue: 1, Cycles: 2000, Warmup: 200}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBufferedMultiLaneBeatsSingleLane(t *testing.T) {
 	th := func(lanes, queue int) float64 {
 		t.Helper()
 		res, err := f.RunBuffered(BufferedConfig{
-			Load: 1.0, Queue: queue, Lanes: lanes, Cycles: 4000, Warmup: 400,
+			Pattern: Bernoulli(1.0), Queue: queue, Lanes: lanes, Cycles: 4000, Warmup: 400,
 		}, rand.New(rand.NewPCG(31, 0)))
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestBufferedLanePolicies(t *testing.T) {
 	f := fabricFor(t, topology.NameBaseline, 4)
 	for _, lp := range []LanePolicy{LaneShortest, LaneByDst, LaneRandom} {
 		res, err := f.RunBuffered(BufferedConfig{
-			Load: 0.9, Queue: 2, Lanes: 2, Cycles: 1000, Warmup: 100, LaneSelect: lp,
+			Pattern: Bernoulli(0.9), Queue: 2, Lanes: 2, Cycles: 1000, Warmup: 100, LaneSelect: lp,
 		}, rand.New(rand.NewPCG(32, 0)))
 		if err != nil {
 			t.Fatalf("%v: %v", lp, err)
@@ -142,7 +142,7 @@ func TestBufferedRoundRobinStatePerStage(t *testing.T) {
 	// every stage must have exercised its own slice of the state.
 	f := fabricFor(t, topology.NameOmega, 4)
 	r, err := f.NewBufferedRunner(BufferedConfig{
-		Load: 1.0, Queue: 2, Lanes: 3, Cycles: 500, Warmup: 0, Arbiter: ArbRoundRobin,
+		Pattern: Bernoulli(1.0), Queue: 2, Lanes: 3, Cycles: 500, Warmup: 0, Arbiter: ArbRoundRobin,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestBufferedDroppedCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := f.RunBuffered(BufferedConfig{
-		Load: 1.0, Queue: 4, Cycles: 1000, Warmup: 0,
+		Pattern: Bernoulli(1.0), Queue: 4, Cycles: 1000, Warmup: 0,
 	}, rand.New(rand.NewPCG(33, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestBufferedDroppedCounted(t *testing.T) {
 	// A Banyan fabric drops nothing.
 	banyan := fabricFor(t, topology.NameOmega, 4)
 	bres, err := banyan.RunBuffered(BufferedConfig{
-		Load: 0.9, Queue: 2, Cycles: 1000, Warmup: 100,
+		Pattern: Bernoulli(0.9), Queue: 2, Cycles: 1000, Warmup: 100,
 	}, rand.New(rand.NewPCG(34, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBufferedPatternDriven(t *testing.T) {
 func TestBufferedPercentilesAndOccupancy(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 5)
 	res, err := f.RunBuffered(BufferedConfig{
-		Load: 0.9, Queue: 4, Cycles: 2000, Warmup: 200,
+		Pattern: Bernoulli(0.9), Queue: 4, Cycles: 2000, Warmup: 200,
 	}, rand.New(rand.NewPCG(36, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -286,21 +286,20 @@ func TestBufferedThinnedTraffic(t *testing.T) {
 func TestBufferedRunnerConfigValidation(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 3)
 	bad := []BufferedConfig{
-		{Load: -0.1, Queue: 2, Cycles: 10},
-		{Load: 1.5, Queue: 2, Cycles: 10},
-		{Load: 0.5, Queue: 0, Cycles: 10},
-		{Load: 0.5, Queue: 2, Cycles: 0},
-		{Load: 0.5, Queue: 2, Cycles: 10, Lanes: -1},
-		{Load: 0.5, Queue: 2, Cycles: 10, Warmup: -1},
-		{Load: 0.5, Queue: 2, Cycles: 10, Arbiter: ArbiterPolicy(7)},
-		{Load: 0.5, Queue: 2, Cycles: 10, LaneSelect: LanePolicy(7)},
+		{Queue: 2, Cycles: 10},
+		{Pattern: Bernoulli(0.5), Queue: 0, Cycles: 10},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 0},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10, Lanes: -1},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10, Warmup: -1},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10, Arbiter: ArbiterPolicy(7)},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10, LaneSelect: LanePolicy(7)},
 	}
 	for _, cfg := range bad {
 		if _, err := f.NewBufferedRunner(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	r, err := f.NewBufferedRunner(BufferedConfig{Load: 0.5, Queue: 2, Cycles: 10})
+	r, err := f.NewBufferedRunner(BufferedConfig{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,8 +117,9 @@ func identityPerms(n int) []perm.Perm {
 
 // TestFabricCompileGolden hashes the compiled tables of the catalog
 // networks (n = 2..8), the tail cycle (n = 3..6) and three kinds of
-// non-Banyan wiring against committed digests, and checks each case's
-// Banyan verdict against the path-count oracle.
+// non-Banyan wiring against committed digests, checks each case's
+// Banyan verdict against the path-count oracle, and checks that a
+// Banyan fabric retains only its own tag rows.
 func TestFabricCompileGolden(t *testing.T) {
 	for family, wirings := range compileCases(t) {
 		h := sha256.New()
@@ -132,6 +133,11 @@ func TestFabricCompileGolden(t *testing.T) {
 			}
 			if f.Banyan() == nonBanyanFamilies[family] {
 				t.Errorf("%s n=%d: Banyan() = %t, against the family's intent", family, f.Spans, f.Banyan())
+			}
+			// The kept tag half is its own allocation: the other half
+			// of the compile's ping-pong must not stay reachable.
+			if f.Banyan() && cap(f.pathTag) != f.H*f.N {
+				t.Errorf("%s n=%d: cap(pathTag) = %d, want %d", family, f.Spans, cap(f.pathTag), f.H*f.N)
 			}
 			hashFabric(h, family, f)
 		}

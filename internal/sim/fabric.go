@@ -66,8 +66,10 @@ type Fabric struct {
 }
 
 // MaxFabricStages bounds the stage count NewFabric compiles. The port
-// tables hold n·2^(2n-1) bytes and the tag buffer 2^(2n) uint16s: 14
-// stages need ~2.4 GB, 15 would need ~10 GB.
+// tables hold n·2^(2n-1) bytes and the two tag halves 2^(2n-1) uint16s
+// each, so the peak during a compile is ~2.4 GB at 14 stages and would
+// be ~10 GB at 15. Once compiled, a Banyan fabric keeps the port tables
+// and one tag half (~2.1 GB at 14 stages); the other half is garbage.
 const MaxFabricStages = 14
 
 // NewFabric compiles the per-stage kernels in one backward pass over
@@ -84,10 +86,14 @@ const MaxFabricStages = 14
 // fabric non-Banyan. No other check is needed: a stage-0 cell has N
 // port sequences to the terminals, so when no cell ever offers both
 // ports for one destination they end at N distinct terminals, and
-// every stage-0 cell reaches every destination. Fabrics of more than
-// MaxFabricStages stages are refused before anything is allocated.
+// every stage-0 cell reaches every destination. Fabrics of fewer than
+// two or more than MaxFabricStages stages are refused before anything
+// is allocated.
 func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	n := len(perms) + 1
+	if n < 2 {
+		return nil, fmt.Errorf("sim: a fabric needs at least 2 stages, got %d", n)
+	}
 	if n > MaxFabricStages {
 		return nil, fmt.Errorf("sim: %d stages exceeds the fabric bound of %d", n, MaxFabricStages)
 	}
@@ -99,11 +105,11 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		}
 	}
 	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
-	// Tag rows ping-pong between the two halves of one N²-tag buffer:
-	// stage s writes half[s&1], so stage 0 lands in the first half. A
-	// tag is a uint16, which MaxFabricStages keeps every fabric within.
-	tags := make([]uint16, N*N)
-	half := [2][]uint16{tags[:h*N], tags[h*N:]}
+	// Tag rows ping-pong between two separately allocated halves: stage
+	// s writes half[s&1], so stage 0 lands in half[0], which the fabric
+	// keeps, and half[1] can be freed after the compile. A tag is a
+	// uint16, which MaxFabricStages keeps every fabric within.
+	half := [2][]uint16{make([]uint16, h*N), make([]uint16, h*N)}
 	// Last stage: cell c reaches terminals 2c and 2c+1 by dst parity.
 	last := make([]uint8, h*N)
 	for i := range last {

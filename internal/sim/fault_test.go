@@ -257,7 +257,7 @@ func TestFaultPlanValidate(t *testing.T) {
 // delivering, and an inactive state leaves results byte-identical.
 func TestFaultBufferedDeadSwitch(t *testing.T) {
 	f := omegaFabric(t, 4)
-	cfg := BufferedConfig{Load: 0.7, Queue: 4, Cycles: 400, Warmup: 50}
+	cfg := BufferedConfig{Pattern: Bernoulli(0.7), Queue: 4, Cycles: 400, Warmup: 50}
 	run := func(fs *FaultState) BufferedResult {
 		r, err := f.NewBufferedRunner(cfg)
 		if err != nil {
@@ -309,7 +309,7 @@ func TestSetFaultsWrongFabric(t *testing.T) {
 	if err := a.NewWaveRunner().SetFaults(fs); err == nil {
 		t.Fatal("wave runner accepted a fault state sized for 4 stages")
 	}
-	br, err := a.NewBufferedRunner(BufferedConfig{Load: 0.5, Queue: 2, Cycles: 10})
+	br, err := a.NewBufferedRunner(BufferedConfig{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

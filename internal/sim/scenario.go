@@ -33,10 +33,21 @@ type Scenario struct {
 	Description string
 	New         func(p ScenarioParams) Traffic
 	// LoadAware marks scenarios that consume ScenarioParams.Load
-	// themselves; the rest inject at every input, and consumers that
-	// need a lower offered load (the buffered model, minsim -load)
-	// compose them with Thinned.
+	// themselves; the rest inject at every input, and Traffic thins
+	// them to the offered load.
 	LoadAware bool
+}
+
+// Traffic is the one rule by which a scenario meets an offered load:
+// New(p), thinned to p.Load unless the scenario is LoadAware. Since
+// Thinned(1, t) is t, a full load leaves every scenario as New builds
+// it.
+func (s Scenario) Traffic(p ScenarioParams) Traffic {
+	t := s.New(p)
+	if s.LoadAware {
+		return t
+	}
+	return Thinned(p.Load, t)
 }
 
 var scenarios = []Scenario{

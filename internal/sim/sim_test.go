@@ -31,6 +31,11 @@ func TestFabricShapes(t *testing.T) {
 	if _, err := NewFabric([]perm.Perm{perm.Identity(4), perm.Identity(8)}); err == nil {
 		t.Error("mismatched perm sizes accepted")
 	}
+	// A 1-stage fabric is refused like every caller refuses it.
+	wantMin := "sim: a fabric needs at least 2 stages, got 1"
+	if _, err := NewFabric(nil); err == nil || err.Error() != wantMin {
+		t.Errorf("1-stage fabric: err %v, want %q", err, wantMin)
+	}
 	// Past MaxFabricStages the tables would not fit in memory: the
 	// compile is refused before it allocates them.
 	want := "sim: 15 stages exceeds the fabric bound of 14"
@@ -367,7 +372,7 @@ func TestWaveRunnerMatchesOneShot(t *testing.T) {
 func TestBufferedConservationAndLatency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0))
 	f := fabricFor(t, topology.NameOmega, 4)
-	cfg := BufferedConfig{Load: 0.3, Queue: 4, Cycles: 2000, Warmup: 200}
+	cfg := BufferedConfig{Pattern: Bernoulli(0.3), Queue: 4, Cycles: 2000, Warmup: 200}
 	res, err := f.RunBuffered(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -396,11 +401,11 @@ func TestBufferedConservationAndLatency(t *testing.T) {
 func TestBufferedSaturation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 0))
 	f := fabricFor(t, topology.NameBaseline, 4)
-	low, err := f.RunBuffered(BufferedConfig{Load: 0.2, Queue: 4, Cycles: 1500, Warmup: 200}, rng)
+	low, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(0.2), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := f.RunBuffered(BufferedConfig{Load: 1.0, Queue: 4, Cycles: 1500, Warmup: 200}, rng)
+	high, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(1.0), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +427,9 @@ func TestBufferedConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 0))
 	f := fabricFor(t, topology.NameOmega, 3)
 	bad := []BufferedConfig{
-		{Load: -0.1, Queue: 2, Cycles: 10},
-		{Load: 1.5, Queue: 2, Cycles: 10},
-		{Load: 0.5, Queue: 0, Cycles: 10},
-		{Load: 0.5, Queue: 2, Cycles: 0},
+		{Queue: 2, Cycles: 10},
+		{Pattern: Bernoulli(0.5), Queue: 0, Cycles: 10},
+		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 0},
 	}
 	for _, cfg := range bad {
 		if _, err := f.RunBuffered(cfg, rng); err == nil {
@@ -452,7 +456,7 @@ func TestWaveErrors(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	f := fabricFor(t, topology.NameFlip, 4)
-	cfg := BufferedConfig{Load: 0.7, Queue: 3, Lanes: 2, Cycles: 500, Warmup: 50}
+	cfg := BufferedConfig{Pattern: Bernoulli(0.7), Queue: 3, Lanes: 2, Cycles: 500, Warmup: 50}
 	r1, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(11, 0)))
 	if err != nil {
 		t.Fatal(err)

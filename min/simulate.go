@@ -239,11 +239,10 @@ func WithLaneSelect(l LaneSelect) Option {
 	return func(o *simOptions) { o.laneSelect = l; o.bufferedOnly = append(o.bufferedOnly, "WithLaneSelect") }
 }
 
-// traffic resolves the scenario to a generator. thinByLoad composes
-// non-load-aware scenarios with Bernoulli thinning to the offered load;
-// the wave model thins only when WithLoad was given, the buffered model
-// always does.
-func (o *simOptions) traffic(thinByLoad bool) (sim.Traffic, error) {
+// traffic resolves the scenario to a generator at the offered load
+// (sim.Scenario.Traffic). The wave model's default load is 1, which
+// leaves every scenario unthinned; the buffered model's is 0.6.
+func (o *simOptions) traffic() (sim.Traffic, error) {
 	if o.params.Load < 0 || o.params.Load > 1 {
 		return nil, fmt.Errorf("min: load %v out of [0,1]", o.params.Load)
 	}
@@ -251,11 +250,7 @@ func (o *simOptions) traffic(thinByLoad bool) (sim.Traffic, error) {
 	if !ok {
 		return nil, fmt.Errorf("min: unknown scenario %q (have %v)", o.scenario, sim.ScenarioNames())
 	}
-	tr := sc.New(o.params)
-	if thinByLoad && !sc.LoadAware {
-		tr = sim.Thinned(o.params.Load, tr)
-	}
-	return tr, nil
+	return sc.Traffic(o.params), nil
 }
 
 func applyOptions(opts []Option) simOptions {
@@ -294,7 +289,7 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 	if err != nil {
 		return WaveStats{}, err
 	}
-	tr, err := o.traffic(o.loadSet)
+	tr, err := o.traffic()
 	if err != nil {
 		return WaveStats{}, err
 	}
@@ -337,7 +332,7 @@ func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (Buffere
 	if !o.loadSet {
 		o.params.Load = 0.6 // conventional buffered default offered load
 	}
-	tr, err := o.traffic(true)
+	tr, err := o.traffic()
 	if err != nil {
 		return BufferedStats{}, err
 	}

@@ -414,3 +414,34 @@ func TestCodecMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSimFaultBodySizes pins the wire size of the fault-heavy simulate
+// body in both codecs. The body is the one cmd/minload's simfault op
+// sends at its defaults (-stages 6, -waves 32) for variant i = 0: a
+// 3-stage omega network with 128 pinned faults, cycling switch-dead,
+// switch-stuck1 and link-down.
+func TestSimFaultBodySizes(t *testing.T) {
+	const i, stages, waves = 0, 6, 32
+	st := 3 + i%(stages-2)
+	n := 1 << st
+	faults := make([]string, 0, 128)
+	for j := 0; j < 128; j++ {
+		switch j % 3 {
+		case 0:
+			faults = append(faults, fmt.Sprintf(`{"kind":"switch-dead","stage":%d,"cell":%d}`, j%st, (i+j)%(n/2)))
+		case 1:
+			faults = append(faults, fmt.Sprintf(`{"kind":"switch-stuck1","stage":%d,"cell":%d}`, j%st, (i+j)%(n/2)))
+		default:
+			faults = append(faults, fmt.Sprintf(`{"kind":"link-down","stage":%d,"link":%d}`, j%st, (i+j)%n))
+		}
+	}
+	body := fmt.Sprintf(`{"network":"omega","stages":%d,"waves":%d,"seed":%d,"faults":{"faults":[%s]}}`,
+		st, waves, i+1, strings.Join(faults, ","))
+	bin, err := EncodeBinaryRequest("simulate", []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) != 5450 || len(bin) != 587 {
+		t.Fatalf("simfault body: %d bytes as JSON, %d as binary, want 5450 and 587", len(body), len(bin))
+	}
+}
