@@ -616,27 +616,40 @@ func BenchmarkBitFabricKernel(b *testing.B) {
 
 // BenchmarkFaultedBitRange pins the shape of a faulted sweep cell: one
 // 1024-trial engine.RunWaveRange under the bit-sliced kernel on Omega
-// n = 8 with a dead-switch rate, so every 64-trial batch resamples and
-// folds 64 fault realizations into the kernel's lane masks. It builds an
-// executor per call, so it carries no allocs gate.
+// n = 8 with random fault rates, so every 64-trial batch resamples and
+// folds 64 fault realizations into the kernel's lane masks. "dead" is a
+// dead-switch rate alone; "dead+link" adds a severed-link rate, the
+// shape of perfbench's faulty simulate op. It builds an executor per
+// call, so it carries no allocs gate.
 func BenchmarkFaultedBitRange(b *testing.B) {
 	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 8).LinkPerms)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := engine.Config{Seed: 1, Kernel: engine.KernelBit, Faults: &sim.FaultPlan{SwitchDeadRate: 0.01}}
+	const trials = 1024
 	pattern := sim.Uniform()
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := engine.RunWaveRange(ctx, f, pattern, 0, 1024, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.FaultDropped == 0 {
-			b.Fatal("no fault drops")
-		}
+	for _, bc := range []struct {
+		name string
+		plan sim.FaultPlan
+	}{
+		{"dead", sim.FaultPlan{SwitchDeadRate: 0.01}},
+		{"dead+link", sim.FaultPlan{SwitchDeadRate: 0.01, LinkDownRate: 0.01}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := engine.Config{Seed: 1, Kernel: engine.KernelBit, Faults: &bc.plan}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := engine.RunWaveRange(ctx, f, pattern, 0, trials, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.FaultDropped == 0 {
+					b.Fatal("no fault drops")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trials, "ns/wave")
+		})
 	}
 }
 

@@ -125,6 +125,7 @@ func Run(n int, workers int) (Result, error) {
 		res.Valid += p.res.Valid
 		res.Banyan += p.res.Banyan
 		res.Equivalent += p.res.Equivalent
+		//minlint:allow detrand -- integer sums per key commute, so the merge is order-independent
 		for k, v := range p.res.SignatureCounts {
 			res.SignatureCounts[k] += v
 		}
@@ -168,6 +169,7 @@ func (r Result) TopSignatures(limit int) []struct {
 		Count     uint64
 	}
 	all := make([]kv, 0, len(r.SignatureCounts))
+	//minlint:allow detrand -- collected then sorted by (count, key), a total order on distinct keys
 	for k, v := range r.SignatureCounts {
 		all = append(all, kv{k, v})
 	}

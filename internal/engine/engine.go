@@ -70,7 +70,7 @@ func (c Config) resolve(f *sim.Fabric) (plan *sim.FaultPlan, bit bool, err error
 		return plan, false, nil
 	case KernelBit:
 		if !f.BitSliceable() {
-			return nil, false, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
+			return nil, false, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (it needs a Banyan fabric)`)
 		}
 		return plan, true, nil
 	}

@@ -215,12 +215,19 @@ func (e *executor) run(ctx context.Context, lo, hi int, p *WavePartial) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if e.resample {
+			// Clear every lane's masks once, then add each trial's
+			// realization to its own lane: O(faults) per trial.
+			if err := e.bit.SetLaneFaults(^uint64(0), nil); err != nil {
+				return err
+			}
+		}
 		for j := range e.pcg {
 			e.pcg[j].Seed(SeedPair(e.seed, uint64(t+j)))
 			if e.resample {
 				e.fpcg.Seed(SeedPair(e.froot, uint64(t+j)))
 				e.faults.Resample(*e.plan, e.frng)
-				if err := e.bit.SetLaneFaults(1<<uint(j), e.faults); err != nil {
+				if err := e.bit.AddLaneFaults(1<<uint(j), e.faults); err != nil {
 					return err
 				}
 			}

@@ -20,6 +20,7 @@ var DeterministicPackages = []string{
 	"minequiv/internal/sim",
 	"minequiv/internal/engine",
 	"minequiv/internal/shard",
+	"minequiv/internal/census",
 	"minequiv/internal/equiv",
 	"minequiv/internal/midigraph",
 	"minequiv/internal/experiments",

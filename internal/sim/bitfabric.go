@@ -33,8 +33,9 @@ import (
 //     bitops.Transpose64.
 //  3. Fault folding. The runner owns per-(stage, element) lane masks
 //     for dead/stuck0/stuck1 switches and severed links as scratch;
-//     SetLaneFaults folds one realized FaultState — the same state the
-//     scalar kernel and the router read — into a mask of lanes. The
+//     SetLaneFaults and AddLaneFaults fold one realized FaultState — the
+//     same state the scalar kernel and the router read — into a mask of
+//     lanes by walking its sparse index of faulted elements. The
 //     per-cell algebra applies them in the scalar steer's exact
 //     precedence:
 //     dead kills first (FaultDropped), an upstream-derailed arrival
@@ -73,8 +74,8 @@ type BitWaveResult struct {
 type BitWaveRunner struct {
 	f *Fabric
 
-	// Per-lane fault masks, allocated by the first SetLaneFaults; until
-	// then every stage reads the all-zero row instead.
+	// Per-lane fault masks, allocated by the first fold; until then
+	// every stage reads the all-zero row instead.
 	dead, stuck0, stuck1 []uint64 // [Spans*H]: lanes whose switch is dead / stuck toward port 0 / 1
 	linkDown             []uint64 // [Spans*N]: lanes with the outlink severed
 	zero                 []uint64 // [N]: the intact stage's mask row
@@ -94,7 +95,7 @@ type BitWaveRunner struct {
 // the fabric does not qualify (see Fabric.BitSliceable).
 func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	if !f.BitSliceable() {
-		return nil, fmt.Errorf("sim: fabric is not bit-sliceable (kernel needs Banyan reachability and <= 16 stages)")
+		return nil, fmt.Errorf("sim: fabric is not bit-sliceable (the kernel needs a Banyan fabric)")
 	}
 	r := &BitWaveRunner{
 		f:         f,
@@ -122,15 +123,62 @@ func (r *BitWaveRunner) Fabric() *Fabric { return r.f }
 
 // SetLaneFaults folds one realized FaultState into every lane set in
 // the mask `lanes`, replacing whatever those lanes held (other lanes are
-// untouched); nil or an inactive state restores the intact fabric on
-// them. A pinned plan folds into all lanes with one call on ^uint64(0).
-// The state must be sized for the runner's stage count. The caller may
-// refold lanes between batches (the engine refolds per batch).
-// Allocation-free after the first call, which allocates the masks.
+// untouched): it clears those lanes, then adds fs with AddLaneFaults.
+// nil or an inactive state restores the intact fabric on them. A pinned
+// plan folds into all lanes with one call on ^uint64(0). The state must
+// be sized for the runner's stage count. Allocation-free after the
+// first fold, which allocates the masks.
 func (r *BitWaveRunner) SetLaneFaults(lanes uint64, fs *FaultState) error {
 	if err := fs.fits(r.f.Spans); err != nil {
 		return err
 	}
+	r.allocMasks()
+	for i := range r.dead {
+		r.dead[i] &^= lanes
+		r.stuck0[i] &^= lanes
+		r.stuck1[i] &^= lanes
+	}
+	for i := range r.linkDown {
+		r.linkDown[i] &^= lanes
+	}
+	return r.AddLaneFaults(lanes, fs)
+}
+
+// AddLaneFaults is the one fold loop: it ORs the lanes set in `lanes`
+// into the mask word of every element fs's sparse index lists, and
+// clears nothing, so it costs O(faults). The state's switch and link
+// indices are the masks' stage-major indices. The engine refolds a
+// batch with random rates this way: one SetLaneFaults(^uint64(0), nil)
+// clears every lane, then each trial's realization is added to its own
+// lane 1<<j. Allocation-free after the first fold.
+//
+//minlint:hotpath
+func (r *BitWaveRunner) AddLaneFaults(lanes uint64, fs *FaultState) error {
+	if err := fs.fits(r.f.Spans); err != nil {
+		return err
+	}
+	if fs == nil {
+		return nil
+	}
+	r.allocMasks()
+	for _, i := range fs.switches {
+		switch fs.mode[i] {
+		case switchDead:
+			r.dead[i] |= lanes
+		case switchStuck0:
+			r.stuck0[i] |= lanes
+		case switchStuck1:
+			r.stuck1[i] |= lanes
+		}
+	}
+	for _, i := range fs.links {
+		r.linkDown[i] |= lanes
+	}
+	return nil
+}
+
+// allocMasks allocates the per-lane fault masks on the first fold.
+func (r *BitWaveRunner) allocMasks() {
 	if r.dead == nil {
 		f := r.f
 		r.dead = make([]uint64, f.Spans*f.H)
@@ -138,37 +186,6 @@ func (r *BitWaveRunner) SetLaneFaults(lanes uint64, fs *FaultState) error {
 		r.stuck1 = make([]uint64, f.Spans*f.H)
 		r.linkDown = make([]uint64, f.Spans*f.N)
 	}
-	if fs == nil || !fs.active {
-		for i := range r.dead {
-			r.dead[i] &^= lanes
-			r.stuck0[i] &^= lanes
-			r.stuck1[i] &^= lanes
-		}
-		for i := range r.linkDown {
-			r.linkDown[i] &^= lanes
-		}
-		return nil
-	}
-	for i, m := range fs.mode {
-		dead, st0, st1 := r.dead[i]&^lanes, r.stuck0[i]&^lanes, r.stuck1[i]&^lanes
-		switch m {
-		case switchDead:
-			dead |= lanes
-		case switchStuck0:
-			st0 |= lanes
-		case switchStuck1:
-			st1 |= lanes
-		}
-		r.dead[i], r.stuck0[i], r.stuck1[i] = dead, st0, st1
-	}
-	for i, down := range fs.linkDown {
-		w := r.linkDown[i] &^ lanes
-		if down {
-			w |= lanes
-		}
-		r.linkDown[i] = w
-	}
-	return nil
 }
 
 // RunTraffic steers one batch of len(rngs) waves (1 to 64) through the

@@ -311,6 +311,41 @@ func TestBitFaultStateFolding(t *testing.T) {
 	}
 }
 
+// TestAddLaneFaults: clearing every lane once and adding each lane's
+// realization (the engine's per-batch fold) leaves the same masks as
+// replacing lane by lane with SetLaneFaults over stale contents.
+func TestAddLaneFaults(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 5)
+	plan := FaultPlan{SwitchDeadRate: 0.05, SwitchStuckRate: 0.05, LinkDownRate: 0.05}
+	set, add := bitRunnerFor(t, f), bitRunnerFor(t, f)
+	fs := NewFaultState(f.Spans)
+	fs.Resample(FaultPlan{SwitchDeadRate: 0.5, SwitchStuckRate: 0.5, LinkDownRate: 0.5}, rand.New(rand.NewPCG(2, 0)))
+	for _, r := range []*BitWaveRunner{set, add} {
+		if err := r.SetLaneFaults(^uint64(0), fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := add.SetLaneFaults(^uint64(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 64; j++ {
+		fs.Resample(plan, rand.New(rand.NewPCG(2, uint64(1+j))))
+		if err := set.SetLaneFaults(1<<uint(j), fs); err != nil {
+			t.Fatal(err)
+		}
+		if err := add.AddLaneFaults(1<<uint(j), fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(set.dead, add.dead) || !slices.Equal(set.stuck0, add.stuck0) ||
+		!slices.Equal(set.stuck1, add.stuck1) || !slices.Equal(set.linkDown, add.linkDown) {
+		t.Fatal("clear-then-add fold differs from per-lane SetLaneFaults")
+	}
+	if err := add.AddLaneFaults(1, NewFaultState(f.Spans+1)); err == nil {
+		t.Fatal("AddLaneFaults accepted a state sized for another fabric")
+	}
+}
+
 func TestBitWaveErrors(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 3)
 	r := bitRunnerFor(t, f)

@@ -193,7 +193,7 @@ func (f *Fabric) Banyan() bool { return f.banyan }
 //minlint:hotpath
 func (f *Fabric) steer(fs *FaultState, s, cell, dst int) uint8 {
 	pt := f.stages[s].port[cell*f.N+dst]
-	if fs == nil || !fs.active {
+	if !fs.Active() {
 		return pt
 	}
 	switch fs.mode[s*f.H+cell] {

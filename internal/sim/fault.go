@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -127,14 +128,21 @@ const (
 // is sized by stage count alone, so a router can realize a plan
 // without compiling a fabric, and is owned by whoever drives a runner
 // (the parallel engine gives each worker its own, like runner scratch).
-// Sample is allocation-free so per-trial resampling stays on the
-// 0 allocs/op hot path. A FaultState is NOT safe for concurrent use.
+//
+// The dense tables answer "is this element faulted?" in O(1) for the
+// per-packet readers; the sparse index lists every element set since
+// the last Reset, once each, so clearing, counting and folding a
+// realization cost O(faults) rather than O(fabric). The index is sized
+// for every element by the first random resample, so per-trial
+// resampling allocates nothing after it and stays on the 0 allocs/op
+// hot path. A FaultState is NOT safe for concurrent use.
 type FaultState struct {
 	stages   int
-	h, n     int // cells and outlinks per stage
-	active   bool
+	h, n     int     // cells and outlinks per stage
 	mode     []uint8 // per stage*h + cell: switchOK/Dead/Stuck0/Stuck1
 	linkDown []bool  // per stage*n + outlink
+	switches []int32 // indices into mode that are not switchOK
+	links    []int32 // indices into linkDown that are set
 }
 
 // NewFaultState returns a cleared (intact) fault state for a fabric of
@@ -159,7 +167,7 @@ func (fs *FaultState) Stages() int { return fs.stages }
 // port — and that outlink survives. A nil state is the intact fabric.
 // This is the one fault predicate routing reads.
 func (fs *FaultState) Allows(stage, out int) bool {
-	if fs == nil || !fs.active {
+	if !fs.Active() {
 		return true
 	}
 	if fs.linkDown[stage*fs.n+out] {
@@ -179,45 +187,77 @@ func (fs *FaultState) fits(stages int) error {
 	return nil
 }
 
-// Active reports whether any fault is currently applied.
-func (fs *FaultState) Active() bool { return fs.active }
+// Active reports whether any fault is currently applied; a nil state
+// is the intact fabric.
+func (fs *FaultState) Active() bool { return fs != nil && len(fs.switches)+len(fs.links) > 0 }
 
-// Reset clears every fault, restoring the intact fabric.
+// Reset clears every fault, restoring the intact fabric. It touches
+// only the elements the index lists.
 func (fs *FaultState) Reset() {
-	if !fs.active {
-		return
-	}
-	for i := range fs.mode {
+	for _, i := range fs.switches {
 		fs.mode[i] = switchOK
 	}
-	for i := range fs.linkDown {
+	for _, i := range fs.links {
 		fs.linkDown[i] = false
 	}
-	fs.active = false
+	fs.switches, fs.links = fs.switches[:0], fs.links[:0]
+}
+
+// setSwitch puts switch i in mode m, indexing it the first time it
+// leaves switchOK; a later pin of the same switch overwrites the mode.
+func (fs *FaultState) setSwitch(i int, m uint8) {
+	if fs.mode[i] == switchOK {
+		fs.switches = append(fs.switches, int32(i))
+	}
+	fs.mode[i] = m
+}
+
+// setLink severs outlink i, indexing it the first time.
+func (fs *FaultState) setLink(i int) {
+	if !fs.linkDown[i] {
+		fs.links = append(fs.links, int32(i))
+		fs.linkDown[i] = true
+	}
+}
+
+// reserve sizes the empty index for every element, once: a plan with
+// random rates may hit any element, so its trials then never grow the
+// lists. Pinned-only plans grow them by append to the pin count.
+func (fs *FaultState) reserve() {
+	if cap(fs.switches) < len(fs.mode) {
+		fs.switches = make([]int32, 0, len(fs.mode))
+	}
+	if cap(fs.links) < len(fs.linkDown) {
+		fs.links = make([]int32, 0, len(fs.linkDown))
+	}
 }
 
 // apply pins one validated fault.
 func (fs *FaultState) apply(flt Fault) {
 	switch flt.Kind {
 	case SwitchDead:
-		fs.mode[flt.Stage*fs.h+flt.Cell] = switchDead
+		fs.setSwitch(flt.Stage*fs.h+flt.Cell, switchDead)
 	case SwitchStuck0:
-		fs.mode[flt.Stage*fs.h+flt.Cell] = switchStuck0
+		fs.setSwitch(flt.Stage*fs.h+flt.Cell, switchStuck0)
 	case SwitchStuck1:
-		fs.mode[flt.Stage*fs.h+flt.Cell] = switchStuck1
+		fs.setSwitch(flt.Stage*fs.h+flt.Cell, switchStuck1)
 	case LinkDown:
-		fs.linkDown[flt.Stage*fs.n+flt.Link] = true
+		fs.setLink(flt.Stage*fs.n + flt.Link)
 	}
-	fs.active = true
 }
+
+// bernoulliThreshold turns a rate r in (0, 1] into the integer form of
+// rng.Float64() < r on the same draw u: Float64 is (u<<11>>11) / 2^53,
+// an exact dyadic, so the test holds iff u<<11>>11 < ceil(r·2^53).
+func bernoulliThreshold(r float64) uint64 { return uint64(math.Ceil(r * (1 << 53))) }
 
 // Sample realizes the plan: clears the state, pins the plan's fixed
 // faults, then draws the random ones from rng. The draw order is fixed
 // (switches stage-major then links stage-major, one uniform draw per
 // element per applicable rate), so the realized state is a pure
 // function of (plan, rng stream) — the determinism the engine's
-// per-trial fault streams rely on. Allocation-free. rng may be nil for
-// a plan with no random rates.
+// per-trial fault streams rely on. Allocation-free after the first
+// random resample. rng may be nil for a plan with no random rates.
 func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
 	if err := p.Validate(fs.stages); err != nil {
 		return err
@@ -230,43 +270,41 @@ func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
 // one already-validated plan trial after trial (the engine validates
 // once before sharding). Calling it with a plan that was never
 // validated against this state's stage count may panic on out-of-range
-// coordinates.
+// coordinates. Its cost is the draws plus O(faults): it writes only on
+// a hit.
 //
 //minlint:hotpath
 func (fs *FaultState) Resample(p FaultPlan, rng *rand.Rand) {
 	fs.Reset()
+	if p.Random() {
+		fs.reserve()
+	}
 	for _, flt := range p.Faults {
 		fs.apply(flt)
 	}
 	if p.SwitchDeadRate > 0 || p.SwitchStuckRate > 0 {
+		deadT, stuckT := bernoulliThreshold(p.SwitchDeadRate), bernoulliThreshold(p.SwitchStuckRate)
 		for i := range fs.mode {
 			// Draw first, assign after: a pinned fault owns its cell, but
 			// the draws still advance the stream identically whether or
 			// not the cell was pinned, keeping the realized state a pure
 			// function of (plan, stream).
-			dead := p.SwitchDeadRate > 0 && rng.Float64() < p.SwitchDeadRate
-			stuck := uint8(0)
-			if !dead && p.SwitchStuckRate > 0 && rng.Float64() < p.SwitchStuckRate {
-				stuck = switchStuck0 + uint8(rng.IntN(2))
+			m := switchOK
+			if p.SwitchDeadRate > 0 && rng.Uint64()<<11>>11 < deadT {
+				m = switchDead
+			} else if p.SwitchStuckRate > 0 && rng.Uint64()<<11>>11 < stuckT {
+				m = switchStuck0 + uint8(rng.IntN(2))
 			}
-			if fs.mode[i] != switchOK {
-				continue
-			}
-			switch {
-			case dead:
-				fs.mode[i] = switchDead
-				fs.active = true
-			case stuck != 0:
-				fs.mode[i] = stuck
-				fs.active = true
+			if m != switchOK && fs.mode[i] == switchOK {
+				fs.setSwitch(i, m)
 			}
 		}
 	}
 	if p.LinkDownRate > 0 {
+		linkT := bernoulliThreshold(p.LinkDownRate)
 		for i := range fs.linkDown {
-			if rng.Float64() < p.LinkDownRate {
-				fs.linkDown[i] = true
-				fs.active = true
+			if rng.Uint64()<<11>>11 < linkT {
+				fs.setLink(i)
 			}
 		}
 	}
@@ -275,18 +313,12 @@ func (fs *FaultState) Resample(p FaultPlan, rng *rand.Rand) {
 // CountFaults reports the currently-applied fault census: dead and
 // stuck switches and severed links.
 func (fs *FaultState) CountFaults() (dead, stuck, links int) {
-	for _, m := range fs.mode {
-		switch m {
-		case switchDead:
+	for _, i := range fs.switches {
+		if fs.mode[i] == switchDead {
 			dead++
-		case switchStuck0, switchStuck1:
+		} else {
 			stuck++
 		}
 	}
-	for _, d := range fs.linkDown {
-		if d {
-			links++
-		}
-	}
-	return
+	return dead, stuck, len(fs.links)
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"minequiv/internal/topology"
@@ -363,5 +365,224 @@ func TestFaultBufferedStuckLastStageMisroutes(t *testing.T) {
 	res = r2.Run(rand.New(rand.NewPCG(13, 14)))
 	if res.Delivered == 0 || res.Misrouted != 0 {
 		t.Fatalf("stuck port's own terminal broken: %+v", res)
+	}
+}
+
+// denseFaults is the dense realization FaultState used before it kept a
+// sparse index, kept as a test oracle: every resample clears and
+// rewrites every element and tests each draw with rng.Float64() < r.
+type denseFaults struct {
+	h, n     int
+	mode     []uint8
+	linkDown []bool
+	active   bool
+}
+
+func newDenseFaults(stages int) *denseFaults {
+	h, n := 1<<uint(stages-1), 1<<uint(stages)
+	return &denseFaults{h: h, n: n, mode: make([]uint8, stages*h), linkDown: make([]bool, stages*n)}
+}
+
+func (d *denseFaults) resample(p FaultPlan, rng *rand.Rand) {
+	for i := range d.mode {
+		d.mode[i] = switchOK
+	}
+	for i := range d.linkDown {
+		d.linkDown[i] = false
+	}
+	d.active = false
+	for _, flt := range p.Faults {
+		switch flt.Kind {
+		case SwitchDead:
+			d.mode[flt.Stage*d.h+flt.Cell] = switchDead
+		case SwitchStuck0:
+			d.mode[flt.Stage*d.h+flt.Cell] = switchStuck0
+		case SwitchStuck1:
+			d.mode[flt.Stage*d.h+flt.Cell] = switchStuck1
+		case LinkDown:
+			d.linkDown[flt.Stage*d.n+flt.Link] = true
+		}
+		d.active = true
+	}
+	if p.SwitchDeadRate > 0 || p.SwitchStuckRate > 0 {
+		for i := range d.mode {
+			dead := p.SwitchDeadRate > 0 && rng.Float64() < p.SwitchDeadRate
+			stuck := uint8(0)
+			if !dead && p.SwitchStuckRate > 0 && rng.Float64() < p.SwitchStuckRate {
+				stuck = switchStuck0 + uint8(rng.IntN(2))
+			}
+			if d.mode[i] != switchOK {
+				continue
+			}
+			switch {
+			case dead:
+				d.mode[i] = switchDead
+				d.active = true
+			case stuck != 0:
+				d.mode[i] = stuck
+				d.active = true
+			}
+		}
+	}
+	if p.LinkDownRate > 0 {
+		for i := range d.linkDown {
+			if rng.Float64() < p.LinkDownRate {
+				d.linkDown[i] = true
+				d.active = true
+			}
+		}
+	}
+}
+
+func (d *denseFaults) count() (dead, stuck, links int) {
+	for _, m := range d.mode {
+		switch m {
+		case switchDead:
+			dead++
+		case switchStuck0, switchStuck1:
+			stuck++
+		}
+	}
+	for _, down := range d.linkDown {
+		if down {
+			links++
+		}
+	}
+	return dead, stuck, links
+}
+
+// matchDense checks the sparse state element for element against the
+// dense oracle, and that its index lists only faulted elements, each
+// once (CountFaults, which sums the index, then makes it complete).
+func matchDense(t *testing.T, what string, fs *FaultState, d *denseFaults) {
+	t.Helper()
+	if !slices.Equal(fs.mode, d.mode) {
+		t.Fatalf("%s: switch modes differ from the dense oracle", what)
+	}
+	if !slices.Equal(fs.linkDown, d.linkDown) {
+		t.Fatalf("%s: severed links differ from the dense oracle", what)
+	}
+	if fs.Active() != d.active {
+		t.Fatalf("%s: Active() = %t, dense %t", what, fs.Active(), d.active)
+	}
+	gd, gs, gl := fs.CountFaults()
+	wd, ws, wl := d.count()
+	if gd != wd || gs != ws || gl != wl {
+		t.Fatalf("%s: CountFaults = %d/%d/%d, dense %d/%d/%d", what, gd, gs, gl, wd, ws, wl)
+	}
+	seen := map[int32]bool{}
+	for _, i := range fs.switches {
+		if seen[i] || fs.mode[i] == switchOK {
+			t.Fatalf("%s: switch index lists %d twice or intact", what, i)
+		}
+		seen[i] = true
+	}
+	clear(seen)
+	for _, i := range fs.links {
+		if seen[i] || !fs.linkDown[i] {
+			t.Fatalf("%s: link index lists %d twice or intact", what, i)
+		}
+		seen[i] = true
+	}
+}
+
+// The edge rates of the Bernoulli test: the smallest positive draw
+// probability, a small and a fair rate, the largest rate below 1, and 1.
+var edgeRates = []float64{0x1p-53, 0.01, 0.5, 1 - 0x1p-53, 1}
+
+// TestFaultStateMatchesDense resamples one sparse state back to back
+// over random plans, seeds and stage counts — pinned lists with
+// duplicates, and rate sequences that shrink the fault set so stale
+// entries must be cleared — and compares it with a fresh dense
+// realization of the same stream after every resample.
+func TestFaultStateMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	kinds := []FaultKind{SwitchDead, SwitchStuck0, SwitchStuck1, LinkDown}
+	rates := append([]float64{0, 0, 0.03, 0.2}, edgeRates...)
+	for stages := 2; stages <= 7; stages++ {
+		fs, d := NewFaultState(stages), newDenseFaults(stages)
+		h, n := 1<<uint(stages-1), 1<<uint(stages)
+		for trial := 0; trial < 60; trial++ {
+			p := FaultPlan{
+				SwitchDeadRate:  rates[rng.IntN(len(rates))],
+				SwitchStuckRate: rates[rng.IntN(len(rates))],
+				LinkDownRate:    rates[rng.IntN(len(rates))],
+			}
+			for k := rng.IntN(5); k > 0; k-- {
+				flt := Fault{Kind: kinds[rng.IntN(len(kinds))], Stage: rng.IntN(stages), Cell: rng.IntN(h), Link: rng.IntN(n)}
+				p.Faults = append(p.Faults, flt)
+				if rng.IntN(3) == 0 { // the same element pinned again
+					flt.Kind = kinds[rng.IntN(len(kinds))]
+					p.Faults = append(p.Faults, flt)
+				}
+			}
+			seed := rng.Uint64()
+			if err := fs.Sample(p, rand.New(rand.NewPCG(seed, 1))); err != nil {
+				t.Fatal(err)
+			}
+			d.resample(p, rand.New(rand.NewPCG(seed, 1)))
+			matchDense(t, fmt.Sprintf("n=%d trial %d %+v", stages, trial, p), fs, d)
+		}
+	}
+}
+
+// TestFaultStateShrinks: resampling after a dense realization must
+// clear every stale element — through a low rate, an edge rate, a
+// pinned-only plan (with the same switch and link pinned twice) and the
+// empty plan.
+func TestFaultStateShrinks(t *testing.T) {
+	const stages = 5
+	fs, d := NewFaultState(stages), newDenseFaults(stages)
+	dup := []Fault{
+		{Kind: SwitchDead, Stage: 2, Cell: 5},
+		{Kind: SwitchStuck1, Stage: 2, Cell: 5},
+		{Kind: LinkDown, Stage: 4, Link: 7},
+		{Kind: LinkDown, Stage: 4, Link: 7},
+	}
+	plans := []FaultPlan{
+		{SwitchDeadRate: 0.5, SwitchStuckRate: 0.5, LinkDownRate: 0.5},
+		{SwitchDeadRate: 0.01, LinkDownRate: 0.01},
+		{SwitchDeadRate: 1, LinkDownRate: 1},
+		{SwitchStuckRate: 0x1p-53, LinkDownRate: 0x1p-53},
+		{SwitchStuckRate: 1 - 0x1p-53},
+		{Faults: dup},
+		{},
+	}
+	for round, p := range plans {
+		if err := fs.Sample(p, rand.New(rand.NewPCG(uint64(round), 3))); err != nil {
+			t.Fatal(err)
+		}
+		d.resample(p, rand.New(rand.NewPCG(uint64(round), 3)))
+		matchDense(t, fmt.Sprintf("round %d %+v", round, p), fs, d)
+	}
+}
+
+// TestBernoulliThreshold: the integer test u<<11>>11 < ceil(r·2^53)
+// decides exactly as rng.Float64() < r on the same draw u, for the edge
+// rates and random ones, on random draws and on the draws that straddle
+// the threshold.
+func TestBernoulliThreshold(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	rs := append([]float64{0.1, 1.0 / 3, 0.999}, edgeRates...)
+	for i := 0; i < 200; i++ {
+		rs = append(rs, rng.Float64())
+	}
+	for _, r := range rs {
+		thr := bernoulliThreshold(r)
+		us := []uint64{0, 1<<53 - 1, ^uint64(0)}
+		for _, k := range []uint64{thr - 1, thr, thr + 1} {
+			if k < 1<<53 {
+				us = append(us, k, k|rng.Uint64()<<53)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			us = append(us, rng.Uint64())
+		}
+		for _, u := range us {
+			float := float64(u<<11>>11)/(1<<53) < r
+			if integer := u<<11>>11 < thr; integer != float {
+				t.Fatalf("r=%v u=%#x: integer test %t, float test %t", r, u, integer, float)
+			}
+		}
 	}
 }

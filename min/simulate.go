@@ -89,8 +89,8 @@ type Kernel string
 
 const (
 	// KernelAuto (the default) uses the bit-sliced kernel whenever the
-	// network qualifies (Banyan unique-path wiring, at most 16 stages;
-	// all six of the paper's networks do) and falls back to scalar.
+	// network qualifies (Banyan unique-path wiring; all six of the
+	// paper's networks do) and falls back to scalar.
 	KernelAuto Kernel = "auto"
 	// KernelScalar forces the one-packet-at-a-time reference kernel.
 	KernelScalar Kernel = "scalar"
