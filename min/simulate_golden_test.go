@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -37,22 +38,43 @@ var faultGoldenPlans = []struct {
 // SHA-256 of json.Marshal(Simulate(...)) over the catalog at n = 3..8
 // and one tail cycle, under every kernel and 1 or 3 workers. A change
 // to the fault draw order, the realized state or either kernel's fault
-// algebra moves a digest.
+// algebra moves a digest. The "relabeled/" families pin the same runs,
+// intact and under every plan, on relabeled catalog wirings, and
+// "intact" pins every scenario on the intact fabric.
 var simulateGolden = map[string]string{
 	"dead+link":       "bd32492b951d40cdc72d58af1c50ef3cb9efde04d204ad3226b816b20452caf2",
 	"dead+stuck+link": "cf52b8677defa1d3443494a576494d1c6bc614a554d42d492f07e23310c7dca8",
 	"stuck":           "235e6660ef35de720b193c60aa31283eb89153236535c008acff56e50e5ef7f0",
 	"rate1":           "b1a1aa7507ad09825ca97f1ca142bfecba5a1e68da00bd3d5d1e28807f177753",
 	"pinned+random":   "bad6d42d4c3c3cc80739e6895deb41349ea3b743a727a1334023f3d643c4c6f1",
+
+	"relabeled/intact":          "a5b6419d9fa39fae3aba9cbd026a35eddc1092a2d8720efc164307ac76af6650",
+	"relabeled/dead+link":       "3ad66f64db7983cd992a2be8a8db7f8f978ad9533f189421b0ddad3a45439108",
+	"relabeled/dead+stuck+link": "0dfb27cfecc60df382f1abeead9b63d106fb90bfd7b2207b82c4e9777f8968a9",
+	"relabeled/stuck":           "7c2abb81c9c14d5b9b7513e7e38ae4c4306bebde39cac90d4b8fa8a285d2a611",
+	"relabeled/rate1":           "77fd1fdaa9ca58dffdd6e47c49877d86057ee8a1816d54db9933bda183815da5",
+	"relabeled/pinned+random":   "bc33d06aac0e846271e4d109595beff19915f2e04863943ffa6396d4e387caf3",
+
+	"intact": "6774e816acb8f2afc229037a56c93dcdb6ef7edda82221c820f2f6323ecfe041",
 }
 
-// simulateBufferedGolden pins SimulateBuffered under the same plans.
+// simulateBufferedGolden pins SimulateBuffered under the same plans,
+// with the same relabeled families and an intact family of its own.
 var simulateBufferedGolden = map[string]string{
 	"dead+link":       "d76548061b43ac221ed40c73e1f5fbbb3ad9d238d863097689c975895abbdae5",
 	"dead+stuck+link": "a38a4a59d96f72cb6e1ece4c5ef3c9160260829966e554ef9a6b5c8d30b3ee8c",
 	"stuck":           "9c0e10558e477fcce18b5e6ef121676b51ee50ec36ed4bf2e24d15b164302360",
 	"rate1":           "64a164308283e64f21bddfd7fbae8590cc9772a7171ab79a388f59d1176c8f20",
 	"pinned+random":   "5ffddc27e59b40a450009834e4a24bf3aba5c4f43a97ab376f6917aa3ea4a38c",
+
+	"relabeled/intact":          "948784206c0b347ea7ce9084d89d811e4e2eb14b88ac9ec61dfa432b802ea183",
+	"relabeled/dead+link":       "583e0ad0f9c9c236eaec7e1efb95982e7c2a83dabccb0ecb59e0eb7b02d2a497",
+	"relabeled/dead+stuck+link": "ff5fe7081268b04c6ea4932a26111e0a3aacd617addb4bcf61d91cd49ac21630",
+	"relabeled/stuck":           "b9dae086b7601c4742878badaf1f81c9cfdb86d6021886c1617264f0120af080",
+	"relabeled/rate1":           "73a2b2ee2a9cbacfece0513c567822a81d2b52777f0aab5d3ee259e514cfeba8",
+	"relabeled/pinned+random":   "45a0dd97f04e7ea9b6b82257157950e284a30f5d7c6cd05e10f6def0f57fbaa9",
+
+	"intact": "a50a51811b04f282d386a2082e92019b1061cf9317c2c02df7daa50be031578e",
 }
 
 // digestLine hashes one result's JSON as a line and returns the bytes.
@@ -66,19 +88,113 @@ func digestLine(t *testing.T, h hash.Hash, v any) []byte {
 	return b
 }
 
+// waveRun is one (kernel, workers) execution of a wave golden.
+type waveRun struct {
+	kernel  Kernel
+	workers int
+}
+
+// allWaveRuns is every kernel under 1 and 3 workers; scalarWaveRuns
+// leaves out KernelBit, for wirings the bit kernel refuses.
+var (
+	allWaveRuns    = []waveRun{{KernelScalar, 1}, {KernelScalar, 3}, {KernelBit, 1}, {KernelBit, 3}, {KernelAuto, 1}, {KernelAuto, 3}}
+	scalarWaveRuns = []waveRun{{KernelScalar, 1}, {KernelScalar, 3}, {KernelAuto, 1}, {KernelAuto, 3}}
+)
+
+// digestWaves runs Simulate on nw under every run with opts, feeds each
+// result to h and requires all of them to be byte-identical to the
+// first.
+func digestWaves(t *testing.T, h hash.Hash, label string, nw *Network, runs []waveRun, opts ...Option) {
+	t.Helper()
+	var ref []byte
+	for _, r := range runs {
+		st, err := Simulate(context.Background(), nw, append(opts, WithKernel(r.kernel), WithWorkers(r.workers))...)
+		if err != nil {
+			t.Fatalf("%s %s n=%d %+v: %v", label, nw.Name(), nw.Stages(), r, err)
+		}
+		b := digestLine(t, h, st)
+		if ref == nil {
+			ref = b
+		} else if !bytes.Equal(b, ref) {
+			t.Errorf("%s %s n=%d %+v differs from %+v:\n%s\n%s", label, nw.Name(), nw.Stages(), r, runs[0], b, ref)
+		}
+	}
+}
+
+// checkDigest compares h's digest with the committed one for key.
+func checkDigest(t *testing.T, golden map[string]string, key string, h hash.Hash) {
+	t.Helper()
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden[key] {
+		t.Errorf("%s: digest %s, want %s", key, got, golden[key])
+	}
+}
+
+// relabeledWiring returns a seeded stage-respecting relabeling of
+// perms: every stage's cells are permuted and each cell's two outlinks
+// and two inlinks are swapped at random. The result is the same
+// MI-digraph up to isomorphism, so it is Baseline-equivalent exactly
+// when perms is, but its cells no longer sit at their Baseline labels
+// and its ports no longer match the Baseline's child slots.
+func relabeledWiring(rng *rand.Rand, perms [][]int) [][]int {
+	stages := len(perms) + 1
+	h := len(perms[0]) / 2
+	cell := make([][]int, stages)
+	outSwap := make([][]bool, stages)
+	inSwap := make([][]bool, stages)
+	for s := range cell {
+		cell[s] = rng.Perm(h)
+		outSwap[s] = make([]bool, h)
+		inSwap[s] = make([]bool, h)
+		for c := 0; c < h; c++ {
+			outSwap[s][c] = rng.IntN(2) == 0
+			inSwap[s][c] = rng.IntN(2) == 0
+		}
+	}
+	link := func(label []int, swap []bool, x int) int {
+		c, p := x>>1, x&1
+		if swap[c] {
+			p ^= 1
+		}
+		return label[c]<<1 | p
+	}
+	out := make([][]int, len(perms))
+	for s, p := range perms {
+		row := make([]int, len(p))
+		for x, y := range p {
+			row[link(cell[s], outSwap[s], x)] = link(cell[s+1], inSwap[s+1], y)
+		}
+		out[s] = row
+	}
+	return out
+}
+
+// relabeledNets returns one seeded relabeling of every catalog network
+// at n = lo..hi, each named "relabeled-" plus the catalog name.
+func relabeledNets(t *testing.T, lo, hi int) []*Network {
+	t.Helper()
+	var nets []*Network
+	for i, name := range CatalogNames() {
+		for n := lo; n <= hi; n++ {
+			rng := rand.New(rand.NewPCG(uint64(n), uint64(i)))
+			nw, err := FromLinkPerms("relabeled-"+name, n, relabeledWiring(rng, MustBuild(name, n).LinkPerms()))
+			if err != nil {
+				t.Fatalf("relabeled %s n=%d: %v", name, n, err)
+			}
+			nets = append(nets, nw)
+		}
+	}
+	return nets
+}
+
 // TestSimulateGolden runs every golden plan on every catalog network at
 // n = 3..8 under kernels scalar, bit and auto with 1 and 3 workers, and
 // on the tail cycle (n = 6) under the scalar kernel. 130 waves cover two
 // 64-wave batches plus a scalar remainder. Every run of one (network,
 // plan) must be byte-identical to the scalar single-worker run, and all
-// of them feed the family's digest.
+// of them feed the family's digest. The relabeled families run the
+// intact fabric and every golden plan on seeded relabelings of the
+// catalog at n = 3..8, whose cells carry swapped child slots.
 func TestSimulateGolden(t *testing.T) {
-	ctx := context.Background()
-	type run struct {
-		kernel  Kernel
-		workers int
-	}
-	all := []run{{KernelScalar, 1}, {KernelScalar, 3}, {KernelBit, 1}, {KernelBit, 3}, {KernelAuto, 1}, {KernelAuto, 3}}
 	var nets []*Network
 	for _, name := range CatalogNames() {
 		for n := 3; n <= 8; n++ {
@@ -90,30 +206,85 @@ func TestSimulateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets = append(nets, tc)
+	relabeled := relabeledNets(t, 3, 8)
 	for _, fp := range faultGoldenPlans {
 		h := sha256.New()
 		for _, nw := range nets {
-			runs := all
+			runs := allWaveRuns
 			if nw.Name() == "tail-cycle" {
-				runs = all[:2]
+				runs = allWaveRuns[:2]
 			}
-			var ref []byte
-			for _, r := range runs {
-				st, err := Simulate(ctx, nw, WithWaves(130), WithSeed(7), WithFaults(fp.plan),
-					WithKernel(r.kernel), WithWorkers(r.workers))
-				if err != nil {
-					t.Fatalf("%s %s n=%d %+v: %v", fp.family, nw.Name(), nw.Stages(), r, err)
-				}
-				b := digestLine(t, h, st)
-				if ref == nil {
-					ref = b
-				} else if !bytes.Equal(b, ref) {
-					t.Errorf("%s %s n=%d %+v differs from scalar/1:\n%s\n%s", fp.family, nw.Name(), nw.Stages(), r, b, ref)
-				}
-			}
+			digestWaves(t, h, fp.family, nw, runs, WithWaves(130), WithSeed(7), WithFaults(fp.plan))
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != simulateGolden[fp.family] {
-			t.Errorf("%s: simulate digest %s, want %s", fp.family, got, simulateGolden[fp.family])
+		checkDigest(t, simulateGolden, fp.family, h)
+	}
+	for _, fp := range append([]struct {
+		family string
+		plan   FaultPlan
+	}{{"intact", FaultPlan{}}}, faultGoldenPlans...) {
+		h := sha256.New()
+		for _, nw := range relabeled {
+			digestWaves(t, h, "relabeled/"+fp.family, nw, allWaveRuns, WithWaves(130), WithSeed(7), WithFaults(fp.plan))
+		}
+		checkDigest(t, simulateGolden, "relabeled/"+fp.family, h)
+	}
+}
+
+// goldenLoads are the offered loads the intact golden cycles through:
+// the unthinned default and two thinned levels.
+var goldenLoads = []float64{1, 0.75, 0.4}
+
+// TestSimulateIntactGolden pins Simulate on the intact fabric: every
+// catalog network at n = 2..8, the tail cycle (n = 6) and a double-arc
+// wiring (n = 5, non-Banyan, so scalar only), each under every
+// registered scenario at a load cycled through goldenLoads, under every
+// kernel that accepts the wiring with 1 and 3 workers.
+func TestSimulateIntactGolden(t *testing.T) {
+	var nets []*Network
+	for _, name := range CatalogNames() {
+		for n := 2; n <= 8; n++ {
+			nets = append(nets, MustBuild(name, n))
+		}
+	}
+	tc, err := TailCycle(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, err := FromLinkPerms("double-arc", 5, doubleArcWiring(5, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, tc, da)
+	h := sha256.New()
+	for i, nw := range nets {
+		runs := allWaveRuns
+		if nw == da {
+			runs = scalarWaveRuns
+		}
+		for k, sc := range ScenarioNames() {
+			load := goldenLoads[(i+k)%len(goldenLoads)]
+			digestWaves(t, h, "intact "+sc, nw, runs, WithWaves(130), WithSeed(5), WithScenario(sc), WithLoad(load))
+		}
+	}
+	checkDigest(t, simulateGolden, "intact", h)
+}
+
+// digestBuffered runs SimulateBuffered on nw with opts under 1 and 3
+// workers, feeds both results to h and requires them to agree byte for
+// byte.
+func digestBuffered(t *testing.T, h hash.Hash, label string, nw *Network, opts ...Option) {
+	t.Helper()
+	var ref []byte
+	for _, workers := range []int{1, 3} {
+		st, err := SimulateBuffered(context.Background(), nw, append(opts, WithWorkers(workers))...)
+		if err != nil {
+			t.Fatalf("%s %s n=%d: %v", label, nw.Name(), nw.Stages(), err)
+		}
+		b := digestLine(t, h, st)
+		if ref == nil {
+			ref = b
+		} else if !bytes.Equal(b, ref) {
+			t.Errorf("%s %s n=%d: workers=3 differs from workers=1", label, nw.Name(), nw.Stages())
 		}
 	}
 }
@@ -121,9 +292,10 @@ func TestSimulateGolden(t *testing.T) {
 // TestSimulateBufferedGolden pins SimulateBuffered under the golden
 // plans: every catalog network at n = 3..5 and the tail cycle (n = 4),
 // with both arbiters, one and two lanes, and 1 or 3 workers over three
-// replications; the worker counts must agree byte for byte.
+// replications; the worker counts must agree byte for byte. The
+// relabeled families run the same matrix, intact and under every plan,
+// on seeded relabelings of the catalog at n = 3..5.
 func TestSimulateBufferedGolden(t *testing.T) {
-	ctx := context.Background()
 	var nets []*Network
 	for _, name := range CatalogNames() {
 		for n := 3; n <= 5; n++ {
@@ -135,31 +307,68 @@ func TestSimulateBufferedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets = append(nets, tc)
-	for _, fp := range faultGoldenPlans {
-		h := sha256.New()
+	run := func(h hash.Hash, family string, nets []*Network, plan FaultPlan) {
 		for _, nw := range nets {
 			for _, arb := range []Arbiter{ArbiterRandom, ArbiterRoundRobin} {
 				for lanes := 1; lanes <= 2; lanes++ {
-					var ref []byte
-					for _, workers := range []int{1, 3} {
-						st, err := SimulateBuffered(ctx, nw, WithReplications(3), WithCycles(120), WithWarmup(20),
-							WithQueue(2), WithLanes(lanes), WithArbiter(arb), WithLoad(0.7),
-							WithSeed(11), WithFaults(fp.plan), WithWorkers(workers))
-						if err != nil {
-							t.Fatalf("%s %s n=%d: %v", fp.family, nw.Name(), nw.Stages(), err)
-						}
-						b := digestLine(t, h, st)
-						if ref == nil {
-							ref = b
-						} else if !bytes.Equal(b, ref) {
-							t.Errorf("%s %s n=%d %s lanes=%d: workers=3 differs from workers=1", fp.family, nw.Name(), nw.Stages(), arb, lanes)
-						}
+					digestBuffered(t, h, fmt.Sprintf("%s %s lanes=%d", family, arb, lanes), nw,
+						WithReplications(3), WithCycles(120), WithWarmup(20),
+						WithQueue(2), WithLanes(lanes), WithArbiter(arb), WithLoad(0.7),
+						WithSeed(11), WithFaults(plan))
+				}
+			}
+		}
+	}
+	for _, fp := range faultGoldenPlans {
+		h := sha256.New()
+		run(h, fp.family, nets, fp.plan)
+		checkDigest(t, simulateBufferedGolden, fp.family, h)
+	}
+	relabeled := relabeledNets(t, 3, 5)
+	for _, fp := range append([]struct {
+		family string
+		plan   FaultPlan
+	}{{"intact", FaultPlan{}}}, faultGoldenPlans...) {
+		h := sha256.New()
+		run(h, "relabeled/"+fp.family, relabeled, fp.plan)
+		checkDigest(t, simulateBufferedGolden, "relabeled/"+fp.family, h)
+	}
+}
+
+// TestSimulateBufferedIntactGolden pins SimulateBuffered on the intact
+// fabric: every catalog network at n = 3..5, the tail cycle (n = 4) and
+// a double-arc wiring (n = 4), under every arbiter and lane select,
+// lanes {1, 2, 4} and queue {1, 4}, with 1 and 3 workers.
+func TestSimulateBufferedIntactGolden(t *testing.T) {
+	var nets []*Network
+	for _, name := range CatalogNames() {
+		for n := 3; n <= 5; n++ {
+			nets = append(nets, MustBuild(name, n))
+		}
+	}
+	tc, err := TailCycle(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, err := FromLinkPerms("double-arc", 4, doubleArcWiring(4, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, tc, da)
+	h := sha256.New()
+	for _, nw := range nets {
+		for _, arb := range []Arbiter{ArbiterRandom, ArbiterRoundRobin} {
+			for _, ls := range []LaneSelect{LaneShortest, LaneByDst, LaneRandom} {
+				for _, lanes := range []int{1, 2, 4} {
+					for _, queue := range []int{1, 4} {
+						digestBuffered(t, h, fmt.Sprintf("intact %s %s lanes=%d queue=%d", arb, ls, lanes, queue), nw,
+							WithReplications(2), WithCycles(80), WithWarmup(10),
+							WithQueue(queue), WithLanes(lanes), WithArbiter(arb), WithLaneSelect(ls),
+							WithLoad(0.8), WithSeed(13))
 					}
 				}
 			}
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != simulateBufferedGolden[fp.family] {
-			t.Errorf("%s: buffered digest %s, want %s", fp.family, got, simulateBufferedGolden[fp.family])
-		}
 	}
+	checkDigest(t, simulateBufferedGolden, "intact", h)
 }
