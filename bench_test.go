@@ -473,11 +473,16 @@ func BenchmarkFabricKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkFabricCompile pins the compile layer: sim.NewFabric's one
-// backward pass building the port tables, the Banyan verdict and, on
-// Banyan fabrics, the path tags. Baseline wirings at 6, 8 and 10
-// stages, plus a 10-stage wiring whose first stage has a double arc, so
-// it is found non-Banyan only at the last step of the pass.
+// BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
+// verdict-only characterization, then either the relabeled form of an
+// equivalent wiring or the table path's one backward pass building the
+// port tables, the Banyan verdict and, on Banyan fabrics, the path
+// tags. Relabeled: Baseline wirings at 6, 8 and 10 stages and a seeded
+// relabeling of the 10-stage Omega. Table path: a 10-stage wiring whose
+// first stage has a double arc (it fails the Banyan check fast, and the
+// table pass finds it non-Banyan only at its last step) and the
+// 10-stage tail cycle (Banyan, so it pays the whole characterization
+// before the table pass).
 func BenchmarkFabricCompile(b *testing.B) {
 	run := func(b *testing.B, perms []perm.Perm, banyan bool) {
 		b.ReportAllocs()
@@ -506,6 +511,13 @@ func BenchmarkFabricCompile(b *testing.B) {
 	}
 	perms[0] = p
 	b.Run("double-arc/n=10", func(b *testing.B) { run(b, perms, false) })
+	relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(10, 1)), topology.MustBuild(topology.NameOmega, 10).LinkPerms)
+	b.Run("relabeled/n=10", func(b *testing.B) { run(b, relabeled, true) })
+	tail, err := randnet.TailCycleLinkPerms(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("tail-cycle/n=10", func(b *testing.B) { run(b, tail, true) })
 }
 
 // BenchmarkFaultedWaveLoop pins the degraded hot path: the steady-state

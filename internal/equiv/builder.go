@@ -179,48 +179,61 @@ func (b *IsoBuilder) baseline(n int) *midigraph.Graph {
 	return b.base
 }
 
-// IsoToBaseline is the builder-backed form of the package-level
-// IsoToBaseline: identical semantics, but the check and the label
-// construction run entirely on reused scratch, so in steady state the
-// only allocations are the returned Isomorphism's own stage maps. The
-// failure paths (a graph flunking the characterization, or the
-// never-observed labeling fallback) use the allocating diagnostics.
-func (b *IsoBuilder) IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
-	b.prefix = b.an.CheckPrefix(g, b.prefix)
-	b.suffix = b.an.CheckSuffix(g, b.suffix)
-	if !b.an.Banyan(g) || !midigraph.AllOK(b.prefix) || !midigraph.AllOK(b.suffix) {
-		return Isomorphism{}, &NotEquivalentError{Report: Check(g)}
+// Relabeling is the verdict-only characterization: it decides Banyan
+// first (failing fast on most other wirings), then P(1,*) and P(*,n),
+// and when all three hold returns the constructive isomorphism from g
+// onto topology.Baseline(n) with true. It builds no diagnostics, so a
+// rejection costs only the reused scratch; false means g fails the
+// characterization, or (never observed) the labeling and the oracle
+// fallback both failed.
+func (b *IsoBuilder) Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
+	if !b.an.Banyan(g) {
+		return Isomorphism{}, false
+	}
+	if b.prefix = b.an.CheckPrefix(g, b.prefix); !midigraph.AllOK(b.prefix) {
+		return Isomorphism{}, false
+	}
+	if b.suffix = b.an.CheckSuffix(g, b.suffix); !midigraph.AllOK(b.suffix) {
+		return Isomorphism{}, false
 	}
 	n := g.Stages()
 	h := g.CellsPerStage()
 	if n == 1 {
-		return Identity(1, 1), nil
+		return Identity(1, 1), true
 	}
 	base := b.baseline(n)
-
-	labels, err := b.hierarchicalLabels(g)
-	if err == nil {
+	if labels, err := b.hierarchicalLabels(g); err == nil {
 		iso := Isomorphism{Maps: make([]perm.Perm, n)}
 		ok := true
 		for s := 0; s < n && ok; s++ {
 			p := make(perm.Perm, h)
 			copy(p, labels[s])
-			if !b.bijection(p, h) {
-				err = fmt.Errorf("equiv: stage %d labels not a bijection", s)
-				ok = false
-			}
+			ok = b.bijection(p, h)
 			iso.Maps[s] = p
 		}
 		if ok && b.verifyArcs(iso, g, base) {
-			return iso, nil
+			return iso, true
 		}
 	}
 	// Defensive fallback; exercised only by tests that feed adversarial
 	// graphs directly to the labeler.
 	if n <= OracleMaxStages {
-		if iso, ok := FindIsomorphism(g, base); ok {
-			return iso, nil
-		}
+		return FindIsomorphism(g, base)
 	}
-	return Isomorphism{}, fmt.Errorf("equiv: hierarchical labeling failed (%v) and oracle unavailable for n=%d", err, n)
+	return Isomorphism{}, false
+}
+
+// IsoToBaseline is the builder-backed form of the package-level
+// IsoToBaseline: identical semantics, but the check and the label
+// construction run on Relabeling's reused scratch, so in steady state
+// the only allocations are the returned Isomorphism's own stage maps.
+// Only a rejection builds the allocating Check report it carries.
+func (b *IsoBuilder) IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
+	if iso, ok := b.Relabeling(g); ok {
+		return iso, nil
+	}
+	if rep := Check(g); !rep.Equivalent() {
+		return Isomorphism{}, &NotEquivalentError{Report: rep}
+	}
+	return Isomorphism{}, fmt.Errorf("equiv: hierarchical labeling failed and oracle unavailable for n=%d", g.Stages())
 }

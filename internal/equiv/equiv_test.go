@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -394,5 +395,44 @@ func TestIsoBetweenErrors(t *testing.T) {
 	}
 	if _, err := IsoBetween(tail, topology.Baseline(4)); err == nil {
 		t.Error("non-equivalent first operand accepted")
+	}
+}
+
+// TestRelabelingVerdictOnly pins the verdict-only entry: on a warm
+// builder it rejects a non-Banyan graph and a tail cycle (Banyan, but
+// failing P(*,n)) without allocating, so no diagnostic report is
+// built, and on an equivalent graph it returns the same isomorphism
+// IsoToBaseline does.
+func TestRelabelingVerdictOnly(t *testing.T) {
+	b := NewIsoBuilder()
+	nonBanyan, err := randnet.NonBanyan(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := randnet.TailCycleBanyan(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*midigraph.Graph{"non-banyan": nonBanyan, "tail-cycle": tail} {
+		if _, ok := b.Relabeling(g); ok {
+			t.Fatalf("%s accepted", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { b.Relabeling(g) }); allocs != 0 {
+			t.Errorf("%s: rejection allocates %v times", name, allocs)
+		}
+	}
+	g := topology.MustBuild(topology.NameOmega, 6).Graph
+	iso, ok := b.Relabeling(g)
+	if !ok {
+		t.Fatal("omega rejected")
+	}
+	want, err := IsoToBaseline(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range want.Maps {
+		if !slices.Equal(iso.Maps[s], want.Maps[s]) {
+			t.Fatalf("stage %d: Relabeling %v, IsoToBaseline %v", s, iso.Maps[s], want.Maps[s])
+		}
 	}
 }

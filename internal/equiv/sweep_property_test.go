@@ -1,9 +1,9 @@
 package equiv
 
 import (
+	"math/rand/v2"
 	"testing"
 
-	"minequiv/internal/engine"
 	"minequiv/internal/midigraph"
 	"minequiv/internal/randnet"
 )
@@ -15,7 +15,9 @@ import (
 // tail-cycle counterexamples — every per-window component count from
 // the sweep Analyzer must equal the naive per-window union-find's.
 func TestSweepMatchesNaiveOnRandomGraphs(t *testing.T) {
-	rng := engine.NewRand(113, 0)
+	// The PCG seed pair engine.NewRand(113, 0) derives (see
+	// gatherTestGraphs).
+	rng := rand.New(rand.NewPCG(0xf453df4dcab47cdc, 0xb2958f2964fa8f62))
 	a := midigraph.NewAnalyzer()
 	checked := 0
 	check := func(g *midigraph.Graph, kind string) {

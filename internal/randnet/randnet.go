@@ -1,7 +1,8 @@
 // Package randnet generates random multistage interconnection networks
 // for the experiment harness and the property-based tests: random
 // independent-connection Banyans (the objects of Theorem 3), random PIPID
-// networks (§4), random isomorphic scrambles, and the tail-cycle family
+// networks (§4), random isomorphic scrambles of graphs and of link
+// wirings, and the tail-cycle family
 // of Banyan-but-NOT-baseline-equivalent graphs used as counterexamples.
 package randnet
 
@@ -87,6 +88,47 @@ func Scramble(rng *rand.Rand, g *midigraph.Graph) (*midigraph.Graph, []perm.Perm
 		panic(fmt.Sprintf("randnet: relabel failed: %v", err)) // shapes match by construction
 	}
 	return sg, perms
+}
+
+// RelabelLinks is Scramble at the link level: it returns a seeded
+// stage-respecting relabeling of a wiring given by link permutations.
+// Every stage's cells are renamed by a uniform permutation, and each
+// cell's two outlinks and two inlinks are swapped by independent coin
+// flips. The MI-digraph is unchanged up to isomorphism, so the result
+// is Baseline-equivalent exactly when perms is, but its cells leave
+// their catalog labels and its ports no longer follow the Baseline's
+// child slots.
+func RelabelLinks(rng *rand.Rand, perms []perm.Perm) []perm.Perm {
+	stages := len(perms) + 1
+	h := perms[0].N() / 2
+	cell := make([][]int, stages)
+	outSwap := make([][]bool, stages)
+	inSwap := make([][]bool, stages)
+	for s := range cell {
+		cell[s] = rng.Perm(h)
+		outSwap[s] = make([]bool, h)
+		inSwap[s] = make([]bool, h)
+		for c := 0; c < h; c++ {
+			outSwap[s][c] = rng.IntN(2) == 0
+			inSwap[s][c] = rng.IntN(2) == 0
+		}
+	}
+	link := func(label []int, swap []bool, x uint64) uint64 {
+		c, p := x>>1, x&1
+		if swap[c] {
+			p ^= 1
+		}
+		return uint64(label[c])<<1 | p
+	}
+	out := make([]perm.Perm, len(perms))
+	for s, p := range perms {
+		row := make(perm.Perm, len(p))
+		for x, y := range p {
+			row[link(cell[s], outSwap[s], uint64(x))] = link(cell[s+1], inSwap[s+1], y)
+		}
+		out[s] = row
+	}
+	return out
 }
 
 // TailCycleBanyan builds the counterexample family: a Baseline whose

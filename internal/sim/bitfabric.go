@@ -19,11 +19,13 @@ import (
 // construction, not by luck; three contracts make that hold:
 //
 //  1. Tag planes. BitSliceable fabrics are Banyan (unique-path), so a
-//     packet's whole port schedule is the compiled path tag of its
-//     (src, dst) pair — bit s of the tag is the port the scalar tables
-//     steer at stage s; sources 2c and 2c+1 share stage-0 cell c's tag
-//     row. Plane tag[s] carries that bit for every in-flight lane,
-//     indexed by current inlink.
+//     packet's whole route is the slot tag of its (src, dst) pair
+//     (Fabric.tagRow): bit s is the child slot the scalar port function
+//     steers at stage s — the port itself on the table path, the port
+//     XOR the cell's swap bit on a relabeled fabric, whose tags do not
+//     depend on the source. Plane tag[s] carries that bit for every
+//     in-flight lane, indexed by current inlink, and the kernel follows
+//     each stage's slot-space wire (stageKernel.slotNext).
 //  2. Salt tie-breaks. Conflicts are strictly between the two inlinks
 //     of one cell, so one salt bit per (stage, cell) — drawn as
 //     ceil(H/64) uint64 words per stage from the wave's own rng, the
@@ -35,7 +37,8 @@ import (
 //     for dead/stuck0/stuck1 switches and severed links as scratch;
 //     SetLaneFaults and AddLaneFaults fold one realized FaultState — the
 //     same state the scalar kernel and the router read — into a mask of
-//     lanes by walking its sparse index of faulted elements. The
+//     lanes by walking its sparse index of faulted elements, mapping
+//     ports to slots through each switch's swap bit. The
 //     per-cell algebra applies them in the scalar steer's exact
 //     precedence:
 //     dead kills first (FaultDropped), an upstream-derailed arrival
@@ -147,10 +150,13 @@ func (r *BitWaveRunner) SetLaneFaults(lanes uint64, fs *FaultState) error {
 // AddLaneFaults is the one fold loop: it ORs the lanes set in `lanes`
 // into the mask word of every element fs's sparse index lists, and
 // clears nothing, so it costs O(faults). The state's switch and link
-// indices are the masks' stage-major indices. The engine refolds a
-// batch with random rates this way: one SetLaneFaults(^uint64(0), nil)
-// clears every lane, then each trial's realization is added to its own
-// lane 1<<j. Allocation-free after the first fold.
+// indices are the masks' stage-major indices, with ports translated to
+// the kernel's slots: on a switch whose swap bit is set, stuck0 and
+// stuck1 exchange and a severed outlink's index flips bit 0. The
+// engine refolds a batch with random rates this way: one
+// SetLaneFaults(^uint64(0), nil) clears every lane, then each trial's
+// realization is added to its own lane 1<<j. Allocation-free after the
+// first fold.
 //
 //minlint:hotpath
 func (r *BitWaveRunner) AddLaneFaults(lanes uint64, fs *FaultState) error {
@@ -161,18 +167,23 @@ func (r *BitWaveRunner) AddLaneFaults(lanes uint64, fs *FaultState) error {
 		return nil
 	}
 	r.allocMasks()
+	f := r.f
 	for _, i := range fs.switches {
+		st0, st1 := r.stuck0, r.stuck1
+		if f.swapped(int(i)) == 1 {
+			st0, st1 = st1, st0
+		}
 		switch fs.mode[i] {
 		case switchDead:
 			r.dead[i] |= lanes
 		case switchStuck0:
-			r.stuck0[i] |= lanes
+			st0[i] |= lanes
 		case switchStuck1:
-			r.stuck1[i] |= lanes
+			st1[i] |= lanes
 		}
 	}
 	for _, i := range fs.links {
-		r.linkDown[i] |= lanes
+		r.linkDown[int(i)^int(f.swapped(int(i)>>1))] |= lanes
 	}
 	return nil
 }
@@ -227,9 +238,11 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 		}
 	}
 	// Phase two, source-major: build the live and tag planes one source
-	// at a time, so each path-tag row is streamed exactly once per batch
-	// (lane-major packing would re-walk the whole table per lane — with
-	// the table past L2 that is the dominant cost of the batch) and the
+	// at a time, so each tag row is streamed exactly once per batch
+	// (lane-major packing would re-walk a table-path fabric's whole
+	// pathTag per lane — with the table past L2 that is the dominant
+	// cost of the batch; a relabeled fabric's one rtag row stays in L1)
+	// and the
 	// per-plane bits accumulate in registers instead of heap RMWs. Lanes
 	// beyond the batch are masked out of live; their stale tag and salt
 	// bits are harmless, as every kernel read is masked by live.
@@ -246,8 +259,7 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	var blk [64]uint64
 	for src := 0; src < N; src += 4 {
 		// Sources src and src+1 share tag row a, src+2 and src+3 row b.
-		rowA := f.pathTag[(src>>1)*N : (src>>1+1)*N]
-		rowB := f.pathTag[(src>>1+1)*N : (src>>1+2)*N]
+		rowA, rowB := f.tagRow(src>>1), f.tagRow(src>>1+1)
 		col := r.dstAll[src*64 : (src+4)*64]
 		var lv0, lv1, lv2, lv3 uint64
 		for j := 0; j < 64; j++ {
@@ -334,7 +346,7 @@ func (r *BitWaveRunner) steerPlanes() {
 		tagS := r.tag[s]
 		var next []uint64
 		if !last {
-			next = f.stages[s].next
+			next = f.stages[s].slotNext
 		}
 		for c := 0; c < H; c++ {
 			in0, in1 := 2*c, 2*c+1
@@ -480,7 +492,7 @@ func (r *BitWaveRunner) BitSteerSweep(salt int) uint64 {
 	all := ^uint64(0)
 	for src := 0; src < N; src++ {
 		dst := (src + salt) & (N - 1)
-		tag := uint64(f.tagOf(src, dst))
+		tag := uint64(f.tagRow(src >> 1)[dst])
 		r.live[src] = all
 		for b := 0; b < n; b++ {
 			r.tag[b][src] = (tag >> uint(b) & 1) * all

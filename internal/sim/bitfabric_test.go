@@ -8,6 +8,7 @@ import (
 
 	"minequiv/internal/bitops"
 	"minequiv/internal/perm"
+	"minequiv/internal/randnet"
 	"minequiv/internal/topology"
 )
 
@@ -389,8 +390,10 @@ func TestBitSteerSweepDeterministic(t *testing.T) {
 	}
 }
 
+// fuzzFabric is a relabeled Omega, so its slot-space wires differ from
+// its port-space ones.
 var fuzzFabric = sync.OnceValue(func() *Fabric {
-	f, err := NewFabric(topology.MustBuild(topology.NameOmega, 4).LinkPerms)
+	f, err := NewFabric(randnet.RelabelLinks(rand.New(rand.NewPCG(4, 1)), topology.MustBuild(topology.NameOmega, 4).LinkPerms))
 	if err != nil {
 		panic(err)
 	}
@@ -398,9 +401,9 @@ var fuzzFabric = sync.OnceValue(func() *Fabric {
 })
 
 // FuzzBitPlaneRoundTrip checks the two pack/unpack pivots the bit
-// kernel rests on: a compiled path tag, unpacked bit by bit and walked
-// through the inter-stage wiring, must land on the destination it was
-// packed from; and the salt-block transpose must be a true involution
+// kernel rests on: a packed slot tag, unpacked bit by bit and walked
+// through the slot-space wiring the kernel follows, must land on the
+// destination it was packed from; and the salt-block transpose must be a true involution
 // (unpack(pack(x)) == x) for arbitrary word contents.
 func FuzzBitPlaneRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 15, 8, 0x80, 7}, uint64(42))
@@ -414,14 +417,14 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 				continue // idle terminal
 			}
 			dst := int(data[src]) % N
-			tag := fab.tagOf(src, dst)
+			tag := fab.tagRow(src >> 1)[dst]
 			link := uint64(src)
 			for s := 0; s < n; s++ {
 				cell := link >> 1
 				pt := uint64(tag) >> uint(s) & 1
 				link = cell<<1 | pt
 				if s < n-1 {
-					link = fab.forward(s, link)
+					link = fab.stages[s].slotNext[link]
 				}
 			}
 			if int(link) != dst {
@@ -452,21 +455,33 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 
 // FuzzFaultFold checks the one fold from the byte fault state into the
 // bit kernel's lane masks. Fuzz bytes choose a registry network of 2..7
-// stages, Bernoulli rates, a lane j and a pinned fault list; the plan is
+// stages (as built, or seeded-relabeled so cells carry swap bits),
+// Bernoulli rates, a lane j and a pinned fault list; the plan is
 // realized with Sample and folded into lane j of a runner whose 64
-// lanes already hold another realization. Every element's lane-j bit
-// must equal the byte state and no other lane may change; a batch whose
-// lane j runs the scalar wave's stream must then reproduce that wave.
+// lanes already hold another realization. Every element's lane-j bit,
+// mapped through its switch's swap bit into slot space (stuck0 and
+// stuck1 exchange, a severed outlink's bit 0 flips), must equal the
+// byte state and no other lane may change; a batch whose lane j runs
+// the scalar wave's stream must then reproduce that wave.
 func FuzzFaultFold(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint64(1))
 	f.Add([]byte{1, 2, 40, 60, 30, 5, 0, 1, 2, 1, 0, 3, 3, 2, 9}, uint64(7))
 	f.Add([]byte{5, 4, 255, 0, 0, 63}, uint64(99))
 	f.Add([]byte{3, 1, 0, 200, 0, 17, 2, 0, 0, 2, 1, 1}, uint64(3))
+	f.Add([]byte{9, 4, 30, 90, 30, 40, 1, 1, 3, 2, 2, 5, 3, 0, 6}, uint64(5))
+	f.Add([]byte{10, 2, 0, 255, 60, 0}, uint64(11))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		var hdr [6]byte
 		copy(hdr[:], data)
 		names := topology.Names()
-		fab := fabricFor(t, names[int(hdr[1])%len(names)], 2+int(hdr[0])%6)
+		perms := topology.MustBuild(names[int(hdr[1])%len(names)], 2+int(hdr[0])%6).LinkPerms
+		if hdr[0]/6%2 == 1 {
+			perms = randnet.RelabelLinks(rand.New(rand.NewPCG(seed, 0)), perms)
+		}
+		fab, err := NewFabric(perms)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n, N, H := fab.Spans, fab.N, fab.H
 		plan := FaultPlan{
 			SwitchDeadRate:  float64(hdr[2]) / 1020,
@@ -501,14 +516,18 @@ func FuzzFaultFold(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i, m := range fs.mode {
+			slot0, slot1 := switchStuck0, switchStuck1
+			if fab.swapped(i) == 1 {
+				slot0, slot1 = slot1, slot0
+			}
 			for _, c := range []struct {
 				name      string
 				got, prev uint64
 				want      bool
 			}{
 				{"dead", r.dead[i], dead[i], m == switchDead},
-				{"stuck0", r.stuck0[i], st0[i], m == switchStuck0},
-				{"stuck1", r.stuck1[i], st1[i], m == switchStuck1},
+				{"stuck0", r.stuck0[i], st0[i], m == slot0},
+				{"stuck1", r.stuck1[i], st1[i], m == slot1},
 			} {
 				if (c.got&bit != 0) != c.want {
 					t.Fatalf("%s[%d] lane %d bit = %t, mode = %d", c.name, i, lane, c.got&bit != 0, m)
@@ -519,11 +538,12 @@ func FuzzFaultFold(f *testing.F) {
 			}
 		}
 		for i, down := range fs.linkDown {
-			if (r.linkDown[i]&bit != 0) != down {
-				t.Fatalf("linkDown[%d] lane %d bit = %t, want %t", i, lane, r.linkDown[i]&bit != 0, down)
+			j := i ^ int(fab.swapped(i>>1))
+			if (r.linkDown[j]&bit != 0) != down {
+				t.Fatalf("linkDown[%d] (slot %d) lane %d bit = %t, want %t", i, j, lane, r.linkDown[j]&bit != 0, down)
 			}
-			if (r.linkDown[i]^ld[i])&^bit != 0 {
-				t.Fatalf("linkDown[%d]: fold into lane %d changed lanes %#x", i, lane, (r.linkDown[i]^ld[i])&^bit)
+			if (r.linkDown[j]^ld[j])&^bit != 0 {
+				t.Fatalf("linkDown[%d] (slot %d): fold into lane %d changed lanes %#x", i, j, lane, (r.linkDown[j]^ld[j])&^bit)
 			}
 		}
 

@@ -15,11 +15,12 @@ import (
 	"minequiv/internal/topology"
 )
 
-// compileGolden pins the compiled fabric byte for byte: per case
-// family, the SHA-256 of every stage's port table, pathTag (or its
-// absence), Banyan() and BitSliceable(), over the family's stage
-// counts. A change to how NewFabric compiles must leave every digest
-// where it is.
+// compileGolden pins the compiled fabric's behaviour byte for byte: per
+// case family, the SHA-256 of the logical port function over every
+// (stage, cell, dst) in table order, every path tag (or their absence),
+// Banyan() and BitSliceable(), over the family's stage counts. Both
+// fabric forms answer to the same digests, so a change to how NewFabric
+// compiles must leave every digest where it is.
 var compileGolden = map[string]string{
 	"baseline":                  "9fd6af08129026b3a84061f9b9407b8a73fb9113a9a7312d915be1af53810dbd",
 	"double-arc":                "783a2e9c4d1bf09935e73d03f5cda49b1a736bc2ecc27850e022384b52b9bed7",
@@ -34,14 +35,18 @@ var compileGolden = map[string]string{
 }
 
 // hashFabric writes everything a compiled fabric exposes to the
-// kernels into h.
+// kernels into h, through the logical accessors.
 func hashFabric(h hash.Hash, name string, f *Fabric) {
 	fmt.Fprintf(h, "%s n=%d banyan=%t sliceable=%t\n", name, f.Spans, f.Banyan(), f.BitSliceable())
-	for s, st := range f.stages {
+	row := make([]byte, f.H*f.N)
+	for s := 0; s < f.Spans; s++ {
 		fmt.Fprintf(h, "stage %d\n", s)
-		h.Write(st.port)
+		for i := range row {
+			row[i] = f.port(s, i/f.N, i%f.N)
+		}
+		h.Write(row)
 	}
-	if f.pathTag == nil {
+	if !f.BitSliceable() {
 		fmt.Fprintln(h, "no path tags")
 		return
 	}
@@ -49,10 +54,53 @@ func hashFabric(h hash.Hash, name string, f *Fabric) {
 	var b [2]byte
 	for src := 0; src < f.N; src++ {
 		for dst := 0; dst < f.N; dst++ {
-			binary.LittleEndian.PutUint16(b[:], f.tagOf(src, dst))
+			binary.LittleEndian.PutUint16(b[:], tagOf(f, src, dst))
 			h.Write(b[:])
 		}
 	}
+}
+
+// tagOf returns the path tag of the intact (src, dst) flight on a
+// BitSliceable fabric — bit s is the output port taken at stage s —
+// from what the bit kernel reads: the table path's pathTag entry, or
+// on a relabeled fabric the rtag slots walked through the slot-space
+// wires, each slot mapped back to a port through its switch's swap bit.
+func tagOf(f *Fabric, src, dst int) uint16 {
+	slots := f.tagRow(src >> 1)[dst]
+	if f.key == nil {
+		return slots
+	}
+	var tag uint16
+	cell := src >> 1
+	for s := 0; s < f.Spans; s++ {
+		v := int(slots >> uint(s) & 1)
+		tag |= uint16(v^int(f.swapped(s*f.H+cell))) << uint(s)
+		if s < f.Spans-1 {
+			cell = int(f.stages[s].slotNext[cell<<1|v] >> 1)
+		}
+	}
+	return tag
+}
+
+// walkTag packs the port schedule the logical port function steers from
+// src toward dst, one port per stage; false when a stage reports
+// portUnreachable.
+func walkTag(f *Fabric, src, dst int) (uint16, bool) {
+	link := uint64(src)
+	var tag uint16
+	for s := 0; s < f.Spans; s++ {
+		cell := link >> 1
+		pt := f.port(s, int(cell), dst)
+		if pt == portUnreachable {
+			return 0, false
+		}
+		tag |= uint16(pt) << uint(s)
+		link = cell<<1 | uint64(pt)
+		if s < f.Spans-1 {
+			link = f.forward(s, link)
+		}
+	}
+	return tag, true
 }
 
 // xorButterfly wires every stage so cell x's port p enters cell x^p:
@@ -134,9 +182,10 @@ func TestFabricCompileGolden(t *testing.T) {
 			if f.Banyan() == nonBanyanFamilies[family] {
 				t.Errorf("%s n=%d: Banyan() = %t, against the family's intent", family, f.Spans, f.Banyan())
 			}
-			// The kept tag half is its own allocation: the other half
-			// of the compile's ping-pong must not stay reachable.
-			if f.Banyan() && cap(f.pathTag) != f.H*f.N {
+			// A table-path fabric's kept tag half is its own
+			// allocation: the other half of the compile's ping-pong
+			// must not stay reachable.
+			if f.Banyan() && f.key == nil && cap(f.pathTag) != f.H*f.N {
 				t.Errorf("%s n=%d: cap(pathTag) = %d, want %d", family, f.Spans, cap(f.pathTag), f.H*f.N)
 			}
 			hashFabric(h, family, f)
@@ -187,45 +236,111 @@ func reachRow(perms []perm.Perm, s, cell int) []uint8 {
 }
 
 // walkPathTags packs, for every (src, dst), the port schedule the
-// compiled tables steer: one table lookup per stage. It returns nil
+// logical port function steers: one lookup per stage. It returns nil
 // unless the fabric is Banyan.
 func walkPathTags(f *Fabric) []uint16 {
 	if !f.Banyan() {
 		return nil
 	}
 	tags := make([]uint16, f.N*f.N)
-	for src := 0; src < f.N; src++ {
-		for dst := 0; dst < f.N; dst++ {
-			link := uint64(src)
-			var tag uint16
-			for s := 0; s < f.Spans; s++ {
-				cell := link >> 1
-				pt := f.stages[s].port[int(cell)*f.N+dst]
-				if pt == portUnreachable {
-					return nil
-				}
-				tag |= uint16(pt) << uint(s)
-				link = cell<<1 | uint64(pt)
-				if s < f.Spans-1 {
-					link = f.stages[s].next.Apply(link)
-				}
-			}
-			tags[src*f.N+dst] = tag
+	for i := range tags {
+		tag, ok := walkTag(f, i/f.N, i%f.N)
+		if !ok {
+			return nil
 		}
+		tags[i] = tag
 	}
 	return tags
 }
 
+// sameFabric requires two compiled forms of one wiring to agree on every
+// (s, c, dst) port and every (src, dst) path tag.
+func sameFabric(t *testing.T, label string, got, want *Fabric) {
+	t.Helper()
+	if got.Banyan() != want.Banyan() || got.BitSliceable() != want.BitSliceable() {
+		t.Fatalf("%s: banyan %t/%t sliceable %t/%t", label, got.Banyan(), want.Banyan(), got.BitSliceable(), want.BitSliceable())
+	}
+	for s := 0; s < got.Spans; s++ {
+		for c := 0; c < got.H; c++ {
+			for dst := 0; dst < got.N; dst++ {
+				if g, w := got.port(s, c, dst), want.port(s, c, dst); g != w {
+					t.Fatalf("%s stage %d cell %d dst %d: port %#x, tables say %#x", label, s, c, dst, g, w)
+				}
+			}
+		}
+	}
+	if !got.BitSliceable() {
+		return
+	}
+	for src := 0; src < got.N; src++ {
+		for dst := 0; dst < got.N; dst++ {
+			if g, w := tagOf(got, src, dst), tagOf(want, src, dst); g != w {
+				t.Fatalf("%s (src %d, dst %d): tag %#x, tables say %#x", label, src, dst, g, w)
+			}
+		}
+	}
+}
+
+// TestRelabeledMatchesTables is the table oracle for the relabeled
+// form: every catalog network at n = 2..10 and three seeded relabelings
+// of each must compile relabeled and agree with compileTables on the
+// same wiring at every (s, c, dst) port — portUnreachable included —
+// and every (src, dst) path tag. The catalog compiles with no swap bit
+// set; the relabelings must set some, or the test would not reach the
+// swap algebra.
+func TestRelabeledMatchesTables(t *testing.T) {
+	for i, name := range topology.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			swaps := 0
+			for n := 2; n <= 10; n++ {
+				base := topology.MustBuild(name, n).LinkPerms
+				wirings := [][]perm.Perm{base}
+				for k := 0; k < 3; k++ {
+					wirings = append(wirings, randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), uint64(3*i+k))), base))
+				}
+				for k, perms := range wirings {
+					label := fmt.Sprintf("n=%d relabeling %d", n, k)
+					f, err := NewFabric(perms)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.key == nil {
+						t.Fatalf("%s: equivalent wiring took the table path", label)
+					}
+					for j := range f.key {
+						if f.swapped(j) == 1 {
+							if k == 0 {
+								t.Fatalf("%s: catalog wiring has swap bit at switch %d", label, j)
+							}
+							swaps++
+						}
+					}
+					sameFabric(t, label, f, compileTables(perms))
+				}
+			}
+			if swaps == 0 {
+				t.Fatal("no relabeling set a swap bit")
+			}
+		})
+	}
+}
+
 // FuzzFabricCompile compiles wirings seeded by the fuzz bytes — random
-// link permutations, or a catalog network with random link swaps — at
-// n = 2..6 and checks every compiled table against an oracle: Banyan()
-// against midigraph path counts, each port entry against brute-force
-// reachability, and pathTag against a per-pair walk of the port tables.
+// link permutations, or a catalog network, possibly relabeled, with
+// random link swaps — at n = 2..6 and checks the compiled fabric against
+// an oracle: Banyan() against midigraph path counts, each port (read
+// through the logical accessor) against brute-force reachability, and
+// each path tag against a per-pair walk of the ports. Whenever the
+// wiring compiled relabeled, the table compiler's form of the same
+// wiring must agree with it everywhere.
 func FuzzFabricCompile(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{4, 1, 0, 9})
 	f.Add([]byte{3, 1, 2, 7, 7})
 	f.Add([]byte{2, 0, 5, 1, 2, 3})
+	f.Add([]byte{4, 3, 4})
+	f.Add([]byte{5, 5, 6, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr [3]byte
 		copy(hdr[:], data)
@@ -241,6 +356,9 @@ func FuzzFabricCompile(f *testing.F) {
 			names := topology.Names()
 			for _, p := range topology.MustBuild(names[int(hdr[1]>>1)%len(names)], n).LinkPerms {
 				perms = append(perms, p.Clone())
+			}
+			if hdr[2]&4 != 0 {
+				perms = randnet.RelabelLinks(rng, perms)
 			}
 			for k := int(hdr[2] % 4); k > 0; k-- {
 				p := perms[rng.IntN(n-1)]
@@ -263,20 +381,23 @@ func FuzzFabricCompile(f *testing.F) {
 		for s := 0; s < n; s++ {
 			for c := 0; c < fab.H; c++ {
 				for dst, want := range reachRow(perms, s, c) {
-					if got := fab.stages[s].port[c*N+dst]; got != want {
+					if got := fab.port(s, c, dst); got != want {
 						t.Fatalf("n=%d stage %d cell %d dst %d: port %#x, reachability says %#x", n, s, c, dst, got, want)
 					}
 				}
 			}
 		}
 		want := walkPathTags(fab)
-		if (fab.pathTag == nil) != (want == nil) || fab.BitSliceable() != (want != nil) {
-			t.Fatalf("n=%d: pathTag present = %t, walk says %t", n, fab.pathTag != nil, want != nil)
+		if fab.BitSliceable() != (want != nil) {
+			t.Fatalf("n=%d: BitSliceable() = %t, walk says %t", n, fab.BitSliceable(), want != nil)
 		}
 		for i, tag := range want {
-			if got := fab.tagOf(i/N, i%N); got != tag {
+			if got := tagOf(fab, i/N, i%N); got != tag {
 				t.Fatalf("n=%d (src %d, dst %d): tag %#x, walk says %#x", n, i/N, i%N, got, tag)
 			}
+		}
+		if fab.key != nil {
+			sameFabric(t, fmt.Sprintf("n=%d", n), fab, compileTables(perms))
 		}
 	})
 }

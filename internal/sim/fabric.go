@@ -2,7 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
+	"minequiv/internal/equiv"
+	"minequiv/internal/midigraph"
 	"minequiv/internal/perm"
 )
 
@@ -29,24 +33,37 @@ const (
 	portFaulted = 0xFE
 )
 
-// stageKernel is one compiled stage: the switch bank's routing table and
-// the outgoing link permutation.
+// stageKernel is one compiled stage: the switch bank's routing table
+// (table path only) and the outgoing link permutation.
 type stageKernel struct {
 	// port[cell*N + dst] = output port (0/1) leading from the cell
 	// toward output terminal dst; portUnreachable when no path exists.
+	// nil on a relabeled fabric, whose ports are computed (see port).
 	port []uint8
 	// next carries outlink x of this stage to inlink next[x] of the
 	// following stage; nil for the last stage, whose outlinks are the
 	// output terminals themselves.
 	next perm.Perm
+	// slotNext is the wire the bit kernel follows, indexed by child
+	// slot instead of port: slotNext[2c+v] = next[2c+(v^swap)], with
+	// swap the cell's swap bit. It is next itself on the table path,
+	// where every swap bit is 0.
+	slotNext perm.Perm
 }
 
 // Fabric is a compiled simulation model of one MIN: per-stage 2x2
-// switch banks with precomputed destination routing tables that work
-// for ANY permutation-defined network, PIPID or not (the tables are
-// reachability-based), plus the inter-stage link permutations. A Fabric
-// is immutable and safe for concurrent use; mutable per-trial state
-// (runner scratch, fault state) lives outside it.
+// switch banks with destination routing that works for ANY
+// permutation-defined network, PIPID or not, plus the inter-stage link
+// permutations. A Fabric is immutable and safe for concurrent use;
+// mutable per-trial state (runner scratch, fault state) lives outside
+// it.
+//
+// A fabric takes one of two forms. A Baseline-equivalent wiring is
+// compiled relabeled: by the paper's theorem it is the Baseline with
+// its cells renamed, so its routing is the Baseline's destination-tag
+// routing read through that renaming, in O(n·H + N) state (sigma, key,
+// rtag). Every other wiring takes the table path: reachability-based
+// port tables, and path tags while it is Banyan, in O(n·N²) state.
 type Fabric struct {
 	N      int // terminals
 	H      int // cells per stage
@@ -59,36 +76,43 @@ type Fabric struct {
 	// pathTag[(src>>1)*N+dst] packs the port schedule the compiled
 	// tables steer for an intact (src, dst) flight: bit s is the output
 	// port taken at stage s. Row c is stage-0 cell c's tag row, shared by
-	// its two inputs 2c and 2c+1. Non-nil exactly when the fabric is
-	// BitSliceable; the bit-sliced wave kernel routes whole waves by
-	// these tags instead of per-stage lookups.
+	// its two inputs 2c and 2c+1. Table path only, and non-nil exactly
+	// when that fabric is Banyan; the bit-sliced wave kernel routes whole
+	// waves by these tags instead of per-stage lookups.
 	pathTag []uint16
+
+	// The relabeled form, nil on the table path. With φ the isomorphism
+	// onto the Baseline and m = Spans-1:
+	//   sigma[dst] = φ_m(dst>>1)<<1 | dst&1, dst's Baseline terminal;
+	//   key[s*H+c] = φ_s(c)<<1 with bit m-s replaced by the cell's swap
+	//     bit, the Baseline slot its port 0 leads to (0 at the last
+	//     stage);
+	//   rtag[dst] has bit s = bit m-s of sigma[dst], the Baseline slot
+	//     taken at stage s toward dst from any source.
+	sigma, key []uint32
+	rtag       []uint16
 }
 
-// MaxFabricStages bounds the stage count NewFabric compiles. The port
-// tables hold n·2^(2n-1) bytes and the two tag halves 2^(2n-1) uint16s
-// each, so the peak during a compile is ~2.4 GB at 14 stages and would
-// be ~10 GB at 15. Once compiled, a Banyan fabric keeps the port tables
-// and one tag half (~2.1 GB at 14 stages); the other half is garbage.
+// MaxFabricStages bounds the stage count NewFabric compiles. It is set
+// by the table path: its port tables hold n·2^(2n-1) bytes and its two
+// tag halves 2^(2n-1) uint16s each, so the peak during a table compile
+// is ~2.4 GB at 14 stages and would be ~10 GB at 15. Once compiled, a
+// Banyan table-path fabric keeps the port tables and one tag half
+// (~2.1 GB at 14 stages); the other half is garbage. A relabeled fabric
+// holds O(n·2^n) words.
 const MaxFabricStages = 14
 
-// NewFabric compiles the per-stage kernels in one backward pass over
-// the stages. A cell reaches dst iff one of its two children does, so
-// its port row is read off the next stage's rows: port 0 when child 0
-// reaches dst, else port 1 when child 1 does, else portUnreachable. On
-// a Banyan fabric the path from a cell to dst is its port followed by
-// the path from the child that port leads to, so the same pass packs
-// each cell's tag row as tag[c][dst] = port<<s | tag[child][dst], and
-// stage 0's rows are the path tags of its two inputs. Unreachable
-// (cell, dst) pairs are tolerated and marked, so non-Banyan networks
-// can still be simulated for comparison; pairs where both ports lead to
-// dst (multi-path ambiguity) are resolved toward port 0 and make the
-// fabric non-Banyan. No other check is needed: a stage-0 cell has N
-// port sequences to the terminals, so when no cell ever offers both
-// ports for one destination they end at N distinct terminals, and
-// every stage-0 cell reaches every destination. Fabrics of fewer than
-// two or more than MaxFabricStages stages are refused before anything
-// is allocated.
+// isoBuilders backs NewFabric's characterization with reused scratch.
+var isoBuilders = sync.Pool{New: func() any { return equiv.NewIsoBuilder() }}
+
+// NewFabric compiles a wiring of link permutations. It first runs the
+// paper's characterization, verdict only: a Baseline-equivalent wiring
+// is compiled relabeled through its isomorphism to the Baseline
+// (compileRelabeled), and every other wiring — non-Banyan, or Banyan
+// but failing P(1,*) or P(*,n), like the tail cycles — takes the table
+// path (compileTables). Both forms steer every packet identically.
+// Fabrics of fewer than two or more than MaxFabricStages stages are
+// refused before anything is allocated.
 func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	n := len(perms) + 1
 	if n < 2 {
@@ -98,12 +122,82 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		return nil, fmt.Errorf("sim: %d stages exceeds the fabric bound of %d", n, MaxFabricStages)
 	}
 	N := 1 << uint(n)
-	h := N / 2
 	for s, p := range perms {
 		if p.N() != N {
 			return nil, fmt.Errorf("sim: stage %d permutation on %d symbols, want %d", s, p.N(), N)
 		}
 	}
+	if g, err := midigraph.FromLinkPerms(n, perms); err == nil {
+		b := isoBuilders.Get().(*equiv.IsoBuilder)
+		iso, ok := b.Relabeling(g)
+		isoBuilders.Put(b)
+		if ok {
+			return compileRelabeled(perms, iso), nil
+		}
+	}
+	return compileTables(perms), nil
+}
+
+// compileRelabeled compiles an equivalent wiring from its isomorphism
+// iso onto the Baseline. In the Baseline, a cell at stage s keeps the
+// top s bits of its label and its outlink to slot v sets bit m-1-s to
+// v, so the path toward dst is forced (slot s is bit m-s of sigma[dst])
+// and a cell reaches dst iff its label agrees with sigma[dst]>>1 on
+// those top s bits. The isomorphism carries both facts over, with the
+// relabeled cell's port its slot XOR its swap bit, so port decides
+// both from key and sigma.
+func compileRelabeled(perms []perm.Perm, iso equiv.Isomorphism) *Fabric {
+	n := len(perms) + 1
+	N, h, m := 1<<uint(n), 1<<uint(n-1), n-1
+	f := &Fabric{
+		N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true,
+		sigma: make([]uint32, N), key: make([]uint32, n*h), rtag: make([]uint16, N),
+	}
+	phi := iso.Maps
+	for dst := range f.sigma {
+		sg := uint32(phi[m][dst>>1])<<1 | uint32(dst&1)
+		f.sigma[dst] = sg
+		f.rtag[dst] = uint16(bits.Reverse32(sg) >> uint(32-n))
+	}
+	for s := 0; s < n; s++ {
+		var slotNext perm.Perm
+		if s < m {
+			slotNext = make(perm.Perm, N)
+			f.stages[s].next, f.stages[s].slotNext = perms[s], slotNext
+		}
+		bit := uint(m - s)
+		for c := 0; c < h; c++ {
+			var swap uint32
+			if s < m {
+				swap = uint32(phi[s+1][perms[s][2*c]>>1]) >> uint(m-1-s) & 1
+				slotNext[2*c], slotNext[2*c+1] = perms[s][2*c+int(swap)], perms[s][2*c+1-int(swap)]
+			}
+			f.key[s*h+c] = uint32(phi[s][c])<<1&^(1<<bit) | swap<<bit
+		}
+	}
+	return f
+}
+
+// compileTables compiles the per-stage port tables in one backward
+// pass over the stages. A cell reaches dst iff one of its two children
+// does, so its port row is read off the next stage's rows: port 0 when
+// child 0 reaches dst, else port 1 when child 1 does, else
+// portUnreachable. On a Banyan fabric the path from a cell to dst is
+// its port followed by the path from the child that port leads to, so
+// the same pass packs each cell's tag row as
+// tag[c][dst] = port<<s | tag[child][dst], and stage 0's rows are the
+// path tags of its two inputs. Unreachable (cell, dst) pairs are
+// tolerated and marked, so non-Banyan networks can still be simulated
+// for comparison; pairs where both ports lead to dst (multi-path
+// ambiguity) are resolved toward port 0 and make the fabric non-Banyan.
+// No other check is needed: a stage-0 cell has N port sequences to the
+// terminals, so when no cell ever offers both ports for one destination
+// they end at N distinct terminals, and every stage-0 cell reaches
+// every destination. The sizes must already be validated.
+func compileTables(perms []perm.Perm) *Fabric {
+	n := len(perms) + 1
+	N := 1 << uint(n)
+	h := N / 2
 	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
 	// Tag rows ping-pong between two separately allocated halves: stage
 	// s writes half[s&1], so stage 0 lands in half[0], which the fabric
@@ -121,7 +215,7 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	}
 	f.stages[n-1].port = last
 	for s := n - 2; s >= 0; s-- {
-		f.stages[s].next = perms[s]
+		f.stages[s].next, f.stages[s].slotNext = perms[s], perms[s]
 		port, below := make([]uint8, h*N), f.stages[s+1].port
 		for c := 0; c < h; c++ {
 			c0 := int(perms[s].Apply(uint64(c)<<1) >> 1)
@@ -159,7 +253,7 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	if f.banyan {
 		f.pathTag = half[0]
 	}
-	return f, nil
+	return f
 }
 
 // BitSliceable reports whether the bit-sliced wave kernel can drive
@@ -170,17 +264,56 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 // matches the scalar portUnreachable lookup only when no off-path cell
 // can reach the destination — exactly the Banyan property (a second
 // route from a derailed cell would be a second (src, dst) path through
-// the other port of the stuck switch).
-func (f *Fabric) BitSliceable() bool { return f.pathTag != nil }
+// the other port of the stuck switch). Every relabeled fabric is
+// Banyan.
+func (f *Fabric) BitSliceable() bool { return f.banyan }
 
-// tagOf returns the path tag of the intact (src, dst) flight; the
-// fabric must be BitSliceable.
-func (f *Fabric) tagOf(src, dst int) uint16 { return f.pathTag[(src>>1)*f.N+dst] }
+// tagRow returns the slot tags the bit kernel packs for the two inputs
+// of stage-0 cell c, indexed by destination: bit s of an entry is the
+// child slot taken at stage s. On the table path slots are ports and
+// the row is c's pathTag row; on a relabeled fabric it is rtag, which
+// no source changes. The fabric must be BitSliceable.
+func (f *Fabric) tagRow(c int) []uint16 {
+	if f.rtag != nil {
+		return f.rtag
+	}
+	return f.pathTag[c*f.N : (c+1)*f.N]
+}
+
+// swapped returns the swap bit of the switch at stage-major index
+// i = s*H + c: 1 when its port 0 leads to child slot 1. Always 0 on the
+// table path.
+func (f *Fabric) swapped(i int) uint32 {
+	if f.key == nil {
+		return 0
+	}
+	s := i >> uint(f.Spans-1) // H = 2^(Spans-1)
+	return f.key[i] >> uint(f.Spans-1-s) & 1
+}
 
 // Banyan reports whether the compiled fabric has full unique-path
 // reachability: every (stage-0 cell, destination) pair routable and no
 // stage ever offered both ports for one destination.
 func (f *Fabric) Banyan() bool { return f.banyan }
+
+// port is the logical port function of the intact fabric: the output
+// port (0/1) leading from (stage s, cell) toward output terminal dst,
+// or portUnreachable. The table path reads it; a relabeled fabric
+// computes it as p = (key ^ sigma[dst]) >> (m-s), whose bits above 0
+// are zero iff the cell's Baseline label agrees with dst's on the top
+// s bits (the cell reaches dst) and whose bit 0 is then the slot XOR
+// the swap bit.
+//
+//minlint:hotpath
+func (f *Fabric) port(s, cell, dst int) uint8 {
+	if f.key == nil {
+		return f.stages[s].port[cell*f.N+dst]
+	}
+	if p := (f.key[s*f.H+cell] ^ f.sigma[dst]) >> uint(f.Spans-1-s); p <= 1 {
+		return uint8(p)
+	}
+	return portUnreachable
+}
 
 // steer is THE 2x2 crossbar decision: the output port a packet at
 // (stage s, cell) headed for dst leaves on, honoring the fault state
@@ -192,7 +325,7 @@ func (f *Fabric) Banyan() bool { return f.banyan }
 //
 //minlint:hotpath
 func (f *Fabric) steer(fs *FaultState, s, cell, dst int) uint8 {
-	pt := f.stages[s].port[cell*f.N+dst]
+	pt := f.port(s, cell, dst)
 	if !fs.Active() {
 		return pt
 	}

@@ -10,6 +10,9 @@ import (
 	"hash"
 	"math/rand/v2"
 	"testing"
+
+	"minequiv/internal/randnet"
+	"minequiv/internal/topology"
 )
 
 // faultGoldenPlans are the fault plans the simulation goldens pin, by
@@ -129,58 +132,20 @@ func checkDigest(t *testing.T, golden map[string]string, key string, h hash.Hash
 	}
 }
 
-// relabeledWiring returns a seeded stage-respecting relabeling of
-// perms: every stage's cells are permuted and each cell's two outlinks
-// and two inlinks are swapped at random. The result is the same
-// MI-digraph up to isomorphism, so it is Baseline-equivalent exactly
-// when perms is, but its cells no longer sit at their Baseline labels
-// and its ports no longer match the Baseline's child slots.
-func relabeledWiring(rng *rand.Rand, perms [][]int) [][]int {
-	stages := len(perms) + 1
-	h := len(perms[0]) / 2
-	cell := make([][]int, stages)
-	outSwap := make([][]bool, stages)
-	inSwap := make([][]bool, stages)
-	for s := range cell {
-		cell[s] = rng.Perm(h)
-		outSwap[s] = make([]bool, h)
-		inSwap[s] = make([]bool, h)
-		for c := 0; c < h; c++ {
-			outSwap[s][c] = rng.IntN(2) == 0
-			inSwap[s][c] = rng.IntN(2) == 0
-		}
-	}
-	link := func(label []int, swap []bool, x int) int {
-		c, p := x>>1, x&1
-		if swap[c] {
-			p ^= 1
-		}
-		return label[c]<<1 | p
-	}
-	out := make([][]int, len(perms))
-	for s, p := range perms {
-		row := make([]int, len(p))
-		for x, y := range p {
-			row[link(cell[s], outSwap[s], x)] = link(cell[s+1], inSwap[s+1], y)
-		}
-		out[s] = row
-	}
-	return out
-}
-
-// relabeledNets returns one seeded relabeling of every catalog network
-// at n = lo..hi, each named "relabeled-" plus the catalog name.
+// relabeledNets returns one seeded relabeling (randnet.RelabelLinks) of
+// every catalog network at n = lo..hi, each named "relabeled-" plus the
+// catalog name. Its cells carry swapped child slots.
 func relabeledNets(t *testing.T, lo, hi int) []*Network {
 	t.Helper()
 	var nets []*Network
 	for i, name := range CatalogNames() {
 		for n := lo; n <= hi; n++ {
 			rng := rand.New(rand.NewPCG(uint64(n), uint64(i)))
-			nw, err := FromLinkPerms("relabeled-"+name, n, relabeledWiring(rng, MustBuild(name, n).LinkPerms()))
+			topo, err := topology.FromLinkPerms("relabeled-"+name, n, randnet.RelabelLinks(rng, MustBuild(name, n).topo.LinkPerms))
 			if err != nil {
 				t.Fatalf("relabeled %s n=%d: %v", name, n, err)
 			}
-			nets = append(nets, nw)
+			nets = append(nets, newNetwork(topo))
 		}
 	}
 	return nets
