@@ -33,7 +33,7 @@
 //	internal/codec       wire shapes and their binary frame rendering
 //	internal/gf2         GF(2) linear algebra and affine maps
 //	internal/perm        permutations on symbols (link level)
-//	internal/pipid       index-digit permutations (PIPID, BPC)
+//	internal/pipid       index-digit permutations (PIPID)
 //	internal/midigraph   the MI-digraph model, windows, P(i,j), Banyan
 //	internal/conn        connections (f,g), independence, Proposition 1
 //	internal/topology    the six classical networks and generic builders

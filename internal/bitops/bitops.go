@@ -13,7 +13,8 @@ import (
 	"strings"
 )
 
-// Mask returns a value with the low w bits set. Mask(0) == 0.
+// Mask returns a value with the low w bits set: 0 for w <= 0 and all
+// ones for w >= 64.
 func Mask(w int) uint64 {
 	if w <= 0 {
 		return 0
@@ -42,26 +43,12 @@ func FlipBit(x uint64, i int) uint64 {
 	return x ^ (uint64(1) << uint(i))
 }
 
-// InsertBit widens x by one bit: bits above position i shift left, bit i
-// becomes b, bits below i stay. The result has one more significant bit
-// than x. InsertBit(x, 0, b) == x<<1 | b.
-func InsertBit(x uint64, i int, b uint64) uint64 {
-	hi := x >> uint(i) << uint(i+1)
-	lo := x & Mask(i)
-	return hi | (b&1)<<uint(i) | lo
-}
-
 // DeleteBit narrows x by one bit: bit i is removed and bits above it
 // shift right. DeleteBit(x, 0) == x>>1.
 func DeleteBit(x uint64, i int) uint64 {
 	hi := x >> uint(i+1) << uint(i)
 	lo := x & Mask(i)
 	return hi | lo
-}
-
-// ExtractBit returns bit i of x together with x with that bit deleted.
-func ExtractBit(x uint64, i int) (bit uint64, rest uint64) {
-	return Bit(x, i), DeleteBit(x, i)
 }
 
 // RotLeft rotates the low w bits of x left by one position: the most
@@ -87,36 +74,6 @@ func RotRight(x uint64, w int) uint64 {
 	}
 	x &= Mask(w)
 	return (x >> 1) | ((x & 1) << uint(w-1))
-}
-
-// RotLeftK rotates only the low k bits of x left by one, leaving bits k
-// and above untouched. This is the paper's k-subshuffle sigma_k.
-func RotLeftK(x uint64, w, k int) uint64 {
-	if k > w {
-		k = w
-	}
-	hi := x & (Mask(w) &^ Mask(k))
-	return hi | RotLeft(x&Mask(k), k)
-}
-
-// RotRightK rotates only the low k bits of x right by one, leaving bits k
-// and above untouched (inverse k-subshuffle).
-func RotRightK(x uint64, w, k int) uint64 {
-	if k > w {
-		k = w
-	}
-	hi := x & (Mask(w) &^ Mask(k))
-	return hi | RotRight(x&Mask(k), k)
-}
-
-// SwapBits returns x with bits i and j exchanged. SwapBits with i == j is
-// the identity. Exchanging bit 0 with bit k is the paper's k-butterfly.
-func SwapBits(x uint64, i, j int) uint64 {
-	bi, bj := Bit(x, i), Bit(x, j)
-	if bi == bj {
-		return x
-	}
-	return FlipBit(FlipBit(x, i), j)
 }
 
 // Reverse reverses the low w bits of x: bit i moves to position w-1-i.
@@ -148,53 +105,6 @@ func Tuple(x uint64, w int) string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// ParseTuple parses the format produced by Tuple and reports the value and
-// width. Whitespace inside the tuple is ignored.
-func ParseTuple(s string) (x uint64, w int, err error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '(' || s[len(s)-1] != ')' {
-		return 0, 0, fmt.Errorf("bitops: tuple %q must be parenthesized", s)
-	}
-	body := s[1 : len(s)-1]
-	if strings.TrimSpace(body) == "" {
-		return 0, 0, nil
-	}
-	for _, part := range strings.Split(body, ",") {
-		part = strings.TrimSpace(part)
-		switch part {
-		case "0":
-			x = x << 1
-		case "1":
-			x = x<<1 | 1
-		default:
-			return 0, 0, fmt.Errorf("bitops: tuple digit %q is not 0 or 1", part)
-		}
-		w++
-		if w > 64 {
-			return 0, 0, fmt.Errorf("bitops: tuple wider than 64 bits")
-		}
-	}
-	return x, w, nil
-}
-
-// Bits expands x into a slice of its low w bits, index i holding x_i.
-func Bits(x uint64, w int) []uint64 {
-	out := make([]uint64, w)
-	for i := range out {
-		out[i] = Bit(x, i)
-	}
-	return out
-}
-
-// FromBits reassembles a value from a bit slice as produced by Bits.
-func FromBits(bits []uint64) uint64 {
-	var x uint64
-	for i, b := range bits {
-		x |= (b & 1) << uint(i)
-	}
-	return x
 }
 
 // Transpose64 transposes a 64x64 bit matrix in place: after the call,

@@ -2,6 +2,7 @@ package bitops
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -43,46 +44,6 @@ func TestBitSetFlip(t *testing.T) {
 	}
 }
 
-func TestInsertDeleteBit(t *testing.T) {
-	// Inserting then deleting at the same position is the identity.
-	for x := uint64(0); x < 64; x++ {
-		for i := 0; i < 7; i++ {
-			for b := uint64(0); b < 2; b++ {
-				ins := InsertBit(x, i, b)
-				if Bit(ins, i) != b {
-					t.Fatalf("InsertBit(%d,%d,%d): bit not set", x, i, b)
-				}
-				if got := DeleteBit(ins, i); got != x {
-					t.Fatalf("DeleteBit(InsertBit(%d,%d,%d)) = %d", x, i, b, got)
-				}
-			}
-		}
-	}
-	if got := InsertBit(0b101, 0, 1); got != 0b1011 {
-		t.Errorf("InsertBit(101,0,1) = %b", got)
-	}
-	if got := InsertBit(0b101, 2, 0); got != 0b1001 {
-		t.Errorf("InsertBit(101,2,0) = %b", got)
-	}
-	if got := DeleteBit(0b1011, 1); got != 0b101 {
-		t.Errorf("DeleteBit(1011,1) = %b", got)
-	}
-	if got := DeleteBit(0b1011, 3); got != 0b011 {
-		t.Errorf("DeleteBit(1011,3) = %b", got)
-	}
-}
-
-func TestExtractBit(t *testing.T) {
-	b, rest := ExtractBit(0b1101, 1)
-	if b != 0 || rest != 0b111 {
-		t.Errorf("ExtractBit(1101,1) = %d,%b", b, rest)
-	}
-	b, rest = ExtractBit(0b1101, 2)
-	if b != 1 || rest != 0b101 {
-		t.Errorf("ExtractBit(1101,2) = %d,%b", b, rest)
-	}
-}
-
 func TestRotations(t *testing.T) {
 	// Perfect shuffle on 3 bits: (x2,x1,x0) -> (x1,x0,x2).
 	cases := []struct{ x, want uint64 }{
@@ -114,41 +75,6 @@ func TestRotations(t *testing.T) {
 	}
 }
 
-func TestRotK(t *testing.T) {
-	// sigma_2 on 4 bits touches only bits 0..1.
-	x := uint64(0b1101)
-	if got := RotLeftK(x, 4, 2); got != 0b1110 {
-		t.Errorf("RotLeftK(1101,4,2) = %04b", got)
-	}
-	if got := RotRightK(0b1110, 4, 2); got != x {
-		t.Errorf("RotRightK(1110,4,2) = %04b", got)
-	}
-	// k = w degenerates to a full rotation.
-	if RotLeftK(x, 4, 4) != RotLeft(x, 4) {
-		t.Error("RotLeftK(k=w) != RotLeft")
-	}
-	// k > w is clamped.
-	if RotLeftK(x, 4, 9) != RotLeft(x, 4) {
-		t.Error("RotLeftK(k>w) != RotLeft")
-	}
-	// k = 1 and k = 0 are identities.
-	if RotLeftK(x, 4, 1) != x || RotLeftK(x, 4, 0) != x {
-		t.Error("RotLeftK small k not identity")
-	}
-}
-
-func TestSwapBits(t *testing.T) {
-	if got := SwapBits(0b0001, 0, 3); got != 0b1000 {
-		t.Errorf("SwapBits(0001,0,3) = %04b", got)
-	}
-	if got := SwapBits(0b1001, 0, 3); got != 0b1001 {
-		t.Errorf("SwapBits equal bits changed value: %04b", got)
-	}
-	if got := SwapBits(0b0101, 2, 2); got != 0b0101 {
-		t.Errorf("SwapBits(i==j) changed value: %04b", got)
-	}
-}
-
 func TestReverse(t *testing.T) {
 	cases := []struct {
 		x    uint64
@@ -172,35 +98,19 @@ func TestTupleRoundTrip(t *testing.T) {
 	if got := Tuple(0, 3); got != "(0,0,0)" {
 		t.Errorf("Tuple(0,3) = %q", got)
 	}
+	// Reading the digits back, most significant first, recovers x.
 	for x := uint64(0); x < 32; x++ {
 		s := Tuple(x, 5)
-		y, w, err := ParseTuple(s)
-		if err != nil || y != x || w != 5 {
-			t.Errorf("ParseTuple(Tuple(%d,5)) = %d,%d,%v", x, y, w, err)
+		var y uint64
+		digits := 0
+		for _, c := range s {
+			if c == '0' || c == '1' {
+				y = y<<1 | uint64(c-'0')
+				digits++
+			}
 		}
-	}
-	if _, _, err := ParseTuple("(0,2,1)"); err == nil {
-		t.Error("ParseTuple accepted digit 2")
-	}
-	if _, _, err := ParseTuple("0,1"); err == nil {
-		t.Error("ParseTuple accepted unparenthesized input")
-	}
-	if x, w, err := ParseTuple(" (1, 0, 1) "); err != nil || x != 5 || w != 3 {
-		t.Errorf("ParseTuple with spaces = %d,%d,%v", x, w, err)
-	}
-}
-
-func TestBitsFromBits(t *testing.T) {
-	for x := uint64(0); x < 64; x++ {
-		if got := FromBits(Bits(x, 6)); got != x {
-			t.Errorf("FromBits(Bits(%d)) = %d", x, got)
-		}
-	}
-	bits := Bits(0b1011, 4)
-	want := []uint64{1, 1, 0, 1}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Errorf("Bits(1011)[%d] = %d, want %d", i, bits[i], want[i])
+		if y != x || digits != 5 {
+			t.Errorf("Tuple(%d,5) = %q reads back as %d (%d digits)", x, s, y, digits)
 		}
 	}
 }
@@ -250,34 +160,146 @@ func TestReverseInvolution(t *testing.T) {
 	}
 }
 
-// Property: SwapBits is an involution and preserves the number of set bits.
-func TestSwapInvolution(t *testing.T) {
-	f := func(x uint64, iRaw, jRaw uint8) bool {
-		i, j := int(iRaw%16), int(jRaw%16)
-		return SwapBits(SwapBits(x, i, j), i, j) == x
+// bitModel holds a word as 64 separate bits, bit i at index i: the
+// per-bit reference the word-level functions are checked against.
+type bitModel [64]bool
+
+func toModel(x uint64) bitModel {
+	var m bitModel
+	for i := range m {
+		m[i] = x>>uint(i)&1 == 1
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	return m
+}
+
+func (m bitModel) word() uint64 {
+	var x uint64
+	for i, b := range m {
+		if b {
+			x |= uint64(1) << uint(i)
+		}
+	}
+	return x
+}
+
+// TestAgainstBitModel checks every function of the package except
+// Transpose64 against bitModel: every bit position i in [0, 63] and
+// every width w in [0, 64], on 0, all ones and seeded words.
+func TestAgainstBitModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 0))
+	xs := []uint64{0, ^uint64(0)}
+	for k := 0; k < 16; k++ {
+		xs = append(xs, rng.Uint64())
+	}
+	for _, x := range xs {
+		m := toModel(x)
+		for i := 0; i < 64; i++ {
+			var bit uint64
+			if m[i] {
+				bit = 1
+			}
+			if got := Bit(x, i); got != bit {
+				t.Fatalf("Bit(%#x,%d) = %d, want %d", x, i, got, bit)
+			}
+			for b := uint64(0); b < 2; b++ {
+				e := m
+				e[i] = b == 1
+				if got := SetBit(x, i, b); got != e.word() {
+					t.Fatalf("SetBit(%#x,%d,%d) = %#x, want %#x", x, i, b, got, e.word())
+				}
+			}
+			f := m
+			f[i] = !f[i]
+			if got := FlipBit(x, i); got != f.word() {
+				t.Fatalf("FlipBit(%#x,%d) = %#x, want %#x", x, i, got, f.word())
+			}
+			// Bits above i move down one place; the top bit becomes 0.
+			var d bitModel
+			for j := 0; j < 63; j++ {
+				if j < i {
+					d[j] = m[j]
+				} else {
+					d[j] = m[j+1]
+				}
+			}
+			if got := DeleteBit(x, i); got != d.word() {
+				t.Fatalf("DeleteBit(%#x,%d) = %#x, want %#x", x, i, got, d.word())
+			}
+		}
+		for w := 0; w <= 64; w++ {
+			var mask, rl, rr, rev bitModel
+			var tuple strings.Builder
+			tuple.WriteByte('(')
+			for j := 0; j < w; j++ {
+				mask[j] = true
+				rl[j] = m[(j+w-1)%w]
+				rr[j] = m[(j+1)%w]
+				rev[j] = m[w-1-j]
+				if m[w-1-j] {
+					tuple.WriteByte('1')
+				} else {
+					tuple.WriteByte('0')
+				}
+				if j < w-1 {
+					tuple.WriteByte(',')
+				}
+			}
+			tuple.WriteByte(')')
+			if got := Mask(w); got != mask.word() {
+				t.Fatalf("Mask(%d) = %#x, want %#x", w, got, mask.word())
+			}
+			if got := RotLeft(x, w); got != rl.word() {
+				t.Fatalf("RotLeft(%#x,%d) = %#x, want %#x", x, w, got, rl.word())
+			}
+			if got := RotRight(x, w); got != rr.word() {
+				t.Fatalf("RotRight(%#x,%d) = %#x, want %#x", x, w, got, rr.word())
+			}
+			if got := Reverse(x, w); got != rev.word() {
+				t.Fatalf("Reverse(%#x,%d) = %#x, want %#x", x, w, got, rev.word())
+			}
+			if got := Tuple(x, w); got != tuple.String() {
+				t.Fatalf("Tuple(%#x,%d) = %q, want %q", x, w, got, tuple.String())
+			}
+		}
+		ones, top := 0, -1
+		for j, b := range m {
+			if b {
+				ones++
+				top = j
+			}
+		}
+		checkLog2(t, x, ones == 1, top)
+	}
+	for i := 0; i < 64; i++ {
+		checkLog2(t, uint64(1)<<uint(i), true, i)
+	}
+	// The documented edges of Mask.
+	for _, w := range []int{-64, -1, 0} {
+		if got := Mask(w); got != 0 {
+			t.Errorf("Mask(%d) = %#x, want 0", w, got)
+		}
+	}
+	for _, w := range []int{64, 65, 1000} {
+		if got := Mask(w); got != ^uint64(0) {
+			t.Errorf("Mask(%d) = %#x, want all ones", w, got)
+		}
 	}
 }
 
-// Property: InsertBit/DeleteBit round-trip at random positions.
-func TestInsertDeleteProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 0))
-	for trial := 0; trial < 2000; trial++ {
-		w := rng.IntN(20) + 1
-		x := rng.Uint64() & Mask(w)
-		i := rng.IntN(w + 1)
-		b := rng.Uint64() & 1
-		ins := InsertBit(x, i, b)
-		if DeleteBit(ins, i) != x {
-			t.Fatalf("round trip failed: x=%b i=%d b=%d", x, i, b)
+// checkLog2 checks IsPow2 and Log2 on x, a power of two (with its one
+// set bit at position top) iff pow2; Log2 must panic on any other x.
+func checkLog2(t *testing.T, x uint64, pow2 bool, top int) {
+	t.Helper()
+	if got := IsPow2(x); got != pow2 {
+		t.Fatalf("IsPow2(%#x) = %v, want %v", x, got, pow2)
+	}
+	defer func() {
+		if r := recover(); (r != nil) == pow2 {
+			t.Fatalf("Log2(%#x): panic %v, power of two %v", x, r, pow2)
 		}
-		// Deleting a bit then reinserting the deleted value restores x.
-		db, rest := ExtractBit(x, i%w)
-		if InsertBit(rest, i%w, db) != x {
-			t.Fatalf("extract/insert failed: x=%b i=%d", x, i%w)
-		}
+	}()
+	if got := Log2(x); got != top {
+		t.Fatalf("Log2(%#x) = %d, want %d", x, got, top)
 	}
 }
 

@@ -45,18 +45,6 @@ func New(m int, f, g []uint32) (Connection, error) {
 	return Connection{M: m, F: f, G: g}, nil
 }
 
-// FromFuncs tabulates a pair of label functions.
-func FromFuncs(m int, f, g func(uint64) uint64) (Connection, error) {
-	h := 1 << uint(m)
-	ft := make([]uint32, h)
-	gt := make([]uint32, h)
-	for x := 0; x < h; x++ {
-		ft[x] = uint32(f(uint64(x)))
-		gt[x] = uint32(g(uint64(x)))
-	}
-	return New(m, ft, gt)
-}
-
 // H returns the number of cells per stage, 2^m.
 func (c Connection) H() int { return 1 << uint(c.M) }
 
@@ -189,56 +177,6 @@ func (c Connection) Beta(alpha uint64) (uint64, bool) {
 	return beta, true
 }
 
-// VertexType classifies a next-stage vertex by the slots of its two
-// incoming arcs, following the proof of Proposition 1.
-type VertexType uint8
-
-const (
-	TypeFG  VertexType = iota // one f-arc and one g-arc
-	TypeFF                    // two f-arcs
-	TypeGG                    // two g-arcs
-	TypeBad                   // indegree != 2 (invalid connection)
-)
-
-// TypeAnalysis is the vertex typing of a connection's codomain.
-type TypeAnalysis struct {
-	Types               []VertexType
-	NumFG, NumFF, NumGG int
-	Valid               bool // every vertex has indegree exactly 2
-}
-
-// AnalyzeTypes computes the vertex typing. For an independent connection
-// Proposition 1's proof shows the outcome is all-TypeFG (f,g bijective)
-// or an even split of TypeFF and TypeGG; the test suite checks this
-// dichotomy exhaustively on random independent connections.
-func (c Connection) AnalyzeTypes() TypeAnalysis {
-	h := c.H()
-	fIn := make([]int, h)
-	gIn := make([]int, h)
-	for x := 0; x < h; x++ {
-		fIn[c.F[x]]++
-		gIn[c.G[x]]++
-	}
-	ta := TypeAnalysis{Types: make([]VertexType, h), Valid: true}
-	for y := 0; y < h; y++ {
-		switch {
-		case fIn[y] == 1 && gIn[y] == 1:
-			ta.Types[y] = TypeFG
-			ta.NumFG++
-		case fIn[y] == 2 && gIn[y] == 0:
-			ta.Types[y] = TypeFF
-			ta.NumFF++
-		case fIn[y] == 0 && gIn[y] == 2:
-			ta.Types[y] = TypeGG
-			ta.NumGG++
-		default:
-			ta.Types[y] = TypeBad
-			ta.Valid = false
-		}
-	}
-	return ta
-}
-
 // RandomIndependent samples a random independent connection that is a
 // valid MI-digraph connection. With bijective true it uses an invertible
 // linear part (every vertex of type (f,g)); otherwise a rank m-1 linear
@@ -315,18 +253,6 @@ func BuildGraph(conns []Connection) (*midigraph.Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// FromGraphStage extracts the connection between stages s and s+1
-// (0-based) of an MI-digraph.
-func FromGraphStage(g *midigraph.Graph, s int) Connection {
-	h := g.CellsPerStage()
-	f := make([]uint32, h)
-	gg := make([]uint32, h)
-	for x := 0; x < h; x++ {
-		f[x], gg[x] = g.Children(s, uint32(x))
-	}
-	return Connection{M: g.LabelBits(), F: f, G: gg}
 }
 
 func (c Connection) String() string {

@@ -23,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestIsValid(t *testing.T) {
 	// Identity/identity: every vertex has f-indegree 1 and g-indegree 1.
-	c, _ := FromFuncs(2, func(x uint64) uint64 { return x }, func(x uint64) uint64 { return x })
+	c, _ := fromFuncs(2, func(x uint64) uint64 { return x }, func(x uint64) uint64 { return x })
 	if !c.IsValid() {
 		t.Error("double-link identity connection invalid")
 	}
@@ -31,7 +31,7 @@ func TestIsValid(t *testing.T) {
 		t.Error("double links not flagged")
 	}
 	// f = g = constant: indegree 8 at one vertex.
-	bad, _ := FromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return 0 })
+	bad, _ := fromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return 0 })
 	if bad.IsValid() {
 		t.Error("constant connection valid")
 	}
@@ -151,27 +151,27 @@ func TestTypeDichotomy(t *testing.T) {
 		m := rng.IntN(5) + 2
 		bijective := trial%2 == 0
 		c := RandomIndependent(rng, m, bijective)
-		ta := c.AnalyzeTypes()
-		if !ta.Valid {
+		ta := c.analyzeTypes()
+		if !ta.valid {
 			t.Fatal("RandomIndependent produced invalid connection")
 		}
 		h := c.H()
 		if bijective {
-			if ta.NumFG != h || ta.NumFF != 0 || ta.NumGG != 0 {
-				t.Fatalf("bijective case types: fg=%d ff=%d gg=%d", ta.NumFG, ta.NumFF, ta.NumGG)
+			if ta.numFG != h || ta.numFF != 0 || ta.numGG != 0 {
+				t.Fatalf("bijective case types: fg=%d ff=%d gg=%d", ta.numFG, ta.numFF, ta.numGG)
 			}
 		} else {
-			if ta.NumFG != 0 || ta.NumFF != h/2 || ta.NumGG != h/2 {
-				t.Fatalf("singular case types: fg=%d ff=%d gg=%d", ta.NumFG, ta.NumFF, ta.NumGG)
+			if ta.numFG != 0 || ta.numFF != h/2 || ta.numGG != h/2 {
+				t.Fatalf("singular case types: fg=%d ff=%d gg=%d", ta.numFG, ta.numFF, ta.numGG)
 			}
 		}
 	}
 }
 
 func TestAnalyzeTypesInvalid(t *testing.T) {
-	bad, _ := FromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return x })
-	ta := bad.AnalyzeTypes()
-	if ta.Valid {
+	bad, _ := fromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return x })
+	ta := bad.analyzeTypes()
+	if ta.valid {
 		t.Error("invalid connection typed as valid")
 	}
 }
@@ -270,7 +270,7 @@ func TestReverseRejectsDependent(t *testing.T) {
 	// A valid but dependent connection: f = identity, g = +1 mod h.
 	m := 3
 	h := uint64(1) << uint(m)
-	c, _ := FromFuncs(m,
+	c, _ := fromFuncs(m,
 		func(x uint64) uint64 { return x },
 		func(x uint64) uint64 { return (x + 1) % h })
 	if !c.IsValid() {
@@ -291,7 +291,7 @@ func TestBuildGraphBaseline(t *testing.T) {
 		want := topology.Baseline(n)
 		conns := make([]Connection, n-1)
 		for s := 0; s < n-1; s++ {
-			conns[s] = FromGraphStage(want, s)
+			conns[s] = fromGraphStage(want, s)
 			if !conns[s].IsIndependentDef() {
 				t.Fatalf("n=%d stage %d: baseline connection not independent", n, s)
 			}
@@ -317,7 +317,7 @@ func TestBuildGraphErrors(t *testing.T) {
 		t.Error("mismatched connection sizes accepted")
 	}
 	// Invalid connection.
-	bad, _ := FromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return 0 })
+	bad, _ := fromFuncs(2, func(x uint64) uint64 { return 0 }, func(x uint64) uint64 { return 0 })
 	if _, err := BuildGraph([]Connection{bad, bad}); err == nil {
 		t.Error("invalid connection accepted")
 	}

@@ -1,9 +1,6 @@
 package conn
 
-import (
-	"minequiv/internal/bitops"
-	"minequiv/internal/pipid"
-)
+import "minequiv/internal/pipid"
 
 // FromIndexPerm derives the cell-level connection induced by using the
 // PIPID permutation of theta (on n = m+1 link-label bits) as the
@@ -34,23 +31,6 @@ func FromIndexPerm(theta pipid.IndexPerm) Connection {
 	return Connection{M: m, F: f, G: g}
 }
 
-// FromBPC derives the connection induced by a bit-permute-complement
-// link permutation. The complement mask only XORs constants into the
-// affine normal form, so independence is preserved — the natural
-// extension of the paper's §4 result, verified in tests.
-func FromBPC(b pipid.BPC) Connection {
-	n := b.Theta.W()
-	m := n - 1
-	h := 1 << uint(m)
-	f := make([]uint32, h)
-	g := make([]uint32, h)
-	for x := 0; x < h; x++ {
-		f[x] = uint32(b.Apply(uint64(x)<<1) >> 1)
-		g[x] = uint32(b.Apply(uint64(x)<<1|1) >> 1)
-	}
-	return Connection{M: m, F: f, G: g}
-}
-
 // PaperBeta computes the beta the paper's §4 derivation predicts for the
 // connection FromIndexPerm(theta) and translation alpha: writing the
 // n-bit link difference (alpha,0) = alpha<<1, beta is the cell part of
@@ -63,46 +43,4 @@ func FromBPC(b pipid.BPC) Connection {
 // for every theta and alpha.
 func PaperBeta(theta pipid.IndexPerm, alpha uint64) uint64 {
 	return theta.Apply(alpha<<1) >> 1
-}
-
-// IndexPermDoubleLinks reports whether theta produces the degenerate
-// double-link stage, i.e. theta^{-1}(0) = 0.
-func IndexPermDoubleLinks(theta pipid.IndexPerm) bool {
-	return theta.PortSource() == 0
-}
-
-// PortDestination returns, for a non-degenerate theta, the cell-label
-// bit position k-1 where the switch's port choice lands in the child
-// label — the bit a destination-tag router controls at this stage.
-// The boolean is false in the degenerate k = 0 case.
-func PortDestination(theta pipid.IndexPerm) (int, bool) {
-	k := theta.PortSource()
-	if k == 0 {
-		return 0, false
-	}
-	return k - 1, true
-}
-
-// CellMaskOfLinkMask converts a BPC link-complement mask into its effect
-// on the child cell label (dropping the port bit).
-func CellMaskOfLinkMask(mask uint64) uint64 { return mask >> 1 }
-
-// Sanity helper used in tests: the paper's explicit child formula,
-// computed bit by bit rather than via link relabeling. For j != k-1 the
-// child's bit j is x_{theta(j+1)-1}; bit k-1 is the port choice.
-func paperChildFormula(theta pipid.IndexPerm, x uint64, port uint64) uint64 {
-	n := theta.W()
-	m := n - 1
-	var child uint64
-	for j := 0; j < m; j++ {
-		src := theta.Theta[j+1]
-		var bit uint64
-		if src == 0 {
-			bit = port
-		} else {
-			bit = bitops.Bit(x, src-1)
-		}
-		child |= bit << uint(j)
-	}
-	return child
 }

@@ -83,7 +83,7 @@ func TestDoubleLinksIffPortFixed(t *testing.T) {
 	for n := 2; n <= 5; n++ {
 		for _, theta := range pipid.All(n) {
 			c := FromIndexPerm(theta)
-			degenerate := IndexPermDoubleLinks(theta)
+			degenerate := indexPermDoubleLinks(theta)
 			if degenerate != c.HasParallelArcs() {
 				t.Fatalf("n=%d theta=%v: degenerate=%v parallel=%v",
 					n, theta, degenerate, c.HasParallelArcs())
@@ -94,14 +94,14 @@ func TestDoubleLinksIffPortFixed(t *testing.T) {
 						t.Fatalf("n=%d theta=%v: degenerate stage with f != g", n, theta)
 					}
 				}
-				if _, ok := PortDestination(theta); ok {
-					t.Fatalf("PortDestination accepted degenerate theta")
+				if _, ok := portDestination(theta); ok {
+					t.Fatalf("portDestination accepted degenerate theta")
 				}
 			} else {
 				// f and g differ exactly in bit k-1.
-				k, ok := PortDestination(theta)
+				k, ok := portDestination(theta)
 				if !ok {
-					t.Fatalf("PortDestination rejected non-degenerate theta")
+					t.Fatalf("portDestination rejected non-degenerate theta")
 				}
 				for x := 0; x < c.H(); x++ {
 					if uint64(c.F[x]^c.G[x]) != uint64(1)<<uint(k) {
@@ -125,11 +125,7 @@ func TestBPCConnectionsIndependent(t *testing.T) {
 		n := rng.IntN(6) + 2
 		theta := pipid.Random(rng, n)
 		mask := rng.Uint64() & bitops.Mask(n)
-		b, err := pipid.NewBPC(theta, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := FromBPC(b)
+		c := fromBPC(bpc{theta: theta, mask: mask})
 		if !c.IsIndependentDef() {
 			t.Fatalf("BPC connection not independent: theta=%v mask=%b", theta, mask)
 		}
@@ -145,7 +141,7 @@ func TestBPCConnectionsIndependent(t *testing.T) {
 		}
 		// The mask shifts both children's cell labels by mask>>1 (the
 		// mask's port bit is dropped with the port position).
-		wantShift := CellMaskOfLinkMask(mask)
+		wantShift := mask >> 1
 		for x := 0; x < c.H(); x++ {
 			if uint64(c.F[x]) != uint64(plain.F[x])^wantShift ||
 				uint64(c.G[x]) != uint64(plain.G[x])^wantShift {

@@ -118,15 +118,3 @@ func BaselineAutomorphismFormula(n int) uint64 {
 	}
 	return 1 << uint(exp)
 }
-
-// CanonicalForm relabels a baseline-equivalent graph into Baseline
-// coordinates: the result is structurally equal (up to child slot order)
-// to topology.Baseline(n). Two baseline-equivalent graphs always have
-// identical canonical forms, giving an O(n * h alpha(h)) equality check.
-func CanonicalForm(g *midigraph.Graph) (*midigraph.Graph, error) {
-	iso, err := IsoToBaseline(g)
-	if err != nil {
-		return nil, err
-	}
-	return g.Relabel(iso.Maps)
-}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"minequiv/internal/midigraph"
 	"minequiv/internal/randnet"
 	"minequiv/internal/topology"
 )
@@ -106,13 +107,24 @@ func TestBaselineAutomorphismFormulaPanics(t *testing.T) {
 	BaselineAutomorphismFormula(7) // exponent 126
 }
 
+// TestCanonicalForm relabels baseline-equivalent graphs into Baseline
+// coordinates through IsoToBaseline: the result is structurally equal
+// (up to child slot order) to topology.Baseline(n), so two equivalent
+// graphs always have identical canonical forms.
 func TestCanonicalForm(t *testing.T) {
+	canonicalForm := func(g *midigraph.Graph) (*midigraph.Graph, error) {
+		iso, err := IsoToBaseline(g)
+		if err != nil {
+			return nil, err
+		}
+		return g.Relabel(iso.Maps)
+	}
 	rng := rand.New(rand.NewPCG(2, 0))
 	n := 5
 	base := topology.Baseline(n)
 	for _, name := range topology.Names() {
 		g := topology.MustBuild(name, n).Graph
-		cf, err := CanonicalForm(g)
+		cf, err := canonicalForm(g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -121,7 +133,7 @@ func TestCanonicalForm(t *testing.T) {
 		}
 		// Scrambles canonicalize to the same graph.
 		sg, _ := randnet.Scramble(rng, g)
-		cf2, err := CanonicalForm(sg)
+		cf2, err := canonicalForm(sg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +143,7 @@ func TestCanonicalForm(t *testing.T) {
 	}
 	// Non-equivalent graphs are rejected.
 	tail, _ := randnet.TailCycleBanyan(n)
-	if _, err := CanonicalForm(tail); err == nil {
+	if _, err := canonicalForm(tail); err == nil {
 		t.Fatal("canonical form of counterexample accepted")
 	}
 }

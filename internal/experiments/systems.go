@@ -134,7 +134,10 @@ func RunT8(w io.Writer) error {
 	fmt.Fprintf(w, "%-28s %-12s %-12s\n", "network", "admissible", "total")
 	for _, name := range topology.Names() {
 		nw := topology.MustBuild(name, 3)
-		r, err := route.NewRouter(nw.IndexPerms)
+		if _, err := route.NewRouter(nw.IndexPerms); err != nil {
+			return err
+		}
+		r, err := route.NewFaultyRouter(nw.LinkPerms, nil)
 		if err != nil {
 			return err
 		}

@@ -18,18 +18,6 @@ type Affine struct {
 	Dim int
 }
 
-// NewAffine builds an affine map after checking shapes.
-func NewAffine(m Matrix, c uint64, dim int) (Affine, error) {
-	if len(m.Rows) != dim || m.Cols != dim {
-		return Affine{}, fmt.Errorf("gf2: affine wants %dx%d matrix, got %dx%d",
-			dim, dim, len(m.Rows), m.Cols)
-	}
-	if c&^bitops.Mask(dim) != 0 {
-		return Affine{}, fmt.Errorf("gf2: affine constant %#x exceeds %d bits", c, dim)
-	}
-	return Affine{M: m, C: c, Dim: dim}, nil
-}
-
 // Apply evaluates the map at x.
 func (a Affine) Apply(x uint64) uint64 {
 	return a.M.Apply(x) ^ a.C
@@ -116,9 +104,6 @@ func InferAffine(f []uint64, dim int) (Affine, bool) {
 	}
 	return a, true
 }
-
-// IsLinear reports whether the affine map has zero constant.
-func (a Affine) IsLinear() bool { return a.C == 0 }
 
 // Equal reports structural equality.
 func (a Affine) Equal(b Affine) bool {

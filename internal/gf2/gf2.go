@@ -54,9 +54,6 @@ func (m *Matrix) Set(r, c int, b uint64) {
 	m.Rows[r] = bitops.SetBit(m.Rows[r], c, b)
 }
 
-// NumRows returns the number of rows.
-func (m Matrix) NumRows() int { return len(m.Rows) }
-
 // Clone returns a deep copy of m.
 func (m Matrix) Clone() Matrix {
 	rows := make([]uint64, len(m.Rows))
@@ -277,53 +274,6 @@ func (m Matrix) KernelBasis() []uint64 {
 	return basis
 }
 
-// Solve finds one x with m x = b. The second result is false when the
-// system is inconsistent.
-func (m Matrix) Solve(b uint64) (uint64, bool) {
-	rows := make([]uint64, len(m.Rows))
-	copy(rows, m.Rows)
-	rhs := make([]uint64, len(m.Rows))
-	for r := range rhs {
-		rhs[r] = (b >> uint(r)) & 1
-	}
-	pivotCol := make([]int, 0, len(rows))
-	row := 0
-	for c := 0; c < m.Cols && row < len(rows); c++ {
-		pivot := -1
-		for r := row; r < len(rows); r++ {
-			if (rows[r]>>uint(c))&1 == 1 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[row], rows[pivot] = rows[pivot], rows[row]
-		rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-		for r := 0; r < len(rows); r++ {
-			if r != row && (rows[r]>>uint(c))&1 == 1 {
-				rows[r] ^= rows[row]
-				rhs[r] ^= rhs[row]
-			}
-		}
-		pivotCol = append(pivotCol, c)
-		row++
-	}
-	for r := row; r < len(rows); r++ {
-		if rhs[r] == 1 {
-			return 0, false
-		}
-	}
-	var x uint64
-	for r, c := range pivotCol {
-		if rhs[r] == 1 {
-			x |= 1 << uint(c)
-		}
-	}
-	return x, true
-}
-
 // RandomInvertible returns a uniformly sampled invertible k x k matrix,
 // built by rejection sampling (the acceptance probability is > 0.288 for
 // every k, so this terminates quickly).
@@ -400,6 +350,3 @@ func Echelonize(vs []uint64) []uint64 {
 	}
 	return ech
 }
-
-// SpanDim returns the dimension of the span of vs.
-func SpanDim(vs []uint64) int { return len(Echelonize(vs)) }

@@ -9,13 +9,3 @@ var Analyzers = []*Analyzer{
 	ErrCodes,
 	MetricLint,
 }
-
-// ByName returns the suite analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -164,14 +164,3 @@ func GoListExports(patterns ...string) (map[string]string, error) {
 	}
 	return out, nil
 }
-
-// ModuleDir returns the root directory of the main module at dir.
-func ModuleDir(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %w", err)
-	}
-	return strings.TrimSpace(string(out)), nil
-}

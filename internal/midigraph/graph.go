@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"minequiv/internal/bitops"
 	"minequiv/internal/perm"
 )
 
@@ -116,22 +115,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Parents returns the (multiset of) parents of node (s, x), s >= 1, as a
-// slice of length 2 in slot-scan order.
-func (g *Graph) Parents(s int, x uint32) []uint32 {
-	var out []uint32
-	row := g.children[s-1]
-	for p := 0; p < g.h && len(out) < 2; p++ {
-		if row[2*p] == x {
-			out = append(out, uint32(p))
-		}
-		if len(out) < 2 && row[2*p+1] == x {
-			out = append(out, uint32(p))
-		}
-	}
-	return out
-}
-
 // ParentTable returns, for stage s >= 1, a slice with 2 entries per node
 // listing its parents (multiset). O(h) per stage.
 func (g *Graph) ParentTable(s int) [][2]uint32 {
@@ -161,9 +144,6 @@ func (g *Graph) HasParallelArcs() bool {
 	}
 	return false
 }
-
-// ArcCount returns the total number of arcs (with multiplicity).
-func (g *Graph) ArcCount() int { return (g.n - 1) * 2 * g.h }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
@@ -320,9 +300,4 @@ func (g *Graph) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// LabelTuple formats a cell label the way the paper's Fig 2 does.
-func (g *Graph) LabelTuple(x uint32) string {
-	return bitops.Tuple(uint64(x), g.m)
 }

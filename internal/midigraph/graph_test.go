@@ -37,9 +37,6 @@ func TestNewShape(t *testing.T) {
 		t.Fatalf("shape wrong: %d stages, %d cells, %d bits, %d terminals",
 			g.Stages(), g.CellsPerStage(), g.LabelBits(), g.Terminals())
 	}
-	if g.ArcCount() != 3*16 {
-		t.Fatalf("ArcCount = %d", g.ArcCount())
-	}
 	// Unset graph fails validation.
 	if err := g.Validate(); err == nil {
 		t.Error("unset graph validated")
@@ -101,25 +98,20 @@ func TestValidateDegrees(t *testing.T) {
 
 func TestParents(t *testing.T) {
 	g := buildBaseline(t, 4)
-	// Check Parents against a full scan for every node of stages 1..3.
+	// Check ParentTable against a full scan of the previous stage's
+	// children for every node of stages 1..3.
 	for s := 1; s < g.Stages(); s++ {
 		table := g.ParentTable(s)
-		for x := uint32(0); x < uint32(g.CellsPerStage()); x++ {
-			ps := g.Parents(s, x)
-			if len(ps) != 2 {
-				t.Fatalf("stage %d node %d: %d parents", s, x, len(ps))
-			}
-			// Same multiset as ParentTable.
+		scan := make([][]uint32, g.CellsPerStage())
+		for p := uint32(0); p < uint32(g.CellsPerStage()); p++ {
+			f, c := g.Children(s-1, p)
+			scan[f] = append(scan[f], p)
+			scan[c] = append(scan[c], p)
+		}
+		for x, ps := range scan {
 			a, b := table[x][0], table[x][1]
-			if !(ps[0] == a && ps[1] == b || ps[0] == b && ps[1] == a) {
-				t.Fatalf("Parents/ParentTable disagree at (%d,%d): %v vs %v", s, x, ps, table[x])
-			}
-			// Each claimed parent really lists x as a child.
-			for _, p := range ps {
-				f, c := g.Children(s-1, p)
-				if f != x && c != x {
-					t.Fatalf("claimed parent %d of (%d,%d) has children %d,%d", p, s, x, f, c)
-				}
+			if len(ps) != 2 || !(ps[0] == a && ps[1] == b || ps[0] == b && ps[1] == a) {
+				t.Fatalf("ParentTable disagrees with the children at (%d,%d): %v vs %v", s, x, table[x], ps)
 			}
 		}
 	}
@@ -310,9 +302,6 @@ func TestString(t *testing.T) {
 	s := g.String()
 	if !strings.Contains(s, "stage 0:") || !strings.Contains(s, "0->(0,1)") {
 		t.Errorf("String = %q", s)
-	}
-	if g.LabelTuple(1) != "(1)" {
-		t.Errorf("LabelTuple = %q", g.LabelTuple(1))
 	}
 }
 

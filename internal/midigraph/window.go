@@ -245,28 +245,6 @@ func (g *Graph) BuddyProperty() bool {
 	return true
 }
 
-// WindowDuality verifies the reversal symmetry of the window properties
-// on this graph: the window (i..j) of G and the window (n+1-j .. n+1-i)
-// of the reverse digraph are the same undirected subgraph, so their
-// component counts must agree for every window. It returns the first
-// disagreeing pair, or nil. (Always nil — this is a structural identity;
-// the method exists as an executable sanity check used by tests and as
-// the formal bridge between the paper's P(1,*) and P(*,n) families.)
-func (g *Graph) WindowDuality() *[2]WindowResult {
-	r := g.Reverse()
-	for i := 1; i <= g.n; i++ {
-		for j := i; j <= g.n; j++ {
-			a := WindowResult{I: i, J: j, Got: g.ComponentCount(i-1, j-1), Expected: g.ExpectedComponents(i, j)}
-			ri, rj := g.n+1-j, g.n+1-i
-			b := WindowResult{I: ri, J: rj, Got: r.ComponentCount(ri-1, rj-1), Expected: r.ExpectedComponents(ri, rj)}
-			if a.Got != b.Got {
-				return &[2]WindowResult{a, b}
-			}
-		}
-	}
-	return nil
-}
-
 // StageIntersection describes how one component of a window meets each
 // stage of the window — the quantity |C ∩ V_k| that drives the induction
 // of Lemma 2 and that Fig 3 of the paper illustrates.

@@ -102,16 +102,6 @@ func (p Perm) Equal(q Perm) bool {
 	return true
 }
 
-// IsIdentity reports whether p fixes every symbol.
-func (p Perm) IsIdentity() bool {
-	for i, v := range p {
-		if v != uint64(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of p.
 func (p Perm) Clone() Perm {
 	q := make(Perm, len(p))
@@ -139,35 +129,6 @@ func (p Perm) Cycles() [][]uint64 {
 	return cycles
 }
 
-// Order returns the multiplicative order of p (lcm of cycle lengths).
-func (p Perm) Order() uint64 {
-	order := uint64(1)
-	for _, c := range p.Cycles() {
-		order = lcm(order, uint64(len(c)))
-	}
-	return order
-}
-
-// Parity returns 0 for even permutations and 1 for odd ones.
-func (p Perm) Parity() int {
-	transpositions := 0
-	for _, c := range p.Cycles() {
-		transpositions += len(c) - 1
-	}
-	return transpositions & 1
-}
-
-// FixedPoints returns the symbols fixed by p, in increasing order.
-func (p Perm) FixedPoints() []uint64 {
-	var fp []uint64
-	for i, v := range p {
-		if v == uint64(i) {
-			fp = append(fp, uint64(i))
-		}
-	}
-	return fp
-}
-
 // Random returns a uniformly random permutation on n symbols
 // (Fisher-Yates driven by rng).
 func Random(rng *rand.Rand, n int) Perm {
@@ -177,20 +138,6 @@ func Random(rng *rand.Rand, n int) Perm {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Power returns p composed with itself k times (k >= 0).
-func (p Perm) Power(k int) Perm {
-	r := Identity(len(p))
-	base := p.Clone()
-	for k > 0 {
-		if k&1 == 1 {
-			r = r.Compose(base)
-		}
-		base = base.Compose(base)
-		k >>= 1
-	}
-	return r
 }
 
 // String renders p in cycle notation, e.g. "(0 2 1)(3)".
@@ -212,18 +159,4 @@ func (p Perm) String() string {
 		return "()"
 	}
 	return b.String()
-}
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd(a, b) * b
 }

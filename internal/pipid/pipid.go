@@ -44,15 +44,6 @@ func New(theta []int) (IndexPerm, error) {
 	return IndexPerm{Theta: cp}, nil
 }
 
-// MustNew is New that panics on invalid input.
-func MustNew(theta []int) IndexPerm {
-	ip, err := New(theta)
-	if err != nil {
-		panic(err)
-	}
-	return ip
-}
-
 // W returns the number of bit positions.
 func (ip IndexPerm) W() int { return len(ip.Theta) }
 
@@ -107,16 +98,6 @@ func (ip IndexPerm) Equal(o IndexPerm) bool {
 	}
 	for i := range ip.Theta {
 		if ip.Theta[i] != o.Theta[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsIdentity reports whether theta fixes every position.
-func (ip IndexPerm) IsIdentity() bool {
-	for j, t := range ip.Theta {
-		if j != t {
 			return false
 		}
 	}
@@ -282,64 +263,4 @@ func Detect(p perm.Perm) (IndexPerm, bool) {
 		}
 	}
 	return ip, true
-}
-
-// BPC is a bit-permute-complement permutation: a PIPID permutation
-// followed by XOR with a complement mask. BPC strictly contains PIPID
-// (Mask 0) and still induces independent connections, which is the
-// natural extension the paper's machinery covers; see conn.FromBPC.
-type BPC struct {
-	Theta IndexPerm
-	Mask  uint64
-}
-
-// NewBPC validates the mask width against theta.
-func NewBPC(theta IndexPerm, mask uint64) (BPC, error) {
-	if mask&^bitops.Mask(theta.W()) != 0 {
-		return BPC{}, fmt.Errorf("pipid: BPC mask %#x exceeds %d bits", mask, theta.W())
-	}
-	return BPC{Theta: theta, Mask: mask}, nil
-}
-
-// Apply evaluates the BPC permutation.
-func (b BPC) Apply(x uint64) uint64 { return b.Theta.Apply(x) ^ b.Mask }
-
-// ToPerm expands the BPC permutation on all 2^w symbols.
-func (b BPC) ToPerm() perm.Perm {
-	n := 1 << uint(b.Theta.W())
-	p := make(perm.Perm, n)
-	for x := 0; x < n; x++ {
-		p[x] = b.Apply(uint64(x))
-	}
-	return p
-}
-
-// DetectBPC decides whether p is bit-permute-complement and recovers it.
-func DetectBPC(p perm.Perm) (BPC, bool) {
-	n := len(p)
-	if n == 0 || !bitops.IsPow2(uint64(n)) {
-		return BPC{}, false
-	}
-	w := bitops.Log2(uint64(n))
-	mask := p[0]
-	theta := make([]int, w)
-	for i := 0; i < w; i++ {
-		img := p[1<<uint(i)] ^ mask
-		if img == 0 || img&(img-1) != 0 {
-			return BPC{}, false
-		}
-		j := bitops.Log2(img)
-		theta[j] = i
-	}
-	ip, err := New(theta)
-	if err != nil {
-		return BPC{}, false
-	}
-	b := BPC{Theta: ip, Mask: mask}
-	for x := 0; x < n; x++ {
-		if p[x] != b.Apply(uint64(x)) {
-			return BPC{}, false
-		}
-	}
-	return b, true
 }

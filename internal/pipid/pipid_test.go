@@ -18,12 +18,29 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]int{0, 3, 1}); err == nil {
 		t.Error("out-of-range theta accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew([]int{1, 1})
+}
+
+// isIdentity reports whether ip fixes every bit position.
+func isIdentity(ip IndexPerm) bool { return ip.Equal(Identity(ip.W())) }
+
+// rotLeftK rotates only the low k bits of x left by one, leaving bits k
+// and above untouched: the bit-level reference for the k-subshuffle
+// sigma_k.
+func rotLeftK(x uint64, w, k int) uint64 {
+	if k > w {
+		k = w
+	}
+	hi := x & (bitops.Mask(w) &^ bitops.Mask(k))
+	return hi | bitops.RotLeft(x&bitops.Mask(k), k)
+}
+
+// swapBits returns x with bits i and j exchanged: the bit-level
+// reference for the k-butterfly, which exchanges bit 0 with bit k.
+func swapBits(x uint64, i, j int) uint64 {
+	if bitops.Bit(x, i) == bitops.Bit(x, j) {
+		return x
+	}
+	return bitops.FlipBit(bitops.FlipBit(x, i), j)
 }
 
 func TestPerfectShuffleMatchesRotLeft(t *testing.T) {
@@ -47,11 +64,24 @@ func TestPerfectShuffleMatchesRotLeft(t *testing.T) {
 }
 
 func TestSubshuffleMatchesRotLeftK(t *testing.T) {
+	// The reference on known values: sigma_2 on 4 bits touches only
+	// bits 0..1, k = w is a full rotation, k > w is clamped, and k <= 1
+	// is the identity.
+	x := uint64(0b1101)
+	if got := rotLeftK(x, 4, 2); got != 0b1110 {
+		t.Errorf("rotLeftK(1101,4,2) = %04b", got)
+	}
+	if rotLeftK(x, 4, 4) != bitops.RotLeft(x, 4) || rotLeftK(x, 4, 9) != bitops.RotLeft(x, 4) {
+		t.Error("rotLeftK(k>=w) != RotLeft")
+	}
+	if rotLeftK(x, 4, 1) != x || rotLeftK(x, 4, 0) != x {
+		t.Error("rotLeftK small k not identity")
+	}
 	for w := 1; w <= 7; w++ {
 		for k := 0; k <= w+1; k++ {
 			s := Subshuffle(w, k)
 			for x := uint64(0); x < 1<<uint(w); x++ {
-				if got, want := s.Apply(x), bitops.RotLeftK(x, w, k); got != want {
+				if got, want := s.Apply(x), rotLeftK(x, w, k); got != want {
 					t.Fatalf("w=%d k=%d: sigma_k(%b) = %b, want %b", w, k, x, got, want)
 				}
 			}
@@ -62,28 +92,38 @@ func TestSubshuffleMatchesRotLeftK(t *testing.T) {
 		t.Error("sigma_w != sigma")
 	}
 	// sigma_1 and sigma_0 are identities.
-	if !Subshuffle(5, 1).IsIdentity() || !Subshuffle(5, 0).IsIdentity() {
+	if !isIdentity(Subshuffle(5, 1)) || !isIdentity(Subshuffle(5, 0)) {
 		t.Error("sigma_1 / sigma_0 not identity")
 	}
 }
 
 func TestButterflyMatchesSwapBits(t *testing.T) {
+	// The reference on known values.
+	if got := swapBits(0b0001, 0, 3); got != 0b1000 {
+		t.Errorf("swapBits(0001,0,3) = %04b", got)
+	}
+	if got := swapBits(0b1001, 0, 3); got != 0b1001 {
+		t.Errorf("swapBits equal bits changed value: %04b", got)
+	}
+	if got := swapBits(0b0101, 2, 2); got != 0b0101 {
+		t.Errorf("swapBits(i==j) changed value: %04b", got)
+	}
 	for w := 1; w <= 7; w++ {
 		for k := 0; k < w; k++ {
 			b := Butterfly(w, k)
 			for x := uint64(0); x < 1<<uint(w); x++ {
-				if got, want := b.Apply(x), bitops.SwapBits(x, 0, k); got != want {
+				if got, want := b.Apply(x), swapBits(x, 0, k); got != want {
 					t.Fatalf("w=%d k=%d: beta_k(%b) = %b, want %b", w, k, x, got, want)
 				}
 			}
 		}
 	}
-	if !Butterfly(4, 0).IsIdentity() {
+	if !isIdentity(Butterfly(4, 0)) {
 		t.Error("beta_0 not identity")
 	}
 	// Butterflies are involutions.
 	for k := 1; k < 5; k++ {
-		if !Butterfly(5, k).Compose(Butterfly(5, k)).IsIdentity() {
+		if !isIdentity(Butterfly(5, k).Compose(Butterfly(5, k))) {
 			t.Errorf("beta_%d not involutive", k)
 		}
 	}
@@ -97,7 +137,7 @@ func TestBitReversalMatchesReverse(t *testing.T) {
 				t.Fatalf("w=%d: rho(%b) = %b, want %b", w, x, got, want)
 			}
 		}
-		if !r.Compose(r).IsIdentity() {
+		if !isIdentity(r.Compose(r)) {
 			t.Fatalf("w=%d: rho not involutive", w)
 		}
 	}
@@ -126,7 +166,7 @@ func TestInverse(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		w := rng.IntN(10) + 1
 		a := Random(rng, w)
-		if !a.Compose(a.Inverse()).IsIdentity() || !a.Inverse().Compose(a).IsIdentity() {
+		if !isIdentity(a.Compose(a.Inverse())) || !isIdentity(a.Inverse().Compose(a)) {
 			t.Fatal("inverse law fails")
 		}
 		if !a.Inverse().ToPerm().Equal(a.ToPerm().Inverse()) {
@@ -234,41 +274,6 @@ func TestAllCounts(t *testing.T) {
 	}
 }
 
-func TestBPC(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 0))
-	for trial := 0; trial < 200; trial++ {
-		w := rng.IntN(8) + 1
-		theta := Random(rng, w)
-		mask := rng.Uint64() & bitops.Mask(w)
-		b, err := NewBPC(theta, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := b.ToPerm()
-		if err := p.Validate(); err != nil {
-			t.Fatalf("BPC not a permutation: %v", err)
-		}
-		got, ok := DetectBPC(p)
-		if !ok || !got.Theta.Equal(theta) || got.Mask != mask {
-			t.Fatalf("BPC round trip failed: %v mask %b", theta, mask)
-		}
-		// A BPC with nonzero mask is not PIPID.
-		if mask != 0 {
-			if _, ok := Detect(p); ok {
-				t.Fatal("BPC with nonzero mask detected as plain PIPID")
-			}
-		}
-	}
-	if _, err := NewBPC(Identity(3), 0b1000); err == nil {
-		t.Error("oversized BPC mask accepted")
-	}
-	// Non-BPC rejection.
-	q, _ := perm.FromFunc(16, func(x uint64) uint64 { return (x + 3) % 16 })
-	if _, ok := DetectBPC(q); ok {
-		t.Error("cyclic shift detected as BPC")
-	}
-}
-
 func TestString(t *testing.T) {
 	// theta for sigma on 3 bits: theta = [2(for j=0), 0(j=1), 1(j=2)]
 	s := PerfectShuffle(3)
@@ -288,13 +293,13 @@ func TestShuffleOrder(t *testing.T) {
 		for i := 0; i < w; i++ {
 			acc = acc.Compose(s)
 		}
-		if !acc.IsIdentity() {
+		if !isIdentity(acc) {
 			t.Errorf("sigma^%d != id on %d bits", w, w)
 		}
 		if w > 1 {
 			acc = Identity(w).Compose(s)
 			for i := 1; i < w; i++ {
-				if acc.IsIdentity() {
+				if isIdentity(acc) {
 					t.Errorf("sigma has order < %d on %d bits", w, w)
 				}
 				acc = acc.Compose(s)

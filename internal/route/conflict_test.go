@@ -6,47 +6,35 @@ import (
 	"minequiv/internal/perm"
 )
 
-// VerifyAllPairs routes every (src, dst) terminal pair through r and
-// checks the paths are valid; for a Banyan network this exercises all
-// N^2 unique paths. It returns the number of routed pairs.
-func (r *Router) VerifyAllPairs() (int, error) {
-	n := uint64(r.N())
-	for src := uint64(0); src < n; src++ {
-		for dst := uint64(0); dst < n; dst++ {
-			if _, err := r.Route(src, dst); err != nil {
-				return 0, fmt.Errorf("route: pair (%d,%d): %w", src, dst, err)
-			}
-		}
-	}
-	return int(n * n), nil
-}
+// The tag router's conflict analysis is the reference the reachability
+// router's admissibility count and the simulator are checked against.
 
-// Conflict describes two inputs colliding on one switch output.
-type Conflict struct {
+// conflict describes two inputs colliding on one switch output.
+type conflict struct {
 	Stage      int
 	Cell       uint64
 	Port       uint64
 	SrcA, SrcB uint64
 }
 
-func (c Conflict) String() string {
+func (c conflict) String() string {
 	return fmt.Sprintf("stage %d cell %d port %d: inputs %d and %d collide",
 		c.Stage, c.Cell, c.Port, c.SrcA, c.SrcB)
 }
 
-// PermutationConflicts routes all N inputs simultaneously, input i to
+// permutationConflicts routes all N inputs simultaneously, input i to
 // output pi[i], and reports every switch-output collision. A permutation
 // is admissible (realizable in one pass) iff the result is empty. This
 // is the classic blocking analysis of banyan networks: they have unique
 // paths, so conflicts cannot be routed around.
-func (r *Router) PermutationConflicts(pi perm.Perm) ([]Conflict, error) {
+func (r *Router) permutationConflicts(pi perm.Perm) ([]conflict, error) {
 	if pi.N() != r.N() {
 		return nil, fmt.Errorf("route: permutation on %d symbols, want %d", pi.N(), r.N())
 	}
 	if err := pi.Validate(); err != nil {
 		return nil, err
 	}
-	var conflicts []Conflict
+	var conflicts []conflict
 	// owner[cell<<1|port] = first input using that outlink this stage.
 	owner := make([]int64, r.N())
 	links := make([]uint64, r.N()) // current link label per input
@@ -62,7 +50,7 @@ func (r *Router) PermutationConflicts(pi perm.Perm) ([]Conflict, error) {
 			d := (pi[src] >> uint(r.tagPos[s])) & 1
 			out := cell<<1 | d
 			if prev := owner[out]; prev >= 0 {
-				conflicts = append(conflicts, Conflict{
+				conflicts = append(conflicts, conflict{
 					Stage: s, Cell: cell, Port: d,
 					SrcA: uint64(prev), SrcB: uint64(src),
 				})
@@ -80,22 +68,21 @@ func (r *Router) PermutationConflicts(pi perm.Perm) ([]Conflict, error) {
 	return conflicts, nil
 }
 
-// Admissible reports whether pi is realizable without conflicts.
-func (r *Router) Admissible(pi perm.Perm) (bool, error) {
-	cs, err := r.PermutationConflicts(pi)
+// admissible reports whether pi is realizable without conflicts.
+func (r *Router) admissible(pi perm.Perm) (bool, error) {
+	cs, err := r.permutationConflicts(pi)
 	if err != nil {
 		return false, err
 	}
 	return len(cs) == 0, nil
 }
 
-// RealizedPermutation computes the terminal permutation produced by an
+// realizedPermutation computes the terminal permutation produced by an
 // explicit switch-setting assignment: settings[s][cell] is 0 for a
 // straight switch (port p -> p) and 1 for a crossed one (p -> 1-p). In a
 // Banyan network distinct settings realize distinct permutations, and
-// every realized permutation is admissible — the converse of conflict-
-// freedom, exercised in tests.
-func (r *Router) RealizedPermutation(settings [][]uint64) (perm.Perm, error) {
+// every realized permutation is admissible.
+func (r *Router) realizedPermutation(settings [][]uint64) (perm.Perm, error) {
 	h := r.N() / 2
 	if len(settings) != r.n {
 		return nil, fmt.Errorf("route: want %d setting stages, got %d", r.n, len(settings))
@@ -125,40 +112,15 @@ func (r *Router) RealizedPermutation(settings [][]uint64) (perm.Perm, error) {
 	return pi, nil
 }
 
-// CountAdmissible enumerates all N! permutations (practical only for
-// tiny N) and counts the admissible ones. A classical fact this
-// reproduces: an n-stage banyan has N/2 * n switches and realizes
-// exactly 2^(number of switches) of the N! permutations.
-func (r *Router) CountAdmissible() (admissible, total uint64, err error) {
-	n := r.N()
-	if n > 8 {
-		return 0, 0, fmt.Errorf("route: CountAdmissible limited to N <= 8, got %d", n)
+// pathsEqual reports whether two paths traverse the same cells and ports.
+func pathsEqual(a, b Path) bool {
+	if a.Src != b.Src || a.Dst != b.Dst || len(a.Steps) != len(b.Steps) {
+		return false
 	}
-	p := perm.Identity(n)
-	var rec func(k int) error
-	rec = func(k int) error {
-		if k == n {
-			total++
-			ok, aerr := r.Admissible(p)
-			if aerr != nil {
-				return aerr
-			}
-			if ok {
-				admissible++
-			}
-			return nil
+	for i := range a.Steps {
+		if a.Steps[i] != b.Steps[i] {
+			return false
 		}
-		for i := k; i < n; i++ {
-			p[k], p[i] = p[i], p[k]
-			if err := rec(k + 1); err != nil {
-				return err
-			}
-			p[k], p[i] = p[i], p[k]
-		}
-		return nil
 	}
-	if err := rec(0); err != nil {
-		return 0, 0, err
-	}
-	return admissible, total, nil
+	return true
 }

@@ -112,8 +112,9 @@ func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 // CountAdmissible enumerates all N! permutations (practical only for
 // N <= 8) and counts those the degraded fabric routes without any
 // outlink conflict: every source must have a surviving path and no two
-// paths may share a link. With no faults this coincides with the tag
-// router's classical 2^(switch count).
+// paths may share a link. With no fault state this is the classical
+// count: an n-stage Banyan network has n·N/2 switches and realizes
+// exactly 2^(switch count) of the N! permutations.
 func (r *FaultyRouter) CountAdmissible() (admissible, total uint64, err error) {
 	n := r.N()
 	if n > 8 {

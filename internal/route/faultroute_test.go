@@ -41,7 +41,7 @@ func TestFaultyRouterIntactMatchesTagRouter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !PathsEqual(a, b) {
+			if !pathsEqual(a, b) {
 				t.Fatalf("pair (%d,%d): intact FaultyRouter path differs from the tag router", src, dst)
 			}
 		}
@@ -145,7 +145,7 @@ func TestFaultyRouterStuckSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !PathsEqual(p, q) {
+		if !pathsEqual(p, q) {
 			t.Fatalf("dst %d: stuck route differs from the intact unique path", dst)
 		}
 	}

@@ -43,7 +43,7 @@ func TestRandomPIPIDNetworksRoute(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d (%d,%d): dp: %v", n, src, dst, err)
 					}
-					if !PathsEqual(pt, pd) {
+					if !pathsEqual(pt, pd) {
 						t.Fatalf("n=%d (%d,%d): paths differ", n, src, dst)
 					}
 				}

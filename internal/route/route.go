@@ -1,10 +1,9 @@
 // Package route implements the "very simple bit directed routing" that
-// §4 of the paper credits PIPID-built networks with (Router, and
-// BPCRouter for bit-permute-complement stages). Every other wiring routes by
-// backward reachability through FaultyRouter, which with no fault state
-// is the generic router for intact fabrics and otherwise avoids the
-// faulty switches and links of a realized sim.FaultState; there is no
-// separate intact-only router.
+// §4 of the paper credits PIPID-built networks with (Router). Every
+// other wiring routes by backward reachability through FaultyRouter,
+// which with no fault state is the generic router for intact fabrics
+// and otherwise avoids the faulty switches and links of a realized
+// sim.FaultState; there is no separate intact-only router.
 //
 // Terminal model. A network with n stages has N = 2^n input terminals
 // and N output terminals. Input terminal a enters the stage-0 cell a>>1
@@ -123,15 +122,17 @@ func (r *Router) Route(src, dst uint64) (Path, error) {
 	return path, nil
 }
 
-// PathsEqual reports whether two paths traverse the same cells and ports.
-func PathsEqual(a, b Path) bool {
-	if a.Src != b.Src || a.Dst != b.Dst || len(a.Steps) != len(b.Steps) {
-		return false
-	}
-	for i := range a.Steps {
-		if a.Steps[i] != b.Steps[i] {
-			return false
+// VerifyAllPairs routes every (src, dst) terminal pair through r and
+// checks the paths are valid; for a Banyan network this exercises all
+// N^2 unique paths. It returns the number of routed pairs.
+func (r *Router) VerifyAllPairs() (int, error) {
+	n := uint64(r.N())
+	for src := uint64(0); src < n; src++ {
+		for dst := uint64(0); dst < n; dst++ {
+			if _, err := r.Route(src, dst); err != nil {
+				return 0, fmt.Errorf("route: pair (%d,%d): %w", src, dst, err)
+			}
 		}
 	}
-	return true
+	return int(n * n), nil
 }

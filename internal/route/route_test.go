@@ -53,7 +53,7 @@ func TestTagVsDPAllNetworks(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s n=%d (%d,%d): dp: %v", name, n, src, dst, err)
 					}
-					if !PathsEqual(pt, pd) {
+					if !pathsEqual(pt, pd) {
 						t.Fatalf("%s n=%d (%d,%d): tag and DP paths differ:\n%v\nvs\n%v",
 							name, n, src, dst, pt, pd)
 					}
@@ -167,11 +167,11 @@ func TestRealizedPermutationsAdmissible(t *testing.T) {
 					settings[s][c] = uint64(rng.IntN(2))
 				}
 			}
-			pi, err := r.RealizedPermutation(settings)
+			pi, err := r.realizedPermutation(settings)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			ok, err := r.Admissible(pi)
+			ok, err := r.admissible(pi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,10 +186,10 @@ func TestRealizedPermutationsAdmissible(t *testing.T) {
 	}
 	// Shape errors.
 	r, _ := routersFor(t, topology.NameOmega, 3)
-	if _, err := r.RealizedPermutation(nil); err == nil {
+	if _, err := r.realizedPermutation(nil); err == nil {
 		t.Error("nil settings accepted")
 	}
-	if _, err := r.RealizedPermutation([][]uint64{{0}, {0}, {0}}); err == nil {
+	if _, err := r.realizedPermutation([][]uint64{{0}, {0}, {0}}); err == nil {
 		t.Error("short stage settings accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestOmegaIdentityBlockedInThisModel(t *testing.T) {
 	// textbook statements that assume the extra input shuffle; the count
 	// of admissible permutations (2^#switches) is wiring-invariant.
 	r, _ := routersFor(t, topology.NameOmega, 3)
-	ok, err := r.Admissible(perm.Identity(r.N()))
+	ok, err := r.admissible(perm.Identity(r.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestOmegaBlocksSomePermutation(t *testing.T) {
 	// Banyan networks cannot realize all permutations in one pass; find
 	// a blocked one for Omega N=8 (bit-reversal of 3 bits is the classic
 	// non-admissible example for Omega... verify by search to be safe).
-	r, _ := routersFor(t, topology.NameOmega, 3)
-	adm, total, err := r.CountAdmissible()
+	_, dp := routersFor(t, topology.NameOmega, 3)
+	adm, total, err := dp.CountAdmissible()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,20 +231,41 @@ func TestOmegaBlocksSomePermutation(t *testing.T) {
 
 func TestCountAdmissibleMatchesSwitchCount(t *testing.T) {
 	// The 2^(switches) law holds for every classical network at N=4:
-	// 2^(2*2) = 16 of 24 permutations.
+	// 2^(2*2) = 16 of 24 permutations. The reachability router's count
+	// must also equal the tag router's conflict-free count.
+	var all []perm.Perm
+	for code := 0; code < 4*4*4*4; code++ {
+		pi := perm.Perm{uint64(code & 3), uint64(code >> 2 & 3), uint64(code >> 4 & 3), uint64(code >> 6)}
+		if pi.Validate() == nil {
+			all = append(all, pi)
+		}
+	}
 	for _, name := range topology.Names() {
-		r, _ := routersFor(t, name, 2)
-		adm, total, err := r.CountAdmissible()
+		r, dp := routersFor(t, name, 2)
+		adm, total, err := dp.CountAdmissible()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if total != 24 || adm != 16 {
 			t.Errorf("%s: adm/total = %d/%d, want 16/24", name, adm, total)
 		}
+		tagAdm := uint64(0)
+		for _, pi := range all {
+			ok, err := r.admissible(pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				tagAdm++
+			}
+		}
+		if tagAdm != adm || uint64(len(all)) != total {
+			t.Errorf("%s: tag router admits %d of %d, reachability router %d of %d", name, tagAdm, len(all), adm, total)
+		}
 	}
 	// Oversized enumeration rejected.
-	r, _ := routersFor(t, topology.NameOmega, 4)
-	if _, _, err := r.CountAdmissible(); err == nil {
+	_, dp := routersFor(t, topology.NameOmega, 4)
+	if _, _, err := dp.CountAdmissible(); err == nil {
 		t.Error("N=16 enumeration accepted")
 	}
 }
@@ -255,7 +276,7 @@ func TestConflictDetectionDetail(t *testing.T) {
 	// 2, so sending them to destinations that agree on bit 2 must be
 	// reported as a stage-0 conflict at cell 0.
 	pi := perm.Perm{0, 1, 3, 2, 5, 4, 7, 6}
-	cs, err := r.PermutationConflicts(pi)
+	cs, err := r.permutationConflicts(pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,31 +301,31 @@ func TestConflictDetectionDetail(t *testing.T) {
 			settings[s][c] = uint64((s + c) % 2)
 		}
 	}
-	clean, err := r.RealizedPermutation(settings)
+	clean, err := r.realizedPermutation(settings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err = r.PermutationConflicts(clean)
+	cs, err = r.permutationConflicts(clean)
 	if err != nil || len(cs) != 0 {
 		t.Fatalf("realized permutation has conflicts: %v %v", cs, err)
 	}
 	// Errors.
-	if _, err := r.PermutationConflicts(perm.Identity(4)); err == nil {
+	if _, err := r.permutationConflicts(perm.Identity(4)); err == nil {
 		t.Error("wrong-size permutation accepted")
 	}
-	if _, err := r.PermutationConflicts(perm.Perm{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
+	if _, err := r.permutationConflicts(perm.Perm{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
 		t.Error("non-bijection accepted")
 	}
 }
 
 func TestRandomPermutationAdmissibilityAgreesWithSim(t *testing.T) {
-	// Cross-check Admissible against brute-force path overlap: pi is
+	// Cross-check admissible against brute-force path overlap: pi is
 	// admissible iff no two routed paths share an outlink.
 	rng := rand.New(rand.NewPCG(1, 0))
 	r, _ := routersFor(t, topology.NameBaseline, 4)
 	for trial := 0; trial < 50; trial++ {
 		pi := perm.Random(rng, r.N())
-		ok, err := r.Admissible(pi)
+		ok, err := r.admissible(pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,22 +346,7 @@ func TestRandomPermutationAdmissibilityAgreesWithSim(t *testing.T) {
 			}
 		}
 		if ok == clash {
-			t.Fatalf("Admissible=%v but clash=%v", ok, clash)
-		}
-	}
-}
-
-func BenchmarkPermutationConflicts(b *testing.B) {
-	nw := topology.MustBuild(topology.NameOmega, 10)
-	r, err := NewRouter(nw.IndexPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pi := perm.Random(rand.New(rand.NewPCG(2, 0)), r.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.PermutationConflicts(pi); err != nil {
-			b.Fatal(err)
+			t.Fatalf("admissible=%v but clash=%v", ok, clash)
 		}
 	}
 }

@@ -4,10 +4,9 @@
 // together with generic builders for networks defined by arbitrary link
 // permutations, PIPID index permutations, or connections.
 //
-// The Baseline network is built three independent ways (recursive
-// definition, closed-form connection, link permutations); the test suite
-// proves all three produce the identical digraph, which anchors every
-// other construction.
+// The Baseline network is built from its closed-form connection and
+// from its link permutations; the test suite checks both against the
+// paper's recursive definition, which anchors every other construction.
 package topology
 
 import (
@@ -18,35 +17,6 @@ import (
 	"minequiv/internal/perm"
 	"minequiv/internal/pipid"
 )
-
-// BaselineRecursive builds the n-stage Baseline network exactly as the
-// paper defines it: the subnetwork between stages 2 and n consists of two
-// (n-1)-stage Baseline networks laid out top (labels with high bit 0) and
-// bottom (high bit 1), and stage-1 nodes 2i and 2i+1 are both connected
-// to the i-th node of each subnetwork. Slot 0 (the f-child) is the node
-// in the top subnetwork.
-func BaselineRecursive(n int) *midigraph.Graph {
-	g := midigraph.New(n)
-	buildBaselineInto(g, 0, 0, n)
-	return g
-}
-
-// buildBaselineInto writes an s-stage baseline into g occupying stages
-// stage..stage+s-1, using labels base..base+2^(s-1)-1 at each stage.
-func buildBaselineInto(g *midigraph.Graph, stage int, base uint32, s int) {
-	if s == 1 {
-		return // a single cell: no connection to build
-	}
-	half := uint32(1) << uint(s-2) // cells per stage of each subnetwork
-	for i := uint32(0); i < half; i++ {
-		top := base + i
-		bottom := base + half + i
-		g.SetChildren(stage, base+2*i, top, bottom)
-		g.SetChildren(stage, base+2*i+1, top, bottom)
-	}
-	buildBaselineInto(g, stage+1, base, s-1)
-	buildBaselineInto(g, stage+1, base+half, s-1)
-}
 
 // Baseline builds the n-stage Baseline network from its closed-form
 // connection: at 0-based stage s the top s label bits are preserved, the

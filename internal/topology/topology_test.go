@@ -8,13 +8,42 @@ import (
 	"minequiv/internal/pipid"
 )
 
+// baselineRecursive builds the n-stage Baseline network exactly as the
+// paper defines it: the subnetwork between stages 2 and n consists of two
+// (n-1)-stage Baseline networks laid out top (labels with high bit 0) and
+// bottom (high bit 1), and stage-1 nodes 2i and 2i+1 are both connected
+// to the i-th node of each subnetwork. Slot 0 (the f-child) is the node
+// in the top subnetwork.
+func baselineRecursive(n int) *midigraph.Graph {
+	g := midigraph.New(n)
+	buildBaselineInto(g, 0, 0, n)
+	return g
+}
+
+// buildBaselineInto writes an s-stage baseline into g occupying stages
+// stage..stage+s-1, using labels base..base+2^(s-1)-1 at each stage.
+func buildBaselineInto(g *midigraph.Graph, stage int, base uint32, s int) {
+	if s == 1 {
+		return // a single cell: no connection to build
+	}
+	half := uint32(1) << uint(s-2) // cells per stage of each subnetwork
+	for i := uint32(0); i < half; i++ {
+		top := base + i
+		bottom := base + half + i
+		g.SetChildren(stage, base+2*i, top, bottom)
+		g.SetChildren(stage, base+2*i+1, top, bottom)
+	}
+	buildBaselineInto(g, stage+1, base, s-1)
+	buildBaselineInto(g, stage+1, base+half, s-1)
+}
+
 // TestBaselineThreeWays is the anchor of the whole construction layer:
 // the paper's recursive definition, the closed-form connection and the
 // inverse-subshuffle link permutations must produce the identical
 // digraph, including the (f,g) slot order.
 func TestBaselineThreeWays(t *testing.T) {
 	for n := 2; n <= 10; n++ {
-		rec := BaselineRecursive(n)
+		rec := baselineRecursive(n)
 		conn := Baseline(n)
 		lp, err := midigraph.FromLinkPerms(n, BaselineLinkPerms(n))
 		if err != nil {

@@ -149,6 +149,11 @@ func TestCountAdmissibleUnderFaults(t *testing.T) {
 	if intactAdm != wantAdm || total != wantTotal {
 		t.Fatalf("intact count %d/%d differs from CountAdmissible %d/%d", intactAdm, total, wantAdm, wantTotal)
 	}
+	// Both count with the reachability router, so also pin the classical
+	// value: 2^(4 switches x 3 stages) of 8!.
+	if intactAdm != 1<<12 || total != 40320 {
+		t.Fatalf("intact count %d/%d, want %d/40320", intactAdm, total, 1<<12)
+	}
 
 	// The fragility corollary: a conflict-free full permutation uses
 	// every outlink of every stage, so ANY single fault — severed link,

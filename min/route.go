@@ -84,7 +84,12 @@ func CountAdmissible(nw *Network) (admissible, total uint64, err error) {
 	if !nw.IsPIPID() {
 		return 0, 0, fmt.Errorf("min: %s is not PIPID-defined", nw.Name())
 	}
-	r, err := route.NewRouter(nw.topo.IndexPerms)
+	// The tag router's construction rejects degenerate PIPID networks;
+	// the count itself is the reachability router's.
+	if _, err := route.NewRouter(nw.topo.IndexPerms); err != nil {
+		return 0, 0, err
+	}
+	r, err := route.NewFaultyRouter(nw.topo.LinkPerms, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,10 +1,13 @@
 package minserve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"minequiv/internal/codec"
 )
 
 // The decoding fuzz targets feed arbitrary bodies to the POST
@@ -138,6 +141,88 @@ func FuzzCachedReplay(f *testing.F) {
 			t.Fatalf("error response %d touched the cache: %+v", want.Code, st)
 		case want.Code == http.StatusOK && (st.Hits != 1 || st.Misses != 1 || st.Entries != 1):
 			t.Fatalf("cold+warm success accounted as %+v, want one miss then one hit", st)
+		}
+	})
+}
+
+// FuzzDecodeBatch fuzzes the /v1/batch envelope decoder under both
+// codecs: bit 0 of flag sends body as a binary request envelope
+// (application/x-min-bin) instead of JSON, and bit 1 asks for a binary
+// response envelope. Whatever arrives, the handler must not panic or
+// answer 5xx, and a 200 must carry exactly one positional item, none
+// of them 5xx, per request in the envelope.
+func FuzzDecodeBatch(f *testing.F) {
+	oversize := `{"requests":[` + strings.Repeat(`{"op":"check","request":{"network":"omega","stages":3}},`, 64) +
+		`{"op":"check","request":{"network":"omega","stages":3}}]}`
+	for _, seed := range []string{
+		`{"requests":[{"op":"check","request":{"network":"omega","stages":3}},` +
+			`{"op":"route","request":{"network":"flip","stages":3,"src":1,"dst":6}},` +
+			`{"op":"simulate","request":{"network":"baseline","stages":3,"waves":5,"seed":1}}]}`,
+		`{"requests":[]}`,
+		oversize,
+		`{"requests":[{"op":"check","request":{"network":"tail-cycle","stages":4,"iso":true}}]}`,
+		`{"requests":[{"op":"route","request":{"network":"omega","stages":3,"src":0,"dst":7}}]}`,
+		`{"requests":[{"op":"simulate","request":{"network":"omega","stages":3,"model":"buffered","cycles":50,"warmup":5}}]}`,
+	} {
+		f.Add(byte(0), []byte(seed))
+		f.Add(byte(2), []byte(seed))
+		if bin, err := EncodeBinaryRequest("batch", []byte(seed)); err == nil {
+			f.Add(byte(1), bin)
+			f.Add(byte(3), bin)
+		}
+	}
+	f.Add(byte(1), []byte("MB\x01\x00"))
+	h := fuzzHandler()
+	f.Fuzz(func(t *testing.T, flag byte, body []byte) {
+		var contentType, accept string
+		wi := wire{reqBin: flag&1 == 1, respBin: flag&2 == 2}
+		if wi.reqBin {
+			contentType = MediaTypeBinary
+		}
+		if wi.respBin {
+			accept = MediaTypeBinary
+		}
+		rec := doWire(t, h, "POST", "/v1/batch", string(body), contentType, accept)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("unexpected status %d for flag %d body %q", rec.Code, flag, body)
+		}
+		var req batchRequest
+		if err := decodeRequest(wi, body, &req); err != nil {
+			t.Fatalf("200 for an envelope that does not decode: %v", err)
+		}
+		var statuses []int
+		if wi.respBin {
+			var resp codec.BatchResponse
+			if err := codec.Decode(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("binary batch response does not decode: %v", err)
+			}
+			for _, item := range resp.Responses {
+				statuses = append(statuses, item.Status)
+			}
+		} else {
+			var resp struct {
+				Responses []struct {
+					Status int `json:"status"`
+				} `json:"responses"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("JSON batch response does not decode: %v\n%s", err, rec.Body)
+			}
+			for _, item := range resp.Responses {
+				statuses = append(statuses, item.Status)
+			}
+		}
+		if len(statuses) != len(req.Requests) {
+			t.Fatalf("%d positional items for %d requests", len(statuses), len(req.Requests))
+		}
+		for i, status := range statuses {
+			if status >= 500 {
+				t.Fatalf("item %d answered %d", i, status)
+			}
 		}
 	})
 }
