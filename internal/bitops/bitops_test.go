@@ -44,6 +44,38 @@ func TestBitSetFlip(t *testing.T) {
 	}
 }
 
+// insertBit widens x by one bit, placing b at position i and shifting
+// bits i and above left: the inverse DeleteBit is checked against.
+func insertBit(x uint64, i int, b uint64) uint64 {
+	return (x&^Mask(i))<<1 | (b&1)<<uint(i) | x&Mask(i)
+}
+
+func TestInsertDeleteBit(t *testing.T) {
+	// Inserting then deleting at the same position is the identity.
+	for x := uint64(0); x < 64; x++ {
+		for i := 0; i < 7; i++ {
+			for b := uint64(0); b < 2; b++ {
+				ins := insertBit(x, i, b)
+				if Bit(ins, i) != b {
+					t.Fatalf("insertBit(%d,%d,%d): bit not set", x, i, b)
+				}
+				if got := DeleteBit(ins, i); got != x {
+					t.Fatalf("DeleteBit(insertBit(%d,%d,%d)) = %d", x, i, b, got)
+				}
+			}
+		}
+	}
+	if got := DeleteBit(0b1011, 1); got != 0b101 {
+		t.Errorf("DeleteBit(1011,1) = %b", got)
+	}
+	if got := DeleteBit(0b1011, 3); got != 0b011 {
+		t.Errorf("DeleteBit(1011,3) = %b", got)
+	}
+	if got := DeleteBit(0b1011, 0); got != 0b101 {
+		t.Errorf("DeleteBit(1011,0) = %b", got)
+	}
+}
+
 func TestRotations(t *testing.T) {
 	// Perfect shuffle on 3 bits: (x2,x1,x0) -> (x1,x0,x2).
 	cases := []struct{ x, want uint64 }{
@@ -72,6 +104,64 @@ func TestRotations(t *testing.T) {
 		if y != x {
 			t.Errorf("w=%d: %d rotations != identity (got %b want %b)", w, w, y, x)
 		}
+	}
+}
+
+// rotLeftK and rotRightK rotate only the low k bits of x, leaving bits k
+// and above untouched: the k-subshuffle sigma_k and its inverse, built
+// from RotLeft and RotRight on a k-bit field.
+func rotLeftK(x uint64, w, k int) uint64 {
+	if k > w {
+		k = w
+	}
+	return x&(Mask(w)&^Mask(k)) | RotLeft(x&Mask(k), k)
+}
+
+func rotRightK(x uint64, w, k int) uint64 {
+	if k > w {
+		k = w
+	}
+	return x&(Mask(w)&^Mask(k)) | RotRight(x&Mask(k), k)
+}
+
+func TestRotK(t *testing.T) {
+	// sigma_2 on 4 bits touches only bits 0..1.
+	x := uint64(0b1101)
+	if got := rotLeftK(x, 4, 2); got != 0b1110 {
+		t.Errorf("rotLeftK(1101,4,2) = %04b", got)
+	}
+	if got := rotRightK(0b1110, 4, 2); got != x {
+		t.Errorf("rotRightK(1110,4,2) = %04b", got)
+	}
+	// k = w degenerates to a full rotation.
+	if rotLeftK(x, 4, 4) != RotLeft(x, 4) {
+		t.Error("rotLeftK(k=w) != RotLeft")
+	}
+	// k > w is clamped.
+	if rotLeftK(x, 4, 9) != RotLeft(x, 4) {
+		t.Error("rotLeftK(k>w) != RotLeft")
+	}
+	// k = 1 and k = 0 are identities.
+	if rotLeftK(x, 4, 1) != x || rotLeftK(x, 4, 0) != x {
+		t.Error("rotLeftK small k not identity")
+	}
+}
+
+// swapBits exchanges bits i and j of x through Bit and SetBit.
+func swapBits(x uint64, i, j int) uint64 {
+	bi, bj := Bit(x, i), Bit(x, j)
+	return SetBit(SetBit(x, i, bj), j, bi)
+}
+
+func TestSwapBits(t *testing.T) {
+	if got := swapBits(0b0001, 0, 3); got != 0b1000 {
+		t.Errorf("swapBits(0001,0,3) = %04b", got)
+	}
+	if got := swapBits(0b1001, 0, 3); got != 0b1001 {
+		t.Errorf("swapBits equal bits changed value: %04b", got)
+	}
+	if got := swapBits(0b0101, 2, 2); got != 0b0101 {
+		t.Errorf("swapBits(i==j) changed value: %04b", got)
 	}
 }
 
@@ -157,6 +247,35 @@ func TestReverseInvolution(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSwapInvolution(t *testing.T) {
+	f := func(x uint64, iRaw, jRaw uint8) bool {
+		i, j := int(iRaw%16), int(jRaw%16)
+		return swapBits(swapBits(x, i, j), i, j) == x
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestInsertDeleteProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 0))
+	for trial := 0; trial < 2000; trial++ {
+		w := rng.IntN(20) + 1
+		x := rng.Uint64() & Mask(w)
+		i := rng.IntN(w + 1)
+		b := rng.Uint64() & 1
+		ins := insertBit(x, i, b)
+		if DeleteBit(ins, i) != x {
+			t.Fatalf("round trip failed: x=%b i=%d b=%d", x, i, b)
+		}
+		// Deleting a bit then reinserting the deleted value restores x.
+		j := i % w
+		if insertBit(DeleteBit(x, j), j, Bit(x, j)) != x {
+			t.Fatalf("delete/insert failed: x=%b i=%d", x, j)
+		}
 	}
 }
 
