@@ -58,7 +58,7 @@ var simulateGolden = map[string]string{
 	"relabeled/rate1":           "77fd1fdaa9ca58dffdd6e47c49877d86057ee8a1816d54db9933bda183815da5",
 	"relabeled/pinned+random":   "bc33d06aac0e846271e4d109595beff19915f2e04863943ffa6396d4e387caf3",
 
-	"intact": "6774e816acb8f2afc229037a56c93dcdb6ef7edda82221c820f2f6323ecfe041",
+	"intact": "ac28a83faed75927f5fe9f00fabf75782da49704abf29dc31e5c65bd8b8a4497",
 }
 
 // simulateBufferedGolden pins SimulateBuffered under the same plans,
@@ -200,10 +200,12 @@ func TestSimulateGolden(t *testing.T) {
 var goldenLoads = []float64{1, 0.75, 0.4}
 
 // TestSimulateIntactGolden pins Simulate on the intact fabric: every
-// catalog network at n = 2..8, the tail cycle (n = 6) and a double-arc
-// wiring (n = 5, non-Banyan, so scalar only), each under every
-// registered scenario at a load cycled through goldenLoads, under every
-// kernel that accepts the wiring with 1 and 3 workers.
+// catalog network at n = 2..8, the tail cycle (n = 6, Banyan but not
+// Baseline-equivalent) and a double-arc wiring (n = 5, non-Banyan),
+// each under every registered scenario at a load cycled through
+// goldenLoads, with 1 and 3 workers. The catalog runs every kernel; the
+// tail cycle and the double-arc wiring run scalar and auto, the kernel
+// choices that accept any wiring.
 func TestSimulateIntactGolden(t *testing.T) {
 	var nets []*Network
 	for _, name := range CatalogNames() {
@@ -223,7 +225,7 @@ func TestSimulateIntactGolden(t *testing.T) {
 	h := sha256.New()
 	for i, nw := range nets {
 		runs := allWaveRuns
-		if nw == da {
+		if nw == tc || nw == da {
 			runs = scalarWaveRuns
 		}
 		for k, sc := range ScenarioNames() {
