@@ -430,12 +430,13 @@ func BenchmarkBufferedRunner(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := engine.NewRand(5, 0)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := runner.Run(rng)
-		if res.Delivered == 0 {
-			b.Fatal("nothing delivered")
+		res, err := runner.Run(ctx, rng)
+		if err != nil || res.Delivered == 0 {
+			b.Fatalf("nothing delivered (err %v)", err)
 		}
 	}
 }
@@ -476,8 +477,7 @@ func BenchmarkFabricKernel(b *testing.B) {
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
 // verdict-only characterization, then either the relabeled form of an
 // equivalent wiring or the table path's one backward pass building the
-// port tables, the Banyan verdict and, on Banyan fabrics, the path
-// tags. Relabeled: Baseline wirings at 6, 8 and 10 stages and a seeded
+// port tables and the Banyan verdict. Relabeled: Baseline wirings at 6, 8 and 10 stages and a seeded
 // relabeling of the 10-stage Omega. Table path: a 10-stage wiring whose
 // first stage has a double arc (it fails the Banyan check fast, and the
 // table pass finds it non-Banyan only at its last step) and the

@@ -92,10 +92,6 @@ type Encoder struct {
 // Reset truncates the buffer, keeping its capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
-// Bytes returns the encoded frame(s); the slice aliases the encoder's
-// buffer and is invalidated by the next Reset.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
 // begin appends a frame header with a zero length and returns the
 // payload start for end to patch.
 //

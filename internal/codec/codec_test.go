@@ -337,7 +337,7 @@ func TestHostileLengthsRejectNotAllocate(t *testing.T) {
 	e.presence(true)
 	e.u64(1 << 40) // LinkPerms outer count: absurd
 	e.end(start)
-	if err := Decode(e.Bytes(), new(CheckRequest)); err == nil {
+	if err := Decode(e.buf, new(CheckRequest)); err == nil {
 		t.Fatal("hostile count decoded without error")
 	}
 }
@@ -374,7 +374,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("encode steady state: %v allocs/op, want 0", allocs)
 	}
 
-	wire := bytes.Clone(e.Bytes())
+	wire := bytes.Clone(e.buf)
 	var d Decoder
 	dst := new(SimulateResponse)
 	d.Reset(wire)

@@ -70,7 +70,7 @@ func (c Config) resolve(f *sim.Fabric) (plan *sim.FaultPlan, bit bool, err error
 		return plan, false, nil
 	case KernelBit:
 		if !f.BitSliceable() {
-			return nil, false, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (it needs a Banyan fabric)`)
+			return nil, false, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (it needs a Baseline-equivalent wiring)`)
 		}
 		return plan, true, nil
 	}
@@ -177,15 +177,19 @@ type BufferedStats struct {
 // loop allocates nothing; per trial only the derived rng is allocated.
 // Trial t always uses the stream NewRand(cfg.Seed, t) and reduction is
 // by trial index, keeping the aggregates byte-identical for any worker
-// count. Cancelling ctx aborts the run within one replication and
-// returns ctx.Err().
+// count. Cancelling ctx aborts the run within one simulated cycle and
+// returns ctx.Err(). A config whose packet storage exceeds
+// sim.MaxBufferedPackets fails before any worker starts, with an error
+// wrapping sim.ErrBufferTooLarge.
 func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps int, cfg Config) (BufferedStats, error) {
 	if reps <= 0 {
 		return BufferedStats{}, fmt.Errorf("engine: replications must be positive")
 	}
 	// Validate once, up front, without sizing any buffers; per-worker
-	// construction below cannot fail for a valid config.
-	if err := bc.Validate(); err != nil {
+	// construction below cannot fail for a valid config, and a config
+	// whose packet storage is out of bounds fails here, before any
+	// worker sizes it.
+	if err := f.ValidateBuffered(bc); err != nil {
 		return BufferedStats{}, err
 	}
 	plan, err := cfg.faultPlan(f)
@@ -221,7 +225,10 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 			if resample {
 				sc.faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
 			}
-			res := sc.runner.Run(NewRand(cfg.Seed, uint64(t)))
+			res, err := sc.runner.Run(ctx, NewRand(cfg.Seed, uint64(t)))
+			if err != nil {
+				return err
+			}
 			copy(occ[t*f.Spans:(t+1)*f.Spans], res.StageOccupancy)
 			res.StageOccupancy = nil
 			results[t] = res

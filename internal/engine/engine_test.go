@@ -185,6 +185,15 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Queue: 1, Cycles: 10}, 4, Config{Workers: 2}); err == nil {
 		t.Error("invalid buffered config accepted")
 	}
+	// Packet storage past the bound fails before any worker sizes it.
+	for _, bc := range []sim.BufferedConfig{
+		{Pattern: sim.Bernoulli(0.5), Queue: 1 << 40, Cycles: 10},
+		{Pattern: sim.Bernoulli(0.5), Queue: 4, Lanes: 1 << 40, Cycles: 10},
+	} {
+		if _, err := RunBuffered(context.Background(), f, bc, 4, Config{Workers: 2}); !errors.Is(err, sim.ErrBufferTooLarge) {
+			t.Errorf("queue %d lanes %d: error %v, want sim.ErrBufferTooLarge", bc.Queue, bc.Lanes, err)
+		}
+	}
 }
 
 // TestCancellation: a cancelled context stops a sharded run between
@@ -218,6 +227,24 @@ func TestCancellation(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 1<<20 {
 		t.Fatalf("run did not stop early (ran %d trials)", n)
+	}
+	// A buffered replication checks ctx every cycle: cancelling during
+	// the 8th cycle's injection stops a long replication before the 9th.
+	var cycles atomic.Int64
+	ctx3, cancel3 := context.WithCancel(context.Background())
+	defer cancel3()
+	inject := sim.Traffic(func(dsts []int, rng *rand.Rand) {
+		if cycles.Add(1) == 8 {
+			cancel3()
+		}
+		sim.Bernoulli(0.5)(dsts, rng)
+	})
+	bc = sim.BufferedConfig{Pattern: inject, Queue: 4, Cycles: 1 << 20}
+	if _, err := RunBuffered(ctx3, f, bc, 1, Config{Workers: 1, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("buffered mid-replication: want context.Canceled, got %v", err)
+	}
+	if n := cycles.Load(); n != 8 {
+		t.Fatalf("replication ran %d cycles after cancelling at cycle 8", n)
 	}
 }
 

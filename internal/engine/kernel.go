@@ -13,14 +13,15 @@ type Kernel uint8
 
 const (
 	// KernelAuto picks the bit-sliced kernel whenever the fabric
-	// qualifies (Fabric.BitSliceable) and falls back to scalar. The
-	// default: zero value, zero configuration.
+	// qualifies (Fabric.BitSliceable: the wiring is Baseline-equivalent)
+	// and falls back to scalar. The default: zero value, zero
+	// configuration.
 	KernelAuto Kernel = iota
 	// KernelScalar forces the one-packet-at-a-time kernel (the oracle
 	// the bit-sliced kernel is verified against).
 	KernelScalar
 	// KernelBit forces the bit-sliced kernel; RunWaves fails when the
-	// fabric is not bit-sliceable rather than silently degrading.
+	// wiring is not Baseline-equivalent rather than silently degrading.
 	KernelBit
 )
 

@@ -11,33 +11,11 @@ import (
 // The paper's independence property is exactly "f and g are Affine with a
 // common M" (proved as conn.IndependentIffAffine and exercised in tests),
 // so Affine is the normal form in which independent connections are
-// stored, generated and composed.
+// stored and generated.
 type Affine struct {
 	M   Matrix
 	C   uint64
 	Dim int
-}
-
-// Apply evaluates the map at x.
-func (a Affine) Apply(x uint64) uint64 {
-	return a.M.Apply(x) ^ a.C
-}
-
-// Compose returns the map x -> a(b(x)).
-func (a Affine) Compose(b Affine) Affine {
-	if a.Dim != b.Dim {
-		panic(fmt.Sprintf("gf2: composing affine maps of dim %d and %d", a.Dim, b.Dim))
-	}
-	return Affine{M: a.M.Mul(b.M), C: a.M.Apply(b.C) ^ a.C, Dim: a.Dim}
-}
-
-// Inverse returns the inverse affine map; ok is false when M is singular.
-func (a Affine) Inverse() (Affine, bool) {
-	inv, ok := a.M.Inverse()
-	if !ok {
-		return Affine{}, false
-	}
-	return Affine{M: inv, C: inv.Apply(a.C), Dim: a.Dim}, true
 }
 
 // Table expands the map into a lookup table over all 2^Dim inputs.
@@ -103,11 +81,6 @@ func InferAffine(f []uint64, dim int) (Affine, bool) {
 		}
 	}
 	return a, true
-}
-
-// Equal reports structural equality.
-func (a Affine) Equal(b Affine) bool {
-	return a.Dim == b.Dim && a.C == b.C && a.M.Equal(b.M)
 }
 
 func (a Affine) String() string {

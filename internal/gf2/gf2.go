@@ -54,13 +54,6 @@ func (m *Matrix) Set(r, c int, b uint64) {
 	m.Rows[r] = bitops.SetBit(m.Rows[r], c, b)
 }
 
-// Clone returns a deep copy of m.
-func (m Matrix) Clone() Matrix {
-	rows := make([]uint64, len(m.Rows))
-	copy(rows, m.Rows)
-	return Matrix{Rows: rows, Cols: m.Cols}
-}
-
 // Equal reports whether m and o have identical shape and entries.
 func (m Matrix) Equal(o Matrix) bool {
 	if m.Cols != o.Cols || len(m.Rows) != len(o.Rows) {
@@ -103,19 +96,6 @@ func (m Matrix) Mul(o Matrix) Matrix {
 		}
 	}
 	return p
-}
-
-// Transpose returns the transpose of m.
-func (m Matrix) Transpose() Matrix {
-	t := NewMatrix(m.Cols, len(m.Rows))
-	for r := range m.Rows {
-		for c := 0; c < m.Cols; c++ {
-			if m.Get(r, c) == 1 {
-				t.Set(c, r, 1)
-			}
-		}
-	}
-	return t
 }
 
 // Rank returns the rank of m over GF(2).

@@ -3,6 +3,7 @@ package gf2
 import (
 	mrand "math/rand"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,20 +67,6 @@ func TestMulAssociativeAndIdentity(t *testing.T) {
 		x := rng.Uint64() & bitops.Mask(k)
 		if a.Mul(b).Apply(x) != a.Apply(b.Apply(x)) {
 			t.Fatalf("k=%d: (ab)x != a(bx)", k)
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 0))
-	for trial := 0; trial < 50; trial++ {
-		k := rng.IntN(12) + 1
-		m := RandomMatrix(rng, k)
-		if !m.Transpose().Transpose().Equal(m) {
-			t.Fatal("transpose not involutive")
-		}
-		if m.Transpose().Rank() != m.Rank() {
-			t.Fatal("rank(m^T) != rank(m)")
 		}
 	}
 }
@@ -180,39 +167,12 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-func TestAffineApplyCompose(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 0))
-	for trial := 0; trial < 60; trial++ {
-		k := rng.IntN(8) + 1
-		a := Affine{M: RandomMatrix(rng, k), C: rng.Uint64() & bitops.Mask(k), Dim: k}
-		b := Affine{M: RandomMatrix(rng, k), C: rng.Uint64() & bitops.Mask(k), Dim: k}
-		x := rng.Uint64() & bitops.Mask(k)
-		if a.Compose(b).Apply(x) != a.Apply(b.Apply(x)) {
-			t.Fatal("affine composition law fails")
-		}
-	}
-}
+// applyAffine evaluates a at x directly, the oracle Table and
+// InferAffine are checked against.
+func applyAffine(a Affine, x uint64) uint64 { return a.M.Apply(x) ^ a.C }
 
-func TestAffineInverse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 0))
-	for trial := 0; trial < 40; trial++ {
-		k := rng.IntN(8) + 1
-		a := Affine{M: RandomInvertible(rng, k), C: rng.Uint64() & bitops.Mask(k), Dim: k}
-		inv, ok := a.Inverse()
-		if !ok {
-			t.Fatal("invertible affine map not inverted")
-		}
-		for x := uint64(0); x < 1<<uint(k); x++ {
-			if inv.Apply(a.Apply(x)) != x || a.Apply(inv.Apply(x)) != x {
-				t.Fatal("affine inverse wrong")
-			}
-		}
-	}
-	sing := Affine{M: NewMatrix(3, 3), C: 1, Dim: 3}
-	if _, ok := sing.Inverse(); ok {
-		t.Error("singular affine map inverted")
-	}
-}
+// equalAffine reports structural equality of two affine maps.
+func equalAffine(a, b Affine) bool { return a.Dim == b.Dim && a.C == b.C && a.M.Equal(b.M) }
 
 func TestAffineTable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 0))
@@ -224,8 +184,8 @@ func TestAffineTable(t *testing.T) {
 			t.Fatal("table length wrong")
 		}
 		for x := uint64(0); x < uint64(len(tab)); x++ {
-			if tab[x] != a.Apply(x) {
-				t.Fatalf("Table[%d] = %d, Apply = %d", x, tab[x], a.Apply(x))
+			if want := applyAffine(a, x); tab[x] != want {
+				t.Fatalf("Table[%d] = %d, Mx^C = %d", x, tab[x], want)
 			}
 		}
 	}
@@ -240,7 +200,7 @@ func TestInferAffineRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatal("affine table not recognized")
 		}
-		if !got.Equal(a) {
+		if !equalAffine(got, a) {
 			t.Fatalf("inferred map differs:\n%v\nvs\n%v", got, a)
 		}
 	}
@@ -308,12 +268,12 @@ func TestRankInvariance(t *testing.T) {
 		if i == j {
 			continue
 		}
-		m2 := m.Clone()
+		m2 := Matrix{Rows: slices.Clone(m.Rows), Cols: m.Cols}
 		m2.Rows[i], m2.Rows[j] = m2.Rows[j], m2.Rows[i]
 		if m2.Rank() != r0 {
 			t.Fatal("rank changed under row swap")
 		}
-		m3 := m.Clone()
+		m3 := Matrix{Rows: slices.Clone(m.Rows), Cols: m.Cols}
 		m3.Rows[i] ^= m3.Rows[j]
 		if m3.Rank() != r0 {
 			t.Fatal("rank changed under row addition")

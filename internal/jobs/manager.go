@@ -46,6 +46,7 @@ var (
 type HookAction int
 
 const (
+	// HookNone lets the shard run normally.
 	HookNone HookAction = iota
 	// HookKill makes the worker goroutine die on the spot — it unwinds
 	// without reporting, exactly like a crashed worker process. The

@@ -67,21 +67,6 @@ func (ip IndexPerm) ToPerm() perm.Perm {
 	return p
 }
 
-// Compose returns the index permutation of "other after ip" on symbols:
-// first permute bits by ip, then by other. Because output bit j of the
-// composite reads bit Theta_ip[Theta_other[j]] of the original input, the
-// underlying theta slices compose in that order.
-func (ip IndexPerm) Compose(other IndexPerm) IndexPerm {
-	if ip.W() != other.W() {
-		panic(fmt.Sprintf("pipid: composing widths %d and %d", ip.W(), other.W()))
-	}
-	theta := make([]int, ip.W())
-	for j := range theta {
-		theta[j] = ip.Theta[other.Theta[j]]
-	}
-	return IndexPerm{Theta: theta}
-}
-
 // Inverse returns the inverse index permutation.
 func (ip IndexPerm) Inverse() IndexPerm {
 	theta := make([]int, ip.W())

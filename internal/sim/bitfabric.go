@@ -18,14 +18,14 @@ import (
 // The kernel is byte-identical to the scalar WaveRunner by
 // construction, not by luck; three contracts make that hold:
 //
-//  1. Tag planes. BitSliceable fabrics are Banyan (unique-path), so a
-//     packet's whole route is the slot tag of its (src, dst) pair
-//     (Fabric.tagRow): bit s is the child slot the scalar port function
-//     steers at stage s — the port itself on the table path, the port
-//     XOR the cell's swap bit on a relabeled fabric, whose tags do not
-//     depend on the source. Plane tag[s] carries that bit for every
-//     in-flight lane, indexed by current inlink, and the kernel follows
-//     each stage's slot-space wire (stageKernel.slotNext).
+//  1. Tag planes. BitSliceable fabrics are the relabeled ones, whose
+//     wiring is the Baseline with its cells renamed, so a packet's
+//     whole route is the slot tag of its destination (Fabric.rtag),
+//     whatever its source: bit s is the child slot taken at stage s,
+//     the port the scalar port function steers XOR the cell's swap bit.
+//     Plane tag[s] carries that bit for every in-flight lane, indexed
+//     by current inlink, and the kernel follows each stage's slot-space
+//     wire (stageKernel.slotNext).
 //  2. Salt tie-breaks. Conflicts are strictly between the two inlinks
 //     of one cell, so one salt bit per (stage, cell) — drawn as
 //     ceil(H/64) uint64 words per stage from the wave's own rng, the
@@ -98,7 +98,7 @@ type BitWaveRunner struct {
 // the fabric does not qualify (see Fabric.BitSliceable).
 func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	if !f.BitSliceable() {
-		return nil, fmt.Errorf("sim: fabric is not bit-sliceable (the kernel needs a Banyan fabric)")
+		return nil, fmt.Errorf("sim: fabric is not bit-sliceable (the kernel needs a Baseline-equivalent wiring)")
 	}
 	r := &BitWaveRunner{
 		f:         f,
@@ -120,9 +120,6 @@ func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	}
 	return r, nil
 }
-
-// Fabric returns the fabric this runner simulates.
-func (r *BitWaveRunner) Fabric() *Fabric { return r.f }
 
 // SetLaneFaults folds one realized FaultState into every lane set in
 // the mask `lanes`, replacing whatever those lanes held (other lanes are
@@ -215,7 +212,7 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	r.clearPlanes()
 	// Phase one, lane-major: draw each wave's destinations and salts in
 	// the scalar stream order, parking the destinations column-wise in
-	// dstAll. Nothing here touches the path-tag table.
+	// dstAll.
 	for j, rng := range rngs {
 		pattern(r.dsts, rng)
 		off := 0
@@ -238,14 +235,10 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 		}
 	}
 	// Phase two, source-major: build the live and tag planes one source
-	// at a time, so each tag row is streamed exactly once per batch
-	// (lane-major packing would re-walk a table-path fabric's whole
-	// pathTag per lane — with the table past L2 that is the dominant
-	// cost of the batch; a relabeled fabric's one rtag row stays in L1)
-	// and the
-	// per-plane bits accumulate in registers instead of heap RMWs. Lanes
-	// beyond the batch are masked out of live; their stale tag and salt
-	// bits are harmless, as every kernel read is masked by live.
+	// at a time, so the per-plane bits accumulate in registers instead
+	// of heap RMWs. Every source reads the one rtag row. Lanes beyond
+	// the batch are masked out of live; their stale tag and salt bits
+	// are harmless, as every kernel read is masked by live.
 	laneMask := ^uint64(0)
 	if lanes < 64 {
 		laneMask = 1<<uint(lanes) - 1
@@ -257,9 +250,8 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	// work in straight-line word ops. N is a multiple of 4, since
 	// NewFabric compiles at least two stages.
 	var blk [64]uint64
+	rtag := f.rtag
 	for src := 0; src < N; src += 4 {
-		// Sources src and src+1 share tag row a, src+2 and src+3 row b.
-		rowA, rowB := f.tagRow(src>>1), f.tagRow(src>>1+1)
 		col := r.dstAll[src*64 : (src+4)*64]
 		var lv0, lv1, lv2, lv3 uint64
 		for j := 0; j < 64; j++ {
@@ -268,10 +260,10 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 			v1 := uint64(uint32(^d1) >> 31)
 			v2 := uint64(uint32(^d2) >> 31)
 			v3 := uint64(uint32(^d3) >> 31)
-			t0 := uint64(rowA[d0&^(d0>>31)]) & -v0 // idle reads slot 0, masked off
-			t1 := uint64(rowA[d1&^(d1>>31)]) & -v1
-			t2 := uint64(rowB[d2&^(d2>>31)]) & -v2
-			t3 := uint64(rowB[d3&^(d3>>31)]) & -v3
+			t0 := uint64(rtag[d0&^(d0>>31)]) & -v0 // idle reads slot 0, masked off
+			t1 := uint64(rtag[d1&^(d1>>31)]) & -v1
+			t2 := uint64(rtag[d2&^(d2>>31)]) & -v2
+			t3 := uint64(rtag[d3&^(d3>>31)]) & -v3
 			lv0 |= v0 << uint(j)
 			lv1 |= v1 << uint(j)
 			lv2 |= v2 << uint(j)
@@ -492,7 +484,7 @@ func (r *BitWaveRunner) BitSteerSweep(salt int) uint64 {
 	all := ^uint64(0)
 	for src := 0; src < N; src++ {
 		dst := (src + salt) & (N - 1)
-		tag := uint64(f.tagRow(src >> 1)[dst])
+		tag := uint64(f.rtag[dst])
 		r.live[src] = all
 		for b := 0; b < n; b++ {
 			r.tag[b][src] = (tag >> uint(b) & 1) * all

@@ -72,10 +72,11 @@ func foldLanes(t *testing.T, r *BitWaveRunner, plan FaultPlan, fseed uint64, lan
 }
 
 // portSwapped names a test-only wiring: Omega with the two outlinks of
-// random cells swapped at every inner stage. It is still Banyan, but
-// unlike the registry's destination-tag networks its path tags depend
-// on the source, so a packer that reads another source's tag row cannot
-// match the scalar kernel on it.
+// random cells swapped at every inner stage. It is still
+// Baseline-equivalent, but unlike the registry's destination-tag
+// networks its port schedules depend on the source, and it compiles
+// with swap bits set, so a packer or fault fold that confuses ports
+// with slots cannot match the scalar kernel on it.
 const portSwapped = "omega-port-swapped"
 
 // bitCaseFabric compiles a registry network, or the portSwapped wiring.
@@ -417,7 +418,7 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 				continue // idle terminal
 			}
 			dst := int(data[src]) % N
-			tag := fab.tagRow(src >> 1)[dst]
+			tag := fab.rtag[dst]
 			link := uint64(src)
 			for s := 0; s < n; s++ {
 				cell := link >> 1

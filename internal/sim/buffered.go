@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 )
@@ -151,8 +153,22 @@ type BufferedRunner struct {
 	injRng *rand.Rand
 }
 
-// Validate checks the configuration without sizing any buffers.
-func (c BufferedConfig) Validate() error {
+// MaxBufferedPackets bounds the packet slots one BufferedRunner sizes up
+// front: Lanes FIFOs of Queue packets at each of the fabric's Spans·N
+// switch input ports. The engine gives every worker its own runner, so
+// without a bound one config's Queue and Lanes would size an allocation
+// of any size. 1<<22 slots are ~100 MB of packets; at 10 stages that
+// admits Lanes·Queue up to 409.
+const MaxBufferedPackets = 1 << 22
+
+// ErrBufferTooLarge is wrapped by the error ValidateBuffered returns
+// when a config's packet storage exceeds MaxBufferedPackets.
+var ErrBufferTooLarge = errors.New("sim: buffered packet storage too large")
+
+// ValidateBuffered checks a buffered configuration against this fabric
+// without sizing any buffers: the field ranges, and that the packet
+// storage a runner would size stays within MaxBufferedPackets.
+func (f *Fabric) ValidateBuffered(c BufferedConfig) error {
 	if c.Pattern == nil {
 		return fmt.Errorf("sim: buffered config needs a traffic pattern")
 	}
@@ -178,13 +194,21 @@ func (c BufferedConfig) Validate() error {
 	default:
 		return fmt.Errorf("sim: unknown lane policy %d", c.LaneSelect)
 	}
+	// ports·lanes stays within the bound before it multiplies Queue, so
+	// no product overflows.
+	ports, lanes := f.Spans*f.N, c.lanes()
+	if lanes > MaxBufferedPackets/ports || c.Queue > MaxBufferedPackets/(ports*lanes) {
+		return fmt.Errorf("%w: %d ports x %d lanes x queue %d exceeds the bound of %d packets",
+			ErrBufferTooLarge, ports, lanes, c.Queue, MaxBufferedPackets)
+	}
 	return nil
 }
 
-// NewBufferedRunner validates the configuration and sizes every buffer.
-// The returned runner reuses all of them across calls to Run.
+// NewBufferedRunner validates the configuration (ValidateBuffered) and
+// sizes every buffer. The returned runner reuses all of them across
+// calls to Run.
 func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := f.ValidateBuffered(cfg); err != nil {
 		return nil, err
 	}
 	lanes := cfg.lanes()
@@ -212,9 +236,6 @@ func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) 
 	}, nil
 }
 
-// Fabric returns the fabric this runner simulates.
-func (r *BufferedRunner) Fabric() *Fabric { return r.f }
-
 // SetFaults attaches a fault state the runner consults on every switch
 // decision; nil restores the intact fabric. The state must be sized for
 // the runner's stage count. The caller keeps ownership and may resample
@@ -227,9 +248,6 @@ func (r *BufferedRunner) SetFaults(fs *FaultState) error {
 	r.faults = fs
 	return nil
 }
-
-// Config returns the configuration the runner was sized for.
-func (r *BufferedRunner) Config() BufferedConfig { return r.cfg }
 
 // fifo index of (stage, port, lane); the port index of a stage equals
 // the link value cell*2+in.
@@ -314,8 +332,9 @@ func (r *BufferedRunner) pickLane(s, port, dst int, rng *rand.Rand) int {
 
 // Run executes one replication and resets all state first, so every
 // call is an independent sample path of the given rng. The returned
-// result's StageOccupancy aliases runner-owned storage.
-func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
+// result's StageOccupancy aliases runner-owned storage. Run checks ctx
+// once per cycle and returns ctx.Err() when it is done.
+func (r *BufferedRunner) Run(ctx context.Context, rng *rand.Rand) (BufferedResult, error) {
 	f, cfg := r.f, r.cfg
 	// Derive the injection stream from the trial rng's first two words,
 	// then never touch it from the service phase: offered traffic is a
@@ -339,6 +358,9 @@ func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
 	var latSum float64
 	total := cfg.Warmup + cfg.Cycles
 	for cycle := 0; cycle < total; cycle++ {
+		if err := ctx.Err(); err != nil {
+			return BufferedResult{}, err
+		}
 		measuring := cycle >= cfg.Warmup
 		// Service stages from the last to the first.
 		for s := f.Spans - 1; s >= 0; s-- {
@@ -390,7 +412,7 @@ func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
 		res.P99 = r.percentile(res.Delivered, 0.99)
 	}
 	res.Throughput = float64(res.Delivered) / float64(cfg.Cycles) / float64(f.N)
-	return res
+	return res, nil
 }
 
 // serviceCell moves up to one packet per output port of one switch.
@@ -538,11 +560,12 @@ func (r *BufferedRunner) percentile(delivered int, q float64) int {
 }
 
 // RunBuffered is the one-shot convenience form; it allocates a fresh
-// runner per call. Hot loops should hold a BufferedRunner instead.
+// runner per call and runs the replication to completion, with no
+// context to cancel it. Hot loops should hold a BufferedRunner instead.
 func (f *Fabric) RunBuffered(cfg BufferedConfig, rng *rand.Rand) (BufferedResult, error) {
 	r, err := f.NewBufferedRunner(cfg)
 	if err != nil {
 		return BufferedResult{}, err
 	}
-	return r.Run(rng), nil
+	return r.Run(context.TODO(), rng)
 }

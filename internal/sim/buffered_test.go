@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -8,6 +10,16 @@ import (
 	"minequiv/internal/perm"
 	"minequiv/internal/topology"
 )
+
+// runOnce runs one replication with a context that is never done.
+func runOnce(t *testing.T, r *BufferedRunner, rng *rand.Rand) BufferedResult {
+	t.Helper()
+	res, err := r.Run(context.Background(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestBufferedRunnerMatchesOneShot(t *testing.T) {
 	// A reused runner and the one-shot Fabric.RunBuffered see identical
@@ -20,7 +32,7 @@ func TestBufferedRunnerMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		a := runner.Run(rand.New(rand.NewPCG(uint64(trial), 7)))
+		a := runOnce(t, runner, rand.New(rand.NewPCG(uint64(trial), 7)))
 		b, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(uint64(trial), 7)))
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +159,7 @@ func TestBufferedRoundRobinStatePerStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run(rand.New(rand.NewPCG(50, 0)))
+	runOnce(t, r, rand.New(rand.NewPCG(50, 0)))
 	ports := f.H * 2
 	for s := 0; s < f.Spans; s++ {
 		lanesTouched, arbTouched := false, false
@@ -299,11 +311,40 @@ func TestBufferedRunnerConfigValidation(t *testing.T) {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	r, err := f.NewBufferedRunner(BufferedConfig{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10})
-	if err != nil {
+	if _, err := f.NewBufferedRunner(BufferedConfig{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Fabric() != f || r.Config().Queue != 2 {
-		t.Error("runner accessors broken")
+}
+
+// TestBufferedPacketBound: a config whose packet storage exceeds
+// MaxBufferedPackets is refused by ValidateBuffered and
+// NewBufferedRunner before anything is sized, including values whose
+// product overflows an int; storage exactly at the bound is accepted
+// by ValidateBuffered.
+func TestBufferedPacketBound(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 10)
+	ports := f.Spans * f.N
+	base := BufferedConfig{Pattern: Bernoulli(0.5), Queue: 4, Cycles: 10}
+	for _, over := range []struct{ queue, lanes int }{
+		{1 << 40, 1},
+		{1, 1 << 40},
+		{1 << 40, 1 << 40},
+		{1<<62 - 1, 3},
+		{MaxBufferedPackets/ports + 1, 1},
+		{MaxBufferedPackets / ports, 2},
+	} {
+		cfg := base
+		cfg.Queue, cfg.Lanes = over.queue, over.lanes
+		if err := f.ValidateBuffered(cfg); !errors.Is(err, ErrBufferTooLarge) {
+			t.Errorf("queue %d lanes %d: ValidateBuffered error %v, want ErrBufferTooLarge", over.queue, over.lanes, err)
+		}
+		if _, err := f.NewBufferedRunner(cfg); !errors.Is(err, ErrBufferTooLarge) {
+			t.Errorf("queue %d lanes %d: NewBufferedRunner error %v, want ErrBufferTooLarge", over.queue, over.lanes, err)
+		}
+	}
+	at := base
+	at.Queue = MaxBufferedPackets / ports
+	if err := f.ValidateBuffered(at); err != nil {
+		t.Errorf("queue %d at the bound: %v", at.Queue, err)
 	}
 }

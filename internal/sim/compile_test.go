@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"minequiv/internal/equiv"
 	"minequiv/internal/midigraph"
 	"minequiv/internal/perm"
 	"minequiv/internal/randnet"
@@ -17,10 +18,10 @@ import (
 
 // compileGolden pins the compiled fabric's behaviour byte for byte: per
 // case family, the SHA-256 of the logical port function over every
-// (stage, cell, dst) in table order, Banyan(), whether the wiring
-// compiled relabeled (hashed as "sliceable") and, when it did, every
-// path tag, over the family's stage counts. A change to how NewFabric
-// compiles must leave every digest where it is.
+// (stage, cell, dst) in table order, Banyan(), BitSliceable() and, for
+// a sliceable (relabeled) fabric, every path tag, over the family's
+// stage counts. A change to how NewFabric compiles must leave every
+// digest where it is.
 var compileGolden = map[string]string{
 	"baseline":                  "9fd6af08129026b3a84061f9b9407b8a73fb9113a9a7312d915be1af53810dbd",
 	"double-arc":                "783a2e9c4d1bf09935e73d03f5cda49b1a736bc2ecc27850e022384b52b9bed7",
@@ -37,8 +38,7 @@ var compileGolden = map[string]string{
 // hashFabric writes everything a compiled fabric exposes to the
 // kernels into h, through the logical accessors.
 func hashFabric(h hash.Hash, name string, f *Fabric) {
-	relabeled := f.rtag != nil
-	fmt.Fprintf(h, "%s n=%d banyan=%t sliceable=%t\n", name, f.Spans, f.Banyan(), relabeled)
+	fmt.Fprintf(h, "%s n=%d banyan=%t sliceable=%t\n", name, f.Spans, f.Banyan(), f.BitSliceable())
 	row := make([]byte, f.H*f.N)
 	for s := 0; s < f.Spans; s++ {
 		fmt.Fprintf(h, "stage %d\n", s)
@@ -47,7 +47,7 @@ func hashFabric(h hash.Hash, name string, f *Fabric) {
 		}
 		h.Write(row)
 	}
-	if !relabeled {
+	if !f.BitSliceable() {
 		fmt.Fprintln(h, "no path tags")
 		return
 	}
@@ -63,14 +63,11 @@ func hashFabric(h hash.Hash, name string, f *Fabric) {
 
 // tagOf returns the path tag of the intact (src, dst) flight on a
 // BitSliceable fabric — bit s is the output port taken at stage s —
-// from what the bit kernel reads: the table path's pathTag entry, or
-// on a relabeled fabric the rtag slots walked through the slot-space
-// wires, each slot mapped back to a port through its switch's swap bit.
+// from what the bit kernel reads: the rtag slots walked through the
+// slot-space wires, each slot mapped back to a port through its
+// switch's swap bit.
 func tagOf(f *Fabric, src, dst int) uint16 {
-	slots := f.tagRow(src >> 1)[dst]
-	if f.key == nil {
-		return slots
-	}
+	slots := f.rtag[dst]
 	var tag uint16
 	cell := src >> 1
 	for s := 0; s < f.Spans; s++ {
@@ -164,11 +161,10 @@ func identityPerms(n int) []perm.Perm {
 	return perms
 }
 
-// TestFabricCompileGolden hashes the compiled tables of the catalog
+// TestFabricCompileGolden hashes the compiled fabrics of the catalog
 // networks (n = 2..8), the tail cycle (n = 3..6) and three kinds of
-// non-Banyan wiring against committed digests, checks each case's
-// Banyan verdict against the path-count oracle, and checks that a
-// Banyan fabric retains only its own tag rows.
+// non-Banyan wiring against committed digests, and checks each case's
+// Banyan verdict against the path-count oracle.
 func TestFabricCompileGolden(t *testing.T) {
 	for family, wirings := range compileCases(t) {
 		h := sha256.New()
@@ -182,12 +178,6 @@ func TestFabricCompileGolden(t *testing.T) {
 			}
 			if f.Banyan() == nonBanyanFamilies[family] {
 				t.Errorf("%s n=%d: Banyan() = %t, against the family's intent", family, f.Spans, f.Banyan())
-			}
-			// A table-path fabric's kept tag half is its own
-			// allocation: the other half of the compile's ping-pong
-			// must not stay reachable.
-			if f.Banyan() && f.key == nil && cap(f.pathTag) != f.H*f.N {
-				t.Errorf("%s n=%d: cap(pathTag) = %d, want %d", family, f.Spans, cap(f.pathTag), f.H*f.N)
 			}
 			hashFabric(h, family, f)
 		}
@@ -236,30 +226,30 @@ func reachRow(perms []perm.Perm, s, cell int) []uint8 {
 	return row
 }
 
-// walkPathTags packs, for every (src, dst), the port schedule the
-// logical port function steers: one lookup per stage. It returns nil
-// unless the fabric is Banyan.
-func walkPathTags(f *Fabric) []uint16 {
-	if !f.Banyan() {
-		return nil
-	}
-	tags := make([]uint16, f.N*f.N)
-	for i := range tags {
-		tag, ok := walkTag(f, i/f.N, i%f.N)
-		if !ok {
-			return nil
+// checkTags requires a BitSliceable fabric's path tag of every
+// (src, dst) to be the port schedule the logical port function steers,
+// walked one lookup per stage.
+func checkTags(t *testing.T, label string, f *Fabric) {
+	t.Helper()
+	for src := 0; src < f.N; src++ {
+		for dst := 0; dst < f.N; dst++ {
+			want, ok := walkTag(f, src, dst)
+			if !ok {
+				t.Fatalf("%s (src %d, dst %d): sliceable fabric has no path", label, src, dst)
+			}
+			if got := tagOf(f, src, dst); got != want {
+				t.Fatalf("%s (src %d, dst %d): tag %#x, walk says %#x", label, src, dst, got, want)
+			}
 		}
-		tags[i] = tag
 	}
-	return tags
 }
 
-// sameFabric requires two compiled forms of one wiring to agree on every
-// (s, c, dst) port and every (src, dst) path tag.
+// sameFabric requires two compiled forms of one wiring to agree on
+// Banyan() and on every (s, c, dst) port.
 func sameFabric(t *testing.T, label string, got, want *Fabric) {
 	t.Helper()
-	if got.Banyan() != want.Banyan() || got.BitSliceable() != want.BitSliceable() {
-		t.Fatalf("%s: banyan %t/%t sliceable %t/%t", label, got.Banyan(), want.Banyan(), got.BitSliceable(), want.BitSliceable())
+	if got.Banyan() != want.Banyan() {
+		t.Fatalf("%s: banyan %t, tables say %t", label, got.Banyan(), want.Banyan())
 	}
 	for s := 0; s < got.Spans; s++ {
 		for c := 0; c < got.H; c++ {
@@ -270,25 +260,16 @@ func sameFabric(t *testing.T, label string, got, want *Fabric) {
 			}
 		}
 	}
-	if !got.BitSliceable() {
-		return
-	}
-	for src := 0; src < got.N; src++ {
-		for dst := 0; dst < got.N; dst++ {
-			if g, w := tagOf(got, src, dst), tagOf(want, src, dst); g != w {
-				t.Fatalf("%s (src %d, dst %d): tag %#x, tables say %#x", label, src, dst, g, w)
-			}
-		}
-	}
 }
 
 // TestRelabeledMatchesTables is the table oracle for the relabeled
 // form: every catalog network at n = 2..10 and three seeded relabelings
 // of each must compile relabeled and agree with compileTables on the
-// same wiring at every (s, c, dst) port — portUnreachable included —
-// and every (src, dst) path tag. The catalog compiles with no swap bit
-// set; the relabelings must set some, or the test would not reach the
-// swap algebra.
+// same wiring on Banyan() and at every (s, c, dst) port —
+// portUnreachable included — and every (src, dst) tag must be the port
+// schedule those ports walk. The catalog compiles with no swap bit set;
+// the relabelings must set some, or the test would not reach the swap
+// algebra.
 func TestRelabeledMatchesTables(t *testing.T) {
 	for i, name := range topology.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -318,6 +299,7 @@ func TestRelabeledMatchesTables(t *testing.T) {
 						}
 					}
 					sameFabric(t, label, f, compileTables(perms))
+					checkTags(t, label, f)
 				}
 			}
 			if swaps == 0 {
@@ -327,14 +309,80 @@ func TestRelabeledMatchesTables(t *testing.T) {
 	}
 }
 
+// equivalentWiring is the paper's characterization of a wiring, run by
+// equiv.IsBaselineEquivalent (Banyan and P(1,*) and P(*,n)), with no
+// code shared with NewFabric's verdict. A wiring that is not a valid
+// MI-digraph is not equivalent.
+func equivalentWiring(t *testing.T, perms []perm.Perm) bool {
+	t.Helper()
+	g, err := midigraph.FromLinkPerms(len(perms)+1, perms)
+	return err == nil && equiv.IsBaselineEquivalent(g)
+}
+
+// TestBitSliceableIsCharacterization: the bit kernel admits exactly the
+// Baseline-equivalent wirings. BitSliceable() must equal the paper's
+// characterization on the catalog at n = 2..10 and two seeded
+// relabelings of each, on the tail cycles at n = 3..10 and a relabeling
+// of each (Banyan, not equivalent), and on double-arc wirings (not
+// Banyan). FuzzFabricCompile checks the same on the wirings it draws.
+func TestBitSliceableIsCharacterization(t *testing.T) {
+	var wirings [][]perm.Perm
+	for i, name := range topology.Names() {
+		for n := 2; n <= 10; n++ {
+			base := topology.MustBuild(name, n).LinkPerms
+			wirings = append(wirings, base)
+			for k := 0; k < 2; k++ {
+				wirings = append(wirings, randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), uint64(2*i+k+100))), base))
+			}
+		}
+	}
+	for n := 3; n <= 10; n++ {
+		tc, err := randnet.TailCycleLinkPerms(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wirings = append(wirings, tc, randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 7)), tc))
+	}
+	for n := 3; n <= 8; n++ {
+		wirings = append(wirings, doubleArcPerms(n, n/2, 1), doubleArcPerms(n, 0, n))
+	}
+	var sliceable, refused int
+	for _, perms := range wirings {
+		f, err := NewFabric(perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := equivalentWiring(t, perms)
+		if f.BitSliceable() != want {
+			t.Fatalf("n=%d: BitSliceable() = %t, the characterization says %t", f.Spans, f.BitSliceable(), want)
+		}
+		if _, err := f.NewBitWaveRunner(); (err == nil) != want {
+			t.Fatalf("n=%d: NewBitWaveRunner error %v, equivalent %t", f.Spans, err, want)
+		}
+		if want {
+			sliceable++
+		} else {
+			refused++
+		}
+	}
+	if want := len(topology.Names()) * 9 * 3; sliceable != want {
+		t.Fatalf("%d wirings sliceable, want the %d catalog wirings", sliceable, want)
+	}
+	if refused != 8*2+6*2 {
+		t.Fatalf("%d wirings refused, want %d", refused, 8*2+6*2)
+	}
+}
+
 // FuzzFabricCompile compiles wirings seeded by the fuzz bytes — random
 // link permutations, or a catalog network, possibly relabeled, with
 // random link swaps — at n = 2..6 and checks the compiled fabric against
-// an oracle: Banyan() against midigraph path counts, each port (read
-// through the logical accessor) against brute-force reachability, and
-// each path tag against a per-pair walk of the ports. Whenever the
-// wiring compiled relabeled, the table compiler's form of the same
-// wiring must agree with it everywhere.
+// an oracle: Banyan() against midigraph path counts, BitSliceable()
+// against the paper's characterization (equiv.IsBaselineEquivalent),
+// each port (read through the logical accessor) against brute-force
+// reachability, and on a sliceable fabric each path tag against a
+// per-pair walk of the ports. Whenever the wiring compiled relabeled,
+// the table compiler's form of the same wiring must agree with it on
+// Banyan() and every port.
 func FuzzFabricCompile(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{4, 1, 0, 9})
@@ -388,17 +436,13 @@ func FuzzFabricCompile(f *testing.F) {
 				}
 			}
 		}
-		want := walkPathTags(fab)
-		if fab.BitSliceable() != (want != nil) {
-			t.Fatalf("n=%d: BitSliceable() = %t, walk says %t", n, fab.BitSliceable(), want != nil)
+		if want := equivalentWiring(t, perms); fab.BitSliceable() != want {
+			t.Fatalf("n=%d: BitSliceable() = %t, the characterization says %t", n, fab.BitSliceable(), want)
 		}
-		for i, tag := range want {
-			if got := tagOf(fab, i/N, i%N); got != tag {
-				t.Fatalf("n=%d (src %d, dst %d): tag %#x, walk says %#x", n, i/N, i%N, got, tag)
-			}
-		}
-		if fab.key != nil {
-			sameFabric(t, fmt.Sprintf("n=%d", n), fab, compileTables(perms))
+		if fab.BitSliceable() {
+			label := fmt.Sprintf("n=%d", n)
+			checkTags(t, label, fab)
+			sameFabric(t, label, fab, compileTables(perms))
 		}
 	})
 }

@@ -46,8 +46,7 @@ type stageKernel struct {
 	next perm.Perm
 	// slotNext is the wire the bit kernel follows, indexed by child
 	// slot instead of port: slotNext[2c+v] = next[2c+(v^swap)], with
-	// swap the cell's swap bit. It is next itself on the table path,
-	// where every swap bit is 0.
+	// swap the cell's swap bit. Relabeled fabrics only.
 	slotNext perm.Perm
 }
 
@@ -63,7 +62,7 @@ type stageKernel struct {
 // its cells renamed, so its routing is the Baseline's destination-tag
 // routing read through that renaming, in O(n·H + N) state (sigma, key,
 // rtag). Every other wiring takes the table path: reachability-based
-// port tables, and path tags while it is Banyan, in O(n·N²) state.
+// port tables in O(n·N²) state, which only the scalar kernels read.
 type Fabric struct {
 	N      int // terminals
 	H      int // cells per stage
@@ -73,13 +72,6 @@ type Fabric struct {
 	// the tables collapse a two-port choice toward port 0, so path
 	// multiplicity is not observable from them afterwards.
 	banyan bool
-	// pathTag[(src>>1)*N+dst] packs the port schedule the compiled
-	// tables steer for an intact (src, dst) flight: bit s is the output
-	// port taken at stage s. Row c is stage-0 cell c's tag row, shared by
-	// its two inputs 2c and 2c+1. Table path only, and non-nil exactly
-	// when that fabric is Banyan; the bit-sliced wave kernel routes whole
-	// waves by these tags instead of per-stage lookups.
-	pathTag []uint16
 
 	// The relabeled form, nil on the table path. With φ the isomorphism
 	// onto the Baseline and m = Spans-1:
@@ -94,11 +86,8 @@ type Fabric struct {
 }
 
 // MaxFabricStages bounds the stage count NewFabric compiles. It is set
-// by the table path: its port tables hold n·2^(2n-1) bytes and its two
-// tag halves 2^(2n-1) uint16s each, so the peak during a table compile
-// is ~2.4 GB at 14 stages and would be ~10 GB at 15. Once compiled, a
-// Banyan table-path fabric keeps the port tables and one tag half
-// (~2.1 GB at 14 stages); the other half is garbage. A relabeled fabric
+// by the table path, which holds only its port tables: n·2^(2n-1)
+// bytes, ~1.9 GB at 14 stages and ~8 GB at 15. A relabeled fabric
 // holds O(n·2^n) words.
 const MaxFabricStages = 14
 
@@ -182,13 +171,9 @@ func compileRelabeled(perms []perm.Perm, iso equiv.Isomorphism) *Fabric {
 // pass over the stages. A cell reaches dst iff one of its two children
 // does, so its port row is read off the next stage's rows: port 0 when
 // child 0 reaches dst, else port 1 when child 1 does, else
-// portUnreachable. On a Banyan fabric the path from a cell to dst is
-// its port followed by the path from the child that port leads to, so
-// the same pass packs each cell's tag row as
-// tag[c][dst] = port<<s | tag[child][dst], and stage 0's rows are the
-// path tags of its two inputs. Unreachable (cell, dst) pairs are
-// tolerated and marked, so non-Banyan networks can still be simulated
-// for comparison; pairs where both ports lead to dst (multi-path
+// portUnreachable. Unreachable (cell, dst) pairs are tolerated and
+// marked, so non-Banyan networks can still be simulated for
+// comparison; pairs where both ports lead to dst (multi-path
 // ambiguity) are resolved toward port 0 and make the fabric non-Banyan.
 // No other check is needed: a stage-0 cell has N port sequences to the
 // terminals, so when no cell ever offers both ports for one destination
@@ -199,11 +184,6 @@ func compileTables(perms []perm.Perm) *Fabric {
 	N := 1 << uint(n)
 	h := N / 2
 	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
-	// Tag rows ping-pong between two separately allocated halves: stage
-	// s writes half[s&1], so stage 0 lands in half[0], which the fabric
-	// keeps, and half[1] can be freed after the compile. A tag is a
-	// uint16, which MaxFabricStages keeps every fabric within.
-	half := [2][]uint16{make([]uint16, h*N), make([]uint16, h*N)}
 	// Last stage: cell c reaches terminals 2c and 2c+1 by dst parity.
 	last := make([]uint8, h*N)
 	for i := range last {
@@ -211,11 +191,10 @@ func compileTables(perms []perm.Perm) *Fabric {
 	}
 	for c := 0; c < h; c++ {
 		last[c*N+2*c], last[c*N+2*c+1] = 0, 1
-		half[(n-1)&1][c*N+2*c+1] = 1 << uint(n-1)
 	}
 	f.stages[n-1].port = last
 	for s := n - 2; s >= 0; s-- {
-		f.stages[s].next, f.stages[s].slotNext = perms[s], perms[s]
+		f.stages[s].next = perms[s]
 		port, below := make([]uint8, h*N), f.stages[s+1].port
 		for c := 0; c < h; c++ {
 			c0 := int(perms[s].Apply(uint64(c)<<1) >> 1)
@@ -234,59 +213,28 @@ func compileTables(perms []perm.Perm) *Fabric {
 					row[dst] = portUnreachable
 				}
 			}
-			if f.banyan {
-				// An unreachable entry gets a value no path reads.
-				tag, down := half[s&1][c*N:c*N+N], half[(s+1)&1]
-				t0, t1 := down[c0*N:c0*N+N], down[c1*N:c1*N+N]
-				bit := uint16(1) << uint(s)
-				for dst, p := range row {
-					if p == 0 {
-						tag[dst] = t0[dst]
-					} else {
-						tag[dst] = bit | t1[dst]
-					}
-				}
-			}
 		}
 		f.stages[s].port = port
-	}
-	if f.banyan {
-		f.pathTag = half[0]
 	}
 	return f
 }
 
 // BitSliceable reports whether the bit-sliced wave kernel can drive
-// this fabric: whether it is Banyan (MaxFabricStages keeps every path
-// tag within its uint16). Other fabrics are scalar-only. Uniqueness is
-// load-bearing for byte-identity, not just the tags: the bit kernel
-// drops a fault-derailed packet on arrival at the next stage, which
-// matches the scalar portUnreachable lookup only when no off-path cell
-// can reach the destination — exactly the Banyan property (a second
-// route from a derailed cell would be a second (src, dst) path through
-// the other port of the stuck switch). Every relabeled fabric is
-// Banyan.
-func (f *Fabric) BitSliceable() bool { return f.banyan }
-
-// tagRow returns the slot tags the bit kernel packs for the two inputs
-// of stage-0 cell c, indexed by destination: bit s of an entry is the
-// child slot taken at stage s. On the table path slots are ports and
-// the row is c's pathTag row; on a relabeled fabric it is rtag, which
-// no source changes. The fabric must be BitSliceable.
-func (f *Fabric) tagRow(c int) []uint16 {
-	if f.rtag != nil {
-		return f.rtag
-	}
-	return f.pathTag[c*f.N : (c+1)*f.N]
-}
+// this fabric: whether it compiled relabeled, which by the paper's
+// theorem is whether the wiring is Baseline-equivalent (Banyan and
+// P(1,*) and P(*,n)). Other fabrics are scalar-only. The kernel packs
+// one source-independent slot tag per destination (rtag), which only
+// the relabeled form has. Uniqueness is load-bearing for byte-identity
+// too: the bit kernel drops a fault-derailed packet on arrival at the
+// next stage, which matches the scalar portUnreachable lookup only when
+// no off-path cell can reach the destination — the Banyan property,
+// which every equivalent wiring has.
+func (f *Fabric) BitSliceable() bool { return f.rtag != nil }
 
 // swapped returns the swap bit of the switch at stage-major index
-// i = s*H + c: 1 when its port 0 leads to child slot 1. Always 0 on the
-// table path.
+// i = s*H + c: 1 when its port 0 leads to child slot 1. Relabeled
+// fabrics only.
 func (f *Fabric) swapped(i int) uint32 {
-	if f.key == nil {
-		return 0
-	}
 	s := i >> uint(f.Spans-1) // H = 2^(Spans-1)
 	return f.key[i] >> uint(f.Spans-1-s) & 1
 }

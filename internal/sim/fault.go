@@ -309,16 +309,3 @@ func (fs *FaultState) Resample(p FaultPlan, rng *rand.Rand) {
 		}
 	}
 }
-
-// CountFaults reports the currently-applied fault census: dead and
-// stuck switches and severed links.
-func (fs *FaultState) CountFaults() (dead, stuck, links int) {
-	for _, i := range fs.switches {
-		if fs.mode[i] == switchDead {
-			dead++
-		} else {
-			stuck++
-		}
-	}
-	return dead, stuck, len(fs.links)
-}

@@ -190,6 +190,20 @@ func TestFaultInactiveStateIsIntact(t *testing.T) {
 	}
 }
 
+// countFaults reports the fault census of fs read off its sparse index:
+// dead and stuck switches and severed links. Checked against the dense
+// state, it pins the index that Reset and the bit kernel's fold walk.
+func countFaults(fs *FaultState) (dead, stuck, links int) {
+	for _, i := range fs.switches {
+		if fs.mode[i] == switchDead {
+			dead++
+		} else {
+			stuck++
+		}
+	}
+	return dead, stuck, len(fs.links)
+}
+
 // Sampling is a pure function of (plan, rng stream): identical streams
 // give identical states, and the pinned faults survive random draws.
 func TestFaultSampleDeterministic(t *testing.T) {
@@ -220,7 +234,7 @@ func TestFaultSampleDeterministic(t *testing.T) {
 	if a.mode[1*f.H+3] != switchDead {
 		t.Fatal("pinned fault lost during random sampling")
 	}
-	dead, stuck, links := a.CountFaults()
+	dead, stuck, links := countFaults(a)
 	if dead == 0 || stuck == 0 || links == 0 {
 		t.Fatalf("expected a mix of sampled faults, got dead=%d stuck=%d links=%d", dead, stuck, links)
 	}
@@ -228,7 +242,7 @@ func TestFaultSampleDeterministic(t *testing.T) {
 	if err := a.Sample(FaultPlan{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if d, s, l := a.CountFaults(); d+s+l != 0 || a.Active() {
+	if d, s, l := countFaults(a); d+s+l != 0 || a.Active() {
 		t.Fatal("Reset via empty plan left faults behind")
 	}
 }
@@ -270,7 +284,7 @@ func TestFaultBufferedDeadSwitch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res := r.Run(rand.New(rand.NewPCG(11, 12)))
+		res := runOnce(t, r, rand.New(rand.NewPCG(11, 12)))
 		res.StageOccupancy = nil
 		return res
 	}
@@ -341,7 +355,7 @@ func TestFaultBufferedStuckLastStageMisroutes(t *testing.T) {
 	if err := r.SetFaults(fs); err != nil {
 		t.Fatal(err)
 	}
-	res := r.Run(rand.New(rand.NewPCG(13, 14)))
+	res := runOnce(t, r, rand.New(rand.NewPCG(13, 14)))
 	if res.Delivered != 0 {
 		t.Fatalf("wrong-terminal exits counted as deliveries: %+v", res)
 	}
@@ -362,7 +376,7 @@ func TestFaultBufferedStuckLastStageMisroutes(t *testing.T) {
 	if err := r2.SetFaults(fs); err != nil {
 		t.Fatal(err)
 	}
-	res = r2.Run(rand.New(rand.NewPCG(13, 14)))
+	res = runOnce(t, r2, rand.New(rand.NewPCG(13, 14)))
 	if res.Delivered == 0 || res.Misrouted != 0 {
 		t.Fatalf("stuck port's own terminal broken: %+v", res)
 	}
@@ -465,10 +479,10 @@ func matchDense(t *testing.T, what string, fs *FaultState, d *denseFaults) {
 	if fs.Active() != d.active {
 		t.Fatalf("%s: Active() = %t, dense %t", what, fs.Active(), d.active)
 	}
-	gd, gs, gl := fs.CountFaults()
+	gd, gs, gl := countFaults(fs)
 	wd, ws, wl := d.count()
 	if gd != wd || gs != ws || gl != wl {
-		t.Fatalf("%s: CountFaults = %d/%d/%d, dense %d/%d/%d", what, gd, gs, gl, wd, ws, wl)
+		t.Fatalf("%s: countFaults = %d/%d/%d, dense %d/%d/%d", what, gd, gs, gl, wd, ws, wl)
 	}
 	seen := map[int32]bool{}
 	for _, i := range fs.switches {

@@ -83,9 +83,6 @@ func (f *Fabric) NewWaveRunner() *WaveRunner {
 	}
 }
 
-// Fabric returns the fabric this runner simulates.
-func (r *WaveRunner) Fabric() *Fabric { return r.f }
-
 // SetFaults attaches a fault state the runner consults on every switch
 // decision; nil restores the intact fabric. The state must be sized for
 // the runner's stage count. The caller keeps ownership and may resample

@@ -211,13 +211,6 @@ func TestTrafficPatterns(t *testing.T) {
 			t.Fatal("Bernoulli(1) left idle input")
 		}
 	}
-	// Permutation: exact pattern.
-	pi := perm.Random(rng, n)
-	for i, d := range wave(Permutation(pi), n, rng) {
-		if d != int(pi[i]) {
-			t.Fatal("permutation traffic wrong")
-		}
-	}
 	// BitReversal: self-inverse pattern.
 	br := wave(BitReversal(), n, rng)
 	for i, d := range br {

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"minequiv/internal/bitops"
-	"minequiv/internal/perm"
 )
 
 // Traffic generates one wave of destinations in place: after the call,
@@ -57,19 +56,6 @@ func Bernoulli(load float64) Traffic {
 		for i := range dsts {
 			if rng.Float64() < load {
 				dsts[i] = rng.IntN(n)
-			} else {
-				dsts[i] = -1
-			}
-		}
-	}
-}
-
-// Permutation sends input i to pi[i] (full permutation traffic).
-func Permutation(pi perm.Perm) Traffic {
-	return func(dsts []int, rng *rand.Rand) {
-		for i := range dsts {
-			if i < pi.N() {
-				dsts[i] = int(pi[i])
 			} else {
 				dsts[i] = -1
 			}

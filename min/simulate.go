@@ -89,13 +89,13 @@ type Kernel string
 
 const (
 	// KernelAuto (the default) uses the bit-sliced kernel whenever the
-	// network qualifies (Banyan unique-path wiring; all six of the
-	// paper's networks do) and falls back to scalar.
+	// network qualifies (a Baseline-equivalent wiring; all six of the
+	// paper's networks are) and falls back to scalar.
 	KernelAuto Kernel = "auto"
 	// KernelScalar forces the one-packet-at-a-time reference kernel.
 	KernelScalar Kernel = "scalar"
 	// KernelBit forces the bit-sliced kernel; Simulate fails when the
-	// network does not qualify rather than silently degrading.
+	// network is not Baseline-equivalent rather than silently degrading.
 	KernelBit Kernel = "bit"
 )
 
@@ -207,6 +207,8 @@ func WithReplications(n int) Option {
 }
 
 // WithQueue sets the FIFO capacity per lane (buffered model only).
+// SimulateBuffered refuses a run whose packet storage,
+// stages·2^stages·lanes·queue, exceeds 2^22 packets.
 func WithQueue(n int) Option {
 	return func(o *simOptions) { o.queue = n; o.bufferedOnly = append(o.bufferedOnly, "WithQueue") }
 }
@@ -319,7 +321,9 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 // forward model: every switch input port holds one or more FIFO lanes,
 // contended outputs are arbitrated, backpressure stalls full queues,
 // and per-replication throughput/latency statistics are aggregated.
-// Cancelling ctx aborts within one replication and returns ctx.Err().
+// Cancelling ctx aborts within one simulated cycle and returns
+// ctx.Err(). Queue and lane counts whose packet storage would exceed a
+// fixed bound (see WithQueue) are refused with an error.
 func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (BufferedStats, error) {
 	o := applyOptions(opts)
 	if len(o.waveOnly) > 0 {

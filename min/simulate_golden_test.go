@@ -98,7 +98,8 @@ type waveRun struct {
 }
 
 // allWaveRuns is every kernel under 1 and 3 workers; scalarWaveRuns
-// leaves out KernelBit, for wirings the bit kernel refuses.
+// leaves out KernelBit, for wirings the bit kernel refuses (every
+// wiring that is not Baseline-equivalent).
 var (
 	allWaveRuns    = []waveRun{{KernelScalar, 1}, {KernelScalar, 3}, {KernelBit, 1}, {KernelBit, 3}, {KernelAuto, 1}, {KernelAuto, 3}}
 	scalarWaveRuns = []waveRun{{KernelScalar, 1}, {KernelScalar, 3}, {KernelAuto, 1}, {KernelAuto, 3}}
@@ -204,8 +205,8 @@ var goldenLoads = []float64{1, 0.75, 0.4}
 // Baseline-equivalent) and a double-arc wiring (n = 5, non-Banyan),
 // each under every registered scenario at a load cycled through
 // goldenLoads, with 1 and 3 workers. The catalog runs every kernel; the
-// tail cycle and the double-arc wiring run scalar and auto, the kernel
-// choices that accept any wiring.
+// tail cycle and the double-arc wiring run scalar and auto, since the
+// bit kernel admits only Baseline-equivalent wirings.
 func TestSimulateIntactGolden(t *testing.T) {
 	var nets []*Network
 	for _, name := range CatalogNames() {

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"minequiv/internal/codec"
+	"minequiv/internal/jobs"
 )
 
 // The decoding fuzz targets feed arbitrary bodies to the POST
@@ -223,6 +225,104 @@ func FuzzDecodeBatch(f *testing.F) {
 			if status >= 500 {
 				t.Fatalf("item %d answered %d", i, status)
 			}
+		}
+	})
+}
+
+// FuzzDecodeJobSpec fuzzes the POST /v1/jobs spec decoder in both
+// codecs: flag bit 0 sends the body as a binary frame
+// (application/x-min-bin) instead of JSON. The server's job plane is
+// killed up front, so a spec that passes decoding, the serving layer's
+// size policy and the job plane's own validation is answered 503
+// instead of running. Whatever arrives, the handler must not panic,
+// must answer 400, 413 or that 503, and must answer 503 only for a
+// spec that decodes and fits the policy.
+func FuzzDecodeJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		smallSweep,
+		`{"networks":["omega","flip"],"stages":4,"loads":[0.5,1],"faultRates":[0,0.1],"trialsPerCell":16,"kernel":"bit"}`,
+		`{"networks":["tail-cycle"],"stages":4,"trialsPerCell":8}`,
+		`{"networks":["omega"],"stages":99,"trialsPerCell":8}`,
+		`{"networks":["omega"],"stages":3,"trialsPerCell":8,"scenario":"nope"}`,
+		`{"networks":[],"stages":3,"trialsPerCell":8}`,
+		`{}`,
+	} {
+		f.Add(byte(0), []byte(seed))
+		if bin, err := EncodeBinaryRequest("jobs", []byte(seed)); err == nil {
+			f.Add(byte(1), bin)
+		}
+	}
+	f.Add(byte(1), []byte("MB\x01\x09"))
+	s, err := newServer(fuzzConfig)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.jobs.Kill()
+	h := (&Server{s: s}).Handler()
+	f.Fuzz(func(t *testing.T, flag byte, body []byte) {
+		wi := wire{reqBin: flag&1 == 1}
+		var contentType string
+		if wi.reqBin {
+			contentType = MediaTypeBinary
+		}
+		rec := doWire(t, h, "POST", "/v1/jobs", string(body), contentType, "")
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		case http.StatusServiceUnavailable:
+			var spec jobs.Spec
+			if err := decodeRequest(wi, body, &spec); err != nil {
+				t.Fatalf("503 for a spec that does not decode: %v", err)
+			}
+			if err := s.checkJobSpec(spec); err != nil {
+				t.Fatalf("503 for a spec outside the policy: %v", err)
+			}
+		default:
+			t.Fatalf("unexpected status %d for flag %d body %q: %s", rec.Code, flag, body, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), `"error"`) {
+			t.Fatalf("status %d without error envelope: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzEventCursor fuzzes the job-event resume cursor: the raw query
+// string (whose since parameter wins) and the Last-Event-ID header an
+// EventSource sends on reconnect. A cursor that parses is the
+// non-negative integer its source spells; anything else is a 400
+// bad_request.
+func FuzzEventCursor(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"", ""}, {"since=0", ""}, {"since=42", "7"}, {"", "17"}, {"since=-1", ""},
+		{"since=9223372036854775808", ""}, {"", "+5"}, {"since=%zz", "3"}, {"since=&since=4", "x"},
+		{"waitMs=10", "abc"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, rawQuery, lastEventID string) {
+		req := httptest.NewRequest("GET", "/v1/jobs/x/events", nil)
+		req.URL.RawQuery = rawQuery
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		since, err := eventCursor(req)
+		if err != nil {
+			if env, status := envelopeFor(err); status != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+				t.Fatalf("cursor error answered %d %q: %v", status, env.Error.Code, err)
+			}
+			return
+		}
+		raw := req.URL.Query().Get("since")
+		if raw == "" {
+			raw = req.Header.Get("Last-Event-ID")
+		}
+		if raw == "" {
+			if since != 0 {
+				t.Fatalf("no cursor resolved to %d", since)
+			}
+			return
+		}
+		if want, perr := strconv.ParseInt(raw, 10, 64); perr != nil || since != want || since < 0 {
+			t.Fatalf("cursor %q resolved to %d", raw, since)
 		}
 	})
 }

@@ -93,6 +93,7 @@ import (
 
 	"minequiv/internal/codec"
 	"minequiv/internal/jobs"
+	"minequiv/internal/sim"
 	"minequiv/min"
 )
 
@@ -736,6 +737,11 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 			opts = append(opts, min.WithLaneSelect(min.LaneSelect(req.LaneSelect)))
 		}
 		st, err := min.SimulateBuffered(ctx, nw, opts...)
+		if errors.Is(err, sim.ErrBufferTooLarge) {
+			// queue and lanes size the packet storage; the engine
+			// refuses an oversize run before any worker allocates it.
+			return nil, limitExceeded("%v", err)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -484,4 +484,17 @@ func TestSimulateKernelField(t *testing.T) {
 		`{"network":"omega","stages":4,"model":"buffered","cycles":100,"kernel":"bit"}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("kernel on buffered model: status %d: %s", rec.Code, rec.Body)
 	}
+	// The bit kernel admits exactly the Baseline-equivalent wirings: on
+	// the tail cycle (Banyan, not equivalent) "bit" is a 400 naming
+	// Baseline-equivalence, and "auto" runs scalar, byte for byte.
+	const tail = `{"network":"tail-cycle","stages":5,"waves":130,"seed":3,"kernel":%q}`
+	if rec := do(t, h, "POST", "/v1/simulate", fmt.Sprintf(tail, "bit")); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "Baseline-equivalent") {
+		t.Fatalf("kernel bit on the tail cycle: status %d: %s", rec.Code, rec.Body)
+	}
+	scalar := do(t, h, "POST", "/v1/simulate", fmt.Sprintf(tail, "scalar"))
+	auto := do(t, h, "POST", "/v1/simulate", fmt.Sprintf(tail, "auto"))
+	if scalar.Code != http.StatusOK || auto.Body.String() != scalar.Body.String() {
+		t.Fatalf("tail cycle: auto differs from scalar (status %d):\n%s\nvs\n%s", scalar.Code, auto.Body, scalar.Body)
+	}
 }

@@ -47,6 +47,11 @@ func TestErrorCodesGolden(t *testing.T) {
 		{"unknown network", "/v1/check", `{"network":"nope","stages":4}`, 400, CodeUnknownNetwork},
 		{"waves over cap", "/v1/simulate", `{"network":"omega","stages":3,"waves":51}`, 400, CodeLimitExceeded},
 		{"cycles over cap", "/v1/simulate", `{"network":"omega","stages":3,"model":"buffered","cycles":999999}`, 400, CodeLimitExceeded},
+		// queue and lanes size the buffered packet storage; values far
+		// past its bound are refused before any worker allocates, and
+		// the cases after these show the server still serving.
+		{"queue over storage", "/v1/simulate", `{"network":"omega","stages":10,"model":"buffered","cycles":10,"queue":1099511627776}`, 400, CodeLimitExceeded},
+		{"lanes over storage", "/v1/simulate", `{"network":"omega","stages":10,"model":"buffered","cycles":10,"lanes":1099511627776,"queue":1099511627776}`, 400, CodeLimitExceeded},
 		{"unknown model", "/v1/simulate", `{"network":"omega","stages":3,"model":"quantum"}`, 400, CodeBadRequest},
 		{"empty batch", "/v1/batch", `{"requests":[]}`, 400, CodeBadRequest},
 		{"unknown batch op", "/v1/batch", `{"requests":[{"op":"explode","request":{}}]}`, 200, ""},
