@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,5 +62,89 @@ func TestWorkersFlagDeterministicT1(t *testing.T) {
 	}
 	if !strings.Contains(one.String(), "pairwise equivalence matrix") {
 		t.Errorf("T1 output wrong:\n%s", one.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/minbench.golden from this run")
+
+// timedFrom gives, for each experiment that prints wall-clock numbers,
+// the index of the first timed field in its table rows (rows whose
+// first field is an integer); that field and every later one — times
+// and the speedups derived from them — are masked.
+var timedFrom = map[string]int{"T4": 3, "T9": 2, "T10": 2}
+
+var sectionRe = regexp.MustCompile(`^([TF][0-9]+)  `)
+
+// maskTimes replaces the wall-clock columns of T4, T9 and T10 with "~"
+// and T10's timing-dependent crossover sentence with a fixed line, so
+// the rest of the output can be compared byte for byte.
+func maskTimes(out string) string {
+	var b strings.Builder
+	section := ""
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if m := sectionRe.FindStringSubmatch(line); m != nil {
+			section = m[1]
+		}
+		from, timed := timedFrom[section]
+		if !timed {
+			b.WriteString(line)
+			continue
+		}
+		fields := strings.Fields(line)
+		switch {
+		case section == "T10" && strings.HasPrefix(line, "the window sweeps"):
+			b.WriteString("the window sweeps ~\n")
+			continue
+		case section == "T10" && strings.HasPrefix(line, "Banyan reach-set verdict"):
+			continue
+		case len(fields) > from:
+			if _, err := strconv.Atoi(fields[0]); err == nil {
+				for i := from; i < len(fields); i++ {
+					fields[i] = "~"
+				}
+				b.WriteString(strings.Join(fields, " ") + "\n")
+				continue
+			}
+		}
+		b.WriteString(line)
+	}
+	return b.String()
+}
+
+// TestOutputGolden pins the full minbench output, wall-clock columns
+// masked, against testdata/minbench.golden. A change that moves an
+// experiment's numbers regenerates the file with -update, and its diff
+// is the record of what moved.
+func TestOutputGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got := maskTimes(buf.String())
+	const path = "testdata/minbench.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update after checking the change)", path, i+1, g, w)
+		}
 	}
 }
