@@ -57,9 +57,11 @@ type FaultPlan struct {
 	Faults []Fault // pinned faults, applied before any random draw
 
 	// Per-element random fault rates, drawn independently each trial.
-	// A switch first draws dead with SwitchDeadRate; a surviving switch
-	// draws stuck with SwitchStuckRate (stuck port then a fair coin).
-	// Every outlink draws severed with LinkDownRate.
+	// A switch is dead with probability SwitchDeadRate, otherwise stuck
+	// with probability SwitchStuckRate (stuck port then a fair coin), so
+	// P(dead) = SwitchDeadRate and P(stuck) = (1-SwitchDeadRate)·
+	// SwitchStuckRate. Every outlink is severed with probability
+	// LinkDownRate.
 	SwitchDeadRate  float64
 	SwitchStuckRate float64
 	LinkDownRate    float64
@@ -90,7 +92,7 @@ func (p FaultPlan) Validate(stages int) error {
 		{"LinkDownRate", p.LinkDownRate},
 	}
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both
 			return fmt.Errorf("sim: fault rate %s=%v out of [0,1]", r.name, r.v)
 		}
 	}
@@ -143,6 +145,11 @@ type FaultState struct {
 	linkDown []bool  // per stage*n + outlink
 	switches []int32 // indices into mode that are not switchOK
 	links    []int32 // indices into linkDown that are set
+
+	// Gap tables of the last plan's random rates, rebuilt only when a
+	// rate changes: switch hits on the combined rate, link hits on
+	// LinkDownRate.
+	switchGaps, linkGaps gapTable
 }
 
 // NewFaultState returns a cleared (intact) fault state for a fabric of
@@ -246,16 +253,85 @@ func (fs *FaultState) apply(flt Fault) {
 	}
 }
 
+// FaultStreamVersion names the draw stream Resample turns a random
+// plan into. The realized state of a trial is a pure function of (plan,
+// per-trial fault stream, this version); a result or checkpoint drawn
+// under another version is a different sample of the same model, and
+// must not be merged with one drawn under this version. Version 1 drew
+// one Uint64 per element per rate; version 2 is the gap walk below.
+const FaultStreamVersion = 2
+
 // bernoulliThreshold turns a rate r in (0, 1] into the integer form of
 // rng.Float64() < r on the same draw u: Float64 is (u<<11>>11) / 2^53,
 // an exact dyadic, so the test holds iff u<<11>>11 < ceil(r·2^53).
 func bernoulliThreshold(r float64) uint64 { return uint64(math.Ceil(r * (1 << 53))) }
 
+// gapBlock is the number of elements one gap draw covers.
+const gapBlock = 64
+
+// gapTable turns one 53-bit uniform draw into the position of the first
+// hit among the next gapBlock elements, each hit independently with
+// probability rate: cum[j] = ceil((1 − (1−rate)^(j+1))·2^53) is the
+// integer form of P(first hit at or before j), so a draw u < cum[j]
+// that is not below cum[j−1] puts the first hit at j. The zero value is
+// the table of rate 0, which never hits.
+type gapTable struct {
+	rate float64
+	cum  [gapBlock]uint64
+}
+
+// set rebuilds the table for rate r in [0, 1] unless it already holds
+// it. The powers of 1−r are built by repeated multiplication, each
+// product rounded explicitly with float64(...) so no platform fuses it
+// into an FMA; with IEEE basic operations and the exact math.Ceil the
+// table is the same integers on every platform, which a checkpointed
+// sweep resumed on another machine relies on. math.Log, Exp and Pow
+// are avoided for that reason: their results differ by platform.
+func (g *gapTable) set(r float64) {
+	if g.rate == r {
+		return
+	}
+	g.rate = r
+	keep, p := 1-r, 1.0
+	for j := range g.cum {
+		p = float64(p * keep)
+		g.cum[j] = uint64(math.Ceil(float64((1 - p) * (1 << 53))))
+	}
+}
+
+// next returns the index of the first hit in [i, end), or end if there
+// is none. Each draw covers a block of up to gapBlock elements: a draw
+// at or above the block's last entry means no hit in the block, so the
+// walk skips it whole; otherwise a binary search finds the hit. Since
+// the geometric gap is memoryless, the caller restarts the walk just
+// past each hit. Cost: one Uint64 per hit plus one per empty block.
+func (g *gapTable) next(rng *rand.Rand, i, end int) int {
+	for i < end {
+		b := min(gapBlock, end-i)
+		u := rng.Uint64() >> 11
+		if u >= g.cum[b-1] {
+			i += b
+			continue
+		}
+		lo, hi := 0, b-1
+		for lo < hi {
+			if m := (lo + hi) / 2; u < g.cum[m] {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		return i + lo
+	}
+	return end
+}
+
 // Sample realizes the plan: clears the state, pins the plan's fixed
-// faults, then draws the random ones from rng. The draw order is fixed
-// (switches stage-major then links stage-major, one uniform draw per
-// element per applicable rate), so the realized state is a pure
-// function of (plan, rng stream) — the determinism the engine's
+// faults, then draws the random ones from rng. The draws are fixed by
+// the plan — a gap walk over the switches stage-major on the combined
+// switch rate with one kind draw per hit, then a gap walk over the
+// links stage-major (see Resample) — so the realized state is a pure
+// function of (plan, rng stream), the determinism the engine's
 // per-trial fault streams rely on. Allocation-free after the first
 // random resample. rng may be nil for a plan with no random rates.
 func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
@@ -270,8 +346,16 @@ func (fs *FaultState) Sample(p FaultPlan, rng *rand.Rand) error {
 // one already-validated plan trial after trial (the engine validates
 // once before sharding). Calling it with a plan that was never
 // validated against this state's stage count may panic on out-of-range
-// coordinates. Its cost is the draws plus O(faults): it writes only on
-// a hit.
+// coordinates.
+//
+// Random faults are skip-sampled (stream version FaultStreamVersion):
+// switches are hit at the combined rate q = d + (1−d)·s, and each hit
+// draws its kind — dead with probability d/q, otherwise stuck on a
+// fair-coin port — which keeps P(dead) = d and P(stuck) = (1−d)·s.
+// Links are hit at LinkDownRate. A pinned fault owns its cell: a random
+// hit on it still draws its kind but sets nothing. Each rate costs one
+// draw per hit plus one per 64-element block with no hit, and the state
+// is written only on a hit, so a trial costs O(faults), not O(fabric).
 //
 //minlint:hotpath
 func (fs *FaultState) Resample(p FaultPlan, rng *rand.Rand) {
@@ -282,30 +366,28 @@ func (fs *FaultState) Resample(p FaultPlan, rng *rand.Rand) {
 	for _, flt := range p.Faults {
 		fs.apply(flt)
 	}
-	if p.SwitchDeadRate > 0 || p.SwitchStuckRate > 0 {
-		deadT, stuckT := bernoulliThreshold(p.SwitchDeadRate), bernoulliThreshold(p.SwitchStuckRate)
-		for i := range fs.mode {
-			// Draw first, assign after: a pinned fault owns its cell, but
-			// the draws still advance the stream identically whether or
-			// not the cell was pinned, keeping the realized state a pure
-			// function of (plan, stream).
-			m := switchOK
-			if p.SwitchDeadRate > 0 && rng.Uint64()<<11>>11 < deadT {
-				m = switchDead
-			} else if p.SwitchStuckRate > 0 && rng.Uint64()<<11>>11 < stuckT {
-				m = switchStuck0 + uint8(rng.IntN(2))
+	if d, s := p.SwitchDeadRate, p.SwitchStuckRate; d > 0 || s > 0 {
+		q := d + float64((1-d)*s)
+		fs.switchGaps.set(q)
+		deadT := bernoulliThreshold(d / q)
+		end := len(fs.mode)
+		for i := fs.switchGaps.next(rng, 0, end); i < end; i = fs.switchGaps.next(rng, i+1, end) {
+			m := switchDead
+			if s > 0 {
+				if k := rng.Uint64(); k>>11 >= deadT {
+					m = switchStuck0 + uint8(k&1)
+				}
 			}
-			if m != switchOK && fs.mode[i] == switchOK {
+			if fs.mode[i] == switchOK {
 				fs.setSwitch(i, m)
 			}
 		}
 	}
-	if p.LinkDownRate > 0 {
-		linkT := bernoulliThreshold(p.LinkDownRate)
-		for i := range fs.linkDown {
-			if rng.Uint64()<<11>>11 < linkT {
-				fs.setLink(i)
-			}
+	if r := p.LinkDownRate; r > 0 {
+		fs.linkGaps.set(r)
+		end := len(fs.linkDown)
+		for i := fs.linkGaps.next(rng, 0, end); i < end; i = fs.linkGaps.next(rng, i+1, end) {
+			fs.setLink(i)
 		}
 	}
 }

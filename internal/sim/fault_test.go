@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -257,6 +258,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{Faults: []Fault{{Kind: 0, Stage: 0}}},
 		{SwitchDeadRate: -0.1},
 		{LinkDownRate: 1.5},
+		{SwitchStuckRate: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(f.Spans); err == nil {
@@ -382,9 +384,13 @@ func TestFaultBufferedStuckLastStageMisroutes(t *testing.T) {
 	}
 }
 
-// denseFaults is the dense realization FaultState used before it kept a
-// sparse index, kept as a test oracle: every resample clears and
-// rewrites every element and tests each draw with rng.Float64() < r.
+// denseFaults is a dense mirror of the sampler, kept as a test oracle:
+// every resample clears and rewrites every element, and finds the
+// random hits by its own element-by-element scan of each gap block
+// (walkHits) on the same stream. What it checks is the sparse side —
+// the index, clearing of stale elements, pin precedence and duplicate
+// pins — not the draw stream, which the distribution tests in
+// faultgap_test.go check.
 type denseFaults struct {
 	h, n     int
 	mode     []uint8
@@ -395,6 +401,30 @@ type denseFaults struct {
 func newDenseFaults(stages int) *denseFaults {
 	h, n := 1<<uint(stages-1), 1<<uint(stages)
 	return &denseFaults{h: h, n: n, mode: make([]uint8, stages*h), linkDown: make([]bool, stages*n)}
+}
+
+// walkHits returns, in order, the elements of [0, n) a gap walk at rate
+// r hits, calling kind after each hit: each draw covers the next
+// min(64, remaining) elements, its hit is the first element whose
+// cumulative entry exceeds the draw, found by a linear scan, and the
+// next block starts just past the hit.
+func walkHits(r float64, n int, rng *rand.Rand, kind func(i int)) {
+	var g gapTable
+	g.set(r)
+	for i := 0; i < n; {
+		b := min(64, n-i)
+		u := rng.Uint64() >> 11
+		j := 0
+		for j < b && u >= g.cum[j] {
+			j++
+		}
+		if j == b {
+			i += b
+			continue
+		}
+		kind(i + j)
+		i += j + 1
+	}
 }
 
 func (d *denseFaults) resample(p FaultPlan, rng *rand.Rand) {
@@ -418,33 +448,28 @@ func (d *denseFaults) resample(p FaultPlan, rng *rand.Rand) {
 		}
 		d.active = true
 	}
-	if p.SwitchDeadRate > 0 || p.SwitchStuckRate > 0 {
-		for i := range d.mode {
-			dead := p.SwitchDeadRate > 0 && rng.Float64() < p.SwitchDeadRate
-			stuck := uint8(0)
-			if !dead && p.SwitchStuckRate > 0 && rng.Float64() < p.SwitchStuckRate {
-				stuck = switchStuck0 + uint8(rng.IntN(2))
+	if dr, sr := p.SwitchDeadRate, p.SwitchStuckRate; dr > 0 || sr > 0 {
+		q := dr + float64((1-dr)*sr)
+		pDead := dr / q
+		walkHits(q, len(d.mode), rng, func(i int) {
+			m := switchDead
+			if sr > 0 {
+				k := rng.Uint64()
+				if float64(k>>11)/(1<<53) >= pDead {
+					m = switchStuck0 + uint8(k&1)
+				}
 			}
-			if d.mode[i] != switchOK {
-				continue
-			}
-			switch {
-			case dead:
-				d.mode[i] = switchDead
-				d.active = true
-			case stuck != 0:
-				d.mode[i] = stuck
+			if d.mode[i] == switchOK {
+				d.mode[i] = m
 				d.active = true
 			}
-		}
+		})
 	}
 	if p.LinkDownRate > 0 {
-		for i := range d.linkDown {
-			if rng.Float64() < p.LinkDownRate {
-				d.linkDown[i] = true
-				d.active = true
-			}
-		}
+		walkHits(p.LinkDownRate, len(d.linkDown), rng, func(i int) {
+			d.linkDown[i] = true
+			d.active = true
+		})
 	}
 }
 
@@ -507,7 +532,7 @@ var edgeRates = []float64{0x1p-53, 0.01, 0.5, 1 - 0x1p-53, 1}
 // TestFaultStateMatchesDense resamples one sparse state back to back
 // over random plans, seeds and stage counts — pinned lists with
 // duplicates, and rate sequences that shrink the fault set so stale
-// entries must be cleared — and compares it with a fresh dense
+// entries must be cleared — and compares it with the dense mirror's
 // realization of the same stream after every resample.
 func TestFaultStateMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))

@@ -17,7 +17,7 @@ import (
 
 // faultGoldenPlans are the fault plans the simulation goldens pin, by
 // family. Between them they draw every random kind (alone and mixed),
-// hit the Bernoulli test's rate-1 edge, and pin faults on elements the
+// hit the gap walk's rate-1 edge, and pin faults on elements the
 // random draws also hit, where the pinned fault must win.
 var faultGoldenPlans = []struct {
 	family string
@@ -45,18 +45,18 @@ var faultGoldenPlans = []struct {
 // intact and under every plan, on relabeled catalog wirings, and
 // "intact" pins every scenario on the intact fabric.
 var simulateGolden = map[string]string{
-	"dead+link":       "bd32492b951d40cdc72d58af1c50ef3cb9efde04d204ad3226b816b20452caf2",
-	"dead+stuck+link": "cf52b8677defa1d3443494a576494d1c6bc614a554d42d492f07e23310c7dca8",
-	"stuck":           "235e6660ef35de720b193c60aa31283eb89153236535c008acff56e50e5ef7f0",
-	"rate1":           "b1a1aa7507ad09825ca97f1ca142bfecba5a1e68da00bd3d5d1e28807f177753",
-	"pinned+random":   "bad6d42d4c3c3cc80739e6895deb41349ea3b743a727a1334023f3d643c4c6f1",
+	"dead+link":       "a7be9c8d51f0703085a2a28ef013e9d6dddd56ddadcea79e8e1b5d4393a4c896",
+	"dead+stuck+link": "ca9391757562d96c78be8a64e47578b847e45797367498605f5fb1ace351025e",
+	"stuck":           "5dfe72fcf2194f0211788d94855d72845533bd0457f1850619683364aa5182d1",
+	"rate1":           "0086d1a89bbba74a006b2dc582a485bde8890fcbef5b7073c962324a2885c36a",
+	"pinned+random":   "dd22975fe1dfdad56cd913527ce0d43b75081da6d3ce65c1cb9e39f418a97e58",
 
 	"relabeled/intact":          "a5b6419d9fa39fae3aba9cbd026a35eddc1092a2d8720efc164307ac76af6650",
-	"relabeled/dead+link":       "3ad66f64db7983cd992a2be8a8db7f8f978ad9533f189421b0ddad3a45439108",
-	"relabeled/dead+stuck+link": "0dfb27cfecc60df382f1abeead9b63d106fb90bfd7b2207b82c4e9777f8968a9",
-	"relabeled/stuck":           "7c2abb81c9c14d5b9b7513e7e38ae4c4306bebde39cac90d4b8fa8a285d2a611",
-	"relabeled/rate1":           "77fd1fdaa9ca58dffdd6e47c49877d86057ee8a1816d54db9933bda183815da5",
-	"relabeled/pinned+random":   "bc33d06aac0e846271e4d109595beff19915f2e04863943ffa6396d4e387caf3",
+	"relabeled/dead+link":       "50402161730ff5b7060fd943e71c9554bd5364fd4dce99e456eefdcfc3166d8f",
+	"relabeled/dead+stuck+link": "3ed9252d26f860f53c016ccd1db79bf171b775c66d3f5e3fb2addb21ce0ef972",
+	"relabeled/stuck":           "d218f1e400e057c319dd9a3b9a4ccaa0352bed7000bebbe17e99b370b633e5a9",
+	"relabeled/rate1":           "4089f89d0138f16635599eddc2fe0e0a3ace24d60bfe93a5d2dca4a1d4f92306",
+	"relabeled/pinned+random":   "6111a956be995a1205d7d1c98a47705cc76be1f61841a3ded65c8ecbdd633efe",
 
 	"intact": "ac28a83faed75927f5fe9f00fabf75782da49704abf29dc31e5c65bd8b8a4497",
 }
@@ -64,18 +64,18 @@ var simulateGolden = map[string]string{
 // simulateBufferedGolden pins SimulateBuffered under the same plans,
 // with the same relabeled families and an intact family of its own.
 var simulateBufferedGolden = map[string]string{
-	"dead+link":       "d76548061b43ac221ed40c73e1f5fbbb3ad9d238d863097689c975895abbdae5",
-	"dead+stuck+link": "a38a4a59d96f72cb6e1ece4c5ef3c9160260829966e554ef9a6b5c8d30b3ee8c",
-	"stuck":           "9c0e10558e477fcce18b5e6ef121676b51ee50ec36ed4bf2e24d15b164302360",
-	"rate1":           "64a164308283e64f21bddfd7fbae8590cc9772a7171ab79a388f59d1176c8f20",
-	"pinned+random":   "5ffddc27e59b40a450009834e4a24bf3aba5c4f43a97ab376f6917aa3ea4a38c",
+	"dead+link":       "171d9f4851ce16cf298debea5b38ca105442450017f1fec3c71fb05c3391400b",
+	"dead+stuck+link": "d5313f511f4308cdb544d75c34dfa3bb78a2a77922f7780163f9b5faafad7825",
+	"stuck":           "7c26247cc6a1dee743eca8aee7d65d25a53792d51a66ec95ae58b01432836c58",
+	"rate1":           "d34cc2cacaf4e6e777e4493b6cb85325f990e4d2da5f383e3056226ff95e49d5",
+	"pinned+random":   "502b2a66615dd0a0d59f8f723bf985ba61c0ce1f269ca46c8b2a20c39b55349a",
 
 	"relabeled/intact":          "948784206c0b347ea7ce9084d89d811e4e2eb14b88ac9ec61dfa432b802ea183",
-	"relabeled/dead+link":       "583e0ad0f9c9c236eaec7e1efb95982e7c2a83dabccb0ecb59e0eb7b02d2a497",
-	"relabeled/dead+stuck+link": "ff5fe7081268b04c6ea4932a26111e0a3aacd617addb4bcf61d91cd49ac21630",
-	"relabeled/stuck":           "b9dae086b7601c4742878badaf1f81c9cfdb86d6021886c1617264f0120af080",
-	"relabeled/rate1":           "73a2b2ee2a9cbacfece0513c567822a81d2b52777f0aab5d3ee259e514cfeba8",
-	"relabeled/pinned+random":   "45a0dd97f04e7ea9b6b82257157950e284a30f5d7c6cd05e10f6def0f57fbaa9",
+	"relabeled/dead+link":       "00547afa8877f1306241d2bbf2031aff9ce601efeb8eb9c97973a37414779f42",
+	"relabeled/dead+stuck+link": "bc6bdc935f65940d4296442698a5cf90d3564cdb41e91cee9e69913a78bdd293",
+	"relabeled/stuck":           "308156faec9c65e9846fe53e2d9cfe13e880cc1d67d6a81150a2941251191541",
+	"relabeled/rate1":           "99a330389c8b0b3bf5765f96c80d27ad3b7d7e21603f245be6c16d847e40bb31",
+	"relabeled/pinned+random":   "d9aabd05237f47d6f7545684c507978eafdd5e94ac0fc218f40995b69b5ad6aa",
 
 	"intact": "a50a51811b04f282d386a2082e92019b1061cf9317c2c02df7daa50be031578e",
 }
