@@ -9,15 +9,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"minequiv/internal/engine"
+	"minequiv/internal/sim"
 )
 
 // The on-disk layout of one job is a directory <jobs-dir>/<id>/ with
 // three files:
 //
-//	spec.json   — the normalized Spec, written once atomically at submit
+//	spec.json   — the normalized Spec and its fault-stream version,
+//	              written once atomically at submit
 //	shards.log  — append-only CRC-framed shard outcomes, fsync'd per append
 //	result.json — the finalized result bytes, written once atomically
 //
@@ -47,6 +50,45 @@ type logRecord struct {
 // unparseable spec.json). Torn shards.log tails are NOT corruption —
 // they are the expected crash residue and recover by truncation.
 var errCorrupt = errors.New("jobs: checkpoint corrupt")
+
+// errStaleStream marks a checkpoint whose faulty cells were drawn under
+// another fault stream than this build's sim.FaultStreamVersion. Its
+// logged partials are a different sample of the same sweep, so
+// resuming would merge partials from two streams into one result. It
+// wraps errCorrupt: the checkpoint cannot be trusted either way.
+var errStaleStream = fmt.Errorf("%w: written under another fault stream", errCorrupt)
+
+// storedSpec is the content of spec.json: the normalized Spec and the
+// fault-stream version its shards draw faults under. A spec.json
+// without the field predates it and was written under stream 1.
+type storedSpec struct {
+	Spec
+	FaultStream int `json:"faultStream"`
+}
+
+// encodeSpec renders spec.json for a spec drawn under this build's
+// fault stream.
+func encodeSpec(spec Spec) ([]byte, error) {
+	data, err := json.MarshalIndent(storedSpec{spec, sim.FaultStreamVersion}, "", "  ")
+	return append(data, '\n'), err
+}
+
+// decodeSpec parses spec.json, refusing (errStaleStream) a spec with a
+// positive fault rate written under another fault stream. A spec with
+// no fault rate draws no fault, so any stream version resumes it.
+func decodeSpec(data []byte) (Spec, error) {
+	var st storedSpec
+	if err := json.Unmarshal(data, &st); err != nil {
+		return Spec{}, err
+	}
+	if st.FaultStream == 0 {
+		st.FaultStream = 1
+	}
+	if st.FaultStream != sim.FaultStreamVersion && slices.ContainsFunc(st.FaultRates, func(r float64) bool { return r > 0 }) {
+		return Spec{}, fmt.Errorf("%w: stream %d, this build draws stream %d", errStaleStream, st.FaultStream, sim.FaultStreamVersion)
+	}
+	return st.Spec, nil
+}
 
 // store is the durable side of one job. A nil *store (in-memory mode,
 // Config.Dir == "") accepts every call as a no-op, so the scheduler
@@ -107,11 +149,10 @@ func newStore(dir string, spec Spec, wrote func(int)) (*store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(spec, "", "  ")
+	data, err := encodeSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	data = append(data, '\n')
 	if err := writeFileAtomic(specPath(dir), data); err != nil {
 		return nil, err
 	}
@@ -127,14 +168,18 @@ func newStore(dir string, spec Spec, wrote func(int)) (*store, error) {
 // torn or CRC-damaged tail in place), and reopens the log for append.
 // A missing or unparseable spec.json returns errCorrupt — without the
 // spec the logged partials are unattributable and the job cannot be
-// trusted.
+// trusted — and a faulty spec drawn under another fault stream returns
+// errStaleStream.
 func openStore(dir string, wrote func(int)) (*store, Spec, []logRecord, error) {
-	var spec Spec
 	data, err := os.ReadFile(specPath(dir))
 	if err != nil {
-		return nil, spec, nil, fmt.Errorf("%w: %s: %v", errCorrupt, specPath(dir), err)
+		return nil, Spec{}, nil, fmt.Errorf("%w: %s: %v", errCorrupt, specPath(dir), err)
 	}
-	if err := json.Unmarshal(data, &spec); err != nil {
+	spec, err := decodeSpec(data)
+	if errors.Is(err, errStaleStream) {
+		return nil, spec, nil, fmt.Errorf("%s: %w", specPath(dir), err)
+	}
+	if err != nil {
 		return nil, spec, nil, fmt.Errorf("%w: %s: %v", errCorrupt, specPath(dir), err)
 	}
 	recs, valid, err := readLog(logPath(dir))

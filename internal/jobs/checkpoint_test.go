@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"minequiv/internal/engine"
@@ -37,7 +39,7 @@ func FuzzCheckpointReplay(f *testing.F) {
 
 	spec := testSpec()
 	spec.normalize(16)
-	specJSON, err := json.Marshal(spec)
+	specJSON, err := encodeSpec(spec)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -113,4 +115,61 @@ func FuzzCheckpointReplay(f *testing.F) {
 			t.Fatalf("after one append: %d records, want %d", len(arecs), len(want))
 		}
 	})
+}
+
+// TestStaleFaultStreamFailsResume writes job directories the way a
+// build before the fault-stream version did — spec.json with no
+// faultStream field, and a shards.log holding one logged partial — and
+// reopens them. The faulty sweep comes back failed with ErrStaleStream
+// (which wraps ErrCorrupt) instead of merging its stream-1 partial with
+// partials drawn now; the intact sweep draws no fault, so it resumes
+// from its log and completes.
+func TestStaleFaultStreamFailsResume(t *testing.T) {
+	dir := t.TempDir()
+	oldJob := func(id string, rates []float64) {
+		spec := testSpec()
+		spec.FaultRates = rates
+		spec.normalize(16)
+		data, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jd := filepath.Join(dir, id)
+		if err := os.MkdirAll(jd, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(specPath(jd), append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := encodeFrame(logRecord{Type: "shard", Shard: 0,
+			Partial: &engine.WavePartial{Lo: 0, Hi: 16, Offered: 128, Delivered: 97, NonEmpty: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath(jd), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldJob("faulty", []float64{0, 0.1})
+	oldJob("intact", []float64{0})
+
+	m, err := Open(fastCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	st, err := m.Get("faulty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "fault stream") {
+		t.Fatalf("faulty stream-1 job: state %s, error %q", st.State, st.Error)
+	}
+	if _, err := m.Result("faulty"); !errors.Is(err, ErrStaleStream) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("faulty stream-1 job: Result error %v, want ErrStaleStream wrapping ErrCorrupt", err)
+	}
+
+	if st := await(t, m, "intact"); st.State != StateDone || st.ShardsDone != st.ShardsTotal {
+		t.Fatalf("intact stream-1 job: state %s, %d of %d shards (%s)", st.State, st.ShardsDone, st.ShardsTotal, st.Error)
+	}
 }

@@ -38,6 +38,9 @@ var (
 	ErrNotReady    = errors.New("jobs: result not ready")
 	ErrQuarantined = errors.New("jobs: every shard quarantined")
 	ErrCorrupt     = errCorrupt
+	// ErrStaleStream wraps ErrCorrupt: the checkpoint of a faulty sweep
+	// was written under another fault stream (sim.FaultStreamVersion).
+	ErrStaleStream = errStaleStream
 	ErrTooManyJobs = errors.New("jobs: too many active jobs")
 	ErrClosed      = errors.New("jobs: manager closed")
 )
@@ -150,7 +153,7 @@ type job struct {
 	cancel context.CancelFunc
 
 	state       string
-	errKind     error // ErrQuarantined or ErrCorrupt for failed jobs
+	errKind     error // ErrQuarantined, ErrCorrupt or ErrStaleStream for failed jobs
 	errMsg      string
 	done        []bool
 	partials    []engine.WavePartial
@@ -278,8 +281,9 @@ func (m *Manager) newJob(id string, g grid, st *store) *job {
 }
 
 // resume loads one persisted job directory into the table. Corrupt
-// checkpoints surface as a failed job carrying ErrCorrupt rather than
-// an Open error: one damaged job must not take the whole plane down.
+// checkpoints surface as a failed job carrying ErrCorrupt (or
+// ErrStaleStream, which wraps it) rather than an Open error: one
+// damaged job must not take the whole plane down.
 func (m *Manager) resume(id string) error {
 	dir := filepath.Join(m.cfg.Dir, id)
 	st, spec, recs, err := openStore(dir, m.wrote)
@@ -287,6 +291,9 @@ func (m *Manager) resume(id string) error {
 		j := m.newJob(id, grid{}, &store{dir: dir, closed: true})
 		j.state = StateFailed
 		j.errKind = ErrCorrupt
+		if errors.Is(err, errStaleStream) {
+			j.errKind = ErrStaleStream
+		}
 		j.errMsg = err.Error()
 		j.finished = m.now()
 		close(j.doneCh)
@@ -723,7 +730,8 @@ func (m *Manager) List() []Status {
 // Result returns the finalized result bytes — the exact bytes on disk.
 // ErrNotReady while the job is live or canceled, ErrQuarantined when
 // every shard was quarantined, ErrCorrupt when the job's checkpoint
-// could not be trusted at resume.
+// could not be trusted at resume (ErrStaleStream when it was drawn
+// under another fault stream).
 func (m *Manager) Result(id string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -42,8 +42,9 @@ const (
 	// quarantined shards still completes, degraded, with a result.)
 	CodeJobQuarantined = "job_quarantined"
 	// CodeCheckpointCorrupt: the job's on-disk checkpoint failed
-	// validation at resume; its prior progress cannot be trusted and the
-	// job is failed rather than silently recomputed.
+	// validation at resume — unreadable, or a faulty sweep drawn under
+	// another fault stream — so its prior progress cannot be trusted and
+	// the job is failed rather than silently recomputed.
 	CodeCheckpointCorrupt = "checkpoint_corrupt"
 	// CodeUnsupportedMediaType: the request's Content-Type names a wire
 	// codec the server does not speak; the work endpoints accept
