@@ -179,7 +179,8 @@ type BufferedStats struct {
 // by trial index, keeping the aggregates byte-identical for any worker
 // count. Cancelling ctx aborts the run within one simulated cycle and
 // returns ctx.Err(). A config whose packet storage exceeds
-// sim.MaxBufferedPackets fails before any worker starts, with an error
+// sim.MaxBufferedPackets, or whose Warmup+Cycles exceed
+// sim.MaxBufferedCycles, fails before any worker starts, with an error
 // wrapping sim.ErrBufferTooLarge.
 func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps int, cfg Config) (BufferedStats, error) {
 	if reps <= 0 {

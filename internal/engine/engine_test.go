@@ -185,13 +185,15 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := RunBuffered(context.Background(), f, sim.BufferedConfig{Queue: 1, Cycles: 10}, 4, Config{Workers: 2}); err == nil {
 		t.Error("invalid buffered config accepted")
 	}
-	// Packet storage past the bound fails before any worker sizes it.
+	// Packet storage or cycles past their bounds fail before any worker
+	// sizes a buffer.
 	for _, bc := range []sim.BufferedConfig{
 		{Pattern: sim.Bernoulli(0.5), Queue: 1 << 40, Cycles: 10},
 		{Pattern: sim.Bernoulli(0.5), Queue: 4, Lanes: 1 << 40, Cycles: 10},
+		{Pattern: sim.Bernoulli(0.5), Queue: 4, Cycles: 1 << 40},
 	} {
 		if _, err := RunBuffered(context.Background(), f, bc, 4, Config{Workers: 2}); !errors.Is(err, sim.ErrBufferTooLarge) {
-			t.Errorf("queue %d lanes %d: error %v, want sim.ErrBufferTooLarge", bc.Queue, bc.Lanes, err)
+			t.Errorf("queue %d lanes %d cycles %d: error %v, want sim.ErrBufferTooLarge", bc.Queue, bc.Lanes, bc.Cycles, err)
 		}
 	}
 }

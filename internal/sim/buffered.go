@@ -161,13 +161,22 @@ type BufferedRunner struct {
 // admits Lanes·Queue up to 409.
 const MaxBufferedPackets = 1 << 22
 
+// MaxBufferedCycles bounds Warmup+Cycles of one replication. A runner
+// sizes its latency histogram with one int32 bucket per cycle and
+// clears it every replication, so without a bound a config's cycle
+// count would size an allocation of any size; 1<<22 cycles are a 16 MB
+// histogram, twenty times minserve's default cycle cap.
+const MaxBufferedCycles = 1 << 22
+
 // ErrBufferTooLarge is wrapped by the error ValidateBuffered returns
-// when a config's packet storage exceeds MaxBufferedPackets.
-var ErrBufferTooLarge = errors.New("sim: buffered packet storage too large")
+// when a config's packet storage exceeds MaxBufferedPackets or its
+// Warmup+Cycles exceed MaxBufferedCycles.
+var ErrBufferTooLarge = errors.New("sim: buffered runner storage too large")
 
 // ValidateBuffered checks a buffered configuration against this fabric
 // without sizing any buffers: the field ranges, and that the packet
-// storage a runner would size stays within MaxBufferedPackets.
+// storage and latency histogram a runner would size stay within
+// MaxBufferedPackets and MaxBufferedCycles.
 func (f *Fabric) ValidateBuffered(c BufferedConfig) error {
 	if c.Pattern == nil {
 		return fmt.Errorf("sim: buffered config needs a traffic pattern")
@@ -200,6 +209,11 @@ func (f *Fabric) ValidateBuffered(c BufferedConfig) error {
 	if lanes > MaxBufferedPackets/ports || c.Queue > MaxBufferedPackets/(ports*lanes) {
 		return fmt.Errorf("%w: %d ports x %d lanes x queue %d exceeds the bound of %d packets",
 			ErrBufferTooLarge, ports, lanes, c.Queue, MaxBufferedPackets)
+	}
+	// Each term is checked alone first, so the sum cannot overflow.
+	if c.Cycles > MaxBufferedCycles || c.Warmup > MaxBufferedCycles-c.Cycles {
+		return fmt.Errorf("%w: warmup %d + cycles %d exceeds the bound of %d cycles",
+			ErrBufferTooLarge, c.Warmup, c.Cycles, MaxBufferedCycles)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -346,5 +347,36 @@ func TestBufferedPacketBound(t *testing.T) {
 	at.Queue = MaxBufferedPackets / ports
 	if err := f.ValidateBuffered(at); err != nil {
 		t.Errorf("queue %d at the bound: %v", at.Queue, err)
+	}
+}
+
+// TestBufferedCycleBound: Warmup+Cycles past MaxBufferedCycles, which
+// would size the latency histogram, is refused before anything is
+// sized, including sums that overflow an int; a sum exactly at the
+// bound is accepted by ValidateBuffered (which sizes nothing).
+func TestBufferedCycleBound(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 4)
+	base := BufferedConfig{Pattern: Bernoulli(0.5), Queue: 4}
+	for _, over := range []struct{ warmup, cycles int }{
+		{0, 1 << 40},
+		{1 << 40, 1},
+		{0, math.MaxInt},
+		{math.MaxInt, math.MaxInt},
+		{1, MaxBufferedCycles},
+		{MaxBufferedCycles, 1},
+	} {
+		cfg := base
+		cfg.Warmup, cfg.Cycles = over.warmup, over.cycles
+		if err := f.ValidateBuffered(cfg); !errors.Is(err, ErrBufferTooLarge) {
+			t.Errorf("warmup %d cycles %d: ValidateBuffered error %v, want ErrBufferTooLarge", over.warmup, over.cycles, err)
+		}
+		if _, err := f.NewBufferedRunner(cfg); !errors.Is(err, ErrBufferTooLarge) {
+			t.Errorf("warmup %d cycles %d: NewBufferedRunner error %v, want ErrBufferTooLarge", over.warmup, over.cycles, err)
+		}
+	}
+	at := base
+	at.Warmup, at.Cycles = 1, MaxBufferedCycles-1
+	if err := f.ValidateBuffered(at); err != nil {
+		t.Errorf("warmup+cycles at the bound: %v", err)
 	}
 }
