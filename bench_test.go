@@ -550,6 +550,28 @@ func BenchmarkFaultedWaveLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultResample pins the fault draw on its own: one
+// FaultState.Resample of a dead-switch plus severed-link plan per
+// iteration, from one running stream, on Omega at 8 and 10 stages. Its
+// cost is one draw per hit plus one per empty 64-element block, so it
+// scales with the fault count, not the fabric. Must stay 0 allocs/op;
+// CI gates on it.
+func BenchmarkFaultResample(b *testing.B) {
+	plan := sim.FaultPlan{SwitchDeadRate: 0.01, LinkDownRate: 0.01}
+	for _, n := range []int{8, 10} {
+		b.Run(fmt.Sprintf("dead+link/n=%d", n), func(b *testing.B) {
+			fs := sim.NewFaultState(n)
+			rng := engine.NewFaultRand(1, 0)
+			fs.Resample(plan, rng) // sizes the index once, as the engine's first trial does
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.Resample(plan, rng)
+			}
+		})
+	}
+}
+
 // BenchmarkBitWaveLoop pins the bit-sliced executor's throughput claim:
 // one iteration steers a full 64-wave batch exactly as the engine does —
 // per-batch PCG reseeding from the trial-indexed engine streams, reused
@@ -630,9 +652,10 @@ func BenchmarkBitFabricKernel(b *testing.B) {
 // 1024-trial engine.RunWaveRange under the bit-sliced kernel on Omega
 // n = 8 with random fault rates, so every 64-trial batch resamples and
 // folds 64 fault realizations into the kernel's lane masks. "dead" is a
-// dead-switch rate alone; "dead+link" adds a severed-link rate, the
-// shape of perfbench's faulty simulate op. It builds an executor per
-// call, so it carries no allocs gate.
+// dead-switch rate alone; "dead+stuck" adds a stuck rate, so every hit
+// also draws its kind; "dead+link" adds a severed-link rate, the shape
+// of perfbench's faulty simulate op. It builds an executor per call, so
+// it carries no allocs gate.
 func BenchmarkFaultedBitRange(b *testing.B) {
 	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 8).LinkPerms)
 	if err != nil {
@@ -646,6 +669,7 @@ func BenchmarkFaultedBitRange(b *testing.B) {
 		plan sim.FaultPlan
 	}{
 		{"dead", sim.FaultPlan{SwitchDeadRate: 0.01}},
+		{"dead+stuck", sim.FaultPlan{SwitchDeadRate: 0.01, SwitchStuckRate: 0.01}},
 		{"dead+link", sim.FaultPlan{SwitchDeadRate: 0.01, LinkDownRate: 0.01}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -313,15 +313,16 @@ func (g *gapTable) next(rng *rand.Rand, i, end int) int {
 			i += b
 			continue
 		}
-		lo, hi := 0, b-1
-		for lo < hi {
-			if m := (lo + hi) / 2; u < g.cum[m] {
-				hi = m
-			} else {
-				lo = m + 1
-			}
+		// Binary search for the first entry above u; u < cum[b-1], so it
+		// lies in the block. Both sides are below 2^54, so cum[k]-u-1
+		// wraps to a set top bit iff cum[k] <= u, which steps j without
+		// a branch: the hit position is random, so a branch would
+		// mispredict about half the time.
+		j := uint64(0)
+		for s := uint64(gapBlock / 2); s > 0; s >>= 1 {
+			j += s & -((g.cum[(j+s-1)%gapBlock] - u - 1) >> 63)
 		}
-		return i + lo
+		return i + int(j)
 	}
 	return end
 }
