@@ -261,9 +261,10 @@ func (fs *FaultState) apply(flt Fault) {
 // one Uint64 per element per rate; version 2 is the gap walk below.
 const FaultStreamVersion = 2
 
-// bernoulliThreshold turns a rate r in (0, 1] into the integer form of
-// rng.Float64() < r on the same draw u: Float64 is (u<<11>>11) / 2^53,
-// an exact dyadic, so the test holds iff u<<11>>11 < ceil(r·2^53).
+// bernoulliThreshold turns a probability r in [0, 1] into a threshold
+// on a 53-bit draw x: x/2^53 is an exact dyadic, so x/2^53 < r holds
+// iff x < ceil(r·2^53). On x = u<<11>>11 it decides exactly as
+// rng.Float64() < r on the same Uint64 u.
 func bernoulliThreshold(r float64) uint64 { return uint64(math.Ceil(r * (1 << 53))) }
 
 // gapBlock is the number of elements one gap draw covers.

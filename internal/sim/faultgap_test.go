@@ -96,16 +96,14 @@ func TestGapTableExact(t *testing.T) {
 // plan on a fresh state at a fixed seed. Hits are read off the sparse
 // index, so a test sees exactly what Resample recorded.
 type hitCounter struct {
-	fs                  *FaultState
-	switchHits, linkHit []int // per element, over all trials
-	dead, stuck0        int
-	stuck1              int
-	trials              int
+	fs                   *FaultState
+	switchHits, linkHits []int // per element, over all trials
+	dead, stuck0, stuck1 int
 }
 
 func countHits(stages, trials int, p FaultPlan, seed uint64) *hitCounter {
 	fs := NewFaultState(stages)
-	c := &hitCounter{fs: fs, switchHits: make([]int, len(fs.mode)), linkHit: make([]int, len(fs.linkDown)), trials: trials}
+	c := &hitCounter{fs: fs, switchHits: make([]int, len(fs.mode)), linkHits: make([]int, len(fs.linkDown))}
 	rng := rand.New(rand.NewPCG(seed, 7))
 	for trial := 0; trial < trials; trial++ {
 		fs.Resample(p, rng)
@@ -121,7 +119,7 @@ func countHits(stages, trials int, p FaultPlan, seed uint64) *hitCounter {
 			}
 		}
 		for _, i := range fs.links {
-			c.linkHit[i]++
+			c.linkHits[i]++
 		}
 	}
 	return c
@@ -161,7 +159,7 @@ func TestFaultHitFrequency(t *testing.T) {
 	}{{0.004, 40000}, {0.05, 8000}, {0.3, 2000}} {
 		c := countHits(7, tc.trials, FaultPlan{SwitchDeadRate: tc.r, LinkDownRate: tc.r}, 1)
 		checkFrequencies(t, fmt.Sprintf("switches r=%v", tc.r), c.switchHits, tc.trials, tc.r)
-		checkFrequencies(t, fmt.Sprintf("links r=%v", tc.r), c.linkHit, tc.trials, tc.r)
+		checkFrequencies(t, fmt.Sprintf("links r=%v", tc.r), c.linkHits, tc.trials, tc.r)
 	}
 }
 
@@ -243,7 +241,7 @@ func TestFaultHitPositionUniform(t *testing.T) {
 	for _, side := range []struct {
 		what string
 		hits []int
-	}{{"switches", c.switchHits}, {"links", c.linkHit}} {
+	}{{"switches", c.switchHits}, {"links", c.linkHits}} {
 		var res [64]int
 		total := 0
 		for i, h := range side.hits {
@@ -272,7 +270,7 @@ func TestFaultEdgeRates(t *testing.T) {
 		for _, side := range []struct {
 			what string
 			hits []int
-		}{{"switches", c.switchHits}, {"links", c.linkHit}} {
+		}{{"switches", c.switchHits}, {"links", c.linkHits}} {
 			total := 0
 			for _, h := range side.hits {
 				total += h
