@@ -287,7 +287,7 @@ type gapTable struct {
 // into an FMA; with IEEE basic operations and the exact math.Ceil the
 // table is the same integers on every platform, which a checkpointed
 // sweep resumed on another machine relies on. math.Log, Exp and Pow
-// are avoided for that reason: their results differ by platform.
+// are avoided for that reason: their last bit may differ by platform.
 func (g *gapTable) set(r float64) {
 	if g.rate == r {
 		return
