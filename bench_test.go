@@ -477,8 +477,9 @@ func BenchmarkFabricKernel(b *testing.B) {
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
 // verdict-only characterization, then either the relabeled form of an
 // equivalent wiring or the table path's one backward pass building the
-// port tables and the Banyan verdict. Relabeled: Baseline wirings at 6, 8 and 10 stages and a seeded
-// relabeling of the 10-stage Omega. Table path: a 10-stage wiring whose
+// port tables and the Banyan verdict. Relabeled: Baseline wirings at
+// 6, 8 and 10 stages and a seeded relabeling of the Omega at 10, 12 and
+// 14 stages. Table path: a 10-stage wiring whose
 // first stage has a double arc (it fails the Banyan check fast, and the
 // table pass finds it non-Banyan only at its last step) and the
 // 10-stage tail cycle (Banyan, so it pays the whole characterization
@@ -511,8 +512,10 @@ func BenchmarkFabricCompile(b *testing.B) {
 	}
 	perms[0] = p
 	b.Run("double-arc/n=10", func(b *testing.B) { run(b, perms, false) })
-	relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(10, 1)), topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	b.Run("relabeled/n=10", func(b *testing.B) { run(b, relabeled, true) })
+	for _, n := range []int{10, 12, 14} {
+		relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 1)), topology.MustBuild(topology.NameOmega, n).LinkPerms)
+		b.Run(fmt.Sprintf("relabeled/n=%d", n), func(b *testing.B) { run(b, relabeled, true) })
+	}
 	tail, err := randnet.TailCycleLinkPerms(10)
 	if err != nil {
 		b.Fatal(err)
