@@ -179,6 +179,27 @@ func BenchmarkBanyan(b *testing.B) {
 	})
 }
 
+// BenchmarkBaselineLabels is the labeler Relabeling runs first: both
+// window sweeps of Analyzer.BaselineLabels on the Omega network, on a
+// reused Analyzer and label buffer (0 allocs/op, CI-gated).
+func BenchmarkBaselineLabels(b *testing.B) {
+	for _, n := range []int{10, 14} {
+		g := topology.MustBuild(topology.NameOmega, n).Graph
+		b.Run(fmt.Sprintf("omega/n=%d", n), func(b *testing.B) {
+			a := midigraph.NewAnalyzer()
+			labels := make([]uint64, g.Stages()*g.CellsPerStage())
+			a.BaselineLabels(g, labels)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !a.BaselineLabels(g, labels) {
+					b.Fatal("omega failed a P family")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPIPIDConnection (T5): connection induced by one theta plus
 // its independence decision.
 func BenchmarkPIPIDConnection(b *testing.B) {

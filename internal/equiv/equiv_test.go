@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"minequiv/internal/census"
 	"minequiv/internal/midigraph"
 	"minequiv/internal/perm"
 	"minequiv/internal/randnet"
@@ -398,10 +399,24 @@ func TestIsoBetweenErrors(t *testing.T) {
 	}
 }
 
+// wiring builds the n-stage graph whose stage-s node x has the
+// children conns[s][x].
+func wiring(n int, conns ...[][2]uint32) *midigraph.Graph {
+	g := midigraph.New(n)
+	for s, c := range conns {
+		for x, ch := range c {
+			g.SetChildren(s, uint32(x), ch[0], ch[1])
+		}
+	}
+	return g
+}
+
 // TestRelabelingVerdictOnly pins the verdict-only entry: on a warm
-// builder it rejects a non-Banyan graph and a tail cycle (Banyan, but
-// failing P(*,n)) without allocating, so no diagnostic report is
-// built, and on an equivalent graph it returns the same isomorphism
+// builder it rejects without allocating, so no diagnostic report is
+// built, a non-Banyan graph, a tail cycle (Banyan, but failing
+// P(*,n)) and a non-Banyan n = 3 wiring that passes both P families,
+// whose rejection runs the labels, their failed verification and the
+// Banyan pass. On an equivalent graph it returns the same isomorphism
 // IsoToBaseline does.
 func TestRelabelingVerdictOnly(t *testing.T) {
 	b := NewIsoBuilder()
@@ -413,7 +428,16 @@ func TestRelabelingVerdictOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, g := range map[string]*midigraph.Graph{"non-banyan": nonBanyan, "tail-cycle": tail} {
+	bothP := wiring(3,
+		[][2]uint32{{0, 0}, {1, 2}, {1, 3}, {2, 3}},
+		[][2]uint32{{0, 1}, {0, 1}, {2, 3}, {2, 3}})
+	if err := bothP.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := Check(bothP); rep.Banyan || !midigraph.AllOK(rep.Prefix) || !midigraph.AllOK(rep.Suffix) {
+		t.Fatalf("both-P wiring fails a P family or is Banyan:\n%v", rep)
+	}
+	for name, g := range map[string]*midigraph.Graph{"non-banyan": nonBanyan, "tail-cycle": tail, "both-p-non-banyan": bothP} {
 		if _, ok := b.Relabeling(g); ok {
 			t.Fatalf("%s accepted", name)
 		}
@@ -434,5 +458,56 @@ func TestRelabelingVerdictOnly(t *testing.T) {
 		if !slices.Equal(iso.Maps[s], want.Maps[s]) {
 			t.Fatalf("stage %d: Relabeling %v, IsoToBaseline %v", s, iso.Maps[s], want.Maps[s])
 		}
+	}
+}
+
+// TestBaselineLabelsExhaustiveN3 runs the labeler on every n = 3 graph
+// whose connections are valid (2520² of them). BaselineLabels plus
+// verifyArcs, with no oracle, must accept exactly the graphs that are
+// Banyan and pass P(1,*) and P(*,n) (55,296), every accepted map must
+// pass Isomorphism.Verify, and Relabeling must reach the oracle on
+// none of them.
+func TestBaselineLabelsExhaustiveN3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("6.35M graphs take a few seconds")
+	}
+	conns := census.Connections(2)
+	b := NewIsoBuilder()
+	ref := midigraph.NewAnalyzer()
+	base := topology.Baseline(3)
+	g := midigraph.New(3)
+	labels := make([]uint64, 3*4)
+	var prefix, suffix []midigraph.WindowResult
+	accepted, oracle := 0, 0
+	for _, c0 := range conns {
+		for x := range c0[0] {
+			g.SetChildren(0, uint32(x), uint32(c0[0][x]), uint32(c0[1][x]))
+		}
+		for _, c1 := range conns {
+			for x := range c1[0] {
+				g.SetChildren(1, uint32(x), uint32(c1[0][x]), uint32(c1[1][x]))
+			}
+			prefix, suffix = ref.CheckPrefix(g, prefix), ref.CheckSuffix(g, suffix)
+			want := ref.Banyan(g) && midigraph.AllOK(prefix) && midigraph.AllOK(suffix)
+			swept := b.an.BaselineLabels(g, labels)
+			got := swept && b.verifyArcs(labels, g, base)
+			if got != want {
+				t.Fatalf("labels certified=%t, characterization=%t on %v %v", got, want, c0, c1)
+			}
+			if swept && !got && ref.Banyan(g) {
+				oracle++
+			}
+			if !got {
+				continue
+			}
+			accepted++
+			iso := Isomorphism{Maps: []perm.Perm{labels[0:4], labels[4:8], labels[8:12]}}
+			if err := iso.Verify(g, base); err != nil {
+				t.Fatalf("%v %v: %v", c0, c1, err)
+			}
+		}
+	}
+	if accepted != 55296 || oracle != 0 {
+		t.Fatalf("accepted %d graphs with %d oracle calls, want 55296 and 0", accepted, oracle)
 	}
 }

@@ -19,21 +19,22 @@ func (e *NotEquivalentError) Error() string {
 // IsoToBaseline checks the characterization and, when it holds, returns
 // an explicit isomorphism from g onto topology.Baseline(n).
 //
-// The construction mirrors how the Baseline's own labels encode its
-// window components (DESIGN.md §5.4):
+// The labels are the paper's constructive direction, read off the two
+// sweeps that decide the window families (DESIGN.md §5.4):
 //
-//   - the SUFFIX windows (stages b..n-1) form a binary refinement
-//     hierarchy whose splits reveal, for every node of stages > b, the
-//     label bit m-1-b (top field);
-//   - the PREFIX windows (stages 0..e) form the complementary hierarchy
-//     whose splits reveal, for every node of stage s < e, the label bit
-//     e-1-s (low field).
+//   - the SUFFIX windows (stages b..n-1) nest, and each component of
+//     one merges exactly two of the next; the merge tree, read from its
+//     root down, gives every node of stage s the top s label bits;
+//   - the PREFIX windows (stages 0..e) nest the other way round, and
+//     their merge tree gives every node of stage s the low n-1-s bits.
 //
-// Each split makes an arbitrary 0/1 side choice; in the Baseline every
+// Each merge makes an arbitrary 0/1 side choice; in the Baseline every
 // such choice corresponds to an automorphism, so any choice yields a
-// valid isomorphism. The result is verified before being returned; if
-// verification fails (never observed on graphs passing the check, and
-// believed impossible) the exact oracle is consulted for small n.
+// valid isomorphism. The labels are verified against the Baseline's
+// arcs before being returned, which also certifies the Banyan property;
+// only labels that fail to verify pay for the Banyan pass, and a Banyan
+// graph whose labels fail (never observed, and ruled out by the
+// theorem) goes to the exact oracle for small n.
 //
 // The work runs on a pooled IsoBuilder, so in steady state the only
 // allocations are the returned Isomorphism's stage maps; callers with a
@@ -43,47 +44,6 @@ func IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
 	iso, err := b.IsoToBaseline(g)
 	isoBuilderPool.Put(b)
 	return iso, err
-}
-
-// splitTable records, per parent component id, its (at most two)
-// distinct child component ids in first-seen scan order: side 0 is
-// zero[p], side 1 is one[p], -1 means unseen. Flat dense tables indexed
-// by the parent id replace the old map[pairKey]int — the ids are dense
-// by construction, so the table is direct-addressed.
-type splitTable struct{ zero, one []int32 }
-
-// fill computes the split table in place (st.zero/st.one already sized
-// to the parent window's component count), requiring every parent
-// component that meets the shared stages to split into exactly two
-// child components. parentIDs and childIDs cover the same stages in the
-// same order.
-func (st *splitTable) fill(parentIDs, childIDs [][]int32) error {
-	if len(parentIDs) != len(childIDs) {
-		return fmt.Errorf("equiv: stage slices differ (%d vs %d)", len(parentIDs), len(childIDs))
-	}
-	for p := range st.zero {
-		st.zero[p], st.one[p] = -1, -1
-	}
-	for t := range parentIDs {
-		for x := range parentIDs[t] {
-			p, c := parentIDs[t][x], childIDs[t][x]
-			switch {
-			case st.zero[p] < 0:
-				st.zero[p] = c
-			case st.zero[p] == c || st.one[p] == c:
-			case st.one[p] < 0:
-				st.one[p] = c
-			default:
-				return fmt.Errorf("equiv: component %d splits into more than two parts", p)
-			}
-		}
-	}
-	for p := range st.zero {
-		if st.zero[p] >= 0 && st.one[p] < 0 {
-			return fmt.Errorf("equiv: component %d splits into 1 parts, want 2", p)
-		}
-	}
-	return nil
 }
 
 // IsoBetween returns an explicit isomorphism between two baseline-

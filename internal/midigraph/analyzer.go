@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// Analyzer owns every piece of scratch the window analyses and the
-// Banyan verdict need: the union-find parent/size arrays, the flat
-// root→dense-id table that replaces the old per-window
-// `map[int32]int32`, the reusable counts/result buffers and the two
-// reach-set rows of Banyan (see banyan.go). A zero-cost steady state
+// Analyzer owns every piece of scratch the window analyses, the
+// Banyan verdict and the Baseline labels need: the union-find
+// parent/size arrays, the flat root→dense-id table, the reusable
+// counts buffer, the two reach-set rows of Banyan (see banyan.go) and
+// the merge tree and per-node component ids of BaselineLabels (see
+// labels.go). A zero-cost steady state
 // is the point: once an Analyzer has been sized for a graph, every
 // method on it runs with 0 allocs/op.
 //
@@ -36,6 +37,8 @@ type Analyzer struct {
 	rootID []int32  // flat root element -> dense component id, -1 = unseen
 	counts []int    // per-window running component counts
 	reach  []uint64 // Banyan's two reach-set rows, h words each
+	tree   []int32  // BaselineLabels' merge tree, 2h slots
+	comp   []int32  // BaselineLabels' per-node component ids
 	count  int      // live component count of the current sweep
 	h      int      // cells per stage of the graph being analyzed
 }
@@ -164,42 +167,6 @@ func (a *Analyzer) ComponentCount(g *Graph, lo, hi int) int {
 		a.unionStage(g, s-1)
 	}
 	return a.count
-}
-
-// Components computes the window's per-stage dense component ids, ids
-// assigned in first-seen order exactly like Graph.Components, using the
-// flat rootID table instead of a map. The ids buffer is reused when its
-// shape allows; the returned slices alias it.
-func (a *Analyzer) Components(g *Graph, lo, hi int, ids [][]int32) ([][]int32, int) {
-	count := a.ComponentCount(g, lo, hi)
-	width := hi - lo + 1
-	if cap(ids) < width {
-		ids = make([][]int32, width)
-	}
-	ids = ids[:width]
-	for t := 0; t < width; t++ {
-		if cap(ids[t]) < g.h {
-			ids[t] = make([]int32, g.h)
-		}
-		ids[t] = ids[t][:g.h]
-	}
-	base := int32(lo * a.h)
-	for i := base; i < int32((hi+1)*a.h); i++ {
-		a.rootID[i] = -1
-	}
-	next := int32(0)
-	for t := 0; t < width; t++ {
-		stage := int32((lo + t) * a.h)
-		for x := 0; x < g.h; x++ {
-			r := a.find(stage + int32(x))
-			if a.rootID[r] < 0 {
-				a.rootID[r] = next
-				next++
-			}
-			ids[t][x] = a.rootID[r]
-		}
-	}
-	return ids, count
 }
 
 // CheckPrefix evaluates the P(1,*) family in one sweep, appending into

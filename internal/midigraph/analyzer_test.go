@@ -63,20 +63,18 @@ func TestAnalyzerMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestAnalyzerComponentsMatchGraph pins the flat-table id assignment to
-// the documented contract (dense ids in first-seen order), which the
-// map-based implementation used to define.
+// TestAnalyzerComponentsMatchGraph pins the id assignment
+// Graph.Components runs on the pooled Analyzer's flat root table to the
+// documented contract: dense ids in first-seen order, constant along
+// every arc of the window, as many as the naive count.
 func TestAnalyzerComponentsMatchGraph(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 0))
-	a := NewAnalyzer()
-	var ids [][]int32
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.IntN(5)
 		g := randomGraph(t, rng, n)
 		lo := rng.IntN(n)
 		hi := lo + rng.IntN(n-lo)
-		var count int
-		ids, count = a.Components(g, lo, hi, ids)
+		ids, count := g.Components(lo, hi)
 		if want := g.ComponentCountNaive(lo, hi); count != want {
 			t.Fatalf("count=%d naive=%d", count, want)
 		}
@@ -98,15 +96,11 @@ func TestAnalyzerComponentsMatchGraph(t *testing.T) {
 		if next != int32(count) {
 			t.Fatalf("saw %d distinct ids, count=%d", next, count)
 		}
-		// Same stage slices as the Graph convenience method.
-		gids, gcount := g.Components(lo, hi)
-		if gcount != count {
-			t.Fatalf("Graph.Components count=%d analyzer=%d", gcount, count)
-		}
-		for t2 := range gids {
-			for x := range gids[t2] {
-				if gids[t2][x] != ids[t2][x] {
-					t.Fatalf("ids differ at stage %d label %d: %d vs %d", t2, x, gids[t2][x], ids[t2][x])
+		for s := lo; s < hi; s++ {
+			for x := 0; x < g.CellsPerStage(); x++ {
+				f, c := g.Children(s, uint32(x))
+				if id := ids[s-lo][x]; ids[s+1-lo][f] != id || ids[s+1-lo][c] != id {
+					t.Fatalf("arc out of (%d,%d) crosses components", s, x)
 				}
 			}
 		}

@@ -53,11 +53,27 @@ func (uf *unionFind) union(a, b int32) {
 // component id in [0, count), ids dense and assigned in first-seen order
 // (scanning stages then labels), plus the component count. The returned
 // slices are freshly allocated; the union-find scratch behind them is
-// pooled (see Analyzer.Components for full buffer reuse).
+// pooled.
 func (g *Graph) Components(lo, hi int) (ids [][]int32, count int) {
 	a := analyzerPool.Get().(*Analyzer)
-	ids, count = a.Components(g, lo, hi, nil)
-	analyzerPool.Put(a)
+	defer analyzerPool.Put(a)
+	count = a.ComponentCount(g, lo, hi)
+	ids = make([][]int32, hi-lo+1)
+	for i := lo * g.h; i < (hi+1)*g.h; i++ {
+		a.rootID[i] = -1
+	}
+	next := int32(0)
+	for t := range ids {
+		ids[t] = make([]int32, g.h)
+		for x := range ids[t] {
+			r := a.find(int32((lo+t)*g.h + x))
+			if a.rootID[r] < 0 {
+				a.rootID[r] = next
+				next++
+			}
+			ids[t][x] = a.rootID[r]
+		}
+	}
 	return ids, count
 }
 
