@@ -500,11 +500,11 @@ func BenchmarkFabricKernel(b *testing.B) {
 // equivalent wiring or the table path's one backward pass building the
 // port tables and the Banyan verdict. Relabeled: Baseline wirings at
 // 6, 8 and 10 stages and a seeded relabeling of the Omega at 10, 12 and
-// 14 stages. Table path: a 10-stage wiring whose
-// first stage has a double arc (it fails the Banyan check fast, and the
-// table pass finds it non-Banyan only at its last step) and the
-// 10-stage tail cycle (Banyan, so it pays the whole characterization
-// before the table pass).
+// 14 stages. Table path: a 10-stage wiring whose first stage has a
+// double arc (it misses P(1,2), the second window of the labeler's
+// prefix sweep, and the table pass finds it non-Banyan only at its
+// last step) and the 10-stage tail cycle (Banyan, but it misses a
+// P(*,n) count in the labeler's suffix sweep).
 func BenchmarkFabricCompile(b *testing.B) {
 	run := func(b *testing.B, perms []perm.Perm, banyan bool) {
 		b.ReportAllocs()

@@ -54,11 +54,9 @@ func (b *IsoBuilder) bijection(p []uint64, h int) bool {
 	return true
 }
 
-// verifyArcs reports whether labels, read as the stage maps
-// labels[s*h : (s+1)*h], are an isomorphism from g onto target: each
-// map a bijection and every arc of g carried to an arc of the target
-// with the same multiplicity. It is Isomorphism.Verify on the
-// builder's scratch.
+// verifyArcs is Isomorphism.Verify on the builder's scratch: labels,
+// read as the stage maps labels[s*h : (s+1)*h], must be a bijection per
+// stage and carry every arc of g onto an arc of the target.
 func (b *IsoBuilder) verifyArcs(labels []uint64, g, target *midigraph.Graph) bool {
 	n, h := g.Stages(), g.CellsPerStage()
 	for s := 0; s < n; s++ {
@@ -89,23 +87,16 @@ func (b *IsoBuilder) baseline(n int) *midigraph.Graph {
 	return b.base
 }
 
-// Relabeling is the verdict-only characterization. When g is
-// Baseline-equivalent it returns the constructive isomorphism from g
-// onto topology.Baseline(n) with true, and otherwise false; it builds
-// no diagnostics. Its order is labels, certify, fall back:
-//
-//  1. Analyzer.BaselineLabels runs the P(*,n) and P(1,*) sweeps and
-//     reads the labels off their merge trees; a window that misses its
-//     P count is a rejection.
-//  2. Labels that are a bijection on every stage and carry every arc
-//     onto the Baseline are an isomorphism, which certifies Banyan too.
-//     Only an accepted graph pays for copying them out.
-//  3. Labels that fail to verify mean, by the theorem, that g is not
-//     Banyan; Analyzer.Banyan confirms it. A Banyan graph there would
-//     contradict the theorem and goes to the exact oracle, for
-//     n <= OracleMaxStages.
-//
-// A rejection at any step costs only the reused scratch.
+// Relabeling is the verdict-only characterization: the isomorphism
+// from g onto topology.Baseline(n) with true when g is
+// Baseline-equivalent, false otherwise, and no diagnostics. It runs
+// labels, certify, fall back. Analyzer.BaselineLabels reads the labels
+// off the P(*,n) and P(1,*) sweeps, rejecting a missed P count. Labels
+// that verify against the Baseline's arcs are an isomorphism, which
+// certifies Banyan too. Labels that fail mean, by the theorem, that g
+// is not Banyan, which Analyzer.Banyan confirms; a Banyan graph there
+// would contradict the theorem and goes to the exact oracle for
+// n <= OracleMaxStages. A rejection costs only the reused scratch.
 func (b *IsoBuilder) Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
 	n, h := g.Stages(), g.CellsPerStage()
 	if cap(b.labels) < n*h {

@@ -11,9 +11,9 @@ import (
 // worst case; bounded by OracleMaxStages like FindIsomorphism.
 //
 // For the Baseline network the count has a closed form that this library
-// derives from the window-component hierarchy of label.go: every prefix
-// or suffix component split admits an independent binary choice, there
-// are 2^(n-1) - 1 splits in each hierarchy, and so
+// derives from the window merge trees IsoToBaseline labels by: every
+// prefix or suffix component split admits an independent binary choice,
+// there are 2^(n-1) - 1 splits in each tree, and so
 //
 //	|Aut(Baseline(n))| = 2^(2 * (2^(n-1) - 1)).
 //

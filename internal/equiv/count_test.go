@@ -12,7 +12,7 @@ import (
 // TestBaselineAutomorphismCount enumerates the full automorphism group of
 // the Baseline network and checks it against the closed form
 // 2^(2*(2^(n-1)-1)) derived from the window-split analysis. This is also
-// the exhaustive proof that every split choice made by the hierarchical
+// the exhaustive proof that every side choice made by the merge-tree
 // labeling corresponds to a distinct automorphism.
 func TestBaselineAutomorphismCount(t *testing.T) {
 	for n := 2; n <= 4; n++ {

@@ -2,10 +2,10 @@
 // MI-digraph is topologically equivalent to the Baseline network.
 //
 // It implements the paper's characterization (Banyan + P(1,*) + P(*,n)
-// implies isomorphic to Baseline), a constructive isomorphism built from
-// the prefix/suffix window component hierarchies, an exact backtracking
-// isomorphism oracle for ground truth on small instances, and helpers to
-// compare two arbitrary networks.
+// implies isomorphic to Baseline), a constructive isomorphism read off
+// the merge trees of the prefix and suffix window sweeps, an exact
+// backtracking isomorphism oracle for ground truth on small instances,
+// and helpers to compare two arbitrary networks.
 package equiv
 
 import (

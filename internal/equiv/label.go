@@ -20,7 +20,7 @@ func (e *NotEquivalentError) Error() string {
 // an explicit isomorphism from g onto topology.Baseline(n).
 //
 // The labels are the paper's constructive direction, read off the two
-// sweeps that decide the window families (DESIGN.md §5.4):
+// sweeps that decide the window families (DESIGN.md §1.1):
 //
 //   - the SUFFIX windows (stages b..n-1) nest, and each component of
 //     one merges exactly two of the next; the merge tree, read from its

@@ -1,42 +1,32 @@
 package midigraph
 
-// BaselineLabels writes into labels[s*h+x] the Baseline label of every
-// node (s, x), read off the two sweeps that decide P(*,n) and P(1,*).
-// labels must hold n·h entries.
-//
-// The suffix windows S_b = (b..n-1) nest. Adding stage b to the
-// union-find merges components of S_{b+1}, and P(*,n) gives S_b 2^b
-// components, half as many as S_{b+1}. When every component of S_b is
-// the union of exactly two of S_{b+1}, those two are its children: the
-// one the scan of stage b+1 meets first is side 0, the other side 1.
-// Read from the root S_0 down, a component of S_b takes its parent's
-// label with its side at bit n-1-b, and a node of stage s takes the
-// label of its component of S_s as the top s bits of its own. The
-// prefix windows W_e = (0..e) do the same from the other end: a
-// component of W_e is numbered by the scan of stage 0, its label is
-// its parent's shifted left once with its side below, and a node of
-// stage s takes the label of its component of W_s as its low n-1-s
-// bits. This is the paper's constructive direction; the whole pass is
-// O(n·h·α) on the Analyzer's one union-find.
+// BaselineLabels writes into labels[s*h+x] (n·h entries) the Baseline
+// label of every node (s, x), read off the merge trees of the P(*,n)
+// and P(1,*) sweeps (DESIGN.md §1.1). Each suffix window S_b = (b..n-1)
+// merges the components of S_{b+1} in pairs; of the two, the one the
+// scan of stage b+1 meets first is side 0. From the root S_0 down, a
+// component's label is L(parent) | side<<(n-1-b), and a stage-s node
+// takes its S_s component's label as its top s bits. The prefix windows
+// W_e = (0..e), numbered by a scan of stage 0, give L(parent)<<1 | side
+// and a stage-s node's low n-1-s bits from W_s. The cost is O(n·h·α) on
+// the Analyzer's one union-find.
 //
 // It returns false at the first window whose component count misses
-// its P target, or whose components do not all meet the stage that
-// numbers them (which an MI-digraph's in-degrees rule out). When both
-// families pass but some component merges more than two children, the
-// third and later ones get side 1 as well: two components of one
-// window then share a label, and so, window by window, do two nodes of
-// stage n-1 or of stage 0. Only a caller that checks the labels for a
-// bijection, and every arc against the Baseline, may rely on them.
+// its P target, or that has a component missing the stage it is
+// numbered by (which in-degree 2 rules out). A component that merges
+// more than two gives the third and later ones side 1 as well, so two
+// nodes of stage n-1 or of stage 0 then share a label: callers must
+// check the labels for a bijection and every arc against the Baseline.
 //
 //minlint:hotpath
 func (a *Analyzer) BaselineLabels(g *Graph, labels []uint64) bool {
 	a.grow(g)
 	a.growTree(g)
+	clear(labels)
 	return a.labelSweep(g, labels, true) && a.labelSweep(g, labels, false)
 }
 
-// growTree sizes the merge tree (2h slots) and the per-node component
-// ids BaselineLabels keeps between a sweep and its top-down pass.
+// growTree sizes BaselineLabels' merge tree and per-node component ids.
 func (a *Analyzer) growTree(g *Graph) {
 	if cap(a.tree) < 2*g.h {
 		a.tree = make([]int32, 2*g.h)
@@ -48,12 +38,10 @@ func (a *Analyzer) growTree(g *Graph) {
 	a.comp = a.comp[:g.n*g.h]
 }
 
-// labelSweep runs one family's sweep for BaselineLabels and writes its
-// half of every label: the suffix sweep sets labels, the prefix sweep
-// ORs its bits in. Window k of the sweep (S_{n-1-k} or W_k) holds h>>k
-// components in tree[h>>k-1 : 2(h>>k)-1], so the root window comes
-// first and the h leaves last. A slot holds a representative node
-// while its window is the newest, then its parent link (parent<<1 |
+// labelSweep runs one family's sweep and ORs its half of every label
+// into labels. Window k of the sweep (S_{n-1-k}, or W_k) has h>>k
+// components, kept in tree[h>>k-1 : 2(h>>k)-1]: a slot holds its
+// component's first scanned node, then its parent link (parent<<1 |
 // side), then its label.
 //
 //minlint:hotpath
@@ -64,42 +52,34 @@ func (a *Analyzer) labelSweep(g *Graph, labels []uint64, suffix bool) bool {
 	}
 	a.count = 0
 	for k := 0; k < n; k++ {
-		s, scan := k, int32(0)
+		s, scan, arcs := k, int32(0), k-1
 		if suffix {
-			s = n - 1 - k
+			s, arcs = n-1-k, n-1-k
 			scan = int32(s) * h
 		}
 		a.activate(s)
-		if k > 0 && suffix {
-			a.unionStage(g, s)
-		} else if k > 0 {
-			a.unionStage(g, s-1)
+		if k > 0 {
+			a.unionStage(g, arcs)
 		}
 		width := h >> uint(k)
 		if a.count != int(width) {
 			return false
 		}
-		// Number the window's components in the order the scan meets
-		// them, keeping each one's first node as its representative.
-		win := a.tree[width-1 : 2*width-1]
-		next := int32(0)
+		win, next := a.tree[width-1:2*width-1], int32(0)
 		for v := scan; v < scan+h; v++ {
 			if r := a.find(v); a.rootID[r] < 0 {
-				a.rootID[r] = next
-				win[next] = v
+				a.rootID[r], win[next] = next, v
 				next++
 			}
 		}
 		if next != width {
 			return false
 		}
-		base := int32(s) * h
-		for v := base; v < base+h; v++ {
+		for v := int32(s) * h; v < int32(s+1)*h; v++ {
 			a.comp[v] = a.rootID[a.find(v)]
 		}
-		// Link the previous window's components, in id order, to their
-		// parents: the first child of a parent flips its rootID entry
-		// to ^id, so every later child reads side 1.
+		// The first child to reach a parent flips the parent's rootID
+		// entry to ^id, so every later child reads side 1.
 		if k > 0 {
 			kids := a.tree[2*width-1 : 4*width-1]
 			for c, v := range kids {
@@ -117,7 +97,6 @@ func (a *Analyzer) labelSweep(g *Graph, labels []uint64, suffix bool) bool {
 			a.rootID[a.find(v)] = -1
 		}
 	}
-	// Labels, from the root window down.
 	a.tree[0] = 0
 	for k := n - 2; k >= 0; k-- {
 		width := h >> uint(k)
@@ -130,21 +109,12 @@ func (a *Analyzer) labelSweep(g *Graph, labels []uint64, suffix bool) bool {
 			}
 		}
 	}
-	for s := 0; s < n; s++ {
-		k := s
+	for v, c := range a.comp {
+		k := v / g.h
 		if suffix {
-			k = n - 1 - s
+			k = n - 1 - k
 		}
-		win := a.tree[h>>uint(k)-1:]
-		row := labels[s*g.h : (s+1)*g.h]
-		comp := a.comp[s*g.h : (s+1)*g.h]
-		for x, c := range comp {
-			if suffix {
-				row[x] = uint64(win[c])
-			} else {
-				row[x] |= uint64(win[c])
-			}
-		}
+		labels[v] |= uint64(a.tree[g.h>>uint(k)-1+int(c)])
 	}
 	return true
 }
