@@ -160,3 +160,119 @@ func TestRouteGoldenNonPIPID(t *testing.T) {
 		t.Fatalf("route golden digest %s, want %s", got, routeGoldenDigest)
 	}
 }
+
+// routeGoldenPIPIDDigest is the SHA-256 of every line
+// TestRouteGoldenPIPID records: each network's TagPositions result, then
+// one line per (src, dst) holding Route's path or its error text.
+const routeGoldenPIPIDDigest = "e521ec13fa5f222d21f05441ba4b665dda248b3cc7cb1ac9feb0d4280cf1f30f"
+
+// degenerateWiring is a PIPID wiring whose first stage keeps the port
+// bit in place, so the next switch overwrites stage 0's choice: the
+// network is not Banyan, has no tag schedule, and some pairs have no
+// path while others have two.
+func degenerateWiring(t *testing.T, stages int) *Network {
+	t.Helper()
+	thetas := make([][]int, stages-1)
+	for s := range thetas {
+		th := make([]int, stages)
+		for j := range th {
+			th[j] = (j + 1) % stages // perfect shuffle
+			if s == 0 {
+				th[j] = j
+			}
+		}
+		thetas[s] = th
+	}
+	nw, err := FromIndexPerms("degenerate", stages, thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// TestRouteGoldenPIPID pins min.Route and TagPositions on PIPID-defined
+// wirings: every catalog network at n = 2..7 and a degenerate PIPID
+// wiring at n = 3..5. For every pair the path, or the error text, is
+// hashed into a committed digest. Independently of the digest, each
+// catalog hop must leave on the port its stage's tag bit names, the hops
+// must chain through the link permutations to dst, and the degenerate
+// wiring's routes must match the port-0-first path enumeration.
+func TestRouteGoldenPIPID(t *testing.T) {
+	h := sha256.New()
+	var unreachable, multi bool
+	check := func(nw *Network) {
+		stages := nw.Stages()
+		if !nw.IsPIPID() {
+			t.Fatalf("%s n=%d is not PIPID-defined", nw.Name(), stages)
+		}
+		tags, tagErr := TagPositions(nw)
+		fmt.Fprintf(h, "%s n=%d tags: %v %v\n", nw.Name(), stages, tags, tagErr)
+		perms := nw.LinkPerms()
+		for src := 0; src < nw.Terminals(); src++ {
+			var count, first []int
+			if tagErr != nil {
+				count, first = lexFirstPaths(nw, src)
+			}
+			for dst := 0; dst < nw.Terminals(); dst++ {
+				p, err := Route(nw, src, dst)
+				if err != nil {
+					fmt.Fprintf(h, "%s n=%d %d->%d: %v\n", nw.Name(), stages, src, dst, err)
+				} else {
+					fmt.Fprintf(h, "%s n=%d %d->%d: %v\n", nw.Name(), stages, src, dst, p.Hops)
+				}
+				if tagErr != nil {
+					unreachable = unreachable || count[dst] == 0
+					multi = multi || count[dst] > 1
+					switch {
+					case count[dst] == 0 && err == nil:
+						t.Fatalf("%s n=%d %d->%d: routed a pair with no path", nw.Name(), stages, src, dst)
+					case count[dst] > 0 && err != nil:
+						t.Fatalf("%s n=%d %d->%d: %v", nw.Name(), stages, src, dst, err)
+					case err == nil:
+						ports := 0
+						for _, hop := range p.Hops {
+							ports = ports<<1 | hop.OutPort
+						}
+						if ports != first[dst] {
+							t.Fatalf("%s n=%d %d->%d: ports %b, want the first path %b", nw.Name(), stages, src, dst, ports, first[dst])
+						}
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s n=%d %d->%d: %v", nw.Name(), stages, src, dst, err)
+				}
+				link := src
+				for s, hop := range p.Hops {
+					if hop.Cell != link>>1 || hop.InPort != link&1 {
+						t.Fatalf("%s n=%d %d->%d: hop %d at cell %d port %d, want link %d", nw.Name(), stages, src, dst, s, hop.Cell, hop.InPort, link)
+					}
+					if want := dst >> uint(tags[s]) & 1; hop.OutPort != want {
+						t.Fatalf("%s n=%d %d->%d: stage %d port %d, want tag bit %d = %d", nw.Name(), stages, src, dst, s, hop.OutPort, tags[s], want)
+					}
+					link = hop.Cell<<1 | hop.OutPort
+					if s < stages-1 {
+						link = perms[s][link]
+					}
+				}
+				if link != dst {
+					t.Fatalf("%s n=%d %d->%d: path ends at %d", nw.Name(), stages, src, dst, link)
+				}
+			}
+		}
+	}
+	for stages := 2; stages <= 7; stages++ {
+		for _, name := range CatalogNames() {
+			check(MustBuild(name, stages))
+		}
+	}
+	for stages := 3; stages <= 5; stages++ {
+		check(degenerateWiring(t, stages))
+	}
+	if !unreachable || !multi {
+		t.Fatalf("golden coverage: unreachable=%v multi-path=%v, want both", unreachable, multi)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != routeGoldenPIPIDDigest {
+		t.Fatalf("PIPID route golden digest %s, want %s", got, routeGoldenPIPIDDigest)
+	}
+}
