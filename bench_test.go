@@ -728,17 +728,60 @@ func BenchmarkSimBuffered(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteAllPairs (T8): all N^2 tag routes.
+// BenchmarkRouteAllPairs (T8): all N^2 routes on the 8-stage Flip,
+// destination by destination, so the router rebuilds its reachability
+// table once per destination.
 func BenchmarkRouteAllPairs(b *testing.B) {
-	r, err := route.NewRouter(topology.MustBuild(topology.NameFlip, 8).IndexPerms)
+	r, err := route.NewFaultyRouter(topology.MustBuild(topology.NameFlip, 8).LinkPerms, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	N := uint64(r.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.VerifyAllPairs(); err != nil {
-			b.Fatal(err)
+		for dst := uint64(0); dst < N; dst++ {
+			for src := uint64(0); src < N; src++ {
+				if _, err := r.Route(src, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
+	}
+}
+
+// BenchmarkRoute is one uncached route as the serving handler computes
+// it: min.Route on a fresh network, plus TagPositions. Rows: the
+// 10-stage Omega (PIPID, so it has a tag schedule) and a seeded
+// relabeling of it (not PIPID: the shape of serve-cold's routes).
+func BenchmarkRoute(b *testing.B) {
+	omega := min.MustBuild(min.Omega, 10)
+	perms := randnet.RelabelLinks(rand.New(rand.NewPCG(10, 1)), topology.MustBuild(topology.NameOmega, 10).LinkPerms)
+	rows := make([][]int, len(perms))
+	for s, p := range perms {
+		rows[s] = make([]int, len(p))
+		for x, y := range p {
+			rows[s][x] = int(y)
+		}
+	}
+	relabeled, err := min.FromLinkPerms("relabeled", 10, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		nw   *min.Network
+	}{{"omega/n=10", omega}, {"relabeled/n=10", relabeled}} {
+		b.Run(row.name, func(b *testing.B) {
+			N := row.nw.Terminals()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src, dst := i*37%N, i*101%N
+				if _, err := min.Route(row.nw, src, dst); err != nil {
+					b.Fatal(err)
+				}
+				_, _ = min.TagPositions(row.nw)
+			}
+		})
 	}
 }
 

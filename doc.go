@@ -38,7 +38,7 @@
 //	internal/conn        connections (f,g), independence, Proposition 1
 //	internal/topology    the six classical networks and generic builders
 //	internal/equiv       characterization check, isomorphism construction
-//	internal/route       bit-directed routing, admissibility
+//	internal/route       reachability routing, tag schedules, admissibility
 //	internal/sim         packet simulation (wave and buffered models)
 //	internal/engine      parallel trial runner (sharded waves, CI stats)
 //	internal/randnet     random networks and counterexample families

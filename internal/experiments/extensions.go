@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -64,10 +65,11 @@ func RunT12(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		got, err := f.Throughput(sim.Uniform(), 400, engine.NewRand(uint64(100+n), 0))
+		st, err := engine.RunWaves(context.Background(), f, sim.Uniform(), 400, engine.Config{Seed: uint64(100 + n)})
 		if err != nil {
 			return err
 		}
+		got := st.Throughput.Mean
 		want := sim.AnalyticUniformThroughput(n)
 		fmt.Fprintf(w, "%-6d %-12d %-12.4f %-12.4f %-10.4f\n",
 			n, 1<<uint(n), got, want, math.Abs(got-want))
@@ -79,10 +81,11 @@ func RunT12(w io.Writer) error {
 		return err
 	}
 	for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		got, err := f.Throughput(sim.Bernoulli(load), 400, engine.NewRand(55, 0))
+		st, err := engine.RunWaves(context.Background(), f, sim.Bernoulli(load), 400, engine.Config{Seed: 55})
 		if err != nil {
 			return err
 		}
+		got := st.Throughput.Mean
 		want := sim.AnalyticUniformThroughputLoaded(5, load) / load
 		fmt.Fprintf(w, "%-8.1f %-12.4f %-12.4f\n", load, got, want)
 	}

@@ -108,22 +108,16 @@ func RunT8(w io.Writer) error {
 	fmt.Fprintf(w, "destination-tag positions per stage (n=%d):\n", n)
 	fmt.Fprintf(w, "%-28s %s\n", "network", "bit consumed at stage 1..n")
 	for _, name := range topology.Names() {
-		nw := topology.MustBuild(name, n)
-		r, err := route.NewRouter(nw.IndexPerms)
+		tags, err := route.TagPositions(topology.MustBuild(name, n).IndexPerms)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-28s %v\n", name, r.TagPositions())
+		fmt.Fprintf(w, "%-28s %v\n", name, tags)
 	}
 	fmt.Fprintf(w, "\nall-pairs unique-path verification (N^2 routes):\n")
 	fmt.Fprintf(w, "%-28s %-8s %-10s\n", "network", "pairs", "status")
 	for _, name := range topology.Names() {
-		nw := topology.MustBuild(name, n)
-		r, err := route.NewRouter(nw.IndexPerms)
-		if err != nil {
-			return err
-		}
-		pairs, err := r.VerifyAllPairs()
+		pairs, err := verifyTagPaths(topology.MustBuild(name, n))
 		status := "ok"
 		if err != nil {
 			status = err.Error()
@@ -134,7 +128,7 @@ func RunT8(w io.Writer) error {
 	fmt.Fprintf(w, "%-28s %-12s %-12s\n", "network", "admissible", "total")
 	for _, name := range topology.Names() {
 		nw := topology.MustBuild(name, 3)
-		if _, err := route.NewRouter(nw.IndexPerms); err != nil {
+		if _, err := route.TagPositions(nw.IndexPerms); err != nil {
 			return err
 		}
 		r, err := route.NewFaultyRouter(nw.LinkPerms, nil)
@@ -148,6 +142,37 @@ func RunT8(w io.Writer) error {
 		fmt.Fprintf(w, "%-28s %-12d %-12d\n", name, adm, total)
 	}
 	return nil
+}
+
+// verifyTagPaths routes every (src, dst) pair of a PIPID network and
+// checks that each hop leaves on the port its stage's tag bit of dst
+// names: the router finds the one path there is, and the paper's tags
+// must steer exactly that path. It returns the number of routed pairs.
+func verifyTagPaths(nw topology.Network) (int, error) {
+	tags, err := route.TagPositions(nw.IndexPerms)
+	if err != nil {
+		return 0, err
+	}
+	r, err := route.NewFaultyRouter(nw.LinkPerms, nil)
+	if err != nil {
+		return 0, err
+	}
+	N := uint64(r.N())
+	for dst := uint64(0); dst < N; dst++ {
+		for src := uint64(0); src < N; src++ {
+			p, err := r.Route(src, dst)
+			if err != nil {
+				return 0, fmt.Errorf("route: pair (%d,%d): %w", src, dst, err)
+			}
+			for _, st := range p.Steps {
+				if want := dst >> uint(tags[st.Stage]) & 1; st.OutPort != want {
+					return 0, fmt.Errorf("route: pair (%d,%d): stage %d leaves on port %d, tag bit %d of dst is %d",
+						src, dst, st.Stage, st.OutPort, tags[st.Stage], want)
+				}
+			}
+		}
+	}
+	return int(N * N), nil
 }
 
 // RunT9 is the ablation of the independence decision procedure: the

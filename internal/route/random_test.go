@@ -60,14 +60,14 @@ func TestRouterRejectsNonBanyanPIPID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRouter(nw.IndexPerms); err != nil {
+	if _, err := TagPositions(nw.IndexPerms); err != nil {
 		t.Fatalf("valid cascade rejected: %v", err)
 	}
 	// Repeat beta_1 twice: destination bit 0 is set twice, bit 2 never —
 	// collision in tag positions.
 	bad := nw.IndexPerms
 	bad[2] = bad[0]
-	if _, err := NewRouter(bad); err == nil {
+	if _, err := TagPositions(bad); err == nil {
 		t.Fatal("repeated butterfly accepted (not Banyan)")
 	}
 }
@@ -97,7 +97,7 @@ func TestRoutingAgreesWithSimulator(t *testing.T) {
 				dsts[i] = -1
 			}
 			dsts[src] = dst
-			res, err := f.RunWave(dsts, rng)
+			res, err := f.NewWaveRunner().RunWave(dsts, rng)
 			if err != nil {
 				t.Fatal(err)
 			}

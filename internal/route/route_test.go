@@ -27,8 +27,11 @@ func TestOmegaTagPositions(t *testing.T) {
 	// Classic result: Omega consumes destination bits most significant
 	// first: stage s reads bit n-1-s.
 	for n := 2; n <= 8; n++ {
-		r, _ := routersFor(t, topology.NameOmega, n)
-		for s, p := range r.TagPositions() {
+		tags, err := TagPositions(topology.MustBuild(topology.NameOmega, n).IndexPerms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, p := range tags {
 			if p != n-1-s {
 				t.Fatalf("n=%d: omega stage %d tag %d, want %d", n, s, p, n-1-s)
 			}
@@ -108,11 +111,11 @@ func TestRouterRejectsDegenerate(t *testing.T) {
 	// routing must refuse (Fig 5 network).
 	n := 3
 	thetas := []pipid.IndexPerm{pipid.Identity(n), pipid.PerfectShuffle(n)}
-	if _, err := NewRouter(thetas); err == nil {
+	if _, err := TagPositions(thetas); err == nil {
 		t.Fatal("degenerate network accepted")
 	}
 	// Wrong widths rejected.
-	if _, err := NewRouter([]pipid.IndexPerm{pipid.Identity(2), pipid.Identity(3)}); err == nil {
+	if _, err := TagPositions([]pipid.IndexPerm{pipid.Identity(2), pipid.Identity(3)}); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
 }

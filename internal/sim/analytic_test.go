@@ -57,10 +57,7 @@ func TestSimulatorTracksAnalyticModel(t *testing.T) {
 		want := AnalyticUniformThroughput(n)
 		for _, name := range []string{topology.NameOmega, topology.NameBaseline} {
 			f := fabricFor(t, name, n)
-			got, err := f.Throughput(Uniform(), 400, rand.New(rand.NewPCG(uint64(n), 0)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := throughput(t, f, Uniform(), 400, rand.New(rand.NewPCG(uint64(n), 0)))
 			if math.Abs(got-want) > 0.02 {
 				t.Errorf("%s n=%d: simulated %v vs analytic %v", name, n, got, want)
 			}
@@ -77,10 +74,7 @@ func TestBernoulliLoadTracksAnalytic(t *testing.T) {
 		want := AnalyticUniformThroughputLoaded(n, load) / load
 		rng := rand.New(rand.NewPCG(9, 0))
 		// Measure delivered fraction of offered packets.
-		got, err := f.Throughput(Bernoulli(load), 600, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := throughput(t, f, Bernoulli(load), 600, rng)
 		if math.Abs(got-want) > 0.03 {
 			t.Errorf("load %v: simulated %v vs analytic %v", load, got, want)
 		}

@@ -19,9 +19,8 @@
 // multi-lane ring FIFOs, arbitration pointers, latency histogram and
 // occupancy accumulators of the queued model. The parallel trial
 // engine in internal/engine gives each worker its own runner (and its
-// own FaultState when a FaultPlan is in force). Fabric.RunWave,
-// Fabric.Throughput and Fabric.RunBuffered remain as convenience
-// wrappers for one-off use.
+// own FaultState when a FaultPlan is in force). Fabric.RunBuffered
+// remains as a convenience wrapper for one-off use.
 //
 // A FaultState is the one realized form of a FaultPlan. It is sized by
 // stage count alone, so internal/route reads the same state through
@@ -212,32 +211,4 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 func (r *WaveRunner) RunTraffic(pattern Traffic, rng *rand.Rand) (WaveResult, error) {
 	pattern(r.dsts, rng)
 	return r.RunWave(r.dsts, rng)
-}
-
-// RunWave is the one-shot convenience form; it allocates a fresh runner
-// per call. Hot loops should hold a WaveRunner instead.
-func (f *Fabric) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
-	return f.NewWaveRunner().RunWave(dsts, rng)
-}
-
-// Throughput runs `waves` independent waves of the given traffic pattern
-// and returns the mean delivered fraction.
-func (f *Fabric) Throughput(pattern Traffic, waves int, rng *rand.Rand) (float64, error) {
-	if waves <= 0 {
-		return 0, fmt.Errorf("sim: waves must be positive")
-	}
-	r := f.NewWaveRunner()
-	totalDelivered, totalOffered := 0, 0
-	for w := 0; w < waves; w++ {
-		res, err := r.RunTraffic(pattern, rng)
-		if err != nil {
-			return 0, err
-		}
-		totalDelivered += res.Delivered
-		totalOffered += res.Offered
-	}
-	if totalOffered == 0 {
-		return 0, nil
-	}
-	return float64(totalDelivered) / float64(totalOffered), nil
 }

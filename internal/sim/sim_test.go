@@ -10,6 +10,26 @@ import (
 	"minequiv/internal/topology"
 )
 
+// throughput runs waves of the pattern through one reused runner and
+// returns the pooled delivered fraction of offered packets.
+func throughput(t testing.TB, f *Fabric, pattern Traffic, waves int, rng *rand.Rand) float64 {
+	t.Helper()
+	r := f.NewWaveRunner()
+	delivered, offered := 0, 0
+	for w := 0; w < waves; w++ {
+		res, err := r.RunTraffic(pattern, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered += res.Delivered
+		offered += res.Offered
+	}
+	if offered == 0 {
+		return 0
+	}
+	return float64(delivered) / float64(offered)
+}
+
 func fabricFor(t testing.TB, name string, n int) *Fabric {
 	t.Helper()
 	nw := topology.MustBuild(name, n)
@@ -56,7 +76,7 @@ func TestWaveSinglePacket(t *testing.T) {
 					dsts[i] = -1
 				}
 				dsts[src] = dst
-				res, err := f.RunWave(dsts, rng)
+				res, err := f.NewWaveRunner().RunWave(dsts, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +94,7 @@ func TestWaveConservation(t *testing.T) {
 	dsts := make([]int, f.N)
 	for trial := 0; trial < 50; trial++ {
 		Uniform()(dsts, rng)
-		res, err := f.RunWave(dsts, rng)
+		res, err := f.NewWaveRunner().RunWave(dsts, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +145,7 @@ func TestWaveAdmissiblePermutationAllDelivered(t *testing.T) {
 		}
 		dsts[src] = int(link)
 	}
-	res, err := f.RunWave(dsts, rng)
+	res, err := f.NewWaveRunner().RunWave(dsts, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +157,7 @@ func TestWaveAdmissiblePermutationAllDelivered(t *testing.T) {
 func TestUniformThroughputInRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 0))
 	f := fabricFor(t, topology.NameOmega, 5)
-	th, err := f.Throughput(Uniform(), 100, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := throughput(t, f, Uniform(), 100, rng)
 	// Uniform full-load banyan throughput: well below 1 (blocking), well
 	// above the hot-spot floor. The analytic recursion q_{k+1} =
 	// 1-(1-q_k/2)^2 gives ~0.45 for n=5.
@@ -156,10 +173,7 @@ func TestSixNetworksStatisticallyEquivalent(t *testing.T) {
 	var ths []float64
 	for _, name := range topology.Names() {
 		f := fabricFor(t, name, 5)
-		th, err := f.Throughput(Uniform(), waves, rand.New(rand.NewPCG(42, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		th := throughput(t, f, Uniform(), waves, rand.New(rand.NewPCG(42, 0)))
 		ths = append(ths, th)
 	}
 	for i := 1; i < len(ths); i++ {
@@ -172,14 +186,8 @@ func TestSixNetworksStatisticallyEquivalent(t *testing.T) {
 func TestHotSpotDegradesThroughput(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 0))
 	f := fabricFor(t, topology.NameBaseline, 5)
-	uni, err := f.Throughput(Uniform(), 100, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := f.Throughput(HotSpot(0, 0.5), 100, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uni := throughput(t, f, Uniform(), 100, rng)
+	hot := throughput(t, f, HotSpot(0, 0.5), 100, rng)
 	if hot >= uni {
 		t.Fatalf("hot-spot throughput %v not below uniform %v", hot, uni)
 	}
@@ -319,7 +327,7 @@ func TestBanyanRejectsNonBanyanFabric(t *testing.T) {
 		dsts[i] = -1
 	}
 	dsts[0] = f.N - 1 // cell 0 cannot reach the top terminal via identity wiring
-	res, err := f.RunWave(dsts, rng)
+	res, err := f.NewWaveRunner().RunWave(dsts, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +343,8 @@ func TestBanyanRejectsNonBanyanFabric(t *testing.T) {
 }
 
 func TestWaveRunnerMatchesOneShot(t *testing.T) {
-	// A reused runner and the one-shot Fabric.RunWave see identical
-	// rng streams, so results must agree wave for wave.
+	// A reused runner and a fresh one see identical rng streams, so
+	// results must agree wave for wave.
 	f := fabricFor(t, topology.NameOmega, 5)
 	runner := f.NewWaveRunner()
 	dsts := make([]int, f.N)
@@ -346,13 +354,13 @@ func TestWaveRunnerMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := f.RunWave(dsts, rand.New(rand.NewPCG(uint64(trial), 2)))
+		b, err := f.NewWaveRunner().RunWave(dsts, rand.New(rand.NewPCG(uint64(trial), 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Offered != b.Offered || a.Delivered != b.Delivered ||
 			a.Dropped != b.Dropped || a.Misrouted != b.Misrouted {
-			t.Fatalf("runner diverged from one-shot: %+v vs %+v", a, b)
+			t.Fatalf("reused runner diverged from a fresh one: %+v vs %+v", a, b)
 		}
 		for s := range a.DropStage {
 			if a.DropStage[s] != b.DropStage[s] {
@@ -434,16 +442,13 @@ func TestBufferedConfigValidation(t *testing.T) {
 func TestWaveErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 0))
 	f := fabricFor(t, topology.NameOmega, 3)
-	if _, err := f.RunWave(make([]int, 3), rng); err == nil {
+	if _, err := f.NewWaveRunner().RunWave(make([]int, 3), rng); err == nil {
 		t.Error("short dsts accepted")
 	}
 	dsts := make([]int, f.N)
 	dsts[0] = f.N + 1
-	if _, err := f.RunWave(dsts, rng); err == nil {
+	if _, err := f.NewWaveRunner().RunWave(dsts, rng); err == nil {
 		t.Error("out-of-range destination accepted")
-	}
-	if _, err := f.Throughput(Uniform(), 0, rng); err == nil {
-		t.Error("zero waves accepted")
 	}
 }
 

@@ -35,12 +35,12 @@
 //
 // # Routing
 //
-// Route walks a packet from an input terminal to an output terminal.
-// PIPID-defined networks use the paper's §4 bit-directed destination
-// tags (TagPositions exposes the schedule); any other network falls
-// back to the reachability router that RouteUnderFaults also uses,
-// which finds the unique path on Banyan networks and fails when no
-// path exists. Neither routing call compiles the simulation fabric:
+// Route walks a packet from an input terminal to an output terminal
+// with one reachability router, the one RouteUnderFaults also uses: it
+// finds the unique path on Banyan networks and fails when no path
+// exists. TagPositions gives a PIPID network's §4 destination-tag
+// schedule: stage s of that unique path leaves on destination bit
+// TagPositions[s]. Neither routing call compiles the simulation fabric:
 // only Simulate and SimulateBuffered do.
 //
 //	path, _ := min.Route(omega, 5, 12)

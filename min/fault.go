@@ -105,7 +105,7 @@ func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 
 // RouteUnderFaults computes the path from src to dst on the degraded
 // fabric described by the plan's pinned faults, via the reachability
-// fallback the tag router also rests on: dead switches, jammed
+// router Route also uses: dead switches, jammed
 // crossbars and severed links are avoided, and the route fails when the
 // surviving fabric offers no path. On a Banyan network the surviving
 // path, when it exists, is the intact unique path.

@@ -235,9 +235,7 @@ func TestRoute(t *testing.T) {
 				t.Errorf("%s: destination bit %d never consumed (tags %v)", name, b, tags)
 			}
 		}
-		// Every pair routes, and the tag router agrees with what the
-		// fabric's reachability-compiled wave model would do: the path
-		// must land on dst.
+		// Every sampled pair routes, and the path must land on dst.
 		for src := 0; src < nw.Terminals(); src += 5 {
 			for dst := 0; dst < nw.Terminals(); dst += 3 {
 				p, err := Route(nw, src, dst)
@@ -250,8 +248,8 @@ func TestRoute(t *testing.T) {
 			}
 		}
 	}
-	// The non-PIPID tail-cycle network still routes (Banyan ⇒ unique
-	// paths) through the reachability fallback.
+	// The non-PIPID tail-cycle network has no tag schedule but still
+	// routes (Banyan ⇒ unique paths).
 	tc, _ := TailCycle(4)
 	if _, err := TagPositions(tc); err == nil {
 		t.Error("TagPositions accepted non-PIPID network")
@@ -261,7 +259,7 @@ func TestRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	if last := p.Hops[len(p.Hops)-1]; last.Cell*2+last.OutPort != 9 {
-		t.Fatalf("fallback route lands elsewhere: %+v", p)
+		t.Fatalf("tail-cycle route lands elsewhere: %+v", p)
 	}
 	if _, err := Route(omega, -1, 0); err == nil {
 		t.Error("negative terminal accepted")

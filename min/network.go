@@ -110,8 +110,8 @@ func TailCycle(stages int) (*Network, error) {
 // FromLinkPerms builds a network from explicit per-stage link
 // permutations: perms[s][x] is the inlink of stage s+1 wired to outlink
 // x of stage s. There must be stages-1 of them, each a permutation of
-// {0..2^stages-1}. PIPID structure is detected automatically, enabling
-// bit-directed routing when present.
+// {0..2^stages-1}. PIPID structure is detected automatically, giving the
+// network a destination-tag schedule (TagPositions) when present.
 func FromLinkPerms(name string, stages int, perms [][]int) (*Network, error) {
 	if stages < 2 || stages > MaxStages {
 		return nil, fmt.Errorf("min: stage count %d out of range [2,%d]", stages, MaxStages)

@@ -30,25 +30,14 @@ func fromInternalPath(p route.Path) Path {
 }
 
 // Route computes the path from input terminal src to output terminal
-// dst. PIPID-defined networks use the paper's §4 bit-directed
-// destination tags; any other network falls back to a reachability
-// router, which finds the unique path on Banyan networks and fails when
-// no path exists.
+// dst with the reachability router that RouteUnderFaults also uses. It
+// finds the unique path on Banyan networks, which on a PIPID-defined one
+// is the path the paper's §4 destination tags (TagPositions) steer; on
+// other networks it takes the path preferring port 0 at the earliest
+// stage, and it fails when no path exists.
 func Route(nw *Network, src, dst int) (Path, error) {
 	if src < 0 || dst < 0 {
 		return Path{}, fmt.Errorf("min: negative terminal (src=%d dst=%d)", src, dst)
-	}
-	if nw.IsPIPID() {
-		r, err := route.NewRouter(nw.topo.IndexPerms)
-		if err == nil {
-			p, err := r.Route(uint64(src), uint64(dst))
-			if err != nil {
-				return Path{}, err
-			}
-			return fromInternalPath(p), nil
-		}
-		// Degenerate PIPID stages (tag overwritten en route) still route
-		// via reachability below.
 	}
 	r, err := route.NewFaultyRouter(nw.topo.LinkPerms, nil)
 	if err != nil {
@@ -69,24 +58,19 @@ func TagPositions(nw *Network) ([]int, error) {
 	if !nw.IsPIPID() {
 		return nil, fmt.Errorf("min: %s is not PIPID-defined", nw.Name())
 	}
-	r, err := route.NewRouter(nw.topo.IndexPerms)
-	if err != nil {
-		return nil, err
-	}
-	return r.TagPositions(), nil
+	return route.TagPositions(nw.topo.IndexPerms)
 }
 
 // CountAdmissible enumerates all N! full permutations of the terminals
 // (practical only for N <= 8, i.e. 3 stages) and counts those the
 // network can route without any switch conflict. A Banyan network
-// realizes exactly 2^(switch count) of them.
+// realizes exactly 2^(switch count) of them. It accepts only PIPID
+// networks with a tag schedule; the count is the reachability router's.
 func CountAdmissible(nw *Network) (admissible, total uint64, err error) {
 	if !nw.IsPIPID() {
 		return 0, 0, fmt.Errorf("min: %s is not PIPID-defined", nw.Name())
 	}
-	// The tag router's construction rejects degenerate PIPID networks;
-	// the count itself is the reachability router's.
-	if _, err := route.NewRouter(nw.topo.IndexPerms); err != nil {
+	if _, err := route.TagPositions(nw.topo.IndexPerms); err != nil {
 		return 0, 0, err
 	}
 	r, err := route.NewFaultyRouter(nw.topo.LinkPerms, nil)
