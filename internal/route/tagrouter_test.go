@@ -26,9 +26,6 @@ func NewRouter(thetas []pipid.IndexPerm) (*Router, error) {
 	return &Router{n: len(tags), thetas: thetas, tagPos: tags}, nil
 }
 
-// TagPositions returns a copy of the router's schedule.
-func (r *Router) TagPositions() []int { return append([]int(nil), r.tagPos...) }
-
 // N returns the number of terminals.
 func (r *Router) N() int { return 1 << uint(r.n) }
 
