@@ -465,14 +465,16 @@ func BenchmarkBufferedRunner(b *testing.B) {
 // BenchmarkFabricKernel pins the unified fabric kernel both runners
 // drive: a full fabric's worth of crossbar decisions (every stage, every
 // cell, a rotating destination) plus the inter-stage forward, on the
-// intact fabric and under an active fault state. Both paths must be
-// 0 allocs/op; CI gates on it.
+// intact fabric and under an active fault state. The intact and faulted
+// rows run the relabeled Omega; the table row runs the 10-stage
+// double-arc wiring of BenchmarkFabricCompile, whose ports the table
+// path looks up. Every row must be 0 allocs/op; CI gates on it.
 func BenchmarkFabricKernel(b *testing.B) {
 	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, fs *sim.FaultState) {
+	run := func(b *testing.B, f *sim.Fabric, fs *sim.FaultState) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		sink := uint64(0)
@@ -483,7 +485,7 @@ func BenchmarkFabricKernel(b *testing.B) {
 			b.Fatal("kernel steered nothing")
 		}
 	}
-	b.Run("intact", func(b *testing.B) { run(b, nil) })
+	b.Run("intact", func(b *testing.B) { run(b, f, nil) })
 	b.Run("faulted", func(b *testing.B) {
 		fs := sim.NewFaultState(f.Spans)
 		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
@@ -491,8 +493,35 @@ func BenchmarkFabricKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, fs)
+		run(b, f, fs)
 	})
+	b.Run("table", func(b *testing.B) {
+		tf, err := sim.NewFabric(doubleArcPerms10())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tf.BitSliceable() {
+			b.Fatal("double-arc wiring compiled relabeled")
+		}
+		run(b, tf, nil)
+	})
+}
+
+// doubleArcPerms10 is a 10-stage Baseline whose stage-0 cell 0 sends
+// both outlinks into one cell: not Banyan, so it compiles to the table
+// path.
+func doubleArcPerms10() []perm.Perm {
+	perms := topology.BaselineLinkPerms(10)
+	p := perms[0].Clone()
+	// Send cell 0's port 1 into the cell its port 0 enters.
+	for x, y := range p {
+		if y == p[0]^1 {
+			p[x], p[1] = p[1], p[x]
+			break
+		}
+	}
+	perms[0] = p
+	return perms
 }
 
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
@@ -522,17 +551,8 @@ func BenchmarkFabricCompile(b *testing.B) {
 		perms := topology.BaselineLinkPerms(n)
 		b.Run(fmt.Sprintf("baseline/n=%d", n), func(b *testing.B) { run(b, perms, true) })
 	}
-	perms := topology.BaselineLinkPerms(10)
-	p := perms[0].Clone()
-	// Send cell 0's port 1 into the cell its port 0 enters.
-	for x, y := range p {
-		if y == p[0]^1 {
-			p[x], p[1] = p[1], p[x]
-			break
-		}
-	}
-	perms[0] = p
-	b.Run("double-arc/n=10", func(b *testing.B) { run(b, perms, false) })
+	arc := doubleArcPerms10()
+	b.Run("double-arc/n=10", func(b *testing.B) { run(b, arc, false) })
 	for _, n := range []int{10, 12, 14} {
 		relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 1)), topology.MustBuild(topology.NameOmega, n).LinkPerms)
 		b.Run(fmt.Sprintf("relabeled/n=%d", n), func(b *testing.B) { run(b, relabeled, true) })

@@ -206,6 +206,53 @@ func pathCountBanyan(t *testing.T, perms []perm.Perm) bool {
 	return true
 }
 
+// TestTablePortsMatchReachability checks the table path where its
+// reach rows span several words (N > 64): at n = 7, 8 and 9, the tail
+// cycle, double arcs at the first, a middle and the last stage, the
+// XOR butterfly and the identity wiring must compile to the table path,
+// with every (s, c, dst) port equal to brute-force reachability and
+// Banyan() equal to the path-count oracle.
+func TestTablePortsMatchReachability(t *testing.T) {
+	for n := 7; n <= 9; n++ {
+		tail, err := randnet.TailCycleLinkPerms(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wirings := map[string][]perm.Perm{
+			"tail-cycle":        tail,
+			"double-arc/first":  doubleArcPerms(n, 0, 1),
+			"double-arc/middle": doubleArcPerms(n, n/2, 3),
+			"double-arc/last":   doubleArcPerms(n, n-2, 5),
+			"multi-path":        xorButterfly(n),
+			"unreachable":       identityPerms(n),
+		}
+		for name, perms := range wirings {
+			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
+				t.Parallel()
+				f, err := NewFabric(perms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.BitSliceable() {
+					t.Fatal("wiring compiled relabeled, want the table path")
+				}
+				if want := pathCountBanyan(t, perms); f.Banyan() != want {
+					t.Fatalf("Banyan() = %t, path counts say %t", f.Banyan(), want)
+				}
+				for s := 0; s < n; s++ {
+					for c := 0; c < f.H; c++ {
+						for dst, want := range reachRow(perms, s, c) {
+							if got := f.port(s, c, dst); got != want {
+								t.Fatalf("stage %d cell %d dst %d: port %#x, reachability says %#x", s, c, dst, got, want)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // reachRow is the brute-force port oracle for one (stage s, cell): it
 // walks every port sequence from the cell and, per destination, returns
 // the lowest first port some sequence takes there, or portUnreachable.
@@ -375,7 +422,7 @@ func TestBitSliceableIsCharacterization(t *testing.T) {
 
 // FuzzFabricCompile compiles wirings seeded by the fuzz bytes — random
 // link permutations, or a catalog network, possibly relabeled, with
-// random link swaps — at n = 2..6 and checks the compiled fabric against
+// random link swaps — at n = 2..8 and checks the compiled fabric against
 // an oracle: Banyan() against midigraph path counts, BitSliceable()
 // against the paper's characterization (equiv.IsBaselineEquivalent),
 // each port (read through the logical accessor) against brute-force
@@ -390,10 +437,12 @@ func FuzzFabricCompile(f *testing.F) {
 	f.Add([]byte{2, 0, 5, 1, 2, 3})
 	f.Add([]byte{4, 3, 4})
 	f.Add([]byte{5, 5, 6, 1})
+	f.Add([]byte{6, 1, 4})
+	f.Add([]byte{5, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr [3]byte
 		copy(hdr[:], data)
-		n := 2 + int(hdr[0])%5
+		n := 2 + int(hdr[0])%7
 		var seed uint64
 		for _, b := range data {
 			seed = seed*131 + uint64(b)
