@@ -420,6 +420,28 @@ func BenchmarkEngineWaveLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkTableWaveLoop is BenchmarkEngineWaveLoop on the 10-stage
+// double-arc wiring, so every steer is a table-path lookup under
+// uniform random destinations. FabricKernel/table sweeps destinations
+// in a fixed order, which hides a lookup that branches on the port;
+// this row does not. Must be 0 allocs/op; CI gates on it.
+func BenchmarkTableWaveLoop(b *testing.B) {
+	f, err := sim.NewFabric(doubleArcPerms10())
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner := f.NewWaveRunner()
+	rng := engine.NewRand(1, 0)
+	pattern := sim.Uniform()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.RunTraffic(pattern, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineBuffered: sharded replications of the buffered model
 // on per-worker reused runners.
 func BenchmarkEngineBuffered(b *testing.B) {
@@ -527,7 +549,7 @@ func doubleArcPerms10() []perm.Perm {
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
 // verdict-only characterization, then either the relabeled form of an
 // equivalent wiring or the table path's one backward pass building the
-// port tables and the Banyan verdict. Relabeled: Baseline wirings at
+// reach rows and the Banyan verdict. Relabeled: Baseline wirings at
 // 6, 8 and 10 stages and a seeded relabeling of the Omega at 10, 12 and
 // 14 stages. Table path: a 10-stage wiring whose first stage has a
 // double arc (it misses P(1,2), the second window of the labeler's

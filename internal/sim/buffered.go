@@ -131,7 +131,7 @@ type BufferedRunner struct {
 
 	// Ring-buffer FIFOs, flat over (stage, port, lane):
 	// fifo i occupies buf[i*cap : (i+1)*cap] with head[i]/count[i].
-	buf   []Packet
+	buf   []packet
 	head  []int32
 	count []int32
 
@@ -153,12 +153,19 @@ type BufferedRunner struct {
 	injRng *rand.Rand
 }
 
+// packet is a queued message: its destination terminal and the cycle
+// it was injected. Both fit an int32 (N <= 2^MaxFabricStages,
+// Warmup+Cycles <= MaxBufferedCycles), so a FIFO slot is 8 bytes.
+type packet struct {
+	dst, born int32
+}
+
 // MaxBufferedPackets bounds the packet slots one BufferedRunner sizes up
 // front: Lanes FIFOs of Queue packets at each of the fabric's Spans·N
 // switch input ports. The engine gives every worker its own runner, so
 // without a bound one config's Queue and Lanes would size an allocation
-// of any size. 1<<22 slots are ~100 MB of packets; at 10 stages that
-// admits Lanes·Queue up to 409.
+// of any size. 1<<22 slots of 8-byte packets are ~32 MB; at 10 stages
+// that admits Lanes·Queue up to 409.
 const MaxBufferedPackets = 1 << 22
 
 // MaxBufferedCycles bounds Warmup+Cycles of one replication. A runner
@@ -237,7 +244,7 @@ func (f *Fabric) NewBufferedRunner(cfg BufferedConfig) (*BufferedRunner, error) 
 		cfg:        cfg,
 		lanes:      lanes,
 		cap:        cfg.Queue,
-		buf:        make([]Packet, fifos*cfg.Queue),
+		buf:        make([]packet, fifos*cfg.Queue),
 		head:       make([]int32, fifos),
 		count:      make([]int32, fifos),
 		rrLane:     make([]int32, ports),
@@ -269,11 +276,11 @@ func (r *BufferedRunner) fifo(s, port, lane int) int {
 	return (s*r.f.H*2+port)*r.lanes + lane
 }
 
-func (r *BufferedRunner) peek(fi int) Packet {
+func (r *BufferedRunner) peek(fi int) packet {
 	return r.buf[fi*r.cap+int(r.head[fi])]
 }
 
-func (r *BufferedRunner) pop(fi, s int) Packet {
+func (r *BufferedRunner) pop(fi, s int) packet {
 	p := r.buf[fi*r.cap+int(r.head[fi])]
 	r.head[fi]++
 	if int(r.head[fi]) == r.cap {
@@ -284,7 +291,7 @@ func (r *BufferedRunner) pop(fi, s int) Packet {
 	return p
 }
 
-func (r *BufferedRunner) push(fi, s int, p Packet) {
+func (r *BufferedRunner) push(fi, s int, p packet) {
 	tail := int(r.head[fi]) + int(r.count[fi])
 	if tail >= r.cap {
 		tail -= r.cap
@@ -397,7 +404,7 @@ func (r *BufferedRunner) Run(ctx context.Context, rng *rand.Rand) (BufferedResul
 				continue
 			}
 			fi := r.fifo(0, t, l)
-			r.push(fi, 0, Packet{Src: t, Dst: dst, Born: cycle})
+			r.push(fi, 0, packet{dst: int32(dst), born: int32(cycle)})
 			if measuring {
 				res.Injected++
 			}
@@ -449,7 +456,7 @@ func (r *BufferedRunner) serviceCell(s, cell, cycle int, measuring bool, rng *ra
 			fi := r.fifo(s, port, l)
 			var pt uint8
 			for r.count[fi] > 0 {
-				pt = f.steer(r.faults, s, cell, r.peek(fi).Dst)
+				pt = f.steer(r.faults, s, cell, int(r.peek(fi).dst))
 				if pt < portFaulted {
 					break
 				}
@@ -516,9 +523,9 @@ func (r *BufferedRunner) serviceCell(s, cell, cycle int, measuring bool, rng *ra
 					// the packet leaves a terminal, just not its own. The
 					// wave model separates these as Misrouted; so do we —
 					// they are not deliveries and carry no latency sample.
-					if cell<<1|out == p.Dst {
+					if cell<<1|out == int(p.dst) {
 						res.Delivered++
-						lat := cycle - p.Born + 1
+						lat := cycle - int(p.born) + 1
 						*latSum += float64(lat)
 						r.hist[lat]++
 					} else {
@@ -527,7 +534,7 @@ func (r *BufferedRunner) serviceCell(s, cell, cycle int, measuring bool, rng *ra
 				}
 			} else {
 				dport := int(f.forward(s, uint64(cell)<<1|uint64(out)))
-				dl := r.pickLane(s+1, dport, r.peek(fi).Dst, rng)
+				dl := r.pickLane(s+1, dport, int(r.peek(fi).dst), rng)
 				if dl < 0 {
 					continue // backpressure stall; maybe the other input can go
 				}

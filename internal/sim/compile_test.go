@@ -239,15 +239,7 @@ func TestTablePortsMatchReachability(t *testing.T) {
 				if want := pathCountBanyan(t, perms); f.Banyan() != want {
 					t.Fatalf("Banyan() = %t, path counts say %t", f.Banyan(), want)
 				}
-				for s := 0; s < n; s++ {
-					for c := 0; c < f.H; c++ {
-						for dst, want := range reachRow(perms, s, c) {
-							if got := f.port(s, c, dst); got != want {
-								t.Fatalf("stage %d cell %d dst %d: port %#x, reachability says %#x", s, c, dst, got, want)
-							}
-						}
-					}
-				}
+				checkReachPorts(t, name, f, perms)
 			})
 		}
 	}
@@ -271,6 +263,21 @@ func reachRow(perms []perm.Perm, s, cell int) []uint8 {
 		row[link] = min(row[link], uint8(ports&1))
 	}
 	return row
+}
+
+// checkReachPorts requires every (s, c, dst) port of f to equal the
+// brute-force reachability oracle on its wiring.
+func checkReachPorts(t *testing.T, label string, f *Fabric, perms []perm.Perm) {
+	t.Helper()
+	for s := 0; s < f.Spans; s++ {
+		for c := 0; c < f.H; c++ {
+			for dst, want := range reachRow(perms, s, c) {
+				if got := f.port(s, c, dst); got != want {
+					t.Fatalf("%s stage %d cell %d dst %d: port %#x, reachability says %#x", label, s, c, dst, got, want)
+				}
+			}
+		}
+	}
 }
 
 // checkTags requires a BitSliceable fabric's path tag of every
@@ -476,15 +483,7 @@ func FuzzFabricCompile(f *testing.F) {
 		if want := pathCountBanyan(t, perms); fab.Banyan() != want {
 			t.Fatalf("n=%d: Banyan() = %t, path counts say %t", n, fab.Banyan(), want)
 		}
-		for s := 0; s < n; s++ {
-			for c := 0; c < fab.H; c++ {
-				for dst, want := range reachRow(perms, s, c) {
-					if got := fab.port(s, c, dst); got != want {
-						t.Fatalf("n=%d stage %d cell %d dst %d: port %#x, reachability says %#x", n, s, c, dst, got, want)
-					}
-				}
-			}
-		}
+		checkReachPorts(t, fmt.Sprintf("n=%d", n), fab, perms)
 		if want := equivalentWiring(t, perms); fab.BitSliceable() != want {
 			t.Fatalf("n=%d: BitSliceable() = %t, the characterization says %t", n, fab.BitSliceable(), want)
 		}

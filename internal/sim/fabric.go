@@ -33,13 +33,12 @@ const (
 	portFaulted = 0xFE
 )
 
-// stageKernel is one compiled stage: the switch bank's routing table
-// (table path only) and the outgoing link permutation.
+// stageKernel is one compiled stage's wiring: the outgoing link
+// permutation and, on a relabeled fabric, the bit kernel's slot-space
+// copy of it. The switch bank's port function is not stored per stage:
+// a relabeled fabric computes it from key and sigma, and the table path
+// reads it off the Fabric's reach rows (see port).
 type stageKernel struct {
-	// port[cell*N + dst] = output port (0/1) leading from the cell
-	// toward output terminal dst; portUnreachable when no path exists.
-	// nil on a relabeled fabric, whose ports are computed (see port).
-	port []uint8
 	// next carries outlink x of this stage to inlink next[x] of the
 	// following stage; nil for the last stage, whose outlinks are the
 	// output terminals themselves.
@@ -61,17 +60,30 @@ type stageKernel struct {
 // compiled relabeled: by the paper's theorem it is the Baseline with
 // its cells renamed, so its routing is the Baseline's destination-tag
 // routing read through that renaming, in O(n·H + N) state (sigma, key,
-// rtag). Every other wiring takes the table path: reachability-based
-// port tables in O(n·N²) state, which only the scalar kernels read.
+// rtag). Every other wiring takes the table path: one reach bit-row of
+// N bits per cell of stages 1..Spans-1, (n-1)·H·N/8 bytes, from which a
+// port is read as "does child 0, else child 1, reach dst". Only the
+// scalar kernels read a table-path fabric.
 type Fabric struct {
 	N      int // terminals
 	H      int // cells per stage
 	Spans  int // stages
 	stages []stageKernel
 	// banyan records unique-path reachability, decided while compiling:
-	// the tables collapse a two-port choice toward port 0, so path
-	// multiplicity is not observable from them afterwards.
+	// the port function collapses a two-port choice toward port 0, so
+	// path multiplicity is not observable from it afterwards.
 	banyan bool
+
+	// The table form, nil on a relabeled fabric. With W = ⌈N/64⌉ words
+	// per row:
+	//   reach[((s-1)·H + c)·W :][:W] is the set of output terminals
+	//     cell c of stage s >= 1 reaches, one bit per terminal;
+	//   kids[s·H + c][p] (s < Spans-1) is the offset in reach of the
+	//     row of the stage-(s+1) cell that port p of cell c enters,
+	//     hoisted so a lookup loads one offset pair, then one word
+	//     per port.
+	reach []uint64
+	kids  [][2]int32
 
 	// The relabeled form, nil on the table path. With φ the isomorphism
 	// onto the Baseline and m = Spans-1:
@@ -86,9 +98,10 @@ type Fabric struct {
 }
 
 // MaxFabricStages bounds the stage count NewFabric compiles. It is set
-// by the table path, which holds only its port tables: n·2^(2n-1)
-// bytes, ~1.9 GB at 14 stages and ~8 GB at 15. A relabeled fabric
-// holds O(n·2^n) words.
+// by the table path, whose reach rows hold one bit per (cell, dst) at
+// stages 1..n-1: (n-1)·2^(2n-4) bytes, 590 KB at 10 stages, 218 MB at
+// 14, ~940 MB at 15 and ~4 GB at 16. A relabeled fabric holds
+// O(n·2^n) words.
 const MaxFabricStages = 14
 
 // isoBuilders backs NewFabric's characterization with reused scratch.
@@ -167,54 +180,53 @@ func compileRelabeled(perms []perm.Perm, iso equiv.Isomorphism) *Fabric {
 	return f
 }
 
-// compileTables compiles the per-stage port tables in one backward
+// compileTables compiles the table path's reach rows in one backward
 // pass over the stages. A cell reaches dst iff one of its two children
-// does, so its port row is read off the next stage's rows: port 0 when
-// child 0 reaches dst, else port 1 when child 1 does, else
-// portUnreachable. Unreachable (cell, dst) pairs are tolerated and
-// marked, so non-Banyan networks can still be simulated for
-// comparison; pairs where both ports lead to dst (multi-path
-// ambiguity) are resolved toward port 0 and make the fabric non-Banyan.
-// No other check is needed: a stage-0 cell has N port sequences to the
-// terminals, so when no cell ever offers both ports for one destination
-// they end at N distinct terminals, and every stage-0 cell reaches
-// every destination. The sizes must already be validated.
+// does, so its row is the OR of its children's rows, and the last
+// stage's cell c reaches terminals 2c and 2c+1. The port function reads
+// the same two child rows: port 0 when child 0 reaches dst, else port 1
+// when child 1 does, else portUnreachable. Unreachable (cell, dst)
+// pairs are tolerated, so non-Banyan networks can still be simulated
+// for comparison; a non-empty AND of a cell's two child rows (both
+// ports lead to some dst, resolved toward port 0) makes the fabric
+// non-Banyan. Stage 0's rows are never read, so stage 0 only runs that
+// check. No other check is needed: a stage-0 cell has N port sequences
+// to the terminals, so when no cell ever offers both ports for one
+// destination they end at N distinct terminals, and every stage-0 cell
+// reaches every destination. The sizes must already be validated.
 func compileTables(perms []perm.Perm) *Fabric {
 	n := len(perms) + 1
 	N := 1 << uint(n)
-	h := N / 2
-	f := &Fabric{N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true}
-	// Last stage: cell c reaches terminals 2c and 2c+1 by dst parity.
-	last := make([]uint8, h*N)
-	for i := range last {
-		last[i] = portUnreachable
+	h, w := N/2, (N+63)/64
+	f := &Fabric{
+		N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true,
+		reach: make([]uint64, (n-1)*h*w), kids: make([][2]int32, (n-1)*h),
 	}
+	last := f.reach[(n-2)*h*w:]
 	for c := 0; c < h; c++ {
-		last[c*N+2*c], last[c*N+2*c+1] = 0, 1
+		last[c*w+c>>5] = 3 << uint(2*c&63)
 	}
-	f.stages[n-1].port = last
 	for s := n - 2; s >= 0; s-- {
 		f.stages[s].next = perms[s]
-		port, below := make([]uint8, h*N), f.stages[s+1].port
+		below, kids := s*h*w, f.kids[s*h:(s+1)*h]
+		for x, y := range perms[s] {
+			kids[x>>1][x&1] = int32(below + int(y>>1)*w)
+		}
+		var rows []uint64
+		if s > 0 {
+			rows = f.reach[(s-1)*h*w : below]
+		}
 		for c := 0; c < h; c++ {
-			c0 := int(perms[s].Apply(uint64(c)<<1) >> 1)
-			c1 := int(perms[s].Apply(uint64(c)<<1|1) >> 1)
-			row, r0, r1 := port[c*N:c*N+N], below[c0*N:c0*N+N], below[c1*N:c1*N+N]
-			for dst := range row {
-				switch {
-				case r0[dst] != portUnreachable:
-					if r1[dst] != portUnreachable {
-						f.banyan = false
-					}
-					row[dst] = 0
-				case r1[dst] != portUnreachable:
-					row[dst] = 1
-				default:
-					row[dst] = portUnreachable
+			r0, r1 := f.reach[kids[c][0]:][:w], f.reach[kids[c][1]:][:w]
+			for i := range r0 {
+				if r0[i]&r1[i] != 0 {
+					f.banyan = false
+				}
+				if rows != nil {
+					rows[c*w+i] = r0[i] | r1[i]
 				}
 			}
 		}
-		f.stages[s].port = port
 	}
 	return f
 }
@@ -246,18 +258,46 @@ func (f *Fabric) Banyan() bool { return f.banyan }
 
 // port is the logical port function of the intact fabric: the output
 // port (0/1) leading from (stage s, cell) toward output terminal dst,
-// or portUnreachable. The table path reads it; a relabeled fabric
-// computes it as p = (key ^ sigma[dst]) >> (m-s), whose bits above 0
-// are zero iff the cell's Baseline label agrees with dst's on the top
-// s bits (the cell reaches dst) and whose bit 0 is then the slot XOR
-// the swap bit.
+// or portUnreachable. It is steer with no fault state.
+func (f *Fabric) port(s, cell, dst int) uint8 { return f.steer(nil, s, cell, dst) }
+
+// keyPort is port on a relabeled fabric: p = (key ^ sigma[dst]) >> (m-s),
+// whose bits above 0 are zero iff the cell's Baseline label agrees with
+// dst's on the top s bits (the cell reaches dst) and whose bit 0 is
+// then the slot XOR the swap bit.
 //
 //minlint:hotpath
-func (f *Fabric) port(s, cell, dst int) uint8 {
-	if f.key == nil {
-		return f.stages[s].port[cell*f.N+dst]
-	}
+func (f *Fabric) keyPort(s, cell, dst int) uint8 {
 	if p := (f.key[s*f.H+cell] ^ f.sigma[dst]) >> uint(f.Spans-1-s); p <= 1 {
+		return uint8(p)
+	}
+	return portUnreachable
+}
+
+// tablePort is port on the table path below the last stage: port 0
+// when the row of the cell that port 0 enters holds dst, else port 1
+// when port 1's does, else portUnreachable. It reads both rows and
+// branches on neither: under random traffic the port is random, so a
+// branch on it cannot be predicted, and a branching lookup made the
+// scalar wave loop ~40% slower at 10 stages.
+//
+//minlint:hotpath
+func (f *Fabric) tablePort(s, cell, dst int) uint8 {
+	k, w, b := &f.kids[s*f.H+cell], dst>>6, uint(dst&63)
+	r0 := f.reach[int(k[0])+w] >> b & 1
+	r1 := f.reach[int(k[1])+w] >> b & 1
+	// Port 1 iff only r1 is set; when neither is, (r0|r1)-1 sets every
+	// bit, which is portUnreachable.
+	return uint8(r1&^r0 | ((r0 | r1) - 1))
+}
+
+// lastPort is port on the table path at the last stage, whose outlinks
+// are the terminals: cell reaches only terminals 2·cell and 2·cell+1,
+// each on the port of its low bit.
+//
+//minlint:hotpath
+func lastPort(cell, dst int) uint8 {
+	if p := uint(dst ^ cell<<1); p <= 1 {
 		return uint8(p)
 	}
 	return portUnreachable
@@ -273,7 +313,17 @@ func (f *Fabric) port(s, cell, dst int) uint8 {
 //
 //minlint:hotpath
 func (f *Fabric) steer(fs *FaultState, s, cell, dst int) uint8 {
-	pt := f.port(s, cell, dst)
+	// The forms are told apart here rather than in port, so that each
+	// lookup inlines into steer.
+	var pt uint8
+	switch {
+	case f.key != nil:
+		pt = f.keyPort(s, cell, dst)
+	case s < f.Spans-1:
+		pt = f.tablePort(s, cell, dst)
+	default:
+		pt = lastPort(cell, dst)
+	}
 	if !fs.Active() {
 		return pt
 	}

@@ -34,12 +34,6 @@ import (
 	"math/rand/v2"
 )
 
-// Packet is an in-flight message.
-type Packet struct {
-	Src, Dst int
-	Born     int // injection cycle (buffered model)
-}
-
 // WaveResult reports one synchronous unbuffered wave.
 type WaveResult struct {
 	Offered      int

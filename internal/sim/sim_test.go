@@ -56,7 +56,7 @@ func TestFabricShapes(t *testing.T) {
 	if _, err := NewFabric(nil); err == nil || err.Error() != wantMin {
 		t.Errorf("1-stage fabric: err %v, want %q", err, wantMin)
 	}
-	// Past MaxFabricStages the tables would not fit in memory: the
+	// Past MaxFabricStages the table path's reach rows pass ~1 GB: the
 	// compile is refused before it allocates them.
 	want := "sim: 15 stages exceeds the fabric bound of 14"
 	if _, err := NewFabric(topology.BaselineLinkPerms(MaxFabricStages + 1)); err == nil || err.Error() != want {
