@@ -778,11 +778,11 @@ func BenchmarkRouteAllPairs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	N := uint64(r.N())
+	N := r.N()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for dst := uint64(0); dst < N; dst++ {
-			for src := uint64(0); src < N; src++ {
+		for dst := 0; dst < N; dst++ {
+			for src := 0; src < N; src++ {
 				if _, err := r.Route(src, dst); err != nil {
 					b.Fatal(err)
 				}

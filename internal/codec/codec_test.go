@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -96,7 +97,7 @@ func fixtureSimulateResponse() *SimulateResponse {
 			Network: "omega", Stages: 5, Terminals: 32, Scenario: "uniform",
 			Waves: 500, Seed: 1, Offered: 16000, Delivered: 11000,
 			Dropped: 4800, Misrouted: 0, FaultDropped: 200,
-			Throughput: min.Stat{N: 500, Mean: 0.6875, Std: 0.04, CI95: 0.0035},
+			Throughput: jobs.Stat{N: 500, Mean: 0.6875, Std: 0.04, CI95: 0.0035},
 		},
 	}
 }
@@ -109,11 +110,11 @@ func fixtureBufferedResponse() *SimulateResponse {
 			Replications: 3, Seed: 7, Injected: 9000, Rejected: 120,
 			Delivered: 8700, Dropped: 100, FaultDropped: 30, Misrouted: 2,
 			InFlight: 48, MaxOccupancy: 64,
-			Throughput:     min.Stat{N: 3, Mean: 0.58, Std: 0.01, CI95: 0.011},
-			Latency:        min.Stat{N: 8700, Mean: 9.4, Std: 3.1, CI95: 0.065},
-			LatencyP50:     min.Stat{N: 3, Mean: 8, Std: 0.5, CI95: 0.57},
-			LatencyP95:     min.Stat{N: 3, Mean: 16, Std: 1, CI95: 1.13},
-			LatencyP99:     min.Stat{N: 3, Mean: 21, Std: 1.5, CI95: 1.7},
+			Throughput:     jobs.Stat{N: 3, Mean: 0.58, Std: 0.01, CI95: 0.011},
+			Latency:        jobs.Stat{N: 8700, Mean: 9.4, Std: 3.1, CI95: 0.065},
+			LatencyP50:     jobs.Stat{N: 3, Mean: 8, Std: 0.5, CI95: 0.57},
+			LatencyP95:     jobs.Stat{N: 3, Mean: 16, Std: 1, CI95: 1.13},
+			LatencyP99:     jobs.Stat{N: 3, Mean: 21, Std: 1.5, CI95: 1.7},
 			StageOccupancy: []float64{0.31, 0.42, 0.55, 0.61},
 		},
 	}
@@ -323,6 +324,35 @@ func TestRejectsHeaderCorruption(t *testing.T) {
 	for name, data := range cases {
 		if err := Decode(data, new(CheckRequest)); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// The fault-kind tag is the sim.FaultKind value: tags 1-4 round-trip,
+// and the zero value or a value past LinkDown fails the frame with
+// ErrValue instead of decoding to a kind.
+func TestFaultKindTagRange(t *testing.T) {
+	for _, tag := range []min.FaultKind{0, min.LinkDown + 1, 255} {
+		v := fixtureRouteRequest()
+		v.Faults.Faults[1].Kind = tag
+		wire, err := Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Decode(wire, new(RouteRequest)); !errors.Is(err, ErrValue) {
+			t.Errorf("kind tag %d: err %v, want ErrValue", uint8(tag), err)
+		}
+	}
+	for _, kind := range []min.FaultKind{min.SwitchDead, min.SwitchStuck0, min.SwitchStuck1, min.LinkDown} {
+		v := fixtureRouteRequest()
+		v.Faults.Faults[1].Kind = kind
+		wire, err := Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := new(RouteRequest)
+		if err := Decode(wire, got); err != nil || got.Faults.Faults[1].Kind != kind {
+			t.Errorf("kind %v: decoded %v, %v", kind, got.Faults.Faults[1].Kind, err)
 		}
 	}
 }

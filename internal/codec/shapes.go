@@ -11,7 +11,12 @@ import (
 // request/response bodies: minserve aliases them, so the JSON tags
 // here ARE the JSON API (byte-for-byte, including field order and
 // omitempty), and the binary payload layout below is their second
-// rendering. Both codecs round-trip the same struct values.
+// rendering. Both codecs round-trip the same struct values. The shapes
+// nested in them are declared once, with their JSON tags, in the
+// package that computes them, and reach this file through min's
+// aliases: the fault plan is sim.FaultPlan (its binary kind tag is the
+// sim.FaultKind value), the summary statistic engine.Stats, and the
+// routed path route.Path.
 
 // NetworkSpec names or defines the network a request operates on:
 // either a catalog name (or "tail-cycle") with a stage count, or
@@ -166,7 +171,7 @@ func (e *Encoder) faultPlan(v *min.FaultPlan) {
 		e.u64(uint64(len(v.Faults)))
 		for i := range v.Faults {
 			f := &v.Faults[i]
-			e.faultKind(f.Kind)
+			e.u64(uint64(f.Kind))
 			e.int(f.Stage)
 			e.int(f.Cell)
 			e.int(f.Link)
@@ -175,28 +180,6 @@ func (e *Encoder) faultPlan(v *min.FaultPlan) {
 	e.f64(v.SwitchDeadRate)
 	e.f64(v.SwitchStuckRate)
 	e.f64(v.LinkDownRate)
-}
-
-// faultKind writes the closed set of fault kinds as one-byte tags —
-// the dominant content of a degraded-sweep request, so the tag (vs the
-// kind string) is most of the codec's wire win on that path. Unknown
-// kinds (forward compatibility) travel as tag 0 plus the string.
-//
-//minlint:hotpath
-func (e *Encoder) faultKind(k min.FaultKind) {
-	switch k {
-	case min.SwitchDead:
-		e.u64(1)
-	case min.SwitchStuck0:
-		e.u64(2)
-	case min.SwitchStuck1:
-		e.u64(3)
-	case min.LinkDown:
-		e.u64(4)
-	default:
-		e.u64(0)
-		e.str(string(k))
-	}
 }
 
 //minlint:hotpath
@@ -420,14 +403,6 @@ func (e *Encoder) jobSpecBody(v *jobs.Spec) {
 	e.int(v.ShardTrials)
 }
 
-//minlint:hotpath
-func (e *Encoder) jobStat(v *jobs.Stat) {
-	e.int(v.N)
-	e.f64(v.Mean)
-	e.f64(v.Std)
-	e.f64(v.CI95)
-}
-
 // JobResult appends v as one frame.
 //
 //minlint:hotpath
@@ -449,7 +424,7 @@ func (e *Encoder) JobResult(v *JobResult) {
 			e.i64(c.Dropped)
 			e.i64(c.Misrouted)
 			e.i64(c.FaultDropped)
-			e.jobStat(&c.Throughput)
+			e.stat(&c.Throughput)
 			e.int(c.QuarantinedTrials)
 		}
 	}
@@ -509,26 +484,17 @@ func (d *Decoder) faultLoop(s []min.Fault) {
 	}
 }
 
-// faultKind reads a fault-kind tag (see Encoder.faultKind); an
-// out-of-range tag fails the frame.
+// faultKind reads a fault-kind tag, the sim.FaultKind value; a tag
+// outside the four kinds fails the frame.
 //
 //minlint:hotpath
 func (d *Decoder) faultKind() min.FaultKind {
-	switch tag := d.u64(); tag {
-	case 0:
-		return min.FaultKind(d.str())
-	case 1:
-		return min.SwitchDead
-	case 2:
-		return min.SwitchStuck0
-	case 3:
-		return min.SwitchStuck1
-	case 4:
-		return min.LinkDown
-	default:
+	tag := d.u64()
+	if tag < uint64(min.SwitchDead) || tag > uint64(min.LinkDown) {
 		d.fail(ErrValue)
-		return ""
+		return 0
 	}
+	return min.FaultKind(tag)
 }
 
 //minlint:hotpath
@@ -794,14 +760,6 @@ func (d *Decoder) jobSpecBody(v *jobs.Spec) {
 	v.ShardTrials = d.int()
 }
 
-//minlint:hotpath
-func (d *Decoder) jobStat(v *jobs.Stat) {
-	v.N = d.int()
-	v.Mean = d.f64()
-	v.Std = d.f64()
-	v.CI95 = d.f64()
-}
-
 // JobResult decodes one frame into v, reusing its storage.
 func (d *Decoder) JobResult(v *JobResult) error {
 	if err := d.frame(ShapeJobResult); err != nil {
@@ -829,7 +787,7 @@ func (d *Decoder) JobResult(v *JobResult) error {
 			c.Dropped = d.i64()
 			c.Misrouted = d.i64()
 			c.FaultDropped = d.i64()
-			d.jobStat(&c.Throughput)
+			d.stat(&c.Throughput)
 			c.QuarantinedTrials = d.int()
 		}
 	}

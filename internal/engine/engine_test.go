@@ -104,7 +104,7 @@ func TestWaveStatsTrackAnalytic(t *testing.T) {
 	if st.Offered != st.Delivered+st.Dropped+st.Misrouted {
 		t.Fatalf("conservation violated: %+v", st)
 	}
-	if st.Throughput.N != 400 || st.Throughput.Std <= 0 || st.Throughput.CI95() <= 0 {
+	if st.Throughput.N != 400 || st.Throughput.Std <= 0 || st.Throughput.CI95 <= 0 {
 		t.Fatalf("degenerate stats: %+v", st.Throughput)
 	}
 }
@@ -158,7 +158,7 @@ func TestThroughputIsPooledRatio(t *testing.T) {
 	if math.Abs(st.Throughput.Mean-want) > 1e-12 {
 		t.Fatalf("throughput %v != pooled ratio %v", st.Throughput.Mean, want)
 	}
-	if st.Throughput.CI95() <= 0 {
+	if st.Throughput.CI95 <= 0 {
 		t.Fatalf("degenerate CI: %+v", st.Throughput)
 	}
 }

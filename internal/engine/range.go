@@ -107,6 +107,7 @@ func (p WavePartial) Throughput() Stats {
 			sq = 0 // the exact value is ≥ 0; clamp float cancellation noise
 		}
 		st.Std = float64(st.N) / float64(p.Offered) * math.Sqrt(sq/float64(st.N-1))
+		st.CI95 = ci95(st.N, st.Std)
 	}
 	return st
 }

@@ -2,20 +2,25 @@ package engine
 
 import "math"
 
-// Stats summarizes one per-trial metric.
+// Stats summarizes one per-trial metric. It is also the summary
+// statistic of the public API and of sweep results, so its JSON tags
+// are wire format.
 type Stats struct {
-	N    int // trials contributing a value
-	Mean float64
-	Std  float64 // sample standard deviation (0 when N < 2)
+	N    int     `json:"n"`    // trials contributing a value
+	Mean float64 `json:"mean"` // mean over those trials
+	Std  float64 `json:"std"`  // sample standard deviation (0 when N < 2)
+	// CI95 is the half-width of the normal-approximation 95% confidence
+	// interval for the mean, 1.96·Std/√N (0 when N < 2).
+	CI95 float64 `json:"ci95"`
 }
 
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval for the mean.
-func (s Stats) CI95() float64 {
-	if s.N < 2 {
+// ci95 returns the CI95 half-width for n values with sample standard
+// deviation std.
+func ci95(n int, std float64) float64 {
+	if n < 2 {
 		return 0
 	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
+	return 1.96 * std / math.Sqrt(float64(n))
 }
 
 // summarize reduces xs with a two-pass mean/variance so the result is a
@@ -40,5 +45,6 @@ func summarize(xs []float64) Stats {
 		sq += d * d
 	}
 	s.Std = math.Sqrt(sq / float64(s.N-1))
+	s.CI95 = ci95(s.N, s.Std)
 	return s
 }

@@ -110,7 +110,7 @@ func RunT16(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-10.2f %.4f ± %-12.4f %-14.2f %-14.0f %-10d\n",
-			rate, st.Throughput.Mean, st.Throughput.CI95(), st.Latency.Mean,
+			rate, st.Throughput.Mean, st.Throughput.CI95, st.Latency.Mean,
 			st.LatencyP99.Mean, st.Dropped)
 	}
 	fmt.Fprintf(w, "prediction: the six isomorphic networks share one degradation curve.\n")

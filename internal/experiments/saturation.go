@@ -42,7 +42,7 @@ func RunT15(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-8.2f %.4f ± %-12.4f %-14.2f %3.0f/%3.0f/%-10.0f %-10d\n",
-			load, st.Throughput.Mean, st.Throughput.CI95(), st.Latency.Mean,
+			load, st.Throughput.Mean, st.Throughput.CI95, st.Latency.Mean,
 			st.LatencyP50.Mean, st.LatencyP95.Mean, st.LatencyP99.Mean, st.Rejected)
 	}
 
@@ -59,7 +59,7 @@ func RunT15(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-8d %-8d %.4f ± %-12.4f %-14.2f %-12.0f\n",
-			v.lanes, v.queue, st.Throughput.Mean, st.Throughput.CI95(),
+			v.lanes, v.queue, st.Throughput.Mean, st.Throughput.CI95,
 			st.Latency.Mean, st.LatencyP99.Mean)
 	}
 
@@ -82,7 +82,7 @@ func RunT15(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-14s %.4f ± %-12.4f %-14.2f %-12.0f\n",
-			sc.name, st.Throughput.Mean, st.Throughput.CI95(),
+			sc.name, st.Throughput.Mean, st.Throughput.CI95,
 			st.Latency.Mean, st.LatencyP99.Mean)
 	}
 	fmt.Fprintf(w, "prediction: throughput tracks load until the banyan blocking limit,\n")

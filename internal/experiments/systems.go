@@ -72,7 +72,7 @@ func RunT7(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %.4f ± %.4f  ", st.Throughput.Mean, st.Throughput.CI95())
+			fmt.Fprintf(w, " %.4f ± %.4f  ", st.Throughput.Mean, st.Throughput.CI95)
 		}
 		fmt.Fprintln(w)
 	}
@@ -92,8 +92,8 @@ func RunT7(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-26s %.4f ± %-10.4f %.2f ± %-10.2f %-10d\n",
-			tg.name, st.Throughput.Mean, st.Throughput.CI95(),
-			st.Latency.Mean, st.Latency.CI95(), st.Rejected)
+			tg.name, st.Throughput.Mean, st.Throughput.CI95,
+			st.Latency.Mean, st.Latency.CI95, st.Rejected)
 	}
 	fmt.Fprintf(w, "prediction: the six equivalent networks agree within sampling noise;\n")
 	fmt.Fprintf(w, "uniform throughput tracks the banyan blocking recursion, far below 1.\n")
@@ -157,14 +157,14 @@ func verifyTagPaths(nw topology.Network) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	N := uint64(r.N())
-	for dst := uint64(0); dst < N; dst++ {
-		for src := uint64(0); src < N; src++ {
+	N := r.N()
+	for dst := 0; dst < N; dst++ {
+		for src := 0; src < N; src++ {
 			p, err := r.Route(src, dst)
 			if err != nil {
 				return 0, fmt.Errorf("route: pair (%d,%d): %w", src, dst, err)
 			}
-			for _, st := range p.Steps {
+			for _, st := range p.Hops {
 				if want := dst >> uint(tags[st.Stage]) & 1; st.OutPort != want {
 					return 0, fmt.Errorf("route: pair (%d,%d): stage %d leaves on port %d, tag bit %d of dst is %d",
 						src, dst, st.Stage, st.OutPort, tags[st.Stage], want)
@@ -172,7 +172,7 @@ func verifyTagPaths(nw topology.Network) (int, error) {
 			}
 		}
 	}
-	return int(N * N), nil
+	return N * N, nil
 }
 
 // RunT9 is the ablation of the independence decision procedure: the

@@ -6,17 +6,9 @@ import (
 	"minequiv/internal/engine"
 )
 
-// Stat mirrors the serving layer's summary statistic shape.
-type Stat struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	CI95 float64 `json:"ci95"`
-}
-
-func toStat(s engine.Stats) Stat {
-	return Stat{N: s.N, Mean: s.Mean, Std: s.Std, CI95: s.CI95()}
-}
+// Stat is a cell's summary statistic, the one the serving layer
+// reports for a single simulation too.
+type Stat = engine.Stats
 
 // CellResult is the finalized aggregate of one grid cell. Trials is
 // the number actually aggregated; QuarantinedTrials counts trials
@@ -79,7 +71,6 @@ func finalizeResult(g grid, done []bool, partials []engine.WavePartial, quaranti
 				lost += hi - lo
 			}
 		}
-		st := agg.Throughput()
 		res.Cells = append(res.Cells, CellResult{
 			Network:           cell.Network,
 			Stages:            cell.Stages,
@@ -91,7 +82,7 @@ func finalizeResult(g grid, done []bool, partials []engine.WavePartial, quaranti
 			Dropped:           agg.Dropped,
 			Misrouted:         agg.Misrouted,
 			FaultDropped:      agg.FaultDropped,
-			Throughput:        toStat(st),
+			Throughput:        agg.Throughput(),
 			QuarantinedTrials: lost,
 		})
 	}

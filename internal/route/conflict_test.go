@@ -114,11 +114,11 @@ func (r *Router) realizedPermutation(settings [][]uint64) (perm.Perm, error) {
 
 // pathsEqual reports whether two paths traverse the same cells and ports.
 func pathsEqual(a, b Path) bool {
-	if a.Src != b.Src || a.Dst != b.Dst || len(a.Steps) != len(b.Steps) {
+	if a.Src != b.Src || a.Dst != b.Dst || len(a.Hops) != len(b.Hops) {
 		return false
 	}
-	for i := range a.Steps {
-		if a.Steps[i] != b.Steps[i] {
+	for i := range a.Hops {
+		if a.Hops[i] != b.Hops[i] {
 			return false
 		}
 	}

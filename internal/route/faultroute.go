@@ -73,16 +73,16 @@ func (r *FaultyRouter) N() int { return 1 << uint(r.n) }
 // only remove paths, never add them). The error reads "no path" on the
 // intact fabric (nil fault state) and "no fault-free path" under any
 // fault state, even an all-clear one.
-func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
-	nTerm := uint64(r.N())
-	if src >= nTerm || dst >= nTerm {
+func (r *FaultyRouter) Route(src, dst int) (Path, error) {
+	nTerm := r.N()
+	if src < 0 || dst < 0 || src >= nTerm || dst >= nTerm {
 		return Path{}, fmt.Errorf("route: terminal out of range (src=%d dst=%d N=%d)", src, dst, nTerm)
 	}
-	cr := r.reach(int(dst))
+	cr := r.reach(dst)
 	link := src
-	path := Path{Src: src, Dst: dst, Steps: make([]Step, 0, r.n)}
+	path := Path{Src: src, Dst: dst, Hops: make([]Hop, 0, r.n)}
 	for s := 0; s < r.n; s++ {
-		cell := int(link >> 1)
+		cell := link >> 1
 		if !cr[s*r.h+cell] {
 			what := "path"
 			if r.faults != nil {
@@ -100,10 +100,10 @@ func (r *FaultyRouter) Route(src, dst uint64) (Path, error) {
 				d = 1
 			}
 		}
-		path.Steps = append(path.Steps, Step{Stage: s, Cell: uint64(cell), InPort: link & 1, OutPort: d})
-		link = uint64(cell)<<1 | d
+		path.Hops = append(path.Hops, Hop{Stage: s, Cell: cell, InPort: link & 1, OutPort: d})
+		link = cell<<1 | d
 		if s < r.n-1 {
-			link = r.perms[s].Apply(link)
+			link = int(r.perms[s][link])
 		}
 	}
 	return path, nil
@@ -122,17 +122,17 @@ func (r *FaultyRouter) CountAdmissible() (admissible, total uint64, err error) {
 	}
 	// Precompute each (src, dst) path's outlink trace once; nil = no
 	// surviving path.
-	traces := make([][][]uint64, n)
+	traces := make([][][]int, n)
 	for src := 0; src < n; src++ {
-		traces[src] = make([][]uint64, n)
+		traces[src] = make([][]int, n)
 		for dst := 0; dst < n; dst++ {
-			p, err := r.Route(uint64(src), uint64(dst))
+			p, err := r.Route(src, dst)
 			if err != nil {
 				continue
 			}
-			tr := make([]uint64, r.n)
-			for s, st := range p.Steps {
-				tr[s] = st.Cell<<1 | st.OutPort
+			tr := make([]int, r.n)
+			for s, h := range p.Hops {
+				tr[s] = h.Cell<<1 | h.OutPort
 			}
 			traces[src][dst] = tr
 		}

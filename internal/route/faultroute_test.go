@@ -30,9 +30,9 @@ func TestFaultyRouterIntactMatchesTagRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(fr.N())
-	for src := uint64(0); src < N; src++ {
-		for dst := uint64(0); dst < N; dst++ {
+	N := fr.N()
+	for src := 0; src < N; src++ {
+		for dst := 0; dst < N; dst++ {
 			a, err := tag.Route(src, dst)
 			if err != nil {
 				t.Fatal(err)
@@ -96,9 +96,9 @@ func TestFaultyRouterDeadSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(fr.N())
-	for dst := uint64(0); dst < N; dst++ {
-		for _, src := range []uint64{0, 1} {
+	N := fr.N()
+	for dst := 0; dst < N; dst++ {
+		for _, src := range []int{0, 1} {
 			if _, err := fr.Route(src, dst); err == nil {
 				t.Fatalf("route %d->%d through a dead switch", src, dst)
 			}
@@ -129,16 +129,16 @@ func TestFaultyRouterStuckSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(fr.N())
+	N := fr.N()
 	reachable := 0
-	for dst := uint64(0); dst < N; dst++ {
+	for dst := 0; dst < N; dst++ {
 		p, err := fr.Route(0, dst)
 		if err != nil {
 			continue
 		}
 		reachable++
-		if p.Steps[0].OutPort != 0 {
-			t.Fatalf("stuck0 switch routed out port %d", p.Steps[0].OutPort)
+		if p.Hops[0].OutPort != 0 {
+			t.Fatalf("stuck0 switch routed out port %d", p.Hops[0].OutPort)
 		}
 		// The surviving path must be the intact unique path.
 		q, err := intact.Route(0, dst)
@@ -163,9 +163,9 @@ func TestFaultyRouterLinkDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(fr.N())
-	for src := uint64(0); src < N; src++ {
-		for dst := uint64(0); dst < N; dst++ {
+	N := fr.N()
+	for src := 0; src < N; src++ {
+		for dst := 0; dst < N; dst++ {
 			_, err := fr.Route(src, dst)
 			if dst == target && err == nil {
 				t.Fatalf("route %d->%d over a severed terminal link", src, dst)
@@ -199,15 +199,15 @@ func TestFaultyRouterInterStageLinkDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(fr.N())
+	N := fr.N()
 	lost := 0
-	for src := uint64(0); src < N; src++ {
-		for dst := uint64(0); dst < N; dst++ {
+	for src := 0; src < N; src++ {
+		for dst := 0; dst < N; dst++ {
 			p, ierr := intact.Route(src, dst)
 			if ierr != nil {
 				t.Fatal(ierr)
 			}
-			usesLink := p.Steps[stage].Cell<<1|p.Steps[stage].OutPort == out
+			usesLink := p.Hops[stage].Cell<<1|p.Hops[stage].OutPort == out
 			_, ferr := fr.Route(src, dst)
 			if usesLink && ferr == nil {
 				t.Fatalf("pair (%d,%d) routed over the severed link", src, dst)

@@ -28,13 +28,13 @@ func TestRandomPIPIDNetworksRoute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			N := uint64(r.N())
-			step := uint64(1)
+			N := r.N()
+			step := 1
 			if n >= 5 {
 				step = 3 // sample pairs at larger sizes
 			}
-			for src := uint64(0); src < N; src += step {
-				for dst := uint64(0); dst < N; dst += step {
+			for src := 0; src < N; src += step {
+				for dst := 0; dst < N; dst += step {
 					pt, err := r.Route(src, dst)
 					if err != nil {
 						t.Fatalf("n=%d (%d,%d): %v", n, src, dst, err)
@@ -89,7 +89,7 @@ func TestRoutingAgreesWithSimulator(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			src := rng.IntN(f.N)
 			dst := rng.IntN(f.N)
-			if _, err := r.Route(uint64(src), uint64(dst)); err != nil {
+			if _, err := r.Route(src, dst); err != nil {
 				t.Fatal(err)
 			}
 			dsts := make([]int, f.N)

@@ -25,18 +25,19 @@ import (
 	"minequiv/internal/pipid"
 )
 
-// Step records one hop of a routed path.
-type Step struct {
-	Stage   int    // 0-based stage index
-	Cell    uint64 // cell label at this stage
-	InPort  uint64 // port the packet arrived on (0/1)
-	OutPort uint64 // port chosen to leave on (0/1)
+// Hop records one stage of a routed path.
+type Hop struct {
+	Stage   int `json:"stage"`   // 0-based stage index
+	Cell    int `json:"cell"`    // switch cell at this stage
+	InPort  int `json:"inPort"`  // port the packet arrived on (0/1)
+	OutPort int `json:"outPort"` // port chosen to leave on (0/1)
 }
 
 // Path is a full route from an input terminal to an output terminal.
 type Path struct {
-	Src, Dst uint64
-	Steps    []Step
+	Src  int   `json:"src"`
+	Dst  int   `json:"dst"`
+	Hops []Hop `json:"hops"`
 }
 
 // TagPositions derives the destination-tag schedule of a PIPID network

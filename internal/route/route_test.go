@@ -45,9 +45,9 @@ func TestTagVsDPAllNetworks(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		for _, name := range topology.Names() {
 			r, dp := routersFor(t, name, n)
-			N := uint64(r.N())
-			for src := uint64(0); src < N; src++ {
-				for dst := uint64(0); dst < N; dst++ {
+			N := r.N()
+			for src := 0; src < N; src++ {
+				for dst := 0; dst < N; dst++ {
 					pt, err := r.Route(src, dst)
 					if err != nil {
 						t.Fatalf("%s n=%d (%d,%d): tag: %v", name, n, src, dst, err)
@@ -72,22 +72,22 @@ func TestPathShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Steps) != 5 {
-		t.Fatalf("path has %d steps, want 5", len(p.Steps))
+	if len(p.Hops) != 5 {
+		t.Fatalf("path has %d steps, want 5", len(p.Hops))
 	}
-	if p.Steps[0].Cell != 11>>1 || p.Steps[0].InPort != 11&1 {
+	if p.Hops[0].Cell != 11>>1 || p.Hops[0].InPort != 11&1 {
 		t.Fatal("path does not start at source terminal")
 	}
-	last := p.Steps[len(p.Steps)-1]
+	last := p.Hops[len(p.Hops)-1]
 	if last.Cell != 23>>1 || last.OutPort != 23&1 {
 		t.Fatal("path does not end at destination terminal")
 	}
 	// Consecutive steps must be linked by the stage permutations.
 	nw := topology.MustBuild(topology.NameBaseline, 5)
-	for i := 0; i+1 < len(p.Steps); i++ {
-		out := p.Steps[i].Cell<<1 | p.Steps[i].OutPort
-		in := nw.LinkPerms[i].Apply(out)
-		if in>>1 != p.Steps[i+1].Cell || in&1 != p.Steps[i+1].InPort {
+	for i := 0; i+1 < len(p.Hops); i++ {
+		out := p.Hops[i].Cell<<1 | p.Hops[i].OutPort
+		in := int(nw.LinkPerms[i].Apply(uint64(out)))
+		if in>>1 != p.Hops[i+1].Cell || in&1 != p.Hops[i+1].InPort {
 			t.Fatalf("step %d -> %d not consistent with link permutation", i, i+1)
 		}
 	}
@@ -333,15 +333,15 @@ func TestRandomPermutationAdmissibilityAgreesWithSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Brute force: collect (stage, cell, port) per input.
-		used := map[[3]uint64]bool{}
+		used := map[[3]int]bool{}
 		clash := false
 		for src := 0; src < r.N(); src++ {
-			p, err := r.Route(uint64(src), pi[src])
+			p, err := r.Route(src, int(pi[src]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range p.Steps {
-				key := [3]uint64{uint64(st.Stage), st.Cell, st.OutPort}
+			for _, st := range p.Hops {
+				key := [3]int{st.Stage, st.Cell, st.OutPort}
 				if used[key] {
 					clash = true
 				}

@@ -123,17 +123,17 @@ func FuzzTagPositions(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		N := uint64(dp.N())
-		a, err := oracle.Route(uint64(src)%N, uint64(dst)%N)
+		N := dp.N()
+		a, err := oracle.Route(int(src)%N, int(dst)%N)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dp.Route(uint64(src)%N, uint64(dst)%N)
+		b, err := dp.Route(int(src)%N, int(dst)%N)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !pathsEqual(a, b) {
-			t.Fatalf("thetas %v pair (%d,%d): tag path %v, reachability path %v", thetas, a.Src, a.Dst, a.Steps, b.Steps)
+			t.Fatalf("thetas %v pair (%d,%d): tag path %v, reachability path %v", thetas, a.Src, a.Dst, a.Hops, b.Hops)
 		}
 	})
 }

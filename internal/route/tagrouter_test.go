@@ -31,21 +31,21 @@ func (r *Router) N() int { return 1 << uint(r.n) }
 
 // Route computes the unique path from input terminal src to output
 // terminal dst using destination-tag bits.
-func (r *Router) Route(src, dst uint64) (Path, error) {
-	nTerm := uint64(r.N())
-	if src >= nTerm || dst >= nTerm {
+func (r *Router) Route(src, dst int) (Path, error) {
+	nTerm := r.N()
+	if src < 0 || dst < 0 || src >= nTerm || dst >= nTerm {
 		return Path{}, fmt.Errorf("route: terminal out of range (src=%d dst=%d N=%d)", src, dst, nTerm)
 	}
 	link := src
-	path := Path{Src: src, Dst: dst, Steps: make([]Step, 0, r.n)}
+	path := Path{Src: src, Dst: dst, Hops: make([]Hop, 0, r.n)}
 	for s := 0; s < r.n; s++ {
 		cell := link >> 1
 		inPort := link & 1
 		d := (dst >> uint(r.tagPos[s])) & 1
-		path.Steps = append(path.Steps, Step{Stage: s, Cell: cell, InPort: inPort, OutPort: d})
+		path.Hops = append(path.Hops, Hop{Stage: s, Cell: cell, InPort: inPort, OutPort: d})
 		link = cell<<1 | d
 		if s < r.n-1 {
-			link = r.thetas[s].Apply(link)
+			link = int(r.thetas[s].Apply(uint64(link)))
 		}
 	}
 	if link != dst {
@@ -58,13 +58,13 @@ func (r *Router) Route(src, dst uint64) (Path, error) {
 // checks the paths are valid; for a Banyan network this exercises all
 // N^2 unique paths. It returns the number of routed pairs.
 func (r *Router) VerifyAllPairs() (int, error) {
-	n := uint64(r.N())
-	for src := uint64(0); src < n; src++ {
-		for dst := uint64(0); dst < n; dst++ {
+	n := r.N()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
 			if _, err := r.Route(src, dst); err != nil {
 				return 0, fmt.Errorf("route: pair (%d,%d): %w", src, dst, err)
 			}
 		}
 	}
-	return int(n * n), nil
+	return n * n, nil
 }

@@ -6,45 +6,68 @@ import (
 	"math/rand/v2"
 )
 
-// FaultKind classifies one hardware failure of the fabric.
+// FaultKind classifies one hardware failure of the fabric. Its text
+// form (MarshalText/UnmarshalText, and so its JSON form) is the kind's
+// name — "switch-dead", "switch-stuck0", "switch-stuck1" or
+// "link-down" — with the zero value as ""; its value is the one-byte
+// tag of the binary wire codec.
 type FaultKind uint8
 
 const (
 	// SwitchDead kills the whole 2x2 switch: every packet at the cell is
-	// discarded.
+	// discarded and routing treats the cell as absent.
 	SwitchDead FaultKind = iota + 1
 	// SwitchStuck0 jams the crossbar: every packet leaves on port 0
 	// regardless of its destination (and may be misrouted downstream).
 	SwitchStuck0
 	// SwitchStuck1 jams the crossbar toward port 1.
 	SwitchStuck1
-	// LinkDown severs one outlink of a stage; the last stage's outlinks
-	// are the output terminals, so severing them cuts delivery.
+	// LinkDown severs one outlink of a stage (link = cell*2+port); the
+	// last stage's outlinks are the output terminals, so severing them
+	// cuts delivery.
 	LinkDown
 )
 
+// faultKindNames holds the text form of every kind, indexed by value;
+// index 0 is the zero value's "".
+var faultKindNames = [...]string{"", "switch-dead", "switch-stuck0", "switch-stuck1", "link-down"}
+
 func (k FaultKind) String() string {
-	switch k {
-	case SwitchDead:
-		return "switch-dead"
-	case SwitchStuck0:
-		return "switch-stuck0"
-	case SwitchStuck1:
-		return "switch-stuck1"
-	case LinkDown:
-		return "link-down"
+	if int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
+}
+
+// MarshalText renders the kind's name; a value outside the zero value
+// and the four kinds fails.
+func (k FaultKind) MarshalText() ([]byte, error) {
+	if int(k) >= len(faultKindNames) {
+		return nil, fmt.Errorf("sim: unknown fault kind %d", uint8(k))
+	}
+	return []byte(faultKindNames[k]), nil
+}
+
+// UnmarshalText parses a kind's name; "" is the zero value, which
+// Validate rejects, and any other unknown name fails here.
+func (k *FaultKind) UnmarshalText(text []byte) error {
+	for i, name := range faultKindNames {
+		if string(text) == name {
+			*k = FaultKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("sim: unknown fault kind %q", text)
 }
 
 // Fault pins one failure to a fabric element. Switch faults address
 // (Stage, Cell); LinkDown addresses (Stage, Link) where Link is the
 // outlink label cell*2+port.
 type Fault struct {
-	Kind  FaultKind
-	Stage int
-	Cell  int
-	Link  int
+	Kind  FaultKind `json:"kind"`
+	Stage int       `json:"stage"`
+	Cell  int       `json:"cell,omitempty"`
+	Link  int       `json:"link,omitempty"`
 }
 
 // FaultPlan describes how a fabric degrades: a fixed list of pinned
@@ -52,19 +75,23 @@ type Fault struct {
 // pure data — it can be validated against a stage count and sampled
 // into a FaultState any number of times; the engine resamples it per
 // trial from a dedicated deterministic rng stream, so a degraded run
-// is reproducible from (seed, plan) alone.
+// is reproducible from (seed, plan) alone. Routing takes pinned faults
+// only: it has no trial index to sample random rates in.
 type FaultPlan struct {
-	Faults []Fault // pinned faults, applied before any random draw
+	// Faults are pinned, applied in list order before any random draw;
+	// a later switch fault on a cell replaces an earlier one.
+	Faults []Fault `json:"faults,omitempty"`
 
-	// Per-element random fault rates, drawn independently each trial.
+	// Per-element random fault rates, drawn independently each trial
+	// from a dedicated rng stream (traffic draws are never perturbed).
 	// A switch is dead with probability SwitchDeadRate, otherwise stuck
 	// with probability SwitchStuckRate (stuck port then a fair coin), so
 	// P(dead) = SwitchDeadRate and P(stuck) = (1-SwitchDeadRate)·
 	// SwitchStuckRate. Every outlink is severed with probability
 	// LinkDownRate.
-	SwitchDeadRate  float64
-	SwitchStuckRate float64
-	LinkDownRate    float64
+	SwitchDeadRate  float64 `json:"switchDeadRate,omitempty"`
+	SwitchStuckRate float64 `json:"switchStuckRate,omitempty"`
+	LinkDownRate    float64 `json:"linkDownRate,omitempty"`
 }
 
 // Empty reports whether the plan describes an intact fabric.

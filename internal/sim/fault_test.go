@@ -270,6 +270,45 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 }
 
+// A fault kind has one text form: every name maps to its value and
+// back, "" is the zero value, an unknown name fails UnmarshalText, and
+// a value outside the four kinds fails MarshalText and Validate.
+func TestFaultKindText(t *testing.T) {
+	names := map[FaultKind]string{
+		0: "", SwitchDead: "switch-dead", SwitchStuck0: "switch-stuck0",
+		SwitchStuck1: "switch-stuck1", LinkDown: "link-down",
+	}
+	for k, name := range names {
+		text, err := k.MarshalText()
+		if err != nil || string(text) != name {
+			t.Errorf("MarshalText(%d) = %q, %v; want %q", uint8(k), text, err, name)
+		}
+		var got FaultKind = 99
+		if err := got.UnmarshalText([]byte(name)); err != nil || got != k {
+			t.Errorf("UnmarshalText(%q) = %d, %v; want %d", name, uint8(got), err, uint8(k))
+		}
+	}
+	for _, name := range []string{"bogus", "Switch-Dead", "switch-dead ", "1"} {
+		var k FaultKind
+		err := k.UnmarshalText([]byte(name))
+		if want := fmt.Sprintf("sim: unknown fault kind %q", name); err == nil || err.Error() != want {
+			t.Errorf("UnmarshalText(%q): err %v, want %q", name, err, want)
+		}
+	}
+	for _, k := range []FaultKind{0, LinkDown + 1, 255} {
+		plan := FaultPlan{Faults: []Fault{{Kind: k, Stage: 0}}}
+		want := fmt.Sprintf("sim: fault 0: unknown kind %d", uint8(k))
+		if err := plan.Validate(3); err == nil || err.Error() != want {
+			t.Errorf("Validate kind %d: err %v, want %q", uint8(k), err, want)
+		}
+		if k != 0 {
+			if _, err := k.MarshalText(); err == nil {
+				t.Errorf("MarshalText(%d) succeeded", uint8(k))
+			}
+		}
+	}
+}
+
 // The buffered model honors the same fault state: a dead switch drains
 // its queues as fault drops while the rest of the fabric keeps
 // delivering, and an inactive state leaves results byte-identical.

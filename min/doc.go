@@ -75,4 +75,12 @@
 //	dstats, _ := min.Simulate(ctx, omega, min.WithFaults(plan), min.WithSeed(7))
 //	p, _ := min.RouteUnderFaults(omega, 5, 12,
 //		min.FaultPlan{Faults: []min.Fault{{Kind: min.SwitchDead, Stage: 1, Cell: 3}}})
+//
+// FaultKind is a byte with a text form: it marshals to and parses from
+// the kind's name ("switch-dead", "switch-stuck0", "switch-stuck1",
+// "link-down"), so the JSON and binary wire forms are unchanged, but
+// code that converts a string with min.FaultKind("…") no longer
+// compiles; use the constants or UnmarshalText. FaultPlan, Fault, Stat,
+// Path and Hop are aliases of the types the simulation, engine and
+// routing layers compute with; their field docs are on those types.
 package min

@@ -7,31 +7,25 @@ import (
 	"minequiv/internal/sim"
 )
 
-// FaultKind names one class of fabric failure.
-type FaultKind string
+// FaultKind names one class of fabric failure. It is a byte with a
+// text form: its JSON form is the kind's name ("switch-dead",
+// "switch-stuck0", "switch-stuck1", "link-down"), its binary-codec
+// form the byte itself.
+type FaultKind = sim.FaultKind
 
+// The fault kinds: a dead switch, a crossbar jammed toward port 0 or
+// port 1, and a severed outlink (link = cell*2+port; the last stage's
+// outlinks are the output terminals).
 const (
-	// SwitchDead kills a whole 2x2 switch: every packet at the cell is
-	// discarded and routing treats the cell as absent.
-	SwitchDead FaultKind = "switch-dead"
-	// SwitchStuck0 jams a switch's crossbar so every packet leaves on
-	// port 0, wherever it was headed.
-	SwitchStuck0 FaultKind = "switch-stuck0"
-	// SwitchStuck1 jams the crossbar toward port 1.
-	SwitchStuck1 FaultKind = "switch-stuck1"
-	// LinkDown severs one outlink of a stage (link = cell*2+port). The
-	// last stage's outlinks are the output terminals.
-	LinkDown FaultKind = "link-down"
+	SwitchDead   = sim.SwitchDead
+	SwitchStuck0 = sim.SwitchStuck0
+	SwitchStuck1 = sim.SwitchStuck1
+	LinkDown     = sim.LinkDown
 )
 
 // Fault pins one failure to a fabric element. Switch faults address
 // (Stage, Cell); LinkDown addresses (Stage, Link).
-type Fault struct {
-	Kind  FaultKind `json:"kind"`
-	Stage int       `json:"stage"`
-	Cell  int       `json:"cell,omitempty"`
-	Link  int       `json:"link,omitempty"`
-}
+type Fault = sim.Fault
 
 // FaultPlan describes how a fabric degrades: a fixed list of pinned
 // faults plus Bernoulli rates for random faults redrawn each trial.
@@ -39,49 +33,7 @@ type Fault struct {
 // are reproducible from (seed, plan) alone — or to RouteUnderFaults and
 // CountAdmissibleUnderFaults (pinned faults only; routing has no trial
 // index to sample random rates from).
-type FaultPlan struct {
-	Faults []Fault `json:"faults,omitempty"`
-
-	// Per-element random fault rates, drawn independently per trial
-	// from a dedicated rng stream (traffic draws are never perturbed).
-	SwitchDeadRate  float64 `json:"switchDeadRate,omitempty"`
-	SwitchStuckRate float64 `json:"switchStuckRate,omitempty"`
-	LinkDownRate    float64 `json:"linkDownRate,omitempty"`
-}
-
-// Empty reports whether the plan describes an intact fabric.
-func (p FaultPlan) Empty() bool {
-	return len(p.Faults) == 0 && p.SwitchDeadRate == 0 && p.SwitchStuckRate == 0 && p.LinkDownRate == 0
-}
-
-// internal converts the public plan to the simulation layer's form.
-func (p FaultPlan) internal() (sim.FaultPlan, error) {
-	out := sim.FaultPlan{
-		SwitchDeadRate:  p.SwitchDeadRate,
-		SwitchStuckRate: p.SwitchStuckRate,
-		LinkDownRate:    p.LinkDownRate,
-	}
-	if len(p.Faults) > 0 {
-		out.Faults = make([]sim.Fault, len(p.Faults))
-		for i, f := range p.Faults {
-			var kind sim.FaultKind
-			switch f.Kind {
-			case SwitchDead:
-				kind = sim.SwitchDead
-			case SwitchStuck0:
-				kind = sim.SwitchStuck0
-			case SwitchStuck1:
-				kind = sim.SwitchStuck1
-			case LinkDown:
-				kind = sim.LinkDown
-			default:
-				return sim.FaultPlan{}, fmt.Errorf("min: fault %d: unknown kind %q", i, f.Kind)
-			}
-			out.Faults[i] = sim.Fault{Kind: kind, Stage: f.Stage, Cell: f.Cell, Link: f.Link}
-		}
-	}
-	return out, nil
-}
+type FaultPlan = sim.FaultPlan
 
 // faultyRouter builds the fault-aware reachability router for the
 // plan's pinned faults, realized into a fault state sized by the
@@ -92,12 +44,8 @@ func (nw *Network) faultyRouter(plan FaultPlan) (*route.FaultyRouter, error) {
 	if plan.SwitchDeadRate != 0 || plan.SwitchStuckRate != 0 || plan.LinkDownRate != 0 {
 		return nil, fmt.Errorf("min: routing under faults takes pinned faults only; random rates need a simulation trial to sample in (use WithFaults)")
 	}
-	p, err := plan.internal()
-	if err != nil {
-		return nil, err
-	}
 	fs := sim.NewFaultState(nw.Stages())
-	if err := fs.Sample(p, nil); err != nil {
+	if err := fs.Sample(plan, nil); err != nil {
 		return nil, err
 	}
 	return route.NewFaultyRouter(nw.topo.LinkPerms, fs)
@@ -120,11 +68,7 @@ func RouteUnderFaults(nw *Network, src, dst int, plan FaultPlan) (Path, error) {
 	if err != nil {
 		return Path{}, err
 	}
-	p, err := r.Route(uint64(src), uint64(dst))
-	if err != nil {
-		return Path{}, err
-	}
-	return fromInternalPath(p), nil
+	return r.Route(src, dst)
 }
 
 // CountAdmissibleUnderFaults enumerates all N! full permutations

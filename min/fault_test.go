@@ -70,7 +70,7 @@ func TestSimulateWithFaults(t *testing.T) {
 
 	// Invalid plans surface as errors.
 	if _, err := Simulate(context.Background(), nw,
-		WithSeed(1), WithFaults(FaultPlan{Faults: []Fault{{Kind: "melted", Stage: 0}}})); err == nil {
+		WithSeed(1), WithFaults(FaultPlan{Faults: []Fault{{Kind: FaultKind(9), Stage: 0}}})); err == nil {
 		t.Fatal("unknown fault kind accepted")
 	}
 	if _, err := SimulateBuffered(context.Background(), nw,
@@ -255,12 +255,8 @@ func TestRouteAgreesWithWave(t *testing.T) {
 					}
 					plan.Faults = append(plan.Faults, flt)
 				}
-				sp, err := plan.internal()
-				if err != nil {
-					t.Fatal(err)
-				}
 				fs := sim.NewFaultState(stages)
-				if err := fs.Sample(sp, nil); err != nil {
+				if err := fs.Sample(plan, nil); err != nil {
 					t.Fatal(err)
 				}
 				wr := f.NewWaveRunner()

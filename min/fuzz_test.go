@@ -73,8 +73,9 @@ func FuzzBuilderStageSpecs(f *testing.F) {
 }
 
 // FuzzRouteUnderFaults routes catalog networks at 3..6 stages under
-// arbitrary pinned fault lists: kinds are free strings (one per comma
-// field) and coordinates are signed bytes, so negative and out-of-range
+// arbitrary pinned fault lists: each byte of kinds is one fault's raw
+// FaultKind value, so the zero value and 5..255 arrive next to the four
+// kinds, and coordinates are signed bytes, so negative and out-of-range
 // stages, cells and links all arrive. A plan must either fail with the
 // exact validation text, or route exactly like the intact fabric minus
 // its faults: on a Banyan network the pair routes iff its unique intact
@@ -82,30 +83,31 @@ func FuzzBuilderStageSpecs(f *testing.F) {
 // link, and then the route is that path. CI runs this for a short smoke
 // window on every push.
 func FuzzRouteUnderFaults(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint16(3), uint16(5), "switch-dead", []byte{1, 2, 0})
-	f.Add(uint8(2), uint8(1), uint16(0), uint16(15), "switch-stuck0,switch-stuck1", []byte{0, 0, 0, 3, 7, 0})
-	f.Add(uint8(4), uint8(3), uint16(60), uint16(9), "link-down,link-down", []byte{5, 0, 63, 2, 0, 64})
-	f.Add(uint8(1), uint8(2), uint16(7), uint16(7), "switch-dead,bogus", []byte{0xff, 0, 0, 0, 0, 0})
-	f.Add(uint8(3), uint8(0), uint16(2), uint16(1), "", []byte{})
-	f.Fuzz(func(t *testing.T, netIdx, extra uint8, src, dst uint16, kinds string, coords []byte) {
+	f.Add(uint8(0), uint8(0), uint16(3), uint16(5), []byte{1}, []byte{1, 2, 0})
+	f.Add(uint8(2), uint8(1), uint16(0), uint16(15), []byte{2, 3}, []byte{0, 0, 0, 3, 7, 0})
+	f.Add(uint8(4), uint8(3), uint16(60), uint16(9), []byte{4, 4}, []byte{5, 0, 63, 2, 0, 64})
+	f.Add(uint8(1), uint8(2), uint16(7), uint16(7), []byte{0, 1}, []byte{0xff, 0, 0, 0, 0, 0})
+	f.Add(uint8(1), uint8(2), uint16(7), uint16(7), []byte{1, 5}, []byte{0, 0, 0, 1, 0, 0})
+	f.Add(uint8(5), uint8(1), uint16(9), uint16(4), []byte{255}, []byte{0, 0, 0})
+	f.Add(uint8(2), uint8(1), uint16(0), uint16(3), []byte{2, 3}, []byte{0})
+	f.Add(uint8(3), uint8(0), uint16(2), uint16(1), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, netIdx, extra uint8, src, dst uint16, kinds, coords []byte) {
 		names := CatalogNames()
 		nw := MustBuild(names[int(netIdx)%len(names)], 3+int(extra)%4)
 		stages, h, N := nw.Stages(), nw.CellsPerStage(), nw.Terminals()
 		s, d := int(src)%N, int(dst)%N
 		var plan FaultPlan
-		if kinds != "" {
-			for i, k := range strings.Split(kinds, ",") {
-				if i == 16 {
-					break
-				}
-				var c [3]int
-				for j := range c {
-					if b := 3*i + j; b < len(coords) {
-						c[j] = int(int8(coords[b]))
-					}
-				}
-				plan.Faults = append(plan.Faults, Fault{Kind: FaultKind(k), Stage: c[0], Cell: c[1], Link: c[2]})
+		for i, k := range kinds {
+			if i == 16 {
+				break
 			}
+			var c [3]int
+			for j := range c {
+				if b := 3*i + j; b < len(coords) {
+					c[j] = int(int8(coords[b]))
+				}
+			}
+			plan.Faults = append(plan.Faults, Fault{Kind: FaultKind(k), Stage: c[0], Cell: c[1], Link: c[2]})
 		}
 		got, err := RouteUnderFaults(nw, s, d, plan)
 		if want := wantFaultPlanError(plan, stages, h, N); want != "" {
@@ -118,22 +120,28 @@ func FuzzRouteUnderFaults(f *testing.F) {
 		if ierr != nil {
 			t.Fatalf("intact %s: %v", nw.Name(), ierr)
 		}
+		// A later switch fault on a cell replaces an earlier one (the
+		// fault state keeps one mode per switch); a link is severed by
+		// any fault naming it.
 		blocked := false
 		for _, hop := range intact.Hops {
+			var mode FaultKind
 			for _, flt := range plan.Faults {
-				if flt.Stage != hop.Stage {
-					continue
-				}
-				switch flt.Kind {
-				case SwitchDead:
-					blocked = blocked || flt.Cell == hop.Cell
-				case SwitchStuck0:
-					blocked = blocked || flt.Cell == hop.Cell && hop.OutPort == 1
-				case SwitchStuck1:
-					blocked = blocked || flt.Cell == hop.Cell && hop.OutPort == 0
-				case LinkDown:
+				switch {
+				case flt.Stage != hop.Stage:
+				case flt.Kind == LinkDown:
 					blocked = blocked || flt.Link == hop.Cell*2+hop.OutPort
+				case flt.Cell == hop.Cell:
+					mode = flt.Kind
 				}
+			}
+			switch mode {
+			case SwitchDead:
+				blocked = true
+			case SwitchStuck0:
+				blocked = blocked || hop.OutPort == 1
+			case SwitchStuck1:
+				blocked = blocked || hop.OutPort == 0
 			}
 		}
 		switch {
@@ -151,19 +159,15 @@ func FuzzRouteUnderFaults(f *testing.F) {
 
 // wantFaultPlanError is the error text a pinned fault plan must be
 // rejected with on a network of the given shape, or "" for a valid
-// plan: unknown kinds first, then coordinates in list order.
+// plan. It follows sim.FaultPlan.Validate's single pass in list order:
+// each fault's stage, then its kind, then its cell or link.
 func wantFaultPlanError(plan FaultPlan, stages, h, N int) string {
-	for i, f := range plan.Faults {
-		switch f.Kind {
-		case SwitchDead, SwitchStuck0, SwitchStuck1, LinkDown:
-		default:
-			return fmt.Sprintf("min: fault %d: unknown kind %q", i, f.Kind)
-		}
-	}
 	for i, f := range plan.Faults {
 		switch {
 		case f.Stage < 0 || f.Stage >= stages:
 			return fmt.Sprintf("sim: fault %d: stage %d out of [0,%d)", i, f.Stage, stages)
+		case f.Kind < SwitchDead || f.Kind > LinkDown:
+			return fmt.Sprintf("sim: fault %d: unknown kind %d", i, uint8(f.Kind))
 		case f.Kind != LinkDown && (f.Cell < 0 || f.Cell >= h):
 			return fmt.Sprintf("sim: fault %d: cell %d out of [0,%d)", i, f.Cell, h)
 		case f.Kind == LinkDown && (f.Link < 0 || f.Link >= N):

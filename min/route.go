@@ -6,28 +6,12 @@ import (
 	"minequiv/internal/route"
 )
 
-// Hop records one stage of a routed path.
-type Hop struct {
-	Stage   int `json:"stage"`   // 0-based stage index
-	Cell    int `json:"cell"`    // switch cell at this stage
-	InPort  int `json:"inPort"`  // port the packet arrived on (0/1)
-	OutPort int `json:"outPort"` // port chosen to leave on (0/1)
-}
+// Hop records one stage of a routed path. Field docs are on
+// route.Hop.
+type Hop = route.Hop
 
 // Path is a full route from an input terminal to an output terminal.
-type Path struct {
-	Src  int   `json:"src"`
-	Dst  int   `json:"dst"`
-	Hops []Hop `json:"hops"`
-}
-
-func fromInternalPath(p route.Path) Path {
-	out := Path{Src: int(p.Src), Dst: int(p.Dst), Hops: make([]Hop, len(p.Steps))}
-	for i, st := range p.Steps {
-		out.Hops[i] = Hop{Stage: st.Stage, Cell: int(st.Cell), InPort: int(st.InPort), OutPort: int(st.OutPort)}
-	}
-	return out
-}
+type Path = route.Path
 
 // Route computes the path from input terminal src to output terminal
 // dst with the reachability router that RouteUnderFaults also uses. It
@@ -43,11 +27,7 @@ func Route(nw *Network, src, dst int) (Path, error) {
 	if err != nil {
 		return Path{}, err
 	}
-	p, err := r.Route(uint64(src), uint64(dst))
-	if err != nil {
-		return Path{}, err
-	}
-	return fromInternalPath(p), nil
+	return r.Route(src, dst)
 }
 
 // TagPositions returns the destination-tag schedule of a PIPID network:

@@ -8,19 +8,10 @@ import (
 	"minequiv/internal/sim"
 )
 
-// Stat summarizes one per-trial metric: mean, sample standard deviation
-// and the half-width of the normal-approximation 95% confidence
-// interval.
-type Stat struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	CI95 float64 `json:"ci95"`
-}
-
-func fromEngineStat(s engine.Stats) Stat {
-	return Stat{N: s.N, Mean: s.Mean, Std: s.Std, CI95: s.CI95()}
-}
+// Stat summarizes one per-trial metric: trial count, mean, sample
+// standard deviation and the half-width of the normal-approximation
+// 95% confidence interval. Field docs are on engine.Stats.
+type Stat = engine.Stats
 
 // WaveStats aggregates a Simulate run: independent synchronous waves
 // through the unbuffered (drop-on-conflict) switch model.
@@ -263,18 +254,14 @@ func applyOptions(opts []Option) simOptions {
 	return o
 }
 
-// engineConfig assembles the engine run configuration, translating the
-// public fault plan when one was given.
-func (o *simOptions) engineConfig() (engine.Config, error) {
+// engineConfig assembles the engine run configuration, with the fault
+// plan when one was given.
+func (o *simOptions) engineConfig() engine.Config {
 	cfg := engine.Config{Workers: o.workers, Seed: o.seed}
 	if o.faults != nil && !o.faults.Empty() {
-		p, err := o.faults.internal()
-		if err != nil {
-			return engine.Config{}, err
-		}
-		cfg.Faults = &p
+		cfg.Faults = o.faults
 	}
-	return cfg, nil
+	return cfg
 }
 
 // Simulate pushes independent synchronous waves of traffic through the
@@ -295,10 +282,7 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 	if err != nil {
 		return WaveStats{}, err
 	}
-	cfg, err := o.engineConfig()
-	if err != nil {
-		return WaveStats{}, err
-	}
+	cfg := o.engineConfig()
 	cfg.Kernel, err = engine.ParseKernel(string(o.kernel))
 	if err != nil {
 		return WaveStats{}, fmt.Errorf(`min: unknown kernel %q (want "auto", "scalar" or "bit")`, o.kernel)
@@ -313,7 +297,7 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 		Offered: st.Offered, Delivered: st.Delivered,
 		Dropped: st.Dropped, Misrouted: st.Misrouted,
 		FaultDropped: st.FaultDropped,
-		Throughput:   fromEngineStat(st.Throughput),
+		Throughput:   st.Throughput,
 	}, nil
 }
 
@@ -362,11 +346,7 @@ func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (Buffere
 	default:
 		return BufferedStats{}, fmt.Errorf("min: unknown lane policy %q", o.laneSelect)
 	}
-	cfg, err := o.engineConfig()
-	if err != nil {
-		return BufferedStats{}, err
-	}
-	st, err := engine.RunBuffered(ctx, f, bc, o.reps, cfg)
+	st, err := engine.RunBuffered(ctx, f, bc, o.reps, o.engineConfig())
 	if err != nil {
 		return BufferedStats{}, err
 	}
@@ -376,11 +356,11 @@ func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (Buffere
 		Injected: st.Injected, Rejected: st.Rejected, Delivered: st.Delivered,
 		Dropped: st.Dropped, FaultDropped: st.FaultDropped, Misrouted: st.Misrouted,
 		InFlight: st.InFlight, MaxOccupancy: st.MaxOccupancy,
-		Throughput:     fromEngineStat(st.Throughput),
-		Latency:        fromEngineStat(st.Latency),
-		LatencyP50:     fromEngineStat(st.LatencyP50),
-		LatencyP95:     fromEngineStat(st.LatencyP95),
-		LatencyP99:     fromEngineStat(st.LatencyP99),
+		Throughput:     st.Throughput,
+		Latency:        st.Latency,
+		LatencyP50:     st.LatencyP50,
+		LatencyP95:     st.LatencyP95,
+		LatencyP99:     st.LatencyP99,
 		StageOccupancy: st.StageOccupancy,
 	}, nil
 }

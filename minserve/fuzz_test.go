@@ -74,6 +74,7 @@ func FuzzDecodeSimulate(f *testing.F) {
 	f.Add([]byte(`{"network":"omega","stages":3,"waves":5,"faults":{"switchDeadRate":0.1,` +
 		`"faults":[{"kind":"link-down","stage":1,"link":2}]}}`))
 	f.Add([]byte(`{"network":"omega","stages":3,"model":"buffered","waves":5}`))
+	f.Add([]byte(`{"network":"omega","stages":3,"waves":5,"faults":{"faults":[{"kind":"bogus","stage":0}]}}`))
 	f.Add([]byte(`{"model":42}`))
 	f.Add([]byte(`{}`))
 	h := fuzzHandler()

@@ -3,10 +3,13 @@ package minserve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"net/http"
 	"testing"
 
+	"minequiv/internal/codec"
 	"minequiv/internal/jobs"
+	"minequiv/min"
 )
 
 // Request bodies of TestWireShapesGolden. The pinned route plan holds
@@ -120,5 +123,43 @@ func TestWireShapesGolden(t *testing.T) {
 			t.Fatalf("sweep result: status %d: %s", rec.Code, rec.Body)
 		}
 		check("sweep-result", accept != "", rec.Body.Bytes())
+	}
+}
+
+// TestUnknownFaultKind pins the one text form of a fault kind at the
+// API: an unknown kind name is a 400 bad_request on /v1/route and
+// /v1/simulate under either response codec, and so is a binary request
+// whose kind tag is the zero value or past the last kind.
+func TestUnknownFaultKind(t *testing.T) {
+	type request struct{ name, body, contentType, accept string }
+	h := newTestHandler()
+	spec := networkSpec{Network: "omega", Stages: 4}
+	for _, endpoint := range []string{"route", "simulate"} {
+		body := `{"network":"omega","stages":4,"src":5,"dst":12,"faults":{"faults":[{"kind":"bogus","stage":0}]}}`
+		if endpoint == "simulate" {
+			body = `{"network":"omega","stages":4,"waves":8,"faults":{"faults":[{"kind":"bogus","stage":0}]}}`
+		}
+		reqs := []request{{"json", body, "", ""}, {"json", body, "", MediaTypeBinary}}
+		for _, kind := range []min.FaultKind{0, min.LinkDown + 1} {
+			plan := &min.FaultPlan{Faults: []min.Fault{{Kind: kind}}}
+			var v any = &routeRequest{NetworkSpec: spec, Src: 5, Dst: 12, Faults: plan}
+			if endpoint == "simulate" {
+				v = &simulateRequest{NetworkSpec: spec, Waves: 8, Faults: plan}
+			}
+			bin, err := codec.Encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, request{fmt.Sprintf("bin tag %d", uint8(kind)), string(bin), MediaTypeBinary, MediaTypeBinary})
+		}
+		for _, r := range reqs {
+			rec := doWire(t, h, "POST", "/v1/"+endpoint, r.body, r.contentType, r.accept)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s (accept %q): status %d: %s", endpoint, r.name, r.accept, rec.Code, rec.Body)
+			}
+			if we := decodeErrBody(t, rec); we.Error.Code != CodeBadRequest {
+				t.Errorf("%s %s (accept %q): code %q want %q", endpoint, r.name, r.accept, we.Error.Code, CodeBadRequest)
+			}
+		}
 	}
 }
