@@ -78,8 +78,9 @@ type Fault struct {
 // is reproducible from (seed, plan) alone. Routing takes pinned faults
 // only: it has no trial index to sample random rates in.
 type FaultPlan struct {
-	// Faults are pinned, applied in list order before any random draw;
-	// a later switch fault on a cell replaces an earlier one.
+	// Faults are pinned, applied in list order before any random draw.
+	// Of several switch faults on one cell, switch-dead wins in either
+	// order; between two stuck pins the later one wins.
 	Faults []Fault `json:"faults,omitempty"`
 
 	// Per-element random fault rates, drawn independently each trial
@@ -238,10 +239,14 @@ func (fs *FaultState) Reset() {
 }
 
 // setSwitch puts switch i in mode m, indexing it the first time it
-// leaves switchOK; a later pin of the same switch overwrites the mode.
+// leaves switchOK. A dead switch stays dead; a later stuck pin of a
+// stuck switch replaces its port.
 func (fs *FaultState) setSwitch(i int, m uint8) {
-	if fs.mode[i] == switchOK {
+	switch fs.mode[i] {
+	case switchOK:
 		fs.switches = append(fs.switches, int32(i))
+	case switchDead:
+		return
 	}
 	fs.mode[i] = m
 }

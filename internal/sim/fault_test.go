@@ -475,13 +475,15 @@ func (d *denseFaults) resample(p FaultPlan, rng *rand.Rand) {
 	}
 	d.active = false
 	for _, flt := range p.Faults {
+		// A dead switch stays dead; a later stuck pin replaces a stuck one.
+		cell := flt.Stage*d.h + flt.Cell
 		switch flt.Kind {
 		case SwitchDead:
-			d.mode[flt.Stage*d.h+flt.Cell] = switchDead
-		case SwitchStuck0:
-			d.mode[flt.Stage*d.h+flt.Cell] = switchStuck0
-		case SwitchStuck1:
-			d.mode[flt.Stage*d.h+flt.Cell] = switchStuck1
+			d.mode[cell] = switchDead
+		case SwitchStuck0, SwitchStuck1:
+			if d.mode[cell] != switchDead {
+				d.mode[cell] = switchStuck0 + uint8(flt.Kind-SwitchStuck0)
+			}
 		case LinkDown:
 			d.linkDown[flt.Stage*d.n+flt.Link] = true
 		}
@@ -661,6 +663,61 @@ func TestBernoulliThreshold(t *testing.T) {
 			if integer := u<<11>>11 < thr; integer != float {
 				t.Fatalf("r=%v u=%#x: integer test %t, float test %t", r, u, integer, float)
 			}
+		}
+	}
+}
+
+// TestPinnedSwitchFaultPrecedence: of several pinned switch faults on
+// one cell, switch-dead wins in either order and between two stuck
+// pins the later one wins — in the fault state, the scalar steer and
+// the bit-kernel fold alike.
+func TestPinnedSwitchFaultPrecedence(t *testing.T) {
+	f := omegaFabric(t, 4)
+	const stage, cell = 1, 3
+	at := func(k FaultKind) Fault { return Fault{Kind: k, Stage: stage, Cell: cell} }
+	i := stage*f.H + cell
+	for _, tc := range []struct {
+		faults []Fault
+		want   uint8
+	}{
+		{[]Fault{at(SwitchDead), at(SwitchStuck0)}, switchDead},
+		{[]Fault{at(SwitchStuck0), at(SwitchDead)}, switchDead},
+		{[]Fault{at(SwitchStuck1), at(SwitchDead), at(SwitchStuck0)}, switchDead},
+		{[]Fault{at(SwitchStuck0), at(SwitchStuck1)}, switchStuck1},
+		{[]Fault{at(SwitchStuck1), at(SwitchStuck0)}, switchStuck0},
+	} {
+		fs := NewFaultState(f.Spans)
+		if err := fs.Sample(FaultPlan{Faults: tc.faults}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if fs.mode[i] != tc.want || len(fs.switches) != 1 {
+			t.Fatalf("%v: mode %d (want %d), %d switches indexed (want 1)", tc.faults, fs.mode[i], tc.want, len(fs.switches))
+		}
+		for dst := 0; dst < f.N; dst++ {
+			got, intact := f.steer(fs, stage, cell, dst), f.steer(nil, stage, cell, dst)
+			want := intact
+			switch {
+			case tc.want == switchDead:
+				want = portFaulted
+			case intact != portUnreachable:
+				want = tc.want - switchStuck0
+			}
+			if got != want {
+				t.Fatalf("%v: steer to %d = %d, want %d", tc.faults, dst, got, want)
+			}
+		}
+		r := bitRunnerFor(t, f)
+		if err := r.SetLaneFaults(^uint64(0), fs); err != nil {
+			t.Fatal(err)
+		}
+		lanes := func(on bool) uint64 {
+			if on {
+				return ^uint64(0)
+			}
+			return 0
+		}
+		if r.dead[i] != lanes(tc.want == switchDead) || r.stuck0[i] != lanes(tc.want == switchStuck0) || r.stuck1[i] != lanes(tc.want == switchStuck1) {
+			t.Fatalf("%v: bit fold dead %#x stuck0 %#x stuck1 %#x, want mode %d", tc.faults, r.dead[i], r.stuck0[i], r.stuck1[i], tc.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"minequiv/internal/sim"
@@ -131,6 +132,39 @@ func TestRouteUnderFaults(t *testing.T) {
 	}
 	if _, err := RouteUnderFaults(nw, 0, 0, FaultPlan{Faults: []Fault{{Kind: LinkDown, Stage: 0, Link: 99}}}); err == nil {
 		t.Fatal("out-of-range fault accepted")
+	}
+}
+
+// TestRouteUnderDeadAndStuckPins: a dead pin and a stuck pin on one
+// switch of the path block the route in either order, even when the
+// stuck port alone is the one the path leaves on; of two stuck pins the
+// later decides.
+func TestRouteUnderDeadAndStuckPins(t *testing.T) {
+	nw := MustBuild(Omega, 4)
+	const src, dst = 5, 12
+	intact, err := Route(nw, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := intact.Hops[1]
+	at := func(k FaultKind) Fault { return Fault{Kind: k, Stage: hop.Stage, Cell: hop.Cell} }
+	own, other := SwitchStuck0+FaultKind(hop.OutPort), SwitchStuck1-FaultKind(hop.OutPort)
+	for _, tc := range []struct {
+		faults []Fault
+		routes bool
+	}{
+		{[]Fault{at(SwitchDead), at(own)}, false},
+		{[]Fault{at(own), at(SwitchDead)}, false},
+		{[]Fault{at(other), at(own)}, true},
+		{[]Fault{at(own), at(other)}, false},
+	} {
+		got, err := RouteUnderFaults(nw, src, dst, FaultPlan{Faults: tc.faults})
+		switch {
+		case tc.routes && (err != nil || !reflect.DeepEqual(got, intact)):
+			t.Fatalf("%v: route %+v, err %v; want the intact path", tc.faults, got, err)
+		case !tc.routes && (err == nil || !strings.HasPrefix(err.Error(), "route: no fault-free path from ")):
+			t.Fatalf("%v: route %+v, err %v; want no fault-free path", tc.faults, got, err)
+		}
 	}
 }
 

@@ -120,9 +120,9 @@ func FuzzRouteUnderFaults(f *testing.F) {
 		if ierr != nil {
 			t.Fatalf("intact %s: %v", nw.Name(), ierr)
 		}
-		// A later switch fault on a cell replaces an earlier one (the
-		// fault state keeps one mode per switch); a link is severed by
-		// any fault naming it.
+		// Of several switch faults on one cell, switch-dead wins in
+		// either order and otherwise the later stuck pin wins; a link is
+		// severed by any fault naming it.
 		blocked := false
 		for _, hop := range intact.Hops {
 			var mode FaultKind
@@ -131,7 +131,7 @@ func FuzzRouteUnderFaults(f *testing.F) {
 				case flt.Stage != hop.Stage:
 				case flt.Kind == LinkDown:
 					blocked = blocked || flt.Link == hop.Cell*2+hop.OutPort
-				case flt.Cell == hop.Cell:
+				case flt.Cell == hop.Cell && mode != SwitchDead:
 					mode = flt.Kind
 				}
 			}
