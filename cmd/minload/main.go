@@ -29,10 +29,11 @@
 // bypass exactly like a real client's.
 //
 // Cross-machine comparability: the report embeds refCheckUs, the
-// median serial latency of a warm /v1/check on this host, measured
-// before the run. Gating against a committed baseline (-baseline)
-// scales both served RPS and p99 by the refCheckUs ratio, so CI fails
-// on real serving regressions, not on slower runners.
+// serial latency of a warm /v1/check on this host (the median of 21
+// round medians spread over ~0.1 s), measured before the run. Gating
+// against a committed baseline (-baseline) scales both served RPS and
+// p99 by the refCheckUs ratio, so CI fails on real serving
+// regressions, not on slower runners.
 //
 // Usage:
 //
@@ -631,7 +632,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}
 
-	// Calibration: median serial warm-check latency, for cross-machine
+	// Calibration: serial warm-check latency, for cross-machine
 	// normalization of the committed baseline.
 	refUs, err := calibrate(calTgt)
 	if err != nil {
@@ -754,25 +755,44 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
-// calibrate measures the median serial latency of a warm /v1/check.
+// calibrate measures the serial latency of a warm /v1/check: the
+// median of calRounds round medians of roundSamples checks, each round
+// calGap after the last. On a shared host a millisecond of serial
+// checks runs in whatever state the machine is in just then (its
+// neighbours' load on the caches and memory), such states hold for
+// tens to hundreds of milliseconds, and one median of back-to-back
+// checks swings by up to 2x between two calls a second apart; the
+// minimum of several such medians chases the rarer fast state and
+// swings as much. The median of spread rounds is the typical speed.
 func calibrate(tgt target) (float64, error) {
-	const body = `{"network":"omega","stages":4}`
+	const (
+		body         = `{"network":"omega","stages":4}`
+		calRounds    = 21
+		roundSamples = 100
+		calGap       = 5 * time.Millisecond
+	)
 	// Warm the cache first.
 	for i := 0; i < 10; i++ {
 		if status, _, err := tgt.post("/v1/check", body); err != nil || status != http.StatusOK {
 			return 0, fmt.Errorf("warm check: status %d err %v", status, err)
 		}
 	}
-	samples := make([]float64, 300)
-	for i := range samples {
-		start := time.Now()
-		if _, _, err := tgt.post("/v1/check", body); err != nil {
-			return 0, err
+	medians := make([]float64, calRounds)
+	samples := make([]float64, roundSamples)
+	for r := range medians {
+		time.Sleep(calGap)
+		for i := range samples {
+			start := time.Now()
+			if _, _, err := tgt.post("/v1/check", body); err != nil {
+				return 0, err
+			}
+			samples[i] = float64(time.Since(start)) / float64(time.Microsecond)
 		}
-		samples[i] = float64(time.Since(start)) / float64(time.Microsecond)
+		sort.Float64s(samples)
+		medians[r] = samples[len(samples)/2]
 	}
-	sort.Float64s(samples)
-	return samples[len(samples)/2], nil
+	sort.Float64s(medians)
+	return medians[len(medians)/2], nil
 }
 
 // runClosed drives conns workers back-to-back until ctx expires.
