@@ -5,6 +5,7 @@ package minequiv
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -928,6 +929,45 @@ func BenchmarkCodecDecode(b *testing.B) {
 		d.Reset(wire)
 		if err := d.SimulateRequest(dst); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRequest is the decode layer of an uncached check: a
+// seeded cell relabeling of Omega sent as linkPerms, decoded from JSON
+// by the server's JSON path (codec.DecodeJSON) and from its binary
+// frame (codec.Decode), each into a fresh request as a handler does.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, wire := range []struct {
+		name   string
+		encode func(any) ([]byte, error)
+		decode func([]byte, any) error
+	}{
+		{"json", json.Marshal, codec.DecodeJSON},
+		{"bin", codec.Encode, codec.Decode},
+	} {
+		for _, n := range []int{6, 8, 10} {
+			perms := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 7)), topology.MustBuild("omega", n).LinkPerms)
+			req := &codec.CheckRequest{NetworkSpec: codec.NetworkSpec{Network: "cold", Stages: n, LinkPerms: make([][]int, len(perms))}}
+			for s, p := range perms {
+				for _, y := range p {
+					req.LinkPerms[s] = append(req.LinkPerms[s], int(y))
+				}
+			}
+			body, err := wire.encode(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", wire.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body)))
+				for i := 0; i < b.N; i++ {
+					var v codec.CheckRequest
+					if err := wire.decode(body, &v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,11 +1,19 @@
-// Package codec is the serving plane's binary wire format: a
-// versioned, length-prefixed, little-endian codec for the hot
-// request/response shapes — simulate requests (fault plans and kernel
-// selection included), simulate statistics, batch envelopes, job
-// specs and result manifests. It exists because JSON encode/decode is
-// the dominant per-request cost of a warm simulate sweep once the
-// bit-sliced kernel made the compute cheap; minserve negotiates it
+// Package codec owns the serving plane's wire shapes and both their
+// renderings. The binary one is a versioned, length-prefixed,
+// little-endian codec for the hot request/response shapes — simulate
+// requests (fault plans and kernel selection included), simulate
+// statistics, batch envelopes, job specs and result manifests. It was
+// added when a fault-heavy simulate body made encoding/json the
+// dominant per-request cost of a warm sweep; minserve negotiates it
 // per request via Content-Type/Accept: application/x-min-bin.
+//
+// The JSON rendering stays the default, and its request decoder
+// (DecodeJSON, json.go) is no longer the dominant cost either: the
+// permutation members of a wiring sent as linkPerms or indexPerms —
+// ~36 KB at 10 stages, which encoding/json decoded in ~2 ms — are
+// parsed directly, ~9x faster, with the result and error text
+// encoding/json would give; the rest of the body still goes through
+// encoding/json. Response encoding is still encoding/json.
 //
 // Frame layout (all multi-byte integers little-endian):
 //

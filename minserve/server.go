@@ -83,7 +83,6 @@ package minserve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime"
@@ -402,15 +401,11 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 	return buf, nil
 }
 
-// decodeBytes is decode over an in-memory body (same strictness).
+// decodeBytes decodes an in-memory JSON request body strictly (see
+// codec.DecodeJSON); every failure is a 400 bad_request.
 func decodeBytes(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := codec.DecodeJSON(data, v); err != nil {
 		return badRequest("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("invalid request body: trailing data")
 	}
 	return nil
 }
