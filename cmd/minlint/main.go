@@ -2,33 +2,16 @@
 // multichecker over the analyzers in internal/lint (detrand,
 // impboundary, hotalloc, errcodes, metriclint).
 //
-// Standalone:
-//
 //	minlint [-detrand] [-impboundary] [...] [packages]
 //
 // loads the packages (default ./...) through `go list -export`, runs
 // the selected analyzers (none selected = all), prints findings to
 // stdout, and exits 1 if there were any.
-//
-// As a vet tool:
-//
-//	go vet -vettool=$(which minlint) ./...
-//
-// it speaks the go vet unit-checker protocol: -V=full for the tool
-// build ID, -flags for the flag inventory, and a single *.cfg argument
-// per compilation unit, with diagnostics on stderr and exit status 2.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,30 +25,20 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 1 && args[0] == "-V=full" {
-		return printVersion(stdout, stderr)
-	}
-
 	fs := flag.NewFlagSet("minlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	selected := map[string]*bool{}
 	for _, a := range lint.Analyzers {
 		selected[a.Name] = fs.Bool(a.Name, false, firstLine(a.Doc))
 	}
-	flagsJSON := fs.Bool("flags", false, "print analyzer flags in JSON (vet driver protocol)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: minlint [analyzer flags] [package pattern ...]\n")
-		fmt.Fprintf(stderr, "       go vet -vettool=$(which minlint) [analyzer flags] [package pattern ...]\n\n")
+		fmt.Fprintf(stderr, "usage: minlint [analyzer flags] [package pattern ...]\n\n")
 		fmt.Fprintf(stderr, "With no analyzer flags, every analyzer runs.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *flagsJSON {
-		return printFlags(fs, stdout, stderr)
-	}
-
 	var analyzers []*lint.Analyzer
 	for _, a := range lint.Analyzers {
 		if *selected[a.Name] {
@@ -76,15 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyzers = lint.Analyzers
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitCheck(rest[0], analyzers, stderr)
-	}
-	return standalone(rest, analyzers, stdout, stderr)
-}
-
-// standalone loads packages via go list and prints findings.
-func standalone(patterns []string, analyzers []*lint.Analyzer, stdout, stderr io.Writer) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -108,171 +73,6 @@ func standalone(patterns []string, analyzers []*lint.Analyzer, stdout, stderr io
 	if len(diags) > 0 {
 		return 1
 	}
-	return 0
-}
-
-// vetConfig is the unit-checker configuration the go command writes
-// for each compilation unit (see x/tools unitchecker; reimplemented
-// here to keep the module dependency-free).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// unitCheck analyzes one compilation unit described by cfgFile.
-func unitCheck(cfgFile string, analyzers []*lint.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "minlint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	// The go command caches this unit's result keyed on the facts
-	// output; minlint keeps no facts but the file must exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(stderr, "minlint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if mapped, ok := cfg.ImportMap[importPath]; ok {
-			importPath = mapped
-		}
-		return compilerImp.Import(importPath)
-	})
-	info := lint.NewInfo()
-	tconf := types.Config{Importer: imp, Error: func(error) {}}
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	// Test variants arrive as "path [path.test]"; analyzers key on the
-	// base path (their test-file policy already matches the standalone
-	// driver's).
-	pkg := &lint.Package{
-		Path:  basePath(cfg.ImportPath),
-		Fset:  fset,
-		Files: files,
-		Pkg:   tpkg,
-		Info:  info,
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// basePath strips a unit-checker test-variant suffix: "p [p.test]" -> "p".
-func basePath(importPath string) string {
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		return importPath[:i]
-	}
-	return importPath
-}
-
-// printVersion implements -V=full: the go command derives the vet
-// tool's build ID from this line, so it must change when the binary
-// does — hash the executable, same as x/tools' unitchecker.
-func printVersion(stdout, stderr io.Writer) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(exe), h.Sum(nil))
-	return 0
-}
-
-// printFlags implements -flags: the go command asks the vet tool which
-// flags it understands before forwarding any.
-func printFlags(fs *flag.FlagSet, stdout, stderr io.Writer) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "flags" {
-			return
-		}
-		out = append(out, jsonFlag{Name: f.Name, Bool: true, Usage: f.Usage})
-	})
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	fmt.Fprintln(stdout, string(data))
 	return 0
 }
 

@@ -2,37 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
 )
-
-func TestVersionFull(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-V=full) = %d, stderr: %s", code, stderr.String())
-	}
-	// The go command parses "<name> version <...> buildID=<hex>".
-	re := regexp.MustCompile(`^\S+ version \S+ [^\n]*buildID=[0-9a-f]+\n$`)
-	if !re.MatchString(stdout.String()) {
-		t.Fatalf("-V=full output %q does not match vet tool-ID format", stdout.String())
-	}
-}
-
-func TestFlagsJSON(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-flags) = %d, stderr: %s", code, stderr.String())
-	}
-	for _, name := range []string{"detrand", "impboundary", "hotalloc", "errcodes", "metriclint"} {
-		if !strings.Contains(stdout.String(), `"Name": "`+name+`"`) {
-			t.Errorf("-flags output missing analyzer flag %q:\n%s", name, stdout.String())
-		}
-	}
-}
 
 // TestStandaloneModuleClean is the dogfood gate: every analyzer over
 // every package of this module must come back clean.
@@ -45,54 +16,5 @@ func TestStandaloneModuleClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("minlint minequiv/... = exit %d\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
-	}
-}
-
-// TestVetTool proves the unit-checker protocol end to end: build the
-// binary, run it under `go vet -vettool` against a throwaway module
-// with a deliberate boundary violation, and check it is reported.
-func TestVetTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the minlint binary and runs go vet")
-	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "minlint")
-	build := exec.Command("go", "build", "-o", bin, "minequiv/cmd/minlint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building minlint: %v\n%s", err, out)
-	}
-
-	// A module named minequiv so the default boundary policy applies.
-	mod := filepath.Join(tmp, "mod")
-	write := func(rel, content string) {
-		t.Helper()
-		p := filepath.Join(mod, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module minequiv\n\ngo 1.24\n")
-	write("internal/sim/sim.go", "package sim\n\n// Hidden is internal.\nfunc Hidden() int { return 1 }\n")
-	write("leaky/leaky.go", "package leaky\n\nimport \"minequiv/internal/sim\"\n\n// Leak crosses the boundary.\nfunc Leak() int { return sim.Hidden() }\n")
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "-impboundary", "./...")
-	vet.Dir = mod
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool succeeded, want boundary violation\n%s", out)
-	}
-	if !strings.Contains(string(out), "imports minequiv/internal/sim across the public API boundary") {
-		t.Fatalf("go vet -vettool output missing boundary diagnostic:\n%s", out)
-	}
-
-	// And the clean path: drop the violation, vet must pass.
-	write("leaky/leaky.go", "package leaky\n\n// Leak is gone.\nfunc Leak() int { return 1 }\n")
-	vet = exec.Command("go", "vet", "-vettool="+bin, "-impboundary", "./...")
-	vet.Dir = mod
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean module: %v\n%s", err, out)
 	}
 }

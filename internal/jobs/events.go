@@ -8,7 +8,7 @@ import "sync"
 // part of the durable record).
 type Event struct {
 	Seq   int64  `json:"seq"`
-	Type  string `json:"type"`            // "state" | "shard-done" | "shard-retry" | "shard-stolen" | "shard-quarantined"
+	Type  string `json:"type"`            // "state" | "shard-done" | "shard-retry" | "shard-quarantined"
 	State string `json:"state,omitempty"` // for "state" events: running/done/degraded/failed/canceled
 	Shard int    `json:"shard,omitempty"`
 	Done  int    `json:"done"`  // shards finished so far

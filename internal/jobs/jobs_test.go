@@ -42,6 +42,12 @@ func fastCfg(dir string) Config {
 	}
 }
 
+// testShard maps a runner call of testSpec() back to its shard index.
+func testShard(cell Cell, lo int) int {
+	g := newGrid(testSpecNormalized())
+	return cell.Index*g.shardsPerCell + lo/g.spec.ShardTrials
+}
+
 // await blocks until the job reaches a terminal state.
 func await(t *testing.T, m *Manager, id string) Status {
 	t.Helper()
@@ -179,6 +185,83 @@ func TestRetryThenSuccess(t *testing.T) {
 	}
 	if !bytes.Equal(data, goldenResult(t, testSpec())) {
 		t.Fatal("retried run diverged from golden")
+	}
+}
+
+// TestShardRunsAtMostOnce: a claimed shard runs on the worker that
+// claimed it and nowhere else. No shard ever runs twice at once, not
+// even when an attempt ignores its context and overruns its budget,
+// and a shard runs once per attempt: exactly once on a fault-free job,
+// exactly twice when its first attempt fails.
+func TestShardRunsAtMostOnce(t *testing.T) {
+	golden := goldenResult(t, testSpec())
+	for _, tc := range []struct {
+		name          string
+		failFirst     bool
+		overrun       bool
+		runsPerShard  int32
+		shardsRetried uint64
+	}{
+		{name: "fault-free", runsPerShard: 1},
+		{name: "fail-once", failFirst: true, runsPerShard: 2, shardsRetried: 12},
+		{name: "overrun", overrun: true, runsPerShard: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := newGrid(testSpecNormalized()).shards
+			active := make([]atomic.Int32, shards)
+			runs := make([]atomic.Int32, shards)
+			var overlaps atomic.Int32
+			base := DefaultRunner()
+			cfg := fastCfg(t.TempDir())
+			if tc.overrun {
+				cfg.ShardTimeout = 20 * time.Millisecond
+			}
+			cfg.Runner = func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
+				s := testShard(cell, lo)
+				if active[s].Add(1) > 1 {
+					overlaps.Add(1)
+				}
+				defer active[s].Add(-1)
+				if runs[s].Add(1) == 1 && tc.failFirst {
+					return engine.WavePartial{}, errors.New("first attempt fails")
+				}
+				if tc.overrun {
+					time.Sleep(cfg.ShardTimeout + 3*cfg.SweepEvery)
+					ctx = context.WithoutCancel(ctx)
+				}
+				return base(ctx, cell, lo, hi)
+			}
+			m, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Kill()
+			id, err := m.Submit(testSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := await(t, m, id); st.State != StateDone {
+				t.Fatalf("state = %s (%+v)", st.State, st)
+			}
+			if n := overlaps.Load(); n != 0 {
+				t.Errorf("%d runs started while the same shard was running", n)
+			}
+			for s := range runs {
+				if n := runs[s].Load(); n != tc.runsPerShard {
+					t.Errorf("shard %d ran %d times, want %d", s, n, tc.runsPerShard)
+				}
+			}
+			if s := m.Stats(); s.ShardsDone != uint64(shards) || s.ShardsRetried != tc.shardsRetried {
+				t.Errorf("stats = %+v", s)
+			}
+			data, err := m.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, golden) {
+				t.Fatal("result differs from the golden run")
+			}
+		})
 	}
 }
 

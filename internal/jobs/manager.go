@@ -45,41 +45,20 @@ var (
 	ErrClosed      = errors.New("jobs: manager closed")
 )
 
-// HookAction is a chaos hook's verdict on a starting shard.
-type HookAction int
-
-const (
-	// HookNone lets the shard run normally.
-	HookNone HookAction = iota
-	// HookKill makes the worker goroutine die on the spot — it unwinds
-	// without reporting, exactly like a crashed worker process. The
-	// shard's lease expires, the janitor steals it back onto the queue,
-	// and the supervisor respawns the worker slot.
-	HookKill
-)
-
-// Hooks are test-only fault injection points. Production leaves them nil.
-type Hooks struct {
-	// OnShardStart fires after the shard's lease is taken, before the
-	// runner is invoked.
-	OnShardStart func(jobID string, shard, attempt, worker int) HookAction
-}
-
 // Config parametrizes a Manager.
 type Config struct {
-	Dir          string        // checkpoint root; "" = in-memory only (jobs still run, nothing survives restart)
-	Workers      int           // shard executor goroutines; <= 0 means GOMAXPROCS
-	ShardTrials  int           // default trials per shard when the spec leaves it 0
-	ShardTimeout time.Duration // per-attempt execution budget; also the steal lease
-	MaxRetries   int           // failures beyond this quarantine the shard
-	BackoffBase  time.Duration // first retry delay; doubles per failure, ±50% jitter
-	BackoffMax   time.Duration // retry delay ceiling
-	TTL          time.Duration // terminal jobs older than this are garbage collected; <= 0 keeps forever
-	MaxActive    int           // cap on live (pending/running) jobs; <= 0 means 64
-	SweepEvery   time.Duration // janitor cadence: lease reclaim, backoff requeue, TTL GC
-	EventBuffer  int           // per-job event ring capacity
-	Runner       Runner        // nil means DefaultRunner()
-	Hooks        Hooks
+	Dir          string           // checkpoint root; "" = in-memory only (jobs still run, nothing survives restart)
+	Workers      int              // shard executor goroutines; <= 0 means GOMAXPROCS
+	ShardTrials  int              // default trials per shard when the spec leaves it 0
+	ShardTimeout time.Duration    // per-attempt execution budget
+	MaxRetries   int              // failures beyond this quarantine the shard
+	BackoffBase  time.Duration    // first retry delay; doubles per failure, ±50% jitter
+	BackoffMax   time.Duration    // retry delay ceiling
+	TTL          time.Duration    // terminal jobs older than this are garbage collected; <= 0 keeps forever
+	MaxActive    int              // cap on live (pending/running) jobs; <= 0 means 64
+	SweepEvery   time.Duration    // janitor cadence: backoff requeue, TTL GC
+	EventBuffer  int              // per-job event ring capacity
+	Runner       Runner           // nil means DefaultRunner()
 	Now          func() time.Time // injectable clock for tests
 }
 
@@ -127,18 +106,9 @@ type Stats struct {
 	JobsCompleted     uint64 // done + degraded
 	JobsFailed        uint64
 	ShardsDone        uint64
-	ShardsStolen      uint64
 	ShardsRetried     uint64
 	ShardsQuarantined uint64
 	CheckpointBytes   uint64
-}
-
-// inflightInfo is a shard's execution lease: the token distinguishes
-// the current run from stale ones, the deadline is when the janitor
-// may steal the shard back.
-type inflightInfo struct {
-	token uint64
-	lease time.Time
 }
 
 // job is the scheduler's view of one sweep. All fields are guarded by
@@ -160,7 +130,6 @@ type job struct {
 	quarantined map[int]string
 	attempts    []int
 	waiting     map[int]time.Time // shard -> earliest requeue time (backoff)
-	inflight    map[int]inflightInfo
 	doneCount   int
 	remaining   int // shards neither done nor quarantined
 	created     time.Time
@@ -188,9 +157,11 @@ type shardRef struct {
 }
 
 // Manager owns the job plane: the job table, the ready queue, the
-// worker pool (with per-slot supervisors that respawn killed workers),
-// and the janitor that reclaims expired leases, requeues backed-off
-// shards, and garbage-collects expired jobs.
+// worker pool, and the janitor that requeues backed-off shards and
+// garbage-collects expired jobs. A shard enters the queue only from
+// Submit, from resume, or from a backoff requeue after its failed
+// report, so a claimed shard runs exactly once per attempt, on the
+// worker that claimed it.
 type Manager struct {
 	cfg Config
 
@@ -198,7 +169,6 @@ type Manager struct {
 	cond     *sync.Cond
 	jobs     map[string]*job
 	queue    []shardRef
-	tokens   uint64
 	closed   bool
 	draining bool
 
@@ -210,7 +180,6 @@ type Manager struct {
 	jobsCompleted     atomic.Uint64
 	jobsFailed        atomic.Uint64
 	shardsDone        atomic.Uint64
-	shardsStolen      atomic.Uint64
 	shardsRetried     atomic.Uint64
 	shardsQuarantined atomic.Uint64
 	checkpointBytes   atomic.Uint64
@@ -246,9 +215,9 @@ func Open(cfg Config) (*Manager, error) {
 			}
 		}
 	}
-	for slot := 0; slot < cfg.Workers; slot++ {
-		m.workerWG.Add(1)
-		go m.supervise(slot)
+	m.workerWG.Add(cfg.Workers)
+	for range cfg.Workers {
+		go m.workerLoop()
 	}
 	go m.janitor()
 	return m, nil
@@ -273,7 +242,6 @@ func (m *Manager) newJob(id string, g grid, st *store) *job {
 		quarantined: map[int]string{},
 		attempts:    make([]int, g.shards),
 		waiting:     map[int]time.Time{},
-		inflight:    map[int]inflightInfo{},
 		remaining:   g.shards,
 		created:     m.now(),
 		doneCh:      make(chan struct{}),
@@ -429,37 +397,15 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	return id, nil
 }
 
-// supervise runs one worker slot, respawning the worker goroutine
-// whenever chaos kills it — the recovery a process supervisor would
-// provide for a crashed worker process.
-func (m *Manager) supervise(slot int) {
+// workerLoop claims ready shards until the manager closes or drains.
+func (m *Manager) workerLoop() {
 	defer m.workerWG.Done()
-	for {
-		died := make(chan bool, 1)
-		go func() {
-			killed := true
-			defer func() { died <- killed }()
-			m.workerLoop(slot)
-			killed = false
-		}()
-		if !<-died {
-			return
-		}
-	}
-}
-
-// workerLoop claims ready shards until the manager closes or drains. A
-// HookKill verdict unwinds the goroutine via Goexit — no report, no
-// cleanup — leaving the shard's lease to expire and be stolen.
-func (m *Manager) workerLoop(slot int) {
 	for {
 		ref, ok := m.next()
 		if !ok {
 			return
 		}
-		if m.exec(ref, slot) {
-			runtime.Goexit()
-		}
+		m.exec(ref)
 	}
 }
 
@@ -480,41 +426,22 @@ func (m *Manager) next() (shardRef, bool) {
 	}
 }
 
-// exec runs one claimed shard. The returned bool is true only when the
-// chaos hook killed the worker (the caller then unwinds without
-// reporting).
-func (m *Manager) exec(ref shardRef, slot int) (killed bool) {
+// exec runs one claimed shard under its per-attempt budget and
+// reports the outcome. Shards of a job that stopped running are
+// skipped.
+func (m *Manager) exec(ref shardRef) {
 	j, s := ref.j, ref.shard
 	m.mu.Lock()
-	if j.state != StateRunning || j.done[s] {
-		m.mu.Unlock()
-		return false
-	}
-	if _, q := j.quarantined[s]; q {
-		m.mu.Unlock()
-		return false
-	}
-	if _, running := j.inflight[s]; running {
-		m.mu.Unlock()
-		return false
-	}
-	m.tokens++
-	tok := m.tokens
-	j.inflight[s] = inflightInfo{token: tok, lease: m.now().Add(m.cfg.ShardTimeout + m.cfg.SweepEvery)}
-	attempt := j.attempts[s]
+	running := j.state == StateRunning
 	m.mu.Unlock()
-
-	if h := m.cfg.Hooks.OnShardStart; h != nil {
-		if h(j.id, s, attempt, slot) == HookKill {
-			return true
-		}
+	if !running {
+		return
 	}
 	cell, lo, hi := j.grid.shard(s)
 	ctx, cancel := context.WithTimeout(j.ctx, m.cfg.ShardTimeout)
 	p, err := m.cfg.Runner(ctx, cell, lo, hi)
 	cancel()
-	m.report(j, s, tok, p, err)
-	return false
+	m.report(j, s, p, err)
 }
 
 // report lands one shard outcome. A successful partial is appended
@@ -522,26 +449,15 @@ func (m *Manager) exec(ref shardRef, slot int) (killed bool) {
 // it done, but the shard is marked done whether or not the append
 // landed: the in-memory table may run ahead of the log, and a lost
 // frame only costs that shard a re-run after a crash (see
-// store.append). Stale tokens — the shard was stolen while this worker
-// ran it — are discarded; the duplicate log frame a stale success may
-// leave behind is harmless because shard results are pure functions of
-// the spec.
-func (m *Manager) report(j *job, s int, tok uint64, p engine.WavePartial, err error) {
+// store.append).
+func (m *Manager) report(j *job, s int, p engine.WavePartial, err error) {
 	if err == nil && j.store != nil {
 		_ = j.store.append(logRecord{Type: "shard", Shard: s, Partial: &p})
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return // crash path: pretend the report never happened
-	}
-	info, ok := j.inflight[s]
-	if !ok || info.token != tok {
-		return // stolen; the new run owns the shard now
-	}
-	delete(j.inflight, s)
-	if j.state != StateRunning {
-		return
+	if m.closed || j.state != StateRunning {
+		return // crashed or canceled: the report never happened
 	}
 	if err != nil {
 		if j.ctx.Err() != nil {
@@ -630,9 +546,9 @@ func (m *Manager) finalizeLocked(j *job) {
 	close(j.doneCh)
 }
 
-// janitor is the periodic sweep: expired leases are stolen back onto
-// the queue, backed-off shards whose delay elapsed are requeued, and
-// terminal jobs past the TTL are deleted along with their directories.
+// janitor is the periodic sweep: backed-off shards whose delay elapsed
+// are requeued, and terminal jobs past the TTL are deleted along with
+// their directories.
 func (m *Manager) janitor() {
 	ticker := time.NewTicker(m.cfg.SweepEvery)
 	defer ticker.Stop()
@@ -656,15 +572,6 @@ func (m *Manager) sweep() {
 	woke := false
 	for id, j := range m.jobs {
 		if j.state == StateRunning {
-			for s, info := range j.inflight {
-				if now.After(info.lease) {
-					delete(j.inflight, s)
-					m.shardsStolen.Add(1)
-					m.queue = append(m.queue, shardRef{j, s})
-					j.events.publish(Event{Type: "shard-stolen", Shard: s, Done: j.doneCount, Total: j.grid.shards})
-					woke = true
-				}
-			}
 			for s, nb := range j.waiting {
 				if !now.Before(nb) {
 					delete(j.waiting, s)
@@ -811,7 +718,6 @@ func (m *Manager) Stats() Stats {
 		JobsCompleted:     m.jobsCompleted.Load(),
 		JobsFailed:        m.jobsFailed.Load(),
 		ShardsDone:        m.shardsDone.Load(),
-		ShardsStolen:      m.shardsStolen.Load(),
 		ShardsRetried:     m.shardsRetried.Load(),
 		ShardsQuarantined: m.shardsQuarantined.Load(),
 		CheckpointBytes:   m.checkpointBytes.Load(),

@@ -12,9 +12,9 @@ import (
 
 // Runner executes the trials [lo, hi) of one grid cell and returns
 // their exact partial aggregate. A Runner must be a pure function of
-// (cell, lo, hi): the scheduler re-invokes it freely on retry and
-// after steals, and the byte-identity contract assumes every
-// invocation agrees. The manager's default is DefaultRunner; tests
+// (cell, lo, hi): the scheduler re-invokes it on retry and after a
+// crash, and the byte-identity contract assumes every invocation
+// agrees. The manager's default is DefaultRunner; tests
 // substitute wrappers that inject failures, stalls, and poison.
 type Runner func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error)
 

@@ -1,20 +1,21 @@
 // Package jobs is minserve's resilient asynchronous job plane: it
 // turns a sweep specification (networks × loads × fault rates, a fixed
-// trial count per cell) into trial-index-preserving shards, schedules
-// the shards over a worker pool with work stealing, and checkpoints
-// every finished shard to an append-only CRC-framed log so that a
-// crashed or SIGTERM'd server resumes the job and produces a result
-// byte-identical to an uninterrupted run.
+// trial count per cell) into trial-index-preserving shards, runs the
+// shards on a worker pool, and checkpoints every finished shard to an
+// append-only CRC-framed log so that a crashed or SIGTERM'd server
+// resumes the job and produces a result byte-identical to an
+// uninterrupted run.
 //
 // The byte-identity contract rests on two facts. First, the engine
 // derives every trial's random stream from (seed, trial index), so a
 // shard is a pure function of (spec, shard index) — re-running it
-// after a crash, on a different worker, or after a steal yields the
-// same engine.WavePartial. Second, partials are exact integer sums
-// (engine.WavePartial), so merging them in shard-index order at
-// finalize time is independent of execution history. Everything else
-// in this package — leases, retries, quarantine, the checkpoint log —
-// only decides *whether* a shard result exists, never *what* it is.
+// after a failed attempt, after a crash, or on a different worker
+// yields the same engine.WavePartial. Second, partials are exact
+// integer sums (engine.WavePartial), so merging them in shard-index
+// order at finalize time is independent of execution history.
+// Everything else in this package — retries, quarantine, the
+// checkpoint log — only decides *whether* a shard result exists, never
+// *what* it is.
 package jobs
 
 import (

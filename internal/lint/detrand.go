@@ -56,9 +56,6 @@ func NewDetrand(packages []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			if pass.IsTestFile(f.Pos()) {
-				continue
-			}
 			for _, imp := range f.Imports {
 				path, _ := strconv.Unquote(imp.Path.Value)
 				if path == "math/rand" {

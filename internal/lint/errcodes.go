@@ -85,9 +85,6 @@ func runErrCodes(pass *Pass) error {
 	}
 	isCodeField := func(name string) bool { return name == "code" || name == "Code" }
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:

@@ -33,9 +33,6 @@ func init() {
 
 func runHotAlloc(pass *Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !HotPath(fn) {

@@ -10,8 +10,7 @@
 // an Analyzer with a Run(*Pass) hook reporting Diagnostics — but is
 // built entirely on the standard library (go/ast, go/types, and a
 // `go list -export` package loader) so the module keeps its zero
-// -dependency go.mod. cmd/minlint is the multichecker driver; it also
-// speaks the `go vet -vettool` unit-checker protocol.
+// -dependency go.mod. cmd/minlint is the multichecker driver.
 //
 // Suppression policy: a finding is silenced by the directive comment
 //
@@ -48,8 +47,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Path is the package's import path. Unit-checker drivers report
-	// test variants like "p [p.test]"; Path is always the base path.
+	// Path is the package's import path.
 	Path string
 	// Files are the parsed, type-checked compile files (tests excluded).
 	Files []*ast.File
@@ -94,14 +92,6 @@ func (p *Pass) AllFiles() []*ast.File {
 	out := make([]*ast.File, 0, len(p.Files)+len(p.ExtraFiles))
 	out = append(out, p.Files...)
 	return append(out, p.ExtraFiles...)
-}
-
-// IsTestFile reports whether the file containing pos is a _test.go
-// file. Analyzers that enforce production-code contracts skip those so
-// standalone and vet-driver runs agree (the vet driver hands test
-// variants to analyzers as full packages).
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // directive prefixes recognized in comments.

@@ -76,9 +76,6 @@ func runMetricLint(pass *Pass, prefix string) {
 	// Pass 1: collect declarations and usages from every string literal
 	// and registration-helper call.
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

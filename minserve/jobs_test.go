@@ -453,7 +453,6 @@ func TestJobMetricsFamilies(t *testing.T) {
 		"minserve_jobs_completed_total 1",
 		"minserve_jobs_failed_total 0",
 		"minserve_job_shards_done_total 4",
-		"minserve_job_shards_stolen_total 0",
 		"minserve_job_shards_retried_total 0",
 		"minserve_job_shards_quarantined_total 0",
 		"minserve_job_checkpoint_bytes_total 0", // in-memory plane: nothing persisted

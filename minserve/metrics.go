@@ -229,7 +229,6 @@ func (m *metrics) render(buf *bytes.Buffer, cache CacheStats, js jobs.Stats) {
 	counter("minserve_jobs_failed_total", "Jobs that reached failed (every shard quarantined, or a corrupt checkpoint at resume).",
 		js.JobsFailed)
 	counter("minserve_job_shards_done_total", "Sweep shards completed and checkpointed.", js.ShardsDone)
-	counter("minserve_job_shards_stolen_total", "Shard leases reclaimed from stalled or killed workers.", js.ShardsStolen)
 	counter("minserve_job_shards_retried_total", "Shard attempts that failed and were backed off for retry.", js.ShardsRetried)
 	counter("minserve_job_shards_quarantined_total", "Shards quarantined after exhausting their retry budget.",
 		js.ShardsQuarantined)
