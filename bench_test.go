@@ -947,13 +947,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		{"bin", codec.Encode, codec.Decode},
 	} {
 		for _, n := range []int{6, 8, 10} {
-			perms := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 7)), topology.MustBuild("omega", n).LinkPerms)
-			req := &codec.CheckRequest{NetworkSpec: codec.NetworkSpec{Network: "cold", Stages: n, LinkPerms: make([][]int, len(perms))}}
-			for s, p := range perms {
-				for _, y := range p {
-					req.LinkPerms[s] = append(req.LinkPerms[s], int(y))
-				}
-			}
+			req := &codec.CheckRequest{NetworkSpec: codec.NetworkSpec{Network: "cold", Stages: n, LinkPerms: relabeledOmegaRows(n)}}
 			body, err := wire.encode(req)
 			if err != nil {
 				b.Fatal(err)
@@ -969,5 +963,59 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// relabeledOmegaRows is the cold wiring of BenchmarkDecodeRequest and
+// BenchmarkColdCheck: a seeded cell relabeling of the n-stage Omega,
+// as the linkPerms rows of a request.
+func relabeledOmegaRows(n int) [][]int {
+	perms := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 7)), topology.MustBuild("omega", n).LinkPerms)
+	rows := make([][]int, len(perms))
+	for s, p := range perms {
+		rows[s] = make([]int, len(p))
+		for x, y := range p {
+			rows[s][x] = int(y)
+		}
+	}
+	return rows
+}
+
+// BenchmarkColdCheck is the characterization layer of an uncached
+// check on the relabeled Omega of BenchmarkDecodeRequest, after the
+// request is decoded: build is min.FromLinkPerms, check is min.Check
+// on the built network (a check without iso), and isocheck is
+// min.CheckIso, what a check with iso runs.
+func BenchmarkColdCheck(b *testing.B) {
+	for _, n := range []int{6, 8, 10} {
+		rows := relabeledOmegaRows(n)
+		nw, err := min.FromLinkPerms("cold", n, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("build/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := min.FromLinkPerms("cold", n, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("check/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !min.Check(nw).Equivalent {
+					b.Fatal("rejected")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("isocheck/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, iso, err := min.CheckIso(nw); err != nil || iso == nil {
+					b.Fatal("rejected", err)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -502,4 +503,46 @@ func targetForShape(shape byte) any {
 		return new(JobResult)
 	}
 	return nil
+}
+
+// TestIntLoopMatchesCheckedRead holds intLoop's inline one- and
+// two-byte path to the per-element checked read it bypasses: on
+// varints of every length, overlong and truncated ones included, and
+// on seeded random bytes, both must leave the same values, offset and
+// latched error, whatever the slice length.
+func TestIntLoopMatchesCheckedRead(t *testing.T) {
+	inputs := [][]byte{
+		{}, {0x00}, {0x7f}, {0x80}, {0x80, 0x00}, {0xff, 0x7f}, {0xff, 0xff},
+		{0xff, 0xff, 0x01}, {0x80, 0x80, 0x80}, {0x01, 0xff},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.IntN(24))
+		for j := range b {
+			b[j] = byte(rng.Uint32())
+			if rng.IntN(2) == 0 {
+				b[j] &= 0x7f
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, in := range inputs {
+		for n := 0; n <= 12; n++ {
+			fast := Decoder{buf: in}
+			got := make([]int, n)
+			fast.intLoop(got)
+			ref := Decoder{buf: in}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = ref.int()
+			}
+			if !reflect.DeepEqual(got, want) || fast.off != ref.off || fast.err != ref.err {
+				t.Fatalf("% x, %d ints: got %v off %d err %v, want %v off %d err %v",
+					in, n, got, fast.off, fast.err, want, ref.off, ref.err)
+			}
+		}
+	}
 }

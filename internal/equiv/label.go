@@ -46,6 +46,16 @@ func IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
 	return iso, err
 }
 
+// Relabeling is IsoBuilder.Relabeling on a pooled builder: the
+// isomorphism onto the Baseline and true when g is Baseline-equivalent,
+// false with no diagnostics otherwise.
+func Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
+	b := isoBuilderPool.Get().(*IsoBuilder)
+	iso, ok := b.Relabeling(g)
+	isoBuilderPool.Put(b)
+	return iso, ok
+}
+
 // IsoBetween returns an explicit isomorphism between two baseline-
 // equivalent graphs by composing their isomorphisms through Baseline.
 func IsoBetween(g, h *midigraph.Graph) (Isomorphism, error) {

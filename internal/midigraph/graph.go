@@ -41,18 +41,27 @@ type Graph struct {
 
 // New returns a graph with n stages and all child slots unset.
 func New(n int) *Graph {
+	g := alloc(n)
+	for _, row := range g.children {
+		for i := range row {
+			row[i] = NoNode
+		}
+	}
+	return g
+}
+
+// alloc returns an n-stage graph whose child rows share one backing
+// array and are left zero, for constructors that write every slot.
+func alloc(n int) *Graph {
 	if n < 1 || n > MaxStages {
 		panic(fmt.Sprintf("midigraph: stage count %d out of range [1,%d]", n, MaxStages))
 	}
 	h := 1 << uint(n-1)
 	g := &Graph{n: n, h: h, m: n - 1}
+	all := make([]uint32, (n-1)*2*h)
 	g.children = make([][]uint32, n-1)
 	for s := range g.children {
-		row := make([]uint32, 2*h)
-		for i := range row {
-			row[i] = NoNode
-		}
-		g.children[s] = row
+		g.children[s] = all[s*2*h : (s+1)*2*h : (s+1)*2*h]
 	}
 	return g
 }
@@ -259,12 +268,12 @@ func FromChildFuncs(n int, fs, gs []func(uint64) uint64) (*Graph, error) {
 // §4 construction: the cells of stage s emit outlinks labelled
 // (cell<<1)|port on n bits; linkPerms[s] maps outlink labels of stage s
 // to inlink labels of stage s+1; inlink z enters cell z>>1. Slot 0 (the
-// f-child) is the image of port 0.
+// f-child) is the image of port 0. It validates every permutation, its
+// size and then Perm.Validate, and builds with FromValidLinkPerms.
 func FromLinkPerms(n int, linkPerms []perm.Perm) (*Graph, error) {
 	if len(linkPerms) != n-1 {
 		return nil, fmt.Errorf("midigraph: want %d link permutations, got %d", n-1, len(linkPerms))
 	}
-	g := New(n)
 	nLinks := 1 << uint(n)
 	for s, p := range linkPerms {
 		if p.N() != nLinks {
@@ -274,16 +283,25 @@ func FromLinkPerms(n int, linkPerms []perm.Perm) (*Graph, error) {
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("midigraph: stage %d: %w", s, err)
 		}
-		for x := 0; x < g.h; x++ {
-			f := p.Apply(uint64(x) << 1)
-			c := p.Apply(uint64(x)<<1 | 1)
-			g.SetChildren(s, uint32(x), uint32(f>>1), uint32(c>>1))
+	}
+	return FromValidLinkPerms(linkPerms), nil
+}
+
+// FromValidLinkPerms is FromLinkPerms, with len(linkPerms)+1 stages, on
+// permutations the caller has already validated as bijections on the
+// 2^n link labels; it checks nothing. The child array of stage s is
+// linkPerms[s] shifted right by one, and the degree conditions hold by
+// construction: inlinks 2y and 2y+1 each have one preimage, so every
+// cell has in-degree 2.
+func FromValidLinkPerms(linkPerms []perm.Perm) *Graph {
+	g := alloc(len(linkPerms) + 1)
+	for s, p := range linkPerms {
+		row := g.children[s]
+		for i, v := range p {
+			row[i] = uint32(v >> 1)
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return g
 }
 
 // String renders the graph as one line per non-final stage listing each

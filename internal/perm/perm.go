@@ -47,17 +47,18 @@ func MustFromFunc(n int, f func(uint64) uint64) Perm {
 	return p
 }
 
-// Validate checks that p is a bijection on {0..len(p)-1}.
+// Validate checks that p is a bijection on {0..len(p)-1}, in one pass
+// on a bitmap of the images seen.
 func (p Perm) Validate() error {
-	seen := make([]bool, len(p))
+	seen := make([]uint64, (len(p)+63)/64)
 	for i, v := range p {
 		if v >= uint64(len(p)) {
 			return fmt.Errorf("perm: image %d of %d out of range [0,%d)", v, i, len(p))
 		}
-		if seen[v] {
+		if seen[v>>6]&(1<<(v&63)) != 0 {
 			return fmt.Errorf("perm: image %d repeated (first duplicate at source %d)", v, i)
 		}
-		seen[v] = true
+		seen[v>>6] |= 1 << (v & 63)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"minequiv/internal/equiv"
 	"minequiv/internal/midigraph"
@@ -104,9 +103,6 @@ type Fabric struct {
 // O(n·2^n) words.
 const MaxFabricStages = 14
 
-// isoBuilders backs NewFabric's characterization with reused scratch.
-var isoBuilders = sync.Pool{New: func() any { return equiv.NewIsoBuilder() }}
-
 // NewFabric compiles a wiring of link permutations. It first runs the
 // paper's characterization, verdict only: a Baseline-equivalent wiring
 // is compiled relabeled through its isomorphism to the Baseline
@@ -130,10 +126,7 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		}
 	}
 	if g, err := midigraph.FromLinkPerms(n, perms); err == nil {
-		b := isoBuilders.Get().(*equiv.IsoBuilder)
-		iso, ok := b.Relabeling(g)
-		isoBuilders.Put(b)
-		if ok {
+		if iso, ok := equiv.Relabeling(g); ok {
 			return compileRelabeled(perms, iso), nil
 		}
 	}

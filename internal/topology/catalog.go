@@ -32,21 +32,21 @@ func FromIndexPerms(name string, n int, ips []pipid.IndexPerm) (Network, error) 
 		}
 		lps[s] = ip.ToPerm()
 	}
-	g, err := midigraph.FromLinkPerms(n, lps)
-	if err != nil {
-		return Network{}, err
-	}
-	return Network{Name: name, Graph: g, IndexPerms: ips, LinkPerms: lps}, nil
+	return Network{Name: name, Graph: midigraph.FromValidLinkPerms(lps), IndexPerms: ips, LinkPerms: lps}, nil
 }
 
 // FromLinkPerms builds a network from arbitrary per-stage link
 // permutations; IndexPerms is populated for the stages that happen to be
-// PIPID (all or nothing).
+// PIPID (all or nothing). Each of lps must already be a validated
+// bijection on the 2^n link labels (min.FromLinkPerms checks its rows
+// once, as it copies them); only their count is checked here, and
+// midigraph.FromLinkPerms is the validating build.
 func FromLinkPerms(name string, n int, lps []perm.Perm) (Network, error) {
-	g, err := midigraph.FromLinkPerms(n, lps)
-	if err != nil {
-		return Network{}, err
+	if len(lps) != n-1 {
+		return Network{}, fmt.Errorf("topology: want %d link perms for %d stages, got %d",
+			n-1, n, len(lps))
 	}
+	g := midigraph.FromValidLinkPerms(lps)
 	ips := make([]pipid.IndexPerm, len(lps))
 	allPIPID := true
 	for s, lp := range lps {

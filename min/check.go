@@ -162,6 +162,48 @@ func Iso(nw *Network) (Isomorphism, error) {
 	return fromInternalIso(iso), nil
 }
 
+// CheckIso is Check plus, when the network is baseline-equivalent,
+// the isomorphism Iso returns (nil otherwise). It characterizes the
+// network once: the constructive isomorphism runs first, and when it
+// certifies, the report is fixed by the stage count (Banyan, and every
+// prefix and suffix window at its expected component count), so only
+// a rejected network pays for Check. The error is Iso's, for a network
+// Check calls equivalent that the labeling cannot map.
+func CheckIso(nw *Network) (Report, *Isomorphism, error) {
+	if m, ok := equiv.Relabeling(nw.graph()); ok {
+		iso := fromInternalIso(m)
+		return equivalentReport(nw), &iso, nil
+	}
+	rep := Check(nw)
+	if !rep.Equivalent {
+		return rep, nil, nil
+	}
+	iso, err := Iso(nw)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	return rep, &iso, nil
+}
+
+// equivalentReport is Check's report on a baseline-equivalent network:
+// Banyan, and every window P(1,j) and P(i,n) with the component count
+// it expects.
+func equivalentReport(nw *Network) Report {
+	g := nw.graph()
+	n := g.Stages()
+	rep := Report{
+		Network: nw.Name(), Stages: n, Equivalent: true, Banyan: true,
+		Prefix: make([]WindowCheck, n), Suffix: make([]WindowCheck, n),
+	}
+	for k := 1; k <= n; k++ {
+		e := g.ExpectedComponents(1, k)
+		rep.Prefix[k-1] = WindowCheck{I: 1, J: k, Components: e, Expected: e, OK: true}
+		e = g.ExpectedComponents(k, n)
+		rep.Suffix[k-1] = WindowCheck{I: k, J: n, Components: e, Expected: e, OK: true}
+	}
+	return rep
+}
+
 // IsoBetween constructs an isomorphism from a onto b. Both networks must
 // be baseline-equivalent (the maps are composed through Baseline).
 func IsoBetween(a, b *Network) (Isomorphism, error) {

@@ -27,7 +27,8 @@
 // Check evaluates the paper's characterization (Banyan + P(1,*) +
 // P(*,n)) and returns a structured Report; Iso constructs the explicit
 // isomorphism onto the Baseline network that the theorem promises;
-// Equivalent decides topological equivalence of two networks.
+// CheckIso returns both, characterizing the network once; Equivalent
+// decides topological equivalence of two networks.
 //
 //	rep := min.Check(omega)        // rep.Equivalent == true
 //	iso, _ := min.Iso(omega)       // per-stage node maps onto Baseline

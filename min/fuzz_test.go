@@ -2,9 +2,17 @@ package min
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"minequiv/internal/midigraph"
+	"minequiv/internal/perm"
+	"minequiv/internal/pipid"
+	"minequiv/internal/randnet"
+	"minequiv/internal/topology"
 )
 
 // FuzzBuilderStageSpecs drives the Builder/FromIndexPerms surface with
@@ -175,4 +183,157 @@ func wantFaultPlanError(plan FaultPlan, stages, h, N int) string {
 		}
 	}
 	return ""
+}
+
+// FuzzFromLinkPerms checks the one-pass FromLinkPerms against
+// fiveWalkFromLinkPerms, the build it replaced. The input decodes to
+// stages-1+extra%3 rows; row s holds 2^stages+int8(lens[s]) entries
+// (2^stages once lens runs out), each a little-endian int16 pair of
+// data bytes, and a row ends early when data does. Negative,
+// out-of-range and repeated entries, short and long rows and a wrong
+// row count all arrive. Both builds must fail with the same text, or
+// both succeed with the same fingerprint, link permutations and PIPID
+// structure. CI runs this for a short smoke window on every push.
+func FuzzFromLinkPerms(f *testing.F) {
+	encode := func(rows [][]int) []byte {
+		var b []byte
+		for _, row := range rows {
+			for _, v := range row {
+				b = append(b, byte(v), byte(uint16(v)>>8))
+			}
+		}
+		return b
+	}
+	tail, err := TailCycle(4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(4, 1)), MustBuild(Omega, 4).topo.LinkPerms)
+	rows := make([][]int, len(relabeled))
+	for s, p := range relabeled {
+		for _, v := range p {
+			rows[s] = append(rows[s], int(v))
+		}
+	}
+	for _, w := range [][][]int{MustBuild(Omega, 3).LinkPerms(), rows, tail.LinkPerms(), doubleArcWiring(4, 1, 3), identityWiring(3)} {
+		f.Add(len(w)+1, int8(0), []byte{}, encode(w))
+	}
+	omega := encode(MustBuild(Omega, 3).LinkPerms())
+	f.Add(3, int8(0), []byte{}, append([]byte{0xff, 0xff}, omega[2:]...))                                 // negative
+	f.Add(3, int8(0), []byte{}, append([]byte{8, 0}, omega[2:]...))                                       // out of range
+	f.Add(3, int8(0), []byte{}, append(omega[2:4:4], omega[2:]...))                                       // repeated
+	f.Add(3, int8(0), []byte{}, slices.Concat([]byte{8, 0}, omega[2:14], []byte{0xfe, 0xff}, omega[16:])) // the negative wins
+	f.Add(3, int8(0), []byte{0, 0xff}, omega)                                                             // short row
+	f.Add(3, int8(0), []byte{1}, slices.Concat(omega[:16], []byte{8, 0}, omega[16:]))                     // long row
+	f.Add(3, int8(1), []byte{}, omega)                                                                    // one row too many
+	f.Add(3, int8(0), []byte{}, omega[:20])                                                               // truncated
+	f.Add(1, int8(0), []byte{}, []byte{})
+	f.Add(27, int8(0), []byte{}, omega)
+	f.Fuzz(func(t *testing.T, stages int, extra int8, lens, data []byte) {
+		N := 1 << uint(max(0, min(stages, 12)))
+		rows := make([][]int, max(0, min(stages-1+int(extra%3), 40)))
+		for s := range rows {
+			size := N
+			if s < len(lens) {
+				size = max(0, N+int(int8(lens[s])))
+			}
+			rows[s] = []int{}
+			for ; size > 0 && len(data) >= 2; size-- {
+				rows[s] = append(rows[s], int(int16(uint16(data[0])|uint16(data[1])<<8)))
+				data = data[2:]
+			}
+		}
+		got, err := FromLinkPerms("fuzz", stages, rows)
+		want, wantErr := fiveWalkFromLinkPerms("fuzz", stages, rows)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("stages %d, %d rows: err %v, want %v", stages, len(rows), err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("fingerprint %x, want %x", got.Fingerprint(), want.Fingerprint())
+		}
+		if !reflect.DeepEqual(got.LinkPerms(), want.LinkPerms()) {
+			t.Fatal("link permutations differ")
+		}
+		gotIdx, gotPIPID := got.IndexPerms()
+		wantIdx, wantPIPID := want.IndexPerms()
+		if gotPIPID != wantPIPID || !reflect.DeepEqual(gotIdx, wantIdx) {
+			t.Fatalf("PIPID %t %v, want %t %v", gotPIPID, gotIdx, wantPIPID, wantIdx)
+		}
+	})
+}
+
+// fiveWalkFromLinkPerms is FromLinkPerms as it stood before the
+// one-pass build: copy and validate each row, validate it again while
+// building the MI-digraph on slots preset to NoNode, then validate the
+// graph's degrees. It is FuzzFromLinkPerms's oracle; validateBools is
+// the []bool Perm.Validate of that build.
+func fiveWalkFromLinkPerms(name string, stages int, perms [][]int) (*Network, error) {
+	if stages < 2 || stages > MaxStages {
+		return nil, fmt.Errorf("min: stage count %d out of range [2,%d]", stages, MaxStages)
+	}
+	if len(perms) != stages-1 {
+		return nil, fmt.Errorf("min: want %d link permutations for %d stages, got %d",
+			stages-1, stages, len(perms))
+	}
+	lps := make([]perm.Perm, len(perms))
+	for s, p := range perms {
+		lp := make(perm.Perm, len(p))
+		for i, v := range p {
+			if v < 0 {
+				return nil, fmt.Errorf("min: stage %d permutation has negative entry %d", s, v)
+			}
+			lp[i] = uint64(v)
+		}
+		if err := validateBools(lp); err != nil {
+			return nil, fmt.Errorf("min: stage %d: %w", s, err)
+		}
+		if lp.N() != 1<<uint(stages) {
+			return nil, fmt.Errorf("min: stage %d permutation on %d symbols, want %d",
+				s, lp.N(), 1<<uint(stages))
+		}
+		lps[s] = lp
+	}
+	g := midigraph.New(stages)
+	for s, p := range lps {
+		if p.N() != 1<<uint(stages) {
+			return nil, fmt.Errorf("midigraph: stage %d link permutation on %d symbols, want %d",
+				s, p.N(), 1<<uint(stages))
+		}
+		if err := validateBools(p); err != nil {
+			return nil, fmt.Errorf("midigraph: stage %d: %w", s, err)
+		}
+		for x := 0; x < g.CellsPerStage(); x++ {
+			g.SetChildren(s, uint32(x), uint32(p[2*x]>>1), uint32(p[2*x+1]>>1))
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	ips := make([]pipid.IndexPerm, len(lps))
+	for s, lp := range lps {
+		ip, ok := pipid.Detect(lp)
+		if !ok {
+			ips = nil
+			break
+		}
+		ips[s] = ip
+	}
+	return newNetwork(topology.Network{Name: name, Graph: g, IndexPerms: ips, LinkPerms: lps}), nil
+}
+
+func validateBools(p perm.Perm) error {
+	seen := make([]bool, len(p))
+	for i, v := range p {
+		if v >= uint64(len(p)) {
+			return fmt.Errorf("perm: image %d of %d out of range [0,%d)", v, i, len(p))
+		}
+		if seen[v] {
+			return fmt.Errorf("perm: image %d repeated (first duplicate at source %d)", v, i)
+		}
+		seen[v] = true
+	}
+	return nil
 }

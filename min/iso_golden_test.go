@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
+
+	"minequiv/internal/randnet"
+	"minequiv/internal/topology"
 )
 
 // isoGolden pins the maps Iso returns, not just their validity: per
@@ -47,5 +52,73 @@ func TestIsoGolden(t *testing.T) {
 			fmt.Fprintf(h, "%s n=%d %s\n", nw.Name(), nw.Stages(), b)
 		}
 		checkDigest(t, isoGolden, family, h)
+	}
+}
+
+// TestCheckIsoMatchesCheckAndIso pins CheckIso to the pair it stands
+// for, Check's report plus Iso's maps when the report says equivalent:
+// on the catalog at n = 2..12 with two seeded relabelings of each, the
+// tail cycles at n = 3..10 (Banyan, not equivalent), and double-arc
+// wirings at n = 3..8 (not Banyan).
+func TestCheckIsoMatchesCheckAndIso(t *testing.T) {
+	var nets []*Network
+	for i, name := range CatalogNames() {
+		for n := 2; n <= 12; n++ {
+			nw := MustBuild(name, n)
+			nets = append(nets, nw)
+			for r := uint64(0); r < 2; r++ {
+				rng := rand.New(rand.NewPCG(uint64(n), uint64(2*i)+r))
+				topo, err := topology.FromLinkPerms("relabeled-"+name, n, randnet.RelabelLinks(rng, nw.topo.LinkPerms))
+				if err != nil {
+					t.Fatal(err)
+				}
+				nets = append(nets, newNetwork(topo))
+			}
+		}
+	}
+	for n := 3; n <= 10; n++ {
+		nw, err := TailCycle(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, nw)
+	}
+	for n := 3; n <= 8; n++ {
+		h := 1 << uint(n-1)
+		for _, w := range [][][]int{doubleArcWiring(n, 0, h-1), doubleArcWiring(n, n/2, 1), doubleArcWiring(n, n-2, 0)} {
+			nw, err := FromLinkPerms("double-arc", n, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets = append(nets, nw)
+		}
+	}
+	equivalent := 0
+	for _, nw := range nets {
+		rep, iso, err := CheckIso(nw)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", nw.Name(), nw.Stages(), err)
+		}
+		want := Check(nw)
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("%s n=%d: report\n%+v\nwant\n%+v", nw.Name(), nw.Stages(), rep, want)
+		}
+		if !want.Equivalent {
+			if iso != nil {
+				t.Fatalf("%s n=%d: iso on a network that is not equivalent", nw.Name(), nw.Stages())
+			}
+			continue
+		}
+		equivalent++
+		wantIso, err := Iso(nw)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", nw.Name(), nw.Stages(), err)
+		}
+		if iso == nil || !reflect.DeepEqual(*iso, wantIso) {
+			t.Fatalf("%s n=%d: iso %v, want %v", nw.Name(), nw.Stages(), iso, wantIso)
+		}
+	}
+	if want := 6 * 11 * 3; equivalent != want {
+		t.Fatalf("%d equivalent networks, want %d", equivalent, want)
 	}
 }

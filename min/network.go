@@ -112,6 +112,12 @@ func TailCycle(stages int) (*Network, error) {
 // x of stage s. There must be stages-1 of them, each a permutation of
 // {0..2^stages-1}. PIPID structure is detected automatically, giving the
 // network a destination-tag schedule (TagPositions) when present.
+//
+// The rows are validated here and nowhere else: each in one pass on one
+// bitmap, as it is copied into the network's one backing array, from
+// which the MI-digraph's children are written unchecked. A row's first
+// fault is reported as a negative entry, else an entry out of range or
+// repeated, else a wrong row size.
 func FromLinkPerms(name string, stages int, perms [][]int) (*Network, error) {
 	if stages < 2 || stages > MaxStages {
 		return nil, fmt.Errorf("min: stage count %d out of range [2,%d]", stages, MaxStages)
@@ -120,29 +126,55 @@ func FromLinkPerms(name string, stages int, perms [][]int) (*Network, error) {
 		return nil, fmt.Errorf("min: want %d link permutations for %d stages, got %d",
 			stages-1, stages, len(perms))
 	}
+	N := 1 << uint(stages)
+	// Rows before the first wrong-sized one are copied; the backing
+	// array is sized by them, so it never outgrows the input.
+	full := 0
+	for full < len(perms) && len(perms[full]) == N {
+		full++
+	}
 	lps := make([]perm.Perm, len(perms))
-	for s, p := range perms {
-		lp := make(perm.Perm, len(p))
-		for i, v := range p {
-			if v < 0 {
-				return nil, fmt.Errorf("min: stage %d permutation has negative entry %d", s, v)
+	if full > 0 {
+		backing := make([]uint64, full*N)
+		seen := make([]uint64, (N+63)/64)
+		for s, row := range perms[:full] {
+			lp := perm.Perm(backing[s*N : (s+1)*N : (s+1)*N])
+			clear(seen)
+			for i, v := range row {
+				if v < 0 || v >= N || seen[v>>6]&(1<<uint(v&63)) != 0 {
+					return nil, rowError(s, row, N)
+				}
+				seen[v>>6] |= 1 << uint(v&63)
+				lp[i] = uint64(v)
 			}
-			lp[i] = uint64(v)
+			lps[s] = lp
 		}
-		if err := lp.Validate(); err != nil {
-			return nil, fmt.Errorf("min: stage %d: %w", s, err)
-		}
-		if lp.N() != 1<<uint(stages) {
-			return nil, fmt.Errorf("min: stage %d permutation on %d symbols, want %d",
-				s, lp.N(), 1<<uint(stages))
-		}
-		lps[s] = lp
+	}
+	if full < len(perms) {
+		return nil, rowError(full, perms[full], N)
 	}
 	t, err := topology.FromLinkPerms(name, stages, lps)
 	if err != nil {
 		return nil, err
 	}
 	return newNetwork(t), nil
+}
+
+// rowError reports the first fault of a row FromLinkPerms rejected,
+// with the precedence its doc states: a negative entry anywhere in the
+// row, else Perm.Validate's error, else the size.
+func rowError(s int, row []int, N int) error {
+	lp := make(perm.Perm, len(row))
+	for i, v := range row {
+		if v < 0 {
+			return fmt.Errorf("min: stage %d permutation has negative entry %d", s, v)
+		}
+		lp[i] = uint64(v)
+	}
+	if err := lp.Validate(); err != nil {
+		return fmt.Errorf("min: stage %d: %w", s, err)
+	}
+	return fmt.Errorf("min: stage %d permutation on %d symbols, want %d", s, len(row), N)
 }
 
 // FromIndexPerms builds a PIPID network from explicit per-stage index

@@ -532,15 +532,14 @@ func (s *server) execCheck(_ context.Context, wi wire, body []byte) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	resp := checkResponse{Report: min.Check(nw)}
-	if req.Iso && resp.Report.Equivalent {
-		iso, err := min.Iso(nw)
-		if err != nil {
-			return nil, err
-		}
-		resp.Iso = &iso
+	if !req.Iso {
+		return checkResponse{Report: min.Check(nw)}, nil
 	}
-	return resp, nil
+	rep, iso, err := min.CheckIso(nw)
+	if err != nil {
+		return nil, err
+	}
+	return checkResponse{Report: rep, Iso: iso}, nil
 }
 
 // ServingStats is the admission/serving-plane snapshot reported by

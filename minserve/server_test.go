@@ -91,6 +91,36 @@ func TestCheckGolden(t *testing.T) {
 	}
 }
 
+// TestCheckIsoGolden pins the exact JSON of two checks that ask for
+// the isomorphism: an equivalent network, whose report CheckIso fixes
+// by the stage count, and the tail cycle, whose report Check computes.
+func TestCheckIsoGolden(t *testing.T) {
+	prefix := `"prefix":[{"i":1,"j":1,"components":4,"expected":4,"ok":true},` +
+		`{"i":1,"j":2,"components":2,"expected":2,"ok":true},` +
+		`{"i":1,"j":3,"components":1,"expected":1,"ok":true}],`
+	for _, c := range []struct{ body, golden string }{
+		{`{"network":"omega","stages":3,"iso":true}`,
+			`{"report":{"network":"omega","stages":3,"equivalent":true,"banyan":true,` + prefix +
+				`"suffix":[{"i":1,"j":3,"components":1,"expected":1,"ok":true},` +
+				`{"i":2,"j":3,"components":2,"expected":2,"ok":true},` +
+				`{"i":3,"j":3,"components":4,"expected":4,"ok":true}]},` +
+				`"iso":{"maps":[[0,2,1,3],[0,2,1,3],[0,1,2,3]]}}` + "\n"},
+		{`{"network":"tail-cycle","stages":3,"iso":true}`,
+			`{"report":{"network":"tail-cycle","stages":3,"equivalent":false,"banyan":true,` + prefix +
+				`"suffix":[{"i":1,"j":3,"components":1,"expected":1,"ok":true},` +
+				`{"i":2,"j":3,"components":1,"expected":2,"ok":false},` +
+				`{"i":3,"j":3,"components":4,"expected":4,"ok":true}]}}` + "\n"},
+	} {
+		rec := do(t, newTestHandler(), "POST", "/v1/check", c.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.body, rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != c.golden {
+			t.Errorf("%s: golden mismatch:\ngot  %s\nwant %s", c.body, got, c.golden)
+		}
+	}
+}
+
 func TestCheckVariants(t *testing.T) {
 	h := newTestHandler()
 	// The counterexample: Banyan yes, equivalent no.
