@@ -39,11 +39,10 @@
 // benchmark gate keep them that way. A server handler decodes into a
 // fresh request, so there each slice (each permutation row) is one
 // allocation. Integers of one or two varint bytes, which covers every
-// link label up to 12 stages, are decoded inline on a local offset;
-// a 10-stage linkPerms check decodes about 1.7x faster than through
-// the per-element checked read. Decoded strings are copies; decoded
-// byte fields (batch sub-payloads) alias the input buffer and must be
-// consumed before the caller recycles it.
+// link label up to 12 stages, are decoded inline on a local offset.
+// Decoded strings are copies; decoded byte fields (batch sub-payloads)
+// alias the input buffer and must be consumed before the caller
+// recycles it.
 package codec
 
 import (
