@@ -756,7 +756,8 @@ func BenchmarkFaultedBitRange(b *testing.B) {
 	}
 }
 
-// BenchmarkSimBuffered (T7): buffered queueing simulation.
+// BenchmarkSimBuffered (T7): buffered queueing simulation, one fresh
+// runner per replication.
 func BenchmarkSimBuffered(b *testing.B) {
 	f, err := sim.NewFabric(topology.MustBuild(topology.NameBaseline, 6).LinkPerms)
 	if err != nil {
@@ -765,7 +766,11 @@ func BenchmarkSimBuffered(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.RunBuffered(sim.BufferedConfig{Pattern: sim.Bernoulli(0.6), Queue: 4, Cycles: 200, Warmup: 20}, rng); err != nil {
+		r, err := f.NewBufferedRunner(sim.BufferedConfig{Pattern: sim.Bernoulli(0.6), Queue: 4, Cycles: 200, Warmup: 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(context.Background(), rng); err != nil {
 			b.Fatal(err)
 		}
 	}

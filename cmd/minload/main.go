@@ -1,7 +1,8 @@
-// Command minload drives load against a minserve instance — over the
-// network or fully in-process — and reports served RPS and latency
-// percentiles as JSON, the serving-plane analogue of the kernel
-// BENCH_*.json reports.
+// Command minload drives load against a live minserve instance over
+// the network and reports served RPS and latency percentiles as JSON.
+// In-process serving measurements, and CI's serving gate, are
+// perfbench's (perfbench/README.md, .github/scripts/perfbench-ab.sh);
+// minload is the client that crosses a real socket.
 //
 // Two modes:
 //
@@ -28,22 +29,17 @@
 // submit-to-completion and its polling traffic rides the admission
 // bypass exactly like a real client's.
 //
-// Cross-machine comparability: the report embeds refCheckUs, the
-// serial latency of a warm /v1/check on this host (the median of 21
-// round medians spread over ~0.1 s), measured before the run. Gating
-// against a committed baseline (-baseline) scales both served RPS and
-// p99 by the refCheckUs ratio, so CI fails on real serving
-// regressions, not on slower runners.
+// -lint-metrics fetches /metrics after the run and fails on an
+// exposition that does not lint clean.
 //
 // Usage:
 //
-//	minload -inprocess -duration 5s -conns 8 -codec bin -o bin.json
+//	minload -addr localhost:8080 -duration 5s -conns 8 -codec bin -o bin.json
 //	minload -addr localhost:8080 -rps 2000 -ramp 500:4000 -duration 30s
-//	minload -inprocess -baseline BENCH_SERVE_10.json -max-regress 20 -lint-metrics
+//	minload -addr localhost:8080 -mix job=1 -stages 5 -lint-metrics
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -53,7 +49,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -303,51 +298,43 @@ func pick(ops []op, r *rand.Rand) *op {
 	return &ops[len(ops)-1]
 }
 
-// --- dispatch -------------------------------------------------------
+// --- client ---------------------------------------------------------
 
-// target abstracts where requests go: a live server over TCP or the
-// handler called in-process (no sockets, no syscalls — the same mode
-// the CI serving-bench job uses, so runner networking never skews the
-// gate).
-// post returns the response-body size alongside the status so the
-// per-op byte counters stay honest even when the body is discarded.
-type target interface {
-	post(path, body string) (status int, respBytes int, err error)
-	postRead(path, body string) (status int, respBody []byte, err error)
-	get(path string) (status int, body []byte, err error)
-}
-
-type httpTarget struct {
+// client posts to a live server. binary sends the mix's pre-encoded
+// binary bodies and asks for binary responses.
+type client struct {
 	base   string
-	client *http.Client
-	binary bool // send binary bodies, ask for binary responses
+	http   *http.Client
+	binary bool
 }
 
-func (t *httpTarget) do(method, path, body string) (*http.Response, error) {
+func (c *client) do(method, path, body string) (*http.Response, error) {
 	var rd io.Reader
 	if body != "" {
 		rd = strings.NewReader(body)
 	}
-	req, err := http.NewRequest(method, t.base+path, rd)
+	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
 		return nil, err
 	}
 	if body != "" {
-		if t.binary {
+		if c.binary {
 			req.Header.Set("Content-Type", minserve.MediaTypeBinary)
 		} else {
 			req.Header.Set("Content-Type", "application/json")
 		}
 		req.ContentLength = int64(len(body))
 	}
-	if t.binary {
+	if c.binary {
 		req.Header.Set("Accept", minserve.MediaTypeBinary)
 	}
-	return t.client.Do(req)
+	return c.http.Do(req)
 }
 
-func (t *httpTarget) post(path, body string) (int, int, error) {
-	resp, err := t.do("POST", path, body)
+// post discards the response body and returns its size, so the per-op
+// byte counters stay honest.
+func (c *client) post(path, body string) (int, int, error) {
+	resp, err := c.do("POST", path, body)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -356,110 +343,14 @@ func (t *httpTarget) post(path, body string) (int, int, error) {
 	return resp.StatusCode, int(n), nil
 }
 
-func (t *httpTarget) postRead(path, body string) (int, []byte, error) {
-	resp, err := t.do("POST", path, body)
+func (c *client) read(method, path, body string) (int, []byte, error) {
+	resp, err := c.do(method, path, body)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, b, err
-}
-
-func (t *httpTarget) get(path string) (int, []byte, error) {
-	resp, err := t.do("GET", path, "")
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, err
-}
-
-// nullWriter is the in-process ResponseWriter: it keeps the status and
-// discards the body (the generator measures the server, not itself).
-type nullWriter struct {
-	h      http.Header
-	status int
-	n      int64
-}
-
-func (w *nullWriter) Header() http.Header { return w.h }
-func (w *nullWriter) WriteHeader(s int) {
-	if w.status == 0 {
-		w.status = s
-	}
-}
-func (w *nullWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-type inprocTarget struct {
-	h      http.Handler
-	binary bool // send binary bodies, ask for binary responses
-}
-
-func (t *inprocTarget) newRequest(method, path, body string) *http.Request {
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, _ := http.NewRequest(method, "http://minload"+path, rd)
-	if body != "" {
-		if t.binary {
-			req.Header.Set("Content-Type", minserve.MediaTypeBinary)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		req.ContentLength = int64(len(body))
-	}
-	if t.binary {
-		req.Header.Set("Accept", minserve.MediaTypeBinary)
-	}
-	return req
-}
-
-func (t *inprocTarget) post(path, body string) (int, int, error) {
-	w := &nullWriter{h: make(http.Header)}
-	t.h.ServeHTTP(w, t.newRequest("POST", path, body))
-	return w.status, int(w.n), nil
-}
-
-func (t *inprocTarget) postRead(path, body string) (int, []byte, error) {
-	var buf bytes.Buffer
-	rec := &captureWriter{h: make(http.Header), body: &buf}
-	t.h.ServeHTTP(rec, t.newRequest("POST", path, body))
-	return rec.status, buf.Bytes(), nil
-}
-
-func (t *inprocTarget) get(path string) (int, []byte, error) {
-	var buf bytes.Buffer
-	rec := &captureWriter{h: make(http.Header), body: &buf}
-	t.h.ServeHTTP(rec, t.newRequest("GET", path, ""))
-	return rec.status, buf.Bytes(), nil
-}
-
-type captureWriter struct {
-	h      http.Header
-	status int
-	body   *bytes.Buffer
-}
-
-func (w *captureWriter) Header() http.Header { return w.h }
-func (w *captureWriter) WriteHeader(s int) {
-	if w.status == 0 {
-		w.status = s
-	}
-}
-func (w *captureWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.body.Write(p)
 }
 
 // jobPollInterval paces the job op's status polling; the reads bypass
@@ -485,13 +376,13 @@ func jobTerminal(state string) bool {
 // submit-to-completion and its byte counts include the polling. A run
 // deadline that lands mid-poll abandons the job (the server finishes
 // it alone) and reports the submit's status.
-func doOp(ctx context.Context, tgt target, name, body string) (status, bytesOut, bytesIn int, err error) {
+func doOp(ctx context.Context, c *client, name, body string) (status, bytesOut, bytesIn int, err error) {
 	bytesOut = len(body)
 	if name != "job" {
-		status, n, err := tgt.post("/v1/"+endpointFor(name), body)
+		status, n, err := c.post("/v1/"+endpointFor(name), body)
 		return status, bytesOut, n, err
 	}
-	status, resp, err := tgt.postRead("/v1/jobs", body)
+	status, resp, err := c.read("POST", "/v1/jobs", body)
 	bytesIn = len(resp)
 	if err != nil || status != http.StatusAccepted {
 		return status, bytesOut, bytesIn, err
@@ -505,7 +396,7 @@ func doOp(ctx context.Context, tgt target, name, body string) (status, bytesOut,
 			return status, bytesOut, bytesIn, nil
 		}
 		time.Sleep(jobPollInterval)
-		code, b, err := tgt.get("/v1/jobs/" + st.ID)
+		code, b, err := c.read("GET", "/v1/jobs/"+st.ID, "")
 		bytesIn += len(b)
 		if err != nil || code != http.StatusOK {
 			return code, bytesOut, bytesIn, err
@@ -518,6 +409,42 @@ func doOp(ctx context.Context, tgt target, name, body string) (status, bytesOut,
 		return http.StatusInternalServerError, bytesOut, bytesIn, nil
 	}
 	return http.StatusOK, bytesOut, bytesIn, nil
+}
+
+// tally is one run's accounting, shared by its workers: per-op traffic
+// counters, status classes and the merged latency histogram.
+type tally struct {
+	ops          []opCounters
+	errors, shed atomic.Uint64
+	mu           sync.Mutex
+	hist         hist
+}
+
+// issue runs one op and accounts for it: a latency sample in the
+// worker's own histogram h, the op's traffic counters, and its status
+// class (429 is shed; a transport error or any other status >= 400 is
+// an error).
+func (t *tally) issue(ctx context.Context, c *client, o *op, body string, h *hist) {
+	start := time.Now()
+	status, bytesOut, bytesIn, err := doOp(ctx, c, o.name, body)
+	h.add(time.Since(start))
+	cnt := &t.ops[o.idx]
+	cnt.requests.Add(1)
+	cnt.bytesOut.Add(uint64(bytesOut))
+	cnt.bytesIn.Add(uint64(bytesIn))
+	switch {
+	case err == nil && status == http.StatusTooManyRequests:
+		t.shed.Add(1)
+	case err != nil || status >= 400:
+		t.errors.Add(1)
+	}
+}
+
+// merge folds a worker's histogram into the run's.
+func (t *tally) merge(h *hist) {
+	t.mu.Lock()
+	t.hist.merge(h)
+	t.mu.Unlock()
 }
 
 // --- report ---------------------------------------------------------
@@ -537,15 +464,13 @@ type opReport struct {
 	BytesOut uint64 `json:"bytesOut"`
 }
 
-// report is one codec's row of the committed/gated artifact
-// (BENCH_SERVE_10.json holds one per codec under "codecs").
+// report is one run's result, printed and optionally written to -o.
 type report struct {
 	Mode        string        `json:"mode"` // "closed" or "open"
 	Mix         string        `json:"mix"`
 	Codec       string        `json:"codec"`
 	Conns       int           `json:"conns"`
 	DurationSec float64       `json:"durationSec"`
-	RefCheckUs  float64       `json:"refCheckUs"`
 	Requests    uint64        `json:"requests"`
 	Errors      uint64        `json:"errors"`
 	Shed        uint64        `json:"shed"`
@@ -554,24 +479,16 @@ type report struct {
 	ServedRPS   float64       `json:"servedRPS"`
 	Latency     latencyReport `json:"latency"`
 
-	// Ops breaks traffic down per mix op; bytesIn/bytesOut make the
-	// wire-size delta between codecs a committed, gateable number.
+	// Ops breaks traffic down per mix op; bytesIn/bytesOut show the
+	// wire-size delta between codecs.
 	Ops map[string]opReport `json:"ops,omitempty"`
-}
-
-// codecBaselines is the BENCH_SERVE_10.json envelope: one report per
-// codec, keyed "json"/"bin", so a single committed file gates both
-// wire formats.
-type codecBaselines struct {
-	Codecs map[string]report `json:"codecs"`
 }
 
 // --- main loop ------------------------------------------------------
 
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("minload", flag.ContinueOnError)
-	addr := fs.String("addr", "", "target host:port (mutually exclusive with -inprocess)")
-	inproc := fs.Bool("inprocess", false, "drive an in-process minserve handler (no sockets)")
+	addr := fs.String("addr", "", "target host:port (required)")
 	duration := fs.Duration("duration", 10*time.Second, "measured run length (after warmup)")
 	warmup := fs.Duration("warmup", time.Second, "unmeasured warmup length")
 	rps := fs.Float64("rps", 0, "open-loop target arrival rate (0 = closed loop)")
@@ -584,8 +501,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	distinct := fs.Int("distinct", 16, "distinct request variants per op (cache realism)")
 	seed := fs.Int64("seed", 1, "workload selection seed")
 	out := fs.String("o", "", "write the JSON report here (default stdout only)")
-	baseline := fs.String("baseline", "", "gate against this committed codec-split baseline (e.g. BENCH_SERVE_10.json)")
-	maxRegress := fs.Float64("max-regress", 20, "allowed served-RPS/p99 regression vs baseline, percent")
 	lintMetrics := fs.Bool("lint-metrics", false, "fetch /metrics after the run and lint the exposition")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -593,57 +508,35 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *stages < 3 {
 		return fmt.Errorf("-stages must be >= 3")
 	}
-	if (*addr == "") == !*inproc {
-		return fmt.Errorf("exactly one of -addr or -inprocess is required")
+	if *addr == "" {
+		return fmt.Errorf("-addr is required")
 	}
 	if *codecName != "json" && *codecName != "bin" {
 		return fmt.Errorf("-codec must be json or bin, got %q", *codecName)
 	}
-	binary := *codecName == "bin"
-
-	// calTgt always speaks JSON: refCheckUs must measure the same thing
-	// on every run so the cross-machine normalization stays comparable
-	// across codec rows.
-	var tgt, calTgt target
-	if *inproc {
-		svc, err := minserve.New(minserve.Config{})
-		if err != nil {
-			return err
-		}
-		h := svc.Handler()
-		tgt = &inprocTarget{h: h, binary: binary}
-		calTgt = &inprocTarget{h: h}
-	} else {
-		client := &http.Client{
+	c := &client{
+		base: "http://" + *addr,
+		http: &http.Client{
 			Transport: &http.Transport{MaxIdleConnsPerHost: *conns * 2},
 			Timeout:   30 * time.Second,
-		}
-		tgt = &httpTarget{base: "http://" + *addr, client: client, binary: binary}
-		calTgt = &httpTarget{base: "http://" + *addr, client: client}
+		},
+		binary: *codecName == "bin",
 	}
 
 	ops, err := buildMix(*mixSpec, *stages, *waves, *distinct)
 	if err != nil {
 		return err
 	}
-	if binary {
+	if c.binary {
 		if err := transcodeMix(ops); err != nil {
 			return err
 		}
 	}
 
-	// Calibration: serial warm-check latency, for cross-machine
-	// normalization of the committed baseline.
-	refUs, err := calibrate(calTgt)
-	if err != nil {
-		return fmt.Errorf("calibration: %w", err)
-	}
-
 	rep := report{
-		Mix:        *mixSpec,
-		Codec:      *codecName,
-		Conns:      *conns,
-		RefCheckUs: refUs,
+		Mix:   *mixSpec,
+		Codec: *codecName,
+		Conns: *conns,
 	}
 
 	rampStart, rampEnd := *rps, *rps
@@ -665,63 +558,45 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// runtime.
 	if *warmup > 0 {
 		warmCtx, cancel := context.WithTimeout(ctx, *warmup)
-		runClosed(warmCtx, tgt, ops, *conns, *seed+1, nil, nil, nil)
+		runClosed(warmCtx, c, ops, *conns, *seed+1, &tally{ops: make([]opCounters, len(ops))})
 		cancel()
 	}
 
 	runCtx, cancel := context.WithTimeout(ctx, *duration)
 	defer cancel()
-	counters := make([]opCounters, len(ops))
-	var (
-		merged   hist
-		requests uint64
-		errsN    uint64
-		shed     uint64
-		dropped  uint64
-		elapsed  time.Duration
-	)
+	t := &tally{ops: make([]opCounters, len(ops))}
 	startT := time.Now()
 	if open {
 		rep.Mode = "open"
-		requests, errsN, shed, dropped = runOpen(runCtx, tgt, ops, *conns, *seed, rampStart, rampEnd, *duration, &merged, counters)
-		offered := (rampStart + rampEnd) / 2
-		rep.OfferedRPS = offered
-		rep.Dropped = dropped
+		rep.Dropped = runOpen(runCtx, c, ops, *conns, *seed, rampStart, rampEnd, *duration, t)
+		rep.OfferedRPS = (rampStart + rampEnd) / 2
 	} else {
 		rep.Mode = "closed"
-		var errCount, shedCount atomic.Uint64
-		requests = runClosed(runCtx, tgt, ops, *conns, *seed, &merged, counters, func(status int) {
-			switch {
-			case status == http.StatusTooManyRequests:
-				shedCount.Add(1)
-			case status >= 400:
-				errCount.Add(1)
-			}
-		})
-		errsN, shed = errCount.Load(), shedCount.Load()
+		runClosed(runCtx, c, ops, *conns, *seed, t)
 	}
-	elapsed = time.Since(startT)
+	elapsed := time.Since(startT)
 
 	rep.Ops = make(map[string]opReport, len(ops))
 	for i := range ops {
-		rep.Ops[ops[i].name] = opReport{
-			Requests: counters[i].requests.Load(),
-			BytesIn:  counters[i].bytesIn.Load(),
-			BytesOut: counters[i].bytesOut.Load(),
+		r := opReport{
+			Requests: t.ops[i].requests.Load(),
+			BytesIn:  t.ops[i].bytesIn.Load(),
+			BytesOut: t.ops[i].bytesOut.Load(),
 		}
+		rep.Ops[ops[i].name] = r
+		rep.Requests += r.Requests
 	}
 
 	rep.DurationSec = elapsed.Seconds()
-	rep.Requests = requests
-	rep.Errors = errsN
-	rep.Shed = shed
-	rep.ServedRPS = float64(requests-errsN-shed) / elapsed.Seconds()
+	rep.Errors = t.errors.Load()
+	rep.Shed = t.shed.Load()
+	rep.ServedRPS = float64(rep.Requests-rep.Errors-rep.Shed) / elapsed.Seconds()
 	rep.Latency = latencyReport{
-		P50Us:  merged.quantile(0.50),
-		P90Us:  merged.quantile(0.90),
-		P99Us:  merged.quantile(0.99),
-		MeanUs: merged.sumUs / math.Max(1, float64(merged.count)),
-		MaxUs:  merged.maxUs,
+		P50Us:  t.hist.quantile(0.50),
+		P90Us:  t.hist.quantile(0.90),
+		P99Us:  t.hist.quantile(0.99),
+		MeanUs: t.hist.sumUs / math.Max(1, float64(t.hist.count)),
+		MaxUs:  t.hist.maxUs,
 	}
 
 	enc := json.NewEncoder(w)
@@ -737,7 +612,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if *lintMetrics {
-		status, text, err := tgt.get("/metrics")
+		status, text, err := c.read("GET", "/metrics", "")
 		if err != nil || status != http.StatusOK {
 			return fmt.Errorf("fetch /metrics: status %d err %v", status, err)
 		}
@@ -746,146 +621,49 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		fmt.Fprintln(w, "minload: /metrics exposition lint-clean")
 	}
-
-	if *baseline != "" {
-		if err := gate(w, rep, *baseline, *maxRegress); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// calibrate measures the serial latency of a warm /v1/check: the
-// median of calRounds round medians of roundSamples checks, each round
-// calGap after the last. On a shared host a millisecond of serial
-// checks runs in whatever state the machine is in just then (its
-// neighbours' load on the caches and memory), such states hold for
-// tens to hundreds of milliseconds, and one median of back-to-back
-// checks swings by up to 2x between two calls a second apart; the
-// minimum of several such medians chases the rarer fast state and
-// swings as much. The median of spread rounds is the typical speed.
-func calibrate(tgt target) (float64, error) {
-	const (
-		body         = `{"network":"omega","stages":4}`
-		calRounds    = 21
-		roundSamples = 100
-		calGap       = 5 * time.Millisecond
-	)
-	// Warm the cache first.
-	for i := 0; i < 10; i++ {
-		if status, _, err := tgt.post("/v1/check", body); err != nil || status != http.StatusOK {
-			return 0, fmt.Errorf("warm check: status %d err %v", status, err)
-		}
-	}
-	medians := make([]float64, calRounds)
-	samples := make([]float64, roundSamples)
-	for r := range medians {
-		time.Sleep(calGap)
-		for i := range samples {
-			start := time.Now()
-			if _, _, err := tgt.post("/v1/check", body); err != nil {
-				return 0, err
-			}
-			samples[i] = float64(time.Since(start)) / float64(time.Microsecond)
-		}
-		sort.Float64s(samples)
-		medians[r] = samples[len(samples)/2]
-	}
-	sort.Float64s(medians)
-	return medians[len(medians)/2], nil
-}
-
 // runClosed drives conns workers back-to-back until ctx expires.
-// h (merged histogram), counters, and onStatus may be nil (warmup).
-func runClosed(ctx context.Context, tgt target, ops []op, conns int, seed int64, h *hist, counters []opCounters, onStatus func(int)) uint64 {
-	var total atomic.Uint64
-	var mu sync.Mutex
+func runClosed(ctx context.Context, c *client, ops []op, conns int, seed int64, t *tally) {
 	var wg sync.WaitGroup
-	for c := 0; c < conns; c++ {
+	for k := 0; k < conns; k++ {
 		wg.Add(1)
-		go func(c int) {
+		go func(k int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(seed), uint64(c)*7919))
-			local := &hist{}
-			n := uint64(0)
+			rng := rand.New(rand.NewPCG(uint64(seed), uint64(k)*7919))
+			var h hist
 			for ctx.Err() == nil {
 				o := pick(ops, rng)
-				body := o.bodies[rng.IntN(len(o.bodies))]
-				start := time.Now()
-				status, bOut, bIn, err := doOp(ctx, tgt, o.name, body)
-				if err != nil {
-					status = 0
-				}
-				local.add(time.Since(start))
-				n++
-				if counters != nil {
-					cnt := &counters[o.idx]
-					cnt.requests.Add(1)
-					cnt.bytesOut.Add(uint64(bOut))
-					cnt.bytesIn.Add(uint64(bIn))
-				}
-				if onStatus != nil {
-					if err != nil {
-						onStatus(599)
-					} else {
-						onStatus(status)
-					}
-				}
+				t.issue(ctx, c, o, o.bodies[rng.IntN(len(o.bodies))], &h)
 			}
-			total.Add(n)
-			if h != nil {
-				mu.Lock()
-				h.merge(local)
-				mu.Unlock()
-			}
-		}(c)
+			t.merge(&h)
+		}(k)
 	}
 	wg.Wait()
-	return total.Load()
 }
 
 // runOpen generates arrivals at the (possibly ramping) target rate on
 // a central pacer; conns workers consume them. Arrivals that find the
 // queue full are dropped and counted — open-loop honesty: a saturated
 // server must not slow the arrival process down.
-func runOpen(ctx context.Context, tgt target, ops []op, conns int, seed int64, rateStart, rateEnd float64, dur time.Duration, h *hist, counters []opCounters) (requests, errsN, shed, dropped uint64) {
-	type job struct {
-		op, body string
-		idx      int
+func runOpen(ctx context.Context, c *client, ops []op, conns int, seed int64, rateStart, rateEnd float64, dur time.Duration, t *tally) (dropped uint64) {
+	type arrival struct {
+		o    *op
+		body string
 	}
-	queue := make(chan job, conns*2)
-	var errCount, shedCount, dropCount, total atomic.Uint64
-	var mu sync.Mutex
+	queue := make(chan arrival, conns*2)
 	var wg sync.WaitGroup
-	for c := 0; c < conns; c++ {
+	for k := 0; k < conns; k++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			local := &hist{}
-			for j := range queue {
-				start := time.Now()
-				status, bOut, bIn, err := doOp(ctx, tgt, j.op, j.body)
-				local.add(time.Since(start))
-				total.Add(1)
-				if counters != nil {
-					cnt := &counters[j.idx]
-					cnt.requests.Add(1)
-					cnt.bytesOut.Add(uint64(bOut))
-					cnt.bytesIn.Add(uint64(bIn))
-				}
-				switch {
-				case err != nil:
-					errCount.Add(1)
-				case status == http.StatusTooManyRequests:
-					shedCount.Add(1)
-				case status >= 400:
-					errCount.Add(1)
-				}
+			var h hist
+			for a := range queue {
+				t.issue(ctx, c, a.o, a.body, &h)
 			}
-			mu.Lock()
-			h.merge(local)
-			mu.Unlock()
-		}(c)
+			t.merge(&h)
+		}()
 	}
 
 	rng := rand.New(rand.NewPCG(uint64(seed), 0))
@@ -901,11 +679,11 @@ func runOpen(ctx context.Context, tgt target, ops []op, conns int, seed int64, r
 		}
 		interval := time.Duration(float64(time.Second) / rate)
 		o := pick(ops, rng)
-		j := job{op: o.name, body: o.bodies[rng.IntN(len(o.bodies))], idx: o.idx}
+		a := arrival{o, o.bodies[rng.IntN(len(o.bodies))]}
 		select {
-		case queue <- j:
+		case queue <- a:
 		default:
-			dropCount.Add(1)
+			dropped++
 		}
 		timer := time.NewTimer(interval)
 		select {
@@ -916,44 +694,5 @@ func runOpen(ctx context.Context, tgt target, ops []op, conns int, seed int64, r
 	}
 	close(queue)
 	wg.Wait()
-	return total.Load(), errCount.Load(), shedCount.Load(), dropCount.Load()
-}
-
-// gate compares the run against a committed codec-split baseline
-// ({"codecs":{"json":{...},"bin":{...}}}), gating the row matching the
-// run's -codec, normalized by the refCheckUs ratio so a slower runner is
-// not a false regression.
-func gate(w io.Writer, cur report, baselinePath string, maxRegress float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var split codecBaselines
-	if err := json.Unmarshal(data, &split); err != nil {
-		return fmt.Errorf("baseline %s: %w", baselinePath, err)
-	}
-	base, ok := split.Codecs[cur.Codec]
-	if !ok {
-		return fmt.Errorf("baseline %s has no %q codec row", baselinePath, cur.Codec)
-	}
-	if base.RefCheckUs <= 0 || cur.RefCheckUs <= 0 {
-		return fmt.Errorf("baseline gating needs refCheckUs on both sides")
-	}
-	// speed > 1: this machine is faster than the baseline's.
-	speed := base.RefCheckUs / cur.RefCheckUs
-	normServed := cur.ServedRPS / speed
-	normP99 := cur.Latency.P99Us * speed
-	fmt.Fprintf(w, "minload: baseline gate (speed ratio %.2f): servedRPS %.0f (norm %.0f, floor %.0f), p99 %.0fus (norm %.0f, ceil %.0f)\n",
-		speed, cur.ServedRPS, normServed, base.ServedRPS*(1-maxRegress/100),
-		cur.Latency.P99Us, normP99, base.Latency.P99Us*(1+maxRegress/100))
-	if normServed < base.ServedRPS*(1-maxRegress/100) {
-		return fmt.Errorf("served RPS regression: normalized %.0f < %.0f (baseline %.0f - %.0f%%)",
-			normServed, base.ServedRPS*(1-maxRegress/100), base.ServedRPS, maxRegress)
-	}
-	if normP99 > base.Latency.P99Us*(1+maxRegress/100) {
-		return fmt.Errorf("p99 regression: normalized %.0fus > %.0fus (baseline %.0f + %.0f%%)",
-			normP99, base.Latency.P99Us*(1+maxRegress/100), base.Latency.P99Us, maxRegress)
-	}
-	fmt.Fprintln(w, "minload: within baseline envelope")
-	return nil
+	return dropped
 }

@@ -48,7 +48,7 @@
 //	cmd/minctl           inspection CLI (public API only)
 //	cmd/minsim           traffic simulation driver (public API only)
 //	cmd/minserve         the HTTP service binary
-//	cmd/minload          load generator -> BENCH_SERVE_*.json + CI gate
+//	cmd/minload          network load generator for a live minserve
 //	cmd/minbench         regenerates every figure/table (module-internal)
 //	cmd/benchjson        bench output -> JSON + CI allocation gate
 //	examples/            runnable tours, including a minserve client

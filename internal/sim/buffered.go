@@ -579,14 +579,3 @@ func (r *BufferedRunner) percentile(delivered int, q float64) int {
 	}
 	return len(r.hist) - 1
 }
-
-// RunBuffered is the one-shot convenience form; it allocates a fresh
-// runner per call and runs the replication to completion, with no
-// context to cancel it. Hot loops should hold a BufferedRunner instead.
-func (f *Fabric) RunBuffered(cfg BufferedConfig, rng *rand.Rand) (BufferedResult, error) {
-	r, err := f.NewBufferedRunner(cfg)
-	if err != nil {
-		return BufferedResult{}, err
-	}
-	return r.Run(context.TODO(), rng)
-}

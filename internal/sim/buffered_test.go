@@ -22,8 +22,18 @@ func runOnce(t *testing.T, r *BufferedRunner, rng *rand.Rand) BufferedResult {
 	return res
 }
 
+// runBuffered runs one replication on a fresh runner for cfg.
+func runBuffered(t *testing.T, f *Fabric, cfg BufferedConfig, rng *rand.Rand) BufferedResult {
+	t.Helper()
+	r, err := f.NewBufferedRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runOnce(t, r, rng)
+}
+
 func TestBufferedRunnerMatchesOneShot(t *testing.T) {
-	// A reused runner and the one-shot Fabric.RunBuffered see identical
+	// A reused runner and a fresh one per replication see identical
 	// rng streams, so results must agree replication for replication —
 	// the reuse contract the engine depends on.
 	f := fabricFor(t, topology.NameOmega, 4)
@@ -34,10 +44,7 @@ func TestBufferedRunnerMatchesOneShot(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		a := runOnce(t, runner, rand.New(rand.NewPCG(uint64(trial), 7)))
-		b, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(uint64(trial), 7)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := runBuffered(t, f, cfg, rand.New(rand.NewPCG(uint64(trial), 7)))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d: reused runner diverged from one-shot:\n%+v\n%+v", trial, a, b)
 		}
@@ -51,10 +58,7 @@ func TestBufferedSaturationQueueOne(t *testing.T) {
 	// single slot.
 	rng := rand.New(rand.NewPCG(30, 0))
 	f := fabricFor(t, topology.NameBaseline, 4)
-	res, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(1.0), Queue: 1, Cycles: 2000, Warmup: 200}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBuffered(t, f, BufferedConfig{Pattern: Bernoulli(1.0), Queue: 1, Cycles: 2000, Warmup: 200}, rng)
 	if res.Delivered == 0 {
 		t.Fatal("queue=1 fabric deadlocked: nothing delivered")
 	}
@@ -77,12 +81,9 @@ func TestBufferedMultiLaneBeatsSingleLane(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 5)
 	th := func(lanes, queue int) float64 {
 		t.Helper()
-		res, err := f.RunBuffered(BufferedConfig{
+		res := runBuffered(t, f, BufferedConfig{
 			Pattern: Bernoulli(1.0), Queue: queue, Lanes: lanes, Cycles: 4000, Warmup: 400,
 		}, rand.New(rand.NewPCG(31, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res.Throughput
 	}
 	single := th(1, 8)
@@ -100,12 +101,9 @@ func TestBufferedLanePolicies(t *testing.T) {
 	// capacity; shortest-lane should not be beaten badly by the others.
 	f := fabricFor(t, topology.NameBaseline, 4)
 	for _, lp := range []LanePolicy{LaneShortest, LaneByDst, LaneRandom} {
-		res, err := f.RunBuffered(BufferedConfig{
+		res := runBuffered(t, f, BufferedConfig{
 			Pattern: Bernoulli(0.9), Queue: 2, Lanes: 2, Cycles: 1000, Warmup: 100, LaneSelect: lp,
 		}, rand.New(rand.NewPCG(32, 0)))
-		if err != nil {
-			t.Fatalf("%v: %v", lp, err)
-		}
 		if res.Delivered == 0 {
 			t.Fatalf("%v: nothing delivered", lp)
 		}
@@ -128,21 +126,13 @@ func TestBufferedArbiters(t *testing.T) {
 		Queue: 4, Cycles: 500, Warmup: 50,
 		Pattern: Tornado(), Arbiter: ArbRoundRobin,
 	}
-	a, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(1, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(99, 5)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runBuffered(t, f, cfg, rand.New(rand.NewPCG(1, 0)))
+	b := runBuffered(t, f, cfg, rand.New(rand.NewPCG(99, 5)))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("round-robin run consumed rng:\n%+v\n%+v", a, b)
 	}
 	cfg.Arbiter = ArbRandom
-	if _, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(2, 0))); err != nil {
-		t.Fatal(err)
-	}
+	runBuffered(t, f, cfg, rand.New(rand.NewPCG(2, 0)))
 	if ArbRandom.String() != "random" || ArbRoundRobin.String() != "roundrobin" ||
 		ArbiterPolicy(9).String() == "" {
 		t.Error("ArbiterPolicy.String broken")
@@ -189,12 +179,9 @@ func TestBufferedDroppedCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.RunBuffered(BufferedConfig{
+	res := runBuffered(t, f, BufferedConfig{
 		Pattern: Bernoulli(1.0), Queue: 4, Cycles: 1000, Warmup: 0,
 	}, rand.New(rand.NewPCG(33, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Dropped == 0 {
 		t.Fatalf("unreachable packets not counted as dropped: %+v", res)
 	}
@@ -203,12 +190,9 @@ func TestBufferedDroppedCounted(t *testing.T) {
 	}
 	// A Banyan fabric drops nothing.
 	banyan := fabricFor(t, topology.NameOmega, 4)
-	bres, err := banyan.RunBuffered(BufferedConfig{
+	bres := runBuffered(t, banyan, BufferedConfig{
 		Pattern: Bernoulli(0.9), Queue: 2, Cycles: 1000, Warmup: 100,
 	}, rand.New(rand.NewPCG(34, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bres.Dropped != 0 {
 		t.Fatalf("banyan fabric dropped %d packets", bres.Dropped)
 	}
@@ -221,12 +205,9 @@ func TestBufferedPatternDriven(t *testing.T) {
 	f := fabricFor(t, topology.NameBaseline, 5)
 	run := func(p Traffic) BufferedResult {
 		t.Helper()
-		res, err := f.RunBuffered(BufferedConfig{
+		res := runBuffered(t, f, BufferedConfig{
 			Queue: 4, Cycles: 3000, Warmup: 300, Pattern: p,
 		}, rand.New(rand.NewPCG(35, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	tornado := run(Thinned(0.15, Tornado()))
@@ -241,12 +222,9 @@ func TestBufferedPatternDriven(t *testing.T) {
 
 func TestBufferedPercentilesAndOccupancy(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 5)
-	res, err := f.RunBuffered(BufferedConfig{
+	res := runBuffered(t, f, BufferedConfig{
 		Pattern: Bernoulli(0.9), Queue: 4, Cycles: 2000, Warmup: 200,
 	}, rand.New(rand.NewPCG(36, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.P50 < f.Spans || res.P50 > res.P95 || res.P95 > res.P99 {
 		t.Fatalf("percentiles disordered: p50=%d p95=%d p99=%d (spans %d)",
 			res.P50, res.P95, res.P99, f.Spans)

@@ -19,8 +19,7 @@
 // multi-lane ring FIFOs, arbitration pointers, latency histogram and
 // occupancy accumulators of the queued model. The parallel trial
 // engine in internal/engine gives each worker its own runner (and its
-// own FaultState when a FaultPlan is in force). Fabric.RunBuffered
-// remains as a convenience wrapper for one-off use.
+// own FaultState when a FaultPlan is in force).
 //
 // A FaultState is the one realized form of a FaultPlan. It is sized by
 // stage count alone, so internal/route reads the same state through

@@ -374,10 +374,7 @@ func TestBufferedConservationAndLatency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0))
 	f := fabricFor(t, topology.NameOmega, 4)
 	cfg := BufferedConfig{Pattern: Bernoulli(0.3), Queue: 4, Cycles: 2000, Warmup: 200}
-	res, err := f.RunBuffered(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBuffered(t, f, cfg, rng)
 	if res.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -402,14 +399,8 @@ func TestBufferedConservationAndLatency(t *testing.T) {
 func TestBufferedSaturation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 0))
 	f := fabricFor(t, topology.NameBaseline, 4)
-	low, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(0.2), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := f.RunBuffered(BufferedConfig{Pattern: Bernoulli(1.0), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	low := runBuffered(t, f, BufferedConfig{Pattern: Bernoulli(0.2), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
+	high := runBuffered(t, f, BufferedConfig{Pattern: Bernoulli(1.0), Queue: 4, Cycles: 1500, Warmup: 200}, rng)
 	if high.Throughput <= low.Throughput {
 		t.Fatalf("saturated throughput %v not above low-load %v", high.Throughput, low.Throughput)
 	}
@@ -425,7 +416,6 @@ func TestBufferedSaturation(t *testing.T) {
 }
 
 func TestBufferedConfigValidation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 0))
 	f := fabricFor(t, topology.NameOmega, 3)
 	bad := []BufferedConfig{
 		{Queue: 2, Cycles: 10},
@@ -433,7 +423,7 @@ func TestBufferedConfigValidation(t *testing.T) {
 		{Pattern: Bernoulli(0.5), Queue: 2, Cycles: 0},
 	}
 	for _, cfg := range bad {
-		if _, err := f.RunBuffered(cfg, rng); err == nil {
+		if _, err := f.NewBufferedRunner(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -455,14 +445,8 @@ func TestWaveErrors(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	f := fabricFor(t, topology.NameFlip, 4)
 	cfg := BufferedConfig{Pattern: Bernoulli(0.7), Queue: 3, Lanes: 2, Cycles: 500, Warmup: 50}
-	r1, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(11, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(11, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runBuffered(t, f, cfg, rand.New(rand.NewPCG(11, 0)))
+	r2 := runBuffered(t, f, cfg, rand.New(rand.NewPCG(11, 0)))
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", r1, r2)
 	}
