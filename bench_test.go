@@ -30,6 +30,95 @@ import (
 	"minequiv/minserve"
 )
 
+// steadyRows are the gated benchmark rows: each names the setup helper
+// that returns the row's steady-state op, and the most allocations one
+// call of that op may make. A zero row must stay at exactly 0. The
+// non-zero counts were measured on go1.24. The serving rows draw their
+// buffers from sync.Pools, which the race detector empties at random.
+var steadyRows = []struct {
+	name   string
+	op     func(testing.TB) func()
+	allocs float64
+	pooled bool
+}{
+	{"CheckAllWindows/sweep", checkAllWindowsSweep, 0, false},
+	{"CheckFamilies", checkFamilies, 0, false},
+	{"Banyan/baseline/n=10", banyanBaseline(10), 0, false},
+	{"Banyan/baseline/n=14", banyanBaseline(14), 0, false},
+	{"BaselineLabels/omega/n=10", baselineLabels(10), 0, false},
+	{"BaselineLabels/omega/n=14", baselineLabels(14), 0, false},
+	{"EngineWaveLoop", engineWaveLoop, 0, false},
+	{"TableWaveLoop", tableWaveLoop, 0, false},
+	{"BufferedRunner", bufferedRunner, 0, false},
+	{"FabricKernel/intact", fabricKernel("intact"), 0, false},
+	{"FabricKernel/faulted", fabricKernel("faulted"), 0, false},
+	{"FabricKernel/table", fabricKernel("table"), 0, false},
+	{"FaultedWaveLoop", faultedWaveLoop, 0, false},
+	{"FaultResample/dead+link/n=8", faultResample(8), 0, false},
+	{"FaultResample/dead+link/n=10", faultResample(10), 0, false},
+	{"BitWaveLoop", bitWaveLoop, 0, false},
+	{"BitFabricKernel/intact", bitFabricKernel("intact"), 0, false},
+	{"BitFabricKernel/faulted", bitFabricKernel("faulted"), 0, false},
+	{"CodecEncode", codecEncode, 0, false},
+	{"CodecDecode", codecDecode, 0, false},
+	{"ServeCheckCached", serveCheckCached, 21, true},
+	// Per 16-item batch request; the benchmark reports it per item.
+	{"ServeBatchWarm/batch/item", serveBatchWarm, 72, true},
+}
+
+// TestSteadyAllocs pins the allocations of every gated benchmark's
+// steady-state op. Counts do not depend on the host, so this runs with
+// the tests rather than only under -bench.
+func TestSteadyAllocs(t *testing.T) {
+	for _, row := range steadyRows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.pooled && raceEnabled {
+				t.Skip("the race detector empties sync.Pools at random")
+			}
+			if got := testing.AllocsPerRun(10, row.op(t)); got > row.allocs {
+				t.Errorf("%v allocs per op, want at most %v", got, row.allocs)
+			}
+		})
+	}
+}
+
+// benchSteady times op, a gated row's steady-state op, after one
+// untimed call that sizes its buffers.
+func benchSteady(b *testing.B, op func()) {
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// newFabric compiles perms or fails tb.
+func newFabric(tb testing.TB, perms []perm.Perm) *sim.Fabric {
+	tb.Helper()
+	f, err := sim.NewFabric(perms)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// omegaFabric is the compiled n-stage Omega.
+func omegaFabric(tb testing.TB, n int) *sim.Fabric {
+	return newFabric(tb, topology.MustBuild(topology.NameOmega, n).LinkPerms)
+}
+
+// sampledFaults is the fault state the faulted kernel rows steer under.
+func sampledFaults(tb testing.TB, f *sim.Fabric) *sim.FaultState {
+	fs := sim.NewFaultState(f.Spans)
+	err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
+		engine.NewFaultRand(7, 0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs
+}
+
 // BenchmarkBuildBaseline (F1): constructing the Baseline MI-digraph.
 func BenchmarkBuildBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -84,24 +173,13 @@ func BenchmarkPSuffixCheck(b *testing.B) {
 
 // BenchmarkCheckAllWindows pins the analysis-core rewrite: the full
 // O(n²) window table at n=16 via the sweep Analyzer (one incremental
-// union-find sweep per left edge, reused scratch, 0 allocs/op — CI
-// gates on it) against the retained pre-PR per-window implementation.
-// The acceptance bar is a >= 5x sweep/naive ratio.
+// union-find sweep per left edge, reused scratch, 0 allocs/op, pinned
+// by TestSteadyAllocs) against the retained pre-PR per-window
+// implementation. The acceptance bar is a >= 5x sweep/naive ratio.
 func BenchmarkCheckAllWindows(b *testing.B) {
-	g := topology.Baseline(16)
-	b.Run("sweep", func(b *testing.B) {
-		a := midigraph.NewAnalyzer()
-		buf := a.CheckAllWindows(g, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = a.CheckAllWindows(g, buf)
-			if !midigraph.AllOK(buf) {
-				b.Fatal("baseline violated a window property")
-			}
-		}
-	})
+	b.Run("sweep", func(b *testing.B) { benchSteady(b, checkAllWindowsSweep(b)) })
 	b.Run("naive", func(b *testing.B) {
+		g := topology.Baseline(16)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if !midigraph.AllOK(g.CheckAllWindowsNaive()) {
@@ -111,21 +189,32 @@ func BenchmarkCheckAllWindows(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckFamilies: the two families the characterization theorem
-// actually consumes, as single sweeps on a reused Analyzer (0 allocs/op,
-// CI-gated).
-func BenchmarkCheckFamilies(b *testing.B) {
+func checkAllWindowsSweep(tb testing.TB) func() {
 	g := topology.Baseline(16)
 	a := midigraph.NewAnalyzer()
-	prefix := a.CheckPrefix(g, nil)
-	suffix := a.CheckSuffix(g, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var buf []midigraph.WindowResult
+	return func() {
+		buf = a.CheckAllWindows(g, buf)
+		if !midigraph.AllOK(buf) {
+			tb.Fatal("baseline violated a window property")
+		}
+	}
+}
+
+// BenchmarkCheckFamilies: the two families the characterization theorem
+// actually consumes, as single sweeps on a reused Analyzer (0 allocs/op,
+// pinned).
+func BenchmarkCheckFamilies(b *testing.B) { benchSteady(b, checkFamilies(b)) }
+
+func checkFamilies(tb testing.TB) func() {
+	g := topology.Baseline(16)
+	a := midigraph.NewAnalyzer()
+	var prefix, suffix []midigraph.WindowResult
+	return func() {
 		prefix = a.CheckPrefix(g, prefix)
 		suffix = a.CheckSuffix(g, suffix)
 		if !midigraph.AllOK(prefix) || !midigraph.AllOK(suffix) {
-			b.Fatal("baseline violated a family property")
+			tb.Fatal("baseline violated a family property")
 		}
 	}
 }
@@ -143,24 +232,13 @@ func BenchmarkIsoToBaseline(b *testing.B) {
 
 // BenchmarkBanyan is the canonical Banyan-verdict benchmark. The
 // baseline rows run Analyzer.Banyan on a reused Analyzer (0 allocs/op,
-// CI-gated). The double-arc row runs IsBanyan on a Baseline whose last
+// pinned). The double-arc row runs IsBanyan on a Baseline whose last
 // two stage-0 cells, buddies sharing both children, each send both arcs
 // to one of them: the verdict fails and the path-count scan walks all
 // but one source before it finds the witness.
 func BenchmarkBanyan(b *testing.B) {
 	for _, n := range []int{10, 14} {
-		g := topology.Baseline(n)
-		b.Run(fmt.Sprintf("baseline/n=%d", n), func(b *testing.B) {
-			a := midigraph.NewAnalyzer()
-			a.Banyan(g)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !a.Banyan(g) {
-					b.Fatal("baseline not Banyan")
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("baseline/n=%d", n), func(b *testing.B) { benchSteady(b, banyanBaseline(n)(b)) })
 	}
 	g := topology.Baseline(10)
 	x := uint32(g.CellsPerStage() - 2)
@@ -180,24 +258,37 @@ func BenchmarkBanyan(b *testing.B) {
 	})
 }
 
+func banyanBaseline(n int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		g := topology.Baseline(n)
+		a := midigraph.NewAnalyzer()
+		return func() {
+			if !a.Banyan(g) {
+				tb.Fatal("baseline not Banyan")
+			}
+		}
+	}
+}
+
 // BenchmarkBaselineLabels is the labeler Relabeling runs first: both
 // window sweeps of Analyzer.BaselineLabels on the Omega network, on a
-// reused Analyzer and label buffer (0 allocs/op, CI-gated).
+// reused Analyzer and label buffer (0 allocs/op, pinned).
 func BenchmarkBaselineLabels(b *testing.B) {
 	for _, n := range []int{10, 14} {
+		b.Run(fmt.Sprintf("omega/n=%d", n), func(b *testing.B) { benchSteady(b, baselineLabels(n)(b)) })
+	}
+}
+
+func baselineLabels(n int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
 		g := topology.MustBuild(topology.NameOmega, n).Graph
-		b.Run(fmt.Sprintf("omega/n=%d", n), func(b *testing.B) {
-			a := midigraph.NewAnalyzer()
-			labels := make([]uint64, g.Stages()*g.CellsPerStage())
-			a.BaselineLabels(g, labels)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !a.BaselineLabels(g, labels) {
-					b.Fatal("omega failed a P family")
-				}
+		a := midigraph.NewAnalyzer()
+		labels := make([]uint64, g.Stages()*g.CellsPerStage())
+		return func() {
+			if !a.BaselineLabels(g, labels) {
+				tb.Fatal("omega failed a P family")
 			}
-		})
+		}
 	}
 }
 
@@ -241,39 +332,62 @@ func BenchmarkEquivalentMatrix(b *testing.B) {
 	}
 }
 
-// newServeHandler builds an in-memory minserve handler with defaults.
-func newServeHandler(b *testing.B) http.Handler {
-	b.Helper()
+// newServeHandler builds an in-memory minserve handler with defaults,
+// closed when tb ends.
+func newServeHandler(tb testing.TB) http.Handler {
+	tb.Helper()
 	svc, err := minserve.New(minserve.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() {
+		if err := svc.Close(context.Background()); err != nil {
+			tb.Error(err)
+		}
+	})
 	return svc.Handler()
+}
+
+// post serves one POST of body to path on h.
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+	return rec
 }
 
 // BenchmarkServeCheckCached: a warm /v1/check hit through the minserve
 // LRU — the full HTTP handler path minus the analysis it caches away.
-func BenchmarkServeCheckCached(b *testing.B) {
-	h := newServeHandler(b)
+func BenchmarkServeCheckCached(b *testing.B) { benchSteady(b, serveCheckCached(b)) }
+
+func serveCheckCached(tb testing.TB) func() {
+	h := newServeHandler(tb)
 	const body = `{"network":"indirect-binary-cube","stages":10}`
-	request := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
+	if cold := post(h, "/v1/check", body); cold.Code != 200 {
+		tb.Fatalf("cold check failed: %s", cold.Body.String())
 	}
-	cold := request() // populate the cache
-	if cold.Code != 200 {
-		b.Fatalf("cold check failed: %s", cold.Body.String())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := request()
+	return func() {
+		rec := post(h, "/v1/check", body)
 		if rec.Code != 200 || rec.Header().Get("X-Cache") != "HIT" {
-			b.Fatal("expected a cache hit")
+			tb.Fatal("expected a cache hit")
 		}
 	}
+}
+
+// batchItems is the size of BenchmarkServeBatchWarm's batch.
+const batchItems = 16
+
+// warmBatchHandler returns the check bodies of BenchmarkServeBatchWarm
+// and a handler whose cache already holds each one's response.
+func warmBatchHandler(tb testing.TB) (http.Handler, []string) {
+	h := newServeHandler(tb)
+	bodies := make([]string, batchItems)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"network":"indirect-binary-cube","stages":%d}`, 3+i%8)
+		if rec := post(h, "/v1/check", bodies[i]); rec.Code != 200 {
+			tb.Fatalf("warm: %s", rec.Body.String())
+		}
+	}
+	return h, bodies
 }
 
 // BenchmarkServeBatchWarm: a warm 16-item check batch through
@@ -282,11 +396,31 @@ func BenchmarkServeCheckCached(b *testing.B) {
 // response write for N cache probes). The two sub-benchmarks report
 // ns per *item*, so batch/item must beat single/item by >= 2x.
 func BenchmarkServeBatchWarm(b *testing.B) {
-	const items = 16
-	bodies := make([]string, items)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"network":"indirect-binary-cube","stages":%d}`, 3+i%8)
-	}
+	b.Run("single/item", func(b *testing.B) {
+		h, bodies := warmBatchHandler(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if post(h, "/v1/check", bodies[i%batchItems]).Code != 200 {
+				b.Fatal("single failed")
+			}
+		}
+	})
+	b.Run("batch/item", func(b *testing.B) {
+		op := serveBatchWarm(b)
+		op()
+		b.ReportAllocs()
+		b.ResetTimer()
+		// Each op serves batchItems requests; report per-item cost.
+		for i := 0; i < b.N; i += batchItems {
+			op()
+		}
+	})
+}
+
+// serveBatchWarm's op is one warm batchItems-item /v1/batch request.
+func serveBatchWarm(tb testing.TB) func() {
+	h, bodies := warmBatchHandler(tb)
 	var batch strings.Builder
 	batch.WriteString(`{"requests":[`)
 	for i, body := range bodies {
@@ -297,48 +431,11 @@ func BenchmarkServeBatchWarm(b *testing.B) {
 	}
 	batch.WriteString(`]}`)
 	batchBody := batch.String()
-
-	newWarmHandler := func(b *testing.B) http.Handler {
-		h := newServeHandler(b)
-		for _, body := range bodies {
-			req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatalf("warm: %s", rec.Body.String())
-			}
+	return func() {
+		if post(h, "/v1/batch", batchBody).Code != 200 {
+			tb.Fatal("batch failed")
 		}
-		return h
 	}
-
-	b.Run("single/item", func(b *testing.B) {
-		h := newWarmHandler(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			body := bodies[i%items]
-			req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatal("single failed")
-			}
-		}
-	})
-	b.Run("batch/item", func(b *testing.B) {
-		h := newWarmHandler(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		// Each iteration serves `items` requests; report per-item cost.
-		for i := 0; i < b.N; i += items {
-			req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(batchBody))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatal("batch failed")
-			}
-		}
-	})
 }
 
 // BenchmarkCounterexampleCheck (T6): characterization check rejecting
@@ -359,10 +456,7 @@ func BenchmarkCounterexampleCheck(b *testing.B) {
 // BenchmarkSimUniform (T7): one uniform wave through the fabric on a
 // reused WaveRunner — the steady-state hot loop, 0 allocs/op.
 func BenchmarkSimUniform(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 8).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := omegaFabric(b, 8)
 	rng := rand.New(rand.NewPCG(2, 0))
 	pattern := sim.Uniform()
 	runner := f.NewWaveRunner()
@@ -380,10 +474,7 @@ func BenchmarkSimUniform(b *testing.B) {
 // the workers=8 case should run >= 3x faster than workers=1; per-trial
 // PCG streams make the aggregates identical across the sweep.
 func BenchmarkEngineThroughput(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := omegaFabric(b, 10)
 	const waves = 128
 	pattern := sim.Uniform()
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -404,41 +495,27 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkEngineWaveLoop pins the zero-allocation claim: the
 // steady-state wave loop (reused runner, engine-derived stream) must
 // report 0 allocs/op.
-func BenchmarkEngineWaveLoop(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runner := f.NewWaveRunner()
-	rng := engine.NewRand(1, 0)
-	pattern := sim.Uniform()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.RunTraffic(pattern, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEngineWaveLoop(b *testing.B) { benchSteady(b, engineWaveLoop(b)) }
+
+func engineWaveLoop(tb testing.TB) func() { return waveLoop(tb, omegaFabric(tb, 10)) }
 
 // BenchmarkTableWaveLoop is BenchmarkEngineWaveLoop on the 10-stage
 // double-arc wiring, so every steer is a table-path lookup under
 // uniform random destinations. FabricKernel/table sweeps destinations
 // in a fixed order, which hides a lookup that branches on the port;
-// this row does not. Must be 0 allocs/op; CI gates on it.
-func BenchmarkTableWaveLoop(b *testing.B) {
-	f, err := sim.NewFabric(doubleArcPerms10())
-	if err != nil {
-		b.Fatal(err)
-	}
+// this row does not. Must be 0 allocs/op (pinned).
+func BenchmarkTableWaveLoop(b *testing.B) { benchSteady(b, tableWaveLoop(b)) }
+
+func tableWaveLoop(tb testing.TB) func() { return waveLoop(tb, newFabric(tb, doubleArcPerms10())) }
+
+// waveLoop's op is one uniform wave through f on a reused runner.
+func waveLoop(tb testing.TB, f *sim.Fabric) func() {
 	runner := f.NewWaveRunner()
 	rng := engine.NewRand(1, 0)
 	pattern := sim.Uniform()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := runner.RunTraffic(pattern, rng); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -446,10 +523,7 @@ func BenchmarkTableWaveLoop(b *testing.B) {
 // BenchmarkEngineBuffered: sharded replications of the buffered model
 // on per-worker reused runners.
 func BenchmarkEngineBuffered(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameBaseline, 6).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newFabric(b, topology.MustBuild(topology.NameBaseline, 6).LinkPerms)
 	cfg := sim.BufferedConfig{Pattern: sim.Bernoulli(0.6), Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -461,26 +535,22 @@ func BenchmarkEngineBuffered(b *testing.B) {
 
 // BenchmarkBufferedRunner pins the buffered engine's zero-allocation
 // claim: the steady-state replication loop (reused BufferedRunner,
-// engine-derived stream) must report 0 allocs/op. CI gates on this.
-func BenchmarkBufferedRunner(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 6).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runner, err := f.NewBufferedRunner(sim.BufferedConfig{
+// engine-derived stream) must report 0 allocs/op (pinned).
+func BenchmarkBufferedRunner(b *testing.B) { benchSteady(b, bufferedRunner(b)) }
+
+func bufferedRunner(tb testing.TB) func() {
+	runner, err := omegaFabric(tb, 6).NewBufferedRunner(sim.BufferedConfig{
 		Pattern: sim.Bernoulli(0.8), Queue: 4, Lanes: 2, Cycles: 200, Warmup: 20,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := engine.NewRand(5, 0)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		res, err := runner.Run(ctx, rng)
 		if err != nil || res.Delivered == 0 {
-			b.Fatalf("nothing delivered (err %v)", err)
+			tb.Fatalf("nothing delivered (err %v)", err)
 		}
 	}
 }
@@ -491,43 +561,37 @@ func BenchmarkBufferedRunner(b *testing.B) {
 // intact fabric and under an active fault state. The intact and faulted
 // rows run the relabeled Omega; the table row runs the 10-stage
 // double-arc wiring of BenchmarkFabricCompile, whose ports the table
-// path looks up. Every row must be 0 allocs/op; CI gates on it.
+// path looks up. Every row must be 0 allocs/op (pinned).
 func BenchmarkFabricKernel(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
+	for _, row := range []string{"intact", "faulted", "table"} {
+		b.Run(row, func(b *testing.B) { benchSteady(b, fabricKernel(row)(b)) })
 	}
-	run := func(b *testing.B, f *sim.Fabric, fs *sim.FaultState) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		sink := uint64(0)
-		for i := 0; i < b.N; i++ {
-			sink += f.SteerSweep(fs, i)
+}
+
+func fabricKernel(row string) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		var f *sim.Fabric
+		var fs *sim.FaultState
+		switch row {
+		case "intact":
+			f = omegaFabric(tb, 10)
+		case "faulted":
+			f = omegaFabric(tb, 10)
+			fs = sampledFaults(tb, f)
+		case "table":
+			f = newFabric(tb, doubleArcPerms10())
+			if f.BitSliceable() {
+				tb.Fatal("double-arc wiring compiled relabeled")
+			}
 		}
-		if sink == 0 {
-			b.Fatal("kernel steered nothing")
+		salt := 0
+		return func() {
+			if f.SteerSweep(fs, salt) == 0 {
+				tb.Fatal("kernel steered nothing")
+			}
+			salt++
 		}
 	}
-	b.Run("intact", func(b *testing.B) { run(b, f, nil) })
-	b.Run("faulted", func(b *testing.B) {
-		fs := sim.NewFaultState(f.Spans)
-		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
-			engine.NewFaultRand(7, 0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, f, fs)
-	})
-	b.Run("table", func(b *testing.B) {
-		tf, err := sim.NewFabric(doubleArcPerms10())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tf.BitSliceable() {
-			b.Fatal("double-arc wiring compiled relabeled")
-		}
-		run(b, tf, nil)
-	})
 }
 
 // doubleArcPerms10 is a 10-stage Baseline whose stage-0 cell 0 sends
@@ -590,29 +654,26 @@ func BenchmarkFabricCompile(b *testing.B) {
 // BenchmarkFaultedWaveLoop pins the degraded hot path: the steady-state
 // wave loop with a per-wave fault resample (exactly what the engine
 // does per trial, minus the per-trial rng derivation). Must stay
-// 0 allocs/op; CI gates on it.
-func BenchmarkFaultedWaveLoop(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+// 0 allocs/op (pinned).
+func BenchmarkFaultedWaveLoop(b *testing.B) { benchSteady(b, faultedWaveLoop(b)) }
+
+func faultedWaveLoop(tb testing.TB) func() {
+	f := omegaFabric(tb, 10)
 	runner := f.NewWaveRunner()
 	fs := sim.NewFaultState(f.Spans)
 	if err := runner.SetFaults(fs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan := sim.FaultPlan{SwitchDeadRate: 0.02, LinkDownRate: 0.01}
 	trafficRng := engine.NewRand(1, 0)
 	faultRng := engine.NewFaultRand(1, 0)
 	pattern := sim.Uniform()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if err := fs.Sample(plan, faultRng); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := runner.RunTraffic(pattern, trafficRng); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -621,38 +682,38 @@ func BenchmarkFaultedWaveLoop(b *testing.B) {
 // FaultState.Resample of a dead-switch plus severed-link plan per
 // iteration, from one running stream, on Omega at 8 and 10 stages. Its
 // cost is one draw per hit plus one per empty 64-element block, so it
-// scales with the fault count, not the fabric. Must stay 0 allocs/op;
-// CI gates on it.
+// scales with the fault count, not the fabric. Must stay 0 allocs/op
+// (pinned).
 func BenchmarkFaultResample(b *testing.B) {
-	plan := sim.FaultPlan{SwitchDeadRate: 0.01, LinkDownRate: 0.01}
 	for _, n := range []int{8, 10} {
-		b.Run(fmt.Sprintf("dead+link/n=%d", n), func(b *testing.B) {
-			fs := sim.NewFaultState(n)
-			rng := engine.NewFaultRand(1, 0)
-			fs.Resample(plan, rng) // sizes the index once, as the engine's first trial does
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fs.Resample(plan, rng)
-			}
-		})
+		b.Run(fmt.Sprintf("dead+link/n=%d", n), func(b *testing.B) { benchSteady(b, faultResample(n)(b)) })
+	}
+}
+
+func faultResample(n int) func(testing.TB) func() {
+	return func(testing.TB) func() {
+		plan := sim.FaultPlan{SwitchDeadRate: 0.01, LinkDownRate: 0.01}
+		fs := sim.NewFaultState(n)
+		rng := engine.NewFaultRand(1, 0)
+		return func() { fs.Resample(plan, rng) }
 	}
 }
 
 // BenchmarkBitWaveLoop pins the bit-sliced executor's throughput claim:
 // one iteration steers a full 64-wave batch exactly as the engine does —
 // per-batch PCG reseeding from the trial-indexed engine streams, reused
-// BitWaveRunner — and must report 0 allocs/op. The ns/wave metric is
-// the number to compare against BenchmarkEngineWaveLoop's ns/op (one
-// scalar wave); the acceptance bar is >= 8x. CI gates on the allocs.
+// BitWaveRunner — and must report 0 allocs/op (pinned). The ns/wave
+// metric is the number to compare against BenchmarkEngineWaveLoop's
+// ns/op (one scalar wave); the acceptance bar is >= 8x.
 func BenchmarkBitWaveLoop(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
+	benchSteady(b, bitWaveLoop(b))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/wave")
+}
+
+func bitWaveLoop(tb testing.TB) func() {
+	runner, err := omegaFabric(tb, 10).NewBitWaveRunner()
 	if err != nil {
-		b.Fatal(err)
-	}
-	runner, err := f.NewBitWaveRunner()
-	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var pcg [64]rand.PCG
 	rngs := make([]*rand.Rand, 64)
@@ -660,59 +721,49 @@ func BenchmarkBitWaveLoop(b *testing.B) {
 		rngs[j] = rand.New(&pcg[j])
 	}
 	pattern := sim.Uniform()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := uint64(i) * 64
+	t0 := uint64(0)
+	return func() {
 		for j := range pcg {
 			pcg[j].Seed(engine.SeedPair(1, t0+uint64(j)))
 		}
 		if _, err := runner.RunTraffic(pattern, rngs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		t0 += 64
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/wave")
 }
 
 // BenchmarkBitFabricKernel pins the word-parallel plane algebra itself,
 // mirroring BenchmarkFabricKernel: one full-load 64-lane pass over every
 // stage with synthetic salts, on the intact fabric and with a sampled
 // fault state folded into the per-stage lane masks. Both paths must be
-// 0 allocs/op; CI gates on it.
+// 0 allocs/op (pinned).
 func BenchmarkBitFabricKernel(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
+	for _, row := range []string{"intact", "faulted"} {
+		b.Run(row, func(b *testing.B) { benchSteady(b, bitFabricKernel(row)(b)) })
 	}
-	runner, err := f.NewBitWaveRunner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		sink := uint64(0)
-		for i := 0; i < b.N; i++ {
-			sink += runner.BitSteerSweep(i)
-		}
-		if sink == 0 {
-			b.Fatal("kernel steered nothing")
-		}
-	}
-	b.Run("intact", run)
-	b.Run("faulted", func(b *testing.B) {
-		fs := sim.NewFaultState(f.Spans)
-		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
-			engine.NewFaultRand(7, 0))
+}
+
+func bitFabricKernel(row string) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		f := omegaFabric(tb, 10)
+		runner, err := f.NewBitWaveRunner()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := runner.SetLaneFaults(^uint64(0), fs); err != nil {
-			b.Fatal(err)
+		if row == "faulted" {
+			if err := runner.SetLaneFaults(^uint64(0), sampledFaults(tb, f)); err != nil {
+				tb.Fatal(err)
+			}
 		}
-		run(b)
-	})
+		salt := 0
+		return func() {
+			if runner.BitSteerSweep(salt) == 0 {
+				tb.Fatal("kernel steered nothing")
+			}
+			salt++
+		}
+	}
 }
 
 // BenchmarkFaultedBitRange pins the shape of a faulted sweep cell: one
@@ -724,10 +775,7 @@ func BenchmarkBitFabricKernel(b *testing.B) {
 // of perfbench's faulty simulate op. It builds an executor per call, so
 // it carries no allocs gate.
 func BenchmarkFaultedBitRange(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 8).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := omegaFabric(b, 8)
 	const trials = 1024
 	pattern := sim.Uniform()
 	ctx := context.Background()
@@ -759,10 +807,7 @@ func BenchmarkFaultedBitRange(b *testing.B) {
 // BenchmarkSimBuffered (T7): buffered queueing simulation, one fresh
 // runner per replication.
 func BenchmarkSimBuffered(b *testing.B) {
-	f, err := sim.NewFabric(topology.MustBuild(topology.NameBaseline, 6).LinkPerms)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newFabric(b, topology.MustBuild(topology.NameBaseline, 6).LinkPerms)
 	rng := rand.New(rand.NewPCG(3, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -904,36 +949,36 @@ func codecFixtureRequest() *codec.SimulateRequest {
 	}
 }
 
-// BenchmarkCodecEncode gates the binary wire codec's encode hot loop:
+// BenchmarkCodecEncode pins the binary wire codec's encode hot loop:
 // steady-state re-encoding of a fault-heavy simulate request must not
-// allocate (CI fails the build on a nonzero allocs/op).
-func BenchmarkCodecEncode(b *testing.B) {
+// allocate.
+func BenchmarkCodecEncode(b *testing.B) { benchSteady(b, codecEncode(b)) }
+
+func codecEncode(testing.TB) func() {
 	v := codecFixtureRequest()
 	var e codec.Encoder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		e.Reset()
 		e.SimulateRequest(v)
 	}
 }
 
-// BenchmarkCodecDecode gates the decode hot loop: decoding the same
+// BenchmarkCodecDecode pins the decode hot loop: decoding the same
 // frame into a reused target must reach zero allocs/op once the
 // target's slices and intern table are warm.
-func BenchmarkCodecDecode(b *testing.B) {
+func BenchmarkCodecDecode(b *testing.B) { benchSteady(b, codecDecode(b)) }
+
+func codecDecode(tb testing.TB) func() {
 	wire, err := codec.Encode(codecFixtureRequest())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var d codec.Decoder
 	dst := new(codec.SimulateRequest)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		d.Reset(wire)
 		if err := d.SimulateRequest(dst); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

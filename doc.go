@@ -50,7 +50,6 @@
 //	cmd/minserve         the HTTP service binary
 //	cmd/minload          network load generator for a live minserve
 //	cmd/minbench         regenerates every figure/table (module-internal)
-//	cmd/benchjson        bench output -> JSON + CI allocation gate
 //	examples/            runnable tours, including a minserve client
 //
 // See README.md for a tour, DESIGN.md for the system inventory and

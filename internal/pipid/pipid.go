@@ -218,8 +218,10 @@ func All(w int) []IndexPerm {
 }
 
 // Detect decides whether p (a permutation on 2^w symbols) is PIPID, and
-// if so recovers theta. It runs in O(2^w) after an O(w) candidate
-// extraction.
+// if so recovers theta. It runs in O(2^w): theta is read off the images
+// of the w unit vectors, and each x >= 1 is then checked in O(1), since a
+// bit permutation maps x to the OR of the images of x's lowest set bit
+// and of x with that bit cleared.
 func Detect(p perm.Perm) (IndexPerm, bool) {
 	n := len(p)
 	if n == 0 || !bitops.IsPow2(uint64(n)) {
@@ -230,20 +232,21 @@ func Detect(p perm.Perm) (IndexPerm, bool) {
 		return IndexPerm{}, false
 	}
 	theta := make([]int, w)
+	var seen uint64
 	for i := 0; i < w; i++ {
 		img := p[1<<uint(i)]
-		if img == 0 || img&(img-1) != 0 {
-			return IndexPerm{}, false // image of a unit vector must be a unit vector
+		if img == 0 || img&(img-1) != 0 || img&seen != 0 {
+			return IndexPerm{}, false // unit vectors must map to distinct unit vectors
 		}
-		j := bitops.Log2(img)
-		theta[j] = i
+		seen |= img
+		theta[bitops.Log2(img)] = i
 	}
 	ip, err := New(theta)
 	if err != nil {
 		return IndexPerm{}, false
 	}
-	for x := 0; x < n; x++ {
-		if p[x] != ip.Apply(uint64(x)) {
+	for x := 1; x < n; x++ {
+		if p[x] != p[x&(x-1)]|p[x&-x] {
 			return IndexPerm{}, false
 		}
 	}

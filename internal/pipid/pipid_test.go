@@ -232,29 +232,31 @@ func TestDetectRoundTrip(t *testing.T) {
 
 func TestDetectRejectsNonPIPID(t *testing.T) {
 	// A transposition of symbols 0 and 1 on 8 symbols moves p[0] != 0.
-	p := perm.Identity(8)
-	p[0], p[1] = 1, 0
-	if _, ok := Detect(p); ok {
-		t.Error("symbol transposition detected as PIPID")
-	}
-	// x -> x+1 mod 8 is not PIPID.
-	q, _ := perm.FromFunc(8, func(x uint64) uint64 { return (x + 1) % 8 })
-	if _, ok := Detect(q); ok {
-		t.Error("cyclic shift detected as PIPID")
-	}
-	// A permutation fixing 0 and unit vectors but scrambling elsewhere.
-	r := perm.Identity(8)
-	r[3], r[5] = 5, 3
-	if _, ok := Detect(r); ok {
-		t.Error("non-PIPID fixing units detected as PIPID")
-	}
-	// Non-power-of-two sizes are never PIPID.
-	if _, ok := Detect(perm.Identity(6)); ok {
-		t.Error("size-6 permutation detected as PIPID")
-	}
-	var empty perm.Perm
-	if _, ok := Detect(empty); ok {
-		t.Error("empty permutation detected as PIPID")
+	transposed := perm.Identity(8)
+	transposed[0], transposed[1] = 1, 0
+	cyclic, _ := perm.FromFunc(8, func(x uint64) uint64 { return (x + 1) % 8 })
+	// Fixing 0 and the unit vectors but scrambling elsewhere.
+	scrambled := perm.Identity(8)
+	scrambled[3], scrambled[5] = 5, 3
+	// Sigma on 4 bits with its two highest entries swapped: every unit
+	// vector and every entry below 14 agrees with sigma.
+	lastSwapped := PerfectShuffle(4).ToPerm()
+	lastSwapped[14], lastSwapped[15] = lastSwapped[15], lastSwapped[14]
+	for _, tc := range []struct {
+		name string
+		p    perm.Perm
+	}{
+		{"symbol transposition", transposed},
+		{"cyclic shift", cyclic},
+		{"scrambled composites", scrambled},
+		{"last composites swapped", lastSwapped},
+		{"colliding unit images", perm.Perm{0, 1, 1, 1}},
+		{"size 6", perm.Identity(6)},
+		{"empty", nil},
+	} {
+		if _, ok := Detect(tc.p); ok {
+			t.Errorf("%s: %v detected as PIPID", tc.name, tc.p)
+		}
 	}
 }
 
