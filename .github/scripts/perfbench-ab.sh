@@ -77,7 +77,8 @@ PAIRS=5
 RUN_SECONDS=5
 MIN_THRESHOLD=0.12
 BENCHES=(EngineWaveLoop$ BitWaveLoop$ TableWaveLoop$ BufferedRunner$ BaselineLabels/omega/n=10$
-	ColdCheck/isocheck/n=10$ DecodeRequest/json/n=10$ FabricCompile/relabeled/n=10$)
+	^BenchmarkColdCheck/^check/n=10$ ColdCheck/isocheck/n=10$ ServeColdCheck/iso/json/n=10$
+	DecodeRequest/json/n=10$ FabricCompile/relabeled/n=10$)
 BENCH_TIME=0.1s
 BENCH_ROUNDS=8
 BENCH_MIN_THRESHOLD=0.15

@@ -4,6 +4,7 @@
 package minequiv
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -33,8 +34,9 @@ import (
 // steadyRows are the gated benchmark rows: each names the setup helper
 // that returns the row's steady-state op, and the most allocations one
 // call of that op may make. A zero row must stay at exactly 0. The
-// non-zero counts were measured on go1.24. The serving rows draw their
-// buffers from sync.Pools, which the race detector empties at random.
+// non-zero counts were measured on go1.24. The serving and cold-check
+// rows draw their buffers from sync.Pools, which the race detector
+// empties at random.
 var steadyRows = []struct {
 	name   string
 	op     func(testing.TB) func()
@@ -61,6 +63,8 @@ var steadyRows = []struct {
 	{"BitFabricKernel/faulted", bitFabricKernel("faulted"), 0, false},
 	{"CodecEncode", codecEncode, 0, false},
 	{"CodecDecode", codecDecode, 0, false},
+	{"ColdCheck/check/n=10", coldCheck(10, false), 2, true},
+	{"ColdCheck/isocheck/n=10", coldCheck(10, true), 5, true},
 	{"ServeCheckCached", serveCheckCached, 21, true},
 	// Per 16-item batch request; the benchmark reports it per item.
 	{"ServeBatchWarm/batch/item", serveBatchWarm, 72, true},
@@ -332,11 +336,11 @@ func BenchmarkEquivalentMatrix(b *testing.B) {
 	}
 }
 
-// newServeHandler builds an in-memory minserve handler with defaults,
-// closed when tb ends.
-func newServeHandler(tb testing.TB) http.Handler {
+// newServeHandler builds an in-memory minserve handler with cfg's
+// settings, closed when tb ends.
+func newServeHandler(tb testing.TB, cfg minserve.Config) http.Handler {
 	tb.Helper()
-	svc, err := minserve.New(minserve.Config{})
+	svc, err := minserve.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -360,7 +364,7 @@ func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
 func BenchmarkServeCheckCached(b *testing.B) { benchSteady(b, serveCheckCached(b)) }
 
 func serveCheckCached(tb testing.TB) func() {
-	h := newServeHandler(tb)
+	h := newServeHandler(tb, minserve.Config{})
 	const body = `{"network":"indirect-binary-cube","stages":10}`
 	if cold := post(h, "/v1/check", body); cold.Code != 200 {
 		tb.Fatalf("cold check failed: %s", cold.Body.String())
@@ -379,7 +383,7 @@ const batchItems = 16
 // warmBatchHandler returns the check bodies of BenchmarkServeBatchWarm
 // and a handler whose cache already holds each one's response.
 func warmBatchHandler(tb testing.TB) (http.Handler, []string) {
-	h := newServeHandler(tb)
+	h := newServeHandler(tb, minserve.Config{})
 	bodies := make([]string, batchItems)
 	for i := range bodies {
 		bodies[i] = fmt.Sprintf(`{"network":"indirect-binary-cube","stages":%d}`, 3+i%8)
@@ -1039,10 +1043,6 @@ func relabeledOmegaRows(n int) [][]int {
 func BenchmarkColdCheck(b *testing.B) {
 	for _, n := range []int{6, 8, 10} {
 		rows := relabeledOmegaRows(n)
-		nw, err := min.FromLinkPerms("cold", n, rows)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(fmt.Sprintf("build/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -1051,21 +1051,74 @@ func BenchmarkColdCheck(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("check/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !min.Check(nw).Equivalent {
-					b.Fatal("rejected")
+		b.Run(fmt.Sprintf("check/n=%d", n), func(b *testing.B) { benchSteady(b, coldCheck(n, false)(b)) })
+		b.Run(fmt.Sprintf("isocheck/n=%d", n), func(b *testing.B) { benchSteady(b, coldCheck(n, true)(b)) })
+	}
+}
+
+// coldCheck is BenchmarkColdCheck's check op (iso false) or isocheck op
+// (iso true) on the relabeled n-stage Omega.
+func coldCheck(n int, iso bool) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		nw, err := min.FromLinkPerms("cold", n, relabeledOmegaRows(n))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if iso {
+			return func() {
+				if _, m, err := min.CheckIso(nw); err != nil || m == nil {
+					tb.Fatal("rejected", err)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("isocheck/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, iso, err := min.CheckIso(nw); err != nil || iso == nil {
-					b.Fatal("rejected", err)
-				}
+		}
+		return func() {
+			if !min.Check(nw).Equivalent {
+				tb.Fatal("rejected")
 			}
-		})
+		}
+	}
+}
+
+// BenchmarkServeColdCheck is an uncached /v1/check through the whole
+// minserve handler, its response cache off so no op can hit: the
+// relabeled Omega of BenchmarkColdCheck as linkPerms, without iso
+// (check) and with it (iso), in JSON and in the binary codec both ways.
+func BenchmarkServeColdCheck(b *testing.B) {
+	h := newServeHandler(b, minserve.Config{CacheEntries: -1})
+	for _, iso := range []bool{false, true} {
+		kind := "check"
+		if iso {
+			kind = "iso"
+		}
+		for _, wire := range []struct {
+			name, media string
+			encode      func(any) ([]byte, error)
+		}{
+			{"json", "application/json", json.Marshal},
+			{"bin", minserve.MediaTypeBinary, codec.Encode},
+		} {
+			for _, n := range []int{6, 8, 10} {
+				req := &codec.CheckRequest{Iso: iso, NetworkSpec: codec.NetworkSpec{
+					Network: "cold", Stages: n, LinkPerms: relabeledOmegaRows(n)}}
+				body, err := wire.encode(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(fmt.Sprintf("%s/%s/n=%d", kind, wire.name, n), func(b *testing.B) {
+					b.ReportAllocs()
+					b.SetBytes(int64(len(body)))
+					for i := 0; i < b.N; i++ {
+						rec := httptest.NewRecorder()
+						r := httptest.NewRequest("POST", "/v1/check", bytes.NewReader(body))
+						r.Header.Set("Content-Type", wire.media)
+						r.Header.Set("Accept", wire.media)
+						h.ServeHTTP(rec, r)
+						if rec.Code != 200 || rec.Header().Get("X-Cache") == "HIT" {
+							b.Fatalf("status %d, X-Cache %q: %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -15,15 +15,14 @@ import (
 // bijection-check bitmap. It follows midigraph.Analyzer's discipline:
 // sized on first use, retained across calls, so repeated IsoToBaseline
 // runs on one builder allocate only the returned Isomorphism itself.
-// The compiled Baseline target is cached per stage count. A builder is
-// NOT safe for concurrent use; the package-level IsoToBaseline draws
-// one from a pool so one-shot callers share scratch across the process.
+// The Baseline target is shared by every builder (see baseline). A
+// builder is NOT safe for concurrent use; the package-level
+// IsoToBaseline draws one from a pool so one-shot callers share scratch
+// across the process.
 type IsoBuilder struct {
 	an     *midigraph.Analyzer
 	labels []uint64
 	seen   []bool
-	baseN  int
-	base   *midigraph.Graph
 }
 
 // NewIsoBuilder returns an empty builder; scratch grows on first use.
@@ -66,10 +65,10 @@ func (b *IsoBuilder) verifyArcs(labels []uint64, g, target *midigraph.Graph) boo
 	}
 	for s := 0; s < n-1; s++ {
 		cur, next := labels[s*h:(s+1)*h], labels[(s+1)*h:(s+2)*h]
-		for x := 0; x < h; x++ {
-			gf, gg := g.Children(s, uint32(x))
-			hf, hg := target.Children(s, uint32(cur[x]))
-			a, c := uint32(next[gf]), uint32(next[gg])
+		gs, ts := g.ChildSlice(s), target.ChildSlice(s)
+		for x, l := range cur {
+			a, c := next[gs[2*x]], next[gs[2*x+1]]
+			hf, hg := uint64(ts[2*l]), uint64(ts[2*l+1])
 			if !(a == hf && c == hg || a == hg && c == hf) {
 				return false
 			}
@@ -78,36 +77,56 @@ func (b *IsoBuilder) verifyArcs(labels []uint64, g, target *midigraph.Graph) boo
 	return true
 }
 
-// baseline returns the cached Baseline MI-digraph for n stages.
-func (b *IsoBuilder) baseline(n int) *midigraph.Graph {
-	if b.baseN != n {
-		b.base = topology.Baseline(n)
-		b.baseN = n
-	}
-	return b.base
+// baselines holds one Baseline MI-digraph per stage count, built on
+// first use and shared read-only by every builder in the process.
+var baselines [midigraph.MaxStages + 1]struct {
+	once sync.Once
+	g    *midigraph.Graph
 }
 
-// Relabeling is the verdict-only characterization: the isomorphism
-// from g onto topology.Baseline(n) with true when g is
-// Baseline-equivalent, false otherwise, and no diagnostics. It runs
-// labels, certify, fall back. Analyzer.BaselineLabels reads the labels
-// off the P(*,n) and P(1,*) sweeps, rejecting a missed P count. Labels
-// that verify against the Baseline's arcs are an isomorphism, which
-// certifies Banyan too. Labels that fail mean, by the theorem, that g
-// is not Banyan, which Analyzer.Banyan confirms; a Banyan graph there
-// would contradict the theorem and goes to the exact oracle for
-// n <= OracleMaxStages. A rejection costs only the reused scratch.
-func (b *IsoBuilder) Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
+// baseline returns the shared Baseline MI-digraph for n stages.
+func baseline(n int) *midigraph.Graph {
+	b := &baselines[n]
+	b.once.Do(func() { b.g = topology.Baseline(n) })
+	return b.g
+}
+
+// baselineLabels runs Analyzer.BaselineLabels into the builder's label
+// scratch, flat by stage, and returns the scratch with its verdict.
+func (b *IsoBuilder) baselineLabels(g *midigraph.Graph) ([]uint64, bool) {
 	n, h := g.Stages(), g.CellsPerStage()
 	if cap(b.labels) < n*h {
 		b.labels = make([]uint64, n*h)
 	}
-	labels := b.labels[:n*h]
-	if !b.an.BaselineLabels(g, labels) {
+	b.labels = b.labels[:n*h]
+	return b.labels, b.an.BaselineLabels(g, b.labels)
+}
+
+// certify is the certified path: true when the labels are an
+// isomorphism onto the Baseline, which certifies Banyan too, with the
+// labels left in the builder's scratch. False means, by the theorem,
+// that g is not Baseline-equivalent.
+func (b *IsoBuilder) certify(g *midigraph.Graph) bool {
+	labels, ok := b.baselineLabels(g)
+	return ok && b.verifyArcs(labels, g, baseline(g.Stages()))
+}
+
+// Relabeling is the verdict-only characterization: the isomorphism
+// from g onto topology.Baseline(n) with true when g is
+// Baseline-equivalent, false otherwise, and no diagnostics. Labels that
+// verify are copied once into the returned stage maps, which share one
+// backing array. Labels that Analyzer.BaselineLabels rejects rule g
+// out. Labels that fail to verify mean, by the theorem, that g is not
+// Banyan, which Analyzer.Banyan confirms; a Banyan graph there would
+// contradict the theorem and goes to the exact oracle for
+// n <= OracleMaxStages. A rejection costs only the reused scratch.
+func (b *IsoBuilder) Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
+	n, h := g.Stages(), g.CellsPerStage()
+	labels, ok := b.baselineLabels(g)
+	if !ok {
 		return Isomorphism{}, false
 	}
-	base := b.baseline(n)
-	if b.verifyArcs(labels, g, base) {
+	if b.verifyArcs(labels, g, baseline(n)) {
 		flat := make(perm.Perm, n*h)
 		copy(flat, labels)
 		iso := Isomorphism{Maps: make([]perm.Perm, n)}
@@ -120,7 +139,7 @@ func (b *IsoBuilder) Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
 		return Isomorphism{}, false
 	}
 	if n <= OracleMaxStages {
-		return FindIsomorphism(g, base)
+		return FindIsomorphism(g, baseline(n))
 	}
 	return Isomorphism{}, false
 }

@@ -56,6 +56,24 @@ func Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
 	return iso, ok
 }
 
+// Certify reports whether g is Baseline-equivalent by the certified
+// path alone: the labels of Analyzer.BaselineLabels, verified against
+// the Baseline's arcs. True is exact. False means, by the theorem, that
+// g is not equivalent; a caller that reports why settles it with Check.
+// When g certifies and read is not nil, read gets the isomorphism onto
+// the Baseline flat by stage, stage s at [s*h, (s+1)*h); the slice is a
+// pooled builder's scratch, valid only during the call, so a caller
+// that keeps the maps copies them there, once.
+func Certify(g *midigraph.Graph, read func(labels []uint64)) bool {
+	b := isoBuilderPool.Get().(*IsoBuilder)
+	ok := b.certify(g)
+	if ok && read != nil {
+		read(b.labels)
+	}
+	isoBuilderPool.Put(b)
+	return ok
+}
+
 // IsoBetween returns an explicit isomorphism between two baseline-
 // equivalent graphs by composing their isomorphisms through Baseline.
 func IsoBetween(g, h *midigraph.Graph) (Isomorphism, error) {

@@ -9,10 +9,11 @@ import (
 // Banyan verdict and the Baseline labels need: the union-find
 // parent/size arrays, the flat root→dense-id table, the reusable
 // counts buffer, the two reach-set rows of Banyan (see banyan.go) and
-// the merge tree and per-node component ids of BaselineLabels (see
-// labels.go). A zero-cost steady state
-// is the point: once an Analyzer has been sized for a graph, every
-// method on it runs with 0 allocs/op.
+// the merge tree, per-node component ids and mates of BaselineLabels
+// (see labels.go), which pairs components instead of running the
+// union-find. A zero-cost steady state is the point: once an Analyzer
+// has been sized for a graph, every method on it runs with 0
+// allocs/op.
 //
 // The prefix family P(1,*), the suffix family P(*,n) and the full
 // window table are computed by *sweeps* rather than per-window
@@ -37,8 +38,10 @@ type Analyzer struct {
 	rootID []int32  // flat root element -> dense component id, -1 = unseen
 	counts []int    // per-window running component counts
 	reach  []uint64 // Banyan's two reach-set rows, h words each
-	tree   []int32  // BaselineLabels' merge tree, 2h slots
-	comp   []int32  // BaselineLabels' per-node component ids
+	tree   []int32  // BaselineLabels' merge tree, 2h slots of links, then labels
+	comp   []int32  // BaselineLabels' per-node ids in the window adding the node's stage made
+	mate   []int32  // BaselineLabels' pairing of one window's components, -1 = unpaired
+	other  []int32  // BaselineLabels' component of each added node's other parent
 	count  int      // live component count of the current sweep
 	h      int      // cells per stage of the graph being analyzed
 }

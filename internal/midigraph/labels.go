@@ -2,119 +2,194 @@ package midigraph
 
 // BaselineLabels writes into labels[s*h+x] (n·h entries) the Baseline
 // label of every node (s, x), read off the merge trees of the P(*,n)
-// and P(1,*) sweeps (DESIGN.md §1.1). Each suffix window S_b = (b..n-1)
-// merges the components of S_{b+1} in pairs; of the two, the one the
-// scan of stage b+1 meets first is side 0. From the root S_0 down, a
-// component's label is L(parent) | side<<(n-1-b), and a stage-s node
-// takes its S_s component's label as its top s bits. The prefix windows
-// W_e = (0..e), numbered by a scan of stage 0, give L(parent)<<1 | side
-// and a stage-s node's low n-1-s bits from W_s. The cost is O(n·h·α) on
-// the Analyzer's one union-find.
+// and P(1,*) windows (DESIGN.md §1.1). In an equivalent graph every
+// window step merges the previous window's components in exact pairs,
+// so each sweep only pairs them: it keeps the component ids of its
+// newest stage, and each node of the stage it adds names the two
+// components its arcs join. A pair takes its new id on first sight and
+// records its mate, so later nodes only confirm it.
 //
-// It returns false at the first window whose component count misses
-// its P target, or that has a component missing the stage it is
-// numbered by (which in-degree 2 rules out). A component that merges
-// more than two gives the third and later ones side 1 as well, so two
-// nodes of stage n-1 or of stage 0 then share a label: callers must
-// check the labels for a bijection and every arc against the Baseline.
+// The suffix windows S_b = (b..n-1) grow by stage b, whose nodes'
+// children name two components of S_{b+1}; S_b's components are
+// numbered by first appearance in the scan of stage b. The prefix
+// windows W_e = (0..e) grow by stage e+1, whose nodes' parents name two
+// components of W_e; W_{e+1}'s components are numbered by the rank of
+// their smaller old id, which is the order of their first appearance
+// in a scan of stage 0. In both, the smaller old id is side 0. From the
+// root S_0 down, a component's label is L(parent) | side<<(n-1-b), and
+// a stage-s node takes its S_s component's label as its top s bits;
+// the prefix tree gives L(parent)<<1 | side, and a stage-s node's low
+// n-1-s bits from W_s. The cost is O(n·h), with no disjoint-set forest.
+//
+// It returns false when a node's two arcs land in one component, a
+// component pairs with two different ones, or a component stays
+// unpaired: none of these happens in a graph isomorphic to the
+// Baseline. Labels it returns true for can still fail to be an
+// isomorphism (the graph need not be Banyan), so callers must check
+// them for a bijection and every arc against the Baseline. g must meet
+// Validate's degree conditions.
 //
 //minlint:hotpath
 func (a *Analyzer) BaselineLabels(g *Graph, labels []uint64) bool {
-	a.grow(g)
 	a.growTree(g)
-	clear(labels)
-	return a.labelSweep(g, labels, true) && a.labelSweep(g, labels, false)
+	if !a.suffixPairs(g) {
+		return false
+	}
+	a.writeLabels(g, labels, true)
+	if !a.prefixPairs(g) {
+		return false
+	}
+	a.writeLabels(g, labels, false)
+	return true
 }
 
-// growTree sizes BaselineLabels' merge tree and per-node component ids.
+// growTree sizes BaselineLabels' merge tree, per-node component ids,
+// mates and second parents.
 func (a *Analyzer) growTree(g *Graph) {
 	if cap(a.tree) < 2*g.h {
 		a.tree = make([]int32, 2*g.h)
+		a.mate = make([]int32, g.h)
+		a.other = make([]int32, g.h)
 	}
 	if cap(a.comp) < g.n*g.h {
 		a.comp = make([]int32, g.n*g.h)
 	}
 	a.tree = a.tree[:2*g.h]
+	a.mate = a.mate[:g.h]
+	a.other = a.other[:g.h]
 	a.comp = a.comp[:g.n*g.h]
 }
 
-// labelSweep runs one family's sweep and ORs its half of every label
-// into labels. Window k of the sweep (S_{n-1-k}, or W_k) has h>>k
-// components, kept in tree[h>>k-1 : 2(h>>k)-1]: a slot holds its
-// component's first scanned node, then its parent link (parent<<1 |
-// side), then its label.
+// Window k of a sweep (S_{n-1-k}, or W_k) has w = h>>k components,
+// kept in tree[w-1 : 2w-1]. A sweep step writes each old component's
+// link, new id<<1 | side, into its slot; writeLabels then turns the
+// links into labels from the root down. comp[s*h+x] is the id of node
+// (s, x)'s component in the window that adding stage s made: S_s in the
+// suffix sweep, W_s in the prefix sweep.
+
+// suffixPairs runs the P(*,n) sweep, adding stages n-2 down to 0.
 //
 //minlint:hotpath
-func (a *Analyzer) labelSweep(g *Graph, labels []uint64, suffix bool) bool {
-	n, h := g.n, int32(g.h)
-	for i := range a.rootID {
-		a.rootID[i] = -1
+func (a *Analyzer) suffixPairs(g *Graph) bool {
+	n, h := g.n, g.h
+	last := a.comp[(n-1)*h:]
+	for x := range last {
+		last[x] = int32(x)
 	}
-	a.count = 0
-	for k := 0; k < n; k++ {
-		s, scan, arcs := k, int32(0), k-1
-		if suffix {
-			s, arcs = n-1-k, n-1-k
-			scan = int32(s) * h
+	for b := n - 2; b >= 0; b-- {
+		w := int32(h >> uint(n-1-b))
+		links, mate := a.tree[2*w-1:4*w-1], a.mate[:2*w]
+		for i := range mate {
+			mate[i] = -1
 		}
-		a.activate(s)
-		if k > 0 {
-			a.unionStage(g, arcs)
+		kids, cur := a.comp[(b+1)*h:(b+2)*h], a.comp[b*h:(b+1)*h]
+		row, next := g.children[b], int32(0)
+		for x := range cur {
+			c, d := kids[row[2*x]], kids[row[2*x+1]]
+			if mate[c] != d {
+				if mate[c] >= 0 || mate[d] >= 0 || c == d {
+					return false
+				}
+				if d < c {
+					c, d = d, c
+				}
+				mate[c], mate[d] = d, c
+				links[c], links[d] = next<<1, next<<1|1
+				next++
+			}
+			cur[x] = links[c] >> 1
 		}
-		width := h >> uint(k)
-		if a.count != int(width) {
+		if next != w {
 			return false
 		}
-		win, next := a.tree[width-1:2*width-1], int32(0)
-		for v := scan; v < scan+h; v++ {
-			if r := a.find(v); a.rootID[r] < 0 {
-				a.rootID[r], win[next] = next, v
+	}
+	return true
+}
+
+// prefixPairs runs the P(1,*) sweep, adding stages 1 to n-1. One pass
+// over the child row scatters each added node's two parents'
+// components into other and cur (in-degree 2 leaves the first parent's
+// in other), and a second pass pairs them.
+//
+//minlint:hotpath
+func (a *Analyzer) prefixPairs(g *Graph) bool {
+	n, h := g.n, g.h
+	first := a.comp[:h]
+	for x := range first {
+		first[x] = int32(x)
+	}
+	for e := 0; e < n-1; e++ {
+		w := int32(h >> uint(e+1))
+		links, mate := a.tree[2*w-1:4*w-1], a.mate[:2*w]
+		for i := range mate {
+			mate[i] = -1
+		}
+		par, cur, other := a.comp[e*h:(e+1)*h], a.comp[(e+1)*h:(e+2)*h], a.other[:h]
+		row := g.children[e]
+		for x, c := range par {
+			y, z := row[2*x], row[2*x+1]
+			other[y], cur[y] = cur[y], c
+			other[z], cur[z] = cur[z], c
+		}
+		for y, c := range cur {
+			d := other[y]
+			if mate[c] != d {
+				if mate[c] >= 0 || mate[d] >= 0 || c == d {
+					return false
+				}
+				mate[c], mate[d] = d, c
+			}
+		}
+		next := int32(0)
+		for c, m := range mate {
+			if m < 0 {
+				return false
+			}
+			if int32(c) < m {
+				links[c], links[m] = next<<1, next<<1|1
 				next++
 			}
 		}
-		if next != width {
-			return false
-		}
-		for v := int32(s) * h; v < int32(s+1)*h; v++ {
-			a.comp[v] = a.rootID[a.find(v)]
-		}
-		// The first child to reach a parent flips the parent's rootID
-		// entry to ^id, so every later child reads side 1.
-		if k > 0 {
-			kids := a.tree[2*width-1 : 4*width-1]
-			for c, v := range kids {
-				r := a.find(v)
-				p, side := a.rootID[r], int32(0)
-				if p < 0 {
-					p, side = ^p, 1
-				} else {
-					a.rootID[r] = ^p
-				}
-				kids[c] = p<<1 | side
-			}
-		}
-		for _, v := range win {
-			a.rootID[a.find(v)] = -1
+		for y, d := range cur {
+			cur[y] = links[d] >> 1
 		}
 	}
+	return true
+}
+
+// writeLabels turns one sweep's links into labels from the root down
+// and writes each node's half of its label: the suffix half first (it
+// overwrites labels), then the prefix half ORed in.
+//
+//minlint:hotpath
+func (a *Analyzer) writeLabels(g *Graph, labels []uint64, suffix bool) {
+	n, h := g.n, g.h
 	a.tree[0] = 0
 	for k := n - 2; k >= 0; k-- {
 		width := h >> uint(k)
 		win, up := a.tree[width-1:2*width-1], a.tree[width/2-1:width-1]
-		for c, link := range win {
-			if suffix {
+		if suffix {
+			for c, link := range win {
 				win[c] = up[link>>1] | (link&1)<<uint(k)
-			} else {
+			}
+		} else {
+			for c, link := range win {
 				win[c] = up[link>>1]<<1 | link&1
 			}
 		}
 	}
-	for v, c := range a.comp {
-		k := v / g.h
+	for s := 0; s < n; s++ {
+		comp, out := a.comp[s*h:(s+1)*h], labels[s*h:(s+1)*h]
 		if suffix {
-			k = n - 1 - k
+			win := a.tree[h>>uint(n-1-s)-1:]
+			for x, c := range comp {
+				out[x] = uint64(win[c])
+			}
+		} else {
+			win := a.tree[h>>uint(s)-1:]
+			for x, c := range comp {
+				out[x] |= uint64(win[c])
+			}
 		}
-		labels[v] |= uint64(a.tree[g.h>>uint(k)-1+int(c)])
 	}
-	return true
 }

@@ -88,8 +88,21 @@ func windowChecks(rs []midigraph.WindowResult) []WindowCheck {
 
 // Check evaluates the paper's characterization theorem — the Banyan
 // property plus the window families P(1,*) and P(*,n) — and returns the
-// structured report.
+// structured report. It takes the certified path first: Baseline
+// labels read off the two window sweeps that carry every arc onto the
+// Baseline prove the network equivalent, and then the report is fixed
+// by the stage count. Only a network that fails the path pays for the
+// full check, whose report says which condition fails.
 func Check(nw *Network) Report {
+	if equiv.Certify(nw.graph(), nil) {
+		return equivalentReport(nw)
+	}
+	return checkReport(nw)
+}
+
+// checkReport is the report of the full characterization check: the
+// union-find sweeps of both window families and the Banyan pass.
+func checkReport(nw *Network) Report {
 	rep := equiv.Check(nw.graph())
 	out := Report{
 		Network:    nw.Name(),
@@ -155,6 +168,9 @@ func (iso Isomorphism) Verify(a, b *Network) error {
 // network of the same size that the characterization theorem promises.
 // It fails with a descriptive error when nw is not baseline-equivalent.
 func Iso(nw *Network) (Isomorphism, error) {
+	if iso, ok := certifiedIso(nw.graph()); ok {
+		return *iso, nil
+	}
 	iso, err := equiv.IsoToBaseline(nw.graph())
 	if err != nil {
 		return Isomorphism{}, err
@@ -162,19 +178,35 @@ func Iso(nw *Network) (Isomorphism, error) {
 	return fromInternalIso(iso), nil
 }
 
+// certifiedIso runs the certified path of Check and, when it
+// certifies, copies the labels once into the isomorphism's maps.
+func certifiedIso(g *midigraph.Graph) (*Isomorphism, bool) {
+	var iso *Isomorphism
+	ok := equiv.Certify(g, func(labels []uint64) {
+		h := g.CellsPerStage()
+		flat := make([]int, len(labels))
+		for i, v := range labels {
+			flat[i] = int(v)
+		}
+		iso = &Isomorphism{Maps: make([][]int, len(labels)/h)}
+		for s := range iso.Maps {
+			iso.Maps[s] = flat[s*h : (s+1)*h : (s+1)*h]
+		}
+	})
+	return iso, ok
+}
+
 // CheckIso is Check plus, when the network is baseline-equivalent,
-// the isomorphism Iso returns (nil otherwise). It characterizes the
-// network once: the constructive isomorphism runs first, and when it
-// certifies, the report is fixed by the stage count (Banyan, and every
-// prefix and suffix window at its expected component count), so only
-// a rejected network pays for Check. The error is Iso's, for a network
-// Check calls equivalent that the labeling cannot map.
+// the isomorphism Iso returns (nil otherwise). It runs Check's
+// certified path once and builds the maps from its labels, so only a
+// rejected network pays for the full check. The error is Iso's, for a
+// network the full check calls equivalent that the labeling cannot
+// map.
 func CheckIso(nw *Network) (Report, *Isomorphism, error) {
-	if m, ok := equiv.Relabeling(nw.graph()); ok {
-		iso := fromInternalIso(m)
-		return equivalentReport(nw), &iso, nil
+	if iso, ok := certifiedIso(nw.graph()); ok {
+		return equivalentReport(nw), iso, nil
 	}
-	rep := Check(nw)
+	rep := checkReport(nw)
 	if !rep.Equivalent {
 		return rep, nil, nil
 	}

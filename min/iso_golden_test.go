@@ -55,9 +55,9 @@ func TestIsoGolden(t *testing.T) {
 	}
 }
 
-// TestCheckIsoMatchesCheckAndIso pins CheckIso to the pair it stands
-// for, Check's report plus Iso's maps when the report says equivalent:
-// on the catalog at n = 2..12 with two seeded relabelings of each, the
+// TestCheckIsoMatchesCheckAndIso pins Check and CheckIso, which take
+// the certified path, to the full check's report, and CheckIso's maps
+// to Iso's when the report says equivalent: on the catalog at n = 2..12 with two seeded relabelings of each, the
 // tail cycles at n = 3..10 (Banyan, not equivalent), and double-arc
 // wirings at n = 3..8 (not Banyan).
 func TestCheckIsoMatchesCheckAndIso(t *testing.T) {
@@ -99,9 +99,12 @@ func TestCheckIsoMatchesCheckAndIso(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s n=%d: %v", nw.Name(), nw.Stages(), err)
 		}
-		want := Check(nw)
+		want := checkReport(nw)
 		if !reflect.DeepEqual(rep, want) {
 			t.Fatalf("%s n=%d: report\n%+v\nwant\n%+v", nw.Name(), nw.Stages(), rep, want)
+		}
+		if got := Check(nw); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s n=%d: Check\n%+v\nwant\n%+v", nw.Name(), nw.Stages(), got, want)
 		}
 		if !want.Equivalent {
 			if iso != nil {
