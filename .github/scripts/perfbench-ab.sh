@@ -24,6 +24,7 @@
 # The gate fails when
 #
 #   - any run, base or change, prints correct:false or exits non-zero;
+#   - an entry of BENCHES prints no ns/op row on the change side;
 #   - the change's failed share (failed ops over attempted ops, summed
 #     over its runs) is above the base's;
 #   - the change's ops_per_s is below the base's, or its p50_ms or a
@@ -76,9 +77,15 @@ set -euo pipefail
 PAIRS=5
 RUN_SECONDS=5
 MIN_THRESHOLD=0.12
-BENCHES=(EngineWaveLoop$ BitWaveLoop$ TableWaveLoop$ BufferedRunner$ BaselineLabels/omega/n=10$
-	^BenchmarkColdCheck/^check/n=10$ ColdCheck/isocheck/n=10$ ServeColdCheck/iso/json/n=10$
-	DecodeRequest/json/n=10$ FabricCompile/relabeled/n=10$)
+# Each entry is anchored at every level: go test -bench matches each
+# /-separated part against one level of the names, which keep their
+# Benchmark prefix, and an unanchored part also enters the setup of
+# every top-level benchmark whose name contains it.
+BENCHES=('^BenchmarkEngineWaveLoop$' '^BenchmarkBitWaveLoop$' '^BenchmarkTableWaveLoop$'
+	'^BenchmarkBufferedRunner$' '^BenchmarkBaselineLabels$/^omega$/^n=10$'
+	'^BenchmarkColdCheck$/^check$/^n=10$' '^BenchmarkColdCheck$/^isocheck$/^n=10$'
+	'^BenchmarkServeColdCheck$/^iso$/^json$/^n=10$' '^BenchmarkDecodeRequest$/^json$/^n=10$'
+	'^BenchmarkFabricCompile$/^relabeled$/^n=10$')
 BENCH_TIME=0.1s
 BENCH_ROUNDS=8
 BENCH_MIN_THRESHOLD=0.15
@@ -100,9 +107,12 @@ echo "perfbench A/B: base $(git rev-parse --short "$base"), change $(git rev-par
 # layers makes every bench run before the bench pairs are judged:
 # BENCH_ROUNDS rounds, each running every entry of BENCHES for every
 # pair on both sides in turn, the side that goes first alternating. A
-# run that fails leaves a FAIL line in its output.
+# run that fails, or a change-side run that prints no ns/op row (an
+# entry that matches nothing), leaves a FAIL line in its output. A
+# base-side run with no row is left to the verdict, which reports a
+# benchmark the base does not have as new.
 layers() {
-	local r i b side order
+	local r i b side order out
 	for ((r = 1; r <= BENCH_ROUNDS; r++)); do
 		for ((i = 1; i <= PAIRS; i++)); do
 			order=(base change)
@@ -111,12 +121,16 @@ layers() {
 			fi
 			for b in "${BENCHES[@]}"; do
 				for side in "${order[@]}"; do
-					if ! (cd "${tree[$side]}" && taskset -c 0 "$work/$side.test" -test.run '^$' \
+					if ! out=$(cd "${tree[$side]}" && taskset -c 0 "$work/$side.test" -test.run '^$' \
 						-test.bench "$b" -test.benchtime "$BENCH_TIME" -test.cpu 1 -test.timeout 10m \
-						>>"$work/bench.$i.$side.out" 2>>"$work/$side.log"); then
+						2>>"$work/$side.log"); then
 						echo "FAIL $b on the $side side" >&2
-						echo FAIL >>"$work/bench.$i.$side.out"
+						out+=$'\nFAIL'
+					elif [ "$side" = change ] && [[ $out != *ns/op* ]]; then
+						echo "FAIL $b matched no benchmark on the $side side" >&2
+						out+=$'\nFAIL'
 					fi
+					printf '%s\n' "$out" >>"$work/bench.$i.$side.out"
 				done
 			done
 		done

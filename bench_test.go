@@ -65,6 +65,7 @@ var steadyRows = []struct {
 	{"CodecDecode", codecDecode, 0, false},
 	{"ColdCheck/check/n=10", coldCheck(10, false), 2, true},
 	{"ColdCheck/isocheck/n=10", coldCheck(10, true), 5, true},
+	{"FabricCompile/relabeled/n=10", fabricCompileRelabeled(10), 26, true},
 	{"ServeCheckCached", serveCheckCached, 21, true},
 	// Per 16-item batch request; the benchmark reports it per item.
 	{"ServeBatchWarm/batch/item", serveBatchWarm, 72, true},
@@ -148,7 +149,7 @@ func BenchmarkSixNetworksEquiv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, nw := range nets {
-			if !equiv.IsBaselineEquivalent(nw.Graph) {
+			if !equiv.Check(nw.Graph).Equivalent() {
 				b.Fatal("classical network rejected")
 			}
 		}
@@ -274,7 +275,7 @@ func banyanBaseline(n int) func(testing.TB) func() {
 	}
 }
 
-// BenchmarkBaselineLabels is the labeler Relabeling runs first: both
+// BenchmarkBaselineLabels is the labeler Certify runs first: both
 // window sweeps of Analyzer.BaselineLabels on the Omega network, on a
 // reused Analyzer and label buffer (0 allocs/op, pinned).
 func BenchmarkBaselineLabels(b *testing.B) {
@@ -451,7 +452,7 @@ func BenchmarkCounterexampleCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if equiv.IsBaselineEquivalent(g) {
+		if equiv.Check(g).Equivalent() {
 			b.Fatal("counterexample accepted")
 		}
 	}
@@ -616,7 +617,7 @@ func doubleArcPerms10() []perm.Perm {
 }
 
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
-// verdict-only characterization, then either the relabeled form of an
+// equiv.Certify verdict, then either the relabeled form of an
 // equivalent wiring or the table path's one backward pass building the
 // reach rows and the Banyan verdict. Relabeled: Baseline wirings at
 // 6, 8 and 10 stages and a seeded relabeling of the Omega at 10, 12 and
@@ -645,14 +646,26 @@ func BenchmarkFabricCompile(b *testing.B) {
 	arc := doubleArcPerms10()
 	b.Run("double-arc/n=10", func(b *testing.B) { run(b, arc, false) })
 	for _, n := range []int{10, 12, 14} {
-		relabeled := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 1)), topology.MustBuild(topology.NameOmega, n).LinkPerms)
-		b.Run(fmt.Sprintf("relabeled/n=%d", n), func(b *testing.B) { run(b, relabeled, true) })
+		b.Run(fmt.Sprintf("relabeled/n=%d", n), func(b *testing.B) { benchSteady(b, fabricCompileRelabeled(n)(b)) })
 	}
 	tail, err := randnet.TailCycleLinkPerms(10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("tail-cycle/n=10", func(b *testing.B) { run(b, tail, true) })
+}
+
+// fabricCompileRelabeled compiles a seeded relabeling of the n-stage
+// Omega, which compiles relabeled.
+func fabricCompileRelabeled(n int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		perms := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), 1)), topology.MustBuild(topology.NameOmega, n).LinkPerms)
+		return func() {
+			if !newFabric(tb, perms).BitSliceable() {
+				tb.Fatal("relabeled Omega compiled to the table path")
+			}
+		}
+	}
 }
 
 // BenchmarkFaultedWaveLoop pins the degraded hot path: the steady-state

@@ -60,22 +60,22 @@ func Check(g *midigraph.Graph) Report {
 	}
 }
 
-// IsBaselineEquivalent is the headline predicate of the paper.
-func IsBaselineEquivalent(g *midigraph.Graph) bool {
-	return Check(g).Equivalent()
+// AreEquivalent decides topological equivalence of two same-size
+// MI-digraphs through pairDecision, on the Certify verdict of each.
+func AreEquivalent(g, h *midigraph.Graph) (bool, error) {
+	return pairDecision(g, h, Certify(g, nil), Certify(h, nil))
 }
 
-// AreEquivalent decides topological equivalence of two same-size
-// MI-digraphs. Fast path: if both satisfy the characterization they are
-// equivalent (both isomorphic to Baseline); if exactly one does, they
-// are not. When neither satisfies it, the question falls outside the
-// paper's theory and we fall back to the exact oracle, which is only
-// practical for small n; beyond OracleMaxStages an error is returned.
-func AreEquivalent(g, h *midigraph.Graph) (bool, error) {
+// pairDecision decides one pair given each graph's Certify verdict, ge
+// and he. If both are Baseline-equivalent they are equivalent (both
+// isomorphic to Baseline); if exactly one is, they are not. When
+// neither is, the question falls outside the paper's theory and the
+// exact oracle settles it, which is only practical for small n; beyond
+// OracleMaxStages an error is returned.
+func pairDecision(g, h *midigraph.Graph, ge, he bool) (bool, error) {
 	if g.Stages() != h.Stages() {
 		return false, nil
 	}
-	ge, he := IsBaselineEquivalent(g), IsBaselineEquivalent(h)
 	switch {
 	case ge && he:
 		return true, nil
@@ -83,15 +83,9 @@ func AreEquivalent(g, h *midigraph.Graph) (bool, error) {
 		return false, nil
 	}
 	if g.Stages() > OracleMaxStages {
-		return false, oracleBoundError(g.Stages())
+		return false, fmt.Errorf("equiv: neither graph is baseline-equivalent and n=%d exceeds the oracle bound %d",
+			g.Stages(), OracleMaxStages)
 	}
 	_, found := FindIsomorphism(g, h)
 	return found, nil
-}
-
-// oracleBoundError is the shared failure for pairs the theory cannot
-// decide and the exact oracle cannot reach.
-func oracleBoundError(n int) error {
-	return fmt.Errorf("equiv: neither graph is baseline-equivalent and n=%d exceeds the oracle bound %d",
-		n, OracleMaxStages)
 }

@@ -41,7 +41,7 @@ func TestSixClassicalNetworksEquivalent(t *testing.T) {
 		}
 		base := topology.Baseline(n)
 		for _, nw := range nets {
-			if !IsBaselineEquivalent(nw.Graph) {
+			if !Check(nw.Graph).Equivalent() {
 				t.Errorf("n=%d %s: characterization fails", n, nw.Name)
 				continue
 			}
@@ -131,7 +131,7 @@ func TestLabelingAgreesWithOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if IsBaselineEquivalent(g) {
+			if Check(g).Equivalent() {
 				t.Errorf("n=%d: counterexample passes characterization", n)
 			}
 			if _, ok := FindIsomorphism(g, base); ok {
@@ -411,15 +411,17 @@ func wiring(n int, conns ...[][2]uint32) *midigraph.Graph {
 	return g
 }
 
-// TestRelabelingVerdictOnly pins the verdict-only entry: on a warm
-// builder it rejects without allocating, so no diagnostic report is
-// built, a non-Banyan graph, a tail cycle (Banyan, but failing
+// TestCertifyVerdictOnly pins the verdict-only decision: Certify(g,
+// nil) rejects a non-Banyan graph, a tail cycle (Banyan, but failing
 // P(*,n)) and a non-Banyan n = 3 wiring that passes both P families,
-// whose rejection runs the labels, their failed verification and the
-// Banyan pass. On an equivalent graph it returns the same isomorphism
-// IsoToBaseline does.
-func TestRelabelingVerdictOnly(t *testing.T) {
-	b := NewIsoBuilder()
+// whose rejection runs the labels and their failed verification, and
+// the builder it runs on rejects each without allocating once warm, so
+// no diagnostic report is built. (The pin holds a builder rather than
+// drawing from the pool, which the race detector empties at random.) On
+// an equivalent graph the map it certifies is the one IsoToBaseline
+// returns.
+func TestCertifyVerdictOnly(t *testing.T) {
+	b := newBuilder()
 	nonBanyan, err := randnet.NonBanyan(6)
 	if err != nil {
 		t.Fatal(err)
@@ -438,25 +440,26 @@ func TestRelabelingVerdictOnly(t *testing.T) {
 		t.Fatalf("both-P wiring fails a P family or is Banyan:\n%v", rep)
 	}
 	for name, g := range map[string]*midigraph.Graph{"non-banyan": nonBanyan, "tail-cycle": tail, "both-p-non-banyan": bothP} {
-		if _, ok := b.Relabeling(g); ok {
+		if Certify(g, nil) {
 			t.Fatalf("%s accepted", name)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { b.Relabeling(g) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { b.certify(g) }); allocs != 0 {
 			t.Errorf("%s: rejection allocates %v times", name, allocs)
 		}
 	}
 	g := topology.MustBuild(topology.NameOmega, 6).Graph
-	iso, ok := b.Relabeling(g)
-	if !ok {
+	var got []uint64
+	if !Certify(g, func(labels []uint64) { got = slices.Clone(labels) }) {
 		t.Fatal("omega rejected")
 	}
 	want, err := IsoToBaseline(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := g.CellsPerStage()
 	for s := range want.Maps {
-		if !slices.Equal(iso.Maps[s], want.Maps[s]) {
-			t.Fatalf("stage %d: Relabeling %v, IsoToBaseline %v", s, iso.Maps[s], want.Maps[s])
+		if !slices.Equal(got[s*h:(s+1)*h], want.Maps[s]) {
+			t.Fatalf("stage %d: Certify %v, IsoToBaseline %v", s, got[s*h:(s+1)*h], want.Maps[s])
 		}
 	}
 }
@@ -465,20 +468,21 @@ func TestRelabelingVerdictOnly(t *testing.T) {
 // whose connections are valid (2520² of them). BaselineLabels plus
 // verifyArcs, with no oracle, must accept exactly the graphs that are
 // Banyan and pass P(1,*) and P(*,n) (55,296), every accepted map must
-// pass Isomorphism.Verify, and Relabeling must reach the oracle on
-// none of them.
+// pass Isomorphism.Verify, and no Banyan graph may have labels that pair
+// but fail verifyArcs: the theorem rules that case out, so nothing
+// outside the labels decides it.
 func TestBaselineLabelsExhaustiveN3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6.35M graphs take a few seconds")
 	}
 	conns := census.Connections(2)
-	b := NewIsoBuilder()
+	b := newBuilder()
 	ref := midigraph.NewAnalyzer()
 	base := topology.Baseline(3)
 	g := midigraph.New(3)
 	labels := make([]uint64, 3*4)
 	var prefix, suffix []midigraph.WindowResult
-	accepted, oracle := 0, 0
+	accepted, banyanUnverified := 0, 0
 	for _, c0 := range conns {
 		for x := range c0[0] {
 			g.SetChildren(0, uint32(x), uint32(c0[0][x]), uint32(c0[1][x]))
@@ -495,7 +499,7 @@ func TestBaselineLabelsExhaustiveN3(t *testing.T) {
 				t.Fatalf("labels certified=%t, characterization=%t on %v %v", got, want, c0, c1)
 			}
 			if swept && !got && ref.Banyan(g) {
-				oracle++
+				banyanUnverified++
 			}
 			if !got {
 				continue
@@ -507,7 +511,8 @@ func TestBaselineLabelsExhaustiveN3(t *testing.T) {
 			}
 		}
 	}
-	if accepted != 55296 || oracle != 0 {
-		t.Fatalf("accepted %d graphs with %d oracle calls, want 55296 and 0", accepted, oracle)
+	if accepted != 55296 || banyanUnverified != 0 {
+		t.Fatalf("accepted %d graphs with %d Banyan graphs whose labels pair but fail to verify, want 55296 and 0",
+			accepted, banyanUnverified)
 	}
 }

@@ -1,11 +1,13 @@
 // Package equiv is the core of the reproduction: deciding whether an
 // MI-digraph is topologically equivalent to the Baseline network.
 //
-// It implements the paper's characterization (Banyan + P(1,*) + P(*,n)
-// implies isomorphic to Baseline), a constructive isomorphism read off
-// the merge trees of the prefix and suffix window sweeps, an exact
-// backtracking isomorphism oracle for ground truth on small instances,
-// and helpers to compare two arbitrary networks.
+// One function decides it: Certify reads the Baseline labels off the
+// merge trees of the prefix and suffix window sweeps and verifies every
+// arc, and IsoToBaseline returns those labels as the isomorphism. Check
+// evaluates the paper's characterization (Banyan + P(1,*) + P(*,n)),
+// the report that says why a graph fails to certify. An exact
+// backtracking oracle gives ground truth on small instances, and helpers
+// compare two arbitrary networks.
 package equiv
 
 import (

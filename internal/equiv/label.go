@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"minequiv/internal/midigraph"
+	"minequiv/internal/perm"
 )
 
 // NotEquivalentError reports a failed characterization check, carrying
@@ -16,11 +17,10 @@ func (e *NotEquivalentError) Error() string {
 	return "equiv: graph is not baseline-equivalent:\n" + e.Report.String()
 }
 
-// IsoToBaseline checks the characterization and, when it holds, returns
-// an explicit isomorphism from g onto topology.Baseline(n).
-//
-// The labels are the paper's constructive direction, read off the two
-// sweeps that decide the window families (DESIGN.md §1.1):
+// Certify decides Baseline-equivalence: it reports whether g is
+// isomorphic to topology.Baseline(n). It is the one decision every
+// caller runs. The labels are the paper's constructive direction, read
+// off the two sweeps that decide the window families (DESIGN.md §1.1):
 //
 //   - the SUFFIX windows (stages b..n-1) nest, and each component of
 //     one merges exactly two of the next; the merge tree, read from its
@@ -31,47 +31,49 @@ func (e *NotEquivalentError) Error() string {
 // Each merge makes an arbitrary 0/1 side choice; in the Baseline every
 // such choice corresponds to an automorphism, so any choice yields a
 // valid isomorphism. The labels are verified against the Baseline's
-// arcs before being returned, which also certifies the Banyan property;
-// only labels that fail to verify pay for the Banyan pass, and a Banyan
-// graph whose labels fail (never observed, and ruled out by the
-// theorem) goes to the exact oracle for small n.
+// arcs, which also certifies the Banyan property, so true is exact.
+// False means, by the theorem, that g is not equivalent; a caller that
+// reports why runs Check. The work runs on a pooled builder, so a warm
+// process certifies or rejects without allocating.
 //
-// The work runs on a pooled IsoBuilder, so in steady state the only
-// allocations are the returned Isomorphism's stage maps; callers with a
-// hot loop can hold their own builder instead.
-func IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
-	b := isoBuilderPool.Get().(*IsoBuilder)
-	iso, err := b.IsoToBaseline(g)
-	isoBuilderPool.Put(b)
-	return iso, err
-}
-
-// Relabeling is IsoBuilder.Relabeling on a pooled builder: the
-// isomorphism onto the Baseline and true when g is Baseline-equivalent,
-// false with no diagnostics otherwise.
-func Relabeling(g *midigraph.Graph) (Isomorphism, bool) {
-	b := isoBuilderPool.Get().(*IsoBuilder)
-	iso, ok := b.Relabeling(g)
-	isoBuilderPool.Put(b)
-	return iso, ok
-}
-
-// Certify reports whether g is Baseline-equivalent by the certified
-// path alone: the labels of Analyzer.BaselineLabels, verified against
-// the Baseline's arcs. True is exact. False means, by the theorem, that
-// g is not equivalent; a caller that reports why settles it with Check.
 // When g certifies and read is not nil, read gets the isomorphism onto
-// the Baseline flat by stage, stage s at [s*h, (s+1)*h); the slice is a
-// pooled builder's scratch, valid only during the call, so a caller
-// that keeps the maps copies them there, once.
+// the Baseline flat by stage, stage s at [s*h, (s+1)*h); the slice is
+// the builder's scratch, valid only during the call, so a caller that
+// keeps the maps copies them there, once.
 func Certify(g *midigraph.Graph, read func(labels []uint64)) bool {
-	b := isoBuilderPool.Get().(*IsoBuilder)
+	b := builderPool.Get().(*builder)
 	ok := b.certify(g)
 	if ok && read != nil {
 		read(b.labels)
 	}
-	isoBuilderPool.Put(b)
+	builderPool.Put(b)
 	return ok
+}
+
+// IsoToBaseline returns an explicit isomorphism from g onto
+// topology.Baseline(n): Certify's labels, copied once into stage maps
+// that share one backing array. A graph that fails to certify gets a
+// *NotEquivalentError carrying Check's report. Should Check call that
+// graph equivalent, the theorem would be contradicted, and that is the
+// error instead.
+func IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
+	var iso Isomorphism
+	if Certify(g, func(labels []uint64) {
+		h := g.CellsPerStage()
+		flat := make(perm.Perm, len(labels))
+		copy(flat, labels)
+		iso.Maps = make([]perm.Perm, len(labels)/h)
+		for s := range iso.Maps {
+			iso.Maps[s] = flat[s*h : (s+1)*h : (s+1)*h]
+		}
+	}) {
+		return iso, nil
+	}
+	if rep := Check(g); !rep.Equivalent() {
+		return Isomorphism{}, &NotEquivalentError{Report: rep}
+	}
+	return Isomorphism{}, fmt.Errorf("equiv: n=%d graph satisfies the characterization but its Baseline labels "+
+		"do not verify, contradicting the theorem", g.Stages())
 }
 
 // IsoBetween returns an explicit isomorphism between two baseline-

@@ -33,12 +33,12 @@ func ForEachPair(count, workers int, fn func(i, j int) error) error {
 // deterministic for any worker count (results are stored by pair index
 // and reduced in order, like internal/engine's trial sharding).
 //
-// Each graph's characterization is evaluated exactly once — not once
-// per pair — so a catalog sweep over k graphs costs k checks plus an
-// exact-oracle fallback only for pairs where neither graph is
-// baseline-equivalent (bounded by OracleMaxStages, as in AreEquivalent;
-// such a pair beyond the bound yields the same error AreEquivalent
-// reports for it). The diagonal is true by reflexivity.
+// Each graph is certified exactly once — not once per pair — and each
+// pair is decided by pairDecision, as in AreEquivalent, so a catalog
+// sweep over k graphs costs k Certify calls plus the exact oracle only
+// for pairs where neither graph is baseline-equivalent (such a pair
+// beyond OracleMaxStages yields AreEquivalent's error for it). The
+// diagonal is true by reflexivity.
 func PairwiseEquivalent(graphs []*midigraph.Graph, workers int) ([][]bool, error) {
 	k := len(graphs)
 	out := make([][]bool, k)
@@ -49,12 +49,12 @@ func PairwiseEquivalent(graphs []*midigraph.Graph, workers int) ([][]bool, error
 	if k < 2 {
 		return out, nil
 	}
-	// Phase 1: one characterization per graph, sharded.
+	// Phase 1: one Certify verdict per graph, sharded.
 	base := make([]bool, k)
 	_, _ = shard.Run(context.Background(), workers, k,
 		func() struct{} { return struct{}{} },
 		func(i int, _ struct{}) error {
-			base[i] = IsBaselineEquivalent(graphs[i])
+			base[i] = Certify(graphs[i], nil)
 			return nil
 		})
 	// Phase 2: pairwise decisions, oracle only where the theory is silent.
@@ -73,23 +73,4 @@ func PairwiseEquivalent(graphs []*midigraph.Graph, workers int) ([][]bool, error
 		return nil, err
 	}
 	return out, nil
-}
-
-// pairDecision resolves one off-diagonal pair given the precomputed
-// characterizations, with AreEquivalent's exact semantics.
-func pairDecision(g, h *midigraph.Graph, ge, he bool) (bool, error) {
-	if g.Stages() != h.Stages() {
-		return false, nil
-	}
-	switch {
-	case ge && he:
-		return true, nil
-	case ge != he:
-		return false, nil
-	}
-	if g.Stages() > OracleMaxStages {
-		return false, oracleBoundError(g.Stages())
-	}
-	_, found := FindIsomorphism(g, h)
-	return found, nil
 }

@@ -142,7 +142,7 @@ func RunT14(w io.Writer) error {
 			vs = vs[:19] + "..."
 		}
 		fmt.Fprintf(w, "%-14s %-8v %-8v %-22s %-12v\n",
-			name, g.BuddyProperty(), banyan, vs, equiv.IsBaselineEquivalent(g))
+			name, g.BuddyProperty(), banyan, vs, equiv.Check(g).Equivalent())
 	}
 	report("baseline(4)", topology.Baseline(4))
 	bt, err := randnet.BuddyTwist()

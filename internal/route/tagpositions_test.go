@@ -23,9 +23,9 @@ func tagVerdicts(t testing.TB, thetas []pipid.IndexPerm) (topology.Network, []in
 	}
 	tags, tagErr := TagPositions(thetas)
 	banyan, _ := nw.Graph.IsBanyan()
-	equivalent := equiv.IsBaselineEquivalent(nw.Graph)
+	equivalent := equiv.Check(nw.Graph).Equivalent()
 	if (tagErr == nil) != banyan || banyan != equivalent {
-		t.Fatalf("thetas %v: TagPositions err %v, IsBanyan %t, IsBaselineEquivalent %t", thetas, tagErr, banyan, equivalent)
+		t.Fatalf("thetas %v: TagPositions err %v, IsBanyan %t, characterization %t", thetas, tagErr, banyan, equivalent)
 	}
 	return nw, tags, banyan
 }

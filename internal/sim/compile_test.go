@@ -364,13 +364,13 @@ func TestRelabeledMatchesTables(t *testing.T) {
 }
 
 // equivalentWiring is the paper's characterization of a wiring, run by
-// equiv.IsBaselineEquivalent (Banyan and P(1,*) and P(*,n)), with no
+// equiv.Check(g).Equivalent() (Banyan and P(1,*) and P(*,n)), with no
 // code shared with NewFabric's verdict. A wiring that is not a valid
 // MI-digraph is not equivalent.
 func equivalentWiring(t *testing.T, perms []perm.Perm) bool {
 	t.Helper()
 	g, err := midigraph.FromLinkPerms(len(perms)+1, perms)
-	return err == nil && equiv.IsBaselineEquivalent(g)
+	return err == nil && equiv.Check(g).Equivalent()
 }
 
 // TestBitSliceableIsCharacterization: the bit kernel admits exactly the
@@ -427,11 +427,51 @@ func TestBitSliceableIsCharacterization(t *testing.T) {
 	}
 }
 
+// TestSampledBaselineImages is the theorem's "if" half beyond n = 3,
+// sampled: at n = 4..10, seeded images of the Baseline under per-stage
+// cell relabelings and per-cell child-slot swaps (randnet.RelabelLinks)
+// must certify, pass the characterization, give a map onto the Baseline
+// that passes Isomorphism.Verify, and compile to a bit-sliceable
+// fabric.
+func TestSampledBaselineImages(t *testing.T) {
+	for n := 4; n <= 10; n++ {
+		base := topology.Baseline(n)
+		for seed := uint64(0); seed < 8; seed++ {
+			perms := randnet.RelabelLinks(rand.New(rand.NewPCG(uint64(n), seed)), topology.BaselineLinkPerms(n))
+			g, err := midigraph.FromLinkPerms(n, perms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("n=%d seed %d", n, seed)
+			if !equiv.Certify(g, nil) {
+				t.Fatalf("%s: image of the Baseline fails to certify", label)
+			}
+			if !equiv.Check(g).Equivalent() {
+				t.Fatalf("%s: image of the Baseline fails the characterization", label)
+			}
+			iso, err := equiv.IsoToBaseline(g)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if err := iso.Verify(g, base); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			f, err := NewFabric(perms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.BitSliceable() {
+				t.Fatalf("%s: fabric not bit-sliceable", label)
+			}
+		}
+	}
+}
+
 // FuzzFabricCompile compiles wirings seeded by the fuzz bytes — random
 // link permutations, or a catalog network, possibly relabeled, with
 // random link swaps — at n = 2..8 and checks the compiled fabric against
 // an oracle: Banyan() against midigraph path counts, BitSliceable()
-// against the paper's characterization (equiv.IsBaselineEquivalent),
+// against the paper's characterization (equiv.Check(g).Equivalent()),
 // each port (read through the logical accessor) against brute-force
 // reachability, and on a sliceable fabric each path tag against a
 // per-pair walk of the ports. Whenever the wiring compiled relabeled,

@@ -103,14 +103,14 @@ type Fabric struct {
 // O(n·2^n) words.
 const MaxFabricStages = 14
 
-// NewFabric compiles a wiring of link permutations. It first runs the
-// paper's characterization, verdict only: a Baseline-equivalent wiring
-// is compiled relabeled through its isomorphism to the Baseline
-// (compileRelabeled), and every other wiring — non-Banyan, or Banyan
-// but failing P(1,*) or P(*,n), like the tail cycles — takes the table
-// path (compileTables). Both forms steer every packet identically.
-// Fabrics of fewer than two or more than MaxFabricStages stages are
-// refused before anything is allocated.
+// NewFabric compiles a wiring of link permutations. It first decides
+// Baseline-equivalence with equiv.Certify: a wiring that certifies is
+// compiled relabeled from the labels Certify reads, its isomorphism to
+// the Baseline (compileRelabeled), and every other wiring — non-Banyan,
+// or Banyan but failing P(1,*) or P(*,n), like the tail cycles — takes
+// the table path (compileTables). Both forms steer every packet
+// identically. Fabrics of fewer than two or more than MaxFabricStages
+// stages are refused before anything is allocated.
 func NewFabric(perms []perm.Perm) (*Fabric, error) {
 	n := len(perms) + 1
 	if n < 2 {
@@ -126,31 +126,31 @@ func NewFabric(perms []perm.Perm) (*Fabric, error) {
 		}
 	}
 	if g, err := midigraph.FromLinkPerms(n, perms); err == nil {
-		if iso, ok := equiv.Relabeling(g); ok {
-			return compileRelabeled(perms, iso), nil
+		var f *Fabric
+		if equiv.Certify(g, func(labels []uint64) { f = compileRelabeled(perms, labels) }) {
+			return f, nil
 		}
 	}
 	return compileTables(perms), nil
 }
 
 // compileRelabeled compiles an equivalent wiring from its isomorphism
-// iso onto the Baseline. In the Baseline, a cell at stage s keeps the
-// top s bits of its label and its outlink to slot v sets bit m-1-s to
-// v, so the path toward dst is forced (slot s is bit m-s of sigma[dst])
-// and a cell reaches dst iff its label agrees with sigma[dst]>>1 on
-// those top s bits. The isomorphism carries both facts over, with the
+// φ onto the Baseline, flat by stage: φ_s(c) = phi[s*h+c]. In the
+// Baseline, a cell at stage s keeps the top s bits of its label and its
+// outlink to slot v sets bit m-1-s to v, so the path toward dst is
+// forced (slot s is bit m-s of sigma[dst]) and a cell reaches dst iff
+// its label agrees with sigma[dst]>>1 on those top s bits. The isomorphism carries both facts over, with the
 // relabeled cell's port its slot XOR its swap bit, so port decides
 // both from key and sigma.
-func compileRelabeled(perms []perm.Perm, iso equiv.Isomorphism) *Fabric {
+func compileRelabeled(perms []perm.Perm, phi []uint64) *Fabric {
 	n := len(perms) + 1
 	N, h, m := 1<<uint(n), 1<<uint(n-1), n-1
 	f := &Fabric{
 		N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true,
 		sigma: make([]uint32, N), key: make([]uint32, n*h), rtag: make([]uint16, N),
 	}
-	phi := iso.Maps
 	for dst := range f.sigma {
-		sg := uint32(phi[m][dst>>1])<<1 | uint32(dst&1)
+		sg := uint32(phi[m*h+dst>>1])<<1 | uint32(dst&1)
 		f.sigma[dst] = sg
 		f.rtag[dst] = uint16(bits.Reverse32(sg) >> uint(32-n))
 	}
@@ -164,10 +164,10 @@ func compileRelabeled(perms []perm.Perm, iso equiv.Isomorphism) *Fabric {
 		for c := 0; c < h; c++ {
 			var swap uint32
 			if s < m {
-				swap = uint32(phi[s+1][perms[s][2*c]>>1]) >> uint(m-1-s) & 1
+				swap = uint32(phi[(s+1)*h+int(perms[s][2*c]>>1)]) >> uint(m-1-s) & 1
 				slotNext[2*c], slotNext[2*c+1] = perms[s][2*c+int(swap)], perms[s][2*c+1-int(swap)]
 			}
-			f.key[s*h+c] = uint32(phi[s][c])<<1&^(1<<bit) | swap<<bit
+			f.key[s*h+c] = uint32(phi[s*h+c])<<1&^(1<<bit) | swap<<bit
 		}
 	}
 	return f

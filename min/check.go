@@ -165,17 +165,16 @@ func (iso Isomorphism) Verify(a, b *Network) error {
 }
 
 // Iso constructs the explicit isomorphism from nw onto the Baseline
-// network of the same size that the characterization theorem promises.
-// It fails with a descriptive error when nw is not baseline-equivalent.
+// network of the same size that the characterization theorem promises:
+// the labels of Check's certified path, copied once. A network that
+// fails the path gets equiv.IsoToBaseline's error, which carries the
+// full check's report.
 func Iso(nw *Network) (Isomorphism, error) {
 	if iso, ok := certifiedIso(nw.graph()); ok {
 		return *iso, nil
 	}
-	iso, err := equiv.IsoToBaseline(nw.graph())
-	if err != nil {
-		return Isomorphism{}, err
-	}
-	return fromInternalIso(iso), nil
+	_, err := equiv.IsoToBaseline(nw.graph())
+	return Isomorphism{}, err
 }
 
 // certifiedIso runs the certified path of Check and, when it
@@ -200,21 +199,18 @@ func certifiedIso(g *midigraph.Graph) (*Isomorphism, bool) {
 // the isomorphism Iso returns (nil otherwise). It runs Check's
 // certified path once and builds the maps from its labels, so only a
 // rejected network pays for the full check. The error is Iso's, for a
-// network the full check calls equivalent that the labeling cannot
-// map.
+// network the full check calls equivalent that fails to certify, a
+// contradiction of the theorem.
 func CheckIso(nw *Network) (Report, *Isomorphism, error) {
 	if iso, ok := certifiedIso(nw.graph()); ok {
 		return equivalentReport(nw), iso, nil
 	}
 	rep := checkReport(nw)
-	if !rep.Equivalent {
-		return rep, nil, nil
-	}
-	iso, err := Iso(nw)
-	if err != nil {
+	if rep.Equivalent {
+		_, err := equiv.IsoToBaseline(nw.graph())
 		return Report{}, nil, err
 	}
-	return rep, &iso, nil
+	return rep, nil, nil
 }
 
 // equivalentReport is Check's report on a baseline-equivalent network:
@@ -247,10 +243,10 @@ func IsoBetween(a, b *Network) (Isomorphism, error) {
 }
 
 // Equivalent decides topological equivalence of two same-size networks.
-// When both satisfy the characterization they are equivalent; when
-// exactly one does they are not; when neither does, an exact
-// backtracking search settles it for small networks (up to 6 stages)
-// and an error is returned beyond that bound.
+// When both are baseline-equivalent (each decided as Check decides it)
+// they are equivalent; when exactly one is they are not; when neither
+// is, an exact backtracking search settles it for small networks (up to
+// 6 stages) and an error is returned beyond that bound.
 func Equivalent(a, b *Network) (bool, error) {
 	return equiv.AreEquivalent(a.graph(), b.graph())
 }
