@@ -73,14 +73,20 @@ var steadyRows = []struct {
 
 // TestSteadyAllocs pins the allocations of every gated benchmark's
 // steady-state op. Counts do not depend on the host, so this runs with
-// the tests rather than only under -bench.
+// the tests rather than only under -bench. Under the race detector,
+// where one op runs many times slower, each row measures one op after
+// AllocsPerRun's own warm-up call.
 func TestSteadyAllocs(t *testing.T) {
+	runs := 10
+	if raceEnabled {
+		runs = 1
+	}
 	for _, row := range steadyRows {
 		t.Run(row.name, func(t *testing.T) {
 			if row.pooled && raceEnabled {
 				t.Skip("the race detector empties sync.Pools at random")
 			}
-			if got := testing.AllocsPerRun(10, row.op(t)); got > row.allocs {
+			if got := testing.AllocsPerRun(runs, row.op(t)); got > row.allocs {
 				t.Errorf("%v allocs per op, want at most %v", got, row.allocs)
 			}
 		})
@@ -149,7 +155,7 @@ func BenchmarkSixNetworksEquiv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, nw := range nets {
-			if !equiv.Check(nw.Graph).Equivalent() {
+			if !equiv.Check(nw.Graph).Equivalent {
 				b.Fatal("classical network rejected")
 			}
 		}
@@ -452,7 +458,7 @@ func BenchmarkCounterexampleCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if equiv.Check(g).Equivalent() {
+		if equiv.Check(g).Equivalent {
 			b.Fatal("counterexample accepted")
 		}
 	}
@@ -619,23 +625,22 @@ func doubleArcPerms10() []perm.Perm {
 // BenchmarkFabricCompile pins the compile layer: sim.NewFabric's
 // equiv.Certify verdict, then either the relabeled form of an
 // equivalent wiring or the table path's one backward pass building the
-// reach rows and the Banyan verdict. Relabeled: Baseline wirings at
-// 6, 8 and 10 stages and a seeded relabeling of the Omega at 10, 12 and
-// 14 stages. Table path: a 10-stage wiring whose first stage has a
-// double arc (it misses P(1,2), the second window of the labeler's
-// prefix sweep, and the table pass finds it non-Banyan only at its
-// last step) and the 10-stage tail cycle (Banyan, but it misses a
-// P(*,n) count in the labeler's suffix sweep).
+// reach rows. Relabeled: Baseline wirings at 6, 8 and 10 stages and a
+// seeded relabeling of the Omega at 10, 12 and 14 stages. Table path: a
+// 10-stage wiring whose first stage has a double arc (it misses P(1,2),
+// the second window of the labeler's prefix sweep) and the 10-stage
+// tail cycle (Banyan, but it misses a P(*,n) count in the labeler's
+// suffix sweep).
 func BenchmarkFabricCompile(b *testing.B) {
-	run := func(b *testing.B, perms []perm.Perm, banyan bool) {
+	run := func(b *testing.B, perms []perm.Perm, sliceable bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f, err := sim.NewFabric(perms)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if f.Banyan() != banyan {
-				b.Fatalf("Banyan() = %t, want %t", f.Banyan(), banyan)
+			if f.BitSliceable() != sliceable {
+				b.Fatalf("BitSliceable() = %t, want %t", f.BitSliceable(), sliceable)
 			}
 		}
 	}
@@ -652,7 +657,7 @@ func BenchmarkFabricCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("tail-cycle/n=10", func(b *testing.B) { run(b, tail, true) })
+	b.Run("tail-cycle/n=10", func(b *testing.B) { run(b, tail, false) })
 }
 
 // fabricCompileRelabeled compiles a seeded relabeling of the n-stage
@@ -921,7 +926,7 @@ func BenchmarkCharacterization(b *testing.B) {
 	g := topology.MustBuild(topology.NameIndirectCube, 12).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !equiv.Check(g).Equivalent() {
+		if !equiv.Check(g).Equivalent {
 			b.Fatal("rejected")
 		}
 	}

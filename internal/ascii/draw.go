@@ -153,10 +153,10 @@ func WindowResults(rs []midigraph.WindowResult) string {
 	fmt.Fprintf(&b, "%-10s %-12s %-12s %s\n", "window", "components", "expected", "P(i,j)")
 	for _, r := range rs {
 		status := "ok"
-		if !r.OK() {
+		if !r.OK {
 			status = "VIOLATED"
 		}
-		fmt.Fprintf(&b, "(%d,%d)%-5s %-12d %-12d %s\n", r.I, r.J, "", r.Got, r.Expected, status)
+		fmt.Fprintf(&b, "(%d,%d)%-5s %-12d %-12d %s\n", r.I, r.J, "", r.Components, r.Expected, status)
 	}
 	return b.String()
 }

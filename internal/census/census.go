@@ -82,7 +82,7 @@ func signature(g *midigraph.Graph) string {
 	b := make([]byte, 0, len(rs)*3)
 	for _, r := range rs {
 		b = append(b, byte('0'+r.I), byte('0'+r.J), ':')
-		b = append(b, []byte(fmt.Sprintf("%d,", r.Got))...)
+		b = append(b, []byte(fmt.Sprintf("%d,", r.Components))...)
 	}
 	return string(b)
 }
@@ -92,8 +92,9 @@ func signature(g *midigraph.Graph) string {
 // n = 3 are feasible (6 and ~6.35M graphs respectively). Each first
 // connection is one unit on shard.Run (workers <= 0 selects
 // GOMAXPROCS); at n = 3 a unit is tallied against every second
-// connection. Per-worker tallies merge by exact addition, so the result
-// is the same for any worker count.
+// connection. Each worker owns one graph whose child rows it
+// overwrites per connection. Per-worker tallies merge by exact
+// addition, so the result is the same for any worker count.
 func Run(n int, workers int) (Result, error) {
 	if n != 2 && n != 3 {
 		return Result{}, fmt.Errorf("census: exhaustive run supports n in {2,3}, got %d", n)
@@ -102,18 +103,21 @@ func Run(n int, workers int) (Result, error) {
 	type part struct {
 		res Result
 		a   *midigraph.Analyzer
+		g   *midigraph.Graph
 	}
 	parts, err := shard.Run(context.Background(), workers, len(conns),
 		func() *part {
-			return &part{res: Result{SignatureCounts: map[string]uint64{}}, a: midigraph.NewAnalyzer()}
+			return &part{res: Result{SignatureCounts: map[string]uint64{}}, a: midigraph.NewAnalyzer(), g: midigraph.New(n)}
 		},
 		func(i int, p *part) error {
+			setConn(p.g, 0, conns[i])
 			if n == 2 {
-				tally(&p.res, p.a, graphFromConns(n, conns[i]))
+				tally(&p.res, p.a, p.g)
 				return nil
 			}
 			for _, second := range conns {
-				tally(&p.res, p.a, graphFromConns(n, conns[i], second))
+				setConn(p.g, 1, second)
+				tally(&p.res, p.a, p.g)
 			}
 			return nil
 		})
@@ -148,14 +152,11 @@ func tally(res *Result, a *midigraph.Analyzer, g *midigraph.Graph) {
 	}
 }
 
-func graphFromConns(n int, conns ...[2][]uint8) *midigraph.Graph {
-	g := midigraph.New(n)
-	for s, c := range conns {
-		for x := range c[0] {
-			g.SetChildren(s, uint32(x), uint32(c[0][x]), uint32(c[1][x]))
-		}
+// setConn overwrites the child rows of stage s of g with connection c.
+func setConn(g *midigraph.Graph, s int, c [2][]uint8) {
+	for x := range c[0] {
+		g.SetChildren(s, uint32(x), uint32(c[0][x]), uint32(c[1][x]))
 	}
-	return g
 }
 
 // TopSignatures returns the signature classes sorted by descending count

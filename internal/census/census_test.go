@@ -143,7 +143,7 @@ func TestSignatureMatchesWindows(t *testing.T) {
 	sig := signature(g)
 	// Baseline windows: (1,1):4 (1,2):2 (1,3):1 (2,2):4 (2,3):2 (3,3):4.
 	for _, r := range g.CheckAllWindows() {
-		if !r.OK() {
+		if !r.OK {
 			t.Fatal("baseline window violated")
 		}
 	}

@@ -14,9 +14,11 @@ import (
 // rendering. Both codecs round-trip the same struct values. The shapes
 // nested in them are declared once, with their JSON tags, in the
 // package that computes them, and reach this file through min's
-// aliases: the fault plan is sim.FaultPlan (its binary kind tag is the
-// sim.FaultKind value), the summary statistic engine.Stats, and the
-// routed path route.Path.
+// aliases: the characterization report is equiv.Report and its
+// windows midigraph.WindowResult, the simulation results are
+// engine.WaveStats and engine.BufferedStats with the summary statistic
+// engine.Stats, the fault plan is sim.FaultPlan (its binary kind tag is
+// the sim.FaultKind value), and the routed path route.Path.
 
 // NetworkSpec names or defines the network a request operates on:
 // either a catalog name (or "tail-cycle") with a stage count, or

@@ -77,14 +77,25 @@ func (c Config) resolve(f *sim.Fabric) (plan *sim.FaultPlan, bit bool, err error
 	return nil, false, fmt.Errorf("engine: unknown kernel %d", uint8(c.Kernel))
 }
 
-// WaveStats aggregates a sharded run of independent waves.
+// WaveStats aggregates a sharded run of independent waves. It is also
+// the public API's wave-model result, so its JSON tags are wire format;
+// the engine fills in everything but Network and Scenario, which the
+// caller names.
 type WaveStats struct {
-	Waves        int
-	Offered      int
-	Delivered    int
-	Dropped      int
-	Misrouted    int
-	FaultDropped int // subset of Dropped killed directly by faults
+	Network   string `json:"network"`
+	Stages    int    `json:"stages"`
+	Terminals int    `json:"terminals"`
+	Scenario  string `json:"scenario"`
+	Waves     int    `json:"waves"`
+	Seed      uint64 `json:"seed"` // Config.Seed
+	Offered   int    `json:"offered"`
+	Delivered int    `json:"delivered"`
+	Dropped   int    `json:"dropped"`
+	Misrouted int    `json:"misrouted"`
+	// FaultDropped is the subset of Dropped killed directly by injected
+	// faults (dead switches, severed links); omitted when zero so
+	// fault-free responses are unchanged.
+	FaultDropped int `json:"faultDropped,omitempty"`
 	// Throughput is the pooled delivered/offered ratio (the quantity the
 	// analytic blocking recurrence models), with dispersion from the
 	// linearized ratio-estimator variance over waves. For patterns that
@@ -92,7 +103,7 @@ type WaveStats struct {
 	// mean and sample std of per-wave delivered fractions; for variable
 	// -load patterns (bernoulli, bursty) the pooled ratio weights every
 	// packet equally instead of every wave.
-	Throughput Stats
+	Throughput Stats `json:"throughput"`
 }
 
 // RunWaves pushes `waves` independent waves of the pattern through the
@@ -139,7 +150,10 @@ func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int
 		p.Merge(w.part)
 	}
 	return WaveStats{
+		Stages:       f.Spans,
+		Terminals:    f.N,
 		Waves:        waves,
+		Seed:         cfg.Seed,
 		Offered:      int(p.Offered),
 		Delivered:    int(p.Delivered),
 		Dropped:      int(p.Dropped),
@@ -150,25 +164,39 @@ func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int
 }
 
 // BufferedStats aggregates independent replications of the buffered
-// (multi-lane FIFO store-and-forward) model.
+// (multi-lane FIFO store-and-forward) model. It is also the public
+// API's buffered-model result, so its JSON tags are wire format; the
+// engine fills in everything but Network and Scenario, which the
+// caller names.
 type BufferedStats struct {
-	Replications int
-	Injected     int
-	Rejected     int
-	Delivered    int
-	Dropped      int // undeliverable packets discarded (non-Banyan fabrics, faults)
-	FaultDropped int // subset of Dropped killed directly by faults
-	Misrouted    int // wrong-terminal exits forced by stuck last-stage switches
-	InFlight     int
-	MaxOccupancy int   // largest single-lane queue length over all replications
-	Throughput   Stats // per-replication delivered per terminal per cycle
-	Latency      Stats // per-replication mean delivery latency, cycles
-	LatencyP50   Stats // per-replication latency percentiles, cycles
-	LatencyP95   Stats
-	LatencyP99   Stats
+	Network      string `json:"network"`
+	Stages       int    `json:"stages"`
+	Terminals    int    `json:"terminals"`
+	Scenario     string `json:"scenario"`
+	Replications int    `json:"replications"`
+	Seed         uint64 `json:"seed"` // Config.Seed
+	Injected     int    `json:"injected"`
+	Rejected     int    `json:"rejected"`
+	Delivered    int    `json:"delivered"`
+	// Dropped counts undeliverable packets discarded (non-Banyan
+	// fabrics, faults).
+	Dropped int `json:"dropped"`
+	// FaultDropped is the subset of Dropped killed directly by injected
+	// faults; omitted when zero.
+	FaultDropped int `json:"faultDropped,omitempty"`
+	// Misrouted counts wrong-terminal exits forced by stuck last-stage
+	// switches; omitted when zero.
+	Misrouted    int   `json:"misrouted,omitempty"`
+	InFlight     int   `json:"inFlight"`
+	MaxOccupancy int   `json:"maxOccupancy"` // largest single-lane queue length over all replications
+	Throughput   Stats `json:"throughput"`   // per-replication delivered per terminal per cycle
+	Latency      Stats `json:"latency"`      // per-replication mean delivery latency, cycles
+	LatencyP50   Stats `json:"latencyP50"`   // per-replication latency percentiles, cycles
+	LatencyP95   Stats `json:"latencyP95"`
+	LatencyP99   Stats `json:"latencyP99"`
 	// StageOccupancy[s] is the mean over replications of the mean
 	// packets queued at stage s per measured cycle.
-	StageOccupancy []float64
+	StageOccupancy []float64 `json:"stageOccupancy"`
 }
 
 // RunBuffered runs `reps` independent replications of the buffered model
@@ -238,7 +266,10 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 	if err != nil {
 		return BufferedStats{}, err
 	}
-	out := BufferedStats{Replications: reps, StageOccupancy: make([]float64, f.Spans)}
+	out := BufferedStats{
+		Stages: f.Spans, Terminals: f.N, Replications: reps, Seed: cfg.Seed,
+		StageOccupancy: make([]float64, f.Spans),
+	}
 	throughputs := make([]float64, reps)
 	latencies := make([]float64, reps)
 	p50s := make([]float64, reps)

@@ -121,6 +121,10 @@ func TestBufferedStatsAggregate(t *testing.T) {
 	if st.Replications != 6 || st.Delivered == 0 || st.Injected == 0 {
 		t.Fatalf("empty aggregate: %+v", st)
 	}
+	if st.Stages != f.Spans || st.Terminals != f.N || st.Seed != 5 || st.Network != "" || st.Scenario != "" {
+		t.Fatalf("stats name stages=%d terminals=%d seed=%d network=%q scenario=%q, want %d, %d, 5 and no names",
+			st.Stages, st.Terminals, st.Seed, st.Network, st.Scenario, f.Spans, f.N)
+	}
 	if st.Latency.Mean < float64(f.Spans) {
 		t.Fatalf("mean latency %v below pipeline depth %d", st.Latency.Mean, f.Spans)
 	}

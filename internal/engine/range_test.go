@@ -85,7 +85,10 @@ func TestRangeMatchesRunWaves(t *testing.T) {
 		for _, plan := range []*sim.FaultPlan{nil, {SwitchDeadRate: 0.1}} {
 			p := runRange(t, f, sim.Bernoulli(0.8), 0, waves, Config{Seed: 11, Kernel: kernel, Faults: plan})
 			want := WaveStats{
+				Stages:       f.Spans,
+				Terminals:    f.N,
 				Waves:        p.Trials(),
+				Seed:         11,
 				Offered:      int(p.Offered),
 				Delivered:    int(p.Delivered),
 				Dropped:      int(p.Dropped),

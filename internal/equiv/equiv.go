@@ -7,41 +7,57 @@ import (
 	"minequiv/internal/midigraph"
 )
 
-// Report is the outcome of checking the paper's characterization on one
-// MI-digraph.
+// Report is the outcome of checking the paper's characterization on
+// one MI-digraph: it is baseline-equivalent iff it is Banyan and every
+// prefix window P(1,j) and suffix window P(i,n) holds. It is also the
+// public API's report, so its JSON tags are wire format.
 type Report struct {
-	Stages          int
-	Banyan          bool
-	BanyanViolation *midigraph.BanyanViolation
-	Prefix          []midigraph.WindowResult // the P(1,*) family
-	Suffix          []midigraph.WindowResult // the P(*,n) family
+	// Network names the checked network; Check leaves it empty.
+	Network string `json:"network"`
+	Stages  int    `json:"stages"`
+	// Equivalent reports whether the graph satisfies the
+	// characterization and hence (by the theorem of [12] restated in
+	// §2) is isomorphic to the Baseline MI-digraph.
+	Equivalent bool `json:"equivalent"`
+	Banyan     bool `json:"banyan"`
+	// BanyanViolation describes the witness when Banyan is false.
+	BanyanViolation string                   `json:"banyanViolation,omitempty"`
+	Prefix          []midigraph.WindowResult `json:"prefix"` // the P(1,*) family
+	Suffix          []midigraph.WindowResult `json:"suffix"` // the P(*,n) family
 }
 
-// Equivalent reports whether the graph satisfies the characterization
-// and hence (by the theorem of [12] restated in §2) is isomorphic to the
-// Baseline MI-digraph.
-func (r Report) Equivalent() bool {
-	return r.Banyan && midigraph.AllOK(r.Prefix) && midigraph.AllOK(r.Suffix)
+// Violations lists every failed window in prefix-then-suffix order.
+func (r Report) Violations() []midigraph.WindowResult {
+	var out []midigraph.WindowResult
+	for _, family := range [][]midigraph.WindowResult{r.Prefix, r.Suffix} {
+		for _, w := range family {
+			if !w.OK {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
 }
 
 // String renders a human-readable summary with every violated condition.
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "characterization check (n=%d): ", r.Stages)
-	if r.Equivalent() {
+	if r.Network == "" {
+		fmt.Fprintf(&b, "characterization check (n=%d): ", r.Stages)
+	} else {
+		fmt.Fprintf(&b, "characterization check (%s, n=%d): ", r.Network, r.Stages)
+	}
+	if r.Equivalent {
 		b.WriteString("baseline-equivalent\n")
 	} else {
 		b.WriteString("NOT baseline-equivalent\n")
 	}
-	if !r.Banyan {
-		fmt.Fprintf(&b, "  banyan: violated (%v)\n", r.BanyanViolation)
-	} else {
+	if r.Banyan {
 		b.WriteString("  banyan: ok\n")
+	} else {
+		fmt.Fprintf(&b, "  banyan: violated (%s)\n", r.BanyanViolation)
 	}
-	for _, w := range midigraph.Violations(r.Prefix) {
-		fmt.Fprintf(&b, "  %v\n", w)
-	}
-	for _, w := range midigraph.Violations(r.Suffix) {
+	for _, w := range r.Violations() {
 		fmt.Fprintf(&b, "  %v\n", w)
 	}
 	return b.String()
@@ -51,13 +67,12 @@ func (r Report) String() string {
 // the Banyan property and the window families P(1,*) and P(*,n).
 func Check(g *midigraph.Graph) Report {
 	banyan, violation := g.IsBanyan()
-	return Report{
-		Stages:          g.Stages(),
-		Banyan:          banyan,
-		BanyanViolation: violation,
-		Prefix:          g.CheckPrefix(),
-		Suffix:          g.CheckSuffix(),
+	r := Report{Stages: g.Stages(), Banyan: banyan, Prefix: g.CheckPrefix(), Suffix: g.CheckSuffix()}
+	if violation != nil {
+		r.BanyanViolation = violation.Error()
 	}
+	r.Equivalent = banyan && midigraph.AllOK(r.Prefix) && midigraph.AllOK(r.Suffix)
+	return r
 }
 
 // AreEquivalent decides topological equivalence of two same-size

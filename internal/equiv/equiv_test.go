@@ -17,7 +17,7 @@ func TestBaselineEquivalentToItself(t *testing.T) {
 	for n := 2; n <= 9; n++ {
 		g := topology.Baseline(n)
 		r := Check(g)
-		if !r.Equivalent() {
+		if !r.Equivalent {
 			t.Fatalf("n=%d: baseline fails its own characterization:\n%v", n, r)
 		}
 		iso, err := IsoToBaseline(g)
@@ -41,7 +41,7 @@ func TestSixClassicalNetworksEquivalent(t *testing.T) {
 		}
 		base := topology.Baseline(n)
 		for _, nw := range nets {
-			if !Check(nw.Graph).Equivalent() {
+			if !Check(nw.Graph).Equivalent {
 				t.Errorf("n=%d %s: characterization fails", n, nw.Name)
 				continue
 			}
@@ -131,7 +131,7 @@ func TestLabelingAgreesWithOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if Check(g).Equivalent() {
+			if Check(g).Equivalent {
 				t.Errorf("n=%d: counterexample passes characterization", n)
 			}
 			if _, ok := FindIsomorphism(g, base); ok {
@@ -150,14 +150,19 @@ func TestCounterexamplesRejectedWithDiagnosis(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := Check(g)
-		if r.Equivalent() {
+		if r.Equivalent {
 			t.Fatalf("n=%d: tail cycle accepted", n)
 		}
 		if !r.Banyan {
 			t.Fatalf("n=%d: tail cycle should be Banyan", n)
 		}
-		if len(midigraph.Violations(r.Suffix)) == 0 {
-			t.Fatalf("n=%d: no suffix violations reported", n)
+		if len(r.Violations()) == 0 {
+			t.Fatalf("n=%d: no violations reported", n)
+		}
+		for _, w := range r.Violations() {
+			if w.J != n {
+				t.Fatalf("n=%d: %v violated, want only suffix windows", n, w)
+			}
 		}
 		if !strings.Contains(r.String(), "NOT baseline-equivalent") {
 			t.Errorf("report text missing verdict: %q", r.String())
@@ -170,7 +175,7 @@ func TestCounterexamplesRejectedWithDiagnosis(t *testing.T) {
 		if !asNotEquivalent(err, &neErr) {
 			t.Fatalf("n=%d: error type %T, want *NotEquivalentError", n, err)
 		}
-		if neErr.Report.Equivalent() {
+		if neErr.Report.Equivalent {
 			t.Fatal("error carries an equivalent report")
 		}
 	}
@@ -191,10 +196,10 @@ func TestNonBanyanRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := Check(g)
-		if r.Equivalent() || r.Banyan {
+		if r.Equivalent || r.Banyan {
 			t.Fatalf("n=%d: non-banyan graph accepted", n)
 		}
-		if r.BanyanViolation == nil {
+		if r.BanyanViolation == "" {
 			t.Fatalf("n=%d: missing violation detail", n)
 		}
 	}
@@ -352,7 +357,7 @@ func BenchmarkCheckCharacterization(b *testing.B) {
 	g := topology.MustBuild(topology.NameOmega, 10).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !Check(g).Equivalent() {
+		if !Check(g).Equivalent {
 			b.Fatal("omega rejected")
 		}
 	}

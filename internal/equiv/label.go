@@ -69,7 +69,7 @@ func IsoToBaseline(g *midigraph.Graph) (Isomorphism, error) {
 	}) {
 		return iso, nil
 	}
-	if rep := Check(g); !rep.Equivalent() {
+	if rep := Check(g); !rep.Equivalent {
 		return Isomorphism{}, &NotEquivalentError{Report: rep}
 	}
 	return Isomorphism{}, fmt.Errorf("equiv: n=%d graph satisfies the characterization but its Baseline labels "+

@@ -66,16 +66,16 @@ func TestQuickCheckConsistency(t *testing.T) {
 		}
 		want := banyan
 		for _, wr := range r.Prefix {
-			if !wr.OK() {
+			if !wr.OK {
 				want = false
 			}
 		}
 		for _, wr := range r.Suffix {
-			if !wr.OK() {
+			if !wr.OK {
 				want = false
 			}
 		}
-		return r.Equivalent() == want
+		return r.Equivalent == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -91,7 +91,7 @@ func TestQuickTheoremOnRandomGraphs(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		g := randnet.RandomValidGraph(rng, n)
 		iso, err := IsoToBaseline(g)
-		if Check(g).Equivalent() {
+		if Check(g).Equivalent {
 			return err == nil && iso.Verify(g, topology.Baseline(n)) == nil
 		}
 		return err != nil
@@ -103,7 +103,7 @@ func TestQuickTheoremOnRandomGraphs(t *testing.T) {
 
 // FuzzCertifyMatchesCheck checks the invariant the theorem gives every
 // caller of Certify: on graphs built from the fuzz bytes, Certify(g,
-// nil) agrees with the characterization, Check(g).Equivalent(), and
+// nil) agrees with the characterization, Check(g).Equivalent, and
 // every map it certifies passes Isomorphism.Verify against the
 // Baseline. Three bytes make one graph: stage count n = 2..8, a shape
 // and a seed. The shapes are a random wiring, a relabeled Baseline, the
@@ -148,8 +148,8 @@ func FuzzCertifyMatchesCheck(f *testing.F) {
 					iso.Maps = append(iso.Maps, slices.Clone(labels[s*h:(s+1)*h]))
 				}
 			})
-			if want := Check(g).Equivalent(); certified != want {
-				t.Fatalf("n=%d shape %d seed %d: Certify %t, Check(g).Equivalent() %t", n, shape, seed, certified, want)
+			if want := Check(g).Equivalent; certified != want {
+				t.Fatalf("n=%d shape %d seed %d: Certify %t, Check(g).Equivalent %t", n, shape, seed, certified, want)
 			}
 			if !certified {
 				continue

@@ -35,13 +35,13 @@ func TestSweepMatchesNaiveOnRandomGraphs(t *testing.T) {
 		}
 		// The families the characterization actually consumes.
 		for idx, w := range a.CheckPrefix(g, nil) {
-			if want := g.ComponentCountNaive(0, idx); w.Got != want {
-				t.Fatalf("%s n=%d: prefix %d: sweep=%d naive=%d", kind, n, idx, w.Got, want)
+			if want := g.ComponentCountNaive(0, idx); w.Components != want {
+				t.Fatalf("%s n=%d: prefix %d: sweep=%d naive=%d", kind, n, idx, w.Components, want)
 			}
 		}
 		for idx, w := range a.CheckSuffix(g, nil) {
-			if want := g.ComponentCountNaive(idx, n-1); w.Got != want {
-				t.Fatalf("%s n=%d: suffix %d: sweep=%d naive=%d", kind, n, idx, w.Got, want)
+			if want := g.ComponentCountNaive(idx, n-1); w.Components != want {
+				t.Fatalf("%s n=%d: suffix %d: sweep=%d naive=%d", kind, n, idx, w.Components, want)
 			}
 		}
 		checked++

@@ -132,7 +132,7 @@ func RunT14(w io.Writer) error {
 	report := func(name string, g *midigraph.Graph) {
 		var violated []string
 		for _, r := range g.CheckAllWindows() {
-			if !r.OK() {
+			if !r.OK {
 				violated = append(violated, fmt.Sprintf("P(%d,%d)", r.I, r.J))
 			}
 		}
@@ -142,7 +142,7 @@ func RunT14(w io.Writer) error {
 			vs = vs[:19] + "..."
 		}
 		fmt.Fprintf(w, "%-14s %-8v %-8v %-22s %-12v\n",
-			name, g.BuddyProperty(), banyan, vs, equiv.Check(g).Equivalent())
+			name, g.BuddyProperty(), banyan, vs, equiv.Check(g).Equivalent)
 	}
 	report("baseline(4)", topology.Baseline(4))
 	bt, err := randnet.BuddyTwist()

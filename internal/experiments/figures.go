@@ -105,6 +105,6 @@ func RunF5(w io.Writer) error {
 		fmt.Fprintf(w, "  (%v)", v)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "baseline-equivalent: %v\n", equiv.Check(nw.Graph).Equivalent())
+	fmt.Fprintf(w, "baseline-equivalent: %v\n", equiv.Check(nw.Graph).Equivalent)
 	return nil
 }

@@ -215,7 +215,7 @@ func RunT10(w io.Writer) error {
 		start := time.Now()
 		rep := equiv.Check(g)
 		tCheck := time.Since(start)
-		if !rep.Equivalent() {
+		if !rep.Equivalent {
 			return fmt.Errorf("omega n=%d rejected", n)
 		}
 		start = time.Now()

@@ -223,7 +223,7 @@ func RunT6(w io.Writer) error {
 			banyan, _ := g.IsBanyan()
 			var violated []string
 			for _, r := range g.CheckAllWindows() {
-				if !r.OK() {
+				if !r.OK {
 					violated = append(violated, fmt.Sprintf("P(%d,%d)", r.I, r.J))
 				}
 			}

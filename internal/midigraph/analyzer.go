@@ -178,9 +178,7 @@ func (a *Analyzer) CheckPrefix(g *Graph, buf []WindowResult) []WindowResult {
 	a.counts = a.SweepCounts(g, 0, a.counts)
 	buf = buf[:0]
 	for j := 1; j <= g.n; j++ {
-		buf = append(buf, WindowResult{
-			I: 1, J: j, Got: a.counts[j-1], Expected: g.ExpectedComponents(1, j),
-		})
+		buf = append(buf, g.windowResult(1, j, a.counts[j-1]))
 	}
 	return buf
 }
@@ -190,9 +188,7 @@ func (a *Analyzer) CheckSuffix(g *Graph, buf []WindowResult) []WindowResult {
 	a.counts = a.SuffixSweepCounts(g, a.counts)
 	buf = buf[:0]
 	for i := 1; i <= g.n; i++ {
-		buf = append(buf, WindowResult{
-			I: i, J: g.n, Got: a.counts[i-1], Expected: g.ExpectedComponents(i, g.n),
-		})
+		buf = append(buf, g.windowResult(i, g.n, a.counts[i-1]))
 	}
 	return buf
 }
@@ -206,9 +202,7 @@ func (a *Analyzer) CheckAllWindows(g *Graph, buf []WindowResult) []WindowResult 
 	for i := 1; i <= g.n; i++ {
 		a.counts = a.SweepCounts(g, i-1, a.counts)
 		for j := i; j <= g.n; j++ {
-			buf = append(buf, WindowResult{
-				I: i, J: j, Got: a.counts[j-i], Expected: g.ExpectedComponents(i, j),
-			})
+			buf = append(buf, g.windowResult(i, j, a.counts[j-i]))
 		}
 	}
 	return buf

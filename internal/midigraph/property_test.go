@@ -55,10 +55,10 @@ func windowDuality(g *Graph) *[2]WindowResult {
 	r := g.Reverse()
 	for i := 1; i <= g.n; i++ {
 		for j := i; j <= g.n; j++ {
-			a := WindowResult{I: i, J: j, Got: g.ComponentCount(i-1, j-1), Expected: g.ExpectedComponents(i, j)}
+			a := g.windowResult(i, j, g.ComponentCount(i-1, j-1))
 			ri, rj := g.n+1-j, g.n+1-i
-			b := WindowResult{I: ri, J: rj, Got: r.ComponentCount(ri-1, rj-1), Expected: r.ExpectedComponents(ri, rj)}
-			if a.Got != b.Got {
+			b := r.windowResult(ri, rj, r.ComponentCount(ri-1, rj-1))
+			if a.Components != b.Components {
 				return &[2]WindowResult{a, b}
 			}
 		}

@@ -114,11 +114,7 @@ func (g *Graph) CheckAllWindowsNaive() []WindowResult {
 	var out []WindowResult
 	for i := 1; i <= g.n; i++ {
 		for j := i; j <= g.n; j++ {
-			out = append(out, WindowResult{
-				I: i, J: j,
-				Got:      g.ComponentCountNaive(i-1, j-1),
-				Expected: g.ExpectedComponents(i, j),
-			})
+			out = append(out, g.windowResult(i, j, g.ComponentCountNaive(i-1, j-1)))
 		}
 	}
 	return out
@@ -144,22 +140,31 @@ func (g *Graph) PropertyP(i, j int) bool {
 	return g.ComponentCount(i-1, j-1) == g.ExpectedComponents(i, j)
 }
 
-// WindowResult records one window's component count versus the P target.
+// WindowResult reports one P(i,j) window property: the window spanning
+// the paper's 1-based stages i..j must have exactly 2^(n-1-(j-i))
+// connected components. Its JSON tags are the public API's window
+// shape.
 type WindowResult struct {
-	I, J     int // paper 1-based stage bounds
-	Got      int
-	Expected int
+	I          int  `json:"i"` // 1-based first stage of the window
+	J          int  `json:"j"` // 1-based last stage of the window
+	Components int  `json:"components"`
+	Expected   int  `json:"expected"`
+	OK         bool `json:"ok"` // Components == Expected
 }
 
-// OK reports whether the window satisfied its P property.
-func (w WindowResult) OK() bool { return w.Got == w.Expected }
+// windowResult is the result of the P(i,j) window of g with the given
+// component count.
+func (g *Graph) windowResult(i, j, components int) WindowResult {
+	e := g.ExpectedComponents(i, j)
+	return WindowResult{I: i, J: j, Components: components, Expected: e, OK: components == e}
+}
 
 func (w WindowResult) String() string {
 	status := "ok"
-	if !w.OK() {
+	if !w.OK {
 		status = "VIOLATED"
 	}
-	return fmt.Sprintf("P(%d,%d): components=%d expected=%d %s", w.I, w.J, w.Got, w.Expected, status)
+	return fmt.Sprintf("P(%d,%d): components=%d expected=%d %s", w.I, w.J, w.Components, w.Expected, status)
 }
 
 // CheckPrefix evaluates the P(1,*) family: P(1,j) for every j in [1,n],
@@ -195,22 +200,11 @@ func (g *Graph) CheckAllWindows() []WindowResult {
 // AllOK reports whether every window result in rs satisfies P.
 func AllOK(rs []WindowResult) bool {
 	for _, r := range rs {
-		if !r.OK() {
+		if !r.OK {
 			return false
 		}
 	}
 	return true
-}
-
-// Violations filters rs down to the violated windows.
-func Violations(rs []WindowResult) []WindowResult {
-	var out []WindowResult
-	for _, r := range rs {
-		if !r.OK() {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // BuddyStage reports whether the connection out of stage s has Agrawal's

@@ -13,7 +13,7 @@ func TestBaselinePropertiesExact(t *testing.T) {
 	for n := 2; n <= 9; n++ {
 		g := buildBaseline(t, n)
 		for _, r := range g.CheckAllWindows() {
-			if !r.OK() {
+			if !r.OK {
 				t.Errorf("n=%d: %v", n, r)
 			}
 		}
@@ -123,9 +123,6 @@ func TestPrefixSuffixFamilies(t *testing.T) {
 	if !AllOK(pre) || !AllOK(suf) {
 		t.Error("baseline prefix/suffix violated")
 	}
-	if len(Violations(pre)) != 0 {
-		t.Error("Violations nonempty on clean result")
-	}
 	// Prefix windows are (1,j).
 	for idx, r := range pre {
 		if r.I != 1 || r.J != idx+1 {
@@ -234,13 +231,16 @@ func TestComponentStageTable(t *testing.T) {
 }
 
 func TestWindowResultString(t *testing.T) {
-	ok := WindowResult{I: 1, J: 2, Got: 4, Expected: 4}
-	bad := WindowResult{I: 1, J: 2, Got: 3, Expected: 4}
-	if ok.String() == bad.String() {
-		t.Error("ok/violated render identically")
+	g := New(3)
+	ok, bad := g.windowResult(1, 2, 2), g.windowResult(1, 2, 3)
+	if !ok.OK || bad.OK {
+		t.Errorf("OK = %t, %t for 2 and 3 components of 2 expected", ok.OK, bad.OK)
 	}
-	if !ok.OK() || bad.OK() {
-		t.Error("OK() wrong")
+	if got, want := ok.String(), "P(1,2): components=2 expected=2 ok"; got != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+	if got, want := bad.String(), "P(1,2): components=3 expected=2 VIOLATED"; got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 

@@ -68,10 +68,6 @@ type Fabric struct {
 	H      int // cells per stage
 	Spans  int // stages
 	stages []stageKernel
-	// banyan records unique-path reachability, decided while compiling:
-	// the port function collapses a two-port choice toward port 0, so
-	// path multiplicity is not observable from it afterwards.
-	banyan bool
 
 	// The table form, nil on a relabeled fabric. With W = ⌈N/64⌉ words
 	// per row:
@@ -146,7 +142,7 @@ func compileRelabeled(perms []perm.Perm, phi []uint64) *Fabric {
 	n := len(perms) + 1
 	N, h, m := 1<<uint(n), 1<<uint(n-1), n-1
 	f := &Fabric{
-		N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true,
+		N: N, H: h, Spans: n, stages: make([]stageKernel, n),
 		sigma: make([]uint32, N), key: make([]uint32, n*h), rtag: make([]uint16, N),
 	}
 	for dst := range f.sigma {
@@ -180,19 +176,15 @@ func compileRelabeled(perms []perm.Perm, phi []uint64) *Fabric {
 // the same two child rows: port 0 when child 0 reaches dst, else port 1
 // when child 1 does, else portUnreachable. Unreachable (cell, dst)
 // pairs are tolerated, so non-Banyan networks can still be simulated
-// for comparison; a non-empty AND of a cell's two child rows (both
-// ports lead to some dst, resolved toward port 0) makes the fabric
-// non-Banyan. Stage 0's rows are never read, so stage 0 only runs that
-// check. No other check is needed: a stage-0 cell has N port sequences
-// to the terminals, so when no cell ever offers both ports for one
-// destination they end at N distinct terminals, and every stage-0 cell
-// reaches every destination. The sizes must already be validated.
+// for comparison; where both ports lead to some dst, the port function
+// resolves toward port 0. Stage 0's rows are never read, so stage 0
+// only gets its child offsets. The sizes must already be validated.
 func compileTables(perms []perm.Perm) *Fabric {
 	n := len(perms) + 1
 	N := 1 << uint(n)
 	h, w := N/2, (N+63)/64
 	f := &Fabric{
-		N: N, H: h, Spans: n, stages: make([]stageKernel, n), banyan: true,
+		N: N, H: h, Spans: n, stages: make([]stageKernel, n),
 		reach: make([]uint64, (n-1)*h*w), kids: make([][2]int32, (n-1)*h),
 	}
 	last := f.reach[(n-2)*h*w:]
@@ -205,19 +197,14 @@ func compileTables(perms []perm.Perm) *Fabric {
 		for x, y := range perms[s] {
 			kids[x>>1][x&1] = int32(below + int(y>>1)*w)
 		}
-		var rows []uint64
-		if s > 0 {
-			rows = f.reach[(s-1)*h*w : below]
+		if s == 0 {
+			break
 		}
+		rows := f.reach[(s-1)*h*w : below]
 		for c := 0; c < h; c++ {
 			r0, r1 := f.reach[kids[c][0]:][:w], f.reach[kids[c][1]:][:w]
 			for i := range r0 {
-				if r0[i]&r1[i] != 0 {
-					f.banyan = false
-				}
-				if rows != nil {
-					rows[c*w+i] = r0[i] | r1[i]
-				}
+				rows[c*w+i] = r0[i] | r1[i]
 			}
 		}
 	}
@@ -243,11 +230,6 @@ func (f *Fabric) swapped(i int) uint32 {
 	s := i >> uint(f.Spans-1) // H = 2^(Spans-1)
 	return f.key[i] >> uint(f.Spans-1-s) & 1
 }
-
-// Banyan reports whether the compiled fabric has full unique-path
-// reachability: every (stage-0 cell, destination) pair routable and no
-// stage ever offered both ports for one destination.
-func (f *Fabric) Banyan() bool { return f.banyan }
 
 // port is the logical port function of the intact fabric: the output
 // port (0/1) leading from (stage s, cell) toward output terminal dst,

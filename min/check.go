@@ -11,80 +11,14 @@ import (
 
 // WindowCheck reports one P(i,j) window property: the window spanning
 // the paper's 1-based stages i..j must have exactly 2^(n-1-(j-i))
-// connected components.
-type WindowCheck struct {
-	I          int  `json:"i"` // 1-based first stage of the window
-	J          int  `json:"j"` // 1-based last stage of the window
-	Components int  `json:"components"`
-	Expected   int  `json:"expected"`
-	OK         bool `json:"ok"`
-}
-
-func (w WindowCheck) String() string {
-	status := "ok"
-	if !w.OK {
-		status = "VIOLATED"
-	}
-	return fmt.Sprintf("P(%d,%d): components=%d expected=%d %s", w.I, w.J, w.Components, w.Expected, status)
-}
+// connected components. Field docs are on midigraph.WindowResult.
+type WindowCheck = midigraph.WindowResult
 
 // Report is the structured outcome of checking the paper's
 // characterization on one network: the network is baseline-equivalent
 // iff it is Banyan and every prefix window P(1,j) and suffix window
-// P(i,n) holds.
-type Report struct {
-	Network    string `json:"network"`
-	Stages     int    `json:"stages"`
-	Equivalent bool   `json:"equivalent"`
-	Banyan     bool   `json:"banyan"`
-	// BanyanViolation describes the witness when Banyan is false.
-	BanyanViolation string        `json:"banyanViolation,omitempty"`
-	Prefix          []WindowCheck `json:"prefix"` // the P(1,*) family
-	Suffix          []WindowCheck `json:"suffix"` // the P(*,n) family
-}
-
-// Violations lists every failed window in prefix-then-suffix order.
-func (r Report) Violations() []WindowCheck {
-	var out []WindowCheck
-	for _, w := range r.Prefix {
-		if !w.OK {
-			out = append(out, w)
-		}
-	}
-	for _, w := range r.Suffix {
-		if !w.OK {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// String renders a human-readable summary with every violated condition.
-func (r Report) String() string {
-	s := fmt.Sprintf("characterization check (%s, n=%d): ", r.Network, r.Stages)
-	if r.Equivalent {
-		s += "baseline-equivalent\n"
-	} else {
-		s += "NOT baseline-equivalent\n"
-	}
-	if r.Banyan {
-		s += "  banyan: ok\n"
-	} else {
-		s += fmt.Sprintf("  banyan: violated (%s)\n", r.BanyanViolation)
-	}
-	for _, w := range r.Violations() {
-		s += "  " + w.String() + "\n"
-	}
-	return s
-}
-
-func windowChecks(rs []midigraph.WindowResult) []WindowCheck {
-	out := make([]WindowCheck, len(rs))
-	for i, w := range rs {
-		out[i] = WindowCheck{I: w.I, J: w.J, Components: w.Got, Expected: w.Expected, OK: w.OK()}
-	}
-	return out
-}
+// P(i,n) holds. Field docs are on equiv.Report.
+type Report = equiv.Report
 
 // Check evaluates the paper's characterization theorem — the Banyan
 // property plus the window families P(1,*) and P(*,n) — and returns the
@@ -104,29 +38,18 @@ func Check(nw *Network) Report {
 // union-find sweeps of both window families and the Banyan pass.
 func checkReport(nw *Network) Report {
 	rep := equiv.Check(nw.graph())
-	out := Report{
-		Network:    nw.Name(),
-		Stages:     rep.Stages,
-		Equivalent: rep.Equivalent(),
-		Banyan:     rep.Banyan,
-		Prefix:     windowChecks(rep.Prefix),
-		Suffix:     windowChecks(rep.Suffix),
-	}
-	if rep.BanyanViolation != nil {
-		out.BanyanViolation = rep.BanyanViolation.Error()
-	}
-	return out
+	rep.Network = nw.Name()
+	return rep
 }
 
-// IsBaselineEquivalent is the headline predicate of the paper.
-func IsBaselineEquivalent(nw *Network) bool { return Check(nw).Equivalent }
+// IsBaselineEquivalent is the headline predicate of the paper: Check's
+// certified path, without the report.
+func IsBaselineEquivalent(nw *Network) bool { return equiv.Certify(nw.graph(), nil) }
 
 // CheckAllWindows evaluates every P(i,j) window, 1 <= i <= j <= n. The
 // theorem only needs the prefix and suffix families Check reports; the
 // full table is what the counterexample analysis inspects.
-func CheckAllWindows(nw *Network) []WindowCheck {
-	return windowChecks(nw.graph().CheckAllWindows())
-}
+func CheckAllWindows(nw *Network) []WindowCheck { return nw.graph().CheckAllWindows() }
 
 // Isomorphism is a stage-respecting node bijection between two networks
 // with the same stage count: Maps[s][x] is the image of the stage-s

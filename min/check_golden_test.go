@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"minequiv/internal/equiv"
 )
 
 // checkGolden pins Check byte for byte: per case family, the SHA-256 of
@@ -114,6 +116,44 @@ func TestCheckReportGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != checkGolden[family] {
 			t.Errorf("%s: check digest %s, want %s", family, got, checkGolden[family])
+		}
+	}
+}
+
+// TestReportText pins the report's text exactly, in both renderings:
+// Check's, headed by the network name, and the one IsoToBaseline's
+// error carries, headed by the stage count alone. The n = 4 tail cycle
+// is Banyan and fails two suffix windows; the double arc fails the
+// Banyan property and one prefix window.
+func TestReportText(t *testing.T) {
+	tail, err := TailCycle(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc, err := FromLinkPerms("double-arc", 4, doubleArcWiring(4, 0, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		tailWindows = "  banyan: ok\n" +
+			"  P(2,4): components=1 expected=2 VIOLATED\n" +
+			"  P(3,4): components=1 expected=4 VIOLATED\n"
+		arcWindows = "  banyan: violated (midigraph: banyan violated: 0 paths from input node 6 to output node 0)\n" +
+			"  P(1,2): components=5 expected=4 VIOLATED\n"
+	)
+	for _, c := range []struct {
+		nw      *Network
+		windows string
+	}{{tail, tailWindows}, {arc, arcWindows}} {
+		want := fmt.Sprintf("characterization check (%s, n=4): NOT baseline-equivalent\n", c.nw.Name()) + c.windows
+		if got := Check(c.nw).String(); got != want {
+			t.Errorf("%s: Check text\n%q\nwant\n%q", c.nw.Name(), got, want)
+		}
+		_, err := equiv.IsoToBaseline(c.nw.graph())
+		want = "equiv: graph is not baseline-equivalent:\n" +
+			"characterization check (n=4): NOT baseline-equivalent\n" + c.windows
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: IsoToBaseline error\n%q\nwant\n%q", c.nw.Name(), err, want)
 		}
 	}
 }

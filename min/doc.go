@@ -81,7 +81,15 @@
 // the kind's name ("switch-dead", "switch-stuck0", "switch-stuck1",
 // "link-down"), so the JSON and binary wire forms are unchanged, but
 // code that converts a string with min.FaultKind("…") no longer
-// compiles; use the constants or UnmarshalText. FaultPlan, Fault, Stat,
-// Path and Hop are aliases of the types the simulation, engine and
-// routing layers compute with; their field docs are on those types.
+// compiles; use the constants or UnmarshalText.
+//
+// # Result types
+//
+// The result types are aliases of the types the layers below compute
+// with, and their field docs are on those types: Report is
+// equiv.Report and WindowCheck midigraph.WindowResult; WaveStats,
+// BufferedStats and Stat are engine.WaveStats, engine.BufferedStats
+// and engine.Stats; FaultPlan and Fault are sim's; Path and Hop are
+// route's. This package only stamps the names it alone knows, the
+// network's and the scenario's.
 package min

@@ -56,8 +56,9 @@ func TestIsoGolden(t *testing.T) {
 }
 
 // TestCheckIsoMatchesCheckAndIso pins Check and CheckIso, which take
-// the certified path, to the full check's report, and CheckIso's maps
-// to Iso's when the report says equivalent: on the catalog at n = 2..12 with two seeded relabelings of each, the
+// the certified path, to the full check's report, IsBaselineEquivalent
+// to its verdict, and CheckIso's maps to Iso's when the report says
+// equivalent: on the catalog at n = 2..12 with two seeded relabelings of each, the
 // tail cycles at n = 3..10 (Banyan, not equivalent), and double-arc
 // wirings at n = 3..8 (not Banyan).
 func TestCheckIsoMatchesCheckAndIso(t *testing.T) {
@@ -105,6 +106,9 @@ func TestCheckIsoMatchesCheckAndIso(t *testing.T) {
 		}
 		if got := Check(nw); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s n=%d: Check\n%+v\nwant\n%+v", nw.Name(), nw.Stages(), got, want)
+		}
+		if got := IsBaselineEquivalent(nw); got != want.Equivalent {
+			t.Fatalf("%s n=%d: IsBaselineEquivalent %t, Check says %t", nw.Name(), nw.Stages(), got, want.Equivalent)
 		}
 		if !want.Equivalent {
 			if iso != nil {

@@ -14,54 +14,14 @@ import (
 type Stat = engine.Stats
 
 // WaveStats aggregates a Simulate run: independent synchronous waves
-// through the unbuffered (drop-on-conflict) switch model.
-type WaveStats struct {
-	Network   string `json:"network"`
-	Stages    int    `json:"stages"`
-	Terminals int    `json:"terminals"`
-	Scenario  string `json:"scenario"`
-	Waves     int    `json:"waves"`
-	Seed      uint64 `json:"seed"`
-	Offered   int    `json:"offered"`
-	Delivered int    `json:"delivered"`
-	Dropped   int    `json:"dropped"`
-	Misrouted int    `json:"misrouted"`
-	// FaultDropped is the subset of Dropped killed directly by injected
-	// faults (dead switches, severed links); omitted when zero so
-	// fault-free responses are unchanged.
-	FaultDropped int `json:"faultDropped,omitempty"`
-	// Throughput is the pooled delivered/offered ratio over all waves.
-	Throughput Stat `json:"throughput"`
-}
+// through the unbuffered (drop-on-conflict) switch model. Field docs
+// are on engine.WaveStats.
+type WaveStats = engine.WaveStats
 
 // BufferedStats aggregates a SimulateBuffered run: independent
-// replications of the multi-lane FIFO store-and-forward model.
-type BufferedStats struct {
-	Network      string `json:"network"`
-	Stages       int    `json:"stages"`
-	Terminals    int    `json:"terminals"`
-	Scenario     string `json:"scenario"`
-	Replications int    `json:"replications"`
-	Seed         uint64 `json:"seed"`
-	Injected     int    `json:"injected"`
-	Rejected     int    `json:"rejected"`
-	Delivered    int    `json:"delivered"`
-	Dropped      int    `json:"dropped"`
-	// FaultDropped is the subset of Dropped killed directly by injected
-	// faults; omitted when zero.
-	FaultDropped int `json:"faultDropped,omitempty"`
-	// Misrouted counts wrong-terminal exits forced by stuck last-stage
-	// switches; omitted when zero.
-	Misrouted      int       `json:"misrouted,omitempty"`
-	InFlight       int       `json:"inFlight"`
-	MaxOccupancy   int       `json:"maxOccupancy"`
-	Throughput     Stat      `json:"throughput"` // delivered per terminal per cycle
-	Latency        Stat      `json:"latency"`    // mean delivery latency, cycles
-	LatencyP50     Stat      `json:"latencyP50"`
-	LatencyP95     Stat      `json:"latencyP95"`
-	LatencyP99     Stat      `json:"latencyP99"`
-	StageOccupancy []float64 `json:"stageOccupancy"` // mean queued packets per stage
-}
+// replications of the multi-lane FIFO store-and-forward model. Field
+// docs are on engine.BufferedStats.
+type BufferedStats = engine.BufferedStats
 
 // Arbiter names the output-port arbitration policy of the buffered
 // model.
@@ -291,14 +251,8 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 	if err != nil {
 		return WaveStats{}, err
 	}
-	return WaveStats{
-		Network: nw.Name(), Stages: nw.Stages(), Terminals: nw.Terminals(),
-		Scenario: o.scenario, Waves: st.Waves, Seed: o.seed,
-		Offered: st.Offered, Delivered: st.Delivered,
-		Dropped: st.Dropped, Misrouted: st.Misrouted,
-		FaultDropped: st.FaultDropped,
-		Throughput:   st.Throughput,
-	}, nil
+	st.Network, st.Scenario = nw.Name(), o.scenario
+	return st, nil
 }
 
 // SimulateBuffered runs independent replications of the store-and-
@@ -350,19 +304,8 @@ func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (Buffere
 	if err != nil {
 		return BufferedStats{}, err
 	}
-	return BufferedStats{
-		Network: nw.Name(), Stages: nw.Stages(), Terminals: nw.Terminals(),
-		Scenario: o.scenario, Replications: st.Replications, Seed: o.seed,
-		Injected: st.Injected, Rejected: st.Rejected, Delivered: st.Delivered,
-		Dropped: st.Dropped, FaultDropped: st.FaultDropped, Misrouted: st.Misrouted,
-		InFlight: st.InFlight, MaxOccupancy: st.MaxOccupancy,
-		Throughput:     st.Throughput,
-		Latency:        st.Latency,
-		LatencyP50:     st.LatencyP50,
-		LatencyP95:     st.LatencyP95,
-		LatencyP99:     st.LatencyP99,
-		StageOccupancy: st.StageOccupancy,
-	}, nil
+	st.Network, st.Scenario = nw.Name(), o.scenario
+	return st, nil
 }
 
 // AnalyticThroughput evaluates Patel's blocking recurrence: the
