@@ -25,6 +25,25 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestListGolden pins the exact list output: the catalog in its stable
+// order, one name and description per line.
+func TestListGolden(t *testing.T) {
+	out, err := runCmd(t, "list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "" +
+		"baseline                     the Baseline network (recursive half-size definition)\n" +
+		"flip                         Batcher's Flip network from STARAN (inverse shuffle)\n" +
+		"indirect-binary-cube         Pease's indirect binary n-cube (ascending butterflies)\n" +
+		"modified-data-manipulator    Feng's modified data manipulator (descending butterflies)\n" +
+		"omega                        Lawrie's Omega network (perfect shuffle at every stage)\n" +
+		"reverse-baseline             Baseline with all arcs reversed (subshuffle stages)\n"
+	if out != golden {
+		t.Errorf("list mismatch:\ngot\n%s\nwant\n%s", out, golden)
+	}
+}
+
 func TestDraw(t *testing.T) {
 	out, err := runCmd(t, "draw", "-net", "omega", "-n", "3")
 	if err != nil {

@@ -52,23 +52,24 @@ func main() {
 
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("minserve", flag.ContinueOnError)
+	def := minserve.DefaultConfig()
 	addr := fs.String("addr", ":8080", "listen address")
-	maxBody := fs.Int64("max-body", 1<<20, "request body size limit, bytes")
-	maxStages := fs.Int("max-stages", 10, "largest accepted network (terminals = 2^stages)")
-	maxTrials := fs.Int("max-trials", 100000, "largest accepted waves/replications count")
-	maxCycles := fs.Int("max-cycles", 200000, "largest accepted cycles+warmup per replication")
-	maxFaults := fs.Int("max-faults", 256, "largest accepted pinned-fault list per request")
-	maxBatch := fs.Int("max-batch", 64, "largest accepted /v1/batch item count")
-	cacheEntries := fs.Int("cache-entries", 256, "response cache capacity (negative disables)")
+	maxBody := fs.Int64("max-body", def.MaxBodyBytes, "request body size limit, bytes")
+	maxStages := fs.Int("max-stages", def.MaxStages, "largest accepted network (terminals = 2^stages)")
+	maxTrials := fs.Int("max-trials", def.MaxTrials, "largest accepted waves/replications count")
+	maxCycles := fs.Int("max-cycles", def.MaxCycles, "largest accepted cycles+warmup per replication")
+	maxFaults := fs.Int("max-faults", def.MaxFaults, "largest accepted pinned-fault list per request")
+	maxBatch := fs.Int("max-batch", def.MaxBatch, "largest accepted /v1/batch item count")
+	cacheEntries := fs.Int("cache-entries", def.CacheEntries, "response cache capacity (negative disables)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "admitted work requests executing at once (0 = GOMAXPROCS, negative disables admission)")
-	maxQueue := fs.Int("max-queue", 64, "work requests allowed to wait for a slot (negative: shed immediately)")
-	queueWait := fs.Duration("queue-wait", time.Second, "longest one request may wait in the queue")
+	maxQueue := fs.Int("max-queue", def.MaxQueueDepth, "work requests allowed to wait for a slot (negative: shed immediately)")
+	queueWait := fs.Duration("queue-wait", def.QueueWait, "longest one request may wait in the queue")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline, queue wait included (0 disables)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	jobsDir := fs.String("jobs-dir", "", "checkpoint directory for the async job plane (empty: jobs are in-memory and die with the process)")
 	jobWorkers := fs.Int("job-workers", 0, "job-plane shard executors (0 = GOMAXPROCS)")
-	jobTTL := fs.Duration("job-ttl", time.Hour, "how long finished jobs (and their checkpoints) are kept (negative: forever)")
-	maxJobs := fs.Int("max-jobs", 16, "live jobs accepted at once")
+	jobTTL := fs.Duration("job-ttl", def.JobTTL, "how long finished jobs (and their checkpoints) are kept (negative: forever)")
+	maxJobs := fs.Int("max-jobs", def.MaxJobs, "live jobs accepted at once")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

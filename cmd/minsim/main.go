@@ -55,18 +55,18 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	model := fs.String("model", "wave", "wave or buffered")
 	pattern := fs.String("pattern", "uniform", "traffic scenario (see -patterns)")
 	listPatterns := fs.Bool("patterns", false, "list traffic scenarios and exit")
-	waves := fs.Int("waves", 500, "waves (wave model)")
-	kernel := fs.String("kernel", "auto", "wave executor: auto, scalar or bit (results are identical)")
-	reps := fs.Int("reps", 1, "independent replications (buffered model)")
-	load := fs.Float64("load", 0.6, "offered load (buffered model; bernoulli/bursty patterns)")
-	queue := fs.Int("queue", 4, "queue capacity per lane (buffered model)")
-	lanes := fs.Int("lanes", 1, "FIFO lanes per switch input port (buffered model)")
-	cycles := fs.Int("cycles", 5000, "measured cycles (buffered model)")
-	warmup := fs.Int("warmup", 500, "warmup cycles (buffered model)")
+	waves := fs.Int("waves", min.DefaultWaves, "waves (wave model)")
+	kernel := fs.String("kernel", min.KernelAuto.String(), "wave executor: auto, scalar or bit (results are identical)")
+	reps := fs.Int("reps", min.DefaultReplications, "independent replications (buffered model)")
+	load := fs.Float64("load", min.DefaultBufferedLoad, "offered load (buffered model; bernoulli/bursty patterns)")
+	queue := fs.Int("queue", min.DefaultQueue, "queue capacity per lane (buffered model)")
+	lanes := fs.Int("lanes", min.DefaultLanes, "FIFO lanes per switch input port (buffered model)")
+	cycles := fs.Int("cycles", min.DefaultCycles, "measured cycles (buffered model)")
+	warmup := fs.Int("warmup", min.DefaultWarmup, "warmup cycles (buffered model)")
 	hotspot := fs.Float64("hotspot", 0.3, "hot-spot probability (hotspot pattern)")
 	burst := fs.Float64("burst", 0.2, "burst-wave probability (bursty pattern)")
 	idleLoad := fs.Float64("idleload", 0.1, "off-phase load (bursty pattern)")
-	seed := fs.Uint64("seed", 1, "root rng seed")
+	seed := fs.Uint64("seed", min.DefaultSeed, "root rng seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	faults := fs.String("faults", "", "fault plan: rate items (dead=R,stuck=R,link=R) and pinned items (dead@S:C, stuck0@S:C, stuck1@S:C, link@S:L)")
 	sweep := fs.Bool("sweep", false, "run a load x network grid in one invocation")
@@ -151,7 +151,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	switch *model {
 	case "wave":
-		opts := append(common, min.WithWaves(*waves), min.WithKernel(min.Kernel(*kernel)))
+		var k min.Kernel
+		if err := k.UnmarshalText([]byte(*kernel)); err != nil {
+			return err
+		}
+		opts := append(common, min.WithWaves(*waves), min.WithKernel(k))
 		// Load-aware scenarios (bernoulli, bursty) have always consumed
 		// -load, default included; other patterns offer full load unless
 		// -load is given explicitly (which thins them).

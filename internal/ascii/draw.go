@@ -12,11 +12,11 @@ import (
 	"minequiv/internal/perm"
 )
 
-// Options controls rendering.
+// Options controls rendering. min.DrawOptions aliases it.
 type Options struct {
-	Tuples   bool // print labels as binary tuples (Fig 2 style)
-	OneBased bool // number stages 1..n as the paper does
-	Title    string
+	Tuples   bool   // print labels as binary tuples (the paper's Fig 2 style)
+	OneBased bool   // number stages 1..n as the paper does
+	Title    string // optional heading
 }
 
 // Network renders an MI-digraph stage by stage: each line shows a cell

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"minequiv/internal/midigraph"
 	"minequiv/internal/shard"
@@ -76,17 +77,6 @@ type Result struct {
 	SignatureCounts map[string]uint64
 }
 
-// signature serializes the all-window component counts of a graph.
-func signature(g *midigraph.Graph) string {
-	rs := g.CheckAllWindows()
-	b := make([]byte, 0, len(rs)*3)
-	for _, r := range rs {
-		b = append(b, byte('0'+r.I), byte('0'+r.J), ':')
-		b = append(b, []byte(fmt.Sprintf("%d,", r.Components))...)
-	}
-	return string(b)
-}
-
 // Run enumerates every n-stage MI-digraph whose connections come from
 // the valid-connection set and tallies the properties. Only n = 2 and
 // n = 3 are feasible (6 and ~6.35M graphs respectively). Each first
@@ -100,11 +90,6 @@ func Run(n int, workers int) (Result, error) {
 		return Result{}, fmt.Errorf("census: exhaustive run supports n in {2,3}, got %d", n)
 	}
 	conns := Connections(n - 1)
-	type part struct {
-		res Result
-		a   *midigraph.Analyzer
-		g   *midigraph.Graph
-	}
 	parts, err := shard.Run(context.Background(), workers, len(conns),
 		func() *part {
 			return &part{res: Result{SignatureCounts: map[string]uint64{}}, a: midigraph.NewAnalyzer(), g: midigraph.New(n)}
@@ -112,12 +97,12 @@ func Run(n int, workers int) (Result, error) {
 		func(i int, p *part) error {
 			setConn(p.g, 0, conns[i])
 			if n == 2 {
-				tally(&p.res, p.a, p.g)
+				p.tally()
 				return nil
 			}
 			for _, second := range conns {
 				setConn(p.g, 1, second)
-				tally(&p.res, p.a, p.g)
+				p.tally()
 			}
 			return nil
 		})
@@ -139,17 +124,48 @@ func Run(n int, workers int) (Result, error) {
 	return res, nil
 }
 
-// tally counts g into res, deciding the Banyan verdict on a.
-func tally(res *Result, a *midigraph.Analyzer, g *midigraph.Graph) {
-	res.Valid++
-	if !a.Banyan(g) {
+// part is one shard worker's state: its tally, its Analyzer, the graph
+// it overwrites per connection, and the window table and signature
+// buffers it reuses.
+type part struct {
+	res     Result
+	a       *midigraph.Analyzer
+	g       *midigraph.Graph
+	windows []midigraph.WindowResult
+	sig     []byte
+}
+
+// tally counts p.g into p.res, deciding the Banyan verdict on p.a. A
+// Banyan graph's one window table gives both its signature, every
+// window's component count, and its verdict: P(1,*) is the rows with
+// I == 1 and P(*,n) the rows with J == n.
+func (p *part) tally() {
+	p.res.Valid++
+	if !p.a.Banyan(p.g) {
 		return
 	}
-	res.Banyan++
-	res.SignatureCounts[signature(g)]++
-	if midigraph.AllOK(g.CheckPrefix()) && midigraph.AllOK(g.CheckSuffix()) {
-		res.Equivalent++
+	p.res.Banyan++
+	p.windows = p.a.CheckAllWindows(p.g, p.windows)
+	p.sig = appendSignature(p.sig[:0], p.windows)
+	p.res.SignatureCounts[string(p.sig)]++
+	n := p.g.Stages()
+	for _, w := range p.windows {
+		if (w.I == 1 || w.J == n) && !w.OK {
+			return
+		}
 	}
+	p.res.Equivalent++
+}
+
+// appendSignature appends the printable key of a window table to b:
+// "ij:components," per window, in the table's order.
+func appendSignature(b []byte, windows []midigraph.WindowResult) []byte {
+	for _, w := range windows {
+		b = append(b, byte('0'+w.I), byte('0'+w.J), ':')
+		b = strconv.AppendInt(b, int64(w.Components), 10)
+		b = append(b, ',')
+	}
+	return b
 }
 
 // setConn overwrites the child rows of stage s of g with connection c.

@@ -138,10 +138,18 @@ func TestTopSignatures(t *testing.T) {
 	}
 }
 
+// signature is the census key of g's window table.
+func signature(g *midigraph.Graph) string {
+	return string(appendSignature(nil, g.CheckAllWindows()))
+}
+
 func TestSignatureMatchesWindows(t *testing.T) {
 	g := topology.Baseline(3)
 	sig := signature(g)
 	// Baseline windows: (1,1):4 (1,2):2 (1,3):1 (2,2):4 (2,3):2 (3,3):4.
+	if want := "11:4,12:2,13:1,22:4,23:2,33:4,"; sig != want {
+		t.Fatalf("baseline signature %q, want %q", sig, want)
+	}
 	for _, r := range g.CheckAllWindows() {
 		if !r.OK {
 			t.Fatal("baseline window violated")

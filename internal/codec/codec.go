@@ -35,11 +35,12 @@
 // and decoding reuses the destination struct's slices plus a bounded
 // string intern table, so a loop that decodes into one reused
 // destination is alloc-free — the per-element loops carry
-// //minlint:hotpath and the hotalloc analyzer plus the CI 0-allocs/op
-// benchmark gate keep them that way. A server handler decodes into a
-// fresh request, so there each slice (each permutation row) is one
-// allocation. Integers of one or two varint bytes, which covers every
-// link label up to 12 stages, are decoded inline on a local offset.
+// //minlint:hotpath and the hotalloc analyzer plus the CodecDecode pin
+// of the root TestSteadyAllocs keep them that way. A server handler
+// decodes into a fresh request, so there each slice (each permutation
+// row) is one allocation. Integers of one or two varint bytes, which
+// covers every link label up to 12 stages, are decoded inline on a
+// local offset.
 // Decoded strings are copies; decoded byte fields (batch sub-payloads)
 // alias the input buffer and must be consumed before the caller
 // recycles it.
@@ -409,25 +410,11 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-// growInts reslices s to n elements, reusing capacity; presence was
+// grow reslices s to n elements, reusing capacity; presence was
 // already consumed true, so n == 0 must yield empty, not nil.
-func growInts(s []int, n int) []int {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n || s == nil {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n || s == nil {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growStrs(s []string, n int) []string {
-	if cap(s) < n || s == nil {
-		return make([]string, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -437,7 +424,7 @@ func (d *Decoder) intsInto(s []int) []int {
 	if !d.presence() || d.err != nil {
 		return nil
 	}
-	s = growInts(s, d.count())
+	s = grow(s, d.count())
 	d.intLoop(s)
 	return s
 }
@@ -472,7 +459,7 @@ func (d *Decoder) floatsInto(s []float64) []float64 {
 	if !d.presence() || d.err != nil {
 		return nil
 	}
-	s = growFloats(s, d.count())
+	s = grow(s, d.count())
 	d.floatLoop(s)
 	return s
 }
@@ -488,7 +475,7 @@ func (d *Decoder) strsInto(s []string) []string {
 	if !d.presence() || d.err != nil {
 		return nil
 	}
-	s = growStrs(s, d.count())
+	s = grow(s, d.count())
 	for i := range s {
 		s[i] = d.str()
 	}
@@ -499,12 +486,7 @@ func (d *Decoder) permsInto(s [][]int) [][]int {
 	if !d.presence() || d.err != nil {
 		return nil
 	}
-	n := d.count()
-	if cap(s) < n || s == nil {
-		s = make([][]int, n)
-	} else {
-		s = s[:n]
-	}
+	s = grow(s, d.count())
 	for i := range s {
 		s[i] = d.intsInto(s[i])
 	}

@@ -65,10 +65,11 @@ type RouteResponse struct {
 }
 
 // SimulateRequest runs the wave model (default) or the buffered
-// model. Zero-valued tunables take the min package defaults (waves
-// 500, replications 1, queue 4, lanes 1, cycles 5000, warmup 500 —
-// resolved before the server's limits are checked); Seed defaults to
-// 1 so unseeded requests are reproducible too.
+// model. Zero-valued tunables take the min package defaults
+// (min.DefaultWaves, DefaultReplications, DefaultQueue, DefaultLanes,
+// DefaultCycles and DefaultWarmup, resolved before the server's limits
+// are checked); Seed defaults to min.DefaultSeed so unseeded requests
+// are reproducible too.
 type SimulateRequest struct {
 	NetworkSpec
 	Model    string  `json:"model,omitempty"` // "wave" (default) or "buffered"

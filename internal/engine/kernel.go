@@ -8,7 +8,7 @@ import "fmt"
 // word-parallel boolean algebra (see internal/sim/bitfabric.go), the
 // scalar one walks packets one by one — so the choice affects only
 // throughput, never results. RunBuffered ignores it (the queued model
-// has no bit-sliced form).
+// has no bit-sliced form). Its text form is the kernel's name.
 type Kernel uint8
 
 const (
@@ -25,28 +25,28 @@ const (
 	KernelBit
 )
 
+// kernelNames holds the text form of every kernel, indexed by value.
+var kernelNames = [...]string{"auto", "scalar", "bit"}
+
 func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelScalar:
-		return "scalar"
-	case KernelBit:
-		return "bit"
+	if int(k) < len(kernelNames) {
+		return kernelNames[k]
 	}
 	return fmt.Sprintf("Kernel(%d)", uint8(k))
 }
 
-// ParseKernel maps the wire/flag spelling of a kernel choice ("auto",
-// "scalar", "bit"; empty means auto) to its Kernel value.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "scalar":
-		return KernelScalar, nil
-	case "bit":
-		return KernelBit, nil
+// UnmarshalText parses a kernel's name (the wire and flag spelling);
+// "" is KernelAuto, and any other unknown name fails.
+func (k *Kernel) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*k = KernelAuto
+		return nil
 	}
-	return KernelAuto, fmt.Errorf(`engine: unknown kernel %q (want "auto", "scalar" or "bit")`, s)
+	for i, name := range kernelNames {
+		if string(text) == name {
+			*k = Kernel(i)
+			return nil
+		}
+	}
+	return fmt.Errorf(`engine: unknown kernel %q (want "auto", "scalar" or "bit")`, string(text))
 }

@@ -2,31 +2,12 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"minequiv/internal/perm"
 	"minequiv/internal/sim"
 	"minequiv/internal/topology"
 )
-
-func TestKernelStringAndParse(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelScalar, KernelBit} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
-		}
-	}
-	if k, err := ParseKernel(""); err != nil || k != KernelAuto {
-		t.Errorf(`ParseKernel("") = %v, %v; want auto`, k, err)
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Errorf("ParseKernel accepted an unknown kernel")
-	}
-	if s := Kernel(99).String(); !strings.Contains(s, "99") {
-		t.Errorf("Kernel(99).String() = %q", s)
-	}
-}
 
 // TestKernelsByteIdentical is the tentpole's acceptance property: the
 // bit-sliced and scalar kernels produce byte-identical pooled

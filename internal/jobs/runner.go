@@ -68,11 +68,10 @@ func DefaultRunner() Runner {
 		params := sim.DefaultScenarioParams()
 		params.Load = cell.Load
 		pattern := sc.Traffic(params)
-		kernel, err := engine.ParseKernel(cell.Kernel)
-		if err != nil {
+		cfg := engine.Config{Seed: cell.Seed}
+		if err := cfg.Kernel.UnmarshalText([]byte(cell.Kernel)); err != nil {
 			return engine.WavePartial{}, err
 		}
-		cfg := engine.Config{Seed: cell.Seed, Kernel: kernel}
 		if cell.FaultRate > 0 {
 			cfg.Faults = &sim.FaultPlan{SwitchDeadRate: cell.FaultRate}
 		}

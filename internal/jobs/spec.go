@@ -60,7 +60,7 @@ func (s *Spec) normalize(defaultShardTrials int) {
 		s.Scenario = "uniform"
 	}
 	if s.Kernel == "" {
-		s.Kernel = "auto"
+		s.Kernel = engine.KernelAuto.String()
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -95,7 +95,8 @@ func (s Spec) validate() error {
 	if _, ok := sim.LookupScenario(s.Scenario); !ok {
 		return fmt.Errorf("jobs: unknown scenario %q (known: %s)", s.Scenario, strings.Join(sim.ScenarioNames(), ", "))
 	}
-	if _, err := engine.ParseKernel(s.Kernel); err != nil {
+	var k engine.Kernel
+	if err := k.UnmarshalText([]byte(s.Kernel)); err != nil {
 		return err
 	}
 	for _, l := range s.Loads {

@@ -74,7 +74,7 @@ func runErrCodes(pass *Pass) error {
 		}
 		code := constant.StringVal(tv.Value)
 		if code == "" || reg.values[code] {
-			// Empty defers to defaultCode-style fallbacks; registered is fine —
+			// Empty is no code written; registered is fine —
 			// but a literal should still name the constant.
 			if _, isLit := v.(*ast.BasicLit); isLit && code != "" {
 				pass.Reportf(v.Pos(), "error code %q written as a string literal; use the registered Code* constant (%s)", code, registryNames(pass, reg))

@@ -8,29 +8,38 @@ import (
 )
 
 // ArbiterPolicy picks the winner when both switch inputs contend for the
-// same output port in one cycle.
+// same output port in one cycle. Its text form is the policy's name.
 type ArbiterPolicy uint8
 
 const (
-	// ArbRandom flips a fair coin per conflict (the classic model).
+	// ArbRandom flips a fair coin per conflict (the classic model, and
+	// the default).
 	ArbRandom ArbiterPolicy = iota
 	// ArbRoundRobin alternates priority per (cell, output): the loser of
 	// a contested cycle holds priority for the next conflict.
 	ArbRoundRobin
 )
 
+// arbiterNames holds the text form of every policy, indexed by value.
+var arbiterNames = [...]string{"random", "roundrobin"}
+
 func (a ArbiterPolicy) String() string {
-	switch a {
-	case ArbRandom:
-		return "random"
-	case ArbRoundRobin:
-		return "roundrobin"
+	return settingName(arbiterNames[:], uint8(a), "ArbiterPolicy")
+}
+
+// UnmarshalText parses a policy's name; "" is ArbRandom, and any other
+// unknown name fails.
+func (a *ArbiterPolicy) UnmarshalText(text []byte) error {
+	i, ok := settingIndex(arbiterNames[:], text)
+	if !ok {
+		return fmt.Errorf(`sim: unknown arbiter %q (want "random" or "roundrobin")`, string(text))
 	}
-	return fmt.Sprintf("ArbiterPolicy(%d)", uint8(a))
+	*a = ArbiterPolicy(i)
+	return nil
 }
 
 // LanePolicy picks the lane a packet joins when it is enqueued at an
-// input port with multiple lanes.
+// input port with multiple lanes. Its text form is the policy's name.
 type LanePolicy uint8
 
 const (
@@ -44,16 +53,20 @@ const (
 	LaneRandom
 )
 
-func (l LanePolicy) String() string {
-	switch l {
-	case LaneShortest:
-		return "shortest"
-	case LaneByDst:
-		return "bydst"
-	case LaneRandom:
-		return "random"
+// laneNames holds the text form of every policy, indexed by value.
+var laneNames = [...]string{"shortest", "bydst", "random"}
+
+func (l LanePolicy) String() string { return settingName(laneNames[:], uint8(l), "LanePolicy") }
+
+// UnmarshalText parses a policy's name; "" is LaneShortest, and any
+// other unknown name fails.
+func (l *LanePolicy) UnmarshalText(text []byte) error {
+	i, ok := settingIndex(laneNames[:], text)
+	if !ok {
+		return fmt.Errorf(`sim: unknown lane policy %q (want "shortest", "bydst" or "random")`, string(text))
 	}
-	return fmt.Sprintf("LanePolicy(%d)", uint8(l))
+	*l = LanePolicy(i)
+	return nil
 }
 
 // BufferedConfig parametrizes the queued (store-and-forward) simulation.
@@ -200,14 +213,10 @@ func (f *Fabric) ValidateBuffered(c BufferedConfig) error {
 	if c.Warmup < 0 {
 		return fmt.Errorf("sim: warmup %d negative", c.Warmup)
 	}
-	switch c.Arbiter {
-	case ArbRandom, ArbRoundRobin:
-	default:
+	if int(c.Arbiter) >= len(arbiterNames) {
 		return fmt.Errorf("sim: unknown arbiter policy %d", c.Arbiter)
 	}
-	switch c.LaneSelect {
-	case LaneShortest, LaneByDst, LaneRandom:
-	default:
+	if int(c.LaneSelect) >= len(laneNames) {
 		return fmt.Errorf("sim: unknown lane policy %d", c.LaneSelect)
 	}
 	// ports·lanes stays within the bound before it multiplies Queue, so

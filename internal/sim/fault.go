@@ -32,12 +32,7 @@ const (
 // index 0 is the zero value's "".
 var faultKindNames = [...]string{"", "switch-dead", "switch-stuck0", "switch-stuck1", "link-down"}
 
-func (k FaultKind) String() string {
-	if int(k) < len(faultKindNames) {
-		return faultKindNames[k]
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
+func (k FaultKind) String() string { return settingName(faultKindNames[:], uint8(k), "FaultKind") }
 
 // MarshalText renders the kind's name; a value outside the zero value
 // and the four kinds fails.
@@ -51,13 +46,35 @@ func (k FaultKind) MarshalText() ([]byte, error) {
 // UnmarshalText parses a kind's name; "" is the zero value, which
 // Validate rejects, and any other unknown name fails here.
 func (k *FaultKind) UnmarshalText(text []byte) error {
-	for i, name := range faultKindNames {
+	i, ok := settingIndex(faultKindNames[:], text)
+	if !ok {
+		return fmt.Errorf("sim: unknown fault kind %q", text)
+	}
+	*k = FaultKind(i)
+	return nil
+}
+
+// settingName returns the text form names[v] of a named setting, or
+// typ(v) for a value outside the table.
+func settingName(names []string, v uint8, typ string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, v)
+}
+
+// settingIndex returns the value whose text form is text; "" is the
+// zero value of every named setting.
+func settingIndex(names []string, text []byte) (uint8, bool) {
+	if len(text) == 0 {
+		return 0, true
+	}
+	for i, name := range names {
 		if string(text) == name {
-			*k = FaultKind(i)
-			return nil
+			return uint8(i), true
 		}
 	}
-	return fmt.Errorf("sim: unknown fault kind %q", text)
+	return 0, false
 }
 
 // Fault pins one failure to a fabric element. Switch faults address

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 
 	"minequiv/internal/midigraph"
 	"minequiv/internal/perm"
@@ -73,31 +72,40 @@ const (
 	NameModifiedDM      = "modified-data-manipulator"
 )
 
-// Build constructs a catalog network by name for n stages. The six names
-// above are the "classical" networks of Wu & Feng that the paper's main
-// corollary proves equivalent.
+// CatalogEntry describes one catalog network. min.NetworkInfo aliases
+// it, so its JSON tags are the GET /v1/networks wire form.
+type CatalogEntry struct {
+	Name        string `json:"name"`
+	Description string `json:"description"`
+}
+
+// catalog is the one table of the built-in networks, sorted by name:
+// each one's name, description and per-stage index permutations.
+var catalog = [...]struct {
+	CatalogEntry
+	indexPerms func(n int) []pipid.IndexPerm
+}{
+	{CatalogEntry{NameBaseline, "the Baseline network (recursive half-size definition)"}, BaselineIndexPerms},
+	{CatalogEntry{NameFlip, "Batcher's Flip network from STARAN (inverse shuffle)"}, FlipIndexPerms},
+	{CatalogEntry{NameIndirectCube, "Pease's indirect binary n-cube (ascending butterflies)"}, IndirectBinaryCubeIndexPerms},
+	{CatalogEntry{NameModifiedDM, "Feng's modified data manipulator (descending butterflies)"}, ModifiedDataManipulatorIndexPerms},
+	{CatalogEntry{NameOmega, "Lawrie's Omega network (perfect shuffle at every stage)"}, OmegaIndexPerms},
+	{CatalogEntry{NameReverseBaseline, "Baseline with all arcs reversed (subshuffle stages)"}, ReverseBaselineIndexPerms},
+}
+
+// Build constructs a catalog network by name for n stages. The six
+// catalog networks are the "classical" networks of Wu & Feng that the
+// paper's main corollary proves equivalent.
 func Build(name string, n int) (Network, error) {
 	if n < 2 || n > midigraph.MaxStages {
 		return Network{}, fmt.Errorf("topology: stage count %d out of range [2,%d]", n, midigraph.MaxStages)
 	}
-	var ips []pipid.IndexPerm
-	switch name {
-	case NameBaseline:
-		ips = BaselineIndexPerms(n)
-	case NameReverseBaseline:
-		ips = ReverseBaselineIndexPerms(n)
-	case NameOmega:
-		ips = OmegaIndexPerms(n)
-	case NameFlip:
-		ips = FlipIndexPerms(n)
-	case NameIndirectCube:
-		ips = IndirectBinaryCubeIndexPerms(n)
-	case NameModifiedDM:
-		ips = ModifiedDataManipulatorIndexPerms(n)
-	default:
-		return Network{}, fmt.Errorf("topology: unknown network %q (have %v)", name, Names())
+	for _, e := range catalog {
+		if e.Name == name {
+			return FromIndexPerms(name, n, e.indexPerms(n))
+		}
 	}
-	return FromIndexPerms(name, n, ips)
+	return Network{}, fmt.Errorf("topology: unknown network %q (have %v)", name, Names())
 }
 
 // MustBuild is Build that panics on error, for test and example setup.
@@ -109,13 +117,21 @@ func MustBuild(name string, n int) Network {
 	return nw
 }
 
+// Catalog lists the catalog networks in stable (name) order.
+func Catalog() []CatalogEntry {
+	out := make([]CatalogEntry, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.CatalogEntry
+	}
+	return out
+}
+
 // Names lists the catalog names in stable order.
 func Names() []string {
-	names := []string{
-		NameBaseline, NameReverseBaseline, NameOmega,
-		NameFlip, NameIndirectCube, NameModifiedDM,
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }
 

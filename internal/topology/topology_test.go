@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sort"
 	"testing"
 
 	"minequiv/internal/midigraph"
@@ -285,6 +286,23 @@ func TestNames(t *testing.T) {
 			t.Fatalf("duplicate name %q", n)
 		}
 		seen[n] = true
+	}
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("Names() = %v, not sorted", names)
+	}
+	// Catalog is the same table, in the same order, and every entry
+	// has a description and builds under its own name.
+	cat := Catalog()
+	if len(cat) != len(names) {
+		t.Fatalf("Catalog() has %d entries, Names() %d", len(cat), len(names))
+	}
+	for i, e := range cat {
+		if e.Name != names[i] || e.Description == "" {
+			t.Errorf("Catalog()[%d] = %+v, want name %q and a description", i, e, names[i])
+		}
+		if nw, err := Build(e.Name, 3); err != nil || nw.Name != e.Name {
+			t.Errorf("Build(%q, 3) = %q, %v", e.Name, nw.Name, err)
+		}
 	}
 }
 

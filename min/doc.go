@@ -92,4 +92,11 @@
 // and engine.Stats; FaultPlan and Fault are sim's; Path and Hop are
 // route's. This package only stamps the names it alone knows, the
 // network's and the scenario's.
+//
+// The setting types are aliases too: Kernel is engine.Kernel, Arbiter
+// sim.ArbiterPolicy and LaneSelect sim.LanePolicy, each a byte whose
+// String and UnmarshalText read one name table ("" parses to the zero
+// value, the default); DrawOptions is ascii.Options and NetworkInfo
+// topology.CatalogEntry. The simulation defaults are the Default*
+// constants.
 package min

@@ -28,30 +28,12 @@ const (
 // MaxStages bounds the stage count of every constructor.
 const MaxStages = midigraph.MaxStages
 
-// NetworkInfo describes one catalog entry.
-type NetworkInfo struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
-var catalogInfo = map[string]string{
-	Baseline:        "the Baseline network (recursive half-size definition)",
-	ReverseBaseline: "Baseline with all arcs reversed (subshuffle stages)",
-	Omega:           "Lawrie's Omega network (perfect shuffle at every stage)",
-	Flip:            "Batcher's Flip network from STARAN (inverse shuffle)",
-	IndirectCube:    "Pease's indirect binary n-cube (ascending butterflies)",
-	ModifiedDM:      "Feng's modified data manipulator (descending butterflies)",
-}
+// NetworkInfo describes one catalog entry: its name and description
+// (topology.CatalogEntry).
+type NetworkInfo = topology.CatalogEntry
 
 // Catalog lists the built-in networks in stable order.
-func Catalog() []NetworkInfo {
-	names := topology.Names()
-	out := make([]NetworkInfo, len(names))
-	for i, name := range names {
-		out[i] = NetworkInfo{Name: name, Description: catalogInfo[name]}
-	}
-	return out
-}
+func Catalog() []NetworkInfo { return topology.Catalog() }
 
 // CatalogNames lists the built-in network names in stable order.
 func CatalogNames() []string { return topology.Names() }
@@ -291,17 +273,12 @@ func (nw *Network) compiledFabric() (*sim.Fabric, error) {
 	return nw.fabric, nw.fabricErr
 }
 
-// DrawOptions controls Draw's text rendering.
-type DrawOptions struct {
-	Tuples   bool   // print labels as binary tuples (the paper's Fig 2 style)
-	OneBased bool   // number stages 1..n as the paper does
-	Title    string // optional heading
-}
+// DrawOptions controls Draw's text rendering (ascii.Options): Tuples
+// prints labels as binary tuples (the paper's Fig 2 style), OneBased
+// numbers stages 1..n as the paper does, and Title is an optional
+// heading.
+type DrawOptions = ascii.Options
 
 // Draw renders the network stage by stage as plain text: each line shows
 // a switch cell and its ordered children in the next stage.
-func (nw *Network) Draw(opt DrawOptions) string {
-	return ascii.Network(nw.topo.Graph, ascii.Options{
-		Tuples: opt.Tuples, OneBased: opt.OneBased, Title: opt.Title,
-	})
-}
+func (nw *Network) Draw(opt DrawOptions) string { return ascii.Network(nw.topo.Graph, opt) }

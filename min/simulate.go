@@ -23,73 +23,87 @@ type WaveStats = engine.WaveStats
 // docs are on engine.BufferedStats.
 type BufferedStats = engine.BufferedStats
 
-// Arbiter names the output-port arbitration policy of the buffered
-// model.
-type Arbiter string
-
-const (
-	ArbiterRandom     Arbiter = "random"     // fair coin per conflict
-	ArbiterRoundRobin Arbiter = "roundrobin" // loser holds priority next time
-)
-
-// Kernel names the wave-model executor. The kernels are byte-identical
-// per trial stream — KernelBit steers 64 Monte Carlo waves per machine
-// word as uint64 bit-planes, KernelScalar walks packets one by one —
-// so the choice affects only throughput, never results.
-type Kernel string
+// Kernel selects the wave-model executor (engine.Kernel). The kernels
+// are byte-identical per trial stream — KernelBit steers 64 Monte Carlo
+// waves per machine word as uint64 bit-planes, KernelScalar walks
+// packets one by one — so the choice affects only throughput, never
+// results. Its text form is the kernel's name ("auto", "scalar",
+// "bit"; UnmarshalText reads "" as auto).
+type Kernel = engine.Kernel
 
 const (
 	// KernelAuto (the default) uses the bit-sliced kernel whenever the
 	// network qualifies (a Baseline-equivalent wiring; all six of the
 	// paper's networks are) and falls back to scalar.
-	KernelAuto Kernel = "auto"
+	KernelAuto = engine.KernelAuto
 	// KernelScalar forces the one-packet-at-a-time reference kernel.
-	KernelScalar Kernel = "scalar"
+	KernelScalar = engine.KernelScalar
 	// KernelBit forces the bit-sliced kernel; Simulate fails when the
 	// network is not Baseline-equivalent rather than silently degrading.
-	KernelBit Kernel = "bit"
+	KernelBit = engine.KernelBit
 )
 
-// LaneSelect names the lane-choice policy on enqueue in the buffered
-// model.
-type LaneSelect string
+// Arbiter is the output-port arbitration policy of the buffered model
+// (sim.ArbiterPolicy); its text form is "random" or "roundrobin".
+type Arbiter = sim.ArbiterPolicy
 
 const (
-	LaneShortest LaneSelect = "shortest" // least-occupied lane with room
-	LaneByDst    LaneSelect = "bydst"    // lane dst mod lanes
-	LaneRandom   LaneSelect = "random"   // uniformly random lane with room
+	ArbiterRandom     = sim.ArbRandom     // fair coin per conflict (the default)
+	ArbiterRoundRobin = sim.ArbRoundRobin // loser holds priority next time
+)
+
+// LaneSelect is the lane-choice policy on enqueue in the buffered model
+// (sim.LanePolicy); its text form is "shortest", "bydst" or "random".
+type LaneSelect = sim.LanePolicy
+
+const (
+	LaneShortest = sim.LaneShortest // least-occupied lane with room (the default)
+	LaneByDst    = sim.LaneByDst    // lane dst mod lanes
+	LaneRandom   = sim.LaneRandom   // uniformly random lane with room
+)
+
+// The simulation defaults: the value of every tunable whose option is
+// not given. The kernel, arbiter and lane policy default to their zero
+// values, and the scenario to "uniform".
+const (
+	DefaultSeed         = 1
+	DefaultWaves        = 500  // wave model
+	DefaultReplications = 1    // buffered model
+	DefaultQueue        = 4    // buffered model: FIFO capacity per lane
+	DefaultLanes        = 1    // buffered model: lanes per input port
+	DefaultCycles       = 5000 // buffered model: measured cycles
+	DefaultWarmup       = 500  // buffered model: discarded cycles
+	// DefaultBufferedLoad is the buffered model's offered load; the
+	// wave model's is 1, which leaves every scenario unthinned.
+	DefaultBufferedLoad = 0.6
 )
 
 // simOptions carries every tunable of both models; each Option records
 // which model(s) it applies to so a misapplied option is an error, not
 // a silent no-op.
 type simOptions struct {
-	workers  int
-	seed     uint64
+	cfg      engine.Config // workers, seed, faults; the kernel is wave-model only
 	scenario string
 	loadSet  bool
 	params   sim.ScenarioParams
-	faults   *FaultPlan
 
-	waves  int    // wave model
-	kernel Kernel // wave model
-
-	reps, queue, lanes, cycles, warmup int // buffered model
-	arbiter                            Arbiter
-	laneSelect                         LaneSelect
+	waves int                // wave model
+	reps  int                // buffered model
+	buf   sim.BufferedConfig // buffered model, all but Pattern
 
 	waveOnly, bufferedOnly []string // names of model-specific options used
 }
 
 func defaultSimOptions() simOptions {
 	return simOptions{
-		seed:     1,
+		cfg:      engine.Config{Seed: DefaultSeed},
 		scenario: "uniform",
 		params:   sim.DefaultScenarioParams(),
-		waves:    500,
-		kernel:   KernelAuto,
-		reps:     1, queue: 4, lanes: 1, cycles: 5000, warmup: 500,
-		arbiter: ArbiterRandom, laneSelect: LaneShortest,
+		waves:    DefaultWaves,
+		reps:     DefaultReplications,
+		buf: sim.BufferedConfig{
+			Queue: DefaultQueue, Lanes: DefaultLanes, Cycles: DefaultCycles, Warmup: DefaultWarmup,
+		},
 	}
 }
 
@@ -99,11 +113,11 @@ type Option func(*simOptions)
 
 // WithWorkers shards trials across n goroutines (0 = GOMAXPROCS).
 // Results never depend on the worker count.
-func WithWorkers(n int) Option { return func(o *simOptions) { o.workers = n } }
+func WithWorkers(n int) Option { return func(o *simOptions) { o.cfg.Workers = n } }
 
 // WithSeed sets the root rng seed; trial t always runs on the stream
 // derived from (seed, t), making runs bit-reproducible.
-func WithSeed(seed uint64) Option { return func(o *simOptions) { o.seed = seed } }
+func WithSeed(seed uint64) Option { return func(o *simOptions) { o.cfg.Seed = seed } }
 
 // WithScenario selects a named traffic pattern from the registry (see
 // Scenarios). Default "uniform".
@@ -135,7 +149,7 @@ func WithBurst(burstProb, idleLoad float64) Option {
 // stay identical for any worker count. An empty plan is the intact
 // fabric.
 func WithFaults(p FaultPlan) Option {
-	return func(o *simOptions) { o.faults = &p }
+	return func(o *simOptions) { o.cfg.Faults = &p }
 }
 
 // WithWaves sets the number of independent waves (wave model only).
@@ -148,7 +162,7 @@ func WithWaves(n int) Option {
 // force the scalar oracle or to fail fast when the bit-sliced kernel
 // is expected but the network does not qualify.
 func WithKernel(k Kernel) Option {
-	return func(o *simOptions) { o.kernel = k; o.waveOnly = append(o.waveOnly, "WithKernel") }
+	return func(o *simOptions) { o.cfg.Kernel = k; o.waveOnly = append(o.waveOnly, "WithKernel") }
 }
 
 // WithReplications sets the number of independent replications
@@ -161,40 +175,39 @@ func WithReplications(n int) Option {
 // SimulateBuffered refuses a run whose packet storage,
 // stages·2^stages·lanes·queue, exceeds 2^22 packets.
 func WithQueue(n int) Option {
-	return func(o *simOptions) { o.queue = n; o.bufferedOnly = append(o.bufferedOnly, "WithQueue") }
+	return func(o *simOptions) { o.buf.Queue = n; o.bufferedOnly = append(o.bufferedOnly, "WithQueue") }
 }
 
 // WithLanes sets the FIFO lane count per switch input port (buffered
 // model only).
 func WithLanes(n int) Option {
-	return func(o *simOptions) { o.lanes = n; o.bufferedOnly = append(o.bufferedOnly, "WithLanes") }
+	return func(o *simOptions) { o.buf.Lanes = n; o.bufferedOnly = append(o.bufferedOnly, "WithLanes") }
 }
 
 // WithCycles sets the measured cycle count (buffered model only).
 func WithCycles(n int) Option {
-	return func(o *simOptions) { o.cycles = n; o.bufferedOnly = append(o.bufferedOnly, "WithCycles") }
+	return func(o *simOptions) { o.buf.Cycles = n; o.bufferedOnly = append(o.bufferedOnly, "WithCycles") }
 }
 
 // WithWarmup sets the cycles discarded before measuring (buffered model
 // only).
 func WithWarmup(n int) Option {
-	return func(o *simOptions) { o.warmup = n; o.bufferedOnly = append(o.bufferedOnly, "WithWarmup") }
+	return func(o *simOptions) { o.buf.Warmup = n; o.bufferedOnly = append(o.bufferedOnly, "WithWarmup") }
 }
 
 // WithArbiter sets the output-port arbitration policy (buffered model
 // only).
 func WithArbiter(a Arbiter) Option {
-	return func(o *simOptions) { o.arbiter = a; o.bufferedOnly = append(o.bufferedOnly, "WithArbiter") }
+	return func(o *simOptions) { o.buf.Arbiter = a; o.bufferedOnly = append(o.bufferedOnly, "WithArbiter") }
 }
 
 // WithLaneSelect sets the lane-choice policy (buffered model only).
 func WithLaneSelect(l LaneSelect) Option {
-	return func(o *simOptions) { o.laneSelect = l; o.bufferedOnly = append(o.bufferedOnly, "WithLaneSelect") }
+	return func(o *simOptions) { o.buf.LaneSelect = l; o.bufferedOnly = append(o.bufferedOnly, "WithLaneSelect") }
 }
 
 // traffic resolves the scenario to a generator at the offered load
-// (sim.Scenario.Traffic). The wave model's default load is 1, which
-// leaves every scenario unthinned; the buffered model's is 0.6.
+// (sim.Scenario.Traffic).
 func (o *simOptions) traffic() (sim.Traffic, error) {
 	if o.params.Load < 0 || o.params.Load > 1 {
 		return nil, fmt.Errorf("min: load %v out of [0,1]", o.params.Load)
@@ -212,16 +225,6 @@ func applyOptions(opts []Option) simOptions {
 		opt(&o)
 	}
 	return o
-}
-
-// engineConfig assembles the engine run configuration, with the fault
-// plan when one was given.
-func (o *simOptions) engineConfig() engine.Config {
-	cfg := engine.Config{Workers: o.workers, Seed: o.seed}
-	if o.faults != nil && !o.faults.Empty() {
-		cfg.Faults = o.faults
-	}
-	return cfg
 }
 
 // Simulate pushes independent synchronous waves of traffic through the
@@ -242,12 +245,7 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 	if err != nil {
 		return WaveStats{}, err
 	}
-	cfg := o.engineConfig()
-	cfg.Kernel, err = engine.ParseKernel(string(o.kernel))
-	if err != nil {
-		return WaveStats{}, fmt.Errorf(`min: unknown kernel %q (want "auto", "scalar" or "bit")`, o.kernel)
-	}
-	st, err := engine.RunWaves(ctx, f, tr, o.waves, cfg)
+	st, err := engine.RunWaves(ctx, f, tr, o.waves, o.cfg)
 	if err != nil {
 		return WaveStats{}, err
 	}
@@ -272,35 +270,12 @@ func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (Buffere
 		return BufferedStats{}, err
 	}
 	if !o.loadSet {
-		o.params.Load = 0.6 // conventional buffered default offered load
+		o.params.Load = DefaultBufferedLoad
 	}
-	tr, err := o.traffic()
-	if err != nil {
+	if o.buf.Pattern, err = o.traffic(); err != nil {
 		return BufferedStats{}, err
 	}
-	bc := sim.BufferedConfig{
-		Queue: o.queue, Lanes: o.lanes, Cycles: o.cycles, Warmup: o.warmup,
-		Pattern: tr,
-	}
-	switch o.arbiter {
-	case ArbiterRandom:
-		bc.Arbiter = sim.ArbRandom
-	case ArbiterRoundRobin:
-		bc.Arbiter = sim.ArbRoundRobin
-	default:
-		return BufferedStats{}, fmt.Errorf("min: unknown arbiter %q", o.arbiter)
-	}
-	switch o.laneSelect {
-	case LaneShortest:
-		bc.LaneSelect = sim.LaneShortest
-	case LaneByDst:
-		bc.LaneSelect = sim.LaneByDst
-	case LaneRandom:
-		bc.LaneSelect = sim.LaneRandom
-	default:
-		return BufferedStats{}, fmt.Errorf("min: unknown lane policy %q", o.laneSelect)
-	}
-	st, err := engine.RunBuffered(ctx, f, bc, o.reps, o.engineConfig())
+	st, err := engine.RunBuffered(ctx, f, o.buf, o.reps, o.cfg)
 	if err != nil {
 		return BufferedStats{}, err
 	}

@@ -104,25 +104,6 @@ var errOverloaded = &httpError{
 	msg:    "server overloaded: work queue full, retry later",
 }
 
-// defaultCode maps a bare status to its conventional code, for
-// httpErrors constructed without one.
-func defaultCode(status int) string {
-	switch status {
-	case http.StatusRequestEntityTooLarge:
-		return CodeLimitExceeded
-	case http.StatusUnsupportedMediaType:
-		return CodeUnsupportedMediaType
-	case http.StatusTooManyRequests:
-		return CodeOverloaded
-	case http.StatusServiceUnavailable:
-		return CodeDeadlineExceeded
-	case http.StatusInternalServerError:
-		return CodeInternal
-	default:
-		return CodeBadRequest
-	}
-}
-
 // envelopeFor renders any handler error into the wire envelope and its
 // status. Deadline expiry surfaces as 503 deadline_exceeded — the
 // client is still connected and deserves a diagnosable body.
@@ -131,11 +112,7 @@ func envelopeFor(err error) (errorEnvelope, int) {
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
-		status = he.status
-		code = he.code
-		if code == "" {
-			code = defaultCode(status)
-		}
+		status, code = he.status, he.code
 	case errors.Is(err, context.DeadlineExceeded):
 		status, code = http.StatusServiceUnavailable, CodeDeadlineExceeded
 	}

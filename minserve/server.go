@@ -159,6 +159,10 @@ type Config struct {
 	JobShardTrials int
 }
 
+// DefaultConfig returns the configuration a zero Config runs with:
+// every field at its documented default.
+func DefaultConfig() Config { return Config{}.withDefaults() }
+
 func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
@@ -650,14 +654,10 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 	if req.Workers < 0 || req.Workers > s.cfg.MaxWorkers {
 		req.Workers = s.cfg.MaxWorkers
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	if err := s.checkFaults(req.Faults); err != nil {
 		return nil, err
 	}
-	opts := []min.Option{min.WithSeed(seed), min.WithWorkers(req.Workers)}
+	opts := []min.Option{min.WithSeed(valueOr(req.Seed, min.DefaultSeed)), min.WithWorkers(req.Workers)}
 	if req.Faults != nil {
 		opts = append(opts, min.WithFaults(*req.Faults))
 	}
@@ -676,19 +676,16 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 			req.Warmup != 0 || req.Arbiter != "" || req.LaneSelect != "" {
 			return nil, badRequest("buffered-model fields set on a wave request")
 		}
-		waves := req.Waves
-		if waves == 0 {
-			waves = 500
-		}
+		waves := valueOr(req.Waves, min.DefaultWaves)
 		if waves < 1 {
 			return nil, badRequest("waves must be in [1,%d], got %d", s.cfg.MaxTrials, waves)
 		}
 		if waves > s.cfg.MaxTrials {
 			return nil, limitExceeded("waves must be in [1,%d], got %d", s.cfg.MaxTrials, waves)
 		}
-		kernel := min.Kernel(req.Kernel)
-		if req.Kernel == "" {
-			kernel = min.KernelAuto
+		var kernel min.Kernel
+		if err := kernel.UnmarshalText([]byte(req.Kernel)); err != nil {
+			return nil, badRequest("%v", err)
 		}
 		st, err := min.Simulate(ctx, nw,
 			append(opts, min.WithWaves(waves), min.WithKernel(kernel))...)
@@ -707,11 +704,11 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 		// Resolve defaults BEFORE checking the operator's limits, so an
 		// omitted field cannot slip a default past a cap set below it.
 		// A zero field means "default"; negatives are rejected.
-		reps := valueOr(req.Replications, 1)
-		cycles := valueOr(req.Cycles, 5000)
-		warmup := valueOr(req.Warmup, 500)
-		queue := valueOr(req.Queue, 4)
-		lanes := valueOr(req.Lanes, 1)
+		reps := valueOr(req.Replications, min.DefaultReplications)
+		cycles := valueOr(req.Cycles, min.DefaultCycles)
+		warmup := valueOr(req.Warmup, min.DefaultWarmup)
+		queue := valueOr(req.Queue, min.DefaultQueue)
+		lanes := valueOr(req.Lanes, min.DefaultLanes)
 		if reps < 0 || cycles < 0 || warmup < 0 || queue < 0 || lanes < 0 {
 			return nil, badRequest("negative buffered-model field")
 		}
@@ -721,15 +718,18 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 		if cycles+warmup > s.cfg.MaxCycles {
 			return nil, limitExceeded("cycles+warmup must be <= %d, got %d", s.cfg.MaxCycles, cycles+warmup)
 		}
+		var arbiter min.Arbiter
+		if err := arbiter.UnmarshalText([]byte(req.Arbiter)); err != nil {
+			return nil, badRequest("%v", err)
+		}
+		var laneSelect min.LaneSelect
+		if err := laneSelect.UnmarshalText([]byte(req.LaneSelect)); err != nil {
+			return nil, badRequest("%v", err)
+		}
 		opts = append(opts,
 			min.WithReplications(reps), min.WithQueue(queue), min.WithLanes(lanes),
-			min.WithCycles(cycles), min.WithWarmup(warmup))
-		if req.Arbiter != "" {
-			opts = append(opts, min.WithArbiter(min.Arbiter(req.Arbiter)))
-		}
-		if req.LaneSelect != "" {
-			opts = append(opts, min.WithLaneSelect(min.LaneSelect(req.LaneSelect)))
-		}
+			min.WithCycles(cycles), min.WithWarmup(warmup),
+			min.WithArbiter(arbiter), min.WithLaneSelect(laneSelect))
 		st, err := min.SimulateBuffered(ctx, nw, opts...)
 		if errors.Is(err, sim.ErrBufferTooLarge) {
 			// queue and lanes size the packet storage; the engine
@@ -747,8 +747,9 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 }
 
 // valueOr substitutes the default for an omitted (zero) request field.
-func valueOr(v, def int) int {
-	if v == 0 {
+func valueOr[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
 		return def
 	}
 	return v

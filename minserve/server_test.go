@@ -72,6 +72,35 @@ func TestNetworksEndpoint(t *testing.T) {
 	}
 }
 
+// TestNetworksGolden pins the exact GET /v1/networks body: the catalog
+// in its stable order with its descriptions, then the scenarios.
+func TestNetworksGolden(t *testing.T) {
+	rec := do(t, newTestHandler(), "GET", "/v1/networks", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	const golden = `{"networks":[` +
+		`{"name":"baseline","description":"the Baseline network (recursive half-size definition)"},` +
+		`{"name":"flip","description":"Batcher's Flip network from STARAN (inverse shuffle)"},` +
+		`{"name":"indirect-binary-cube","description":"Pease's indirect binary n-cube (ascending butterflies)"},` +
+		`{"name":"modified-data-manipulator","description":"Feng's modified data manipulator (descending butterflies)"},` +
+		`{"name":"omega","description":"Lawrie's Omega network (perfect shuffle at every stage)"},` +
+		`{"name":"reverse-baseline","description":"Baseline with all arcs reversed (subshuffle stages)"}],` +
+		`"scenarios":[` +
+		`{"name":"uniform","description":"every input sends to an independently uniform destination","loadAware":false},` +
+		`{"name":"bernoulli","description":"each input offers with probability Load, uniform destination","loadAware":true},` +
+		`{"name":"permutation","description":"a fresh uniform permutation of destinations each wave","loadAware":false},` +
+		`{"name":"bitreversal","description":"input i sends to bit-reverse(i), adversarial for shuffles","loadAware":false},` +
+		`{"name":"hotspot","description":"each packet targets the hot output with probability HotProb","loadAware":false},` +
+		`{"name":"tornado","description":"input i sends to (i + n/2) mod n, the half-offset permutation","loadAware":false},` +
+		`{"name":"transpose","description":"address bits rotated by half the width (matrix transpose)","loadAware":false},` +
+		`{"name":"neighbor","description":"input i sends to (i+1) mod n, nearest-neighbor streaming","loadAware":false},` +
+		`{"name":"bursty","description":"on/off waves: Load with probability BurstProb, else IdleLoad","loadAware":true}]}` + "\n"
+	if got := rec.Body.String(); got != golden {
+		t.Errorf("golden mismatch:\ngot  %s\nwant %s", got, golden)
+	}
+}
+
 // TestCheckGolden pins the exact JSON the service emits for a small
 // catalog check — the wire format is part of the API.
 func TestCheckGolden(t *testing.T) {

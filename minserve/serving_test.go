@@ -53,6 +53,12 @@ func TestErrorCodesGolden(t *testing.T) {
 		{"queue over storage", "/v1/simulate", `{"network":"omega","stages":10,"model":"buffered","cycles":10,"queue":1099511627776}`, 400, CodeLimitExceeded},
 		{"lanes over storage", "/v1/simulate", `{"network":"omega","stages":10,"model":"buffered","cycles":10,"lanes":1099511627776,"queue":1099511627776}`, 400, CodeLimitExceeded},
 		{"unknown model", "/v1/simulate", `{"network":"omega","stages":3,"model":"quantum"}`, 400, CodeBadRequest},
+		{"unknown kernel", "/v1/simulate", `{"network":"omega","stages":3,"waves":10,"kernel":"simd"}`, 400, CodeBadRequest},
+		{"unknown arbiter", "/v1/simulate", `{"network":"omega","stages":3,"model":"buffered","cycles":10,"arbiter":"lottery"}`, 400, CodeBadRequest},
+		{"unknown lane select", "/v1/simulate", `{"network":"omega","stages":3,"model":"buffered","cycles":10,"laneSelect":"longest"}`, 400, CodeBadRequest},
+		{"kernel on buffered", "/v1/simulate", `{"network":"omega","stages":3,"model":"buffered","cycles":10,"kernel":"auto"}`, 400, CodeBadRequest},
+		{"waves on buffered", "/v1/simulate", `{"network":"omega","stages":3,"model":"buffered","waves":10}`, 400, CodeBadRequest},
+		{"buffered field on wave", "/v1/simulate", `{"network":"omega","stages":3,"arbiter":"random"}`, 400, CodeBadRequest},
 		{"empty batch", "/v1/batch", `{"requests":[]}`, 400, CodeBadRequest},
 		{"unknown batch op", "/v1/batch", `{"requests":[{"op":"explode","request":{}}]}`, 200, ""},
 	}
