@@ -85,7 +85,7 @@ BENCHES=('^BenchmarkEngineWaveLoop$' '^BenchmarkBitWaveLoop$' '^BenchmarkTableWa
 	'^BenchmarkBufferedRunner$' '^BenchmarkBaselineLabels$/^omega$/^n=10$'
 	'^BenchmarkColdCheck$/^check$/^n=10$' '^BenchmarkColdCheck$/^isocheck$/^n=10$'
 	'^BenchmarkServeColdCheck$/^iso$/^json$/^n=10$' '^BenchmarkDecodeRequest$/^json$/^n=10$'
-	'^BenchmarkFabricCompile$/^relabeled$/^n=10$')
+	'^BenchmarkFabricCompile$/^relabeled$/^n=10$' '^BenchmarkCodecDecode$')
 BENCH_TIME=0.1s
 BENCH_ROUNDS=8
 BENCH_MIN_THRESHOLD=0.15

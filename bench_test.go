@@ -976,12 +976,14 @@ func codecFixtureRequest() *codec.SimulateRequest {
 // allocate.
 func BenchmarkCodecEncode(b *testing.B) { benchSteady(b, codecEncode(b)) }
 
-func codecEncode(testing.TB) func() {
+func codecEncode(tb testing.TB) func() {
 	v := codecFixtureRequest()
 	var e codec.Encoder
 	return func() {
 		e.Reset()
-		e.SimulateRequest(v)
+		if err := e.Encode(v); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -998,8 +1000,7 @@ func codecDecode(tb testing.TB) func() {
 	var d codec.Decoder
 	dst := new(codec.SimulateRequest)
 	return func() {
-		d.Reset(wire)
-		if err := d.SimulateRequest(dst); err != nil {
+		if err := d.Decode(wire, dst); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	counter := fs.Bool("counter", false, "simulate the tail-cycle counterexample instead of -net")
 	n := fs.Int("n", 6, "number of stages")
 	model := fs.String("model", "wave", "wave or buffered")
-	pattern := fs.String("pattern", "uniform", "traffic scenario (see -patterns)")
+	pattern := fs.String("pattern", min.DefaultScenario, "traffic scenario (see -patterns)")
 	listPatterns := fs.Bool("patterns", false, "list traffic scenarios and exit")
 	waves := fs.Int("waves", min.DefaultWaves, "waves (wave model)")
 	kernel := fs.String("kernel", min.KernelAuto.String(), "wave executor: auto, scalar or bit (results are identical)")
@@ -63,9 +63,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	lanes := fs.Int("lanes", min.DefaultLanes, "FIFO lanes per switch input port (buffered model)")
 	cycles := fs.Int("cycles", min.DefaultCycles, "measured cycles (buffered model)")
 	warmup := fs.Int("warmup", min.DefaultWarmup, "warmup cycles (buffered model)")
-	hotspot := fs.Float64("hotspot", 0.3, "hot-spot probability (hotspot pattern)")
-	burst := fs.Float64("burst", 0.2, "burst-wave probability (bursty pattern)")
-	idleLoad := fs.Float64("idleload", 0.1, "off-phase load (bursty pattern)")
+	hotspot := fs.Float64("hotspot", min.DefaultHotProb, "hot-spot probability (hotspot pattern)")
+	burst := fs.Float64("burst", min.DefaultBurstProb, "burst-wave probability (bursty pattern)")
+	idleLoad := fs.Float64("idleload", min.DefaultIdleLoad, "off-phase load (bursty pattern)")
 	seed := fs.Uint64("seed", min.DefaultSeed, "root rng seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	faults := fs.String("faults", "", "fault plan: rate items (dead=R,stuck=R,link=R) and pinned items (dead@S:C, stuck0@S:C, stuck1@S:C, link@S:L)")

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand/v2"
@@ -209,21 +210,6 @@ func TestRoundTripAllShapes(t *testing.T) {
 	}
 }
 
-func TestEncodeValueAndPointerAgree(t *testing.T) {
-	ptr := fixtureSimulateRequest()
-	a, err := Encode(ptr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Encode(*ptr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("value and pointer encodings differ")
-	}
-}
-
 func TestNilVsEmptyRoundTrip(t *testing.T) {
 	cases := []*CheckRequest{
 		{NetworkSpec: NetworkSpec{Network: "omega", Stages: 3}},                             // nil perms
@@ -270,13 +256,11 @@ func TestDecodeReusesStorage(t *testing.T) {
 	}
 	var d Decoder
 	dst := new(SimulateResponse)
-	d.Reset(wire)
-	if err := d.SimulateResponse(dst); err != nil {
+	if err := d.Decode(wire, dst); err != nil {
 		t.Fatal(err)
 	}
 	wave := dst.Wave
-	d.Reset(wire)
-	if err := d.SimulateResponse(dst); err != nil {
+	if err := d.Decode(wire, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Wave != wave {
@@ -300,6 +284,28 @@ func TestRejectsTornAndTrailingFrames(t *testing.T) {
 	}
 	if err := Decode(append(bytes.Clone(wire), 0), new(SimulateRequest)); err == nil {
 		t.Fatal("frame with trailing byte decoded without error")
+	}
+}
+
+// TestRejectsTruncatedPayloads cuts every fixture's payload at each
+// byte and patches the length field to match, so the header passes and
+// the cut lands inside a field: the decode must fail with ErrTruncated
+// or ErrValue, and must not panic.
+func TestRejectsTruncatedPayloads(t *testing.T) {
+	for name, v := range fixtures() {
+		wire, err := Encode(v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for cut := headerLen; cut < len(wire); cut++ {
+			torn := bytes.Clone(wire[:cut])
+			binary.LittleEndian.PutUint32(torn[4:8], uint32(cut-headerLen))
+			err := Decode(torn, fresh(v))
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrValue) {
+				t.Errorf("%s cut at payload byte %d/%d: err %v, want ErrTruncated or ErrValue",
+					name, cut-headerLen, len(wire)-headerLen, err)
+			}
+		}
 	}
 }
 
@@ -361,14 +367,15 @@ func TestFaultKindTagRange(t *testing.T) {
 func TestHostileLengthsRejectNotAllocate(t *testing.T) {
 	// A frame whose payload claims a huge slice must fail fast: count()
 	// bounds every length by the remaining payload bytes.
-	var e Encoder
-	start := e.begin(ShapeCheckRequest)
-	e.str("omega")
-	e.int(4)
-	e.presence(true)
-	e.u64(1 << 40) // LinkPerms outer count: absurd
-	e.end(start)
-	if err := Decode(e.buf, new(CheckRequest)); err == nil {
+	var c coder
+	network, stages, present, n := "omega", 4, true, uint64(1<<40)
+	c.buf = []byte{magic0, magic1, Version, ShapeCheckRequest, 0, 0, 0, 0}
+	c.str(&network)
+	c.int(&stages)
+	c.bool(&present)
+	c.u64(&n) // LinkPerms outer count: absurd
+	binary.LittleEndian.PutUint32(c.buf[4:8], uint32(len(c.buf)-headerLen))
+	if err := Decode(c.buf, new(CheckRequest)); err == nil {
 		t.Fatal("hostile count decoded without error")
 	}
 }
@@ -397,24 +404,26 @@ func TestJSONTagsMatchServingContract(t *testing.T) {
 func TestSteadyStateAllocFree(t *testing.T) {
 	v := fixtureSimulateResponse()
 	var e Encoder
-	e.SimulateResponse(v) // prime buffer capacity
+	if err := e.Encode(v); err != nil { // prime buffer capacity
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		e.Reset()
-		e.SimulateResponse(v)
+		if err := e.Encode(v); err != nil {
+			t.Fatal(err)
+		}
 	}); allocs != 0 {
 		t.Errorf("encode steady state: %v allocs/op, want 0", allocs)
 	}
 
-	wire := bytes.Clone(e.buf)
+	wire := bytes.Clone(e.c.buf)
 	var d Decoder
 	dst := new(SimulateResponse)
-	d.Reset(wire)
-	if err := d.SimulateResponse(dst); err != nil { // prime scratch + intern table
+	if err := d.Decode(wire, dst); err != nil { // prime scratch + intern table
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		d.Reset(wire)
-		if err := d.SimulateResponse(dst); err != nil {
+		if err := d.Decode(wire, dst); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -531,13 +540,13 @@ func TestIntLoopMatchesCheckedRead(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for n := 0; n <= 12; n++ {
-			fast := Decoder{buf: in}
+			fast := coder{dec: true, buf: in}
 			got := make([]int, n)
 			fast.intLoop(got)
-			ref := Decoder{buf: in}
+			ref := coder{dec: true, buf: in}
 			want := make([]int, n)
 			for i := range want {
-				want[i] = ref.int()
+				ref.int(&want[i])
 			}
 			if !reflect.DeepEqual(got, want) || fast.off != ref.off || fast.err != ref.err {
 				t.Fatalf("% x, %d ints: got %v off %d err %v, want %v off %d err %v",

@@ -26,6 +26,9 @@ import (
 	"minequiv/internal/sim"
 )
 
+// DefaultSeed is the root seed of a run that names none.
+const DefaultSeed = 1
+
 // Config parametrizes one engine run.
 type Config struct {
 	Workers int    // goroutines; <= 0 means GOMAXPROCS

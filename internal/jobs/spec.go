@@ -57,13 +57,13 @@ func (s *Spec) normalize(defaultShardTrials int) {
 		s.FaultRates = []float64{0}
 	}
 	if s.Scenario == "" {
-		s.Scenario = "uniform"
+		s.Scenario = sim.DefaultScenario
 	}
 	if s.Kernel == "" {
 		s.Kernel = engine.KernelAuto.String()
 	}
 	if s.Seed == 0 {
-		s.Seed = 1
+		s.Seed = engine.DefaultSeed
 	}
 	if s.ShardTrials <= 0 {
 		s.ShardTrials = defaultShardTrials

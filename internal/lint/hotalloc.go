@@ -6,9 +6,9 @@ import (
 )
 
 // HotAlloc flags allocating constructs inside functions annotated
-// //minlint:hotpath. It complements the CI 0-allocs/op benchmark gate:
-// the benchmark proves the steady state, the analyzer points at the
-// exact line when a change breaks it — before the benchmark job ever
+// //minlint:hotpath. It complements the 0-allocs/op pins of the root
+// TestSteadyAllocs: the pins prove the steady state, the analyzer
+// points at the exact line when a change breaks it — before any test
 // runs.
 //
 // Flagged: fmt/errors constructors, append without preallocation

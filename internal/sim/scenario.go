@@ -16,14 +16,23 @@ type ScenarioParams struct {
 	IdleLoad  float64 // offered load outside bursts (bursty)
 }
 
+// The conventional scenario and tunable values, the defaults of
+// cmd/minsim, the min package and the job plane.
+const (
+	DefaultScenario  = "uniform"
+	DefaultHotProb   = 0.3
+	DefaultBurstProb = 0.2
+	DefaultIdleLoad  = 0.1
+)
+
 // DefaultScenarioParams returns the conventional tunable values.
 func DefaultScenarioParams() ScenarioParams {
 	return ScenarioParams{
 		Load:      1.0,
-		HotProb:   0.3,
+		HotProb:   DefaultHotProb,
 		HotDst:    0,
-		BurstProb: 0.2,
-		IdleLoad:  0.1,
+		BurstProb: DefaultBurstProb,
+		IdleLoad:  DefaultIdleLoad,
 	}
 }
 

@@ -64,15 +64,19 @@ const (
 
 // The simulation defaults: the value of every tunable whose option is
 // not given. The kernel, arbiter and lane policy default to their zero
-// values, and the scenario to "uniform".
+// values.
 const (
-	DefaultSeed         = 1
-	DefaultWaves        = 500  // wave model
-	DefaultReplications = 1    // buffered model
-	DefaultQueue        = 4    // buffered model: FIFO capacity per lane
-	DefaultLanes        = 1    // buffered model: lanes per input port
-	DefaultCycles       = 5000 // buffered model: measured cycles
-	DefaultWarmup       = 500  // buffered model: discarded cycles
+	DefaultSeed         = engine.DefaultSeed
+	DefaultScenario     = sim.DefaultScenario
+	DefaultHotProb      = sim.DefaultHotProb   // hotspot scenario
+	DefaultBurstProb    = sim.DefaultBurstProb // bursty scenario
+	DefaultIdleLoad     = sim.DefaultIdleLoad  // bursty scenario
+	DefaultWaves        = 500                  // wave model
+	DefaultReplications = 1                    // buffered model
+	DefaultQueue        = 4                    // buffered model: FIFO capacity per lane
+	DefaultLanes        = 1                    // buffered model: lanes per input port
+	DefaultCycles       = 5000                 // buffered model: measured cycles
+	DefaultWarmup       = 500                  // buffered model: discarded cycles
 	// DefaultBufferedLoad is the buffered model's offered load; the
 	// wave model's is 1, which leaves every scenario unthinned.
 	DefaultBufferedLoad = 0.6
@@ -97,7 +101,7 @@ type simOptions struct {
 func defaultSimOptions() simOptions {
 	return simOptions{
 		cfg:      engine.Config{Seed: DefaultSeed},
-		scenario: "uniform",
+		scenario: DefaultScenario,
 		params:   sim.DefaultScenarioParams(),
 		waves:    DefaultWaves,
 		reps:     DefaultReplications,
@@ -120,7 +124,7 @@ func WithWorkers(n int) Option { return func(o *simOptions) { o.cfg.Workers = n 
 func WithSeed(seed uint64) Option { return func(o *simOptions) { o.cfg.Seed = seed } }
 
 // WithScenario selects a named traffic pattern from the registry (see
-// Scenarios). Default "uniform".
+// Scenarios). Default DefaultScenario.
 func WithScenario(name string) Option { return func(o *simOptions) { o.scenario = name } }
 
 // WithLoad sets the offered load per input per wave/cycle. Load-aware

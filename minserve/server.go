@@ -310,7 +310,8 @@ func (s *server) handleWork(w http.ResponseWriter, r *http.Request) {
 // workOp is one row of the op table behind /v1/check, /v1/route and
 // /v1/simulate and the matching /v1/batch sub-requests: exec decodes a
 // request body under the negotiated request codec and computes the
-// response value; runOp renders it, and caches it when cacheable.
+// response, a pointer to its wire shape; runOp renders it, and caches
+// it when cacheable.
 type workOp struct {
 	name      string
 	exec      func(s *server, ctx context.Context, wi wire, body []byte) (any, error)
@@ -537,13 +538,13 @@ func (s *server) execCheck(_ context.Context, wi wire, body []byte) (any, error)
 		return nil, err
 	}
 	if !req.Iso {
-		return checkResponse{Report: min.Check(nw)}, nil
+		return &checkResponse{Report: min.Check(nw)}, nil
 	}
 	rep, iso, err := min.CheckIso(nw)
 	if err != nil {
 		return nil, err
 	}
-	return checkResponse{Report: rep, Iso: iso}, nil
+	return &checkResponse{Report: rep, Iso: iso}, nil
 }
 
 // ServingStats is the admission/serving-plane snapshot reported by
@@ -622,13 +623,13 @@ func (s *server) execRoute(_ context.Context, wi wire, body []byte) (any, error)
 		}
 		// No tag schedule: a degraded fabric is routed by
 		// reachability, not stateless destination tags.
-		return routeResponse{Network: nw.Name(), Path: path}, nil
+		return &routeResponse{Network: nw.Name(), Path: path}, nil
 	}
 	path, err := min.Route(nw, req.Src, req.Dst)
 	if err != nil {
 		return nil, err
 	}
-	resp := routeResponse{Network: nw.Name(), Path: path}
+	resp := &routeResponse{Network: nw.Name(), Path: path}
 	if tags, err := min.TagPositions(nw); err == nil {
 		resp.TagPositions = tags
 	}
@@ -692,7 +693,7 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 		if err != nil {
 			return nil, err
 		}
-		return simulateResponse{Model: "wave", Wave: &st}, nil
+		return &simulateResponse{Model: "wave", Wave: &st}, nil
 
 	case "buffered":
 		if req.Waves != 0 {
@@ -739,7 +740,7 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) (any, e
 		if err != nil {
 			return nil, err
 		}
-		return simulateResponse{Model: "buffered", Buffered: &st}, nil
+		return &simulateResponse{Model: "buffered", Buffered: &st}, nil
 
 	default:
 		return nil, badRequest("unknown model %q (wave or buffered)", req.Model)
